@@ -6,17 +6,15 @@
 //!
 //! The acceptance criterion is on the *disabled* row: it must stay within
 //! 2% of the pre-observability end-to-end baseline
-//! (`end_to_end_100s/ac3_L150` of BENCH_02). `scripts/bench_snapshot.sh`
-//! computes the enabled-vs-disabled delta into the current snapshot.
+//! (`end_to_end_100s/ac3_L150`).
 //!
 //! The two enabled cases additionally report the p99 of the hot-path
 //! timing histograms populated during the run (`qres_admission_test_ns`,
 //! `qres_br_compute_ns`) as extra `BENCH {...}` lines, in the same format
 //! the harness emits. The admission p99 is reported under
 //! `flight_p99/admission_off_ns` (recorder off) and
-//! `flight_p99/admission_on_ns` (recorder on) so
-//! `scripts/bench_snapshot.sh` can gate the flight recorder's admission
-//! tail-latency cost directly.
+//! `flight_p99/admission_on_ns` (recorder on), so the flight recorder's
+//! admission tail-latency cost reads directly off one run.
 
 use qres_microbench::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use qres_sim::{run_scenario, Scenario, SchemeKind};

@@ -145,10 +145,8 @@ impl HexGrid {
     pub const METRO_COLS: usize = 32;
 
     /// The metro-scale reference grid: `32 × 32` = 1024 cells, the
-    /// smallest square hex grid past the thousand-cell mark. This is the
-    /// topology the sharded reservation core and the `--workers` shard
-    /// scheduler are sized against; region partitioning slices it by
-    /// contiguous row bands so each worker owns a compact patch.
+    /// smallest square hex grid past the thousand-cell mark: the
+    /// metro-scale scenario's topology.
     pub fn metro() -> Self {
         HexGrid::new(Self::METRO_ROWS, Self::METRO_COLS)
     }

@@ -34,7 +34,6 @@ pub mod admission;
 pub mod config;
 pub mod ns_scheme;
 pub mod reservation;
-mod shard;
 pub mod system;
 pub mod window_control;
 

@@ -15,8 +15,7 @@ use crate::recorder::Level;
 /// The event families required by the telemetry spec: admission
 /// decisions, `B_r` recompute-vs-memo accounting, `T_est` window changes,
 /// HOE quadruplet insert/evict, DES queue high-water marks, backbone
-/// message sends, and the shard-plane epoch accounting (per-worker epoch
-/// summaries and the driver's barrier breakdown).
+/// message sends, SLO alert transitions, and flight-recorder captures.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ObsEvent {
     /// A new-connection admission test completed.
@@ -117,23 +116,6 @@ pub enum ObsEvent {
         /// Nominal payload size (bytes).
         bytes: u64,
     },
-    /// A shard worker completed an epoch: its busy/idle accounting since
-    /// the previous quiesce barrier (one per worker per epoch; renders as
-    /// a worker-lane span in `qres obstrace`).
-    WorkerEpoch {
-        /// Sim-time of the barrier (seconds).
-        t: f64,
-        /// Shard worker index (`qres-shard-{worker}`).
-        worker: u32,
-        /// The epoch this worker just completed.
-        epoch: u64,
-        /// Nanoseconds spent processing messages this epoch.
-        busy_ns: u64,
-        /// Nanoseconds spent waiting on an empty mailbox this epoch.
-        idle_ns: u64,
-        /// Messages processed this epoch.
-        msgs: u64,
-    },
     /// The SLO watchdog moved an alert through its state machine
     /// (`pending` → `firing` → `resolved`); replayed offline by
     /// `qres obswatch`.
@@ -142,15 +124,13 @@ pub enum ObsEvent {
         t: f64,
         /// Alert rule name (see `crate::alert::RULE_NAMES`).
         rule: &'static str,
-        /// Cell id (or worker index for `worker_down`); `None` for
-        /// global rules.
+        /// Cell id; `None` for global rules.
         cell: Option<u32>,
         /// The state entered (`pending`/`firing`/`resolved`).
         state: &'static str,
     },
-    /// The DES driver completed an epoch barrier: the wall-clock breakdown
-    /// of the epoch that just ended (one per epoch; renders as barrier and
-    /// serial spans on the epoch lane in `qres obstrace`).
+    /// Exists only for `qres-perf`'s traced replay, and goes with that
+    /// call in the next change to the benchmark.
     EpochBarrier {
         /// Sim-time of the barrier (seconds).
         t: f64,
@@ -158,9 +138,9 @@ pub enum ObsEvent {
         epoch: u64,
         /// Wall clock since the previous barrier completed (ns).
         wall_ns: u64,
-        /// Wall clock of the quiesce drain itself (ns).
+        /// Wall clock of the barrier itself (ns).
         barrier_ns: u64,
-        /// Driver time blocked on synchronous shard replies (ns).
+        /// Driver time blocked on other threads (ns).
         blocked_ns: u64,
         /// Residual single-threaded driver time (ns).
         serial_ns: u64,
@@ -191,7 +171,6 @@ impl ObsEvent {
             ObsEvent::Admission { .. }
             | ObsEvent::TEstChange { .. }
             | ObsEvent::QueueHighWater { .. }
-            | ObsEvent::WorkerEpoch { .. }
             | ObsEvent::AlertTransition { .. }
             | ObsEvent::EpochBarrier { .. }
             | ObsEvent::FlightCapture { .. } => Level::Info,
@@ -212,7 +191,6 @@ impl ObsEvent {
             ObsEvent::HoeEvict { .. } => "hoe_evict",
             ObsEvent::QueueHighWater { .. } => "queue_high_water",
             ObsEvent::BackboneSend { .. } => "backbone_send",
-            ObsEvent::WorkerEpoch { .. } => "worker_epoch",
             ObsEvent::AlertTransition { .. } => "alert_transition",
             ObsEvent::EpochBarrier { .. } => "epoch_barrier",
             ObsEvent::FlightCapture { .. } => "flight_capture",
@@ -309,20 +287,6 @@ impl ObsEvent {
                 fields.push(("kind".into(), Value::Str((*kind).to_string())));
                 fields.push(("bytes".into(), Value::UInt(*bytes)));
             }
-            ObsEvent::WorkerEpoch {
-                worker,
-                epoch,
-                busy_ns,
-                idle_ns,
-                msgs,
-                ..
-            } => {
-                fields.push(("worker".into(), Value::UInt(u64::from(*worker))));
-                fields.push(("epoch".into(), Value::UInt(*epoch)));
-                fields.push(("busy_ns".into(), Value::UInt(*busy_ns)));
-                fields.push(("idle_ns".into(), Value::UInt(*idle_ns)));
-                fields.push(("msgs".into(), Value::UInt(*msgs)));
-            }
             ObsEvent::AlertTransition {
                 rule, cell, state, ..
             } => {
@@ -376,7 +340,6 @@ impl ObsEvent {
             | ObsEvent::HoeEvict { t, .. }
             | ObsEvent::QueueHighWater { t, .. }
             | ObsEvent::BackboneSend { t, .. }
-            | ObsEvent::WorkerEpoch { t, .. }
             | ObsEvent::AlertTransition { t, .. }
             | ObsEvent::EpochBarrier { t, .. }
             | ObsEvent::FlightCapture { t, .. } => *t,
@@ -446,14 +409,6 @@ mod tests {
                 kind: "reservation_query",
                 bytes: 32,
             },
-            ObsEvent::WorkerEpoch {
-                t: 10.0,
-                worker: 1,
-                epoch: 1,
-                busy_ns: 42_000,
-                idle_ns: 958_000,
-                msgs: 17,
-            },
             ObsEvent::EpochBarrier {
                 t: 10.0,
                 epoch: 1,
@@ -498,7 +453,7 @@ mod tests {
     #[test]
     fn jsonl_round_trips_through_value_parse() {
         let text = events_to_jsonl(&sample_events());
-        assert_eq!(text.lines().count(), 11);
+        assert_eq!(text.lines().count(), 10);
         for line in text.lines() {
             let v = Value::parse(line).expect("line must parse");
             assert!(matches!(v, Value::Object(_)));

@@ -67,11 +67,6 @@ pub fn prometheus_text() -> String {
         out.push_str(&format!("# HELP {} {}\n", c.name(), c.help()));
         out.push_str(&format!("# TYPE {} counter\n", c.name()));
         out.push_str(&format!("{} {}\n", c.name(), c.get()));
-        // The shard message counter additionally exports one series per
-        // message kind, directly under the family's unlabeled total.
-        if c.name() == "qres_shard_msgs_total" {
-            crate::worker::shard_msgs_kind_series(&mut out);
-        }
     }
     for g in gauges() {
         out.push_str(&format!("# HELP {} {}\n", g.name(), g.help()));
@@ -103,9 +98,6 @@ pub fn prometheus_text() -> String {
     // (per-cell labelled series) and the Eq.-4 calibration summary.
     crate::qos::prometheus_fragment(&mut out);
     crate::calib::prometheus_fragment(&mut out);
-    // Shard-plane families: per-worker busy/idle/liveness, the epoch
-    // barrier breakdown, and per-kind mailbox depth/dwell.
-    crate::worker::prometheus_fragment(&mut out);
     // SLO watchdog families: per-(rule, cell) alert state and per-rule
     // fired totals (empty until the watchdog transitions something).
     crate::alert::prometheus_fragment(&mut out);
@@ -174,9 +166,6 @@ pub fn snapshot_json() -> Value {
         // clocks, efficiency integrals, Eq.-4 calibration) — same document
         // the `/qos` route serves.
         ("qos".to_string(), crate::qos::qos_json()),
-        // Shard-plane view (per-worker accounting, epoch barrier
-        // breakdown, mailbox telemetry) — same document `/workers` serves.
-        ("workers".to_string(), crate::worker::workers_json()),
         // SLO watchdog view (burn-rate alert table, fired totals,
         // transition log) — same document the `/alerts` route serves.
         ("alerts".to_string(), crate::alert::alerts_json()),
@@ -571,7 +560,6 @@ h_count{cell=\"3\"} 1
                 "gauges",
                 "histograms",
                 "qos",
-                "workers",
                 "alerts",
                 "flight"
             ]

@@ -16,13 +16,12 @@
 //! * [`export`] — Prometheus text exposition, a JSON snapshot merged into
 //!   `qres-sim` run reports, and an in-repo exposition lint for CI.
 //! * [`serve`] — a hand-rolled `std::net` HTTP scrape endpoint
-//!   (`/metrics`, `/metrics.json`, `/qos`, `/workers`, `/healthz`) so
+//!   (`/metrics`, `/metrics.json`, `/qos`, `/healthz`) so
 //!   Prometheus/Grafana can watch a long sweep live instead of waiting
 //!   for the final snapshot.
 //! * [`fold`] / [`trace`] — offline renderers over the spilled event
 //!   stream: folded stacks for `flamegraph.pl`/inferno (`qres obsfold`),
-//!   Perfetto-importable trace-event JSON with per-worker epoch lanes
-//!   (`qres obstrace`), and a structural span diff between two traces
+//!   Perfetto-importable trace-event JSON (`qres obstrace`), and a structural span diff between two traces
 //!   (`qres obstrace --diff`).
 //! * [`qos`] — live QoS-conformance tracking: per-cell sliding-window
 //!   `P_HD`/`P_CB` estimators with Wilson intervals, violation-seconds
@@ -35,11 +34,8 @@
 //!   for batch runs nothing scrapes.
 //! * [`diff`] — cross-run diff of two `/metrics.json` snapshots
 //!   (`qres obsdiff`).
-//! * [`worker`] — shard-plane profiling: per-worker busy/idle accounting,
-//!   per-kind mailbox depth/dwell telemetry, and the per-epoch barrier
-//!   breakdown behind the measured serial fraction (`qres obsworkers`).
 //! * [`tsdb`] — the SLO watchdog's retention store: a ring-buffer
-//!   time-series database sampling the QoS/worker/registry families on a
+//!   time-series database sampling the QoS/registry families on a
 //!   sim-time cadence, queryable at `GET /query` and rendered as unicode
 //!   sparklines by `qres obstop`.
 //! * [`alert`] — burn-rate SLO alerting over the retention store:
@@ -88,7 +84,6 @@ pub mod recorder;
 pub mod serve;
 pub mod trace;
 pub mod tsdb;
-pub mod worker;
 
 pub use alert::{
     alert_config, alerts_json, alerts_snapshot, evaluate as evaluate_alerts,
@@ -128,8 +123,14 @@ pub use tsdb::{
     query_json, render_obstop, reset_tsdb, set_tsdb_sample_secs, set_watchdog_enabled, sparkline,
     tsdb_sample_secs, watchdog_enabled, watchdog_tick,
 };
-pub use worker::{
-    add_driver_blocked, busy_fractions, configure_workers, flush_worker, record_epoch, record_recv,
-    record_send, render_workers_report, reset_workers, scaling_summary, stalled_workers,
-    worker_stopped, workers_json, ScalingSummary, MSG_KINDS,
-};
+
+/// Returns `(0, wall_ns - barrier_ns)`, saturating. Exists only for
+/// `qres-perf`'s traced replay, and goes with that call in the next change
+/// to the benchmark.
+pub fn record_epoch(wall_ns: u64, barrier_ns: u64) -> (u64, u64) {
+    (0, wall_ns.saturating_sub(barrier_ns))
+}
+
+/// Does nothing. Exists only for `qres-perf`'s traced replay, and goes
+/// with that call in the next change to the benchmark.
+pub fn reset_workers() {}

@@ -661,19 +661,6 @@ pub static SHARD_OVERFLOW_TOTAL: Counter = Counter::new(
     "Sharded-histogram samples folded into the 'other' shard (cell id >= shard limit)",
 );
 
-/// Messages exchanged with reservation-core worker shards (`--workers >
-/// 1`): contribution/usage queries, state writes, quiesce barriers.
-pub static SHARD_MSGS_TOTAL: Counter = Counter::new(
-    "qres_shard_msgs_total",
-    "Messages exchanged with reservation-core worker shards",
-);
-
-/// Conservative per-epoch barriers executed by the shard scheduler.
-pub static SHARD_BARRIERS_TOTAL: Counter = Counter::new(
-    "qres_shard_barriers_total",
-    "Conservative per-epoch clock barriers executed across worker shards",
-);
-
 /// Snapshots pushed by the push exporter (`qres_obs::push`).
 pub static PUSHES_TOTAL: Counter = Counter::new(
     "qres_obs_pushes_total",
@@ -723,7 +710,7 @@ pub fn sharded_histograms() -> [&'static ShardedHistogram; 2] {
 }
 
 /// Every registered counter, in export order.
-pub fn counters() -> [&'static Counter; 20] {
+pub fn counters() -> [&'static Counter; 18] {
     [
         &BACKBONE_MSGS_TOTAL,
         &BACKBONE_BYTES_TOTAL,
@@ -738,8 +725,6 @@ pub fn counters() -> [&'static Counter; 20] {
         &EVENTS_DROPPED_TOTAL,
         &EVENTS_SAMPLED_OUT_TOTAL,
         &SHARD_OVERFLOW_TOTAL,
-        &SHARD_MSGS_TOTAL,
-        &SHARD_BARRIERS_TOTAL,
         &PUSHES_TOTAL,
         &PUSH_ERRORS_TOTAL,
         &TSDB_SAMPLES_TOTAL,
@@ -749,8 +734,8 @@ pub fn counters() -> [&'static Counter; 20] {
 }
 
 /// Every registered max-gauge, in export order.
-pub fn gauges() -> [&'static MaxGauge; 3] {
-    [&QUEUE_HIGH_WATER, &ACTIVE_MOBILES, &WORKERS]
+pub fn gauges() -> [&'static MaxGauge; 2] {
+    [&QUEUE_HIGH_WATER, &ACTIVE_MOBILES]
 }
 
 /// High-water mark of live events in the DES queue.
@@ -763,13 +748,6 @@ pub static QUEUE_HIGH_WATER: MaxGauge = MaxGauge::new(
 pub static ACTIVE_MOBILES: MaxGauge = MaxGauge::new(
     "qres_active_mobiles_high_water",
     "High-water mark of simultaneously active mobile connections",
-);
-
-/// Worker shards owning reservation-core cells (1 = the single-threaded
-/// inline reference).
-pub static WORKERS: MaxGauge = MaxGauge::new(
-    "qres_workers",
-    "Worker shards owning reservation-core cells (1 = inline reference)",
 );
 
 /// Zeroes every instrument in the registry (between runs / tests).
@@ -875,18 +853,17 @@ mod tests {
     fn registry_shapes() {
         assert_eq!(histograms().len(), 5);
         assert_eq!(sharded_histograms().len(), 2);
-        assert_eq!(counters().len(), 20);
-        assert_eq!(gauges().len(), 3);
+        assert_eq!(counters().len(), 18);
+        assert_eq!(gauges().len(), 2);
         let names: Vec<_> = histograms().iter().map(|h| h.name()).collect();
         assert!(names.contains(&"qres_event_dispatch_ns"));
         let sharded: Vec<_> = sharded_histograms().iter().map(|h| h.name()).collect();
         assert!(sharded.contains(&"qres_admission_test_ns"));
         assert!(sharded.contains(&"qres_br_compute_ns"));
         let counter_names: Vec<_> = counters().iter().map(|c| c.name()).collect();
-        assert!(counter_names.contains(&"qres_shard_msgs_total"));
-        assert!(counter_names.contains(&"qres_shard_barriers_total"));
+        assert!(counter_names.contains(&"qres_obs_shard_overflow_total"));
         let gauge_names: Vec<_> = gauges().iter().map(|g| g.name()).collect();
-        assert!(gauge_names.contains(&"qres_workers"));
+        assert!(gauge_names.contains(&"qres_des_queue_high_water"));
     }
 
     #[test]
@@ -914,8 +891,8 @@ mod tests {
     }
 
     /// The engine grows the shard slab with `ensure_cell_shards` while
-    /// shard workers may already be recording (a mid-run attach, or a
-    /// second larger run in the same process). Under concurrent record
+    /// other threads may already be recording (a concurrent sweep point,
+    /// or a second larger run in the same process). Under concurrent record
     /// the grow must neither fold in-bounds cells (the overflow counter
     /// stays flat) nor drop samples that were in the slab when the copy
     /// started — including previously folded ones, which carry into the

@@ -3,11 +3,10 @@
 //! ([`crate::alert`]) has history to compute burn rates over and
 //! `qres obstop` has something to draw.
 //!
-//! At every watchdog tick (driven by the DES driver's epoch barrier, see
-//! `qres-sim`) the store samples a fixed family set — the per-cell QoS
-//! estimators and efficiency integrals from [`crate::qos`], the per-worker
-//! busy utilization from [`crate::worker`], and a handful of registry
-//! globals — into bounded [`VecDeque`] series: one point per
+//! At every watchdog tick (driven by the DES driver every 10 sim-seconds,
+//! see `qres-sim`) the store samples a fixed family set — the per-cell QoS
+//! estimators and efficiency integrals from [`crate::qos`] and a handful
+//! of registry globals — into bounded [`VecDeque`] series: one point per
 //! [`sample cadence`](DEFAULT_SAMPLE_SECS), at most
 //! [`DEFAULT_RETENTION_POINTS`] points per series (~2 simulated hours at
 //! the default cadence), and at most [`DEFAULT_CELL_SERIES`] per-cell
@@ -17,8 +16,8 @@
 //!
 //! Timestamps are quantized to the cadence grid and all values derive from
 //! the deterministic event stream, so the stored series — and everything
-//! the alert engine derives from them — are bit-identical across reruns
-//! and worker counts. Nothing here feeds back into the simulation:
+//! the alert engine derives from them — are bit-identical across reruns.
+//! Nothing here feeds back into the simulation:
 //! watchdog on/off runs produce identical sim outputs.
 //!
 //! Queryable live at `GET /query?metric=...&cell=...`
@@ -54,8 +53,8 @@ struct Series {
 }
 
 /// The retention store: per-family entity-keyed series plus the sampling
-/// schedule. Entities are cell ids (or worker indices for the
-/// `qres_worker_*` family), `-1` for globals, `i64::MAX` for the fold.
+/// schedule. Entities are cell ids, `-1` for globals, `i64::MAX` for the
+/// fold.
 #[derive(Debug)]
 struct TsdbState {
     sample_secs: f64,
@@ -120,8 +119,8 @@ fn with_state<R>(f: impl FnOnce(&mut TsdbState) -> R) -> R {
     f(guard.get_or_insert_with(TsdbState::new))
 }
 
-/// Whether the SLO watchdog (tsdb sampling + alert evaluation) runs at
-/// epoch barriers. On by default; telemetry must also be enabled for the
+/// Whether the SLO watchdog (tsdb sampling + alert evaluation) runs on
+/// the driver's ticks. On by default; telemetry must also be enabled for the
 /// engine to tick it at all.
 static WATCHDOG_ON: AtomicBool = AtomicBool::new(true);
 
@@ -136,7 +135,7 @@ pub fn watchdog_enabled() -> bool {
 }
 
 /// Sets the sampling cadence (simulated seconds, floored at 1). The
-/// schedule restarts: the next epoch-barrier tick samples immediately.
+/// schedule restarts: the next watchdog tick samples immediately.
 pub fn set_tsdb_sample_secs(secs: f64) {
     with_state(|s| {
         s.sample_secs = secs.max(1.0);
@@ -149,11 +148,11 @@ pub fn tsdb_sample_secs() -> f64 {
     with_state(|s| s.sample_secs)
 }
 
-/// The SLO watchdog tick, called by the DES driver at every epoch barrier
+/// The SLO watchdog tick, called by the DES driver every 10 sim-seconds
 /// (telemetry on only). Takes a retention sample when a cadence boundary
 /// has been crossed and, when it did, evaluates the alert rules on the
 /// fresh window — both on the sim clock, so watchdog output is
-/// deterministic across reruns and worker counts.
+/// deterministic across reruns.
 pub fn watchdog_tick(now: f64) {
     if !watchdog_enabled() {
         return;
@@ -200,7 +199,6 @@ const GLOBAL_FAMILIES: [&str; 4] = [
 /// state is read *before* taking the tsdb lock (no nested locking).
 fn collect(t: f64) {
     let qos = crate::qos::qos_snapshot();
-    let workers = crate::worker::busy_fractions();
     let globals: [(&'static str, f64); 4] = [
         (
             GLOBAL_FAMILIES[0],
@@ -241,9 +239,6 @@ fn collect(t: f64) {
                 s.push("qres_eff_br_reserved_bu", cell, t, br);
             }
         }
-        for (w, frac) in workers {
-            s.push("qres_worker_busy_utilization", w as i64, t, frac);
-        }
     });
 }
 
@@ -259,7 +254,7 @@ pub(crate) struct WindowStats {
     pub n: usize,
 }
 
-/// Entities (cells / worker indices; `-1` global, `i64::MAX` fold) that
+/// Entities (cells; `-1` global, `i64::MAX` fold) that
 /// carry data for `metric`.
 pub(crate) fn family_entities(metric: &str) -> Vec<i64> {
     with_state(|s| {
@@ -369,7 +364,7 @@ fn series_summary(entity: i64, series: &Series, with_points: bool, since: Option
 
 /// The `GET /query` document. Without `metric`, a catalog: store
 /// configuration plus one `min`/`max`/`last` summary row per series. With
-/// `metric` (and optionally `cell`, a cell id / worker index / `other`),
+/// `metric` (and optionally `cell`, a cell id or `other`),
 /// the matching series with their full retained point arrays. A `since`
 /// sim-timestamp narrows every summary and point array to points strictly
 /// newer than it, so pollers can fetch increments instead of the whole
@@ -492,16 +487,10 @@ fn cell_of(series: &Value) -> String {
 }
 
 /// Renders one `qres obstop` dashboard frame from live scrape documents:
-/// `p_hd` and `workers` are `GET /query?metric=...` bodies
-/// (`qres_qos_p_hd` and `qres_worker_busy_utilization`), `alerts` is the
-/// `GET /alerts` body. Shows the alert table, the top-`top_n` cells by
-/// `P_HD` burn with sparklines, and per-worker utilization lanes.
-pub fn render_obstop(
-    p_hd: &Value,
-    workers: &Value,
-    alerts: &Value,
-    top_n: usize,
-) -> Result<String, String> {
+/// `p_hd` is the `GET /query?metric=qres_qos_p_hd` body, `alerts` the
+/// `GET /alerts` body. Shows the alert table and the top-`top_n` cells by
+/// `P_HD` burn with sparklines.
+pub fn render_obstop(p_hd: &Value, alerts: &Value, top_n: usize) -> Result<String, String> {
     let mut out = String::new();
     let config = alerts
         .get("config")
@@ -579,21 +568,6 @@ pub fn render_obstop(
                     cell_of(s),
                     sparkline(&values),
                     num(s.get("last")),
-                ));
-            }
-        }
-    }
-
-    if let Some(Value::Array(series)) = workers.get("series") {
-        if !series.is_empty() {
-            out.push_str("  workers (busy utilization):\n");
-            for s in series {
-                let values = points_of(s);
-                out.push_str(&format!(
-                    "    worker {:<4} {:<24} busy {:.1}%\n",
-                    cell_of(s),
-                    sparkline(&values),
-                    num(s.get("last")) * 100.0,
                 ));
             }
         }
@@ -735,13 +709,6 @@ mod tests {
                  "points":[[60.0,0.0],[120.0,0.1],[180.0,0.2]]}]}"#,
         )
         .unwrap();
-        let workers = Value::parse(
-            r#"{"metric":"qres_worker_busy_utilization","sample_secs":60.0,
-                "retention_points":120,"samples":3,"series":[
-                {"cell":"0","n":2,"min":0.5,"max":0.9,"last":0.9,"last_t":120.0,
-                 "points":[[60.0,0.5],[120.0,0.9]]}]}"#,
-        )
-        .unwrap();
         let alerts = Value::parse(
             r#"{"config":{"fast_window_secs":300.0,"slow_window_secs":3600.0,
                 "burn_threshold":1.0,"target_p_hd":0.01},
@@ -751,14 +718,13 @@ mod tests {
                 "transitions":[]}"#,
         )
         .unwrap();
-        let frame = render_obstop(&p_hd, &workers, &alerts, 5).unwrap();
+        let frame = render_obstop(&p_hd, &alerts, 5).unwrap();
         assert!(frame.contains("1 firing"), "{frame}");
         assert!(frame.contains("p_hd_burn"), "{frame}");
         assert!(frame.contains("cell 7"), "{frame}");
-        assert!(frame.contains("worker 0"), "{frame}");
         assert!(frame.contains('█'), "sparkline rendered: {frame}");
         assert!(
-            render_obstop(&p_hd, &workers, &Value::Object(vec![]), 5).is_err(),
+            render_obstop(&p_hd, &Value::Object(vec![]), 5).is_err(),
             "alerts doc without config must be rejected"
         );
     }

@@ -133,26 +133,14 @@ pub struct Engine {
     wired: Option<WiredNetwork>,
 }
 
-/// Epoch length of the conservative shard barrier, in sim-seconds: on a
-/// sharded system the driver quiesces all workers whenever the DES clock
-/// crosses an epoch boundary, bounding how far shard-local work can lag
-/// the clock. Purely a pacing bound — FIFO shard mailboxes already order
-/// every write before any later read, so the barrier does not affect
-/// results (which are bit-identical to `--workers 1` regardless).
-const SHARD_EPOCH_SECS: f64 = 10.0;
+/// Watchdog cadence, in sim-seconds: with telemetry on, the driver runs
+/// the SLO watchdog tick whenever the DES clock crosses one of these
+/// boundaries, before dispatching the boundary-crossing event.
+const WATCHDOG_EPOCH_SECS: f64 = 10.0;
 
 impl Engine {
-    /// Builds an engine from a validated scenario, on the inline
-    /// (single-threaded reference) reservation backend.
+    /// Builds an engine from a validated scenario.
     pub fn new(scenario: Scenario) -> Self {
-        Self::with_workers(scenario, 1)
-    }
-
-    /// [`Self::new`] with an explicit worker-shard count for the
-    /// reservation core: `workers >= 2` partitions the cells into that
-    /// many regions, each owned by a worker thread, with per-point results
-    /// bit-identical to the single-threaded reference.
-    pub fn with_workers(scenario: Scenario, workers: usize) -> Self {
         scenario.validate();
         // Size the per-cell telemetry shards to the topology so large
         // grids don't fold into the overflow shard (grow-only; cheap).
@@ -188,12 +176,7 @@ impl Engine {
             .cells()
             .map(|c| topology.neighbors(c).to_vec())
             .collect();
-        let system = ReservationSystem::with_workers(
-            scenario.qres_config(),
-            topology,
-            scenario.backbone,
-            workers,
-        );
+        let system = ReservationSystem::new(scenario.qres_config(), topology, scenario.backbone);
         let workload = Workload::new(&scenario);
         let total_hours = (scenario.duration_secs / 3_600.0).ceil() as usize + 1;
         let metrics = Metrics::new(
@@ -252,9 +235,7 @@ impl Engine {
         let horizon = SimTime::from_secs(self.scenario.duration_secs);
         let mut driver = Driver {
             engine: self,
-            next_epoch: SimTime::from_secs(SHARD_EPOCH_SECS),
-            epoch: 0,
-            last_barrier: qres_obs::enabled().then(std::time::Instant::now),
+            next_epoch: SimTime::from_secs(WATCHDOG_EPOCH_SECS),
         };
         sim.run_until(horizon, u64::MAX, &mut driver);
         debug_assert!(self.system.check_invariants());
@@ -536,57 +517,24 @@ impl Engine {
 /// Borrow shim implementing the DES handler over the engine.
 struct Driver<'a> {
     engine: &'a mut Engine,
-    /// Next conservative-barrier boundary (sharded backend only).
+    /// Next watchdog cadence boundary.
     next_epoch: SimTime,
-    /// Completed-barrier count, for the epoch telemetry ledger.
-    epoch: u64,
-    /// Wall-clock instant the previous barrier completed (telemetry on
-    /// only). The gap between consecutive completions is the epoch wall
-    /// time the serial-fraction estimate decomposes.
-    last_barrier: Option<std::time::Instant>,
 }
 
 impl Handler<Event> for Driver<'_> {
     fn handle(&mut self, now: SimTime, event: Event, queue: &mut EventQueue<Event>) {
         if now >= self.next_epoch {
-            // Conservative clock advance: before dispatching an event past
-            // the epoch boundary, drain every shard's mailbox so no worker
-            // lags the DES clock by more than one epoch (no-op inline).
-            let barrier_t0 = qres_obs::enabled().then(std::time::Instant::now);
-            self.engine.system.quiesce();
-            if let Some(t0) = barrier_t0 {
-                // Epochs are accounted on the inline backend too (the
-                // barrier is a no-op there, so serial fraction ≈ 1.0 —
-                // the honest single-threaded baseline).
-                self.epoch += 1;
-                let barrier_ns = t0.elapsed().as_nanos() as u64;
-                let done = std::time::Instant::now();
-                if let Some(prev) = self.last_barrier {
-                    let wall_ns = done.duration_since(prev).as_nanos() as u64;
-                    let (blocked_ns, serial_ns) = qres_obs::record_epoch(wall_ns, barrier_ns);
-                    qres_obs::record(qres_obs::ObsEvent::EpochBarrier {
-                        t: now.as_secs(),
-                        epoch: self.epoch,
-                        wall_ns,
-                        barrier_ns,
-                        blocked_ns,
-                        serial_ns,
-                    });
-                }
-                self.last_barrier = Some(done);
-            }
             if qres_obs::enabled() {
                 // SLO watchdog tick: sample the retention store and
-                // evaluate the burn-rate rules when a cadence boundary was
-                // crossed. Runs on the sim clock at the (deterministic)
-                // epoch barrier, before the boundary-crossing event
-                // dispatches, so the alert timeline is bit-identical
-                // across reruns and worker counts — and strictly derived:
-                // nothing flows back into simulation state.
+                // evaluate the burn-rate rules when a sample cadence
+                // boundary was crossed. Runs on the sim clock, before the
+                // boundary-crossing event dispatches, so the alert
+                // timeline is bit-identical across reruns — and strictly
+                // derived: nothing flows back into simulation state.
                 qres_obs::watchdog_tick(now.as_secs());
             }
             while now >= self.next_epoch {
-                self.next_epoch += Duration::from_secs(SHARD_EPOCH_SECS);
+                self.next_epoch += Duration::from_secs(WATCHDOG_EPOCH_SECS);
             }
         }
         let e = &mut *self.engine;

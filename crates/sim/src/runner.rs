@@ -10,13 +10,6 @@ pub fn run_scenario(scenario: &Scenario) -> RunResult {
     Engine::new(scenario.clone()).run()
 }
 
-/// Runs a scenario on a sharded reservation core with `workers` worker
-/// threads owning the cells (`workers <= 1` = the inline single-threaded
-/// reference). Per-point results are bit-identical across worker counts.
-pub fn run_scenario_with_workers(scenario: &Scenario, workers: usize) -> RunResult {
-    Engine::with_workers(scenario.clone(), workers).run()
-}
-
 /// One point of an offered-load sweep.
 #[derive(Debug, Clone)]
 pub struct SweepPoint {
@@ -135,70 +128,84 @@ mod tests {
         }
     }
 
-    /// The tentpole property: the sharded multi-worker reservation core is
-    /// an execution-model change, not a semantic one. For every admission
-    /// scheme and worker count, a full DES run matches the single-threaded
-    /// reference bit for bit — aggregate ratios, per-cell final state, and
-    /// the signaling/`N_calc` protocol accounting.
+    /// Pins the exact outputs of the ring (AC1/AC2/AC3) and of the hex
+    /// grid the metro scenario uses: any change to the reservation core,
+    /// the workload streams or the signaling accounting that moves a
+    /// single admission, drop, `N_calc` bit or backbone message fails here.
     #[test]
-    fn sharded_workers_are_bit_identical_to_single_threaded() {
-        for scheme in [SchemeKind::Ac1, SchemeKind::Ac2, SchemeKind::Ac3] {
-            let base = Scenario::paper_baseline()
-                .scheme(scheme)
-                .offered_load(150.0)
-                .duration_secs(120.0)
-                .seed(77);
-            let reference = run_scenario_with_workers(&base, 1);
-            for workers in [2usize, 8] {
-                let sharded = run_scenario_with_workers(&base, workers);
-                assert_eq!(
-                    sharded.system_cb.trials(),
-                    reference.system_cb.trials(),
-                    "{scheme:?} workers={workers}"
-                );
-                assert_eq!(sharded.system_cb.hits(), reference.system_cb.hits());
-                assert_eq!(sharded.system_hd.trials(), reference.system_hd.trials());
-                assert_eq!(sharded.system_hd.hits(), reference.system_hd.hits());
-                assert_eq!(sharded.n_calc_mean, reference.n_calc_mean);
-                assert_eq!(sharded.events_dispatched, reference.events_dispatched);
-                assert_eq!(sharded.avg_br(), reference.avg_br());
-                assert_eq!(sharded.avg_bu(), reference.avg_bu());
-                assert_eq!(sharded.signaling.messages, reference.signaling.messages);
-                assert_eq!(sharded.signaling.hops, reference.signaling.hops);
-                assert_eq!(sharded.signaling.bytes, reference.signaling.bytes);
-                for (sc, rc) in sharded.cells.iter().zip(&reference.cells) {
-                    assert_eq!(sc.b_r_final, rc.b_r_final);
-                    assert_eq!(sc.b_u_final, rc.b_u_final);
-                    assert_eq!(sc.t_est_secs, rc.t_est_secs);
-                }
-            }
+    fn outputs_are_pinned_on_ring_and_hex_grid() {
+        // (trials, hits) of P_CB and P_HD, N_calc mean bits, events
+        // dispatched, and signaling (messages, hops, bytes).
+        type Pinned = ((u64, u64), (u64, u64), u64, u64, (u64, u64, u64));
+        let observed = |r: &RunResult| -> Pinned {
+            (
+                (r.system_cb.trials(), r.system_cb.hits()),
+                (r.system_hd.trials(), r.system_hd.hits()),
+                r.n_calc_mean.to_bits(),
+                r.events_dispatched,
+                (r.signaling.messages, r.signaling.hops, r.signaling.bytes),
+            )
+        };
+        let ring: [(SchemeKind, Pinned); 3] = [
+            (
+                SchemeKind::Ac1,
+                (
+                    (1478, 43),
+                    (1806, 5),
+                    0x3ff0000000000000,
+                    3806,
+                    (5912, 5912, 94592),
+                ),
+            ),
+            (
+                SchemeKind::Ac2,
+                (
+                    (1478, 79),
+                    (1797, 3),
+                    0x4008000000000000,
+                    3798,
+                    (23648, 23648, 378368),
+                ),
+            ),
+            (
+                SchemeKind::Ac3,
+                (
+                    (1478, 76),
+                    (1799, 4),
+                    0x3ff06c14c8eb8fc6,
+                    3800,
+                    (6146, 6146, 98336),
+                ),
+            ),
+        ];
+        for (scheme, pinned) in ring {
+            let r = run_scenario(
+                &Scenario::paper_baseline()
+                    .scheme(scheme)
+                    .offered_load(150.0)
+                    .duration_secs(120.0)
+                    .seed(77),
+            );
+            assert_eq!(observed(&r), pinned, "{scheme:?} ring");
         }
-    }
-
-    /// Same property on the 2-D hex grid the metro scenario uses (small
-    /// instance — the 1024-cell smoke run lives in CI).
-    #[test]
-    fn sharded_workers_match_on_hex_grid() {
-        let mut base = Scenario::paper_baseline()
+        let mut hex = Scenario::paper_baseline()
             .hex(4, 5)
             .scheme(SchemeKind::Ac3)
             .offered_load(120.0)
             .duration_secs(120.0)
             .seed(21);
-        base.turn_probability = 0.15;
-        let reference = run_scenario_with_workers(&base, 1);
-        let sharded = run_scenario_with_workers(&base, 4);
-        assert_eq!(sharded.system_cb, reference.system_cb);
-        assert_eq!(sharded.system_hd, reference.system_hd);
-        assert_eq!(sharded.events_dispatched, reference.events_dispatched);
-        assert_eq!(sharded.avg_br(), reference.avg_br());
-        assert_eq!(sharded.avg_bu(), reference.avg_bu());
-        assert_eq!(sharded.signaling.messages, reference.signaling.messages);
-        for (sc, rc) in sharded.cells.iter().zip(&reference.cells) {
-            assert_eq!(sc.b_r_final, rc.b_r_final);
-            assert_eq!(sc.b_u_final, rc.b_u_final);
-            assert_eq!(sc.t_est_secs, rc.t_est_secs);
-        }
+        hex.turn_probability = 0.15;
+        assert_eq!(
+            observed(&run_scenario(&hex)),
+            (
+                (2340, 0),
+                (1782, 0),
+                0x3ff0000000000000,
+                5453,
+                (20120, 20120, 321920)
+            ),
+            "AC3 hex grid"
+        );
     }
 
     #[test]

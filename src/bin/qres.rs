@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! qres template [stationary|time-varying|wired|metro]   print a scenario template
-//! qres run <scenario.json> [--workers N] [--json] [--obs] [--obs-sample N]
+//! qres run <scenario.json> [--json] [--obs] [--obs-sample N]
 //!          [--obs-push TARGET] [--serve HOST:PORT [--linger-secs N]]
 //!          [--slo-target P] [--slo-burn X] [--slo-sample SECS] [--no-watchdog]
 //! qres sweep <scenario.json> --loads 60,120,300 [--obs] [--obs-sample N]
@@ -16,7 +16,6 @@
 //! qres obstrace <events.jsonl> [-o trace.json]    Perfetto trace JSON
 //! qres obstrace --diff <a.json> <b.json>          structural span diff
 //! qres obscalib <obs_calib.json>                  Eq.-4 calibration report
-//! qres obsworkers <obs_workers.json>              shard-plane scaling report
 //! qres obsdiff <a.json> <b.json> [--fail-on SPEC]  diff two metrics snapshots
 //! qres obstop <HOST:PORT> [--n N] [--interval-secs S] [--once]
 //! qres obswatch <obs_events.jsonl | obs_alerts.json | snapshot.json>
@@ -29,11 +28,7 @@
 //! [`qres::sim::RunResult`] (per-cell summaries, traces, hourly series)
 //! for downstream tooling.
 //!
-//! `--workers N` runs the reservation core sharded across `N` worker
-//! threads that own the cells and exchange reservation messages with the
-//! driver (`N <= 1` is the inline single-threaded reference). Results are
-//! bit-identical across worker counts; the `metro` template (a 32×32 hex
-//! grid, 1024 cells) is the scale this exists for.
+//! The `metro` template is the 32×32 hex grid (1024 cells).
 //!
 //! `--obs` switches on the telemetry recorder at debug level for the run
 //! and writes `obs_snapshot.prom` (Prometheus text exposition) and
@@ -57,13 +52,10 @@
 //!
 //! With `--obs` (or under `serve`), the QoS-conformance and Eq.-4
 //! calibration state is additionally written to `obs_calib.json`
-//! (`qres obscalib` renders it as a reliability-diagram report) and the
-//! shard-plane profile to `obs_workers.json` (`qres obsworkers` renders
-//! per-worker busy/idle utilization, the epoch barrier breakdown, the
-//! measured serial fraction with its Amdahl ceiling, and the dominant
-//! stall source). `qres run --obs --serve HOST:PORT` additionally keeps
-//! the live scrape endpoint (including `GET /workers`) attached for the
-//! run's duration — `--linger-secs N` holds it open afterwards.
+//! (`qres obscalib` renders it as a reliability-diagram report).
+//! `qres run --obs --serve HOST:PORT` additionally keeps the live scrape
+//! endpoint attached for the run's duration — `--linger-secs N` holds it
+//! open afterwards.
 //! `qres obstrace --diff a.json b.json` structurally compares two
 //! rendered traces: span counts and total durations per name, plus
 //! missing/extra parent→child nestings. `--obs-push
@@ -75,8 +67,8 @@
 //! `"obs"` key) metric by metric, including the per-cell QoS movement and
 //! the SLO watchdog's fired-counts/transition tallies.
 //!
-//! With telemetry on, the **SLO watchdog** samples the QoS estimators and
-//! worker utilization into an in-process retention store every
+//! With telemetry on, the **SLO watchdog** samples the QoS estimators
+//! into an in-process retention store every
 //! `--slo-sample` simulated seconds (default 60) and evaluates burn-rate
 //! alert rules against `P_HD,target` (fast 5-min / slow 1-h windows) at
 //! each tick. `--slo-target P` overrides the target the rules burn
@@ -87,8 +79,8 @@
 //! `GET /query?metric=...&cell=...` (`&since=<sim_ts>` restricts to
 //! points after that sim-time), and written to `obs_alerts.json` at
 //! the end of the run. `qres obstop HOST:PORT` renders a live terminal
-//! dashboard (alert table, top-N cells by `P_HD` burn with sparklines,
-//! worker utilization lanes) from a serving endpoint; `qres obswatch`
+//! dashboard (alert table, top-N cells by `P_HD` burn with sparklines)
+//! from a serving endpoint; `qres obswatch`
 //! replays the alert timeline offline from a JSONL event spill or any
 //! JSON artifact carrying an `"alerts"` section.
 //!
@@ -114,7 +106,7 @@ use std::process::ExitCode;
 
 use qres::sim::report::{cell_status_table, result_with_obs_json, SeriesTable};
 use qres::sim::scenario::WiredConfig;
-use qres::sim::{run_scenario_with_workers, Scenario, SchemeKind, TimeVaryingConfig};
+use qres::sim::{run_scenario, Scenario, SchemeKind, TimeVaryingConfig};
 
 /// Prometheus snapshot written by `--obs`.
 const OBS_PROM_PATH: &str = "obs_snapshot.prom";
@@ -122,8 +114,6 @@ const OBS_PROM_PATH: &str = "obs_snapshot.prom";
 const OBS_JSONL_PATH: &str = "obs_events.jsonl";
 /// QoS/calibration snapshot written by `--obs` (input to `qres obscalib`).
 const OBS_CALIB_PATH: &str = "obs_calib.json";
-/// Shard-plane profile written by `--obs` (input to `qres obsworkers`).
-const OBS_WORKERS_PATH: &str = "obs_workers.json";
 /// SLO watchdog alert timeline written by `--obs` (input to `qres obswatch`).
 const OBS_ALERTS_PATH: &str = "obs_alerts.json";
 /// Flight-recorder decision tape written by `--obs` (input to
@@ -142,7 +132,6 @@ fn main() -> ExitCode {
         Some("obsfold") => obsfold(&args[1..]),
         Some("obstrace") => obstrace(&args[1..]),
         Some("obscalib") => obscalib(&args[1..]),
-        Some("obsworkers") => obsworkers(&args[1..]),
         Some("obsdiff") => obsdiff(&args[1..]),
         Some("obstop") => obstop(&args[1..]),
         Some("obswatch") => obswatch(&args[1..]),
@@ -151,7 +140,7 @@ fn main() -> ExitCode {
         _ => {
             eprintln!(
                 "usage:\n  qres template [stationary|time-varying|wired|metro]\n  \
-                 qres run <scenario.json> [--workers N] [--json] [--obs] [--obs-sample N] \
+                 qres run <scenario.json> [--json] [--obs] [--obs-sample N] \
                  [--obs-push TARGET] [--serve HOST:PORT [--linger-secs N]]\n  \
                  qres sweep <scenario.json> --loads 60,120,300 [--obs] [--obs-sample N] \
                  [--obs-push TARGET]\n  \
@@ -163,7 +152,6 @@ fn main() -> ExitCode {
                  qres obstrace <events.jsonl> [-o trace.json]\n  \
                  qres obstrace --diff <a.json> <b.json>\n  \
                  qres obscalib <obs_calib.json>\n  \
-                 qres obsworkers <obs_workers.json>\n  \
                  qres obsdiff <a.json> <b.json> [--fail-on SPEC]\n  \
                  qres obstop <HOST:PORT> [--n N] [--interval-secs S] [--once]\n  \
                  qres obswatch <obs_events.jsonl | obs_alerts.json | snapshot.json>\n  \
@@ -363,9 +351,8 @@ fn slo_setup(args: &[String]) -> Result<(), String> {
 
 /// Flushes buffered events to [`OBS_JSONL_PATH`], writes the Prometheus
 /// exposition to [`OBS_PROM_PATH`], the QoS/calibration snapshot to
-/// [`OBS_CALIB_PATH`], and the shard-plane profile to
-/// [`OBS_WORKERS_PATH`], and the SLO alert timeline to
-/// [`OBS_ALERTS_PATH`]. Forecasts whose deadline passed before the last
+/// [`OBS_CALIB_PATH`], the SLO alert timeline to [`OBS_ALERTS_PATH`], and
+/// the flight-recorder tape to [`OBS_FLIGHT_PATH`]. Forecasts whose deadline passed before the last
 /// recorded sim-time are settled as expired first; later deadlines stay
 /// `pending` (censored by the end of the run, not scored). Firing alerts
 /// are resolved at the final sim-time (the run ended, nothing burns
@@ -384,11 +371,6 @@ fn obs_finish(quiet: bool) -> Result<(), String> {
     )
     .map_err(|e| format!("cannot write {OBS_CALIB_PATH}: {e}"))?;
     std::fs::write(
-        OBS_WORKERS_PATH,
-        qres::obs::workers_json().to_pretty_string() + "\n",
-    )
-    .map_err(|e| format!("cannot write {OBS_WORKERS_PATH}: {e}"))?;
-    std::fs::write(
         OBS_ALERTS_PATH,
         qres::obs::alerts_json().to_pretty_string() + "\n",
     )
@@ -401,44 +383,22 @@ fn obs_finish(quiet: bool) -> Result<(), String> {
     if !quiet {
         println!(
             "[obs] snapshot -> {OBS_PROM_PATH}, events -> {OBS_JSONL_PATH}, \
-             qos/calibration -> {OBS_CALIB_PATH}, workers -> {OBS_WORKERS_PATH}, \
+             qos/calibration -> {OBS_CALIB_PATH}, \
              alerts -> {OBS_ALERTS_PATH}, flight -> {OBS_FLIGHT_PATH}"
         );
     }
     Ok(())
 }
 
-/// Parses `--workers N` (shard the reservation core across `N` worker
-/// threads; `1`, the default, is the inline single-threaded reference).
-fn parse_workers(args: &[String]) -> Result<usize, String> {
-    let Some(raw) = flag_value(args, "--workers") else {
-        if args.iter().any(|a| a == "--workers") {
-            return Err("--workers requires a value".into());
-        }
-        return Ok(1);
-    };
-    raw.parse()
-        .ok()
-        .filter(|&n| n >= 1)
-        .ok_or_else(|| format!("--workers expects an integer >= 1, got `{raw}`"))
-}
-
 fn run(args: &[String]) -> ExitCode {
     let Some(path) = args.first() else {
         eprintln!(
-            "qres run <scenario.json> [--workers N] [--json] [--obs] \
+            "qres run <scenario.json> [--json] [--obs] \
              [--serve HOST:PORT [--linger-secs N]]"
         );
         return ExitCode::from(2);
     };
     let as_json = args.iter().any(|a| a == "--json");
-    let workers = match parse_workers(args) {
-        Ok(n) => n,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::from(2);
-        }
-    };
     let obs = match obs_setup(args) {
         Ok(on) => on,
         Err(e) => {
@@ -459,7 +419,7 @@ fn run(args: &[String]) -> ExitCode {
     };
     // `--serve HOST:PORT` attaches the live scrape endpoint for the run's
     // duration (the single-run counterpart of `qres serve`); telemetry
-    // must be on, or the shard-plane routes would serve empty profiles.
+    // must be on, or the routes would serve an empty registry.
     let server = match flag_value(args, "--serve") {
         None => {
             if args.iter().any(|a| a == "--serve") {
@@ -476,7 +436,7 @@ fn run(args: &[String]) -> ExitCode {
             match qres::obs::ObsServer::start(addr) {
                 Ok(s) => {
                     eprintln!(
-                        "[obs] serving http://{}/metrics (.json, /qos, /workers, /healthz)",
+                        "[obs] serving http://{}/metrics (.json, /qos, /healthz)",
                         s.addr()
                     );
                     Some(s)
@@ -503,7 +463,7 @@ fn run(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let result = run_scenario_with_workers(&scenario, workers);
+    let result = run_scenario(&scenario);
     if as_json {
         if obs {
             println!(
@@ -1017,43 +977,6 @@ fn obscalib(args: &[String]) -> ExitCode {
     }
 }
 
-/// Renders the shard-plane scaling report (per-worker busy/idle
-/// utilization, epoch barrier breakdown, measured serial fraction with
-/// its Amdahl ceiling, mailbox dwell per message kind, and the dominant
-/// stall source) from the `obs_workers.json` written by `--obs` — also
-/// accepts a `/workers` scrape body, a `/metrics.json` snapshot, or a run
-/// report embedding one under `"obs"`.
-fn obsworkers(args: &[String]) -> ExitCode {
-    let Some(path) = args.first() else {
-        eprintln!("qres obsworkers <obs_workers.json>");
-        return ExitCode::from(2);
-    };
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("reading {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let doc = match qres_json::Value::parse(&text) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("{path}: not valid JSON: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match qres::obs::render_workers_report(&doc) {
-        Ok(report) => {
-            print!("{report}");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("{path}: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
 /// Diffs two metrics snapshots (`/metrics.json` bodies, or run reports
 /// embedding one under `"obs"`) metric by metric. `--fail-on SPEC` turns
 /// the diff into a CI gate: SPEC is a comma-separated list of clauses
@@ -1153,7 +1076,7 @@ fn http_get(addr: &str, path: &str) -> Result<String, String> {
 }
 
 /// `qres obstop HOST:PORT`: live terminal conformance dashboard. Polls
-/// `/query` (retained `P_HD` series and worker utilization lanes) and
+/// `/query` (retained `P_HD` series) and
 /// `/alerts` from a serving endpoint and renders the alert table plus the
 /// top-N cells by burn against `P_HD,target`, with unicode sparklines
 /// over the retention window. `--interval-secs S` sets the poll cadence
@@ -1188,12 +1111,8 @@ fn obstop(args: &[String]) -> ExitCode {
                 qres_json::Value::parse(body.trim()).map_err(|e| format!("{addr}: bad JSON: {e}"))
             };
             let p_hd = parse(http_get(addr, "/query?metric=qres_qos_p_hd")?)?;
-            let workers = parse(http_get(
-                addr,
-                "/query?metric=qres_worker_busy_utilization",
-            )?)?;
             let alerts = parse(http_get(addr, "/alerts")?)?;
-            qres::obs::render_obstop(&p_hd, &workers, &alerts, top_n)
+            qres::obs::render_obstop(&p_hd, &alerts, top_n)
         })();
         match frame {
             Ok(text) => {

@@ -1,10 +1,51 @@
 //! Reproducibility guarantees across the full stack.
 
-use qres::sim::{run_scenario, run_scenario_with_workers, Scenario, SchemeKind, TimeVaryingConfig};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+use qres::sim::{run_scenario, RunResult, Scenario, SchemeKind, TimeVaryingConfig};
+
+/// Serializes every test that runs a scenario. The telemetry level, the
+/// QoS target and the obs planes are process-global, so a scenario run
+/// concurrently with a telemetry-on test would write into its trackers.
+static OBS_LOCK: Mutex<()> = Mutex::new(());
+
+/// Takes [`OBS_LOCK`]; a test that failed while holding it does not fail
+/// the others.
+fn obs_lock() -> MutexGuard<'static, ()> {
+    OBS_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Clears every telemetry plane a telemetry-on run writes into.
+fn reset_obs() {
+    qres::obs::reset();
+    qres::obs::reset_metrics();
+    qres::obs::reset_qos();
+    qres::obs::reset_calib();
+    qres::obs::reset_tsdb();
+    qres::obs::reset_alerts();
+    qres::obs::reset_flight();
+}
+
+/// Asserts that two runs agree on every paper metric, bit for bit.
+fn assert_same_outcomes(a: &RunResult, b: &RunResult, label: &str) {
+    assert_eq!(a.system_cb, b.system_cb, "{label}");
+    assert_eq!(a.system_hd, b.system_hd, "{label}");
+    assert_eq!(a.events_dispatched, b.events_dispatched, "{label}");
+    assert_eq!(a.n_calc_mean, b.n_calc_mean, "{label}");
+    assert_eq!(a.signaling, b.signaling, "{label}");
+    for (x, y) in a.cells.iter().zip(&b.cells) {
+        assert_eq!(x.p_cb, y.p_cb, "{label}");
+        assert_eq!(x.p_hd, y.p_hd, "{label}");
+        assert_eq!(x.b_r_final, y.b_r_final, "{label}");
+        assert_eq!(x.b_u_final, y.b_u_final, "{label}");
+        assert_eq!(x.t_est_secs, y.t_est_secs, "{label}");
+    }
+}
 
 /// Bit-identical results from the same seed, including traces.
 #[test]
 fn identical_seeds_identical_runs() {
+    let _guard = obs_lock();
     let s = Scenario::paper_baseline()
         .scheme(SchemeKind::Ac3)
         .offered_load(250.0)
@@ -31,6 +72,7 @@ fn identical_seeds_identical_runs() {
 /// Different seeds genuinely change the realization.
 #[test]
 fn different_seeds_differ() {
+    let _guard = obs_lock();
     let base = Scenario::paper_baseline()
         .offered_load(150.0)
         .duration_secs(600.0);
@@ -44,6 +86,7 @@ fn different_seeds_differ() {
 /// admission outcomes differ.
 #[test]
 fn workload_is_scheme_independent() {
+    let _guard = obs_lock();
     let base = Scenario::paper_baseline()
         .offered_load(250.0)
         .duration_secs(1_000.0)
@@ -66,17 +109,13 @@ fn workload_is_scheme_independent() {
     assert_ne!(results[0].system_cb.hits(), results[3].system_cb.hits());
 }
 
-/// Serializes the tests that flip the process-global telemetry level and
-/// inspect the recorder/worker planes, so they cannot race each other.
-static OBS_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
 /// The telemetry recorder is strictly passive: enabling it at the most
 /// verbose level — with the live HTTP scrape endpoint attached and being
 /// polled — changes no simulation outcome. Every metric of the paper
 /// comes out bit-identical with the recorder on and off.
 #[test]
 fn recorder_does_not_perturb_outcomes() {
-    let _guard = OBS_LOCK.lock().unwrap();
+    let _guard = obs_lock();
     let s = Scenario::paper_baseline()
         .scheme(SchemeKind::Ac3)
         .offered_load(250.0)
@@ -111,118 +150,30 @@ fn recorder_does_not_perturb_outcomes() {
     assert_eq!(scraper.join().expect("scraper thread"), 20);
     server.shutdown();
     let (events, _) = qres::obs::drain_events();
-    qres::obs::reset();
-    qres::obs::reset_metrics();
-    // The obs-on run also exercised the QoS/calibration trackers and the
-    // epoch ledger (all strictly obs-side); clear them so this test
-    // leaves no global state.
-    qres::obs::reset_qos();
-    qres::obs::reset_calib();
-    qres::obs::reset_workers();
+    // The obs-on run also exercised the QoS/calibration trackers, the
+    // watchdog and the flight recorder (all strictly obs-side); clear
+    // them so this test leaves no global state.
+    reset_obs();
     assert!(!events.is_empty(), "debug level should record events");
-    assert_eq!(off.system_cb, on.system_cb);
-    assert_eq!(off.system_hd, on.system_hd);
-    assert_eq!(off.events_dispatched, on.events_dispatched);
-    assert_eq!(off.n_calc_mean, on.n_calc_mean);
-    assert_eq!(off.signaling, on.signaling);
-    for (a, b) in off.cells.iter().zip(&on.cells) {
-        assert_eq!(a.p_cb, b.p_cb);
-        assert_eq!(a.p_hd, b.p_hd);
-        assert_eq!(a.b_r_final, b.b_r_final);
-        assert_eq!(a.b_u_final, b.b_u_final);
-        assert_eq!(a.t_est_secs, b.t_est_secs);
-    }
-}
-
-/// The shard-plane worker profiling (per-worker busy/idle ledgers, mailbox
-/// dwell stamps on every envelope, the driver's epoch barrier breakdown)
-/// is strictly passive too: a sharded run with the profiler on is
-/// bit-identical to the same sharded run with telemetry off — and to the
-/// inline reference.
-#[test]
-fn worker_profiling_does_not_perturb_sharded_outcomes() {
-    let _guard = OBS_LOCK.lock().unwrap();
-    let s = Scenario::paper_baseline()
-        .scheme(SchemeKind::Ac3)
-        .offered_load(250.0)
-        .duration_secs(600.0)
-        .seed(77);
-    qres::obs::set_level(qres::obs::Level::Off);
-    let inline = run_scenario(&s);
-    let off = run_scenario_with_workers(&s, 4);
-    qres::obs::set_level(qres::obs::Level::Debug);
-    let on = run_scenario_with_workers(&s, 4);
-    qres::obs::set_level(qres::obs::Level::Off);
-    // The profiled run actually produced a shard-plane profile…
-    let workers = qres::obs::workers_json();
-    let epochs = workers.get("epochs").expect("epochs section");
-    assert!(
-        matches!(
-            epochs.get("count"),
-            Some(qres_json::Value::UInt(n)) if *n > 0
-        ),
-        "profiled sharded run must record epoch barriers, got {epochs:?}"
-    );
-    assert!(
-        epochs.get("serial_fraction").is_some(),
-        "profile must carry a serial fraction"
-    );
-    let (events, _) = qres::obs::drain_events();
-    assert!(
-        events
-            .iter()
-            .any(|e| matches!(e, qres::obs::ObsEvent::WorkerEpoch { .. })),
-        "profiled run must emit worker epoch events"
-    );
-    qres::obs::reset();
-    qres::obs::reset_metrics();
-    qres::obs::reset_qos();
-    qres::obs::reset_calib();
-    qres::obs::reset_workers();
-    // …and perturbed nothing: profiler on == profiler off == inline.
-    for (label, other) in [("profiler-off sharded", &off), ("inline", &inline)] {
-        assert_eq!(on.system_cb, other.system_cb, "{label}");
-        assert_eq!(on.system_hd, other.system_hd, "{label}");
-        assert_eq!(on.events_dispatched, other.events_dispatched, "{label}");
-        assert_eq!(on.n_calc_mean, other.n_calc_mean, "{label}");
-        assert_eq!(on.signaling, other.signaling, "{label}");
-        for (a, b) in on.cells.iter().zip(&other.cells) {
-            assert_eq!(a.p_cb, b.p_cb, "{label}");
-            assert_eq!(a.p_hd, b.p_hd, "{label}");
-            assert_eq!(a.b_r_final, b.b_r_final, "{label}");
-            assert_eq!(a.b_u_final, b.b_u_final, "{label}");
-            assert_eq!(a.t_est_secs, b.t_est_secs, "{label}");
-        }
-    }
+    assert_same_outcomes(&off, &on, "recorder on vs off");
 }
 
 /// The SLO watchdog (retention-store sampling + burn-rate alert
-/// evaluation at epoch barriers) is strictly passive: every simulation
-/// outcome is bit-identical with the watchdog on and off, on both the
-/// inline and the sharded backend.
+/// evaluation on the watchdog cadence) is strictly passive: every
+/// simulation outcome is bit-identical with the watchdog on and off.
 #[test]
 fn watchdog_does_not_perturb_outcomes() {
-    let _guard = OBS_LOCK.lock().unwrap();
+    let _guard = obs_lock();
     let s = Scenario::paper_baseline()
         .scheme(SchemeKind::Ac3)
         .offered_load(250.0)
         .duration_secs(600.0)
         .seed(77);
-    let reset_watchdog_state = || {
-        qres::obs::reset();
-        qres::obs::reset_metrics();
-        qres::obs::reset_qos();
-        qres::obs::reset_calib();
-        qres::obs::reset_workers();
-        qres::obs::reset_tsdb();
-        qres::obs::reset_alerts();
-        qres::obs::reset_flight();
-    };
-    let run = |workers: usize, watchdog: bool| {
-        reset_watchdog_state();
+    let run = |watchdog: bool| {
+        reset_obs();
         qres::obs::set_watchdog_enabled(watchdog);
         qres::obs::set_level(qres::obs::Level::Debug);
-        let r = run_scenario_with_workers(&s, workers);
+        let r = run_scenario(&s);
         let samples = qres::obs::metrics::TSDB_SAMPLES_TOTAL.get();
         qres::obs::set_level(qres::obs::Level::Off);
         if watchdog {
@@ -232,37 +183,20 @@ fn watchdog_does_not_perturb_outcomes() {
         }
         r
     };
-    let baseline = run(1, false);
-    for (label, workers, watchdog) in [
-        ("inline watchdog-on", 1, true),
-        ("sharded watchdog-off", 4, false),
-        ("sharded watchdog-on", 4, true),
-    ] {
-        let r = run(workers, watchdog);
-        assert_eq!(baseline.system_cb, r.system_cb, "{label}");
-        assert_eq!(baseline.system_hd, r.system_hd, "{label}");
-        assert_eq!(baseline.events_dispatched, r.events_dispatched, "{label}");
-        assert_eq!(baseline.n_calc_mean, r.n_calc_mean, "{label}");
-        assert_eq!(baseline.signaling, r.signaling, "{label}");
-        for (a, b) in baseline.cells.iter().zip(&r.cells) {
-            assert_eq!(a.p_cb, b.p_cb, "{label}");
-            assert_eq!(a.p_hd, b.p_hd, "{label}");
-            assert_eq!(a.b_r_final, b.b_r_final, "{label}");
-            assert_eq!(a.b_u_final, b.b_u_final, "{label}");
-            assert_eq!(a.t_est_secs, b.t_est_secs, "{label}");
-        }
-    }
-    reset_watchdog_state();
+    let off = run(false);
+    let on = run(true);
+    assert_same_outcomes(&off, &on, "watchdog on vs off");
+    reset_obs();
     qres::obs::set_watchdog_enabled(true);
 }
 
 /// A forced SLO violation (target pinned far below the realized `P_HD`)
 /// produces an identical alert timeline — states, burn rates, fired
-/// counts, transition log — across reruns and across worker counts: the
-/// watchdog runs on the sim clock at epoch barriers, never on wall time.
+/// counts, transition log — on every rerun: the watchdog runs on the sim
+/// clock, never on wall time.
 #[test]
 fn forced_violation_alert_timeline_is_deterministic() {
-    let _guard = OBS_LOCK.lock().unwrap();
+    let _guard = obs_lock();
     let mut s = Scenario::paper_baseline()
         .scheme(SchemeKind::Ac3)
         .offered_load(250.0)
@@ -270,22 +204,16 @@ fn forced_violation_alert_timeline_is_deterministic() {
         .seed(42);
     // Far below what this load realizes: the p_hd_burn rule must fire.
     s.p_hd_target = 1e-4;
-    let timeline = |workers: usize| {
-        qres::obs::reset();
-        qres::obs::reset_metrics();
-        qres::obs::reset_qos();
-        qres::obs::reset_calib();
-        qres::obs::reset_workers();
-        qres::obs::reset_tsdb();
-        qres::obs::reset_alerts();
+    let timeline = || {
+        reset_obs();
         qres::obs::set_watchdog_enabled(true);
         qres::obs::set_level(qres::obs::Level::Info);
-        let _ = run_scenario_with_workers(&s, workers);
+        let _ = run_scenario(&s);
         qres::obs::finalize_alerts(qres::obs::sim_time());
         qres::obs::set_level(qres::obs::Level::Off);
         qres::obs::alerts_json().to_compact_string()
     };
-    let first = timeline(1);
+    let first = timeline();
     assert!(
         first.contains("\"firing\""),
         "forced violation must reach the firing state: {first}"
@@ -294,48 +222,26 @@ fn forced_violation_alert_timeline_is_deterministic() {
         first.contains("\"resolved\""),
         "finalize must resolve the timeline: {first}"
     );
-    assert_eq!(first, timeline(1), "rerun must replay the same timeline");
-    assert_eq!(
-        first,
-        timeline(4),
-        "alert timeline must not depend on the worker count"
-    );
-    qres::obs::reset();
-    qres::obs::reset_metrics();
-    qres::obs::reset_qos();
-    qres::obs::reset_calib();
-    qres::obs::reset_workers();
-    qres::obs::reset_tsdb();
-    qres::obs::reset_alerts();
+    assert_eq!(first, timeline(), "rerun must replay the same timeline");
+    reset_obs();
 }
 
 /// The decision-provenance flight recorder is strictly passive: with
 /// telemetry on, taping every admission decision (inputs, per-neighbor
-/// terms, checks, verdict) changes no simulation outcome, on both the
-/// inline and the sharded backend.
+/// terms, checks, verdict) changes no simulation outcome.
 #[test]
 fn flight_recorder_does_not_perturb_outcomes() {
-    let _guard = OBS_LOCK.lock().unwrap();
+    let _guard = obs_lock();
     let s = Scenario::paper_baseline()
         .scheme(SchemeKind::Ac3)
         .offered_load(250.0)
         .duration_secs(600.0)
         .seed(77);
-    let reset_all = || {
-        qres::obs::reset();
-        qres::obs::reset_metrics();
-        qres::obs::reset_qos();
-        qres::obs::reset_calib();
-        qres::obs::reset_workers();
-        qres::obs::reset_tsdb();
-        qres::obs::reset_alerts();
-        qres::obs::reset_flight();
-    };
-    let run = |workers: usize, flight: bool| {
-        reset_all();
+    let run = |flight: bool| {
+        reset_obs();
         qres::obs::set_flight_enabled(flight);
         qres::obs::set_level(qres::obs::Level::Debug);
-        let r = run_scenario_with_workers(&s, workers);
+        let r = run_scenario(&s);
         let taped = matches!(
             qres::obs::flight_summary_json().get("len"),
             Some(qres_json::Value::UInt(n)) if *n > 0
@@ -350,65 +256,39 @@ fn flight_recorder_does_not_perturb_outcomes() {
         );
         r
     };
-    let baseline = run(1, false);
-    for (label, workers, flight) in [
-        ("inline recorder-on", 1, true),
-        ("sharded recorder-off", 4, false),
-        ("sharded recorder-on", 4, true),
-    ] {
-        let r = run(workers, flight);
-        assert_eq!(baseline.system_cb, r.system_cb, "{label}");
-        assert_eq!(baseline.system_hd, r.system_hd, "{label}");
-        assert_eq!(baseline.events_dispatched, r.events_dispatched, "{label}");
-        assert_eq!(baseline.n_calc_mean, r.n_calc_mean, "{label}");
-        assert_eq!(baseline.signaling, r.signaling, "{label}");
-        for (a, b) in baseline.cells.iter().zip(&r.cells) {
-            assert_eq!(a.p_cb, b.p_cb, "{label}");
-            assert_eq!(a.p_hd, b.p_hd, "{label}");
-            assert_eq!(a.b_r_final, b.b_r_final, "{label}");
-            assert_eq!(a.b_u_final, b.b_u_final, "{label}");
-            assert_eq!(a.t_est_secs, b.t_est_secs, "{label}");
-        }
-    }
-    reset_all();
+    let off = run(false);
+    let on = run(true);
+    assert_same_outcomes(&off, &on, "recorder on vs off");
+    reset_obs();
     qres::obs::set_flight_enabled(true);
 }
 
 /// The flight tape itself is deterministic: the full record window —
 /// inputs, per-neighbor terms with their Eq.-4 internals, checks,
-/// verdicts — is byte-identical between the inline and the sharded
-/// backend, and replaying it through the live admission predicates
-/// reproduces every verdict.
+/// verdicts — is byte-identical between reruns, and replaying it through
+/// the live admission predicates reproduces every verdict.
 #[test]
-fn replayed_flight_window_matches_across_worker_counts() {
-    let _guard = OBS_LOCK.lock().unwrap();
+fn replayed_flight_window_is_deterministic() {
+    let _guard = obs_lock();
     let s = Scenario::paper_baseline()
         .scheme(SchemeKind::Ac3)
         .offered_load(250.0)
         .duration_secs(600.0)
         .seed(42);
-    let tape = |workers: usize| {
-        qres::obs::reset();
-        qres::obs::reset_metrics();
-        qres::obs::reset_qos();
-        qres::obs::reset_calib();
-        qres::obs::reset_workers();
-        qres::obs::reset_tsdb();
-        qres::obs::reset_alerts();
-        qres::obs::reset_flight();
+    let tape = || {
+        reset_obs();
         qres::obs::set_level(qres::obs::Level::Debug);
-        let _ = run_scenario_with_workers(&s, workers);
+        let _ = run_scenario(&s);
         qres::obs::set_level(qres::obs::Level::Off);
         qres::obs::flight_json()
     };
-    let inline_tape = tape(1);
-    let sharded_tape = tape(4);
+    let first = tape();
     assert_eq!(
-        inline_tape.to_compact_string(),
-        sharded_tape.to_compact_string(),
-        "flight tape must not depend on the worker count"
+        first.to_compact_string(),
+        tape().to_compact_string(),
+        "rerun must tape the same decisions"
     );
-    let summary = qres::replay::replay_flight_doc(&inline_tape).expect("tape must replay");
+    let summary = qres::replay::replay_flight_doc(&first).expect("tape must replay");
     assert!(summary.records > 0, "tape must hold decision records");
     assert_eq!(
         summary.reserve_exact, summary.records,
@@ -419,20 +299,22 @@ fn replayed_flight_window_matches_across_worker_counts() {
         "replay mismatches: {:?}",
         summary.mismatches
     );
-    qres::obs::reset();
-    qres::obs::reset_metrics();
-    qres::obs::reset_qos();
-    qres::obs::reset_calib();
-    qres::obs::reset_workers();
-    qres::obs::reset_tsdb();
-    qres::obs::reset_alerts();
-    qres::obs::reset_flight();
+    assert!(
+        qres::obs::records_from_doc(&first)
+            .expect("tape parses")
+            .iter()
+            .flat_map(|r| &r.terms)
+            .all(|t| t.memo_hit != t.p_h_sum.is_some()),
+        "every fresh term carries its Eq.-4 detail; no memo hit does"
+    );
+    reset_obs();
 }
 
 /// Determinism holds in the time-varying mode too (retry coin flips are a
 /// seeded stream).
 #[test]
 fn time_varying_deterministic() {
+    let _guard = obs_lock();
     let mut tv = TimeVaryingConfig::paper_like();
     tv.days = 1;
     let mut s = Scenario::paper_baseline()

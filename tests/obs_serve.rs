@@ -80,16 +80,8 @@ fn scrape_during_running_sweep() {
     );
     let (head, _) = http_get(addr, "/nope");
     assert!(head.starts_with("HTTP/1.1 404"));
-    let (head, body) = http_get(addr, "/workers");
-    assert!(head.starts_with("HTTP/1.1 200"));
-    let workers = qres_json::Value::parse(&body).expect("/workers serves valid JSON");
-    assert!(
-        workers
-            .get("epochs")
-            .and_then(|e| e.get("serial_fraction"))
-            .is_some(),
-        "/workers must report a serial fraction even on an inline run"
-    );
+    let (head, _) = http_get(addr, "/workers");
+    assert!(head.starts_with("HTTP/1.1 404"));
     let (head, body) = http_get(addr, "/metrics.json");
     assert!(head.starts_with("HTTP/1.1 200"));
     assert!(head.contains("application/json"));
@@ -105,7 +97,6 @@ fn scrape_during_running_sweep() {
             "gauges",
             "histograms",
             "qos",
-            "workers",
             "alerts",
             "flight"
         ]
@@ -143,7 +134,6 @@ fn scrape_during_running_sweep() {
     qres::obs::reset_metrics();
     qres::obs::reset_qos();
     qres::obs::reset_calib();
-    qres::obs::reset_workers();
     qres::obs::reset_tsdb();
     qres::obs::reset_alerts();
 }

@@ -62,7 +62,7 @@ fn obs_enabled_run_covers_all_event_groups() {
     }
     assert_eq!(lines, events.len());
 
-    // The JSON snapshot has the seven exporter sections, and the QoS view
+    // The JSON snapshot has the six exporter sections, and the QoS view
     // carries the calibration sub-document.
     let qres_json::Value::Object(sections) = &snapshot else {
         panic!("snapshot must be an object");
@@ -75,7 +75,6 @@ fn obs_enabled_run_covers_all_event_groups() {
             "gauges",
             "histograms",
             "qos",
-            "workers",
             "alerts",
             "flight"
         ]
