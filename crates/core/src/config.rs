@@ -1,7 +1,6 @@
 //! Configuration of the reservation system.
 
 use qres_cellnet::Bandwidth;
-use qres_des::Duration;
 use qres_mobility::HoeConfig;
 
 use crate::admission::SchemeConfig;
@@ -24,15 +23,6 @@ pub struct QresConfig {
     /// 100 BU; per-cell capacities can be overridden at system
     /// construction).
     pub capacity: Bandwidth,
-    /// How stale a memoized `B_i,0` neighbor contribution may be before it
-    /// is recomputed. A contribution is reused only while the neighbor's
-    /// cell membership, its estimation cache, and the target's `T_est` are
-    /// all unchanged **and** the evaluation time moved forward by at most
-    /// this much. The default `ZERO` reuses results only at the exact same
-    /// instant — always fresh, bit-identical to no memoization; positive
-    /// values trade accuracy (extant sojourns in Eq. 4 lag by up to the
-    /// tolerance) for fewer evaluations under bursty admission traffic.
-    pub br_staleness_tolerance: Duration,
 }
 
 impl QresConfig {
@@ -47,7 +37,6 @@ impl QresConfig {
             hoe: HoeConfig::stationary(),
             scheme,
             capacity: Bandwidth::from_bus(100),
-            br_staleness_tolerance: Duration::ZERO,
         }
     }
 
@@ -68,10 +57,6 @@ impl QresConfig {
         );
         assert!(self.t_start_secs >= 1, "T_start must be >= 1 s");
         assert!(!self.capacity.is_zero(), "cell capacity must be positive");
-        assert!(
-            self.br_staleness_tolerance.as_secs() >= 0.0,
-            "B_r staleness tolerance cannot be negative"
-        );
         self.hoe.validate();
         self.scheme.validate(self.capacity);
     }

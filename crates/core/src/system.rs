@@ -97,33 +97,26 @@ struct CellSite {
     /// AC3's suspect test and exported for the `B_r` metrics.
     last_br: f64,
     /// Per-*target* memo of the last contribution this cell computed into
-    /// that target, reused by `compute_br` while the epoch keys match
-    /// (see `QresConfig::br_staleness_tolerance`). It lives at the
-    /// contributing cell, so the check reads only that cell's versions.
+    /// that target, reused by `compute_br` at the same instant while the
+    /// epoch keys match. It lives at the contributing cell, so the check
+    /// reads only that cell's versions.
     br_memo: BTreeMap<CellId, NeighborMemo>,
 }
 
 impl CellSite {
     /// This cell's Eq.-4 contribution into `target`'s reservation,
     /// memoized under the epoch key (this cell's registry version, its
-    /// estimation-cache version, the target's `t_est`) and reused while
-    /// all three are unchanged and the evaluation time advanced by at
-    /// most `tolerance`.
-    fn contribution_into(
-        &mut self,
-        now: SimTime,
-        target: CellId,
-        t_est: Duration,
-        tolerance: Duration,
-    ) -> Contribution {
+    /// estimation-cache version, the target's `t_est`) and reused at the
+    /// same instant while all three are unchanged — bit-identical to
+    /// recomputing it.
+    fn contribution_into(&mut self, now: SimTime, target: CellId, t_est: Duration) -> Contribution {
         let cell_version = self.cell.version();
         let hoe_version = self.hoe.version();
         let memo = self.br_memo.get(&target).copied().filter(|m| {
             m.cell_version == cell_version
                 && m.hoe_version == hoe_version
                 && m.t_est == t_est
-                && now >= m.now
-                && now - m.now <= tolerance
+                && m.now == now
         });
         if let Some(m) = memo {
             return Contribution {
@@ -282,13 +275,10 @@ impl ReservationSystem {
     ///
     /// Each neighbor's `B_i,target` term is memoized under an epoch key —
     /// the neighbor's cell version, its estimation-cache version, and the
-    /// target's `T_est` — and reused while all three are unchanged and the
-    /// evaluation time advanced by at most the configured staleness
-    /// tolerance. With the default tolerance of zero a term is reused only
-    /// at the exact same instant, which is bit-identical to recomputing it.
+    /// target's `T_est` — and reused only at the exact same instant while
+    /// all three are unchanged, which is bit-identical to recomputing it.
     fn compute_br(&mut self, now: SimTime, target: CellId) -> f64 {
         let t_est = self.t_est(target);
-        let tolerance = self.config.br_staleness_tolerance;
         let req_id = self.admission_req_seq;
         let obs_on = qres_obs::enabled();
         let obs_call_t0 = obs_on.then(std::time::Instant::now);
@@ -302,7 +292,7 @@ impl ReservationSystem {
             // its contribution: one round-trip per neighbor.
             self.signaling.reservation_exchange(target, nb);
             let obs_t0 = obs_on.then(std::time::Instant::now);
-            let term = self.sites[nb.index()].contribution_into(now, target, t_est, tolerance);
+            let term = self.sites[nb.index()].contribution_into(now, target, t_est);
             if term.memo_hit {
                 self.br_memo_hits += 1;
             }
@@ -1093,7 +1083,7 @@ mod tests {
     }
 
     #[test]
-    fn memo_hits_at_identical_instant_with_zero_tolerance() {
+    fn memo_hits_only_at_identical_instant() {
         let mut sys = system(SchemeConfig::Predictive { kind: AcKind::Ac1 });
         // Populate a neighbor so contributions are non-trivial.
         for i in 0..10 {
@@ -1108,7 +1098,7 @@ mod tests {
         assert_eq!(sys.br_memo_hits() - hits_before, 2);
         // N_calc and signaling keep counting logical computations.
         assert_eq!(sys.n_calc_stats().mean(), Some(1.0));
-        // At a later instant, zero tolerance forces recomputation.
+        // At a later instant, every term is recomputed.
         let hits_before = sys.br_memo_hits();
         sys.request_new_connection(s(2.0), req(0, 3, 1));
         assert_eq!(sys.br_memo_hits(), hits_before);
@@ -1125,33 +1115,6 @@ mod tests {
         let hits_before = sys.br_memo_hits();
         sys.request_new_connection(s(1.0), req(0, 2, 1));
         assert_eq!(sys.br_memo_hits() - hits_before, 1);
-    }
-
-    #[test]
-    fn positive_tolerance_reuses_and_matches_fresh_value() {
-        let config = {
-            let mut c =
-                QresConfig::paper_stationary(SchemeConfig::Predictive { kind: AcKind::Ac1 });
-            c.br_staleness_tolerance = Duration::from_secs(5.0);
-            c
-        };
-        let mut sys =
-            ReservationSystem::new(config, Topology::ring(10), BsNetworkKind::FullyConnected);
-        for i in 0..10 {
-            sys.request_new_connection(s(0.5 + i as f64 * 0.01), req(1, 500 + i, 1));
-        }
-        sys.request_new_connection(s(1.0), req(0, 1, 1));
-        let first_br = sys.last_br(CellId(0));
-        // 2 s later, within tolerance, neighbors unchanged: both terms are
-        // reused and B_r repeats the memoized value.
-        let hits_before = sys.br_memo_hits();
-        sys.request_new_connection(s(3.0), req(0, 2, 1));
-        assert_eq!(sys.br_memo_hits() - hits_before, 2);
-        assert_eq!(sys.last_br(CellId(0)), first_br);
-        // Past the tolerance, both terms are recomputed.
-        let hits_before = sys.br_memo_hits();
-        sys.request_new_connection(s(9.0), req(0, 3, 1));
-        assert_eq!(sys.br_memo_hits(), hits_before);
     }
 
     #[test]

@@ -73,7 +73,9 @@ fn batched_matches_naive_per_connection() {
     for case in 0..200 {
         let n_quad = [3usize, 25, 10_000][case % 3];
         let mut cache = random_cache(&mut rng, n_quad);
-        let now = 3_000.0 + rng.gen_range_f64(0.0, 1_000.0);
+        // After the whole history (at most 150 events 50 s apart): queries
+        // never precede a recorded hand-off.
+        let now = 7_500.0 + rng.gen_range_f64(0.0, 1_000.0);
         let cell = random_population(&mut rng, now);
         let target = CellId(0);
         let t_est = Duration::from_secs(rng.gen_range_f64(0.0, 300.0));

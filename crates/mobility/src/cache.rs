@@ -13,10 +13,17 @@
 //!   prefix-summed weights, so the estimator's numerator/denominator
 //!   (Eq. 4) are two binary searches instead of a linear scan.
 //!
-//! Snapshots are rebuilt lazily: on mutation, and — for finite `T_int`,
-//! where window membership drifts with `t_o` — when the snapshot is older
-//! than a configurable refresh interval (default 30 simulated seconds,
-//! far finer than the 1-hour `T_int` the paper uses).
+//! Snapshots are built lazily, by the first query. After that:
+//!
+//! * infinite `T_int`: each recorded quadruplet updates its pair's
+//!   snapshot **in place** (evicted sojourn out, new sojourn in at its
+//!   sorted position). This is exact: every member carries weight `w_0`,
+//!   so `prefix[i]` depends only on `i`, and membership does not drift
+//!   with `t_o`. A store that is never queried only appends.
+//! * finite `T_int`, where window membership drifts with `t_o`: the
+//!   snapshot is rebuilt on the first query after it is older than a
+//!   configurable refresh interval (default 30 simulated seconds, far
+//!   finer than the 1-hour `T_int` the paper uses).
 //!
 //! With weekday/weekend separation enabled, quadruplets are routed into two
 //! independent stores by the [`Calendar`] class of their event time, and
@@ -173,6 +180,25 @@ impl PairSnapshot {
     pub fn sojourns(&self) -> &[f64] {
         &self.sojourns
     }
+
+    /// Applies one recorded quadruplet to an infinite-`T_int` snapshot:
+    /// `dropped`, the sojourn the `N_quad` cap evicted, leaves, and
+    /// `sojourn` enters at its sorted position. Every member weighs
+    /// `weight`, so `prefix[i]` is the `i`-fold sum of `weight` and only
+    /// grows with the count: the result is bit-identical to
+    /// [`Self::build`] over the same members.
+    fn shift_in(&mut self, dropped: Option<f64>, sojourn: f64, weight: f64) {
+        match dropped {
+            Some(old) => {
+                let i = self.sojourns.partition_point(|&s| s < old);
+                debug_assert_eq!(self.sojourns.get(i), Some(&old), "evicted a non-member");
+                self.sojourns.remove(i);
+            }
+            None => self.prefix.push(self.total_weight() + weight),
+        }
+        let i = self.sojourns.partition_point(|&s| s <= sojourn);
+        self.sojourns.insert(i, sojourn);
+    }
 }
 
 #[derive(Debug, Clone, Default)]
@@ -180,6 +206,33 @@ struct Snapshot {
     built_at: Option<SimTime>,
     pairs: BTreeMap<(PrevKey, CellId), PairSnapshot>,
     max_sojourn: Option<f64>,
+}
+
+impl Snapshot {
+    /// Keeps an infinite-`T_int` snapshot current across one recorded
+    /// quadruplet of pair `key` (see [`PairSnapshot::shift_in`]).
+    fn shift_in(
+        &mut self,
+        key: (PrevKey, CellId),
+        dropped: Option<f64>,
+        sojourn: f64,
+        weight: f64,
+    ) {
+        self.pairs
+            .entry(key)
+            .or_insert_with(|| PairSnapshot::build(Vec::new()))
+            .shift_in(dropped, sojourn, weight);
+        self.max_sojourn = match self.max_sojourn {
+            Some(max) if dropped != Some(max) => Some(max.max(sojourn)),
+            // The maximum itself may have left: rescan, in the same key
+            // order as `ClassStore::rebuild`.
+            _ => self
+                .pairs
+                .values()
+                .filter_map(PairSnapshot::max_sojourn)
+                .reduce(f64::max),
+        };
+    }
 }
 
 /// Raw quadruplet storage for one `(prev, next)` pair.
@@ -216,9 +269,10 @@ struct ClassStore {
     pairs: BTreeMap<(PrevKey, CellId), PairStore>,
     last_event_time: Option<SimTime>,
     snapshot: Snapshot,
-    dirty: bool,
-    /// Bumped on every mutation (record, including its pruning) *and* on
-    /// every snapshot rebuild: any change to what a query could answer.
+    /// Bumped once per recorded quadruplet (including its pruning and the
+    /// in-place snapshot update) and once per snapshot build: any change
+    /// to what a query could answer. Infinite-`T_int` stores build only
+    /// at their first query.
     epoch: u64,
 }
 
@@ -239,24 +293,32 @@ impl ClassStore {
         }
         self.last_event_time = Some(event.t_event);
         let infinite = window.t_int.is_infinite();
-        let store = self
-            .pairs
-            .entry((event.prev, event.next))
-            .or_insert_with(|| {
-                if infinite {
-                    PairStore::Recent(VecDeque::new())
-                } else {
-                    PairStore::Bucketed(BTreeMap::new())
-                }
-            });
+        let key = (event.prev, event.next);
+        let store = self.pairs.entry(key).or_insert_with(|| {
+            if infinite {
+                PairStore::Recent(VecDeque::new())
+            } else {
+                PairStore::Bucketed(BTreeMap::new())
+            }
+        });
         let mut evicted = 0usize;
         match store {
             PairStore::Recent(deque) => {
                 deque.push_back(event);
                 // Only the N_quad most recent can ever be selected.
-                while deque.len() > n_quad {
-                    deque.pop_front();
-                    evicted += 1;
+                let dropped = if deque.len() > n_quad {
+                    deque.pop_front()
+                } else {
+                    None
+                };
+                evicted = usize::from(dropped.is_some());
+                if self.snapshot.built_at.is_some() {
+                    self.snapshot.shift_in(
+                        key,
+                        dropped.map(|e| e.t_soj.as_secs()),
+                        event.t_soj.as_secs(),
+                        window.weights[0],
+                    );
                 }
             }
             PairStore::Bucketed(buckets) => {
@@ -282,7 +344,6 @@ impl ClassStore {
                 }
             }
         }
-        self.dirty = true;
         self.epoch += 1;
         evicted
     }
@@ -290,19 +351,13 @@ impl ClassStore {
     fn snapshot_fresh(&self, t_o: SimTime, window: &WindowConfig, refresh: Duration) -> bool {
         match self.snapshot.built_at {
             None => false,
-            Some(at) => {
-                if window.t_int.is_infinite() {
-                    // Membership does not drift with time; only mutation
-                    // invalidates.
-                    !self.dirty
-                } else {
-                    // Finite windows: rebuild on refresh expiry (new events
-                    // become visible within `refresh` of recording — the
-                    // dirty flag alone would force a rebuild per hand-off,
-                    // which is quadratic under load).
-                    t_o >= at && t_o - at <= refresh
-                }
-            }
+            // Infinite windows: `record` keeps a built snapshot current.
+            Some(_) if window.t_int.is_infinite() => true,
+            // Finite windows: rebuild on refresh expiry (new events become
+            // visible within `refresh` of recording — rebuilding on every
+            // record would cost a rebuild per hand-off, quadratic under
+            // load).
+            Some(at) => t_o >= at && t_o - at <= refresh,
         }
     }
 
@@ -363,10 +418,14 @@ impl ClassStore {
             pairs,
             max_sojourn,
         };
-        self.dirty = false;
         self.epoch += 1;
     }
 
+    /// Makes the snapshot answer for `t_o`. With infinite `T_int`, `t_o`
+    /// must not precede the last recorded event: the in-place snapshot
+    /// holds every stored quadruplet, which equals a rebuild at `t_o` only
+    /// when none of them lies in `t_o`'s future. The simulator queries at
+    /// its clock, which never runs behind a recorded hand-off.
     fn ensure_snapshot(
         &mut self,
         t_o: SimTime,
@@ -374,6 +433,11 @@ impl ClassStore {
         n_quad: usize,
         refresh: Duration,
     ) {
+        debug_assert!(
+            !(window.t_int.is_infinite()
+                && matches!(self.last_event_time, Some(last) if t_o < last)),
+            "an infinite-window query must not precede the last recorded event"
+        );
         if !self.snapshot_fresh(t_o, window, refresh) {
             self.rebuild(t_o, window, n_quad);
         }
@@ -481,11 +545,13 @@ impl HoeCache {
     }
 
     /// A version counter that changes whenever a query's answer could:
-    /// on every recorded quadruplet (including the pruning it triggers) and
-    /// on every snapshot rebuild (finite-`T_int` membership drifts with
-    /// `t_o`). Two queries with equal `(t_o, arguments)` bracketing an
-    /// unchanged version return identical results — the invalidation key of
-    /// the epoch-memoized `B_r` computation upstream.
+    /// once per recorded quadruplet (including the pruning and in-place
+    /// snapshot update it triggers) and once per snapshot build — the
+    /// first query of an infinite-`T_int` store, and every refresh of a
+    /// finite-`T_int` one, whose membership drifts with `t_o`. Two queries
+    /// with equal `(t_o, arguments)` bracketing an unchanged version return
+    /// identical results — the invalidation key of the epoch-memoized
+    /// `B_r` computation upstream.
     pub fn version(&self) -> u64 {
         // Each mutation bumps exactly one class epoch, so the sum is
         // strictly monotone over mutations.

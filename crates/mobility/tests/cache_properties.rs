@@ -195,6 +195,108 @@ fn finite_window_matches_naive_membership() {
     }
 }
 
+/// Every Eq.-4 weight and `max_sojourn` of `live`, compared by bits with
+/// `fresh`, over all `(prev, next)` pairs at random thresholds — some of
+/// them equal to a sojourn of the duplicate-heavy grid in
+/// [`in_place_snapshot_matches_fresh_build`].
+fn assert_same_answers(
+    live: &mut HoeCache,
+    fresh: &mut HoeCache,
+    now: SimTime,
+    rng: &mut StreamRng,
+) {
+    let threshold = |rng: &mut StreamRng| {
+        Duration::from_secs(if rng.gen_bool(0.5) {
+            f64::from(rng.gen_range(0u32..5)) * 10.0
+        } else {
+            rng.gen_range_f64(0.0, 60.0)
+        })
+    };
+    for prev in [None, Some(0u32), Some(1), Some(2)].map(|p| p.map(CellId)) {
+        let ext = threshold(rng);
+        assert_eq!(
+            live.weight_prev_gt(now, prev, ext).to_bits(),
+            fresh.weight_prev_gt(now, prev, ext).to_bits(),
+            "weight_prev_gt({prev:?}, {ext:?}) at {now:?}"
+        );
+        for next in (0u32..3).map(CellId) {
+            let (ext, t_est) = (threshold(rng), threshold(rng));
+            assert_eq!(
+                live.weight_pair_in(now, prev, next, ext, t_est).to_bits(),
+                fresh.weight_pair_in(now, prev, next, ext, t_est).to_bits(),
+                "weight_pair_in({prev:?}, {next:?}, {ext:?}, {t_est:?}) at {now:?}"
+            );
+            assert_eq!(
+                live.weight_pair_gt(now, prev, next, ext).to_bits(),
+                fresh.weight_pair_gt(now, prev, next, ext).to_bits(),
+                "weight_pair_gt({prev:?}, {next:?}, {ext:?}) at {now:?}"
+            );
+        }
+    }
+    assert_eq!(
+        live.max_sojourn(now).map(|d| d.as_secs().to_bits()),
+        fresh.max_sojourn(now).map(|d| d.as_secs().to_bits()),
+        "max_sojourn at {now:?}"
+    );
+}
+
+/// Interleaved records and queries on infinite-window caches: a cache
+/// whose snapshot is kept current record by record answers bit-identically
+/// to a fresh cache fed the same events and queried once, which builds its
+/// snapshot from scratch. Small `N_quad` forces evictions, sojourns repeat,
+/// `w_0` is non-unit in most cases, and half the cases route weekends into
+/// a second infinite-window class (gaps of up to half a day cross
+/// weekends).
+#[test]
+fn in_place_snapshot_matches_fresh_build() {
+    let mut rng = StreamRng::seed_from_u64(0xCAC4_0005);
+    for case in 0..200 {
+        let mut config = HoeConfig::stationary();
+        // Short caps evict often; long ones grow prefix sums far enough
+        // for a non-unit w_0 to round differently under another summation.
+        config.n_quad = if case % 4 < 2 {
+            rng.gen_range(1usize..6)
+        } else {
+            rng.gen_range(8usize..24)
+        };
+        config.weekday_window.weights = vec![[1.0, 0.7, 0.1][case % 3]];
+        if case % 2 == 1 {
+            config.weekend_window = Some(WindowConfig {
+                t_int: Duration::INFINITE,
+                period: Duration::WEEK,
+                weights: vec![0.7],
+            });
+        }
+        let mut live = HoeCache::new(config.clone());
+        let mut events = Vec::new();
+        let mut t = 0.0;
+        for _ in 0..rng.gen_range(1usize..150) {
+            t += rng.gen_range_f64(0.0, 43_200.0);
+            let sojourn = if rng.gen_bool(0.7) {
+                f64::from(rng.gen_range(1u32..5)) * 10.0
+            } else {
+                rng.gen_range_f64(0.1, 60.0)
+            };
+            let e = HandoffEvent::new(
+                SimTime::from_secs(t),
+                random_prev(&mut rng).map(|p| CellId(p % 2)),
+                CellId(rng.gen_range(0u32..2)),
+                Duration::from_secs(sojourn),
+            );
+            live.record(e);
+            events.push(e);
+            if rng.gen_bool(0.5) {
+                let now = SimTime::from_secs(t + rng.gen_range_f64(0.0, 10.0));
+                let mut fresh = HoeCache::new(config.clone());
+                for e in &events {
+                    fresh.record(*e);
+                }
+                assert_same_answers(&mut live, &mut fresh, now, &mut rng);
+            }
+        }
+    }
+}
+
 /// max_sojourn equals the maximum over the selected quadruplets.
 #[test]
 fn max_sojourn_matches() {

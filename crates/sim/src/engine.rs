@@ -139,9 +139,12 @@ pub struct Engine {
 const WATCHDOG_EPOCH_SECS: f64 = 10.0;
 
 impl Engine {
-    /// Builds an engine from a validated scenario.
+    /// Builds an engine from a scenario. Panics if
+    /// [`Scenario::validate`] rejects it.
     pub fn new(scenario: Scenario) -> Self {
-        scenario.validate();
+        if let Err(e) = scenario.validate() {
+            panic!("{e}");
+        }
         // Size the per-cell telemetry shards to the topology so large
         // grids don't fold into the overflow shard (grow-only; cheap).
         qres_obs::metrics::ensure_cell_shards(scenario.num_cells);

@@ -347,54 +347,148 @@ impl Scenario {
         config
     }
 
-    /// Validates the configuration. Panics on violation.
-    pub fn validate(&self) {
-        assert!(self.num_cells >= 3, "need at least 3 cells");
-        if let Some((rows, cols)) = self.hex_grid {
-            assert_eq!(
-                self.num_cells,
-                rows * cols,
-                "num_cells must equal rows * cols on a hex grid"
-            );
-            assert!(rows >= 2 && cols >= 2, "hex grid needs at least 2x2");
-        }
-        assert!(
-            self.cell_diameter_km > 0.0,
-            "cell diameter must be positive"
-        );
-        assert!(
-            (0.0..=1.0).contains(&self.voice_ratio),
-            "voice ratio must be in [0,1]"
-        );
-        assert!(self.offered_load > 0.0, "offered load must be positive");
+    /// Checks every field against its valid range. The error names each
+    /// violated field with its value, `; `-separated. Non-finite values
+    /// fail every range check.
+    pub fn validate(&self) -> Result<(), String> {
         let (lo, hi) = self.speed_range_kmh;
-        assert!(
-            lo > 0.0 && hi >= lo,
-            "speed range must be positive, lo <= hi"
-        );
-        assert!(self.mean_lifetime_secs > 0.0, "lifetime must be positive");
-        assert!(
-            (0.0..=1.0).contains(&self.turn_probability),
-            "turn probability must be in [0,1]"
-        );
-        assert!(self.duration_secs > 0.0, "duration must be positive");
-        assert!(
-            self.warmup_secs < self.duration_secs,
-            "warm-up must end before the run does"
-        );
-        for &c in &self.trace_cells {
-            assert!((c as usize) < self.num_cells, "trace cell out of range");
+        let guard = match self.scheme {
+            SchemeKind::Static { guard_bus } => guard_bus < self.capacity_bus,
+            _ => true,
+        };
+        let ns = match self.scheme {
+            SchemeKind::Ns {
+                window_secs,
+                mean_sojourn_secs,
+            } => window_secs > 0.0 && mean_sojourn_secs > 0.0,
+            _ => true,
+        };
+        let tree = !matches!(self.wired, Some(WiredConfig::Tree { branching: 0, .. }));
+        let mut violations = violations(&[
+            (
+                self.num_cells >= 3,
+                "num_cells",
+                &self.num_cells,
+                "need at least 3 cells",
+            ),
+            (
+                self.hex_grid.is_none_or(|(r, c)| self.num_cells == r * c),
+                "num_cells",
+                &self.num_cells,
+                "must equal rows * cols on a hex grid",
+            ),
+            (
+                self.hex_grid.is_none_or(|(r, c)| r >= 2 && c >= 2),
+                "hex_grid",
+                &self.hex_grid,
+                "needs at least 2x2",
+            ),
+            (
+                self.capacity_bus > 0,
+                "capacity_bus",
+                &self.capacity_bus,
+                "must be positive",
+            ),
+            (
+                guard,
+                "scheme",
+                &self.scheme,
+                "guard_bus must be smaller than capacity_bus",
+            ),
+            (
+                ns,
+                "scheme",
+                &self.scheme,
+                "window and mean sojourn must be positive",
+            ),
+            (tree, "wired", &self.wired, "branching must be positive"),
+            (
+                self.cell_diameter_km > 0.0,
+                "cell_diameter_km",
+                &self.cell_diameter_km,
+                "must be positive",
+            ),
+            (
+                (0.0..=1.0).contains(&self.voice_ratio),
+                "voice_ratio",
+                &self.voice_ratio,
+                "must be in [0, 1]",
+            ),
+            (
+                self.offered_load > 0.0,
+                "offered_load",
+                &self.offered_load,
+                "must be positive",
+            ),
+            (
+                lo > 0.0 && hi >= lo,
+                "speed_range_kmh",
+                &self.speed_range_kmh,
+                "must be positive with lo <= hi",
+            ),
+            (
+                self.mean_lifetime_secs > 0.0,
+                "mean_lifetime_secs",
+                &self.mean_lifetime_secs,
+                "must be positive",
+            ),
+            (
+                (0.0..=1.0).contains(&self.turn_probability),
+                "turn_probability",
+                &self.turn_probability,
+                "must be in [0, 1]",
+            ),
+            (
+                self.p_hd_target > 0.0 && self.p_hd_target < 1.0,
+                "p_hd_target",
+                &self.p_hd_target,
+                "must be in (0, 1)",
+            ),
+            (
+                self.duration_secs > 0.0,
+                "duration_secs",
+                &self.duration_secs,
+                "must be positive",
+            ),
+            (
+                self.warmup_secs >= 0.0 && self.warmup_secs < self.duration_secs,
+                "warmup_secs",
+                &self.warmup_secs,
+                "must be nonnegative and end before duration_secs",
+            ),
+            (
+                self.trace_cells
+                    .iter()
+                    .all(|&c| (c as usize) < self.num_cells),
+                "trace_cells",
+                &self.trace_cells,
+                "trace cell out of range",
+            ),
+        ]);
+        if let Some(Err(e)) = self.time_varying.as_ref().map(TimeVaryingConfig::validate) {
+            violations.push(e);
         }
-        if let Some(tv) = &self.time_varying {
-            tv.validate();
+        if violations.is_empty() {
+            Ok(())
+        } else {
+            Err(format!("invalid scenario: {}", violations.join("; ")))
         }
-        self.qres_config().validate();
     }
 
     /// The traced cells as ids.
     pub fn trace_cell_ids(&self) -> Vec<CellId> {
         self.trace_cells.iter().map(|&c| CellId(c)).collect()
     }
+}
+
+/// `field = value: rule` for every failed `(holds, field, value, rule)`
+/// check. Values are formatted only on failure.
+pub(crate) fn violations(checks: &[(bool, &str, &dyn std::fmt::Debug, &str)]) -> Vec<String> {
+    checks
+        .iter()
+        .filter(|(ok, ..)| !ok)
+        .map(|(_, field, value, rule)| format!("{field} = {value:?}: {rule}"))
+        .collect()
 }
 
 qres_json::json_unit_enum!(DirectionMode { Random, AllUp });
@@ -551,7 +645,7 @@ mod tests {
     #[test]
     fn baseline_matches_paper_section_51() {
         let s = Scenario::paper_baseline();
-        s.validate();
+        s.validate().unwrap();
         assert_eq!(s.num_cells, 10);
         assert_eq!(s.capacity_bus, 100);
         assert_eq!(s.mean_lifetime_secs, 120.0);
@@ -581,7 +675,7 @@ mod tests {
             .duration_secs(500.0)
             .seed(42)
             .trace_cells(&[4, 5]);
-        s.validate();
+        s.validate().unwrap();
         assert_eq!(s.offered_load, 200.0);
         assert_eq!(s.scheme, SchemeKind::Ac1);
         assert_eq!(s.speed_range_kmh, (40.0, 60.0));
@@ -591,7 +685,7 @@ mod tests {
     #[test]
     fn one_directional_disconnects_ring() {
         let s = Scenario::paper_baseline().one_directional();
-        s.validate();
+        s.validate().unwrap();
         assert!(!s.ring);
         assert_eq!(s.direction, DirectionMode::AllUp);
     }
@@ -617,7 +711,7 @@ mod tests {
     #[test]
     fn metro_preset_is_metro_scale() {
         let s = Scenario::metro();
-        s.validate();
+        s.validate().unwrap();
         assert_eq!(s.num_cells, 1024);
         assert_eq!(s.hex_grid, Some((32, 32)));
         assert_eq!(s.scheme, SchemeKind::Ac3);
@@ -625,14 +719,41 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "trace cell")]
     fn trace_cell_range_checked() {
-        Scenario::paper_baseline().trace_cells(&[10]).validate();
+        let err = Scenario::paper_baseline()
+            .trace_cells(&[10])
+            .validate()
+            .unwrap_err();
+        assert!(err.contains("trace cell"), "{err}");
     }
 
     #[test]
-    #[should_panic(expected = "voice ratio")]
     fn bad_voice_ratio_rejected() {
-        Scenario::paper_baseline().voice_ratio(1.2).validate();
+        let err = Scenario::paper_baseline()
+            .voice_ratio(1.2)
+            .validate()
+            .unwrap_err();
+        assert!(err.contains("voice_ratio = 1.2"), "{err}");
+    }
+
+    #[test]
+    fn every_violated_field_is_named() {
+        let mut s = Scenario::paper_baseline()
+            .scheme(SchemeKind::Static { guard_bus: 100 })
+            .offered_load(-1.0);
+        s.p_hd_target = 1.0;
+        s.time_varying = Some(TimeVaryingConfig {
+            days: 0,
+            ..TimeVaryingConfig::paper_like()
+        });
+        let err = s.validate().unwrap_err();
+        for field in [
+            "scheme = Static { guard_bus: 100 }",
+            "offered_load = -1.0",
+            "p_hd_target = 1.0",
+            "time_varying.days = 0",
+        ] {
+            assert!(err.contains(field), "{field} missing from {err}");
+        }
     }
 }

@@ -16,6 +16,8 @@
 //! the original `L_o`, the positive-feedback effect that amplifies the
 //! `P_CB` differences between schemes.
 
+use crate::scenario::violations;
+
 /// One hour's workload parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HourEntry {
@@ -162,20 +164,43 @@ impl TimeVaryingConfig {
         self.days as usize * 24
     }
 
-    /// Validates the configuration. Panics on violation.
-    pub fn validate(&self) {
-        assert!(self.days >= 1, "need at least one day");
-        assert!(self.retry.wait_secs >= 0.0, "retry wait cannot be negative");
-        assert!(
-            (0.0..=1.0).contains(&self.retry.decay),
-            "retry decay must be in [0,1]"
-        );
+    /// Checks every field against its valid range. The error names each
+    /// violated field (as a path under the scenario's `time_varying`) with
+    /// its value, `; `-separated.
+    pub fn validate(&self) -> Result<(), String> {
+        let mut violations = violations(&[
+            (
+                self.days >= 1,
+                "time_varying.days",
+                &self.days,
+                "need at least one day",
+            ),
+            (
+                self.retry.wait_secs >= 0.0,
+                "time_varying.retry.wait_secs",
+                &self.retry.wait_secs,
+                "cannot be negative",
+            ),
+            (
+                (0.0..=1.0).contains(&self.retry.decay),
+                "time_varying.retry.decay",
+                &self.retry.decay,
+                "must be in [0, 1]",
+            ),
+        ]);
         for (h, e) in self.schedule.hours().iter().enumerate() {
-            assert!(e.offered_load > 0.0, "hour {h}: load must be positive");
-            assert!(
-                e.mean_speed_kmh > 20.0,
-                "hour {h}: mean speed must exceed the ±20 sampling half-width"
-            );
+            let (load_ok, speed_ok) = (e.offered_load > 0.0, e.mean_speed_kmh > 20.0);
+            if !(load_ok && speed_ok) {
+                violations.push(format!(
+                    "time_varying.schedule.hours[{h}] = {e:?}: load must be positive and \
+                     mean speed must exceed the ±20 sampling half-width"
+                ));
+            }
+        }
+        if violations.is_empty() {
+            Ok(())
+        } else {
+            Err(violations.join("; "))
         }
     }
 }
@@ -232,7 +257,7 @@ mod tests {
     #[test]
     fn config_totals() {
         let tv = TimeVaryingConfig::paper_like();
-        tv.validate();
+        tv.validate().unwrap();
         assert_eq!(tv.total_secs(), 172_800.0);
         assert_eq!(tv.total_hours(), 48);
     }

@@ -192,7 +192,7 @@ fn load_scenario(path: &str) -> Result<Scenario, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     let scenario: Scenario =
         qres_json::from_str(&text).map_err(|e| format!("parsing {path}: {e}"))?;
-    scenario.validate();
+    scenario.validate().map_err(|e| format!("{path}: {e}"))?;
     Ok(scenario)
 }
 

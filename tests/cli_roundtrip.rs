@@ -13,7 +13,7 @@ fn scenario_json_roundtrip() {
         .seed(33);
     let json = qres_json::to_string_pretty(&original);
     let parsed: Scenario = qres_json::from_str(&json).unwrap();
-    parsed.validate();
+    parsed.validate().unwrap();
     assert_eq!(parsed.offered_load, original.offered_load);
     assert_eq!(parsed.scheme, original.scheme);
     assert_eq!(parsed.trace_cells, original.trace_cells);
@@ -51,7 +51,7 @@ fn complex_scenarios_roundtrip() {
     ] {
         let json = qres_json::to_string(&scenario);
         let parsed: Scenario = qres_json::from_str(&json).unwrap();
-        parsed.validate();
+        parsed.validate().unwrap();
         assert_eq!(
             qres_json::to_string(&parsed),
             json,
@@ -76,4 +76,56 @@ fn run_result_serializes_with_traces() {
     let parsed: qres::sim::RunResult = qres_json::from_str(&json).unwrap();
     assert_eq!(parsed.p_cb(), r.p_cb());
     assert_eq!(parsed.traces.len(), 1);
+}
+
+/// The four out-of-range scenarios of the two tests below (the second feeds
+/// them to `qres run`), each with the `field = value` its error must name.
+fn invalid_scenarios() -> Vec<(&'static str, Scenario, &'static str)> {
+    let base = Scenario::paper_baseline();
+    let mut late_warmup = base.clone().duration_secs(100.0);
+    late_warmup.warmup_secs = 100.0;
+    vec![
+        ("voice", base.clone().voice_ratio(1.2), "voice_ratio = 1.2"),
+        (
+            "nan_load",
+            base.clone().offered_load(f64::NAN),
+            "offered_load = NaN",
+        ),
+        (
+            "zero_duration",
+            base.duration_secs(0.0),
+            "duration_secs = 0.0",
+        ),
+        ("late_warmup", late_warmup, "warmup_secs = 100.0"),
+    ]
+}
+
+#[test]
+fn out_of_range_scenarios_are_rejected_by_name() {
+    for (_, scenario, field) in invalid_scenarios() {
+        let err = scenario.validate().unwrap_err();
+        assert!(err.contains(field), "{field} missing from {err}");
+    }
+}
+
+/// `qres run` exits 1 with a message on every invalid file, never with a
+/// panic (exit 101). JSON has no NaN: the NaN load reaches the file as
+/// `null` and fails at parsing instead.
+#[test]
+fn qres_run_rejects_invalid_scenario_files() {
+    for (name, scenario, field) in invalid_scenarios() {
+        let path =
+            std::env::temp_dir().join(format!("qres_invalid_{}_{name}.json", std::process::id()));
+        std::fs::write(&path, qres_json::to_string(&scenario)).unwrap();
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_qres"))
+            .arg("run")
+            .arg(&path)
+            .output()
+            .unwrap();
+        std::fs::remove_file(&path).unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{name}: {stderr}");
+        let expected = if name == "nan_load" { "parsing" } else { field };
+        assert!(stderr.contains(expected), "{name}: {stderr}");
+    }
 }
