@@ -1,4 +1,4 @@
-//! Related-work comparison (paper Section 6 / follow-up reference [4]):
+//! Related-work comparison (paper Section 6 / follow-up reference \[4\]):
 //! the adaptive AC3 scheme vs. the reconstructed Naghshineh–Schwartz
 //! baseline, across load, under the two conditions Choi & Shin criticize
 //! NS for:

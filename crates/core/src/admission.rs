@@ -54,7 +54,7 @@ pub enum SchemeConfig {
         kind: AcKind,
     },
     /// The Naghshineh–Schwartz distributed admission control of reference
-    /// [10] — the related-work baseline (exponential sojourns, no
+    /// \[10\] — the related-work baseline (exponential sojourns, no
     /// direction prediction, fixed window). See [`crate::ns_scheme`].
     NaghshinehSchwartz {
         /// The scheme's fixed parameters.

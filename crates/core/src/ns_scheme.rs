@@ -2,8 +2,8 @@
 //!
 //! Section 6 of Choi & Shin discusses the rival scheme of
 //! *M. Naghshineh and M. Schwartz, "Distributed call admission control in
-//! mobile/wireless networks", IEEE JSAC 14(4), 1996* — reference [10] —
-//! and their follow-up [4] compares against it quantitatively. Choi & Shin
+//! mobile/wireless networks", IEEE JSAC 14(4), 1996* — reference \[10\] —
+//! and their follow-up \[4\] compares against it quantitatively. Choi & Shin
 //! describe it as: "the BS obtains the required bandwidth for both the
 //! existing and hand-off connections after a certain time interval, then
 //! performs admission control so that the required bandwidth may not

@@ -14,12 +14,17 @@
 //! (Eq. 4, [`qres_mobility::handoff_probability`]). Because `p_h` is
 //! non-decreasing in `T_est`, so is `B_r,0` — the monotonicity the adaptive
 //! window controller relies on.
+//!
+//! [`neighbor_contribution`] sums Eq. 5 in one pass over the neighbor's
+//! connections in registry order ([`qres_mobility::ContributionPass`]);
+//! with telemetry on, the same pass stages each connection's `p_h` for the
+//! calibration tracker. [`neighbor_contribution_naive`], one estimator
+//! query per connection, is the reference it is bit-identical to.
 
 use qres_cellnet::{Cell, CellId};
 use qres_des::{Duration, SimTime};
 use qres_mobility::{
-    batched_contribution, batched_contribution_probs, handoff_probability, known_next_probability,
-    ConnQuery, HandoffQuery, HoeCache,
+    handoff_probability, known_next_probability, ContributionPass, HandoffQuery, HoeCache,
 };
 
 /// Computes one neighbor's contribution `B_i,0` (Eq. 5): the fractional
@@ -31,11 +36,10 @@ use qres_mobility::{
 /// the target's `T_est` announcement (the caller accounts that exchange on
 /// the signaling fabric).
 ///
-/// Evaluates Eq. 4 through the batched estimator
-/// ([`qres_mobility::batched_contribution`]): the whole population's
-/// probabilities in merged sweeps over the estimation snapshots, with
-/// denominators shared across connections of equal `(prev, T_ext-soj)`.
-/// The result is bit-identical to [`neighbor_contribution_naive`].
+/// Evaluates Eq. 4 in one pass over the cell's connections
+/// ([`qres_mobility::ContributionPass`]), which looks up the estimation
+/// snapshots once per distinct `prev` instead of once per connection. The
+/// result is bit-identical to [`neighbor_contribution_naive`].
 pub fn neighbor_contribution(
     neighbor_cell: &Cell,
     neighbor_cache: &mut HoeCache,
@@ -48,66 +52,46 @@ pub fn neighbor_contribution(
         target,
         "a cell does not hand off to itself"
     );
-    let conns: Vec<ConnQuery> = neighbor_cell
-        .connections()
-        .map(|conn| ConnQuery {
-            prev: conn.prev,
-            known_next: conn.known_next,
-            extant_sojourn: conn.extant_sojourn(now),
-            bandwidth: conn.bandwidth.as_f64(),
-        })
-        .collect();
-    if qres_obs::enabled() {
-        qres_obs::metrics::B_I0_EVALS_TOTAL.add(conns.len() as u64);
-        // Calibration read-out: capture each connection's Eq.-4 forecast
-        // alongside the sum. The probs variant is bit-identical on the
-        // total, and staging is a thread-local push — the forecasts move
-        // into the global calibration store later, in `compute_br`, after
-        // the timing record ([`qres_obs::flush_staged`]).
-        thread_local! {
-            static PROBS: std::cell::RefCell<Vec<f64>> = std::cell::RefCell::default();
-        }
-        return PROBS.with(|p| {
-            let mut probs = p.borrow_mut();
-            let total = batched_contribution_probs(
-                neighbor_cache,
-                now,
-                target,
-                t_est_of_target,
-                &conns,
-                &mut probs,
+    let obs = qres_obs::enabled();
+    let t0 = obs.then(std::time::Instant::now);
+    let deadline = now.as_secs() + t_est_of_target.as_secs();
+    let mut p_h_sum = 0.0;
+    let mut live = 0u32;
+    let mut pass = ContributionPass::new(neighbor_cache, now, target, t_est_of_target);
+    let mut total = 0.0;
+    for conn in neighbor_cell.connections() {
+        let p_h = pass.probability(conn.prev, conn.known_next, conn.extant_sojourn(now));
+        total += conn.bandwidth.as_f64() * p_h;
+        // Calibration read-out: stage each forecast about `target` (a
+        // connection declared toward another cell makes none). Staging is
+        // a thread-local push; the forecasts move into the global
+        // calibration store later, in `compute_br`, after the timing
+        // record ([`qres_obs::flush_staged`]).
+        if obs && !matches!(conn.known_next, Some(declared) if declared != target) {
+            p_h_sum += p_h;
+            live += 1;
+            qres_obs::stage_prediction(
+                neighbor_cell.id().0,
+                target.0,
+                conn.id.0,
+                conn.prev.map(|c| c.0),
+                p_h,
+                deadline,
             );
-            let deadline = now.as_secs() + t_est_of_target.as_secs();
-            let mut p_h_sum = 0.0;
-            let mut live = 0u32;
-            for (conn, &p_h) in neighbor_cell.connections().zip(probs.iter()) {
-                // Declared toward another cell: not a forecast about
-                // `target`, so nothing to calibrate.
-                if matches!(conn.known_next, Some(declared) if declared != target) {
-                    continue;
-                }
-                p_h_sum += p_h;
-                live += 1;
-                qres_obs::stage_prediction(
-                    neighbor_cell.id().0,
-                    target.0,
-                    conn.id.0,
-                    conn.prev.map(|c| c.0),
-                    p_h,
-                    deadline,
-                );
-            }
-            if qres_obs::flight::flight_enabled() {
-                // Leave the Eq.-4 internals (Σ p_h over the forecasts
-                // toward `target`, count of contributing connections) in
-                // TLS for the caller to attach to its flight-record term
-                // (see `CellSite::contribution_into`).
-                qres_obs::flight::stage_eval_detail(p_h_sum, live);
-            }
-            total
-        });
+        }
     }
-    batched_contribution(neighbor_cache, now, target, t_est_of_target, &conns)
+    if let Some(t0) = t0 {
+        qres_obs::metrics::BATCHED_CONTRIBUTION_NS.record_duration(t0.elapsed());
+        qres_obs::metrics::B_I0_EVALS_TOTAL.add(neighbor_cell.connection_count() as u64);
+        if qres_obs::flight::flight_enabled() {
+            // Leave the Eq.-4 internals (Σ p_h over the forecasts toward
+            // `target`, count of contributing connections) in TLS for the
+            // caller to attach to its flight-record term (see
+            // `CellSite::contribution_into`).
+            qres_obs::flight::stage_eval_detail(p_h_sum, live);
+        }
+    }
+    total
 }
 
 /// The one-connection-at-a-time reference evaluation of `B_i,0` — the

@@ -13,8 +13,9 @@
 //! before its next cell-boundary crossing).
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
-use std::collections::HashSet;
+use std::collections::hash_map::DefaultHasher;
+use std::collections::{BinaryHeap, HashSet};
+use std::hash::BuildHasherDefault;
 
 use crate::time::SimTime;
 
@@ -65,7 +66,9 @@ impl<E> Ord for Entry<E> {
 /// it with its own event enum.
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
-    cancelled: HashSet<u64>,
+    /// Fixed hash keys rather than per-process random ones: when the set
+    /// rehashes, and so when it allocates, then depends on the run alone.
+    cancelled: HashSet<u64, BuildHasherDefault<DefaultHasher>>,
     next_seq: u64,
     scheduled_total: u64,
     cancelled_total: u64,
@@ -86,7 +89,7 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
-            cancelled: HashSet::new(),
+            cancelled: HashSet::default(),
             next_seq: 0,
             scheduled_total: 0,
             cancelled_total: 0,

@@ -65,6 +65,15 @@ impl<E> Simulation<E> {
         }
     }
 
+    /// Creates a simulation whose pending-event set has room for
+    /// `capacity` events before it reallocates.
+    pub fn with_capacity(capacity: usize) -> Self {
+        Simulation {
+            queue: EventQueue::with_capacity(capacity),
+            ..Self::new()
+        }
+    }
+
     /// Creates a simulation whose clock starts at `start`.
     pub fn starting_at(start: SimTime) -> Self {
         Simulation {

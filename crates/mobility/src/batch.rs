@@ -1,324 +1,170 @@
-//! Batched Eq.-4 evaluation — one cell's whole `B_i,0` contribution in a
-//! single pass over the estimation snapshots.
+//! Streaming Eq.-4 evaluation — one cell's whole `B_i,0` contribution in a
+//! single pass over its connections.
 //!
 //! The reservation computation (Eq. 5) evaluates `p_h` once per resident
 //! connection. Evaluated one at a time ([`crate::handoff_probability`]),
-//! every connection pays a full scan over the `(prev, ·)` snapshot range
-//! for its denominator plus two binary searches for its numerator — and
-//! connections sharing `(prev, T_ext-soj)` pay it redundantly.
+//! every connection pays two `BTreeMap` descents into the estimation
+//! snapshot besides the binary searches the probability itself needs: the
+//! `(prev, ·)` range for its denominator and the `(prev, next)` pair for
+//! its numerator.
 //!
-//! [`batched_contribution`] exploits the structure of a cell population
-//! instead:
+//! A [`ContributionPass`] does those lookups once per distinct `prev` in
+//! the population — the first time a connection with that `prev` comes by —
+//! and then answers each connection with its binary searches alone:
+//! `weight_gt(T_ext-soj)` on every `(prev, ·)` snapshot, summed in range
+//! order for the denominator, where the target pair's term doubles as the
+//! numerator's lower edge, plus one `weight_gt(T_ext-soj + T_est)` on the
+//! target pair for the upper edge.
 //!
-//! 1. connections are **grouped** by `(prev, conditioning)` — unconditioned
-//!    Eq. 4, or pair-conditioned for mobiles declaring `next = target`
-//!    (Section 7 route extension); mobiles declaring another next cell
-//!    contribute zero and drop out immediately;
-//! 2. each group's extant sojourns are sorted and deduplicated, so equal
-//!    `(prev, T_ext-soj)` connections share one numerator *and* one
-//!    denominator evaluation;
-//! 3. all of a group's numerators and denominators are answered by
-//!    **merged sweeps** over each snapshot's sorted sojourn/prefix arrays
-//!    ([`crate::cache::PairSnapshot::accumulate_weights_gt`]):
-//!    `O(|snapshot| + |group|)`
-//!    per snapshot rather than `O(|group| · log |snapshot|)`, and each
-//!    snapshot is visited once per group rather than once per connection.
+//! Every probability is computed by the same floating-point operations in
+//! the same order as the one-at-a-time path, so a caller summing
+//! `b(C_i,j) · p_h` in its connection order gets a **bit-identical** total
+//! and the simulator's trajectories do not depend on the path.
 //!
-//! Every per-connection probability is computed by the same floating-point
-//! operations in the same order as the one-at-a-time path, and the final
-//! bandwidth-weighted sum runs in the caller's connection order — the
-//! batched result is **bit-identical** to the naive one, so the simulator's
-//! trajectories do not change when switching paths.
+//! Grouping connections by `(prev, T_ext-soj)` and answering each group
+//! with merged sweeps over the snapshots' sorted arrays was measured and
+//! replaced: real populations never share an extant sojourn, so the
+//! grouping, sorting and deduplication were pure overhead.
+
+use std::collections::btree_map::{BTreeMap, Range};
 
 use qres_cellnet::CellId;
 use qres_des::{Duration, SimTime};
 
-use crate::cache::{HoeCache, PrevKey};
+use crate::cache::{HoeCache, PairSnapshot, PrevKey};
 
-/// One connection's inputs to the batched Eq.-5 evaluation.
-#[derive(Debug, Clone, Copy)]
-pub struct ConnQuery {
-    /// The connection's previous cell (`None` = started in this cell).
-    pub prev: PrevKey,
-    /// The mobile's declared next cell, if route information is available.
-    pub known_next: Option<CellId>,
-    /// The connection's extant sojourn time `T_ext-soj`.
-    pub extant_sojourn: Duration,
-    /// Its bandwidth `b(C_i,j)` as the Eq.-5 weight.
-    pub bandwidth: f64,
+type Pairs = BTreeMap<(PrevKey, CellId), PairSnapshot>;
+
+/// Distinct `prev`s whose lookups live inline in a [`ContributionPass`]: a
+/// hexagonal cell's six neighbors plus in-cell starts, with room to spare.
+/// More spill to the heap.
+const INLINE_PREVS: usize = 8;
+
+/// One distinct `prev`'s snapshot lookups.
+struct PrevLookup<'a> {
+    prev: PrevKey,
+    /// Every `(prev, ·)` snapshot in key order: the Eq.-4 denominator.
+    range: Range<'a, (PrevKey, CellId), PairSnapshot>,
+    /// The `(prev, target)` snapshot: the Eq.-4 numerator.
+    to_target: Option<&'a PairSnapshot>,
 }
 
-/// How a group's probabilities condition on the estimation function.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Conditioning {
-    /// Plain Eq. 4: denominator over every `(prev, ·)` pair.
-    AnyNext,
-    /// Known-route variant: denominator over `(prev, target)` only.
-    PairToTarget,
-}
-
-/// Reusable buffers for one batched evaluation. Lives in a thread-local so
-/// the hot path — called on every admission test — does not allocate after
-/// warm-up (`members`/`probs` pool their inner buffers across calls too).
-#[derive(Default)]
-struct Scratch {
-    key_codes: Vec<u64>,
-    keys: Vec<(PrevKey, Conditioning)>,
-    members: Vec<Vec<(f64, u32)>>,
-    group_of: Vec<u32>,
-    slot_of: Vec<u32>,
-    exts: Vec<f64>,
-    uppers: Vec<f64>,
-    dens: Vec<f64>,
-    num_lo: Vec<f64>,
-    num_hi: Vec<f64>,
-    probs: Vec<Vec<f64>>,
-}
-
-thread_local! {
-    static SCRATCH: std::cell::RefCell<Scratch> = std::cell::RefCell::default();
-}
-
-/// Computes `Σ_j b(C_i,j) · p_h(C_i,j → target)` (Eq. 5) for a whole cell
-/// population against `cache`, the cell's own estimation state, in one
-/// batched pass. `conns` must be the cell's connections in its (stable)
-/// iteration order; the result is bit-identical to summing
-/// [`crate::handoff_probability`] / [`crate::known_next_probability`] per
-/// connection in that order.
-pub fn batched_contribution(
-    cache: &mut HoeCache,
+/// Evaluates `p_h(C_i,j → target)` (Eq. 4) for the connections of one
+/// cell against `cache`, the cell's own estimation state, one connection
+/// at a time with the snapshot lookups shared (see the module docs).
+///
+/// The snapshot is first needed — and, when stale, rebuilt — by the first
+/// connection that is not declared toward another cell, exactly when the
+/// one-at-a-time path would need it.
+pub struct ContributionPass<'a> {
+    cache: Option<&'a mut HoeCache>,
+    pairs: Option<&'a Pairs>,
     t_o: SimTime,
     target: CellId,
     t_est: Duration,
-    conns: &[ConnQuery],
-) -> f64 {
-    if qres_obs::enabled() {
-        let t0 = std::time::Instant::now();
-        let out = SCRATCH.with(|s| {
-            batched_with_scratch(&mut s.borrow_mut(), cache, t_o, target, t_est, conns, None)
-        });
-        qres_obs::metrics::BATCHED_CONTRIBUTION_NS.record_duration(t0.elapsed());
-        out
-    } else {
-        SCRATCH.with(|s| {
-            batched_with_scratch(&mut s.borrow_mut(), cache, t_o, target, t_est, conns, None)
-        })
-    }
+    inline: [Option<PrevLookup<'a>>; INLINE_PREVS],
+    spill: Vec<PrevLookup<'a>>,
 }
 
-/// [`batched_contribution`], additionally writing each connection's
-/// individual `p_h` into `probs_out` (cleared first; `probs_out[j]`
-/// corresponds to `conns[j]`, with `0.0` for connections that contribute
-/// nothing — declared toward another cell). The returned total is the
-/// same bit-identical sum; the per-connection read-out exists for the
-/// telemetry plane's prediction-calibration tracker, which wants the
-/// forecasts Eq. 5 was built from without re-deriving them.
-pub fn batched_contribution_probs(
-    cache: &mut HoeCache,
-    t_o: SimTime,
-    target: CellId,
-    t_est: Duration,
-    conns: &[ConnQuery],
-    probs_out: &mut Vec<f64>,
-) -> f64 {
-    if qres_obs::enabled() {
-        let t0 = std::time::Instant::now();
-        let out = SCRATCH.with(|s| {
-            batched_with_scratch(
-                &mut s.borrow_mut(),
-                cache,
-                t_o,
-                target,
-                t_est,
-                conns,
-                Some(probs_out),
-            )
-        });
-        qres_obs::metrics::BATCHED_CONTRIBUTION_NS.record_duration(t0.elapsed());
-        out
-    } else {
-        SCRATCH.with(|s| {
-            batched_with_scratch(
-                &mut s.borrow_mut(),
-                cache,
-                t_o,
-                target,
-                t_est,
-                conns,
-                Some(probs_out),
-            )
-        })
+impl<'a> ContributionPass<'a> {
+    /// Prepares a pass at time `t_o` toward `target`, whose estimation
+    /// window is `t_est`.
+    pub fn new(cache: &'a mut HoeCache, t_o: SimTime, target: CellId, t_est: Duration) -> Self {
+        debug_assert!(t_est.as_secs() >= 0.0, "T_est cannot be negative");
+        ContributionPass {
+            cache: Some(cache),
+            pairs: None,
+            t_o,
+            target,
+            t_est,
+            inline: Default::default(),
+            spill: Vec::new(),
+        }
     }
-}
 
-fn batched_with_scratch(
-    scratch: &mut Scratch,
-    cache: &mut HoeCache,
-    t_o: SimTime,
-    target: CellId,
-    t_est: Duration,
-    conns: &[ConnQuery],
-    mut probs_out: Option<&mut Vec<f64>>,
-) -> f64 {
-    if let Some(out) = probs_out.as_deref_mut() {
-        out.clear();
-        out.resize(conns.len(), 0.0);
-    }
-    debug_assert!(t_est.as_secs() >= 0.0, "T_est cannot be negative");
-    let Scratch {
-        key_codes,
-        keys,
-        members,
-        group_of,
-        slot_of,
-        exts,
-        uppers,
-        dens,
-        num_lo,
-        num_hi,
-        probs,
-    } = scratch;
-    // Group membership is tracked per connection (`SKIP` = contributes
-    // zero) and group keys live in a flat first-seen-order Vec: group
-    // counts are tiny, so a linear key scan beats map overhead on the
-    // per-connection passes.
-    const SKIP: u32 = u32::MAX;
-    // Keys double as packed integers so the per-connection scan compares
-    // one u64 instead of an (Option<CellId>, enum) tuple.
-    let pack = |prev: PrevKey, conditioning: Conditioning| -> u64 {
-        let prev_code = match prev {
-            None => 0u64,
-            Some(CellId(id)) => u64::from(id) + 1,
-        };
-        let cond_bit = match conditioning {
-            Conditioning::AnyNext => 0u64,
-            Conditioning::PairToTarget => 1u64,
-        };
-        (cond_bit << 33) | prev_code
-    };
-    key_codes.clear();
-    keys.clear();
-    group_of.clear();
-    group_of.reserve(conns.len());
-    let mut groups_used = 0usize;
-    for (j, c) in conns.iter().enumerate() {
+    /// `p_h` of one connection with previous cell `prev`, declared next
+    /// cell `known_next` and extant sojourn `extant_sojourn` — bit-identical
+    /// to [`crate::handoff_probability`] when no next cell is declared, to
+    /// [`crate::known_next_probability`] when `target` is, and `0.0` when
+    /// another cell is.
+    pub fn probability(
+        &mut self,
+        prev: PrevKey,
+        known_next: Option<CellId>,
+        extant_sojourn: Duration,
+    ) -> f64 {
         debug_assert!(
-            c.extant_sojourn.as_secs() >= 0.0,
+            extant_sojourn.as_secs() >= 0.0,
             "extant sojourn cannot be negative"
         );
-        let conditioning = match c.known_next {
-            Some(declared) if declared != target => {
-                group_of.push(SKIP);
-                continue;
+        let (target, t_est) = (self.target, self.t_est);
+        if matches!(known_next, Some(declared) if declared != target) {
+            return 0.0;
+        }
+        let a = extant_sojourn.as_secs();
+        let lookup = self.lookup(prev);
+        // The denominator, and `weight_gt(a)` on the target pair (the
+        // numerator's lower edge) picked up on the way.
+        let (den, above_a) = match known_next {
+            // Known route: the target pair is the whole denominator.
+            Some(_) => {
+                let w = lookup.to_target.map_or(0.0, |snap| snap.weight_gt(a));
+                (w, w)
             }
-            Some(_) => Conditioning::PairToTarget,
-            None => Conditioning::AnyNext,
+            None => lookup
+                .range
+                .clone()
+                .fold((0.0, 0.0), |(den, above_a), (&(_, next), snap)| {
+                    let w = snap.weight_gt(a);
+                    (den + w, if next == target { w } else { above_a })
+                }),
         };
-        let code = pack(c.prev, conditioning);
-        let gi = key_codes
-            .iter()
-            .position(|&k| k == code)
-            .unwrap_or_else(|| {
-                key_codes.push(code);
-                keys.push((c.prev, conditioning));
-                if groups_used == members.len() {
-                    members.push(Vec::new());
-                }
-                members[groups_used].clear();
-                groups_used += 1;
-                groups_used - 1
+        if den <= 0.0 {
+            return 0.0; // estimated stationary
+        }
+        // weight_in(a, a + t_est), as the scalar path computes it.
+        let num = lookup.to_target.map_or(0.0, |snap| {
+            (above_a - snap.weight_gt((extant_sojourn + t_est).as_secs())).max(0.0)
+        });
+        debug_assert!(
+            num <= den + 1e-9,
+            "numerator {num} exceeds denominator {den}"
+        );
+        (num / den).clamp(0.0, 1.0)
+    }
+
+    /// The lookups for `prev`, resolved on its first use.
+    fn lookup(&mut self, prev: PrevKey) -> &PrevLookup<'a> {
+        let (cache, pairs, t_o, target) = (&mut self.cache, &mut self.pairs, self.t_o, self.target);
+        let mut resolve = || {
+            let pairs = *pairs.get_or_insert_with(|| {
+                cache
+                    .take()
+                    .expect("the cache is taken only once")
+                    .pairs_for_query(t_o)
             });
-        // `+ 0.0` normalizes a hypothetical `-0.0` so the sojourn's IEEE
-        // bits are monotone in its value (it changes no other bit pattern
-        // and no downstream comparison).
-        members[gi].push((c.extant_sojourn.as_secs() + 0.0, j as u32));
-        group_of.push(gi as u32);
-    }
-    if groups_used == 0 {
-        return 0.0;
-    }
-
-    let pairs = cache.pairs_for_query(t_o);
-    let t_est = t_est.as_secs();
-    // `slot_of[j]` = index of connection `j`'s probability within its
-    // group's deduplicated-sojourn arrays, assigned while sorting — the
-    // read-out pass needs no searches.
-    slot_of.clear();
-    slot_of.resize(conns.len(), 0);
-    for (gi, &(prev, conditioning)) in keys.iter().enumerate() {
-        let members = &mut members[gi];
-        // Nonnegative floats sort by their raw bits.
-        members.sort_unstable_by_key(|&(ext, _)| ext.to_bits());
-        exts.clear();
-        for &(ext, j) in members.iter() {
-            if exts.last() != Some(&ext) {
-                exts.push(ext);
+            PrevLookup {
+                prev,
+                range: pairs.range((prev, CellId(0))..=(prev, CellId(u32::MAX))),
+                to_target: pairs.get(&(prev, target)),
             }
-            slot_of[j as usize] = (exts.len() - 1) as u32;
-        }
-        let n = exts.len();
-        uppers.clear();
-        uppers.extend(exts.iter().map(|e| e + t_est));
-        dens.clear();
-        dens.resize(n, 0.0);
-        num_lo.clear();
-        num_lo.resize(n, 0.0);
-        num_hi.clear();
-        num_hi.resize(n, 0.0);
-        let target_pair = pairs.get(&(prev, target));
-        match conditioning {
-            Conditioning::AnyNext => {
-                // Shared denominator: every (prev, ·) snapshot, swept once
-                // for the whole group, accumulated in range order (the same
-                // summation order as the one-at-a-time path).
-                for (_, snap) in pairs.range((prev, CellId(0))..=(prev, CellId(u32::MAX))) {
-                    snap.accumulate_weights_gt(exts, dens);
-                }
-            }
-            Conditioning::PairToTarget => {
-                if let Some(snap) = target_pair {
-                    snap.accumulate_weights_gt(exts, dens);
-                }
+        };
+        // Slots fill in first-use order, so the first empty one means
+        // `prev` is new.
+        for slot in &mut self.inline {
+            let lookup = slot.get_or_insert_with(&mut resolve);
+            if lookup.prev == prev {
+                return lookup;
             }
         }
-        if let Some(snap) = target_pair {
-            snap.accumulate_weights_gt(exts, num_lo);
-            snap.accumulate_weights_gt(uppers, num_hi);
-        }
-        if gi == probs.len() {
-            probs.push(Vec::new());
-        }
-        let p = &mut probs[gi];
-        p.clear();
-        p.extend((0..n).map(|k| {
-            let den = dens[k];
-            if den <= 0.0 {
-                return 0.0; // estimated stationary
+        match self.spill.iter().position(|l| l.prev == prev) {
+            Some(i) => &self.spill[i],
+            None => {
+                self.spill.push(resolve());
+                self.spill.last().expect("just pushed")
             }
-            // weight_in(a, a + t_est), as the scalar path computes it.
-            let num = (num_lo[k] - num_hi[k]).max(0.0);
-            debug_assert!(
-                num <= den + 1e-9,
-                "numerator {num} exceeds denominator {den}"
-            );
-            (num / den).clamp(0.0, 1.0)
-        }));
-    }
-
-    // Weighted sum in the caller's connection order — the naive path's
-    // accumulation order, so the total is bit-identical.
-    let mut total = 0.0;
-    for (j, (c, &gi)) in conns.iter().zip(group_of.iter()).enumerate() {
-        if gi == SKIP {
-            continue;
         }
-        let p = probs[gi as usize][slot_of[j] as usize];
-        if let Some(out) = probs_out.as_deref_mut() {
-            out[j] = p;
-        }
-        total += c.bandwidth * p;
     }
-    total
 }
 
 #[cfg(test)]
@@ -355,151 +201,100 @@ mod tests {
         c
     }
 
-    fn naive_total(
-        cache: &mut HoeCache,
-        t_o: SimTime,
-        target: CellId,
-        t_est: Duration,
-        conns: &[ConnQuery],
-    ) -> f64 {
-        let mut total = 0.0;
-        for c in conns {
-            let query = HandoffQuery {
-                now: t_o,
-                prev: c.prev,
-                extant_sojourn: c.extant_sojourn,
-                next: target,
-                t_est,
-            };
-            let p = match c.known_next {
-                Some(declared) if declared == target => known_next_probability(cache, query),
-                Some(_) => 0.0,
-                None => handoff_probability(cache, query),
-            };
-            total += c.bandwidth * p;
-        }
-        total
-    }
+    /// `(prev, known_next, T_ext-soj)` of one connection.
+    type Conn = (Option<u32>, Option<u32>, f64);
 
-    fn conn(prev: Option<u32>, known_next: Option<u32>, ext: f64, bw: f64) -> ConnQuery {
-        ConnQuery {
-            prev: prev.map(CellId),
-            known_next: known_next.map(CellId),
-            extant_sojourn: s(ext),
-            bandwidth: bw,
+    fn scalar(cache: &mut HoeCache, now: SimTime, t_est: Duration, c: Conn) -> f64 {
+        let query = HandoffQuery {
+            now,
+            prev: c.0.map(CellId),
+            extant_sojourn: s(c.2),
+            next: CellId(0),
+            t_est,
+        };
+        match c.1 {
+            Some(0) => known_next_probability(cache, query),
+            Some(_) => 0.0,
+            None => handoff_probability(cache, query),
         }
     }
 
-    #[test]
-    fn empty_population_contributes_nothing() {
-        let mut c = trained_cache();
-        assert_eq!(
-            batched_contribution(&mut c, SimTime::from_secs(100.0), CellId(0), s(30.0), &[]),
-            0.0
-        );
+    fn streamed(cache: &mut HoeCache, now: SimTime, t_est: Duration, conns: &[Conn]) -> Vec<f64> {
+        let mut pass = ContributionPass::new(cache, now, CellId(0), t_est);
+        conns
+            .iter()
+            .map(|&(prev, next, ext)| pass.probability(prev.map(CellId), next.map(CellId), s(ext)))
+            .collect()
     }
 
     #[test]
     fn matches_scalar_path_exactly() {
         let now = SimTime::from_secs(100.0);
-        let conns = [
-            conn(Some(1), None, 10.0, 4.0),
-            conn(Some(1), None, 10.0, 1.0), // shares (prev, ext) with above
-            conn(Some(1), None, 35.0, 4.0),
-            conn(Some(3), None, 5.0, 1.0),
-            conn(Some(9), None, 5.0, 4.0), // unknown prev → stationary
-            conn(None, None, 12.0, 1.0),
-            conn(Some(1), Some(0), 10.0, 4.0), // declared toward target
-            conn(Some(1), Some(2), 10.0, 4.0), // declared elsewhere → 0
-            conn(Some(1), None, 60.0, 1.0),    // outlasts history → stationary
+        let mut conns = vec![
+            (Some(1), None, 10.0),
+            (Some(1), None, 10.0), // shares (prev, ext) with above
+            (Some(1), None, 35.0),
+            (Some(3), None, 5.0),
+            (Some(9), None, 5.0), // unknown prev → stationary
+            (None, None, 12.0),
+            (Some(1), Some(0), 10.0), // declared toward target
+            (Some(1), Some(2), 10.0), // declared elsewhere → 0
+            (Some(1), None, 60.0),    // outlasts history → stationary
         ];
+        // More distinct prevs than the inline table holds.
+        conns.extend((10..30).map(|p| (Some(p), None, 1.0)));
+        conns.push((Some(3), None, 2.0));
         for t_est in [0.0, 5.0, 17.0, 40.0, 200.0] {
-            let batched =
-                batched_contribution(&mut trained_cache(), now, CellId(0), s(t_est), &conns);
-            let naive = naive_total(&mut trained_cache(), now, CellId(0), s(t_est), &conns);
-            assert_eq!(batched, naive, "T_est = {t_est}");
+            let got = streamed(&mut trained_cache(), now, s(t_est), &conns);
+            let mut cache = trained_cache();
+            for (j, &c) in conns.iter().enumerate() {
+                let expect = scalar(&mut cache, now, s(t_est), c);
+                assert_eq!(
+                    got[j].to_bits(),
+                    expect.to_bits(),
+                    "T_est = {t_est}, conn {j}"
+                );
+            }
         }
     }
 
     #[test]
-    fn shared_sojourns_share_probability() {
-        // Two same-(prev, ext) connections with different bandwidths:
-        // contribution must scale linearly in bandwidth.
-        let now = SimTime::from_secs(100.0);
-        let one = batched_contribution(
-            &mut trained_cache(),
-            now,
+    fn snapshot_is_built_only_for_a_contributing_connection() {
+        // A finite-T_int store rebuilds on its first query: a pass whose
+        // connections all head elsewhere must not trigger that rebuild.
+        let mut cache = HoeCache::new(HoeConfig::paper_time_varying());
+        cache.record(HandoffEvent::new(
+            SimTime::from_secs(10.0),
+            Some(CellId(1)),
             CellId(0),
-            s(25.0),
-            &[conn(Some(1), None, 10.0, 1.0)],
-        );
-        let five = batched_contribution(
-            &mut trained_cache(),
+            s(30.0),
+        ));
+        let now = SimTime::from_secs(20.0);
+        let before = cache.version();
+        streamed(&mut cache, now, s(30.0), &[(Some(1), Some(2), 5.0)]);
+        assert_eq!(cache.version(), before);
+        streamed(
+            &mut cache,
             now,
-            CellId(0),
-            s(25.0),
-            &[
-                conn(Some(1), None, 10.0, 4.0),
-                conn(Some(1), None, 10.0, 1.0),
-            ],
+            s(30.0),
+            &[(Some(1), Some(2), 5.0), (Some(1), None, 5.0)],
         );
-        assert!((five - 5.0 * one).abs() < 1e-12);
-    }
-
-    #[test]
-    fn probs_variant_matches_scalar_per_connection() {
-        let now = SimTime::from_secs(100.0);
-        let conns = [
-            conn(Some(1), None, 10.0, 4.0),
-            conn(Some(1), None, 35.0, 1.0),
-            conn(Some(1), Some(0), 10.0, 4.0), // declared toward target
-            conn(Some(1), Some(2), 10.0, 4.0), // declared elsewhere → 0
-            conn(None, None, 12.0, 1.0),
-        ];
-        let t_est = s(17.0);
-        let mut probs = vec![999.0; 2]; // stale garbage must be cleared
-        let total = batched_contribution_probs(
-            &mut trained_cache(),
-            now,
-            CellId(0),
-            t_est,
-            &conns,
-            &mut probs,
-        );
-        assert_eq!(probs.len(), conns.len());
-        assert_eq!(
-            total,
-            batched_contribution(&mut trained_cache(), now, CellId(0), t_est, &conns),
-            "probs read-out must not perturb the total"
-        );
-        let mut cache = trained_cache();
-        for (j, c) in conns.iter().enumerate() {
-            let query = HandoffQuery {
-                now,
-                prev: c.prev,
-                extant_sojourn: c.extant_sojourn,
-                next: CellId(0),
-                t_est,
-            };
-            let expect = match c.known_next {
-                Some(CellId(0)) => known_next_probability(&mut cache, query),
-                Some(_) => 0.0,
-                None => handoff_probability(&mut cache, query),
-            };
-            assert_eq!(probs[j], expect, "conn {j}");
-        }
+        assert_ne!(cache.version(), before);
     }
 
     #[test]
     fn empty_cache_is_all_stationary() {
         let mut c = HoeCache::new(HoeConfig::stationary());
-        let total = batched_contribution(
+        let p = streamed(
             &mut c,
             SimTime::from_secs(10.0),
-            CellId(0),
             s(100.0),
-            &[conn(Some(1), None, 0.0, 4.0), conn(None, None, 0.0, 1.0)],
+            &[
+                (Some(1), None, 0.0),
+                (None, None, 0.0),
+                (None, Some(0), 0.0),
+            ],
         );
-        assert_eq!(total, 0.0);
+        assert_eq!(p, [0.0; 3]);
     }
 }

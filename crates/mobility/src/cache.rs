@@ -145,26 +145,6 @@ impl PairSnapshot {
         self.total_weight() - self.prefix[idx]
     }
 
-    /// Adds `weight_gt(thresholds[k])` into `out[k]` for every `k`, in one
-    /// merged sweep over the sorted sojourn array. `thresholds` must be
-    /// ascending; each answer is bit-identical to calling [`Self::weight_gt`]
-    /// per threshold, but the whole batch costs
-    /// `O(len + thresholds.len())` instead of
-    /// `O(thresholds.len() · log len)` — the core of the batched Eq.-4
-    /// evaluation.
-    pub fn accumulate_weights_gt(&self, thresholds: &[f64], out: &mut [f64]) {
-        debug_assert_eq!(thresholds.len(), out.len());
-        debug_assert!(thresholds.windows(2).all(|w| w[0] <= w[1]));
-        let total = self.total_weight();
-        let mut idx = 0;
-        for (k, &a) in thresholds.iter().enumerate() {
-            while idx < self.sojourns.len() && self.sojourns[idx] <= a {
-                idx += 1;
-            }
-            out[k] += total - self.prefix[idx];
-        }
-    }
-
     /// Weight of quadruplets with `a < t_soj ≤ b`.
     pub fn weight_in(&self, a: f64, b: f64) -> f64 {
         debug_assert!(b >= a);
@@ -558,7 +538,7 @@ impl HoeCache {
         self.weekday.epoch + self.weekend.epoch
     }
 
-    /// The rebuilt, query-ready snapshot pairs at `t_o` — the batched
+    /// The rebuilt, query-ready snapshot pairs at `t_o` — the streaming
     /// estimator's entry point (see [`crate::batch`]).
     pub(crate) fn pairs_for_query(
         &mut self,

@@ -41,7 +41,7 @@ pub mod footprint;
 pub mod quadruplet;
 pub mod windows;
 
-pub use batch::{batched_contribution, batched_contribution_probs, ConnQuery};
+pub use batch::ContributionPass;
 pub use cache::{HoeCache, HoeConfig};
 pub use calendar::{Calendar, DayClass};
 pub use estimator::{handoff_probability, known_next_probability, HandoffQuery};

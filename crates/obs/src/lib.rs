@@ -11,7 +11,7 @@
 //!   drainable to JSONL.
 //! * [`metrics`] — a registry of `const`-constructible atomic counters,
 //!   max-gauges, and log-linear timing histograms over the hot paths:
-//!   admission tests, batched Eq.-4 sweeps, `compute_br` memo hits vs.
+//!   admission tests, `B_i,0` Eq.-4 passes, `compute_br` memo hits vs.
 //!   misses, event dispatch, sweep points.
 //! * [`export`] — Prometheus text exposition, a JSON snapshot merged into
 //!   `qres-sim` run reports, and an in-repo exposition lint for CI.

@@ -549,10 +549,12 @@ pub static BR_COMPUTE_NS: ShardedHistogram = ShardedHistogram::new(
     "Wall-clock nanoseconds per full B_r target computation (Eqs. 5-6)",
 );
 
-/// Wall-clock time of one batched Eq.-4 sweep (`qres-mobility`).
+/// Wall-clock time of one `B_i,0` evaluation: the Eq.-4 pass over a
+/// neighbor's connections in `qres_core::neighbor_contribution`,
+/// calibration staging included.
 pub static BATCHED_CONTRIBUTION_NS: AtomicHistogram = AtomicHistogram::new(
     "qres_batched_contribution_ns",
-    "Wall-clock nanoseconds per batched Eq.-4 contribution sweep",
+    "Wall-clock nanoseconds per B_i,0 evaluation (one Eq.-4 pass over a neighbor cell)",
 );
 
 /// Wall-clock time of a `compute_br` neighbor term served from the memo.
@@ -627,10 +629,10 @@ pub static BR_TERMS_RECOMPUTED_TOTAL: Counter = Counter::new(
     "compute_br neighbor terms recomputed through Eq. 4",
 );
 
-/// Individual `B_i,0` connection terms evaluated in Eq. 4 sweeps.
+/// Individual `B_i,0` connection terms evaluated in Eq.-4 passes.
 pub static B_I0_EVALS_TOTAL: Counter = Counter::new(
     "qres_b_i0_evals_total",
-    "Individual B_i,0 connection terms evaluated during Eq. 4 sweeps",
+    "Individual B_i,0 connection terms evaluated during Eq.-4 passes",
 );
 
 /// Events accepted by the recorder.

@@ -20,7 +20,9 @@
 //! Lifetime-vs-crossing races are resolved with event cancellation: both
 //! events are scheduled and whichever fires first cancels the other.
 
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 
 use qres_cellnet::ids::ConnectionIdAllocator;
 use qres_cellnet::{
@@ -118,13 +120,31 @@ fn road_direction(heading: u8) -> Direction {
     }
 }
 
+/// Connections a run of `s` is expected to hold at once at most, for
+/// sizing the mobile table and the event queue up front: per cell, the
+/// `M/M/∞` mean `λ·τ·(1 − e^(−T/τ))` at the horizon `T`, capped by the
+/// cell's capacity (a connection holds at least one BU).
+///
+/// Growing those two tables by doubling copies each into a fresh block
+/// once per doubling; where the allocator finds that block depends on the
+/// heap the runs before left, so a process running several scenarios
+/// peaked at a resident size that differed from one process to the next.
+fn peak_connections(s: &Scenario) -> usize {
+    let tau = s.mean_lifetime_secs;
+    let per_cell = s.arrival_rate() * tau * -(-s.duration_secs / tau).exp_m1();
+    let per_cell = per_cell.min(f64::from(s.capacity_bus));
+    (per_cell * s.num_cells as f64).ceil() as usize
+}
+
 /// The full simulation engine for one scenario.
 pub struct Engine {
     scenario: Scenario,
     mobility: Mobility,
     system: ReservationSystem,
     workload: Workload,
-    mobiles: HashMap<ConnectionId, MobileState>,
+    /// Fixed hash keys, like the event queue's cancelled set: the table's
+    /// rehashes, and so its allocations, depend on the run alone.
+    mobiles: HashMap<ConnectionId, MobileState, BuildHasherDefault<DefaultHasher>>,
     ids: ConnectionIdAllocator,
     metrics: Metrics,
     /// Pre-fetched neighbor lists for `B_r` trace updates.
@@ -194,7 +214,7 @@ impl Engine {
             mobility,
             system,
             workload,
-            mobiles: HashMap::new(),
+            mobiles: HashMap::default(),
             ids: ConnectionIdAllocator::new(),
             metrics,
             neighbor_lists,
@@ -212,7 +232,12 @@ impl Engine {
     /// see the `mobility_explorer` example. Calling it a second time is
     /// not supported (the event queue is gone).
     pub fn run_keeping_state(&mut self) -> RunResult {
-        let mut sim: Simulation<Event> = Simulation::new();
+        let peak = peak_connections(&self.scenario);
+        self.mobiles.reserve(peak);
+        // A lifetime expiry and a boundary crossing per connection, the
+        // next arrival per cell, the hour tick and the warm-up end.
+        let mut sim: Simulation<Event> =
+            Simulation::with_capacity(2 * peak + self.scenario.num_cells + 2);
         // Apply the hour-0 schedule before anything arrives.
         if self.scenario.time_varying.is_some() {
             self.apply_schedule(SimTime::ZERO);
@@ -580,6 +605,22 @@ mod tests {
                 .seed(seed),
         )
         .run()
+    }
+
+    #[test]
+    fn peak_connections_follows_the_transient_up_to_capacity() {
+        // λ·τ = L / b̄ = 30 per cell; after one half-lifetime the M/M/∞
+        // mean is 30·(1 − e^(−1/2)) = 11.8 per cell, 118.04 over ten.
+        let short = Scenario::paper_baseline()
+            .offered_load(30.0)
+            .duration_secs(60.0);
+        assert_eq!(peak_connections(&short), 119);
+        // At L = 300 the steady mean of 300 per cell exceeds the 100 BUs
+        // a cell holds.
+        let long = Scenario::paper_baseline()
+            .offered_load(300.0)
+            .duration_secs(10_000.0);
+        assert_eq!(peak_connections(&long), 1_000);
     }
 
     #[test]

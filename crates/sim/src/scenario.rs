@@ -26,7 +26,7 @@ pub enum SchemeKind {
     Ac2,
     /// Predictive reservation with admission control AC3.
     Ac3,
-    /// The Naghshineh–Schwartz related-work baseline (reference [10]):
+    /// The Naghshineh–Schwartz related-work baseline (reference \[10\]):
     /// exponential-sojourn, direction-blind expected hand-in load over a
     /// fixed window.
     Ns {
@@ -372,7 +372,8 @@ impl Scenario {
                 "need at least 3 cells",
             ),
             (
-                self.hex_grid.is_none_or(|(r, c)| self.num_cells == r * c),
+                self.hex_grid
+                    .is_none_or(|(r, c)| r.checked_mul(c) == Some(self.num_cells)),
                 "num_cells",
                 &self.num_cells,
                 "must equal rows * cols on a hex grid",

@@ -176,6 +176,12 @@ impl TimeVaryingConfig {
                 "need at least one day",
             ),
             (
+                self.schedule.hours().len() == 24,
+                "time_varying.schedule.hours.len()",
+                &self.schedule.hours().len(),
+                "need 24 hourly entries",
+            ),
+            (
                 self.retry.wait_secs >= 0.0,
                 "time_varying.retry.wait_secs",
                 &self.retry.wait_secs,
@@ -272,6 +278,18 @@ mod tests {
             };
             23
         ]);
+    }
+
+    #[test]
+    fn wrong_length_schedule_from_json_fails_validation() {
+        let mut tv = TimeVaryingConfig::paper_like();
+        tv.schedule.hours.pop();
+        let parsed: TimeVaryingConfig = qres_json::from_str(&qres_json::to_string(&tv)).unwrap();
+        let err = parsed.validate().unwrap_err();
+        assert!(
+            err.contains("time_varying.schedule.hours.len() = 23"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! JSON round-trip guarantees for the CLI's interchange formats.
 
 use qres::sim::{run_scenario, Scenario, SchemeKind, TimeVaryingConfig, WiredConfig};
+use qres_des::StreamRng;
+use qres_json::Value;
 
 #[test]
 fn scenario_json_roundtrip() {
@@ -128,4 +130,88 @@ fn qres_run_rejects_invalid_scenario_files() {
         let expected = if name == "nan_load" { "parsing" } else { field };
         assert!(stderr.contains(expected), "{name}: {stderr}");
     }
+}
+
+/// Mutated template documents — a field of the wrong type, `null`, a
+/// negative, zero or huge number, a missing field — parse to an error or
+/// validate to a `Result`, and never panic. (Seeded loop standing in for a
+/// fuzzer.)
+#[test]
+fn mutated_scenario_json_never_panics() {
+    use qres_json::ToJson;
+    let base = Scenario::paper_baseline();
+    let templates = [
+        base.clone(),
+        Scenario::metro(),
+        base.clone().time_varying(TimeVaryingConfig::paper_like()),
+        base.clone().wired(WiredConfig::Tree {
+            branching: 3,
+            access_bus: 100,
+            trunk_bus: 500,
+        }),
+        base.clone().wired(WiredConfig::Star {
+            access_bus: 100,
+            trunk_bus: 1_000,
+        }),
+        base.clone().scheme(SchemeKind::Ns {
+            window_secs: 30.0,
+            mean_sojourn_secs: 36.0,
+        }),
+        base.clone()
+            .scheme(SchemeKind::Static { guard_bus: 10 })
+            .trace_cells(&[4, 5]),
+        base.hex(4, 5).route_aware(),
+    ];
+    let mut rng = StreamRng::seed_from_u64(0x5CE7_0001);
+    for case in 0..3_000 {
+        let mut doc = templates[case % templates.len()].to_json();
+        for _ in 0..rng.gen_range(1usize..4) {
+            mutate(&mut doc, &mut rng);
+        }
+        let text = doc.to_compact_string();
+        let outcome = std::panic::catch_unwind(|| {
+            qres_json::from_str::<Scenario>(&text).map(|scenario| scenario.validate())
+        });
+        assert!(outcome.is_ok(), "case {case} panicked on {text}");
+    }
+}
+
+/// Walks a random path into `doc` and replaces the node it stops at with
+/// a value of another type or an extreme number — or, on the way down,
+/// drops an object field.
+fn mutate(doc: &mut Value, rng: &mut StreamRng) {
+    let mut node = doc;
+    loop {
+        let children = match node {
+            Value::Object(fields) => fields.len(),
+            Value::Array(items) => items.len(),
+            _ => 0,
+        };
+        if children == 0 || rng.gen_bool(0.25) {
+            break;
+        }
+        let i = rng.gen_index(children);
+        node = match node {
+            Value::Object(fields) if rng.gen_bool(0.1) => {
+                fields.remove(i);
+                return;
+            }
+            Value::Object(fields) => &mut fields[i].1,
+            Value::Array(items) => &mut items[i],
+            _ => unreachable!("only containers have children"),
+        };
+    }
+    *node = match rng.gen_range(0u32..11) {
+        0 => Value::Null,
+        1 => Value::Str("x".into()),
+        2 => Value::Bool(true),
+        3 => Value::Array(Vec::new()),
+        4 => Value::Object(Vec::new()),
+        5 => Value::Int(-1),
+        6 => Value::Float(-0.5),
+        7 => Value::Int(0),
+        8 => Value::Float(0.0),
+        9 => Value::UInt(u64::MAX),
+        _ => Value::Float(1e300),
+    };
 }
