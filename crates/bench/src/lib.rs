@@ -15,13 +15,10 @@
 //!   event (`br_compute`, `backbone_send`); the rate is exported as the
 //!   `qres_obs_sample_rate` gauge;
 //! * `--serve <host:port>` — with `--obs`, expose the live scrape
-//!   endpoint (`/metrics`, `/metrics.json`, `/qos`, `/healthz`) for the
-//!   whole experiment, so dashboards can follow long regenerations point
-//!   by point (`qres_sweep_points_{planned,done}_total`);
-//! * `--obs-push <target>` — with `--obs`, push the Prometheus exposition
-//!   to a TCP sink (`host:port`) or file (`file:path`) every
-//!   `--obs-push-interval <secs>` (default 10) — for batch regenerations
-//!   nothing scrapes.
+//!   endpoint (`/metrics`, `/metrics.json`, `/qos`, `/alerts`,
+//!   `/explain`, `/healthz`) for the whole experiment, so dashboards can
+//!   follow long regenerations point by point
+//!   (`qres_sweep_points_{planned,done}_total`).
 //!
 //! The `benches/` directory holds Criterion micro-benchmarks of the
 //! algorithmic building blocks (HOE cache ops, Eq. 4 queries, `B_r`
@@ -38,8 +35,8 @@ pub const OBS_PROM_PATH: &str = "obs_snapshot.prom";
 /// JSONL event stream written by `--obs` (working directory).
 pub const OBS_JSONL_PATH: &str = "obs_events.jsonl";
 
-const USAGE: &str = "options: [--quick] [--seed <n>] [--csv] [--obs] [--obs-sample <n>] \
-     [--serve <host:port>] [--obs-push <host:port|file:path>] [--obs-push-interval <secs>]";
+const USAGE: &str =
+    "options: [--quick] [--seed <n>] [--csv] [--obs] [--obs-sample <n>] [--serve <host:port>]";
 
 /// Common CLI options of the experiment binaries.
 #[derive(Debug, Clone)]
@@ -56,10 +53,6 @@ pub struct ExpOptions {
     pub obs_sample: Option<u64>,
     /// Live scrape endpoint address (`--serve`), when set.
     pub serve: Option<String>,
-    /// Push-exporter target (`--obs-push`), when set.
-    pub obs_push: Option<String>,
-    /// Push interval seconds (`--obs-push-interval`), default 10.
-    pub obs_push_interval_secs: f64,
 }
 
 impl ExpOptions {
@@ -78,8 +71,6 @@ impl ExpOptions {
             obs: false,
             obs_sample: None,
             serve: None,
-            obs_push: None,
-            obs_push_interval_secs: 10.0,
         };
         let mut args = env::args().skip(1);
         while let Some(arg) = args.next() {
@@ -113,23 +104,6 @@ impl ExpOptions {
                     opts.serve = Some(v);
                     opts.obs = true;
                 }
-                "--obs-push" => {
-                    let v = args
-                        .next()
-                        .unwrap_or_else(|| die("--obs-push requires a host:port or file:path"));
-                    opts.obs_push = Some(v);
-                    opts.obs = true;
-                }
-                "--obs-push-interval" => {
-                    let v = args
-                        .next()
-                        .unwrap_or_else(|| die("--obs-push-interval requires a value"));
-                    opts.obs_push_interval_secs = v
-                        .parse()
-                        .ok()
-                        .filter(|&s: &f64| s > 0.0)
-                        .unwrap_or_else(|| die("--obs-push-interval must be seconds > 0"));
-                }
                 "--help" | "-h" => die(USAGE),
                 other => die(&format!("unknown option `{other}`; {USAGE}")),
             }
@@ -153,27 +127,6 @@ impl ExpOptions {
                     std::mem::forget(server);
                 }
                 Err(e) => die(&format!("cannot bind {addr}: {e}")),
-            }
-        }
-        if let Some(target) = &opts.obs_push {
-            let interval = std::time::Duration::from_secs_f64(opts.obs_push_interval_secs);
-            match qres_obs::PushExporter::start(
-                target,
-                interval,
-                qres_obs::PushFormat::PrometheusText,
-            ) {
-                Ok(exporter) => {
-                    eprintln!(
-                        "[obs] pushing to {target} every {} s",
-                        opts.obs_push_interval_secs
-                    );
-                    // Like `--serve`: lives for the rest of the process.
-                    // The periodic pushes carry the state out; the final
-                    // drop-push is forfeited, as experiment binaries exit
-                    // via `main` return without unwinding.
-                    std::mem::forget(exporter);
-                }
-                Err(e) => die(&format!("--obs-push {target}: {e}")),
             }
         }
         opts

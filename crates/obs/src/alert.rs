@@ -1,21 +1,20 @@
-//! SLO watchdog: declarative burn-rate alert rules evaluated over the
-//! retention store ([`crate::tsdb`]) at each watchdog sample tick.
+//! SLO watchdog: burn-rate alert rules evaluated on the live QoS windows
+//! ([`crate::qos`]) every [`EVAL_SECS`] simulated seconds.
 //!
-//! The default rule set is derived from the paper's QoS contract and the
-//! obs plane's own health:
+//! The rules are derived from the paper's QoS contract,
+//! `P_HD ≤ P_HD,target`, per cell:
 //!
-//! * `p_hd_burn` — per cell: the windowed mean of `qres_qos_p_hd` divided
-//!   by `P_HD,target` (the *burn rate*: 1.0 = consuming the error budget
-//!   exactly at target, >1 = on track to violate);
-//! * `violation_clock` — per cell: `qres_qos_violation_seconds_total`
-//!   advanced inside the window (the cell sat above target);
-//! * `push_errors` — global: `qres_obs_push_errors_total` advanced inside
-//!   the window (the export plane is failing).
+//! * `p_hd_burn` — the hand-off drop ratio divided by `P_HD,target` (the
+//!   *burn rate*: 1.0 = consuming the error budget exactly at target,
+//!   above 1 = on track to violate). The fast signal is the ratio of the
+//!   attempts in the last [`FAST_WINDOW_SECS`] (5 sim-min); the slow
+//!   signal is the `qos` window estimate (1 sim-h by default);
+//! * `violation_clock` — the `qos` violation clock advanced within the
+//!   window (the cell sat above target): burn 1.0 if it did, 0.0 if not.
 //!
-//! Each rule is evaluated over two windows, SRE burn-rate style: a fast
-//! window (default [`FAST_WINDOW_SECS`], 5 sim-min) for responsiveness
-//! and a slow window (default [`SLOW_WINDOW_SECS`], 1 sim-h) to reject
-//! blips. The state machine per `(rule, entity)`:
+//! Both signals read the hand-off deque the `qos` tracker already keeps,
+//! so the fast window can reach no further back than the `qos` window: a
+//! shorter `qos` window caps it. The state machine per `(rule, cell)`:
 //!
 //! ```text
 //! (none) --fast bad--> pending --fast+slow bad--> firing --fast ok--> resolved
@@ -23,16 +22,16 @@
 //!    '---- fast ok -------'  (silent retract)        fast bad again -----'
 //! ```
 //!
-//! All timestamps are simulation time quantized by the tsdb cadence, so
-//! the alert timeline is bit-identical across reruns.
+//! Evaluation runs on a fixed sim-time grid, so the alert timeline is
+//! bit-identical across reruns.
 //! Alerts are derived state only — nothing here feeds back into the
 //! simulation. Sim-side consumers (the planned AC4 controller) read
 //! [`alerts_snapshot`] / [`firing_alerts`] directly, no HTTP needed.
 //!
 //! Exposed at `GET /alerts`, as the `qres_alert_state{rule,cell}` /
 //! `qres_alerts_fired_total{rule}` Prometheus families, under `"alerts"`
-//! in JSON snapshots (and therefore in `--obs-push` payloads), and
-//! replayable offline with `qres obswatch` ([`render_watch`]).
+//! in JSON snapshots, and replayable offline with `qres obswatch`
+//! ([`render_watch`]).
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;
@@ -40,16 +39,17 @@ use std::sync::Mutex;
 use qres_json::Value;
 
 use crate::event::ObsEvent;
-use crate::tsdb;
 
-/// Fast burn-rate window (simulated seconds): 5 sim-minutes.
+/// Evaluation cadence (simulated seconds): the rules are evaluated at the
+/// first watchdog tick on or after each multiple of it.
+pub const EVAL_SECS: f64 = 60.0;
+
+/// Fast burn-rate window (simulated seconds): 5 sim-minutes, capped by
+/// the `qos` window.
 pub const FAST_WINDOW_SECS: f64 = 300.0;
 
-/// Slow burn-rate window (simulated seconds): 1 sim-hour.
-pub const SLOW_WINDOW_SECS: f64 = 3600.0;
-
-/// Default burn threshold for `p_hd_burn`: windowed mean `P_HD` over
-/// target, >1 means the error budget burns faster than it accrues.
+/// Default burn threshold for `p_hd_burn`: windowed `P_HD` over target,
+/// >1 means the error budget burns faster than it accrues.
 pub const DEFAULT_BURN_THRESHOLD: f64 = 1.0;
 
 /// Bound on the retained transition log (oldest entries drop first).
@@ -59,14 +59,9 @@ const MAX_TRANSITIONS: usize = 512;
 pub const RULE_P_HD_BURN: &str = "p_hd_burn";
 /// Rule name: per-cell violation clock advanced inside the window.
 pub const RULE_VIOLATION_CLOCK: &str = "violation_clock";
-/// Rule name: push exporter errors inside the window.
-pub const RULE_PUSH_ERRORS: &str = "push_errors";
 
 /// The default rule set, in evaluation order.
-pub const RULE_NAMES: [&str; 3] = [RULE_P_HD_BURN, RULE_VIOLATION_CLOCK, RULE_PUSH_ERRORS];
-
-/// Entity id used for global (non-per-cell) rules.
-const ENTITY_GLOBAL: i64 = -1;
+pub const RULE_NAMES: [&str; 2] = [RULE_P_HD_BURN, RULE_VIOLATION_CLOCK];
 
 /// Alert lifecycle state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -104,11 +99,7 @@ impl AlertState {
 /// QoS tracker target ([`crate::qos`]).
 #[derive(Debug, Clone, Copy)]
 pub struct AlertConfig {
-    /// Fast ("page") window in simulated seconds.
-    pub fast_window_secs: f64,
-    /// Slow ("confirm") window in simulated seconds.
-    pub slow_window_secs: f64,
-    /// Burn threshold for `p_hd_burn` (mean `P_HD` / target).
+    /// Burn threshold for `p_hd_burn` (windowed `P_HD` / target).
     pub burn_threshold: f64,
     /// Override for `P_HD,target`; `None` uses the QoS tracker's target.
     pub target_p_hd: Option<f64>,
@@ -117,8 +108,6 @@ pub struct AlertConfig {
 impl Default for AlertConfig {
     fn default() -> Self {
         AlertConfig {
-            fast_window_secs: FAST_WINDOW_SECS,
-            slow_window_secs: SLOW_WINDOW_SECS,
             burn_threshold: DEFAULT_BURN_THRESHOLD,
             target_p_hd: None,
         }
@@ -130,8 +119,8 @@ impl Default for AlertConfig {
 pub struct AlertSnapshot {
     /// Rule name (one of [`RULE_NAMES`]).
     pub rule: &'static str,
-    /// Cell id; `None` for
-    /// global rules.
+    /// Cell id; `None` is reserved for global rules (the default rule set
+    /// has none).
     pub cell: Option<u32>,
     /// Current lifecycle state.
     pub state: AlertState,
@@ -160,10 +149,12 @@ struct Entry {
 #[derive(Debug)]
 struct AlertPlane {
     config: AlertConfig,
-    entries: BTreeMap<(&'static str, i64), Entry>,
+    entries: BTreeMap<(&'static str, u32), Entry>,
     fired_total: BTreeMap<&'static str, u64>,
-    /// `(t, rule, entity, state-label)`, oldest first, bounded.
-    transitions: Vec<(f64, &'static str, i64, &'static str)>,
+    /// `(t, rule, cell, state-label)`, oldest first, bounded.
+    transitions: Vec<(f64, &'static str, u32, &'static str)>,
+    /// The next [`EVAL_SECS`] grid boundary at which the rules are due.
+    next_eval: f64,
 }
 
 impl AlertPlane {
@@ -173,25 +164,22 @@ impl AlertPlane {
             entries: BTreeMap::new(),
             fired_total: BTreeMap::new(),
             transitions: Vec::new(),
+            next_eval: EVAL_SECS,
         }
     }
 
-    fn transition(&mut self, t: f64, rule: &'static str, entity: i64, state: &'static str) {
+    fn transition(&mut self, t: f64, rule: &'static str, cell: u32, state: &'static str) {
         if self.transitions.len() >= MAX_TRANSITIONS {
             self.transitions.remove(0);
         }
-        self.transitions.push((t, rule, entity, state));
+        self.transitions.push((t, rule, cell, state));
         crate::recorder::record(ObsEvent::AlertTransition {
             t,
             rule,
-            cell: cell_of_entity(entity),
+            cell: Some(cell),
             state,
         });
     }
-}
-
-fn cell_of_entity(entity: i64) -> Option<u32> {
-    u32::try_from(entity).ok()
 }
 
 static ALERTS: Mutex<Option<AlertPlane>> = Mutex::new(None);
@@ -211,122 +199,114 @@ pub fn alert_config() -> AlertConfig {
     with_plane(|p| p.config)
 }
 
-/// Clears all alert state, the transition log, and fired counters; the
-/// configuration reverts to [`AlertConfig::default`].
+/// Clears all alert state, the transition log, and fired counters, and
+/// restarts the evaluation grid; the configuration reverts to
+/// [`AlertConfig::default`].
 pub fn reset_alerts() {
     *ALERTS.lock().unwrap() = None;
-}
-
-/// One `(rule, entity)` observation for an evaluation pass.
-struct Signal {
-    rule: &'static str,
-    entity: i64,
-    fast_burn: f64,
-    slow_burn: f64,
 }
 
 /// Whether a burn value breaches the rule's contract.
 fn is_bad(rule: &str, burn: f64, threshold: f64) -> bool {
     match rule {
         RULE_P_HD_BURN => burn > threshold,
-        // Delta-style rules: any advance inside the window is bad.
+        // The violation clock: any advance inside the window is bad.
         _ => burn > 0.0,
     }
 }
 
-/// Evaluates every rule over the retention store at sim-time `now` and
-/// advances the state machine. Called by the watchdog tick after each
-/// sample ([`crate::tsdb::watchdog_tick`]); public so tests and sim-side
-/// controllers can drive it directly.
+/// The `(fast, slow)` windows in force, in simulated seconds: the slow
+/// window is the `qos` window, which also caps the fast one.
+fn windows() -> (f64, f64) {
+    let slow = crate::qos::qos_window_secs();
+    (FAST_WINDOW_SECS.min(slow), slow)
+}
+
+/// The SLO watchdog tick, called by the DES driver every 10 sim-seconds
+/// with telemetry on. Evaluates the rules at the first tick of each
+/// [`EVAL_SECS`] grid interval, on the sim clock, so the alert timeline is
+/// deterministic across reruns.
+pub fn watchdog_tick(now: f64) {
+    if eval_due(now) {
+        evaluate(now);
+    }
+}
+
+/// Whether `now` has crossed the next grid boundary (and if so, advances
+/// it). A sim clock that restarted (a new run in the same process) re-arms
+/// the grid instead of waiting for the old run's next boundary.
+fn eval_due(now: f64) -> bool {
+    with_plane(|p| {
+        if now + EVAL_SECS < p.next_eval {
+            p.next_eval = 0.0;
+        }
+        if now < p.next_eval {
+            return false;
+        }
+        p.next_eval = ((now / EVAL_SECS).floor() + 1.0) * EVAL_SECS;
+        true
+    })
+}
+
+/// Evaluates every rule on the `qos` windows at sim-time `now` and
+/// advances the state machine. Called by [`watchdog_tick`]; public so
+/// tests and sim-side controllers can drive it directly.
 pub fn evaluate(now: f64) {
     let config = alert_config();
     let target = config
         .target_p_hd
         .unwrap_or_else(crate::qos::qos_target_p_hd)
         .max(f64::MIN_POSITIVE);
-    let fast_since = now - config.fast_window_secs;
-    let slow_since = now - config.slow_window_secs;
+    let (fast_secs, slow_secs) = windows();
+    let burn = |p: Option<f64>| p.unwrap_or(0.0) / target;
+    let advanced_within = |last: Option<f64>, secs: f64| match last {
+        Some(t) if t >= now - secs => 1.0,
+        _ => 0.0,
+    };
 
-    let mut signals: Vec<Signal> = Vec::new();
-    for entity in tsdb::family_entities("qres_qos_p_hd") {
-        let burn = |since| {
-            tsdb::window_stats("qres_qos_p_hd", entity, since)
-                .map(|w| w.mean / target)
-                .unwrap_or(0.0)
-        };
-        signals.push(Signal {
-            rule: RULE_P_HD_BURN,
-            entity,
-            fast_burn: burn(fast_since),
-            slow_burn: burn(slow_since),
-        });
-    }
-    for entity in tsdb::family_entities("qres_qos_violation_seconds_total") {
-        let delta = |since| {
-            tsdb::window_stats("qres_qos_violation_seconds_total", entity, since)
-                .map(|w| w.delta)
-                .unwrap_or(0.0)
-        };
-        signals.push(Signal {
-            rule: RULE_VIOLATION_CLOCK,
-            entity,
-            fast_burn: delta(fast_since),
-            slow_burn: delta(slow_since),
-        });
-    }
-    {
-        let delta = |since| {
-            tsdb::window_stats("qres_obs_push_errors_total", ENTITY_GLOBAL, since)
-                .map(|w| w.delta)
-                .unwrap_or(0.0)
-        };
-        signals.push(Signal {
-            rule: RULE_PUSH_ERRORS,
-            entity: ENTITY_GLOBAL,
-            fast_burn: delta(fast_since),
-            slow_burn: delta(slow_since),
-        });
+    let mut signals: BTreeMap<(&'static str, u32), (f64, f64)> = BTreeMap::new();
+    for c in crate::qos::burn_inputs(now - fast_secs) {
+        signals.insert(
+            (RULE_P_HD_BURN, c.cell),
+            (burn(c.fast_p_hd), burn(c.slow_p_hd)),
+        );
+        signals.insert(
+            (RULE_VIOLATION_CLOCK, c.cell),
+            (
+                advanced_within(c.last_violation_t, fast_secs),
+                advanced_within(c.last_violation_t, slow_secs),
+            ),
+        );
     }
 
     with_plane(|p| {
         let threshold = p.config.burn_threshold;
-        // Entries with no signal this pass (series gone) still step the
-        // machine, with a clean signal.
-        let mut keys: Vec<(&'static str, i64)> =
-            signals.iter().map(|s| (s.rule, s.entity)).collect();
-        for key in p.entries.keys() {
-            if !keys.contains(key) {
-                keys.push(*key);
-            }
+        // Entries with no signal this pass (the cell's state was reset)
+        // still step the machine, with a clean signal.
+        for &key in p.entries.keys() {
+            signals.entry(key).or_insert((0.0, 0.0));
         }
-        for (rule, entity) in keys {
-            let (fast_burn, slow_burn) = signals
-                .iter()
-                .find(|s| s.rule == rule && s.entity == entity)
-                .map(|s| (s.fast_burn, s.slow_burn))
-                .unwrap_or((0.0, 0.0));
+        for ((rule, cell), (fast_burn, slow_burn)) in signals {
             let fast_bad = is_bad(rule, fast_burn, threshold);
             let slow_bad = is_bad(rule, slow_burn, threshold);
-            step(
-                p, now, rule, entity, fast_burn, slow_burn, fast_bad, slow_bad,
-            );
+            step(p, now, rule, cell, fast_burn, slow_burn, fast_bad, slow_bad);
         }
     });
 }
 
-/// Advances one `(rule, entity)` through the state machine.
+/// Advances one `(rule, cell)` through the state machine.
 #[allow(clippy::too_many_arguments)]
 fn step(
     p: &mut AlertPlane,
     now: f64,
     rule: &'static str,
-    entity: i64,
+    cell: u32,
     fast_burn: f64,
     slow_burn: f64,
     fast_bad: bool,
     slow_bad: bool,
 ) {
-    let key = (rule, entity);
+    let key = (rule, cell);
     match p.entries.get_mut(&key) {
         None => {
             if fast_bad {
@@ -341,9 +321,9 @@ fn step(
                         slow_burn,
                     },
                 );
-                p.transition(now, rule, entity, "pending");
+                p.transition(now, rule, cell, "pending");
                 if slow_bad {
-                    fire(p, now, rule, entity);
+                    fire(p, now, rule, cell);
                 }
             }
         }
@@ -357,14 +337,14 @@ fn step(
                         // retract silently, no transition recorded.
                         p.entries.remove(&key);
                     } else if slow_bad {
-                        fire(p, now, rule, entity);
+                        fire(p, now, rule, cell);
                     }
                 }
                 AlertState::Firing => {
                     if !fast_bad {
                         entry.state = AlertState::Resolved;
                         entry.resolved_at = Some(now);
-                        p.transition(now, rule, entity, "resolved");
+                        p.transition(now, rule, cell, "resolved");
                     }
                 }
                 AlertState::Resolved => {
@@ -373,9 +353,9 @@ fn step(
                         entry.since = now;
                         entry.fired_at = None;
                         entry.resolved_at = None;
-                        p.transition(now, rule, entity, "pending");
+                        p.transition(now, rule, cell, "pending");
                         if slow_bad {
-                            fire(p, now, rule, entity);
+                            fire(p, now, rule, cell);
                         }
                     }
                 }
@@ -384,28 +364,26 @@ fn step(
     }
 }
 
-fn fire(p: &mut AlertPlane, now: f64, rule: &'static str, entity: i64) {
-    if let Some(entry) = p.entries.get_mut(&(rule, entity)) {
+fn fire(p: &mut AlertPlane, now: f64, rule: &'static str, cell: u32) {
+    if let Some(entry) = p.entries.get_mut(&(rule, cell)) {
         entry.state = AlertState::Firing;
         entry.fired_at = Some(now);
     }
     *p.fired_total.entry(rule).or_insert(0) += 1;
-    p.transition(now, rule, entity, "firing");
+    p.transition(now, rule, cell, "firing");
     // A cell burning its P_HD budget freezes its flight-recorder window
     // to disk, so the decisions behind the burn survive the ring. The
     // flight plane never locks the alert plane, so ordering is safe; the
     // capture is a no-op unless a capture directory was configured.
     if rule == RULE_P_HD_BURN {
-        if let Ok(cell) = u32::try_from(entity) {
-            if let Some((path, records)) = crate::flight::capture_for_cell(cell, now, rule) {
-                crate::recorder::record(ObsEvent::FlightCapture {
-                    t: now,
-                    cell,
-                    rule,
-                    records,
-                    path,
-                });
-            }
+        if let Some((path, records)) = crate::flight::capture_for_cell(cell, now, rule) {
+            crate::recorder::record(ObsEvent::FlightCapture {
+                t: now,
+                cell,
+                rule,
+                records,
+                path,
+            });
         }
     }
 }
@@ -414,7 +392,7 @@ fn fire(p: &mut AlertPlane, now: f64, rule: &'static str, entity: i64) {
 /// run artifact never ends on a dangling `firing`) and retracts pendings.
 pub fn finalize(now: f64) {
     with_plane(|p| {
-        let keys: Vec<(&'static str, i64)> = p.entries.keys().copied().collect();
+        let keys: Vec<(&'static str, u32)> = p.entries.keys().copied().collect();
         for key in keys {
             match p.entries.get(&key).map(|e| e.state) {
                 Some(AlertState::Firing) => {
@@ -439,9 +417,9 @@ pub fn alerts_snapshot() -> Vec<AlertSnapshot> {
     with_plane(|p| {
         p.entries
             .iter()
-            .map(|(&(rule, entity), e)| AlertSnapshot {
+            .map(|(&(rule, cell), e)| AlertSnapshot {
                 rule,
-                cell: cell_of_entity(entity),
+                cell: Some(cell),
                 state: e.state,
                 since: e.since,
                 fired_at: e.fired_at,
@@ -480,16 +458,11 @@ fn opt_float(v: Option<f64>) -> Value {
 /// bounded transition log.
 pub fn alerts_json() -> Value {
     let snapshot = alerts_snapshot();
+    let (fast_secs, slow_secs) = windows();
     with_plane(|p| {
         let config = Value::Object(vec![
-            (
-                "fast_window_secs".to_string(),
-                Value::Float(p.config.fast_window_secs),
-            ),
-            (
-                "slow_window_secs".to_string(),
-                Value::Float(p.config.slow_window_secs),
-            ),
+            ("fast_window_secs".to_string(), Value::Float(fast_secs)),
+            ("slow_window_secs".to_string(), Value::Float(slow_secs)),
             (
                 "burn_threshold".to_string(),
                 Value::Float(p.config.burn_threshold),
@@ -534,11 +507,11 @@ pub fn alerts_json() -> Value {
         let transitions = Value::Array(
             p.transitions
                 .iter()
-                .map(|&(t, rule, entity, state)| {
+                .map(|&(t, rule, cell, state)| {
                     Value::Object(vec![
                         ("t".to_string(), Value::Float(t)),
                         ("rule".to_string(), Value::Str(rule.to_string())),
-                        ("cell".to_string(), cell_value(cell_of_entity(entity))),
+                        ("cell".to_string(), cell_value(Some(cell))),
                         ("state".to_string(), Value::Str(state.to_string())),
                     ])
                 })
@@ -562,7 +535,7 @@ pub fn prometheus_fragment(out: &mut String) {
         (
             p.entries
                 .iter()
-                .map(|(&(rule, entity), e)| (rule, entity, e.state))
+                .map(|(&(rule, cell), e)| (rule, cell, e.state))
                 .collect(),
             RULE_NAMES
                 .iter()
@@ -577,17 +550,11 @@ pub fn prometheus_fragment(out: &mut String) {
         "# HELP qres_alert_state SLO watchdog alert state (0 resolved, 1 pending, 2 firing).\n",
     );
     out.push_str("# TYPE qres_alert_state gauge\n");
-    for (rule, entity, state) in entries {
-        match cell_of_entity(entity) {
-            Some(cell) => out.push_str(&format!(
-                "qres_alert_state{{rule=\"{rule}\",cell=\"{cell}\"}} {}\n",
-                state.gauge_value()
-            )),
-            None => out.push_str(&format!(
-                "qres_alert_state{{rule=\"{rule}\"}} {}\n",
-                state.gauge_value()
-            )),
-        }
+    for (rule, cell, state) in entries {
+        out.push_str(&format!(
+            "qres_alert_state{{rule=\"{rule}\",cell=\"{cell}\"}} {}\n",
+            state.gauge_value()
+        ));
     }
     out.push_str("# HELP qres_alerts_fired_total Alerts that reached firing, by rule.\n");
     out.push_str("# TYPE qres_alerts_fired_total counter\n");
@@ -733,86 +700,150 @@ fn render_watch_jsonl(text: &str) -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Serializes tests touching the process-global alert plane and the
-    /// tsdb/qos stores it evaluates over.
-    static LOCK: Mutex<()> = Mutex::new(());
+    use crate::qos::{record_handoff_outcome, set_qos_window_secs, DEFAULT_QOS_WINDOW_SECS};
 
     const CELL: u32 = 9_201;
 
+    /// Clears the alert plane and the QoS tracker it reads, at the
+    /// default window and a `P_HD,target` of 0.01.
     fn reset_all() {
         reset_alerts();
-        crate::tsdb::reset_tsdb();
         crate::qos::reset_qos();
+        set_qos_window_secs(DEFAULT_QOS_WINDOW_SECS);
+        crate::qos::set_qos_target_p_hd(0.01);
     }
 
-    /// Drives `ticks` watchdog samples at the default cadence with every
-    /// hand-off dropped (p_hd = 1.0 ≫ target).
-    fn drive_bad_cell(ticks: usize) {
-        for i in 1..=ticks {
-            let t = i as f64 * 60.0;
-            crate::qos::record_handoff_outcome(t - 1.0, CELL, true);
-            assert!(crate::tsdb::maybe_sample(t));
-            evaluate(t);
+    /// Drives `n` sim-seconds from `t0` the way the DES driver does: one
+    /// hand-off attempt into [`CELL`] per second (the first `drops` of
+    /// them dropped), and a watchdog tick at every multiple of 10 s, which
+    /// sees the attempts before it.
+    fn run(t0: f64, n: u32, drops: u32) {
+        for i in 0..n {
+            let t = t0 + f64::from(i);
+            record_handoff_outcome(t, CELL, i < drops);
+            if (t + 1.0) % 10.0 == 0.0 {
+                watchdog_tick(t + 1.0);
+            }
         }
+    }
+
+    fn state(rule: &str) -> Option<AlertState> {
+        alerts_snapshot()
+            .into_iter()
+            .find(|a| a.rule == rule && a.cell == Some(CELL))
+            .map(|a| a.state)
+    }
+
+    fn fired(rule: &str) -> Option<Value> {
+        alerts_json().get("fired_total")?.get(rule).cloned()
+    }
+
+    /// One `p_hd_burn` episode and one `violation_clock` episode, driven
+    /// through the QoS tracker and the watchdog tick, with the state
+    /// asserted at each step. Returns the final `alerts_json`.
+    fn episode() -> String {
+        reset_all();
+        // 20 clean minutes: no rule has anything to say.
+        run(0.0, 1200, 0);
+        assert!(alerts_snapshot().is_empty());
+
+        // 6 drops in the next minute: 6 of the 300 attempts in the fast
+        // window (burn 2.0), 6 of the 1260 in the slow one (burn 0.48).
+        run(1200.0, 60, 6);
+        assert_eq!(state(RULE_P_HD_BURN), Some(AlertState::Pending));
+        let a = &alerts_snapshot()[0];
+        assert!((a.fast_burn - 2.0).abs() < 1e-9, "{a:?}");
+        assert!((a.slow_burn - 6.0 / 1260.0 / 0.01).abs() < 1e-9, "{a:?}");
+        assert_eq!(state(RULE_VIOLATION_CLOCK), None, "P_HD never above target");
+        assert_eq!(fired(RULE_P_HD_BURN), Some(Value::UInt(0)));
+
+        // A minute of drops only: the slow window confirms, and the
+        // hour-window estimate crosses the target, so the violation
+        // clock starts to run.
+        run(1260.0, 60, 60);
+        assert_eq!(state(RULE_P_HD_BURN), Some(AlertState::Firing));
+        assert_eq!(state(RULE_VIOLATION_CLOCK), Some(AlertState::Firing));
+
+        // Clean traffic again: the fast window is clean once the last
+        // drop (t = 1319) falls out of it, while the slow window is still
+        // above target.
+        run(1320.0, 240, 0);
+        assert_eq!(state(RULE_P_HD_BURN), Some(AlertState::Firing));
+        run(1560.0, 60, 0);
+        assert_eq!(state(RULE_P_HD_BURN), Some(AlertState::Resolved));
+        assert!(alerts_snapshot()[0].slow_burn > 1.0);
+
+        // The hour-window estimate stays above target, so the violation
+        // clock advances with every hand-off up to the last (t = 1699),
+        // and fires until that advance is more than 300 s old.
+        run(1620.0, 80, 0);
+        for t in (1740..=1980).step_by(60) {
+            watchdog_tick(f64::from(t));
+        }
+        assert_eq!(state(RULE_VIOLATION_CLOCK), Some(AlertState::Firing));
+        watchdog_tick(2040.0);
+        assert_eq!(state(RULE_VIOLATION_CLOCK), Some(AlertState::Resolved));
+        assert_eq!(fired(RULE_P_HD_BURN), Some(Value::UInt(1)));
+        assert_eq!(fired(RULE_VIOLATION_CLOCK), Some(Value::UInt(1)));
+        alerts_json().to_compact_string()
     }
 
     #[test]
-    fn p_hd_burn_walks_pending_firing_resolved() {
-        let _g = LOCK.lock().unwrap();
+    fn rules_read_the_qos_windows_and_replay_identically() {
+        let _g = crate::qos_test_lock();
+        let first = episode();
+        assert_eq!(first, episode(), "same records, same timeline");
         reset_all();
+    }
 
-        // One bad sample: fast window bad, slow window bad too (the slow
-        // window sees the same single sample) → pending then firing on
-        // the same tick is allowed by the machine; verify via snapshot.
-        drive_bad_cell(1);
-        let alerts = alerts_snapshot();
-        let a = alerts
-            .iter()
-            .find(|a| a.rule == RULE_P_HD_BURN && a.cell == Some(CELL))
-            .expect("p_hd_burn alert exists");
-        assert_eq!(a.state, AlertState::Firing);
-        assert!(a.fast_burn > 1.0);
+    #[test]
+    fn qos_window_shorter_than_the_fast_window_caps_it() {
+        let _g = crate::qos_test_lock();
+        reset_all();
+        set_qos_window_secs(120.0);
+        let doc = alerts_json();
+        let config = doc.get("config").unwrap();
+        assert_eq!(config.get("fast_window_secs"), Some(&Value::Float(120.0)));
+        assert_eq!(config.get("slow_window_secs"), Some(&Value::Float(120.0)));
 
-        // Recovery: successful hand-offs pull the windowed mean down to
-        // ~0 once the bad points age out of both windows.
-        let mut t = 120.0;
-        loop {
-            for _ in 0..200 {
-                crate::qos::record_handoff_outcome(t - 1.0, CELL, false);
-            }
-            assert!(crate::tsdb::maybe_sample(t));
-            evaluate(t);
-            let a = firing_alerts();
-            if a.iter().all(|a| a.rule != RULE_P_HD_BURN) {
-                break;
-            }
-            t += 60.0;
-            assert!(t < 5000.0, "alert never resolved");
-        }
-        let alerts = alerts_snapshot();
-        let a = alerts
-            .iter()
-            .find(|a| a.rule == RULE_P_HD_BURN && a.cell == Some(CELL))
-            .expect("resolved alert retained");
-        assert_eq!(a.state, AlertState::Resolved);
-        assert!(a.resolved_at.is_some());
+        run(0.0, 60, 60);
+        assert_eq!(state(RULE_P_HD_BURN), Some(AlertState::Firing));
+        assert_eq!(state(RULE_VIOLATION_CLOCK), Some(AlertState::Firing));
+        // Clean from t = 60: the last drop (t = 59) leaves the 120-s fast
+        // window by t = 180.
+        run(60.0, 60, 0);
+        assert_eq!(state(RULE_P_HD_BURN), Some(AlertState::Firing));
+        run(120.0, 60, 0);
+        assert_eq!(state(RULE_P_HD_BURN), Some(AlertState::Resolved));
+        // The violation clock last advances at t = 179, when the window
+        // still held two drops; 120 s later the rule resolves.
+        run(180.0, 60, 0);
+        assert_eq!(state(RULE_VIOLATION_CLOCK), Some(AlertState::Firing));
+        run(240.0, 60, 0);
+        assert_eq!(state(RULE_VIOLATION_CLOCK), Some(AlertState::Resolved));
+        reset_all();
+    }
 
-        let json = alerts_json();
-        let fired = json.get("fired_total").unwrap();
-        assert_eq!(
-            fired.get(RULE_P_HD_BURN),
-            Some(&Value::UInt(1)),
-            "fired exactly once: {json:?}"
-        );
+    #[test]
+    fn evaluation_grid_rearms_when_the_clock_restarts() {
+        let _g = crate::qos_test_lock();
+        reset_all();
+        assert!(!eval_due(10.0), "before the first boundary");
+        assert!(eval_due(61.0), "crossed t = 60");
+        assert!(!eval_due(70.0), "inside the interval");
+        assert!(eval_due(125.0), "crossed t = 120");
+        assert!(!eval_due(130.0));
+        assert!(eval_due(2.0), "clock went backwards: re-armed");
+        assert!(!eval_due(10.0));
+        assert!(eval_due(60.0));
         reset_all();
     }
 
     #[test]
     fn finalize_resolves_firing_and_retracts_pending() {
-        let _g = LOCK.lock().unwrap();
+        let _g = crate::qos_test_lock();
         reset_all();
-        drive_bad_cell(1);
+        run(0.0, 60, 60);
         assert!(!firing_alerts().is_empty());
         finalize(600.0);
         assert!(firing_alerts().is_empty());
@@ -825,13 +856,13 @@ mod tests {
 
     #[test]
     fn prometheus_fragment_is_empty_until_something_happens() {
-        let _g = LOCK.lock().unwrap();
+        let _g = crate::qos_test_lock();
         reset_all();
         let mut out = String::new();
         prometheus_fragment(&mut out);
         assert!(out.is_empty(), "untouched watchdog renders nothing: {out}");
 
-        drive_bad_cell(1);
+        run(0.0, 60, 60);
         let mut out = String::new();
         prometheus_fragment(&mut out);
         assert!(

@@ -16,9 +16,9 @@
 //! * [`export`] — Prometheus text exposition, a JSON snapshot merged into
 //!   `qres-sim` run reports, and an in-repo exposition lint for CI.
 //! * [`serve`] — a hand-rolled `std::net` HTTP scrape endpoint
-//!   (`/metrics`, `/metrics.json`, `/qos`, `/healthz`) so
-//!   Prometheus/Grafana can watch a long sweep live instead of waiting
-//!   for the final snapshot.
+//!   (`/metrics`, `/metrics.json`, `/qos`, `/alerts`, `/explain`,
+//!   `/healthz`) so Prometheus/Grafana can watch a long sweep live instead
+//!   of waiting for the final snapshot.
 //! * [`fold`] / [`trace`] — offline renderers over the spilled event
 //!   stream: folded stacks for `flamegraph.pl`/inferno (`qres obsfold`),
 //!   Perfetto-importable trace-event JSON (`qres obstrace`), and a structural span diff between two traces
@@ -30,18 +30,13 @@
 //! * [`calib`] — Eq.-4 prediction calibration: per-connection `p_h`
 //!   forecasts matched against realized hand-offs, aggregated into
 //!   reliability-diagram bins and a Brier score (`qres obscalib`).
-//! * [`push`] — periodic Prometheus-text/JSON push to a TCP sink or file,
-//!   for batch runs nothing scrapes.
 //! * [`diff`] — cross-run diff of two `/metrics.json` snapshots
 //!   (`qres obsdiff`).
-//! * [`tsdb`] — the SLO watchdog's retention store: a ring-buffer
-//!   time-series database sampling the QoS/registry families on a
-//!   sim-time cadence, queryable at `GET /query` and rendered as unicode
-//!   sparklines by `qres obstop`.
-//! * [`alert`] — burn-rate SLO alerting over the retention store:
-//!   fast/slow-window rules derived from `P_HD,target`, a
-//!   pending→firing→resolved state machine on sim-timestamps, served at
-//!   `GET /alerts` and replayed offline by `qres obswatch`.
+//! * [`alert`] — the SLO watchdog: burn-rate rules read straight off the
+//!   [`qos`] windows every 60 sim-s (a fast 300-s window and the `qos`
+//!   window against `P_HD,target`), a pending→firing→resolved state
+//!   machine on sim-timestamps, served at `GET /alerts` and replayed
+//!   offline by `qres obswatch`.
 //! * [`flight`] — the decision-provenance flight recorder: a bounded ring
 //!   of complete admission decision records (inputs, per-neighbor Eq.-4
 //!   terms, feasibility checks, verdict) keyed by `admission_req_seq`,
@@ -78,17 +73,15 @@ pub mod flight;
 pub mod fold;
 pub mod loglin;
 pub mod metrics;
-pub mod push;
 pub mod qos;
 pub mod recorder;
 pub mod serve;
 pub mod trace;
-pub mod tsdb;
 
 pub use alert::{
     alert_config, alerts_json, alerts_snapshot, evaluate as evaluate_alerts,
     finalize as finalize_alerts, firing_alerts, render_watch, reset_alerts, set_alert_config,
-    AlertConfig, AlertSnapshot, AlertState,
+    watchdog_tick, AlertConfig, AlertSnapshot, AlertState,
 };
 pub use calib::{
     calib_json, calib_summary, flush_staged, observe_attempt, observe_end, render_calib_report,
@@ -107,7 +100,6 @@ pub use metrics::{
     cell_shards, configure_cell_shards, ensure_cell_shards, reset_metrics, AtomicHistogram,
     Counter, HistogramSnapshot, MaxGauge, ShardedHistogram, CELL_SHARDS,
 };
-pub use push::{PushExporter, PushFormat};
 pub use qos::{
     qos_json, qos_snapshot, qos_target_p_hd, reset_qos, set_qos_target_p_hd, set_qos_window_secs,
     wilson_interval, CellQosSnapshot,
@@ -119,10 +111,6 @@ pub use recorder::{
 };
 pub use serve::ObsServer;
 pub use trace::{diff_traces, perfetto_trace};
-pub use tsdb::{
-    query_json, render_obstop, reset_tsdb, set_tsdb_sample_secs, set_watchdog_enabled, sparkline,
-    tsdb_sample_secs, watchdog_enabled, watchdog_tick,
-};
 
 /// Returns `(0, wall_ns - barrier_ns)`, saturating. Exists only for
 /// `qres-perf`'s traced replay, and goes with that call in the next change
@@ -134,3 +122,18 @@ pub fn record_epoch(wall_ns: u64, barrier_ns: u64) -> (u64, u64) {
 /// Does nothing. Exists only for `qres-perf`'s traced replay, and goes
 /// with that call in the next change to the benchmark.
 pub fn reset_workers() {}
+
+/// Does nothing: the SLO watchdog keeps no store of its own (it reads the
+/// [`qos`] windows), and [`reset_alerts`] restarts its evaluation grid.
+/// Exists only for `qres-perf`'s `reset_obs`, and goes with that call in
+/// the next change to the benchmark.
+pub fn reset_tsdb() {}
+
+/// Serializes the crate's unit tests that drive the process-global QoS
+/// tracker (directly, or through the alert rules that read it).
+#[cfg(test)]
+pub(crate) fn qos_test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}

@@ -663,25 +663,6 @@ pub static SHARD_OVERFLOW_TOTAL: Counter = Counter::new(
     "Sharded-histogram samples folded into the 'other' shard (cell id >= shard limit)",
 );
 
-/// Snapshots pushed by the push exporter (`qres_obs::push`).
-pub static PUSHES_TOTAL: Counter = Counter::new(
-    "qres_obs_pushes_total",
-    "Metric snapshots delivered by the push exporter",
-);
-
-/// Push-exporter delivery failures (connect/write errors; non-fatal).
-pub static PUSH_ERRORS_TOTAL: Counter = Counter::new(
-    "qres_obs_push_errors_total",
-    "Metric snapshot pushes that failed to deliver",
-);
-
-/// SLO watchdog sample ticks recorded into the retention store
-/// (`crate::tsdb`); one per crossed sample-cadence boundary.
-pub static TSDB_SAMPLES_TOTAL: Counter = Counter::new(
-    "qres_obs_tsdb_samples_total",
-    "Watchdog sample ticks recorded into the in-process time-series store",
-);
-
 /// Offered-load sweep points planned (enqueued by `sweep_offered_load`).
 pub static SWEEP_POINTS_PLANNED_TOTAL: Counter = Counter::new(
     "qres_sweep_points_planned_total",
@@ -712,7 +693,7 @@ pub fn sharded_histograms() -> [&'static ShardedHistogram; 2] {
 }
 
 /// Every registered counter, in export order.
-pub fn counters() -> [&'static Counter; 18] {
+pub fn counters() -> [&'static Counter; 15] {
     [
         &BACKBONE_MSGS_TOTAL,
         &BACKBONE_BYTES_TOTAL,
@@ -727,9 +708,6 @@ pub fn counters() -> [&'static Counter; 18] {
         &EVENTS_DROPPED_TOTAL,
         &EVENTS_SAMPLED_OUT_TOTAL,
         &SHARD_OVERFLOW_TOTAL,
-        &PUSHES_TOTAL,
-        &PUSH_ERRORS_TOTAL,
-        &TSDB_SAMPLES_TOTAL,
         &SWEEP_POINTS_PLANNED_TOTAL,
         &SWEEP_POINTS_DONE_TOTAL,
     ]
@@ -855,7 +833,7 @@ mod tests {
     fn registry_shapes() {
         assert_eq!(histograms().len(), 5);
         assert_eq!(sharded_histograms().len(), 2);
-        assert_eq!(counters().len(), 18);
+        assert_eq!(counters().len(), 15);
         assert_eq!(gauges().len(), 2);
         let names: Vec<_> = histograms().iter().map(|h| h.name()).collect();
         assert!(names.contains(&"qres_event_dispatch_ns"));

@@ -90,6 +90,18 @@ impl WindowRatio {
     fn ratio(&self) -> Option<f64> {
         (!self.events.is_empty()).then(|| self.hits as f64 / self.events.len() as f64)
     }
+
+    /// The hit ratio of the retained observations at or after `since`
+    /// (newest first, so the cost is the count inside the sub-window);
+    /// `None` with no observation there.
+    fn ratio_since(&self, since: f64) -> Option<f64> {
+        let (mut trials, mut hits) = (0u64, 0u64);
+        for &(_, hit) in self.events.iter().rev().take_while(|&&(t, _)| t >= since) {
+            trials += 1;
+            hits += u64::from(hit);
+        }
+        (trials > 0).then(|| hits as f64 / trials as f64)
+    }
 }
 
 /// A piecewise-constant signal integrated over sim-time (the obs-side twin
@@ -148,6 +160,8 @@ struct CellQos {
     /// observation (the violation clock integrates this flag).
     in_violation: bool,
     last_handoff_t: Option<f64>,
+    /// Sim-time the violation clock last advanced.
+    last_violation_t: Option<f64>,
     /// Time-weighted `B_r` reservation target.
     br: TimeIntegral,
     /// Time-weighted bandwidth occupied by handed-in connections.
@@ -216,12 +230,42 @@ pub fn record_handoff_outcome(t: f64, cell: u32, dropped: bool) {
         if let Some(prev_t) = c.last_handoff_t {
             if c.in_violation && t > prev_t {
                 c.violation_secs += t - prev_t;
+                c.last_violation_t = Some(t);
             }
         }
         c.handoffs.record(t, dropped, window);
         c.in_violation = c.handoffs.ratio().map(|p| p > target).unwrap_or(false);
         c.last_handoff_t = Some(t);
     });
+}
+
+/// One cell's inputs to the SLO alert rules ([`crate::alert`]).
+#[derive(Debug)]
+pub(crate) struct BurnInputs {
+    pub cell: u32,
+    /// Hand-off drop ratio over the attempts at or after the fast-window
+    /// edge; `None` with no attempt there.
+    pub fast_p_hd: Option<f64>,
+    /// The windowed `P_HD` estimate (the `qos` window).
+    pub slow_p_hd: Option<f64>,
+    /// Sim-time the violation clock last advanced.
+    pub last_violation_t: Option<f64>,
+}
+
+/// The alert-rule inputs of every cell at fast-window edge `fast_since`,
+/// ascending by cell id.
+pub(crate) fn burn_inputs(fast_since: f64) -> Vec<BurnInputs> {
+    with_state(|s| {
+        s.cells
+            .iter()
+            .map(|(&cell, c)| BurnInputs {
+                cell,
+                fast_p_hd: c.handoffs.ratio_since(fast_since),
+                slow_p_hd: c.handoffs.ratio(),
+                last_violation_t: c.last_violation_t,
+            })
+            .collect()
+    })
 }
 
 /// Records one new-connection request at `cell` at sim-time `t`
@@ -513,9 +557,6 @@ pub fn prometheus_fragment(out: &mut String) {
 mod tests {
     use super::*;
 
-    /// Serializes tests touching the process-global tracker.
-    static LOCK: Mutex<()> = Mutex::new(());
-
     /// Distinct high cell ids per test so parallel *other* suites feeding
     /// low cells can't interfere.
     const CELL_A: u32 = 9_001;
@@ -523,7 +564,7 @@ mod tests {
 
     #[test]
     fn window_prunes_old_observations() {
-        let _g = LOCK.lock().unwrap();
+        let _g = crate::qos_test_lock();
         reset_qos();
         let saved = qos_window_secs();
         set_qos_window_secs(10.0);
@@ -544,7 +585,7 @@ mod tests {
 
     #[test]
     fn violation_clock_integrates_above_target_intervals() {
-        let _g = LOCK.lock().unwrap();
+        let _g = crate::qos_test_lock();
         reset_qos();
         let saved = qos_window_secs();
         set_qos_window_secs(1e9);
@@ -566,7 +607,7 @@ mod tests {
 
     #[test]
     fn eviction_boundary_keeps_events_exactly_at_now_minus_window() {
-        let _g = LOCK.lock().unwrap();
+        let _g = crate::qos_test_lock();
         reset_qos();
         let saved = qos_window_secs();
         set_qos_window_secs(10.0);
@@ -592,7 +633,7 @@ mod tests {
 
     #[test]
     fn duplicate_timestamps_count_once_each_in_both_streams() {
-        let _g = LOCK.lock().unwrap();
+        let _g = crate::qos_test_lock();
         reset_qos();
         let saved = qos_window_secs();
         set_qos_window_secs(10.0);
@@ -629,7 +670,7 @@ mod tests {
 
     #[test]
     fn efficiency_integrals_track_reserved_vs_used() {
-        let _g = LOCK.lock().unwrap();
+        let _g = crate::qos_test_lock();
         reset_qos();
         // B_r: 4 BU over [0, 10), 2 BU over [10, 20) -> mean 3.
         record_br_update(0.0, CELL_B, 4.0);
@@ -652,7 +693,7 @@ mod tests {
 
     #[test]
     fn fragment_and_json_render_cells() {
-        let _g = LOCK.lock().unwrap();
+        let _g = crate::qos_test_lock();
         reset_qos();
         record_handoff_outcome(1.0, CELL_A, false);
         record_admission_outcome(1.0, CELL_A, true);

@@ -4,7 +4,7 @@
 //! end-of-run `obs_snapshot.prom`.
 //!
 //! Same zero-dependency discipline as the rest of the crate: blocking
-//! `std::net` on one background thread, minimal HTTP/1.1, seven routes:
+//! `std::net` on one background thread, minimal HTTP/1.1, six routes:
 //!
 //! * `GET /metrics` — Prometheus text exposition 0.0.4
 //!   ([`crate::export::prometheus_text`], lint-clean by construction);
@@ -13,12 +13,7 @@
 //! * `GET /qos` — the QoS-conformance view ([`crate::qos::qos_json`]):
 //!   windowed `P_HD`/`P_CB` estimators, violation clocks, efficiency
 //!   integrals, Eq.-4 calibration;
-//! * `GET /query?metric=...&cell=...&since=...` — the SLO watchdog's
-//!   retention store ([`crate::tsdb::query_json`]): without `metric`, a
-//!   catalog of retained series (min/max/last); with it, full point
-//!   arrays, `cell` narrowing to one cell id or `other`,
-//!   `since=<sim_ts>` keeping only points newer than a prior poll;
-//! * `GET /alerts` — the burn-rate alert view
+//! * `GET /alerts` — the SLO watchdog's burn-rate alert view
 //!   ([`crate::alert::alerts_json`]): config, fired totals, the alert
 //!   table, and the transition log;
 //! * `GET /explain?req=SEQ` / `GET /explain?cell=N&last=K` — the flight
@@ -145,16 +140,6 @@ fn route(path: &str) -> (&'static str, &'static str, String) {
             "application/json",
             crate::qos::qos_json().to_compact_string(),
         ),
-        "/query" => (
-            "200 OK",
-            "application/json",
-            crate::tsdb::query_json(
-                query_param(path, "metric").as_deref(),
-                query_param(path, "cell").as_deref(),
-                query_param(path, "since").and_then(|s| s.parse::<f64>().ok()),
-            )
-            .to_compact_string(),
-        ),
         "/alerts" => (
             "200 OK",
             "application/json",
@@ -176,14 +161,14 @@ fn route(path: &str) -> (&'static str, &'static str, String) {
         _ => (
             "404 Not Found",
             "text/plain; charset=utf-8",
-            "not found (routes: /metrics, /metrics.json, /qos, /query, /alerts, /explain, /healthz)\n"
+            "not found (routes: /metrics, /metrics.json, /qos, /alerts, /explain, /healthz)\n"
                 .to_string(),
         ),
     }
 }
 
 /// Extracts one `key=value` pair from a request path's query string
-/// (no percent-decoding: metric names and cell ids never need it).
+/// (no percent-decoding: request sequences and cell ids never need it).
 fn query_param(path: &str, key: &str) -> Option<String> {
     let (_, query) = path.split_once('?')?;
     query.split('&').find_map(|pair| {
@@ -306,31 +291,6 @@ mod tests {
         assert!(qos.get("cells").is_some());
         assert!(qos.get("calib").is_some());
 
-        let (head, body) = http_get(server.addr(), "/query");
-        assert!(head.starts_with("HTTP/1.1 200"));
-        let catalog = qres_json::Value::parse(&body).expect("/query must serve valid JSON");
-        assert!(catalog.get("sample_secs").is_some());
-        assert!(catalog.get("series").is_some());
-        let (head, body) = http_get(server.addr(), "/query?metric=qres_qos_p_hd&cell=1");
-        assert!(head.starts_with("HTTP/1.1 200"));
-        let narrowed = qres_json::Value::parse(&body).expect("narrowed /query parses");
-        assert_eq!(
-            narrowed.get("metric"),
-            Some(&qres_json::Value::Str("qres_qos_p_hd".to_string()))
-        );
-
-        // `since` filters the point stream (valid JSON either way).
-        let (head, body) = http_get(
-            server.addr(),
-            "/query?metric=qres_qos_p_hd&cell=1&since=1e12",
-        );
-        assert!(head.starts_with("HTTP/1.1 200"));
-        let incremental = qres_json::Value::parse(&body).expect("since /query parses");
-        assert_eq!(
-            incremental.get("since"),
-            Some(&qres_json::Value::Float(1e12))
-        );
-
         let (head, body) = http_get(server.addr(), "/alerts");
         assert!(head.starts_with("HTTP/1.1 200"));
         let alerts = qres_json::Value::parse(&body).expect("/alerts must serve valid JSON");
@@ -357,12 +317,11 @@ mod tests {
         assert!(head.starts_with("HTTP/1.1 200"));
         let (head, _) = http_get(server.addr(), "/nope");
         assert!(head.starts_with("HTTP/1.1 404"));
-        let (head, body) = http_get(server.addr(), "/workers");
-        assert!(head.starts_with("HTTP/1.1 404"));
-        assert!(
-            !body.contains("/workers"),
-            "404 body lists only live routes"
-        );
+        for gone in ["/workers", "/query"] {
+            let (head, body) = http_get(server.addr(), gone);
+            assert!(head.starts_with("HTTP/1.1 404"), "{gone}: {head}");
+            assert!(!body.contains(gone), "404 body lists only live routes");
+        }
 
         server.shutdown();
     }
@@ -370,15 +329,15 @@ mod tests {
     #[test]
     fn query_param_parses_pairs() {
         assert_eq!(
-            query_param("/query?metric=qres_qos_p_hd&cell=7", "metric").as_deref(),
-            Some("qres_qos_p_hd")
-        );
-        assert_eq!(
-            query_param("/query?metric=qres_qos_p_hd&cell=7", "cell").as_deref(),
+            query_param("/explain?cell=7&last=3", "cell").as_deref(),
             Some("7")
         );
-        assert_eq!(query_param("/query?metric=", "metric"), None);
-        assert_eq!(query_param("/query", "metric"), None);
+        assert_eq!(
+            query_param("/explain?cell=7&last=3", "last").as_deref(),
+            Some("3")
+        );
+        assert_eq!(query_param("/explain?req=", "req"), None);
+        assert_eq!(query_param("/explain", "req"), None);
     }
 
     #[test]

@@ -153,9 +153,10 @@ pub struct Engine {
     wired: Option<WiredNetwork>,
 }
 
-/// Watchdog cadence, in sim-seconds: with telemetry on, the driver runs
-/// the SLO watchdog tick whenever the DES clock crosses one of these
-/// boundaries, before dispatching the boundary-crossing event.
+/// Watchdog tick cadence, in sim-seconds: with telemetry on, the driver
+/// runs the SLO watchdog tick whenever the DES clock crosses one of these
+/// boundaries, before dispatching the boundary-crossing event. The
+/// watchdog evaluates its rules on its own, coarser grid.
 const WATCHDOG_EPOCH_SECS: f64 = 10.0;
 
 impl Engine {
@@ -553,9 +554,9 @@ impl Handler<Event> for Driver<'_> {
     fn handle(&mut self, now: SimTime, event: Event, queue: &mut EventQueue<Event>) {
         if now >= self.next_epoch {
             if qres_obs::enabled() {
-                // SLO watchdog tick: sample the retention store and
-                // evaluate the burn-rate rules when a sample cadence
-                // boundary was crossed. Runs on the sim clock, before the
+                // SLO watchdog tick: evaluate the burn-rate rules on the
+                // QoS windows when an evaluation grid boundary was
+                // crossed. Runs on the sim clock, before the
                 // boundary-crossing event dispatches, so the alert
                 // timeline is bit-identical across reruns — and strictly
                 // derived: nothing flows back into simulation state.

@@ -3,13 +3,10 @@
 //! ```text
 //! qres template [stationary|time-varying|wired|metro]   print a scenario template
 //! qres run <scenario.json> [--json] [--obs] [--obs-sample N]
-//!          [--obs-push TARGET] [--serve HOST:PORT [--linger-secs N]]
-//!          [--slo-target P] [--slo-burn X] [--slo-sample SECS] [--no-watchdog]
-//! qres sweep <scenario.json> --loads 60,120,300 [--obs] [--obs-sample N]
-//!            [--obs-push TARGET] [--slo-* ...]
+//!          [--serve HOST:PORT [--linger-secs N]] [--slo-target P] [--slo-burn X]
+//! qres sweep <scenario.json> [--loads 60,120,300] [--obs] [--obs-sample N] [--slo-* ...]
 //! qres serve <scenario.json> [--addr HOST:PORT] [--loads ...]
-//!            [--sequential] [--linger-secs N] [--obs-sample N] [--obs-push TARGET]
-//!            [--slo-* ...]
+//!            [--sequential] [--linger-secs N] [--obs-sample N] [--slo-* ...]
 //! qres obslint <snapshot.prom>                    lint a Prometheus snapshot
 //! qres obscheck <events.jsonl> [--all-types] [--monotonic]
 //! qres obsfold <events.jsonl>                     folded stacks (flamegraph)
@@ -17,7 +14,6 @@
 //! qres obstrace --diff <a.json> <b.json>          structural span diff
 //! qres obscalib <obs_calib.json>                  Eq.-4 calibration report
 //! qres obsdiff <a.json> <b.json> [--fail-on SPEC]  diff two metrics snapshots
-//! qres obstop <HOST:PORT> [--n N] [--interval-secs S] [--once]
 //! qres obswatch <obs_events.jsonl | obs_alerts.json | snapshot.json>
 //! qres obsexplain <obs_flight.json | capture.json>  explain recorded admissions
 //! qres obsreplay <obs_flight.json | capture.json>   re-execute recorded verdicts
@@ -26,7 +22,9 @@
 //! A scenario file is the JSON form of [`qres::sim::Scenario`]; start from
 //! `qres template`, edit, run. `--json` emits the full
 //! [`qres::sim::RunResult`] (per-cell summaries, traces, hourly series)
-//! for downstream tooling.
+//! for downstream tooling. `run`, `sweep` and `serve` exit 2 on a flag
+//! they do not take or a bad flag value, and 1 on a scenario that fails
+//! validation at any swept load.
 //!
 //! The `metro` template is the 32×32 hex grid (1024 cells).
 //!
@@ -39,8 +37,9 @@
 //!
 //! `serve` runs a sweep with the live scrape endpoint attached: while the
 //! sweep executes, `GET /metrics` (Prometheus exposition, with per-cell
-//! `qres_admission_test_ns{cell="..."}` series), `GET /metrics.json`, and
-//! `GET /healthz` answer on `--addr` (default `127.0.0.1:9464`), and the
+//! `qres_admission_test_ns{cell="..."}` series), `GET /metrics.json`,
+//! `GET /qos`, `GET /alerts`, `GET /explain` and `GET /healthz` answer on
+//! `--addr` (default `127.0.0.1:9464`), and the
 //! `qres_sweep_points_{planned,done}_total` counters track progress.
 //!
 //! `obslint` and `obscheck` validate the `--obs` artifacts — CI runs them
@@ -58,31 +57,20 @@
 //! open afterwards.
 //! `qres obstrace --diff a.json b.json` structurally compares two
 //! rendered traces: span counts and total durations per name, plus
-//! missing/extra parent→child nestings. `--obs-push
-//! TARGET` starts a background push exporter delivering the exposition to
-//! `HOST:PORT` (TCP) or `file:PATH` every `--obs-push-interval` seconds
-//! (default 10; `--obs-push-format prom|json`), with one final push when
-//! the run ends — for batch runs nothing scrapes. `qres obsdiff` compares
+//! missing/extra parent→child nestings. `qres obsdiff` compares
 //! two `/metrics.json` snapshots (bare, or embedded under a run report's
 //! `"obs"` key) metric by metric, including the per-cell QoS movement and
 //! the SLO watchdog's fired-counts/transition tallies.
 //!
-//! With telemetry on, the **SLO watchdog** samples the QoS estimators
-//! into an in-process retention store every
-//! `--slo-sample` simulated seconds (default 60) and evaluates burn-rate
-//! alert rules against `P_HD,target` (fast 5-min / slow 1-h windows) at
-//! each tick. `--slo-target P` overrides the target the rules burn
-//! against (e.g. an intentionally low target to force a violation drill);
-//! `--slo-burn X` moves the burn threshold (default 1.0);
-//! `--no-watchdog` disables sampling and alerting entirely. The alert
-//! state is served at `GET /alerts`, retained series at
-//! `GET /query?metric=...&cell=...` (`&since=<sim_ts>` restricts to
-//! points after that sim-time), and written to `obs_alerts.json` at
-//! the end of the run. `qres obstop HOST:PORT` renders a live terminal
-//! dashboard (alert table, top-N cells by `P_HD` burn with sparklines)
-//! from a serving endpoint; `qres obswatch`
-//! replays the alert timeline offline from a JSONL event spill or any
-//! JSON artifact carrying an `"alerts"` section.
+//! With telemetry on, the **SLO watchdog** evaluates burn-rate alert
+//! rules against `P_HD,target` every 60 simulated seconds, reading the
+//! live QoS windows: a fast 5-min window and the 1-h QoS window.
+//! `--slo-target P` overrides the target the rules burn against (e.g. an
+//! intentionally low target to force a violation drill); `--slo-burn X`
+//! moves the burn threshold (default 1.0). The alert state is served at
+//! `GET /alerts` and written to `obs_alerts.json` at the end of the run;
+//! `qres obswatch` replays the alert timeline offline from a JSONL event
+//! spill or any JSON artifact carrying an `"alerts"` section.
 //!
 //! With telemetry on, the **decision-provenance flight recorder** tapes
 //! every admission decision — requested BUs, link occupancy, the
@@ -120,32 +108,62 @@ const OBS_ALERTS_PATH: &str = "obs_alerts.json";
 /// `qres obsexplain` / `qres obsreplay`).
 const OBS_FLIGHT_PATH: &str = "obs_flight.json";
 
+/// The flags `qres run` takes.
+const RUN_FLAGS: Flags = Flags {
+    usage: "qres run <scenario.json> [--json] [--obs] [--obs-sample N] [--no-flight] \
+            [--serve HOST:PORT [--linger-secs N]] [--slo-target P] [--slo-burn X]",
+    switches: &["--json", "--obs", "--no-flight"],
+    valued: &[
+        "--obs-sample",
+        "--serve",
+        "--linger-secs",
+        "--slo-target",
+        "--slo-burn",
+    ],
+};
+
+/// The flags `qres sweep` takes.
+const SWEEP_FLAGS: Flags = Flags {
+    usage: "qres sweep <scenario.json> [--loads 60,120,300] [--obs] [--obs-sample N] \
+            [--no-flight] [--slo-target P] [--slo-burn X]",
+    switches: &["--obs", "--no-flight"],
+    valued: &["--loads", "--obs-sample", "--slo-target", "--slo-burn"],
+};
+
+/// The flags `qres serve` takes.
+const SERVE_FLAGS: Flags = Flags {
+    usage: "qres serve <scenario.json> [--addr HOST:PORT] [--loads 60,120,300] [--sequential] \
+            [--linger-secs N] [--obs-sample N] [--no-flight] [--slo-target P] [--slo-burn X]",
+    switches: &["--sequential", "--no-flight"],
+    valued: &[
+        "--addr",
+        "--loads",
+        "--linger-secs",
+        "--obs-sample",
+        "--slo-target",
+        "--slo-burn",
+    ],
+};
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("template") => template(args.get(1).map(String::as_str)),
-        Some("run") => run(&args[1..]),
-        Some("sweep") => sweep(&args[1..]),
-        Some("serve") => serve(&args[1..]),
+        Some("run") => exit_code(run(&args[1..])),
+        Some("sweep") => exit_code(sweep(&args[1..])),
+        Some("serve") => exit_code(serve(&args[1..])),
         Some("obslint") => obslint(&args[1..]),
         Some("obscheck") => obscheck(&args[1..]),
         Some("obsfold") => obsfold(&args[1..]),
         Some("obstrace") => obstrace(&args[1..]),
         Some("obscalib") => obscalib(&args[1..]),
         Some("obsdiff") => obsdiff(&args[1..]),
-        Some("obstop") => obstop(&args[1..]),
         Some("obswatch") => obswatch(&args[1..]),
         Some("obsexplain") => obsexplain(&args[1..]),
         Some("obsreplay") => obsreplay(&args[1..]),
         _ => {
             eprintln!(
-                "usage:\n  qres template [stationary|time-varying|wired|metro]\n  \
-                 qres run <scenario.json> [--json] [--obs] [--obs-sample N] \
-                 [--obs-push TARGET] [--serve HOST:PORT [--linger-secs N]]\n  \
-                 qres sweep <scenario.json> --loads 60,120,300 [--obs] [--obs-sample N] \
-                 [--obs-push TARGET]\n  \
-                 qres serve <scenario.json> [--addr HOST:PORT] [--loads ...] \
-                 [--sequential] [--linger-secs N] [--obs-sample N] [--obs-push TARGET]\n  \
+                "usage:\n  qres template [stationary|time-varying|wired|metro]\n  {}\n  {}\n  {}\n  \
                  qres obslint <snapshot.prom>\n  \
                  qres obscheck <events.jsonl> [--all-types] [--monotonic]\n  \
                  qres obsfold <events.jsonl>\n  \
@@ -153,15 +171,10 @@ fn main() -> ExitCode {
                  qres obstrace --diff <a.json> <b.json>\n  \
                  qres obscalib <obs_calib.json>\n  \
                  qres obsdiff <a.json> <b.json> [--fail-on SPEC]\n  \
-                 qres obstop <HOST:PORT> [--n N] [--interval-secs S] [--once]\n  \
                  qres obswatch <obs_events.jsonl | obs_alerts.json | snapshot.json>\n  \
                  qres obsexplain <obs_flight.json | obs_flight_CELL_TS.json>\n  \
-                 qres obsreplay <obs_flight.json | obs_flight_CELL_TS.json>\n\
-                 push targets: HOST:PORT (TCP) or file:PATH; \
-                 [--obs-push-interval SECS] [--obs-push-format prom|json]\n\
-                 slo watchdog: [--slo-target P] [--slo-burn X] [--slo-sample SECS] \
-                 [--no-watchdog]\n\
-                 flight recorder: on with --obs; [--no-flight] disables the tape"
+                 qres obsreplay <obs_flight.json | obs_flight_CELL_TS.json>",
+                RUN_FLAGS.usage, SWEEP_FLAGS.usage, SERVE_FLAGS.usage
             );
             ExitCode::from(2)
         }
@@ -188,12 +201,202 @@ fn template(kind: Option<&str>) -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// Why `run`, `sweep` or `serve` stopped.
+enum Failure {
+    /// A bad command line: exit 2.
+    Usage(String),
+    /// A bad scenario, or an I/O error while running: exit 1.
+    Run(String),
+}
+
+fn exit_code(result: Result<(), Failure>) -> ExitCode {
+    match result {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(Failure::Usage(e)) => {
+            eprintln!("{e}");
+            ExitCode::from(2)
+        }
+        Err(Failure::Run(e)) => {
+            eprintln!("{e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// The flags a subcommand takes: switches, and flags followed by a value.
+struct Flags {
+    usage: &'static str,
+    switches: &'static [&'static str],
+    valued: &'static [&'static str],
+}
+
+/// A parsed `run`/`sweep`/`serve` command line: the scenario path and the
+/// flags given.
+struct Cli<'a> {
+    path: &'a str,
+    switches: Vec<&'a str>,
+    values: Vec<(&'a str, &'a str)>,
+}
+
+impl<'a> Cli<'a> {
+    /// Parses `args` against `flags`. A flag the subcommand does not take,
+    /// a flag without its value, and a second positional argument are
+    /// usage errors.
+    fn parse(args: &'a [String], flags: &Flags) -> Result<Self, Failure> {
+        let usage = |e: String| Failure::Usage(format!("{e}\nusage: {}", flags.usage));
+        let mut path = None;
+        let mut switches = Vec::new();
+        let mut values = Vec::new();
+        let mut it = args.iter().map(String::as_str);
+        while let Some(arg) = it.next() {
+            if flags.switches.contains(&arg) {
+                switches.push(arg);
+            } else if flags.valued.contains(&arg) {
+                let value = it
+                    .next()
+                    .ok_or_else(|| usage(format!("{arg} requires a value")))?;
+                values.push((arg, value));
+            } else if arg.starts_with('-') {
+                return Err(usage(format!("unknown flag `{arg}`")));
+            } else if path.replace(arg).is_some() {
+                return Err(usage(format!("unexpected argument `{arg}`")));
+            }
+        }
+        let path = path.ok_or_else(|| usage("missing <scenario.json>".to_string()))?;
+        Ok(Cli {
+            path,
+            switches,
+            values,
+        })
+    }
+
+    fn has(&self, flag: &str) -> bool {
+        self.switches.contains(&flag)
+    }
+
+    /// The value of `flag` (the last one, if given twice).
+    fn value(&self, flag: &str) -> Option<&'a str> {
+        self.values
+            .iter()
+            .rev()
+            .find(|(f, _)| *f == flag)
+            .map(|&(_, v)| v)
+    }
+
+    /// The value of `flag` parsed with `parse`; a value it rejects is a
+    /// usage error naming what the flag `expects`.
+    fn parsed<T>(
+        &self,
+        flag: &str,
+        expects: &str,
+        parse: impl Fn(&str) -> Option<T>,
+    ) -> Result<Option<T>, Failure> {
+        self.value(flag)
+            .map(|raw| {
+                parse(raw)
+                    .ok_or_else(|| Failure::Usage(format!("{flag} expects {expects}, got `{raw}`")))
+            })
+            .transpose()
+    }
+
+    /// `--linger-secs N`, default 0.
+    fn linger_secs(&self) -> Result<u64, Failure> {
+        Ok(self
+            .parsed("--linger-secs", "an integer number of seconds", |s| {
+                s.parse().ok()
+            })?
+            .unwrap_or(0))
+    }
+
+    /// `--loads 60,120,300`, defaulting to the paper's load grid.
+    fn loads(&self) -> Result<Vec<f64>, Failure> {
+        let list = self.parsed("--loads", "a comma-separated list of numbers", |list| {
+            list.split(',')
+                .map(|l| l.trim().parse().ok())
+                .collect::<Option<Vec<f64>>>()
+        })?;
+        Ok(list.unwrap_or_else(qres::sim::runner::paper_load_grid))
+    }
+}
+
+/// The telemetry flags `run`, `sweep` and `serve` share.
+struct ObsOpts {
+    /// `--obs-sample N`: keep every N-th debug-tier high-frequency event.
+    sample: Option<u64>,
+    /// `--no-flight`: switch the decision tape off.
+    no_flight: bool,
+    /// `--slo-target P`: the `P_HD` target the alert rules burn against,
+    /// overriding the scenario's `p_hd_target`.
+    slo_target: Option<f64>,
+    /// `--slo-burn X`: the `p_hd_burn` threshold (default 1.0).
+    slo_burn: Option<f64>,
+}
+
+impl ObsOpts {
+    fn parse(cli: &Cli<'_>) -> Result<Self, Failure> {
+        Ok(ObsOpts {
+            sample: cli.parsed("--obs-sample", "an integer >= 1", |s| {
+                s.parse().ok().filter(|&n: &u64| n >= 1)
+            })?,
+            no_flight: cli.has("--no-flight"),
+            slo_target: cli.parsed("--slo-target", "0 < P < 1", |s| {
+                s.parse().ok().filter(|&p: &f64| p > 0.0 && p < 1.0)
+            })?,
+            slo_burn: cli.parsed("--slo-burn", "a threshold > 0", |s| {
+                s.parse().ok().filter(|&x: &f64| x > 0.0)
+            })?,
+        })
+    }
+
+    /// Programs the recorder and the alert rules. With `on`, also switches
+    /// the recorder on at debug level, routes ring overflow to
+    /// [`OBS_JSONL_PATH`] so the event stream stays complete, and lets
+    /// alert-triggered flight captures (`obs_flight_<cell>_<ts>.json`)
+    /// land in the working directory unless `--no-flight` switched the
+    /// tape off.
+    fn apply(&self, on: bool) -> Result<(), Failure> {
+        if let Some(n) = self.sample {
+            qres::obs::set_sample_every(n);
+        }
+        if self.slo_target.is_some() || self.slo_burn.is_some() {
+            let mut config = qres::obs::alert_config();
+            config.target_p_hd = self.slo_target.or(config.target_p_hd);
+            config.burn_threshold = self.slo_burn.unwrap_or(config.burn_threshold);
+            qres::obs::set_alert_config(config);
+        }
+        if !on {
+            return Ok(());
+        }
+        qres::obs::set_level(qres::obs::Level::Debug);
+        if self.no_flight {
+            qres::obs::set_flight_enabled(false);
+        } else {
+            qres::obs::set_flight_capture_dir(Some(std::path::PathBuf::from(".")));
+        }
+        qres::obs::set_spill_path(Path::new(OBS_JSONL_PATH))
+            .map_err(|e| Failure::Run(format!("cannot create {OBS_JSONL_PATH}: {e}")))
+    }
+}
+
 fn load_scenario(path: &str) -> Result<Scenario, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     let scenario: Scenario =
         qres_json::from_str(&text).map_err(|e| format!("parsing {path}: {e}"))?;
     scenario.validate().map_err(|e| format!("{path}: {e}"))?;
     Ok(scenario)
+}
+
+/// Loads a sweep's base scenario and validates it at every swept load, so
+/// a bad `--loads` value fails before the sweep starts.
+fn load_sweep(path: &str, loads: &[f64]) -> Result<Scenario, Failure> {
+    let base = load_scenario(path).map_err(Failure::Run)?;
+    for &load in loads {
+        base.clone()
+            .offered_load(load)
+            .validate()
+            .map_err(|e| Failure::Run(format!("{path} at --loads {load}: {e}")))?;
+    }
+    Ok(base)
 }
 
 /// The value following a `--flag`, if the flag is present.
@@ -204,151 +407,6 @@ fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
         .map(String::as_str)
 }
 
-/// Parses `--obs-sample N` (keep every N-th debug-tier high-frequency
-/// event) and programs the recorder. `None` when the flag is absent.
-fn obs_sample_setup(args: &[String]) -> Result<Option<u64>, String> {
-    let Some(raw) = flag_value(args, "--obs-sample") else {
-        if args.iter().any(|a| a == "--obs-sample") {
-            return Err("--obs-sample requires a value".into());
-        }
-        return Ok(None);
-    };
-    let n: u64 = raw
-        .parse()
-        .ok()
-        .filter(|&n| n >= 1)
-        .ok_or_else(|| format!("--obs-sample expects an integer >= 1, got `{raw}`"))?;
-    qres::obs::set_sample_every(n);
-    Ok(Some(n))
-}
-
-/// Handles the flight-recorder knobs for a telemetry-on invocation:
-/// `--no-flight` switches the decision tape off; otherwise alert-triggered
-/// captures (`obs_flight_<cell>_<ts>.json`) land in the working directory.
-fn flight_setup(args: &[String]) {
-    if args.iter().any(|a| a == "--no-flight") {
-        qres::obs::set_flight_enabled(false);
-    } else {
-        qres::obs::set_flight_capture_dir(Some(std::path::PathBuf::from(".")));
-    }
-}
-
-/// Handles `--obs`: switches the recorder on at debug level and routes
-/// ring overflow to [`OBS_JSONL_PATH`] so the event stream stays complete.
-/// Returns whether telemetry is on for this invocation.
-fn obs_setup(args: &[String]) -> Result<bool, String> {
-    obs_sample_setup(args)?;
-    if !args.iter().any(|a| a == "--obs") {
-        return Ok(false);
-    }
-    qres::obs::set_level(qres::obs::Level::Debug);
-    flight_setup(args);
-    qres::obs::set_spill_path(Path::new(OBS_JSONL_PATH))
-        .map_err(|e| format!("cannot create {OBS_JSONL_PATH}: {e}"))?;
-    Ok(true)
-}
-
-/// Handles `--obs-push TARGET` (TCP `HOST:PORT` or `file:PATH`): starts
-/// the background push exporter, honoring `--obs-push-interval SECS`
-/// (default 10) and `--obs-push-format prom|json` (default `prom`). The
-/// returned handle must stay alive for the run's duration — dropping it
-/// stops the thread after one final push.
-fn obs_push_setup(args: &[String]) -> Result<Option<qres::obs::PushExporter>, String> {
-    let Some(target) = flag_value(args, "--obs-push") else {
-        if args.iter().any(|a| a == "--obs-push") {
-            return Err("--obs-push requires a target (HOST:PORT or file:PATH)".into());
-        }
-        return Ok(None);
-    };
-    let interval_secs: f64 = match flag_value(args, "--obs-push-interval") {
-        None => 10.0,
-        Some(raw) => raw
-            .parse()
-            .ok()
-            .filter(|&s| s > 0.0)
-            .ok_or_else(|| format!("--obs-push-interval expects seconds > 0, got `{raw}`"))?,
-    };
-    let format = match flag_value(args, "--obs-push-format") {
-        None | Some("prom") => qres::obs::PushFormat::PrometheusText,
-        Some("json") => qres::obs::PushFormat::Json,
-        Some(other) => {
-            return Err(format!(
-                "--obs-push-format expects prom|json, got `{other}`"
-            ))
-        }
-    };
-    let exporter = qres::obs::PushExporter::start(
-        target,
-        std::time::Duration::from_secs_f64(interval_secs),
-        format,
-    )
-    .map_err(|e| format!("--obs-push {target}: {e}"))?;
-    eprintln!("[obs] pushing to {target} every {interval_secs} s");
-    Ok(Some(exporter))
-}
-
-/// Handles the SLO watchdog knobs: `--slo-target P` pins the hand-off
-/// drop target the burn-rate rules fire against (overriding the
-/// scenario's `p_hd_target`), `--slo-burn X` moves the burn threshold
-/// (default 1.0), `--slo-sample SECS` changes the retention-store
-/// sampling cadence on the sim clock (default 60), and `--no-watchdog`
-/// switches sampling and alerting off entirely. All of it is inert
-/// unless telemetry is on.
-fn slo_setup(args: &[String]) -> Result<(), String> {
-    if args.iter().any(|a| a == "--no-watchdog") {
-        qres::obs::set_watchdog_enabled(false);
-    }
-    if let Some(raw) = flag_value(args, "--slo-sample") {
-        let secs: f64 = raw
-            .parse()
-            .ok()
-            .filter(|&s| s > 0.0)
-            .ok_or_else(|| format!("--slo-sample expects seconds > 0, got `{raw}`"))?;
-        qres::obs::set_tsdb_sample_secs(secs);
-    } else if args.iter().any(|a| a == "--slo-sample") {
-        return Err("--slo-sample requires a value".into());
-    }
-    let target: Option<f64> = match flag_value(args, "--slo-target") {
-        None => {
-            if args.iter().any(|a| a == "--slo-target") {
-                return Err("--slo-target requires a value".into());
-            }
-            None
-        }
-        Some(raw) => Some(
-            raw.parse()
-                .ok()
-                .filter(|&p: &f64| p > 0.0 && p < 1.0)
-                .ok_or_else(|| format!("--slo-target expects 0 < P < 1, got `{raw}`"))?,
-        ),
-    };
-    let burn: Option<f64> = match flag_value(args, "--slo-burn") {
-        None => {
-            if args.iter().any(|a| a == "--slo-burn") {
-                return Err("--slo-burn requires a value".into());
-            }
-            None
-        }
-        Some(raw) => Some(
-            raw.parse()
-                .ok()
-                .filter(|&x: &f64| x > 0.0)
-                .ok_or_else(|| format!("--slo-burn expects a threshold > 0, got `{raw}`"))?,
-        ),
-    };
-    if target.is_some() || burn.is_some() {
-        let mut config = qres::obs::alert_config();
-        if target.is_some() {
-            config.target_p_hd = target;
-        }
-        if let Some(x) = burn {
-            config.burn_threshold = x;
-        }
-        qres::obs::set_alert_config(config);
-    }
-    Ok(())
-}
-
 /// Flushes buffered events to [`OBS_JSONL_PATH`], writes the Prometheus
 /// exposition to [`OBS_PROM_PATH`], the QoS/calibration snapshot to
 /// [`OBS_CALIB_PATH`], the SLO alert timeline to [`OBS_ALERTS_PATH`], and
@@ -357,29 +415,28 @@ fn slo_setup(args: &[String]) -> Result<(), String> {
 /// `pending` (censored by the end of the run, not scored). Firing alerts
 /// are resolved at the final sim-time (the run ended, nothing burns
 /// anymore) so the written timeline is complete.
-fn obs_finish(quiet: bool) -> Result<(), String> {
+fn obs_finish(quiet: bool) -> Result<(), Failure> {
     // Finalize before flushing: the resolve/retract transitions it records
     // must make the JSONL spill.
     qres::obs::finalize_alerts(qres::obs::sim_time());
     qres::obs::flush_spill();
     qres::obs::sweep_expired(qres::obs::sim_time());
-    std::fs::write(OBS_PROM_PATH, qres::obs::prometheus_text())
-        .map_err(|e| format!("cannot write {OBS_PROM_PATH}: {e}"))?;
-    std::fs::write(
+    let write = |path: &str, text: String| {
+        std::fs::write(path, text).map_err(|e| Failure::Run(format!("cannot write {path}: {e}")))
+    };
+    write(OBS_PROM_PATH, qres::obs::prometheus_text())?;
+    write(
         OBS_CALIB_PATH,
         qres::obs::qos_json().to_pretty_string() + "\n",
-    )
-    .map_err(|e| format!("cannot write {OBS_CALIB_PATH}: {e}"))?;
-    std::fs::write(
+    )?;
+    write(
         OBS_ALERTS_PATH,
         qres::obs::alerts_json().to_pretty_string() + "\n",
-    )
-    .map_err(|e| format!("cannot write {OBS_ALERTS_PATH}: {e}"))?;
-    std::fs::write(
+    )?;
+    write(
         OBS_FLIGHT_PATH,
         qres::obs::flight_json().to_pretty_string() + "\n",
-    )
-    .map_err(|e| format!("cannot write {OBS_FLIGHT_PATH}: {e}"))?;
+    )?;
     if !quiet {
         println!(
             "[obs] snapshot -> {OBS_PROM_PATH}, events -> {OBS_JSONL_PATH}, \
@@ -390,79 +447,45 @@ fn obs_finish(quiet: bool) -> Result<(), String> {
     Ok(())
 }
 
-fn run(args: &[String]) -> ExitCode {
-    let Some(path) = args.first() else {
-        eprintln!(
-            "qres run <scenario.json> [--json] [--obs] \
-             [--serve HOST:PORT [--linger-secs N]]"
-        );
-        return ExitCode::from(2);
-    };
-    let as_json = args.iter().any(|a| a == "--json");
-    let obs = match obs_setup(args) {
-        Ok(on) => on,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Err(e) = slo_setup(args) {
-        eprintln!("{e}");
-        return ExitCode::from(2);
+/// Starts the live scrape endpoint on `addr`.
+fn start_server(addr: &str) -> Result<qres::obs::ObsServer, Failure> {
+    qres::obs::ObsServer::start(addr).map_err(|e| Failure::Run(format!("cannot bind {addr}: {e}")))
+}
+
+/// Keeps a live endpoint up `linger_secs` after the work is done, so a
+/// scraper can collect the final state, then shuts it down.
+fn linger_then_shutdown(server: qres::obs::ObsServer, linger_secs: u64) {
+    if linger_secs > 0 {
+        eprintln!("[obs] done; endpoint stays up for {linger_secs} s");
+        std::thread::sleep(std::time::Duration::from_secs(linger_secs));
     }
-    let pusher = match obs_push_setup(args) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    server.shutdown();
+}
+
+fn run(args: &[String]) -> Result<(), Failure> {
+    let cli = Cli::parse(args, &RUN_FLAGS)?;
+    let as_json = cli.has("--json");
+    let obs = cli.has("--obs");
+    let opts = ObsOpts::parse(&cli)?;
+    let linger_secs = cli.linger_secs()?;
     // `--serve HOST:PORT` attaches the live scrape endpoint for the run's
     // duration (the single-run counterpart of `qres serve`); telemetry
     // must be on, or the routes would serve an empty registry.
-    let server = match flag_value(args, "--serve") {
-        None => {
-            if args.iter().any(|a| a == "--serve") {
-                eprintln!("--serve requires an address (HOST:PORT)");
-                return ExitCode::from(2);
-            }
-            None
-        }
-        Some(addr) => {
-            if !obs {
-                eprintln!("--serve requires --obs (the endpoint serves the telemetry plane)");
-                return ExitCode::from(2);
-            }
-            match qres::obs::ObsServer::start(addr) {
-                Ok(s) => {
-                    eprintln!(
-                        "[obs] serving http://{}/metrics (.json, /qos, /healthz)",
-                        s.addr()
-                    );
-                    Some(s)
-                }
-                Err(e) => {
-                    eprintln!("cannot bind {addr}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-    };
-    let linger_secs: u64 = match flag_value(args, "--linger-secs").map(str::parse) {
-        None => 0,
-        Some(Ok(n)) => n,
-        Some(Err(_)) => {
-            eprintln!("--linger-secs expects an integer number of seconds");
-            return ExitCode::from(2);
-        }
-    };
-    let scenario = match load_scenario(path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let serve_addr = cli.value("--serve");
+    if serve_addr.is_some() && !obs {
+        return Err(Failure::Usage(
+            "--serve requires --obs (the endpoint serves the telemetry plane)".into(),
+        ));
+    }
+    let scenario = load_scenario(cli.path).map_err(Failure::Run)?;
+    opts.apply(obs)?;
+    let server = serve_addr.map(start_server).transpose()?;
+    if let Some(s) = &server {
+        eprintln!(
+            "[obs] serving http://{}/metrics (.json, /qos, /alerts, /explain, /healthz)",
+            s.addr()
+        );
+    }
     let result = run_scenario(&scenario);
     if as_json {
         if obs {
@@ -481,89 +504,27 @@ fn run(args: &[String]) -> ExitCode {
         );
     }
     if obs {
-        if let Err(e) = obs_finish(as_json) {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
+        obs_finish(as_json)?;
     }
     if let Some(server) = server {
-        if linger_secs > 0 {
-            eprintln!("[obs] run done; endpoint stays up for {linger_secs} s");
-            std::thread::sleep(std::time::Duration::from_secs(linger_secs));
-        }
-        server.shutdown();
+        linger_then_shutdown(server, linger_secs);
     }
-    // Dropping the exporter delivers one final push with the end-of-run
-    // state — a short run is guaranteed at least one delivery.
-    drop(pusher);
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-/// `--loads 60,120,300`, defaulting to the paper's load grid.
-fn parse_loads(args: &[String]) -> Result<Vec<f64>, String> {
-    match args.iter().position(|a| a == "--loads") {
-        Some(i) => match args.get(i + 1) {
-            Some(list) => {
-                let parsed: Result<Vec<f64>, _> =
-                    list.split(',').map(str::trim).map(str::parse).collect();
-                match parsed {
-                    Ok(v) if !v.is_empty() => Ok(v),
-                    _ => Err("--loads expects a comma-separated list of numbers".into()),
-                }
-            }
-            None => Err("--loads requires a value".into()),
-        },
-        None => Ok(qres::sim::runner::paper_load_grid()),
-    }
-}
-
-fn sweep(args: &[String]) -> ExitCode {
-    let Some(path) = args.first() else {
-        eprintln!("qres sweep <scenario.json> --loads 60,120,300 [--obs]");
-        return ExitCode::from(2);
-    };
-    let obs = match obs_setup(args) {
-        Ok(on) => on,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Err(e) = slo_setup(args) {
-        eprintln!("{e}");
-        return ExitCode::from(2);
-    }
-    let pusher = match obs_push_setup(args) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let loads = match parse_loads(args) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::from(2);
-        }
-    };
-    let base = match load_scenario(path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
+fn sweep(args: &[String]) -> Result<(), Failure> {
+    let cli = Cli::parse(args, &SWEEP_FLAGS)?;
+    let obs = cli.has("--obs");
+    let opts = ObsOpts::parse(&cli)?;
+    let loads = cli.loads()?;
+    let base = load_sweep(cli.path, &loads)?;
+    opts.apply(obs)?;
     let points = qres::sim::sweep_offered_load(&base, &loads);
     print!("{}", sweep_table(&points));
     if obs {
-        if let Err(e) = obs_finish(false) {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
+        obs_finish(false)?;
     }
-    drop(pusher);
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// Renders sweep points as the standard load/P_CB/P_HD/... table.
@@ -603,88 +564,30 @@ fn sweep_table(points: &[qres::sim::runner::SweepPoint]) -> String {
 /// (and, with a single `--loads` point, `obscheck --monotonic`);
 /// `--linger-secs N` keeps the
 /// endpoint up after the sweep so a scraper can collect the final state.
-fn serve(args: &[String]) -> ExitCode {
-    let Some(path) = args.first() else {
-        eprintln!(
-            "qres serve <scenario.json> [--addr HOST:PORT] [--loads 60,120,300] \
-             [--sequential] [--linger-secs N] [--obs-sample N]"
-        );
-        return ExitCode::from(2);
-    };
-    let addr = flag_value(args, "--addr").unwrap_or("127.0.0.1:9464");
-    let sequential = args.iter().any(|a| a == "--sequential");
-    let linger_secs: u64 = match flag_value(args, "--linger-secs").map(str::parse) {
-        None => 0,
-        Some(Ok(n)) => n,
-        Some(Err(_)) => {
-            eprintln!("--linger-secs expects an integer number of seconds");
-            return ExitCode::from(2);
-        }
-    };
-    if let Err(e) = obs_sample_setup(args) {
-        eprintln!("{e}");
-        return ExitCode::from(2);
-    }
-    qres::obs::set_level(qres::obs::Level::Debug);
-    flight_setup(args);
-    if let Err(e) = qres::obs::set_spill_path(Path::new(OBS_JSONL_PATH)) {
-        eprintln!("cannot create {OBS_JSONL_PATH}: {e}");
-        return ExitCode::FAILURE;
-    }
-    if let Err(e) = slo_setup(args) {
-        eprintln!("{e}");
-        return ExitCode::from(2);
-    }
-    let pusher = match obs_push_setup(args) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let loads = match parse_loads(args) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::from(2);
-        }
-    };
-    let base = match load_scenario(path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let server = match qres::obs::ObsServer::start(addr) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("cannot bind {addr}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+fn serve(args: &[String]) -> Result<(), Failure> {
+    let cli = Cli::parse(args, &SERVE_FLAGS)?;
+    let addr = cli.value("--addr").unwrap_or("127.0.0.1:9464");
+    let opts = ObsOpts::parse(&cli)?;
+    let linger_secs = cli.linger_secs()?;
+    let loads = cli.loads()?;
+    let base = load_sweep(cli.path, &loads)?;
+    opts.apply(true)?;
+    let server = start_server(addr)?;
     eprintln!(
-        "[obs] serving http://{}/metrics (.json, /healthz) for {} sweep point(s)",
+        "[obs] serving http://{}/metrics (.json, /qos, /alerts, /explain, /healthz) \
+         for {} sweep point(s)",
         server.addr(),
         loads.len()
     );
-    let points = if sequential {
+    let points = if cli.has("--sequential") {
         qres::sim::runner::sweep_offered_load_sequential(&base, &loads)
     } else {
         qres::sim::sweep_offered_load(&base, &loads)
     };
     print!("{}", sweep_table(&points));
-    if let Err(e) = obs_finish(false) {
-        eprintln!("{e}");
-        return ExitCode::FAILURE;
-    }
-    if linger_secs > 0 {
-        eprintln!("[obs] sweep done; endpoint stays up for {linger_secs} s");
-        std::thread::sleep(std::time::Duration::from_secs(linger_secs));
-    }
-    server.shutdown();
-    drop(pusher);
-    ExitCode::SUCCESS
+    obs_finish(false)?;
+    linger_then_shutdown(server, linger_secs);
+    Ok(())
 }
 
 /// Lints a Prometheus text-exposition file against the in-repo format
@@ -1047,93 +950,6 @@ fn obsdiff(args: &[String]) -> ExitCode {
         }
     }
     ExitCode::SUCCESS
-}
-
-/// Minimal HTTP/1.0 GET against a serving endpoint; returns the body.
-/// `std::net` only — same zero-dependency footprint as the server side.
-fn http_get(addr: &str, path: &str) -> Result<String, String> {
-    use std::io::{Read as _, Write as _};
-    let mut stream =
-        std::net::TcpStream::connect(addr).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
-    stream
-        .set_read_timeout(Some(std::time::Duration::from_secs(5)))
-        .map_err(|e| format!("{addr}: {e}"))?;
-    stream
-        .write_all(format!("GET {path} HTTP/1.0\r\nHost: {addr}\r\n\r\n").as_bytes())
-        .map_err(|e| format!("{addr}: write failed: {e}"))?;
-    let mut response = String::new();
-    stream
-        .read_to_string(&mut response)
-        .map_err(|e| format!("{addr}: read failed: {e}"))?;
-    let (head, body) = response
-        .split_once("\r\n\r\n")
-        .ok_or_else(|| format!("{addr}: malformed HTTP response"))?;
-    let status = head.lines().next().unwrap_or_default();
-    if !status.contains(" 200 ") {
-        return Err(format!("{addr}{path}: {status}"));
-    }
-    Ok(body.to_string())
-}
-
-/// `qres obstop HOST:PORT`: live terminal conformance dashboard. Polls
-/// `/query` (retained `P_HD` series) and
-/// `/alerts` from a serving endpoint and renders the alert table plus the
-/// top-N cells by burn against `P_HD,target`, with unicode sparklines
-/// over the retention window. `--interval-secs S` sets the poll cadence
-/// (wall clock, default 2), `--n N` the number of cells shown (default
-/// 10), `--once` renders a single frame without clearing the screen —
-/// the scriptable mode CI uses.
-fn obstop(args: &[String]) -> ExitCode {
-    let Some(addr) = args.first().filter(|a| !a.starts_with("--")) else {
-        eprintln!("qres obstop <HOST:PORT> [--n N] [--interval-secs S] [--once]");
-        return ExitCode::from(2);
-    };
-    let once = args.iter().any(|a| a == "--once");
-    let top_n: usize = match flag_value(args, "--n").map(str::parse) {
-        None => 10,
-        Some(Ok(n)) if n >= 1 => n,
-        _ => {
-            eprintln!("--n expects an integer >= 1");
-            return ExitCode::from(2);
-        }
-    };
-    let interval_secs: f64 = match flag_value(args, "--interval-secs").map(str::parse) {
-        None => 2.0,
-        Some(Ok(s)) if s > 0.0 => s,
-        _ => {
-            eprintln!("--interval-secs expects seconds > 0");
-            return ExitCode::from(2);
-        }
-    };
-    loop {
-        let frame = (|| -> Result<String, String> {
-            let parse = |body: String| {
-                qres_json::Value::parse(body.trim()).map_err(|e| format!("{addr}: bad JSON: {e}"))
-            };
-            let p_hd = parse(http_get(addr, "/query?metric=qres_qos_p_hd")?)?;
-            let alerts = parse(http_get(addr, "/alerts")?)?;
-            qres::obs::render_obstop(&p_hd, &alerts, top_n)
-        })();
-        match frame {
-            Ok(text) => {
-                if !once {
-                    // ANSI clear + home: repaint in place like top(1).
-                    print!("\x1b[2J\x1b[H");
-                }
-                print!("{text}");
-                use std::io::Write as _;
-                let _ = std::io::stdout().flush();
-            }
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        if once {
-            return ExitCode::SUCCESS;
-        }
-        std::thread::sleep(std::time::Duration::from_secs_f64(interval_secs));
-    }
 }
 
 /// `qres obswatch <file>`: offline alert-timeline replay. Accepts the

@@ -132,6 +132,75 @@ fn qres_run_rejects_invalid_scenario_files() {
     }
 }
 
+/// Runs the `qres` binary with `args` after the subcommand, on a valid
+/// scenario file; returns the exit code and stderr.
+fn qres_on_valid_file(subcommand: &str, args: &[&str]) -> (Option<i32>, String) {
+    let path = std::env::temp_dir().join(format!(
+        "qres_cli_{}_{subcommand}_{}.json",
+        std::process::id(),
+        args.join("_").replace(['/', ':', '.'], "-")
+    ));
+    std::fs::write(&path, qres_json::to_string(&Scenario::paper_baseline())).unwrap();
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_qres"))
+        .arg(subcommand)
+        .arg(&path)
+        .args(args)
+        .output()
+        .unwrap();
+    std::fs::remove_file(&path).unwrap();
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+/// A swept load the scenario rules reject fails validation up front, with
+/// exit 1 and the `field = value: rule` message — never a panic in the
+/// engine (exit 101).
+#[test]
+fn invalid_swept_loads_are_rejected_before_the_sweep() {
+    for (subcommand, extra) in [
+        ("sweep", &[][..]),
+        ("serve", &["--addr", "127.0.0.1:0"][..]),
+    ] {
+        for (load, value) in [
+            ("0", "0.0"),
+            ("-5", "-5.0"),
+            ("nan", "NaN"),
+            ("150,0", "0.0"),
+        ] {
+            let mut args = vec!["--loads", load];
+            args.extend_from_slice(extra);
+            let (code, stderr) = qres_on_valid_file(subcommand, &args);
+            assert_eq!(code, Some(1), "{subcommand} --loads {load}: {stderr}");
+            let rule = format!("offered_load = {value}: must be positive");
+            assert!(
+                stderr.contains(&rule),
+                "{subcommand} --loads {load}: {stderr}"
+            );
+        }
+    }
+}
+
+/// `run`, `sweep` and `serve` reject a flag they do not take — a deleted
+/// one or a typo — with exit 2, naming it; a bad flag value is exit 2 too.
+#[test]
+fn unknown_flags_and_bad_values_exit_2() {
+    let cases: [(&str, &[&str], &str); 6] = [
+        ("run", &["--obs-push", "127.0.0.1:1"], "`--obs-push`"),
+        ("run", &["--obs", "--obs-sampel", "4"], "`--obs-sampel`"),
+        ("sweep", &["--slo-sample", "30"], "`--slo-sample`"),
+        ("serve", &["--no-watchdog"], "`--no-watchdog`"),
+        ("run", &["--obs-sample", "0"], "--obs-sample expects"),
+        ("run", &["--linger-secs", "x"], "--linger-secs expects"),
+    ];
+    for (subcommand, args, named) in cases {
+        let (code, stderr) = qres_on_valid_file(subcommand, args);
+        assert_eq!(code, Some(2), "{subcommand} {args:?}: {stderr}");
+        assert!(stderr.contains(named), "{subcommand} {args:?}: {stderr}");
+    }
+}
+
 /// Mutated template documents — a field of the wrong type, `null`, a
 /// negative, zero or huge number, a missing field — parse to an error or
 /// validate to a `Result`, and never panic. (Seeded loop standing in for a

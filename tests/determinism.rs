@@ -21,7 +21,6 @@ fn reset_obs() {
     qres::obs::reset_metrics();
     qres::obs::reset_qos();
     qres::obs::reset_calib();
-    qres::obs::reset_tsdb();
     qres::obs::reset_alerts();
     qres::obs::reset_flight();
 }
@@ -158,38 +157,6 @@ fn recorder_does_not_perturb_outcomes() {
     assert_same_outcomes(&off, &on, "recorder on vs off");
 }
 
-/// The SLO watchdog (retention-store sampling + burn-rate alert
-/// evaluation on the watchdog cadence) is strictly passive: every
-/// simulation outcome is bit-identical with the watchdog on and off.
-#[test]
-fn watchdog_does_not_perturb_outcomes() {
-    let _guard = obs_lock();
-    let s = Scenario::paper_baseline()
-        .scheme(SchemeKind::Ac3)
-        .offered_load(250.0)
-        .duration_secs(600.0)
-        .seed(77);
-    let run = |watchdog: bool| {
-        reset_obs();
-        qres::obs::set_watchdog_enabled(watchdog);
-        qres::obs::set_level(qres::obs::Level::Debug);
-        let r = run_scenario(&s);
-        let samples = qres::obs::metrics::TSDB_SAMPLES_TOTAL.get();
-        qres::obs::set_level(qres::obs::Level::Off);
-        if watchdog {
-            assert!(samples > 0, "watchdog-on run must sample the store");
-        } else {
-            assert_eq!(samples, 0, "watchdog-off run must not sample");
-        }
-        r
-    };
-    let off = run(false);
-    let on = run(true);
-    assert_same_outcomes(&off, &on, "watchdog on vs off");
-    reset_obs();
-    qres::obs::set_watchdog_enabled(true);
-}
-
 /// A forced SLO violation (target pinned far below the realized `P_HD`)
 /// produces an identical alert timeline — states, burn rates, fired
 /// counts, transition log — on every rerun: the watchdog runs on the sim
@@ -206,7 +173,6 @@ fn forced_violation_alert_timeline_is_deterministic() {
     s.p_hd_target = 1e-4;
     let timeline = || {
         reset_obs();
-        qres::obs::set_watchdog_enabled(true);
         qres::obs::set_level(qres::obs::Level::Info);
         let _ = run_scenario(&s);
         qres::obs::finalize_alerts(qres::obs::sim_time());

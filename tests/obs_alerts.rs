@@ -1,7 +1,7 @@
-//! End-to-end checks of the SLO watchdog plane: the retention store and
-//! alert rules driven through real QoS traffic, `/query` + `/alerts` +
-//! `/healthz` scraped over real TCP, and the shard auto-sizing that keeps
-//! per-cell attribution intact at metro scale.
+//! End-to-end checks of the SLO watchdog plane: the alert rules driven
+//! through real QoS traffic, `/alerts` + `/healthz` scraped over real TCP,
+//! and the shard auto-sizing that keeps per-cell attribution intact at
+//! metro scale.
 //!
 //! This file is its own test binary, so flipping the process-global obs
 //! state here cannot race the determinism or smoke suites; the tests
@@ -22,9 +22,7 @@ fn reset_all() {
     obs::reset_metrics();
     obs::reset_qos();
     obs::reset_calib();
-    obs::reset_tsdb();
     obs::reset_alerts();
-    obs::set_watchdog_enabled(true);
 }
 
 fn http_get(addr: SocketAddr, path: &str) -> (String, String) {
@@ -40,7 +38,7 @@ fn http_get(addr: SocketAddr, path: &str) -> (String, String) {
 }
 
 /// Drive `P_HD` over target in one cell: drops only, then one watchdog
-/// tick to sample the estimators and evaluate the burn-rate rules.
+/// tick to evaluate the burn-rate rules on the QoS windows.
 fn force_violation(cell: u32, t: f64) {
     for i in 0..20 {
         obs::qos::record_handoff_outcome(t - 1.0 + f64::from(i) * 0.01, cell, true);
@@ -115,11 +113,10 @@ fn healthz_degrades_on_firing_alert_then_recovers() {
     reset_all();
 }
 
-/// `/query` serves the retention store (catalog and per-metric series)
-/// and `/alerts` the full watchdog document, both as valid JSON that the
-/// `qres obstop` client can render.
+/// `/alerts` serves the full watchdog document as valid JSON: config
+/// (the windows in force), fired counters and the transition log.
 #[test]
-fn query_and_alerts_routes_serve_watchdog_documents() {
+fn alerts_route_serves_watchdog_document() {
     let _guard = LOCK.lock().unwrap();
     reset_all();
     let server = obs::ObsServer::start("127.0.0.1:0").expect("bind ephemeral port");
@@ -129,37 +126,19 @@ fn query_and_alerts_routes_serve_watchdog_documents() {
     force_violation(9_302, 60.0);
     obs::watchdog_tick(120.0);
 
-    // Catalog form: no metric parameter.
-    let (head, body) = http_get(addr, "/query");
-    assert!(head.starts_with("HTTP/1.1 200"), "head: {head}");
-    assert!(head.contains("application/json"));
-    let catalog = qres_json::Value::parse(&body).expect("/query serves valid JSON");
-    assert!(catalog.get("sample_secs").is_some());
-    assert!(catalog.get("series").is_some());
-
-    // Per-metric form with points; the cell filter narrows the series.
-    let (_, body) = http_get(addr, "/query?metric=qres_qos_p_hd&cell=9302");
-    let doc = qres_json::Value::parse(&body).expect("metric query serves valid JSON");
-    let series = doc.get("series").expect("series array");
-    let qres_json::Value::Array(series) = series else {
-        panic!("series must be an array, got {series:?}");
-    };
-    assert_eq!(series.len(), 1, "cell filter must narrow to one series");
-    let points = series[0].get("points").expect("points array");
-    let qres_json::Value::Array(points) = points else {
-        panic!("points must be an array");
-    };
-    assert!(
-        points.len() >= 2,
-        "two watchdog ticks must retain two samples, got {}",
-        points.len()
-    );
-
-    // /alerts carries config, fired counters and the transition log.
     let (head, body) = http_get(addr, "/alerts");
     assert!(head.starts_with("HTTP/1.1 200"), "head: {head}");
+    assert!(head.contains("application/json"));
     let alerts = qres_json::Value::parse(&body).expect("/alerts serves valid JSON");
-    assert!(alerts.get("config").is_some());
+    let config = alerts.get("config").expect("config");
+    assert_eq!(
+        config.get("fast_window_secs"),
+        Some(&qres_json::Value::Float(300.0))
+    );
+    assert_eq!(
+        config.get("slow_window_secs"),
+        Some(&qres_json::Value::Float(3600.0))
+    );
     let fired = alerts
         .get("fired_total")
         .and_then(|f| f.get("p_hd_burn"))
@@ -171,13 +150,7 @@ fn query_and_alerts_routes_serve_watchdog_documents() {
         ),
         "p_hd_burn must have fired, got {fired:?}"
     );
-    let render = obs::render_obstop(
-        &qres_json::Value::parse(&http_get(addr, "/query?metric=qres_qos_p_hd").1).unwrap(),
-        &alerts,
-        5,
-    )
-    .expect("obstop renders from live documents");
-    assert!(render.contains("9302"), "dashboard must show the hot cell");
+    assert!(body.contains("\"9302\""), "the hot cell is named: {body}");
 
     server.shutdown();
     reset_all();

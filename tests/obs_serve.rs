@@ -134,6 +134,5 @@ fn scrape_during_running_sweep() {
     qres::obs::reset_metrics();
     qres::obs::reset_qos();
     qres::obs::reset_calib();
-    qres::obs::reset_tsdb();
     qres::obs::reset_alerts();
 }
