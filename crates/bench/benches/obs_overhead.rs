@@ -15,6 +15,11 @@
 //! `flight_p99/admission_off_ns` (recorder off) and
 //! `flight_p99/admission_on_ns` (recorder on), so the flight recorder's
 //! admission tail-latency cost reads directly off one run.
+//!
+//! `calib_flush` times the Eq.-4 calibration store alone: one
+//! admission's worth of forecasts on a 10-cell ring (two neighbors of 80
+//! connections each, re-evaluated toward the admitting cell with about
+//! 86% of the forecasts superseding a live one), staged and flushed.
 
 use qres_microbench::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use qres_sim::{run_scenario, Scenario, SchemeKind};
@@ -84,5 +89,65 @@ fn bench_obs_overhead(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_obs_overhead);
+/// Cells on the `calib_flush` ring, connections per cell, and connections
+/// that turn over in a cell once per lap of admissions around the ring
+/// (11 of 80: the other 69, about 86%, supersede a live forecast when the
+/// cell is next evaluated toward the same target).
+const RING: u32 = 10;
+const CONNS: usize = 80;
+const CHURN: usize = 11;
+
+fn bench_calib_flush(c: &mut Criterion) {
+    let mut group = c.benchmark_group("obs_overhead");
+    qres_obs::reset_calib();
+    // Live connection ids per cell, ascending (the order a cell's registry
+    // yields them in); fresh ids are always the largest.
+    let mut next_id = 0u64;
+    let mut live: Vec<Vec<u64>> = (0..RING)
+        .map(|_| {
+            let ids = (next_id..next_id + CONNS as u64).collect();
+            next_id += CONNS as u64;
+            ids
+        })
+        .collect();
+    let mut admission = 0u64;
+    group.bench_function("calib_flush", |b| {
+        b.iter(|| {
+            // An admission in cell `k` evaluates both ring neighbors
+            // toward `k`. Once per lap, before its evaluation toward the
+            // next cell, a neighbor's oldest connections end and new ones
+            // arrive.
+            let now = admission as f64 * 0.05;
+            let k = (admission % u64::from(RING)) as u32;
+            admission += 1;
+            let below = (k + RING - 1) % RING;
+            for n in [below, (k + 1) % RING] {
+                let ids = &mut live[n as usize];
+                if n == below {
+                    for conn in ids.drain(..CHURN) {
+                        qres_obs::observe_end(conn, n, now);
+                    }
+                    ids.extend(next_id..next_id + CHURN as u64);
+                    next_id += CHURN as u64;
+                }
+                for &conn in ids.iter() {
+                    qres_obs::stage_prediction(n, k, conn, Some(k), 0.3, now + 30.0);
+                }
+            }
+            qres_obs::flush_staged(now);
+        })
+    });
+    let s = qres_obs::calib_summary();
+    if s.predictions > 0 {
+        println!(
+            "calib_flush: {} forecasts, {:.1}% superseded",
+            s.predictions,
+            100.0 * s.superseded as f64 / s.predictions as f64
+        );
+    }
+    qres_obs::reset_calib();
+    group.finish();
+}
+
+criterion_group!(benches, bench_obs_overhead, bench_calib_flush);
 criterion_main!(benches);

@@ -294,3 +294,68 @@ fn time_varying_deterministic() {
     assert_eq!(a.system_cb, b.system_cb);
     assert_eq!(a.system_hd, b.system_hd);
 }
+
+/// FNV-1a over `bytes`: a stable digest for pinning serialized output.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The Eq.-4 calibration store's output is pinned: a fixed-seed AC3 ring
+/// and a route-aware run with turns, at `Info` level and swept at the
+/// final sim-time, score exactly these counters and serialize to exactly
+/// this `calib_json()`. Neither the paper metrics nor the benchmark
+/// goldens see the calibration tracker, so a store that mis-scores (or
+/// drops) forecasts would fail here and nowhere else.
+#[test]
+fn calibration_output_is_pinned() {
+    let _guard = obs_lock();
+    let ring = Scenario::paper_baseline()
+        .scheme(SchemeKind::Ac3)
+        .offered_load(150.0)
+        .duration_secs(300.0)
+        .seed(5);
+    let mut route = ring.clone().route_aware().seed(6);
+    route.turn_probability = 0.2;
+    // (predictions, pending, superseded, hits, wrong target, expired,
+    // ended) and the digest of the compact `calib_json()`.
+    let pins: [(&Scenario, [u64; 7], u64); 2] = [
+        (
+            &ring,
+            [658820, 1322, 532805, 4993, 4972, 111829, 2899],
+            0x53a0_c66d_b19d_fa45,
+        ),
+        (
+            &route,
+            [322470, 743, 262100, 4163, 629, 53446, 1389],
+            0xe907_d6ff_2bd9_a9af,
+        ),
+    ];
+    for (s, counts, digest) in pins {
+        reset_obs();
+        qres::obs::set_level(qres::obs::Level::Info);
+        let _ = run_scenario(s);
+        qres::obs::set_level(qres::obs::Level::Off);
+        qres::obs::sweep_expired(qres::obs::sim_time());
+        let c = qres::obs::calib_summary();
+        let got = [
+            c.predictions,
+            c.pending,
+            c.superseded,
+            c.hits,
+            c.miss_wrong_target,
+            c.miss_expired,
+            c.miss_ended,
+        ];
+        let json = qres::obs::calib_json().to_compact_string();
+        assert_eq!(got, counts, "route_aware = {}", s.route_aware);
+        assert_eq!(
+            fnv1a(json.as_bytes()),
+            digest,
+            "route_aware = {}",
+            s.route_aware
+        );
+    }
+    reset_obs();
+}
