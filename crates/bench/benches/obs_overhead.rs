@@ -65,11 +65,11 @@ fn bench_obs_overhead(c: &mut Criterion) {
                 // B_r computation of the enabled iterations: report their
                 // tails before the registry is wiped. The admission p99
                 // doubles as the flight recorder's cost probe.
-                let admission = qres_obs::metrics::ADMISSION_TEST_NS.merged_snapshot();
+                let admission = qres_obs::metrics::ADMISSION_TEST_NS.snapshot();
                 report_hist_p99("obs_hist_p99/qres_admission_test_ns", &admission);
                 report_hist_p99(
                     "obs_hist_p99/qres_br_compute_ns",
-                    &qres_obs::metrics::BR_COMPUTE_NS.merged_snapshot(),
+                    &qres_obs::metrics::BR_COMPUTE_NS.snapshot(),
                 );
                 let flight_id = if mode == "flight_off" {
                     "flight_p99/admission_off_ns"

@@ -137,7 +137,7 @@ impl AdmissionDecision {
 /// `used + requested <= capacity - reserve`.
 ///
 /// This is the single comparison every scheme's local test reduces to.
-/// It is exposed as a pure function so `qres obsreplay` can re-execute a
+/// It is exposed as a pure function so `qres obs replay` can re-execute a
 /// recorded decision from its flight-record inputs and land on the exact
 /// same verdict: BU counts are integers well below 2^53, so the `f64`
 /// arithmetic here is bit-identical to the `Bandwidth` path that
@@ -147,7 +147,7 @@ pub fn admits_with_reserve(used: f64, requested: f64, capacity: f64, reserve: f6
 }
 
 /// The AC2/AC3 neighbor reservation-feasibility predicate:
-/// `used <= capacity - br`. Shared with `qres obsreplay` like
+/// `used <= capacity - br`. Shared with `qres obs replay` like
 /// [`admits_with_reserve`].
 pub fn neighbor_reserve_feasible(used: f64, capacity: f64, br: f64) -> bool {
     used <= capacity - br

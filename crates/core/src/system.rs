@@ -162,7 +162,7 @@ pub struct ReservationSystem {
     /// Monotonic admission-request id. Incremented unconditionally (not
     /// gated on the obs level) so a run's ids are identical whether or
     /// not telemetry is on; pairs `Admission` events with the
-    /// `BrCompute` children they triggered (`qres obstrace` spans).
+    /// `BrCompute` children they triggered and keys flight records.
     admission_req_seq: u64,
 }
 
@@ -321,7 +321,7 @@ impl ReservationSystem {
         self.br_calcs_total += 1;
         if let Some(t0) = obs_call_t0 {
             let elapsed = t0.elapsed();
-            qres_obs::metrics::BR_COMPUTE_NS.record_cell_duration(target.0, elapsed);
+            qres_obs::metrics::BR_COMPUTE_NS.record_duration(elapsed);
             qres_obs::metrics::BR_MEMO_HITS_TOTAL.add(u64::from(obs_hits));
             qres_obs::metrics::BR_TERMS_RECOMPUTED_TOTAL.add(u64::from(obs_recomputed));
             qres_obs::record(qres_obs::ObsEvent::BrCompute {
@@ -436,7 +436,7 @@ impl ReservationSystem {
         self.n_calc.add((self.br_calcs_total - calcs_before) as f64);
         if let Some(t0) = obs_t0 {
             let elapsed = t0.elapsed();
-            qres_obs::metrics::ADMISSION_TEST_NS.record_cell_duration(req.cell.0, elapsed);
+            qres_obs::metrics::ADMISSION_TEST_NS.record_duration(elapsed);
             qres_obs::record(qres_obs::ObsEvent::Admission {
                 t: now.as_secs(),
                 cell: req.cell.0,
@@ -1126,16 +1126,14 @@ mod tests {
     }
 
     #[test]
-    fn admission_tests_attribute_to_cell_shards_and_pair_spans() {
-        // Uses cell 40 on ring(50): no other test in this crate touches
-        // that shard, so delta-based assertions are safe even though the
-        // metric statics are process-global and tests run concurrently.
+    fn admission_tests_pair_spans_and_tape_flight_records() {
+        // Uses cell 40 on ring(50): no other test in this crate requests
+        // there, so filtering the process-global event ring and flight tape
+        // by cell is safe even though tests run concurrently.
         let config = QresConfig::paper_stationary(SchemeConfig::Predictive { kind: AcKind::Ac1 });
         let mut sys =
             ReservationSystem::new(config, Topology::ring(50), BsNetworkKind::FullyConnected);
         let cell = 40u32;
-        let adm_before = qres_obs::metrics::ADMISSION_TEST_NS.shard_count(cell);
-        let br_before = qres_obs::metrics::BR_COMPUTE_NS.shard_count(cell);
 
         let prev_level = qres_obs::level();
         qres_obs::set_level(qres_obs::Level::Debug);
@@ -1143,17 +1141,6 @@ mod tests {
             sys.request_new_connection(s(1.0 + i as f64), req(cell, i, 1));
         }
         qres_obs::set_level(prev_level);
-
-        // Per-cell attribution: both sharded histograms saw exactly the
-        // six tests (AC1: one B_r computation per test, all in cell 40).
-        assert_eq!(
-            qres_obs::metrics::ADMISSION_TEST_NS.shard_count(cell) - adm_before,
-            6
-        );
-        assert_eq!(
-            qres_obs::metrics::BR_COMPUTE_NS.shard_count(cell) - br_before,
-            6
-        );
 
         // Request ids are monotonic and unconditional: six tests, six ids,
         // whatever the obs level was at the time.

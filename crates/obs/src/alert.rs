@@ -30,7 +30,7 @@
 //!
 //! Exposed at `GET /alerts`, as the `qres_alert_state{rule,cell}` /
 //! `qres_alerts_fired_total{rule}` Prometheus families, under `"alerts"`
-//! in JSON snapshots, and replayable offline with `qres obswatch`
+//! in JSON snapshots, and replayable offline with `qres obs alerts`
 //! ([`render_watch`]).
 
 use std::collections::BTreeMap;
@@ -588,7 +588,7 @@ fn stamp_of(v: Option<&Value>) -> String {
     }
 }
 
-/// Renders the `qres obswatch` report from a run artifact: either a JSONL
+/// Renders the `qres obs alerts` report from a run artifact: either a JSONL
 /// event spill (`obs_events.jsonl` — `alert_transition` lines are
 /// replayed into a timeline) or a JSON document carrying an `"alerts"`
 /// section (an `obs_alerts.json`, a `/metrics.json` snapshot, or a run

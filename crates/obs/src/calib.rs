@@ -532,7 +532,7 @@ pub fn prometheus_fragment(out: &mut String) {
 
 /// Renders a calibration snapshot (the document written to
 /// `obs_calib.json`, or the `"calib"` section of `/qos`) as the
-/// human-readable report `qres obscalib` prints.
+/// human-readable report `qres obs calib` prints.
 pub fn render_calib_report(v: &Value) -> Result<String, String> {
     use std::fmt::Write as _;
     // Accept the bare snapshot or a document embedding it.

@@ -1,6 +1,6 @@
 //! Cross-run metrics diffing: compares two `/metrics.json` snapshots
 //! (same scenario, two schemes — or the same scheme before/after an
-//! optimization) metric by metric, for the `qres obsdiff` subcommand.
+//! optimization) metric by metric, for `qres obs diff`.
 //!
 //! Accepts either a bare snapshot document (`{"counters":...}`) or a run
 //! report embedding one under an `"obs"` key (`qres run --json --obs`),
@@ -56,11 +56,10 @@ fn fmt_delta(a: f64, b: f64) -> String {
 }
 
 /// Renders a per-metric diff of two snapshots: counter and gauge deltas,
-/// per-histogram count/p99 movement (including the per-cell `p99` of
-/// sharded families), per-cell QoS movement (`p_hd`/`p_cb`/violation
-/// seconds), and the SLO watchdog's fired-counts and transition tallies.
-/// Metrics present in only one snapshot are marked. `label_a` / `label_b`
-/// name the columns (usually the file names).
+/// per-histogram count/p99 movement, per-cell QoS movement
+/// (`p_hd`/`p_cb`/violation seconds), and the SLO watchdog's fired-counts
+/// and transition tallies. Metrics present in only one snapshot are
+/// marked. `label_a` / `label_b` name the columns (usually the file names).
 pub fn diff_snapshots(
     a_doc: &Value,
     b_doc: &Value,
@@ -127,26 +126,6 @@ pub fn diff_snapshots(
                 fmt_pair(ca, cb),
                 fmt_pair(pa, pb)
             );
-            // Sharded families: per-cell p99 movement.
-            let (cells_a, cells_b) = (
-                ma.and_then(|m| m.get("cells")),
-                mb.and_then(|m| m.get("cells")),
-            );
-            if let (Some(cells_a), Some(cells_b)) = (cells_a, cells_b) {
-                for cell in union_keys(cells_a, cells_b) {
-                    let qa = cells_a
-                        .get(cell)
-                        .and_then(|c| c.get("p99"))
-                        .and_then(as_f64);
-                    let qb = cells_b
-                        .get(cell)
-                        .and_then(|c| c.get("p99"))
-                        .and_then(as_f64);
-                    if qa != qb {
-                        let _ = writeln!(out, "    cell {cell:<28} p99 {}", fmt_pair(qa, qb));
-                    }
-                }
-            }
         }
     }
 
@@ -402,8 +381,7 @@ mod tests {
         Value::parse(&format!(
             r#"{{"counters":{{"qres_x_total":{counter},"qres_only_a_total":1}},
                 "gauges":{{"qres_g":4}},
-                "histograms":{{"qres_h_ns":{{"count":10,"p99":{p99},
-                  "cells":{{"0":{{"count":5,"sum":10,"p99":{p99}}}}}}}}}}}"#
+                "histograms":{{"qres_h_ns":{{"count":10,"p99":{p99}}}}}}}"#
         ))
         .unwrap()
     }
@@ -414,8 +392,7 @@ mod tests {
         let b = Value::parse(
             r#"{"obs":{"counters":{"qres_x_total":150},
                 "gauges":{"qres_g":4},
-                "histograms":{"qres_h_ns":{"count":20,"p99":1200,
-                  "cells":{"0":{"count":9,"sum":20,"p99":1200}}}}}}"#,
+                "histograms":{"qres_h_ns":{"count":20,"p99":1200}}}}"#,
         )
         .unwrap();
         let report = diff_snapshots(&a, &b, "a.json", "b.json").unwrap();
@@ -424,7 +401,6 @@ mod tests {
         assert!(report.contains("+50.0%"));
         assert!(report.contains("(absent)"), "{report}");
         assert!(report.contains("p99 1000 -> 1200"));
-        assert!(report.contains("cell 0"));
         assert!(report.contains("(1 unchanged)"), "{report}");
     }
 

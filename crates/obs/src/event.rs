@@ -26,7 +26,7 @@ pub enum ObsEvent {
         cell: u32,
         /// Monotonic admission-request id assigned by the reservation
         /// system; pairs this decision with the `BrCompute` events it
-        /// triggered (span-shaped tracing, `qres obstrace`).
+        /// triggered and keys its flight record.
         req: u64,
         /// Scheme label (`AC1`/`AC2`/`AC3`/`static(G=..)`/`NS(..)`).
         scheme: String,
@@ -118,7 +118,7 @@ pub enum ObsEvent {
     },
     /// The SLO watchdog moved an alert through its state machine
     /// (`pending` → `firing` → `resolved`); replayed offline by
-    /// `qres obswatch`.
+    /// `qres obs alerts`.
     AlertTransition {
         /// Sim-time of the transition (the watchdog sample tick, seconds).
         t: f64,

@@ -1,32 +1,15 @@
 //! Exporters: Prometheus text exposition, a JSON snapshot for run
-//! reports, and an in-repo exposition-format lint used by CI (no external
-//! tooling available offline).
+//! reports, and an in-repo exposition-format lint the tests run (no
+//! external tooling available offline).
 
 use qres_json::Value;
 
-use crate::metrics::{counters, gauges, histograms, sharded_histograms, HistogramSnapshot};
+use crate::metrics::{counters, gauges, histograms, HistogramSnapshot};
 use crate::recorder::sample_every;
 
-/// Escapes a Prometheus label value: backslash, double quote, and
-/// newline, per the text exposition format 0.0.4.
-pub fn escape_label_value(v: &str) -> String {
-    let mut out = String::with_capacity(v.len());
-    for c in v.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            _ => out.push(c),
-        }
-    }
-    out
-}
-
 /// Renders one histogram snapshot as exposition sample lines (no
-/// `# HELP`/`# TYPE` header). `labels` is a pre-rendered label prefix such
-/// as `cell="7"` (empty for the unlabeled series); `le` is appended to it.
-pub(crate) fn histogram_series(out: &mut String, s: &HistogramSnapshot, labels: &str) {
-    let sep = if labels.is_empty() { "" } else { "," };
+/// `# HELP`/`# TYPE` header).
+fn histogram_series(out: &mut String, s: &HistogramSnapshot) {
     let mut cumulative = 0u64;
     for &(lb, n) in &s.buckets {
         cumulative += n;
@@ -35,7 +18,7 @@ pub(crate) fn histogram_series(out: &mut String, s: &HistogramSnapshot, labels: 
         // is exactly the count of samples <= that edge; the edges stay
         // stable and integral.
         out.push_str(&format!(
-            "{}_bucket{{{labels}{sep}le=\"{}\"}} {}\n",
+            "{}_bucket{{le=\"{}\"}} {}\n",
             s.name,
             crate::loglin::upper_bound(crate::loglin::bucket_index(lb)),
             cumulative
@@ -44,23 +27,16 @@ pub(crate) fn histogram_series(out: &mut String, s: &HistogramSnapshot, labels: 
     // Use the cumulative bucket total (not the count atomic) so a
     // snapshot taken while another thread records stays self-consistent.
     out.push_str(&format!(
-        "{}_bucket{{{labels}{sep}le=\"+Inf\"}} {}\n",
+        "{}_bucket{{le=\"+Inf\"}} {}\n",
         s.name, cumulative
     ));
-    if labels.is_empty() {
-        out.push_str(&format!("{}_sum {}\n", s.name, s.sum));
-        out.push_str(&format!("{}_count {}\n", s.name, cumulative));
-    } else {
-        out.push_str(&format!("{}_sum{{{labels}}} {}\n", s.name, s.sum));
-        out.push_str(&format!("{}_count{{{labels}}} {}\n", s.name, cumulative));
-    }
+    out.push_str(&format!("{}_sum {}\n", s.name, s.sum));
+    out.push_str(&format!("{}_count {}\n", s.name, cumulative));
 }
 
 /// Renders the whole metrics registry in Prometheus text exposition
 /// format (version 0.0.4): `# HELP`/`# TYPE` pairs, cumulative
 /// `_bucket{le="..."}` series ending in `+Inf`, and `_sum`/`_count`.
-/// Sharded histograms additionally export one `cell`-labelled series per
-/// occupied shard next to their merged unlabeled (global) series.
 pub fn prometheus_text() -> String {
     let mut out = String::new();
     for c in counters() {
@@ -83,16 +59,7 @@ pub fn prometheus_text() -> String {
         let s = h.snapshot();
         out.push_str(&format!("# HELP {} {}\n", s.name, s.help));
         out.push_str(&format!("# TYPE {} histogram\n", s.name));
-        histogram_series(&mut out, &s, "");
-    }
-    for h in sharded_histograms() {
-        out.push_str(&format!("# HELP {} {}\n", h.name(), h.help()));
-        out.push_str(&format!("# TYPE {} histogram\n", h.name()));
-        histogram_series(&mut out, &h.merged_snapshot(), "");
-        for shard in h.nonempty_shards() {
-            let label = format!("cell=\"{}\"", escape_label_value(&h.shard_label(shard)));
-            histogram_series(&mut out, &h.shard_snapshot(shard), &label);
-        }
+        histogram_series(&mut out, &s);
     }
     // Model-quality families: live QoS estimators / efficiency integrals
     // (per-cell labelled series) and the Eq.-4 calibration summary.
@@ -108,8 +75,7 @@ pub fn prometheus_text() -> String {
 }
 
 /// A JSON object snapshot of the registry, merged into run reports by
-/// `qres-sim` and printed by the `--obs` CLI path. Sharded histograms
-/// carry a `"cells"` sub-object with per-cell `count`/`sum`/`p99`.
+/// `qres-sim` and printed by the `--obs` CLI path.
 pub fn snapshot_json() -> Value {
     let counter_fields = counters()
         .iter()
@@ -123,41 +89,13 @@ pub fn snapshot_json() -> Value {
         "qres_obs_sample_rate".to_string(),
         Value::UInt(sample_every()),
     ));
-    let mut histo_fields: Vec<(String, Value)> = histograms()
+    let histo_fields = histograms()
         .iter()
         .map(|h| {
             let s = h.snapshot();
             (h.name().to_string(), histogram_json(&s))
         })
         .collect();
-    for h in sharded_histograms() {
-        let Value::Object(mut fields) = histogram_json(&h.merged_snapshot()) else {
-            unreachable!("histogram_json returns an object")
-        };
-        let cells: Vec<(String, Value)> = h
-            .nonempty_shards()
-            .into_iter()
-            .map(|shard| {
-                let s = h.shard_snapshot(shard);
-                (
-                    h.shard_label(shard),
-                    Value::Object(vec![
-                        ("count".to_string(), Value::UInt(s.count)),
-                        ("sum".to_string(), Value::UInt(s.sum)),
-                        (
-                            "p99".to_string(),
-                            match s.quantile(0.99) {
-                                Some(v) => Value::UInt(v),
-                                None => Value::Null,
-                            },
-                        ),
-                    ]),
-                )
-            })
-            .collect();
-        fields.push(("cells".to_string(), Value::Object(cells)));
-        histo_fields.push((h.name().to_string(), Value::Object(fields)));
-    }
     Value::Object(vec![
         ("counters".to_string(), Value::Object(counter_fields)),
         ("gauges".to_string(), Value::Object(gauge_fields)),
@@ -213,8 +151,7 @@ struct SeriesState {
 /// Checks, per line: valid `# HELP` / `# TYPE` comments (known types
 /// only), metric-name syntax, label syntax (quoted values, `\\`/`\"`/`\n`
 /// escapes only), parsable sample values; and, per histogram *series*
-/// (family × labelset without `le` — sharded families export one series
-/// per cell next to the unlabeled global): `le` edges strictly increasing
+/// (family × labelset without `le`): `le` edges strictly increasing
 /// and cumulative counts non-decreasing, the series terminated by `+Inf`,
 /// and the `+Inf` bucket equal to the matching `_count`. Returns the
 /// first violation as `Err("line N: ...")`.
@@ -448,25 +385,26 @@ mod tests {
     fn exposition_passes_own_lint() {
         // Other obs tests may bump counters concurrently; recording here
         // only makes the document richer, never invalid.
-        ADMISSION_TEST_NS.record_cell(0, 100);
-        ADMISSION_TEST_NS.record_cell(3, 5_000);
+        ADMISSION_TEST_NS.record(100);
+        ADMISSION_TEST_NS.record(5_000);
         let text = prometheus_text();
         assert!(text.contains("# TYPE qres_admission_test_ns histogram"));
         assert!(text.contains("# TYPE qres_br_compute_ns histogram"));
         assert!(text.contains("qres_backbone_msgs_total"));
         assert!(text.contains("qres_obs_sample_rate"));
         assert!(text.contains("le=\"+Inf\""));
-        // Per-cell attribution series sit next to the merged global view.
-        assert!(text.contains("qres_admission_test_ns_bucket{cell=\"0\","));
-        assert!(text.contains("qres_admission_test_ns_count{cell=\"3\"}"));
+        assert!(
+            !text.contains("_ns_bucket{cell="),
+            "timing series carry no cell label"
+        );
         validate_prometheus_text(&text).expect("own exposition must lint clean");
     }
 
     #[test]
     fn empty_histogram_renders_a_valid_zero_series() {
-        // A histogram with no samples (a metric whose code path never ran,
-        // or a cell shard that stayed quiet) must still render a complete,
-        // lintable series: bare `+Inf` bucket, zero `_sum`/`_count`.
+        // A histogram with no samples (a metric whose code path never ran)
+        // must still render a complete, lintable series: bare `+Inf`
+        // bucket, zero `_sum`/`_count`.
         let empty = HistogramSnapshot {
             name: "qres_test_empty_ns",
             help: "test",
@@ -474,15 +412,11 @@ mod tests {
             sum: 0,
             count: 0,
         };
-        for labels in ["", "cell=\"12\""] {
-            let mut doc = String::from(
-                "# HELP qres_test_empty_ns test\n# TYPE qres_test_empty_ns histogram\n",
-            );
-            histogram_series(&mut doc, &empty, labels);
-            assert!(doc.contains("le=\"+Inf\"} 0\n"));
-            validate_prometheus_text(&doc)
-                .unwrap_or_else(|e| panic!("empty series (labels={labels:?}) fails lint: {e}"));
-        }
+        let mut doc =
+            String::from("# HELP qres_test_empty_ns test\n# TYPE qres_test_empty_ns histogram\n");
+        histogram_series(&mut doc, &empty);
+        assert!(doc.contains("le=\"+Inf\"} 0\n"));
+        validate_prometheus_text(&doc).expect("empty series must lint clean");
     }
 
     #[test]
@@ -531,17 +465,9 @@ h_count{cell=\"3\"} 1
     }
 
     #[test]
-    fn label_values_escape_and_lint() {
-        assert_eq!(escape_label_value("plain"), "plain");
-        assert_eq!(
-            escape_label_value("a\\b\"c\nd"),
-            "a\\\\b\\\"c\\nd".to_string()
-        );
-        let doc = format!(
-            "# HELP h h\n# TYPE h gauge\nh{{k=\"{}\"}} 1\n",
-            escape_label_value("quote\" slash\\ line\nend")
-        );
-        validate_prometheus_text(&doc).unwrap();
+    fn label_value_escapes_lint() {
+        let doc = "# HELP h h\n# TYPE h gauge\nh{k=\"quote\\\" slash\\\\ line\\nend\"} 1\n";
+        validate_prometheus_text(doc).unwrap();
         // Raw (unescaped) backslash before a non-escape char is rejected.
         assert!(validate_prometheus_text("# HELP h h\n# TYPE h gauge\nh{k=\"a\\z\"} 1\n").is_err());
     }
@@ -564,7 +490,6 @@ h_count{cell=\"3\"} 1
                 "flight"
             ]
         );
-        // Sharded histograms carry a per-cell sub-object.
         let Some((_, Value::Object(histos))) = fields.iter().find(|(k, _)| k == "histograms")
         else {
             panic!("no histograms section")
@@ -574,6 +499,6 @@ h_count{cell=\"3\"} 1
         else {
             panic!("no admission histogram")
         };
-        assert!(adm.iter().any(|(k, _)| k == "cells"));
+        assert!(!adm.iter().any(|(k, _)| k == "cells"));
     }
 }

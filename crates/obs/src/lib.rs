@@ -14,36 +14,32 @@
 //!   admission tests, `B_i,0` Eq.-4 passes, `compute_br` memo hits vs.
 //!   misses, event dispatch, sweep points.
 //! * [`export`] — Prometheus text exposition, a JSON snapshot merged into
-//!   `qres-sim` run reports, and an in-repo exposition lint for CI.
+//!   `qres-sim` run reports, and an in-repo exposition lint the tests run.
 //! * [`serve`] — a hand-rolled `std::net` HTTP scrape endpoint
 //!   (`/metrics`, `/metrics.json`, `/qos`, `/alerts`, `/explain`,
 //!   `/healthz`) so Prometheus/Grafana can watch a long sweep live instead
 //!   of waiting for the final snapshot.
-//! * [`fold`] / [`trace`] — offline renderers over the spilled event
-//!   stream: folded stacks for `flamegraph.pl`/inferno (`qres obsfold`),
-//!   Perfetto-importable trace-event JSON (`qres obstrace`), and a structural span diff between two traces
-//!   (`qres obstrace --diff`).
 //! * [`qos`] — live QoS-conformance tracking: per-cell sliding-window
 //!   `P_HD`/`P_CB` estimators with Wilson intervals, violation-seconds
 //!   clocks against the paper's target, and reservation-efficiency
 //!   integrals (`B_r` reserved vs. hand-off bandwidth consumed).
 //! * [`calib`] — Eq.-4 prediction calibration: per-connection `p_h`
 //!   forecasts matched against realized hand-offs, aggregated into
-//!   reliability-diagram bins and a Brier score (`qres obscalib`).
+//!   reliability-diagram bins and a Brier score (`qres obs calib`).
 //! * [`diff`] — cross-run diff of two `/metrics.json` snapshots
-//!   (`qres obsdiff`).
+//!   (`qres obs diff`).
 //! * [`alert`] — the SLO watchdog: burn-rate rules read straight off the
 //!   [`qos`] windows every 60 sim-s (a fast 300-s window and the `qos`
 //!   window against `P_HD,target`), a pending→firing→resolved state
 //!   machine on sim-timestamps, served at `GET /alerts` and replayed
-//!   offline by `qres obswatch`.
+//!   offline by `qres obs alerts`.
 //! * [`flight`] — the decision-provenance flight recorder: a bounded ring
 //!   of complete admission decision records (inputs, per-neighbor Eq.-4
 //!   terms, feasibility checks, verdict) keyed by `admission_req_seq`,
 //!   served at `GET /explain`, frozen to `obs_flight_<cell>_<ts>.json`
-//!   when `p_hd_burn` fires, and re-executed by `qres obsreplay`.
-//! * [`loglin`] — the shared log-linear bucket layout (16 sub-buckets per
-//!   octave, ≤ 6.25% relative error), also reused by
+//!   when `p_hd_burn` fires, and re-executed by `qres obs replay`.
+//! * [`loglin`] — the log-linear bucket layout of the timing histograms
+//!   (16 sub-buckets per octave, ≤ 6.25% relative error), also used by
 //!   `qres_stats::LogLinearHistogram`.
 //!
 //! ## Overhead contract
@@ -70,13 +66,11 @@ pub mod diff;
 pub mod event;
 pub mod export;
 pub mod flight;
-pub mod fold;
 pub mod loglin;
 pub mod metrics;
 pub mod qos;
 pub mod recorder;
 pub mod serve;
-pub mod trace;
 
 pub use alert::{
     alert_config, alerts_json, alerts_snapshot, evaluate as evaluate_alerts,
@@ -89,17 +83,13 @@ pub use calib::{
 };
 pub use diff::{check_fail_on, diff_snapshots};
 pub use event::{events_to_jsonl, ObsEvent};
-pub use export::{escape_label_value, prometheus_text, snapshot_json, validate_prometheus_text};
+pub use export::{prometheus_text, snapshot_json, validate_prometheus_text};
 pub use flight::{
     denial_cause, explain_json, flight_enabled, flight_json, flight_summary_json, records_from_doc,
     render_explain, reset_flight, set_flight_capacity, set_flight_capture_dir, set_flight_enabled,
     FlightCheck, FlightRecord, FlightTerm,
 };
-pub use fold::folded_stacks;
-pub use metrics::{
-    cell_shards, configure_cell_shards, ensure_cell_shards, reset_metrics, AtomicHistogram,
-    Counter, HistogramSnapshot, MaxGauge, ShardedHistogram, CELL_SHARDS,
-};
+pub use metrics::{reset_metrics, AtomicHistogram, Counter, HistogramSnapshot, MaxGauge};
 pub use qos::{
     qos_json, qos_snapshot, qos_target_p_hd, reset_qos, set_qos_target_p_hd, set_qos_window_secs,
     wilson_interval, CellQosSnapshot,
@@ -110,7 +100,6 @@ pub use recorder::{
     sim_time, Level,
 };
 pub use serve::ObsServer;
-pub use trace::{diff_traces, perfetto_trace};
 
 /// Returns `(0, wall_ns - barrier_ns)`, saturating. Exists only for
 /// `qres-perf`'s traced replay, and goes with that call in the next change

@@ -166,9 +166,6 @@ impl Engine {
         if let Err(e) = scenario.validate() {
             panic!("{e}");
         }
-        // Size the per-cell telemetry shards to the topology so large
-        // grids don't fold into the overflow shard (grow-only; cheap).
-        qres_obs::metrics::ensure_cell_shards(scenario.num_cells);
         // The QoS violation clock and the SLO watchdog's burn-rate rules
         // measure against this scenario's contract, not the global default.
         qres_obs::set_qos_target_p_hd(scenario.p_hd_target);

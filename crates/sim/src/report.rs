@@ -212,7 +212,8 @@ mod tests {
             assert_eq!(pv, mv);
         }
         // The embedded snapshot carries the flight-recorder summary, so
-        // `obsdiff --fail-on` and `obsexplain` can consume run reports.
+        // `qres obs diff --fail-on` and `qres obs explain` can consume run
+        // reports.
         let obs = &merged.last().unwrap().1;
         assert!(
             obs.get("flight").is_some(),

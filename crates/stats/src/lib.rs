@@ -12,9 +12,8 @@
 //!   computations (Fig. 13), is a plain sample mean ([`Welford`]);
 //! * **time series** — Figs. 10, 11, 14 plot signals against time
 //!   ([`TimeSeries`]) or aggregate them per hourly bucket ([`HourlyBuckets`]);
-//! * **distributions** — sojourn-time footprints (Fig. 4) are histograms
-//!   ([`Histogram`]); long-tailed wall-clock timings from the telemetry
-//!   layer use log-linear buckets ([`LogLinearHistogram`]).
+//! * **distributions** — long-tailed wall-clock timings use log-linear
+//!   buckets ([`LogLinearHistogram`]).
 //!
 //! All estimators are plain accumulators: no interior mutability, no
 //! background threads, deterministic results.
@@ -23,7 +22,6 @@
 #![warn(rust_2018_idioms)]
 
 pub mod buckets;
-pub mod histogram;
 pub mod loglinear;
 pub mod ratio;
 pub mod series;
@@ -31,7 +29,6 @@ pub mod timeweighted;
 pub mod welford;
 
 pub use buckets::HourlyBuckets;
-pub use histogram::Histogram;
 pub use loglinear::LogLinearHistogram;
 pub use ratio::{wilson_interval, RatioCounter};
 pub use series::TimeSeries;

@@ -10,8 +10,7 @@ use qres_obs::loglin::{bucket_index, lower_bound, upper_bound, NUM_BUCKETS};
 
 /// A mergeable log-linear histogram (latency-style distributions).
 ///
-/// Unlike [`crate::Histogram`] (fixed width over a configured range), this
-/// covers all of `u64` with bounded *relative* error and needs no bounds
+/// Covers all of `u64` with bounded *relative* error and needs no bounds
 /// up front, which suits long-tailed timing data.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LogLinearHistogram {
@@ -156,11 +155,10 @@ mod tests {
 
     #[test]
     fn merge_with_disjoint_octaves() {
-        // The per-cell shards of `qres-obs` merge histograms whose
-        // populations live in completely different octaves (a quiet
-        // cell's ~1 µs admission tests vs. a hot cell's ~1 ms ones).
-        // Merging must preserve both sub-populations exactly: counts per
-        // bucket, totals, and both ends of the quantile range.
+        // Two histograms whose populations live in completely different
+        // octaves (~1 µs timings vs. ~1 ms ones). Merging must preserve
+        // both sub-populations exactly: counts per bucket, totals, and
+        // both ends of the quantile range.
         let mut low = LogLinearHistogram::new();
         let mut high = LogLinearHistogram::new();
         for i in 0..100u64 {

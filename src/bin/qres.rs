@@ -7,87 +7,67 @@
 //! qres sweep <scenario.json> [--loads 60,120,300] [--obs] [--obs-sample N] [--slo-* ...]
 //! qres serve <scenario.json> [--addr HOST:PORT] [--loads ...]
 //!            [--sequential] [--linger-secs N] [--obs-sample N] [--slo-* ...]
-//! qres obslint <snapshot.prom>                    lint a Prometheus snapshot
-//! qres obscheck <events.jsonl> [--all-types] [--monotonic]
-//! qres obsfold <events.jsonl>                     folded stacks (flamegraph)
-//! qres obstrace <events.jsonl> [-o trace.json]    Perfetto trace JSON
-//! qres obstrace --diff <a.json> <b.json>          structural span diff
-//! qres obscalib <obs_calib.json>                  Eq.-4 calibration report
-//! qres obsdiff <a.json> <b.json> [--fail-on SPEC]  diff two metrics snapshots
-//! qres obswatch <obs_events.jsonl | obs_alerts.json | snapshot.json>
-//! qres obsexplain <obs_flight.json | capture.json>  explain recorded admissions
-//! qres obsreplay <obs_flight.json | capture.json>   re-execute recorded verdicts
+//! qres obs calib <obs_calib.json>                    Eq.-4 calibration report
+//! qres obs diff <a.json> <b.json> [--fail-on SPEC]   diff two metrics snapshots
+//! qres obs alerts <obs_alerts.json | obs_events.jsonl | snapshot.json>
+//! qres obs explain <obs_flight.json | capture.json>  explain recorded admissions
+//! qres obs replay <obs_flight.json | capture.json>   re-execute recorded verdicts
 //! ```
 //!
 //! A scenario file is the JSON form of [`qres::sim::Scenario`]; start from
 //! `qres template`, edit, run. `--json` emits the full
 //! [`qres::sim::RunResult`] (per-cell summaries, traces, hourly series)
-//! for downstream tooling. `run`, `sweep` and `serve` exit 2 on a flag
-//! they do not take or a bad flag value, and 1 on a scenario that fails
-//! validation at any swept load.
-//!
-//! The `metro` template is the 32×32 hex grid (1024 cells).
+//! for downstream tooling. Every subcommand exits 2 on a flag it does not
+//! take, a bad flag value, or a missing or extra file argument; `run`,
+//! `sweep` and `serve` exit 1 on a scenario that fails validation at any
+//! swept load. The `metro` template is the 32×32 hex grid (1024 cells).
 //!
 //! `--obs` switches on the telemetry recorder at debug level for the run
-//! and writes `obs_snapshot.prom` (Prometheus text exposition) and
-//! `obs_events.jsonl` (the structured event stream) into the working
-//! directory; with `--json` the telemetry snapshot is also merged into the
-//! report under an `"obs"` key. `--obs-sample N` keeps only every N-th
-//! debug-tier high-frequency event (`br_compute`, `backbone_send`).
+//! and writes into the working directory: `obs_snapshot.prom`
+//! (Prometheus text exposition), `obs_events.jsonl` (the structured event
+//! stream), `obs_calib.json` (QoS conformance and Eq.-4 calibration),
+//! `obs_alerts.json` (the SLO alert timeline) and `obs_flight.json` (the
+//! decision tape). With `--json` the telemetry snapshot is also merged
+//! into the report under an `"obs"` key. `--obs-sample N` keeps only every
+//! N-th debug-tier high-frequency event (`br_compute`, `backbone_send`).
 //!
 //! `serve` runs a sweep with the live scrape endpoint attached: while the
-//! sweep executes, `GET /metrics` (Prometheus exposition, with per-cell
-//! `qres_admission_test_ns{cell="..."}` series), `GET /metrics.json`,
-//! `GET /qos`, `GET /alerts`, `GET /explain` and `GET /healthz` answer on
-//! `--addr` (default `127.0.0.1:9464`), and the
+//! sweep executes, `GET /metrics` (Prometheus exposition),
+//! `GET /metrics.json`, `GET /qos`, `GET /alerts`, `GET /explain` and
+//! `GET /healthz` answer on `--addr` (default `127.0.0.1:9464`), and the
 //! `qres_sweep_points_{planned,done}_total` counters track progress.
-//!
-//! `obslint` and `obscheck` validate the `--obs` artifacts — CI runs them
-//! against a short `--obs` smoke simulation. `obsfold` and `obstrace`
-//! render the event stream for `flamegraph.pl`/inferno and
-//! `ui.perfetto.dev`; both pair `br_compute` spans with their `admission`
-//! parent via the shared `req` id and assume a single-threaded stream
-//! (`run`, or `serve --sequential`).
-//!
-//! With `--obs` (or under `serve`), the QoS-conformance and Eq.-4
-//! calibration state is additionally written to `obs_calib.json`
-//! (`qres obscalib` renders it as a reliability-diagram report).
-//! `qres run --obs --serve HOST:PORT` additionally keeps the live scrape
-//! endpoint attached for the run's duration — `--linger-secs N` holds it
-//! open afterwards.
-//! `qres obstrace --diff a.json b.json` structurally compares two
-//! rendered traces: span counts and total durations per name, plus
-//! missing/extra parent→child nestings. `qres obsdiff` compares
-//! two `/metrics.json` snapshots (bare, or embedded under a run report's
-//! `"obs"` key) metric by metric, including the per-cell QoS movement and
-//! the SLO watchdog's fired-counts/transition tallies.
+//! `qres run --obs --serve HOST:PORT` keeps the same endpoint attached for
+//! one run; `--linger-secs N` holds it open afterwards.
 //!
 //! With telemetry on, the **SLO watchdog** evaluates burn-rate alert
 //! rules against `P_HD,target` every 60 simulated seconds, reading the
 //! live QoS windows: a fast 5-min window and the 1-h QoS window.
 //! `--slo-target P` overrides the target the rules burn against (e.g. an
 //! intentionally low target to force a violation drill); `--slo-burn X`
-//! moves the burn threshold (default 1.0). The alert state is served at
-//! `GET /alerts` and written to `obs_alerts.json` at the end of the run;
-//! `qres obswatch` replays the alert timeline offline from a JSONL event
-//! spill or any JSON artifact carrying an `"alerts"` section.
-//!
-//! With telemetry on, the **decision-provenance flight recorder** tapes
+//! moves the burn threshold (default 1.0). The **flight recorder** tapes
 //! every admission decision — requested BUs, link occupancy, the
 //! reservation threshold with its per-neighbor `B_i,0` terms, each
-//! AC2/AC3 neighbor check, and the verdict — into a bounded in-process
-//! ring (`--no-flight` switches it off). The tape is served live at
-//! `GET /explain?req=SEQ` / `GET /explain?cell=N&last=K`, written to
-//! `obs_flight.json` at the end of the run, and `qres obsexplain` renders
-//! any of those documents as a per-cell denial-cause report. When the
-//! `p_hd_burn` alert fires, the surrounding record window is frozen to
-//! `obs_flight_<cell>_<ts>.json` automatically. `qres obsreplay`
-//! re-executes a recorded window through the same admission predicates
-//! the live system ran and exits nonzero unless every verdict reproduces
-//! bit-identically. `qres obsdiff --fail-on SPEC` gates CI on snapshot
-//! movement: a comma-separated list of `counters`, `alerts`, `qos`,
-//! `NAME>X`, `p_hd>X`, `p_cb>X`, `violation_secs>X` clauses; any
-//! violated clause prints and the exit code goes nonzero.
+//! AC2/AC3 neighbor check, and the verdict — into a bounded ring
+//! (`--no-flight` switches it off). When `p_hd_burn` fires, the
+//! surrounding record window is frozen to `obs_flight_<cell>_<ts>.json`.
+//!
+//! `qres obs <view> <file>` reads those artifacts:
+//!
+//! * `calib` renders the reliability diagram, Brier score and
+//!   per-`prev`-cell breakdown of `obs_calib.json` (or a `/qos` body).
+//! * `diff` compares two `/metrics.json` snapshots (bare, or embedded
+//!   under a run report's `"obs"` key) metric by metric, including per-cell
+//!   QoS movement and the watchdog's tallies. `--fail-on SPEC` gates on
+//!   it: a comma-separated list of `counters`, `alerts`, `qos`, `NAME>X`,
+//!   `p_hd>X`, `p_cb>X`, `violation_secs>X` clauses; a violated clause
+//!   exits 1.
+//! * `alerts` replays the alert timeline from `obs_alerts.json`, the JSONL
+//!   event spill, or any JSON artifact carrying an `"alerts"` section.
+//! * `explain` renders a flight-recorder document as a per-cell
+//!   denial-cause report.
+//! * `replay` re-executes a recorded window through the same admission
+//!   predicates the live system ran and exits 1 unless every verdict
+//!   reproduces bit-identically.
 
 use std::path::Path;
 use std::process::ExitCode;
@@ -100,18 +80,19 @@ use qres::sim::{run_scenario, Scenario, SchemeKind, TimeVaryingConfig};
 const OBS_PROM_PATH: &str = "obs_snapshot.prom";
 /// JSONL event stream written by `--obs`.
 const OBS_JSONL_PATH: &str = "obs_events.jsonl";
-/// QoS/calibration snapshot written by `--obs` (input to `qres obscalib`).
+/// QoS/calibration snapshot written by `--obs` (input to `qres obs calib`).
 const OBS_CALIB_PATH: &str = "obs_calib.json";
-/// SLO watchdog alert timeline written by `--obs` (input to `qres obswatch`).
+/// SLO watchdog alert timeline written by `--obs` (input to `qres obs alerts`).
 const OBS_ALERTS_PATH: &str = "obs_alerts.json";
 /// Flight-recorder decision tape written by `--obs` (input to
-/// `qres obsexplain` / `qres obsreplay`).
+/// `qres obs explain` / `qres obs replay`).
 const OBS_FLIGHT_PATH: &str = "obs_flight.json";
 
 /// The flags `qres run` takes.
 const RUN_FLAGS: Flags = Flags {
     usage: "qres run <scenario.json> [--json] [--obs] [--obs-sample N] [--no-flight] \
             [--serve HOST:PORT [--linger-secs N]] [--slo-target P] [--slo-burn X]",
+    files: &["<scenario.json>"],
     switches: &["--json", "--obs", "--no-flight"],
     valued: &[
         "--obs-sample",
@@ -126,6 +107,7 @@ const RUN_FLAGS: Flags = Flags {
 const SWEEP_FLAGS: Flags = Flags {
     usage: "qres sweep <scenario.json> [--loads 60,120,300] [--obs] [--obs-sample N] \
             [--no-flight] [--slo-target P] [--slo-burn X]",
+    files: &["<scenario.json>"],
     switches: &["--obs", "--no-flight"],
     valued: &["--loads", "--obs-sample", "--slo-target", "--slo-burn"],
 };
@@ -134,6 +116,7 @@ const SWEEP_FLAGS: Flags = Flags {
 const SERVE_FLAGS: Flags = Flags {
     usage: "qres serve <scenario.json> [--addr HOST:PORT] [--loads 60,120,300] [--sequential] \
             [--linger-secs N] [--obs-sample N] [--no-flight] [--slo-target P] [--slo-burn X]",
+    files: &["<scenario.json>"],
     switches: &["--sequential", "--no-flight"],
     valued: &[
         "--addr",
@@ -152,29 +135,17 @@ fn main() -> ExitCode {
         Some("run") => exit_code(run(&args[1..])),
         Some("sweep") => exit_code(sweep(&args[1..])),
         Some("serve") => exit_code(serve(&args[1..])),
-        Some("obslint") => obslint(&args[1..]),
-        Some("obscheck") => obscheck(&args[1..]),
-        Some("obsfold") => obsfold(&args[1..]),
-        Some("obstrace") => obstrace(&args[1..]),
-        Some("obscalib") => obscalib(&args[1..]),
-        Some("obsdiff") => obsdiff(&args[1..]),
-        Some("obswatch") => obswatch(&args[1..]),
-        Some("obsexplain") => obsexplain(&args[1..]),
-        Some("obsreplay") => obsreplay(&args[1..]),
-        _ => {
+        Some("obs") => exit_code(obs(&args[1..])),
+        other => {
+            if let Some(other) = other {
+                eprintln!("unknown subcommand `{other}`");
+            }
             eprintln!(
-                "usage:\n  qres template [stationary|time-varying|wired|metro]\n  {}\n  {}\n  {}\n  \
-                 qres obslint <snapshot.prom>\n  \
-                 qres obscheck <events.jsonl> [--all-types] [--monotonic]\n  \
-                 qres obsfold <events.jsonl>\n  \
-                 qres obstrace <events.jsonl> [-o trace.json]\n  \
-                 qres obstrace --diff <a.json> <b.json>\n  \
-                 qres obscalib <obs_calib.json>\n  \
-                 qres obsdiff <a.json> <b.json> [--fail-on SPEC]\n  \
-                 qres obswatch <obs_events.jsonl | obs_alerts.json | snapshot.json>\n  \
-                 qres obsexplain <obs_flight.json | obs_flight_CELL_TS.json>\n  \
-                 qres obsreplay <obs_flight.json | obs_flight_CELL_TS.json>",
-                RUN_FLAGS.usage, SWEEP_FLAGS.usage, SERVE_FLAGS.usage
+                "usage:\n  qres template [stationary|time-varying|wired|metro]\n  {}\n  {}\n  {}\n  {}",
+                RUN_FLAGS.usage,
+                SWEEP_FLAGS.usage,
+                SERVE_FLAGS.usage,
+                view_usages("\n  ")
             );
             ExitCode::from(2)
         }
@@ -223,28 +194,29 @@ fn exit_code(result: Result<(), Failure>) -> ExitCode {
     }
 }
 
-/// The flags a subcommand takes: switches, and flags followed by a value.
+/// The arguments a subcommand takes: its file arguments, switches, and
+/// flags followed by a value.
 struct Flags {
     usage: &'static str,
+    files: &'static [&'static str],
     switches: &'static [&'static str],
     valued: &'static [&'static str],
 }
 
-/// A parsed `run`/`sweep`/`serve` command line: the scenario path and the
-/// flags given.
+/// A parsed command line: the file arguments and the flags given.
 struct Cli<'a> {
-    path: &'a str,
+    files: Vec<&'a str>,
     switches: Vec<&'a str>,
     values: Vec<(&'a str, &'a str)>,
 }
 
 impl<'a> Cli<'a> {
     /// Parses `args` against `flags`. A flag the subcommand does not take,
-    /// a flag without its value, and a second positional argument are
+    /// a flag without its value, and a missing or extra file argument are
     /// usage errors.
     fn parse(args: &'a [String], flags: &Flags) -> Result<Self, Failure> {
         let usage = |e: String| Failure::Usage(format!("{e}\nusage: {}", flags.usage));
-        let mut path = None;
+        let mut files = Vec::new();
         let mut switches = Vec::new();
         let mut values = Vec::new();
         let mut it = args.iter().map(String::as_str);
@@ -258,13 +230,17 @@ impl<'a> Cli<'a> {
                 values.push((arg, value));
             } else if arg.starts_with('-') {
                 return Err(usage(format!("unknown flag `{arg}`")));
-            } else if path.replace(arg).is_some() {
+            } else if files.len() == flags.files.len() {
                 return Err(usage(format!("unexpected argument `{arg}`")));
+            } else {
+                files.push(arg);
             }
         }
-        let path = path.ok_or_else(|| usage("missing <scenario.json>".to_string()))?;
+        if let Some(missing) = flags.files.get(files.len()) {
+            return Err(usage(format!("missing {missing}")));
+        }
         Ok(Cli {
-            path,
+            files,
             switches,
             values,
         })
@@ -399,14 +375,6 @@ fn load_sweep(path: &str, loads: &[f64]) -> Result<Scenario, Failure> {
     Ok(base)
 }
 
-/// The value following a `--flag`, if the flag is present.
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-}
-
 /// Flushes buffered events to [`OBS_JSONL_PATH`], writes the Prometheus
 /// exposition to [`OBS_PROM_PATH`], the QoS/calibration snapshot to
 /// [`OBS_CALIB_PATH`], the SLO alert timeline to [`OBS_ALERTS_PATH`], and
@@ -477,7 +445,7 @@ fn run(args: &[String]) -> Result<(), Failure> {
             "--serve requires --obs (the endpoint serves the telemetry plane)".into(),
         ));
     }
-    let scenario = load_scenario(cli.path).map_err(Failure::Run)?;
+    let scenario = load_scenario(cli.files[0]).map_err(Failure::Run)?;
     opts.apply(obs)?;
     let server = serve_addr.map(start_server).transpose()?;
     if let Some(s) = &server {
@@ -517,7 +485,7 @@ fn sweep(args: &[String]) -> Result<(), Failure> {
     let obs = cli.has("--obs");
     let opts = ObsOpts::parse(&cli)?;
     let loads = cli.loads()?;
-    let base = load_sweep(cli.path, &loads)?;
+    let base = load_sweep(cli.files[0], &loads)?;
     opts.apply(obs)?;
     let points = qres::sim::sweep_offered_load(&base, &loads);
     print!("{}", sweep_table(&points));
@@ -559,18 +527,17 @@ fn sweep_table(points: &[qres::sim::runner::SweepPoint]) -> String {
 ///
 /// Telemetry is always on here (that is the point), spilling to
 /// [`OBS_JSONL_PATH`] and writing [`OBS_PROM_PATH`] at the end, exactly
-/// like `sweep --obs`. `--sequential` uses the single-threaded sweep so
-/// the event stream satisfies the `obsfold`/`obstrace` pairing assumption
-/// (and, with a single `--loads` point, `obscheck --monotonic`);
-/// `--linger-secs N` keeps the
-/// endpoint up after the sweep so a scraper can collect the final state.
+/// like `sweep --obs`. `--sequential` runs the points one after another,
+/// so the event stream holds one point's events at a time instead of
+/// interleaving them; `--linger-secs N` keeps the endpoint up after the
+/// sweep so a scraper can collect the final state.
 fn serve(args: &[String]) -> Result<(), Failure> {
     let cli = Cli::parse(args, &SERVE_FLAGS)?;
     let addr = cli.value("--addr").unwrap_or("127.0.0.1:9464");
     let opts = ObsOpts::parse(&cli)?;
     let linger_secs = cli.linger_secs()?;
     let loads = cli.loads()?;
-    let base = load_sweep(cli.path, &loads)?;
+    let base = load_sweep(cli.files[0], &loads)?;
     opts.apply(true)?;
     let server = start_server(addr)?;
     eprintln!(
@@ -590,467 +557,158 @@ fn serve(args: &[String]) -> Result<(), Failure> {
     Ok(())
 }
 
-/// Lints a Prometheus text-exposition file against the in-repo format
-/// checker ([`qres::obs::validate_prometheus_text`]).
-fn obslint(args: &[String]) -> ExitCode {
-    let Some(path) = args.first() else {
-        eprintln!("qres obslint <snapshot.prom>");
-        return ExitCode::from(2);
-    };
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("reading {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match qres::obs::validate_prometheus_text(&text) {
-        Ok(()) => {
-            println!("{path}: ok ({} lines)", text.lines().count());
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("{path}: {e}");
-            ExitCode::FAILURE
-        }
-    }
+/// One `qres obs` view: the arguments it takes and what it prints.
+struct View {
+    name: &'static str,
+    flags: Flags,
+    show: fn(&Cli<'_>) -> Result<(), Failure>,
 }
 
-/// The event-type groups `obscheck --all-types` requires. HOE insert and
-/// evict share a group: evictions only happen on runs long enough to age
-/// quadruplets out, which a smoke run need not be.
-const OBS_REQUIRED_GROUPS: [&[&str]; 6] = [
-    &["admission"],
-    &["br_compute"],
-    &["t_est_change"],
-    &["hoe_insert", "hoe_evict"],
-    &["queue_high_water"],
-    &["backbone_send"],
+/// The `qres obs` views over the artifacts `--obs` writes.
+const VIEWS: [View; 5] = [
+    View {
+        name: "calib",
+        flags: Flags {
+            usage: "qres obs calib <obs_calib.json>",
+            files: &["<obs_calib.json>"],
+            switches: &[],
+            valued: &[],
+        },
+        show: show_calib,
+    },
+    View {
+        name: "diff",
+        flags: Flags {
+            usage: "qres obs diff <a.json> <b.json> [--fail-on SPEC]",
+            files: &["<a.json>", "<b.json>"],
+            switches: &[],
+            valued: &["--fail-on"],
+        },
+        show: show_diff,
+    },
+    View {
+        name: "alerts",
+        flags: Flags {
+            usage: "qres obs alerts <obs_alerts.json | obs_events.jsonl | snapshot.json>",
+            files: &["<obs_alerts.json>"],
+            switches: &[],
+            valued: &[],
+        },
+        show: show_alerts,
+    },
+    View {
+        name: "explain",
+        flags: Flags {
+            usage: "qres obs explain <obs_flight.json | obs_flight_CELL_TS.json>",
+            files: &["<obs_flight.json>"],
+            switches: &[],
+            valued: &[],
+        },
+        show: show_explain,
+    },
+    View {
+        name: "replay",
+        flags: Flags {
+            usage: "qres obs replay <obs_flight.json | obs_flight_CELL_TS.json>",
+            files: &["<obs_flight.json>"],
+            switches: &[],
+            valued: &[],
+        },
+        show: show_replay,
+    },
 ];
 
-/// Checks that every line of an `--obs` event stream parses back through
-/// `qres-json` as an object tagged with `"type"` and stamped with `"t"`.
-/// With `--all-types`, additionally requires every event group of
-/// [`OBS_REQUIRED_GROUPS`] to appear at least once. With `--monotonic`,
-/// additionally requires sim-time to never decrease — globally (the
-/// ring→JSONL spill must preserve recording order) and per cell. Only a
-/// single-run stream satisfies this (`qres run --obs`, or `qres serve
-/// --sequential` with one `--loads` point): parallel sweeps interleave
-/// points' events, and even a sequential multi-point sweep restarts
-/// sim-time at zero for every point.
-fn obscheck(args: &[String]) -> ExitCode {
-    let Some(path) = args.first() else {
-        eprintln!("qres obscheck <events.jsonl> [--all-types] [--monotonic]");
-        return ExitCode::from(2);
+/// `qres obs <view> <file>...`: parses the view's arguments, then shows it.
+fn obs(args: &[String]) -> Result<(), Failure> {
+    let name = args.first().map_or("", String::as_str);
+    let Some(view) = VIEWS.iter().find(|v| v.name == name) else {
+        let what = if name.is_empty() {
+            "missing <view>".to_string()
+        } else {
+            format!("unknown view `{name}`")
+        };
+        return Err(Failure::Usage(format!(
+            "{what}\nusage: {}",
+            view_usages("\n       ")
+        )));
     };
-    let all_types = args.iter().any(|a| a == "--all-types");
-    let monotonic = args.iter().any(|a| a == "--monotonic");
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("reading {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let mut counts: Vec<(String, u64)> = Vec::new();
-    let mut total = 0u64;
-    let mut last_t_global = f64::NEG_INFINITY;
-    let mut last_t_per_cell: std::collections::BTreeMap<u64, f64> =
-        std::collections::BTreeMap::new();
-    for (lineno, line) in text.lines().enumerate() {
-        if line.is_empty() {
-            continue;
-        }
-        let value = match qres_json::Value::parse(line) {
-            Ok(v) => v,
-            Err(e) => {
-                eprintln!("{path}:{}: not valid JSON: {e}", lineno + 1);
-                return ExitCode::FAILURE;
-            }
-        };
-        let qres_json::Value::Object(fields) = &value else {
-            eprintln!("{path}:{}: event is not a JSON object", lineno + 1);
-            return ExitCode::FAILURE;
-        };
-        let Some((_, qres_json::Value::Str(tag))) = fields.iter().find(|(k, _)| k == "type") else {
-            eprintln!("{path}:{}: event has no string \"type\" field", lineno + 1);
-            return ExitCode::FAILURE;
-        };
-        let t = match value.get("t") {
-            Some(qres_json::Value::Float(f)) => *f,
-            Some(qres_json::Value::Int(n)) => *n as f64,
-            Some(qres_json::Value::UInt(n)) => *n as f64,
-            _ => {
-                eprintln!(
-                    "{path}:{}: event has no numeric \"t\" timestamp",
-                    lineno + 1
-                );
-                return ExitCode::FAILURE;
-            }
-        };
-        if monotonic {
-            if t < last_t_global {
-                eprintln!(
-                    "{path}:{}: sim-time went backwards ({t} after {last_t_global}) — \
-                     spill ordering violated, or the stream holds more than one run \
-                     (each sweep point restarts sim-time; use `qres run --obs` or a \
-                     one-point `qres serve --sequential` for monotonic streams)",
-                    lineno + 1
-                );
-                return ExitCode::FAILURE;
-            }
-            last_t_global = t;
-            let cell = match value.get("cell") {
-                Some(qres_json::Value::UInt(c)) => Some(*c),
-                Some(qres_json::Value::Int(c)) if *c >= 0 => Some(*c as u64),
-                _ => None,
-            };
-            if let Some(c) = cell {
-                let last = last_t_per_cell.entry(c).or_insert(f64::NEG_INFINITY);
-                if t < *last {
-                    eprintln!(
-                        "{path}:{}: sim-time went backwards within cell {c} ({t} after {last})",
-                        lineno + 1
-                    );
-                    return ExitCode::FAILURE;
-                }
-                *last = t;
-            }
-        }
-        match counts.iter_mut().find(|(k, _)| k == tag) {
-            Some((_, n)) => *n += 1,
-            None => counts.push((tag.clone(), 1)),
-        }
-        total += 1;
-    }
-    if total == 0 {
-        eprintln!("{path}: no events");
-        return ExitCode::FAILURE;
-    }
-    if all_types {
-        for group in OBS_REQUIRED_GROUPS {
-            if !group.iter().any(|t| counts.iter().any(|(k, _)| k == t)) {
-                eprintln!("{path}: no event of type {}", group.join(" or "));
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    counts.sort();
-    let summary: Vec<String> = counts.iter().map(|(k, n)| format!("{k}={n}")).collect();
-    let checks = if monotonic {
-        ", sim-time monotonic"
+    (view.show)(&Cli::parse(&args[1..], &view.flags)?)
+}
+
+/// The usage lines of every view, joined by `sep`.
+fn view_usages(sep: &str) -> String {
+    let lines: Vec<&str> = VIEWS.iter().map(|v| v.flags.usage).collect();
+    lines.join(sep)
+}
+
+fn read(path: &str) -> Result<String, Failure> {
+    std::fs::read_to_string(path).map_err(|e| Failure::Run(format!("reading {path}: {e}")))
+}
+
+fn read_json(path: &str) -> Result<qres_json::Value, Failure> {
+    qres_json::Value::parse(&read(path)?)
+        .map_err(|e| Failure::Run(format!("{path}: not valid JSON: {e}")))
+}
+
+/// Prints a rendered report, or fails naming the file it came from.
+fn print_report(path: &str, report: Result<String, String>) -> Result<(), Failure> {
+    print!(
+        "{}",
+        report.map_err(|e| Failure::Run(format!("{path}: {e}")))?
+    );
+    Ok(())
+}
+
+fn show_calib(cli: &Cli<'_>) -> Result<(), Failure> {
+    let path = cli.files[0];
+    print_report(path, qres::obs::render_calib_report(&read_json(path)?))
+}
+
+fn show_alerts(cli: &Cli<'_>) -> Result<(), Failure> {
+    let path = cli.files[0];
+    print_report(path, qres::obs::render_watch(&read(path)?))
+}
+
+fn show_explain(cli: &Cli<'_>) -> Result<(), Failure> {
+    let path = cli.files[0];
+    print_report(path, qres::obs::render_explain(&read_json(path)?))
+}
+
+fn show_replay(cli: &Cli<'_>) -> Result<(), Failure> {
+    let path = cli.files[0];
+    let summary = qres::replay::replay_flight_doc(&read_json(path)?)
+        .map_err(|e| Failure::Run(format!("{path}: {e}")))?;
+    print!("{}", qres::replay::render_summary(&summary));
+    if summary.is_clean() {
+        Ok(())
     } else {
-        ""
-    };
-    println!("{path}: ok ({total} events: {}{checks})", summary.join(" "));
-    ExitCode::SUCCESS
-}
-
-/// Renders the event stream as folded stacks for `flamegraph.pl` /
-/// `inferno-flamegraph` (written to stdout, ready to pipe).
-fn obsfold(args: &[String]) -> ExitCode {
-    let Some(path) = args.first() else {
-        eprintln!("qres obsfold <events.jsonl>");
-        return ExitCode::from(2);
-    };
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("reading {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match qres::obs::folded_stacks(&text) {
-        Ok(folded) if folded.is_empty() => {
-            eprintln!("{path}: no admission/br_compute events to fold");
-            ExitCode::FAILURE
-        }
-        Ok(folded) => {
-            print!("{folded}");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("{path}: {e}");
-            ExitCode::FAILURE
-        }
+        Err(Failure::Run(format!(
+            "{path}: recorded verdicts do not replay"
+        )))
     }
 }
 
-/// Renders the event stream as Perfetto-importable trace-event JSON
-/// (stdout, or `-o <file>`). With `--diff A.json B.json`, instead
-/// structurally compares two already-rendered traces: per-name span
-/// counts and total durations, plus parent→child nestings present in one
-/// trace but not the other.
-fn obstrace(args: &[String]) -> ExitCode {
-    if args.first().map(String::as_str) == Some("--diff") {
-        let (Some(path_a), Some(path_b)) = (args.get(1), args.get(2)) else {
-            eprintln!("qres obstrace --diff <a.json> <b.json>");
-            return ExitCode::from(2);
-        };
-        let parse = |path: &str| -> Result<qres_json::Value, String> {
-            let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-            qres_json::Value::parse(&text).map_err(|e| format!("{path}: not valid JSON: {e}"))
-        };
-        let (a, b) = match (parse(path_a), parse(path_b)) {
-            (Ok(a), Ok(b)) => (a, b),
-            (Err(e), _) | (_, Err(e)) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        return match qres::obs::diff_traces(&a, &b, path_a, path_b) {
-            Ok(report) => {
-                print!("{report}");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("{e}");
-                ExitCode::FAILURE
-            }
-        };
+/// Prints the diff; with `--fail-on SPEC`, fails (exit 1) on a violated
+/// clause and rejects a malformed SPEC (exit 2).
+fn show_diff(cli: &Cli<'_>) -> Result<(), Failure> {
+    let (path_a, path_b) = (cli.files[0], cli.files[1]);
+    let (a, b) = (read_json(path_a)?, read_json(path_b)?);
+    print!(
+        "{}",
+        qres::obs::diff_snapshots(&a, &b, path_a, path_b).map_err(Failure::Run)?
+    );
+    let Some(spec) = cli.value("--fail-on") else {
+        return Ok(());
+    };
+    let violations = qres::obs::check_fail_on(&a, &b, spec)
+        .map_err(|e| Failure::Usage(format!("--fail-on {spec}: {e}")))?;
+    if violations.is_empty() {
+        println!("--fail-on {spec}: clean");
+        return Ok(());
     }
-    let Some(path) = args.first() else {
-        eprintln!("qres obstrace <events.jsonl> [-o trace.json]");
-        return ExitCode::from(2);
-    };
-    let out_path = flag_value(args, "-o");
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("reading {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let doc = match qres::obs::perfetto_trace(&text) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("{path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let rendered = doc.to_compact_string();
-    match out_path {
-        Some(out) => {
-            if let Err(e) = std::fs::write(out, &rendered) {
-                eprintln!("writing {out}: {e}");
-                return ExitCode::FAILURE;
-            }
-            eprintln!("[obs] trace -> {out} (open at ui.perfetto.dev)");
-            ExitCode::SUCCESS
-        }
-        None => {
-            println!("{rendered}");
-            ExitCode::SUCCESS
-        }
-    }
-}
-
-/// Renders the Eq.-4 prediction-calibration report (reliability diagram,
-/// Brier score, per-`prev`-cell breakdown) from the `obs_calib.json`
-/// written by `--obs` — also accepts a bare calibration snapshot or a
-/// `/qos` scrape body.
-fn obscalib(args: &[String]) -> ExitCode {
-    let Some(path) = args.first() else {
-        eprintln!("qres obscalib <obs_calib.json>");
-        return ExitCode::from(2);
-    };
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("reading {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let doc = match qres_json::Value::parse(&text) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("{path}: not valid JSON: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match qres::obs::render_calib_report(&doc) {
-        Ok(report) => {
-            print!("{report}");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("{path}: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-/// Diffs two metrics snapshots (`/metrics.json` bodies, or run reports
-/// embedding one under `"obs"`) metric by metric. `--fail-on SPEC` turns
-/// the diff into a CI gate: SPEC is a comma-separated list of clauses
-/// (`counters`, `alerts`, `qos`, `NAME>X`, `p_hd>X`, `p_cb>X`,
-/// `violation_secs>X`); any violated clause prints and the exit code goes
-/// nonzero.
-fn obsdiff(args: &[String]) -> ExitCode {
-    let fail_on = match flag_value(args, "--fail-on") {
-        None if args.iter().any(|a| a == "--fail-on") => {
-            eprintln!("--fail-on requires a spec (e.g. counters,p_hd>0.001)");
-            return ExitCode::from(2);
-        }
-        spec => spec,
-    };
-    let files: Vec<&String> = {
-        let mut skip = false;
-        args.iter()
-            .filter(|a| {
-                if skip {
-                    skip = false;
-                    return false;
-                }
-                if *a == "--fail-on" {
-                    skip = true;
-                    return false;
-                }
-                true
-            })
-            .collect()
-    };
-    let (Some(path_a), Some(path_b)) = (files.first(), files.get(1)) else {
-        eprintln!("qres obsdiff <a.json> <b.json> [--fail-on SPEC]");
-        return ExitCode::from(2);
-    };
-    let parse = |path: &str| -> Result<qres_json::Value, String> {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-        qres_json::Value::parse(&text).map_err(|e| format!("{path}: not valid JSON: {e}"))
-    };
-    let (a, b) = match (parse(path_a), parse(path_b)) {
-        (Ok(a), Ok(b)) => (a, b),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match qres::obs::diff_snapshots(&a, &b, path_a, path_b) {
-        Ok(report) => print!("{report}"),
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    if let Some(spec) = fail_on {
-        match qres::obs::check_fail_on(&a, &b, spec) {
-            Ok(violations) if violations.is_empty() => {
-                println!("--fail-on {spec}: clean");
-            }
-            Ok(violations) => {
-                for v in &violations {
-                    eprintln!("--fail-on violated: {v}");
-                }
-                return ExitCode::FAILURE;
-            }
-            Err(e) => {
-                eprintln!("--fail-on {spec}: {e}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    ExitCode::SUCCESS
-}
-
-/// `qres obswatch <file>`: offline alert-timeline replay. Accepts the
-/// `--obs` JSONL event spill (replays `alert_transition` events), the
-/// written `obs_alerts.json`, or any snapshot embedding an `"alerts"`
-/// section, and renders the rule/cell timeline as text.
-fn obswatch(args: &[String]) -> ExitCode {
-    let Some(path) = args.first() else {
-        eprintln!("qres obswatch <obs_events.jsonl | obs_alerts.json | snapshot.json>");
-        return ExitCode::from(2);
-    };
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("reading {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match qres::obs::render_watch(&text) {
-        Ok(report) => {
-            print!("{report}");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("{path}: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-/// `qres obsexplain <file>`: renders a flight-recorder document (the
-/// `obs_flight.json` tape, an alert capture `obs_flight_<cell>_<ts>.json`,
-/// or any snapshot embedding a `"flight"` section) as a per-cell
-/// admission report naming the dominant denial cause, with a full
-/// input-by-input breakdown of each cell's most recent denial.
-fn obsexplain(args: &[String]) -> ExitCode {
-    let Some(path) = args.first() else {
-        eprintln!("qres obsexplain <obs_flight.json | obs_flight_CELL_TS.json>");
-        return ExitCode::from(2);
-    };
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("reading {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let doc = match qres_json::Value::parse(&text) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("{path}: not valid JSON: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match qres::obs::render_explain(&doc) {
-        Ok(report) => {
-            print!("{report}");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("{path}: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-/// `qres obsreplay <file>`: re-executes every decision in a
-/// flight-recorder document through the live admission predicates
-/// ([`qres::replay`]) and exits nonzero unless all verdicts reproduce
-/// bit-identically.
-fn obsreplay(args: &[String]) -> ExitCode {
-    let Some(path) = args.first() else {
-        eprintln!("qres obsreplay <obs_flight.json | obs_flight_CELL_TS.json>");
-        return ExitCode::from(2);
-    };
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("reading {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let doc = match qres_json::Value::parse(&text) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("{path}: not valid JSON: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match qres::replay::replay_flight_doc(&doc) {
-        Ok(summary) => {
-            print!("{}", qres::replay::render_summary(&summary));
-            if summary.is_clean() {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            }
-        }
-        Err(e) => {
-            eprintln!("{path}: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    let lines: Vec<String> = violations
+        .iter()
+        .map(|v| format!("--fail-on violated: {v}"))
+        .collect();
+    Err(Failure::Run(lines.join("\n")))
 }

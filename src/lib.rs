@@ -20,7 +20,7 @@
 //! * [`obs`] — the telemetry layer: structured event tracing, hot-path
 //!   timing histograms, Prometheus/JSON exporters (off by default);
 //! * [`replay`] — deterministic re-execution of flight-recorder decision
-//!   windows (`qres obsreplay`), proving a capture's verdicts reproduce
+//!   windows (`qres obs replay`), proving a capture's verdicts reproduce
 //!   bit-identically from their recorded inputs.
 //!
 //! ## Quickstart

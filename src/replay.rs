@@ -1,6 +1,6 @@
 //! Deterministic re-execution of flight-recorder decision windows.
 //!
-//! `qres obsreplay` feeds a captured window of [`FlightRecord`]s back
+//! `qres obs replay` feeds a captured window of [`FlightRecord`]s back
 //! through the *same* admission predicates the live system ran
 //! ([`qres_core::admission::admits_with_reserve`] and
 //! [`qres_core::admission::neighbor_reserve_feasible`]) and checks that

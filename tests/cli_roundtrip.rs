@@ -132,17 +132,19 @@ fn qres_run_rejects_invalid_scenario_files() {
     }
 }
 
-/// Runs the `qres` binary with `args` after the subcommand, on a valid
-/// scenario file; returns the exit code and stderr.
+/// Runs the `qres` binary with `args` after the subcommand (its words
+/// split on spaces, as in `obs diff`), on a valid scenario file; returns
+/// the exit code and stderr.
 fn qres_on_valid_file(subcommand: &str, args: &[&str]) -> (Option<i32>, String) {
     let path = std::env::temp_dir().join(format!(
-        "qres_cli_{}_{subcommand}_{}.json",
+        "qres_cli_{}_{}_{}.json",
         std::process::id(),
+        subcommand.replace(' ', "-"),
         args.join("_").replace(['/', ':', '.'], "-")
     ));
     std::fs::write(&path, qres_json::to_string(&Scenario::paper_baseline())).unwrap();
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_qres"))
-        .arg(subcommand)
+        .args(subcommand.split(' '))
         .arg(&path)
         .args(args)
         .output()
@@ -182,17 +184,34 @@ fn invalid_swept_loads_are_rejected_before_the_sweep() {
     }
 }
 
-/// `run`, `sweep` and `serve` reject a flag they do not take — a deleted
-/// one or a typo — with exit 2, naming it; a bad flag value is exit 2 too.
+/// Every subcommand rejects a flag it does not take — a deleted one or a
+/// typo — with exit 2, naming it; so are a bad flag value, a missing or
+/// extra file argument, an unknown `obs` view and a removed subcommand.
 #[test]
 fn unknown_flags_and_bad_values_exit_2() {
-    let cases: [(&str, &[&str], &str); 6] = [
+    let cases: [(&str, &[&str], &str); 14] = [
         ("run", &["--obs-push", "127.0.0.1:1"], "`--obs-push`"),
         ("run", &["--obs", "--obs-sampel", "4"], "`--obs-sampel`"),
         ("sweep", &["--slo-sample", "30"], "`--slo-sample`"),
         ("serve", &["--no-watchdog"], "`--no-watchdog`"),
         ("run", &["--obs-sample", "0"], "--obs-sample expects"),
         ("run", &["--linger-secs", "x"], "--linger-secs expects"),
+        (
+            "obs diff",
+            &["b.json", "--fial-on", "counters"],
+            "`--fial-on`",
+        ),
+        ("obs diff", &[], "missing <b.json>"),
+        (
+            "obs diff",
+            &["b.json", "--fail-on"],
+            "--fail-on requires a value",
+        ),
+        ("obs alerts", &["--monotnic"], "`--monotnic`"),
+        ("obs calib", &["extra"], "`extra`"),
+        ("obs frobnicate", &[], "unknown view `frobnicate`"),
+        ("obsfold", &[], "unknown subcommand `obsfold`"),
+        ("obsdiff", &["b.json"], "unknown subcommand `obsdiff`"),
     ];
     for (subcommand, args, named) in cases {
         let (code, stderr) = qres_on_valid_file(subcommand, args);

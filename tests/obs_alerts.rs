@@ -1,7 +1,6 @@
 //! End-to-end checks of the SLO watchdog plane: the alert rules driven
 //! through real QoS traffic, `/alerts` + `/healthz` scraped over real TCP,
-//! and the shard auto-sizing that keeps per-cell attribution intact at
-//! metro scale.
+//! and a lint-clean exposition at metro scale.
 //!
 //! This file is its own test binary, so flipping the process-global obs
 //! state here cannot race the determinism or smoke suites; the tests
@@ -46,29 +45,27 @@ fn force_violation(cell: u32, t: f64) {
     obs::watchdog_tick(t);
 }
 
-/// The metro topology must auto-size the per-cell histogram shards so no
-/// cell folds into the overflow shard (satellite of DESIGN §10.3: per-cell
-/// attribution survives 1024 cells without manual configuration).
+/// A metro run's exposition lints clean, and its timing histograms are
+/// single unlabelled series: no `cell=` label at 1024 cells.
 #[test]
-fn metro_topology_autosizes_cell_shards_without_overflow() {
+fn metro_exposition_lints_without_per_cell_timing_series() {
     let _guard = LOCK.lock().unwrap();
     reset_all();
     obs::set_level(obs::Level::Info);
-    let before = obs::metrics::SHARD_OVERFLOW_TOTAL.get();
-    // A few sim-seconds of metro traffic touches cells across the whole
-    // 32 x 32 grid; construction alone performs the ensure call.
     let scenario = qres::sim::Scenario::metro().duration_secs(5.0).seed(3);
     let r = qres::sim::run_scenario(&scenario);
     assert!(r.events_dispatched > 0);
+    let prom = obs::prometheus_text();
+    obs::validate_prometheus_text(&prom).expect("metro exposition must lint clean");
+    assert!(prom.contains("\nqres_admission_test_ns_count "));
+    let labelled_timing: Vec<&str> = prom
+        .lines()
+        .filter(|l| l.contains("_ns_") && l.contains("cell="))
+        .collect();
     assert!(
-        obs::cell_shards() >= 1024,
-        "metro run must raise the shard cap to the topology size, got {}",
-        obs::cell_shards()
-    );
-    assert_eq!(
-        obs::metrics::SHARD_OVERFLOW_TOTAL.get(),
-        before,
-        "no metro cell may fold into the overflow shard"
+        labelled_timing.is_empty(),
+        "timing series carry a cell label: {:?}",
+        &labelled_timing[..labelled_timing.len().min(3)]
     );
     reset_all();
 }
@@ -157,7 +154,7 @@ fn alerts_route_serves_watchdog_document() {
 }
 
 /// The alert document written by `obs_finish` round-trips through the
-/// offline `qres obswatch` renderer (snapshot form), and the JSONL event
+/// offline `qres obs alerts` renderer (snapshot form), and the JSONL event
 /// spill form renders the same transitions.
 #[test]
 fn alert_timeline_round_trips_through_obswatch_renderers() {

@@ -1,6 +1,7 @@
 //! End-to-end telemetry smoke test: one obs-enabled high-load AC3 run must
 //! produce every event group, a lint-clean Prometheus exposition, and a
-//! JSONL stream that parses back through `qres-json`.
+//! JSONL stream that parses back through `qres-json` with sim-time never
+//! decreasing.
 
 use qres::obs;
 
@@ -47,20 +48,42 @@ fn obs_enabled_run_covers_all_event_groups() {
     assert!(prom.contains("qres_event_dispatch_ns_count"));
     assert!(prom.contains("qres_backbone_msgs_total"));
 
-    // Every JSONL line round-trips through qres-json as a tagged object.
+    // Every JSONL line round-trips through qres-json as a tagged object,
+    // and sim-time never decreases, over the whole stream and within each
+    // cell (one run, recorded in order).
     let jsonl = obs::events_to_jsonl(&events);
     let mut lines = 0usize;
+    let mut last_t = f64::NEG_INFINITY;
+    let mut last_t_per_cell = std::collections::BTreeMap::new();
     for line in jsonl.lines() {
-        let qres_json::Value::Object(fields) =
-            qres_json::Value::parse(line).expect("event line must be valid JSON")
-        else {
+        let event = qres_json::Value::parse(line).expect("event line must be valid JSON");
+        let qres_json::Value::Object(fields) = &event else {
             panic!("event line must be an object");
         };
         assert!(fields.iter().any(|(k, _)| k == "type"));
-        assert!(fields.iter().any(|(k, _)| k == "t"));
+        let num = |key: &str| match event.get(key) {
+            Some(qres_json::Value::Float(x)) => Some(*x),
+            Some(qres_json::Value::Int(x)) => Some(*x as f64),
+            Some(qres_json::Value::UInt(x)) => Some(*x as f64),
+            _ => None,
+        };
+        let t = num("t").expect("event has a numeric \"t\"");
+        assert!(
+            t >= last_t,
+            "sim-time went backwards: {line} after t={last_t}"
+        );
+        last_t = t;
+        if let Some(cell) = num("cell") {
+            let last = last_t_per_cell
+                .entry(cell as u64)
+                .or_insert(f64::NEG_INFINITY);
+            assert!(t >= *last, "sim-time went backwards in cell {cell}: {line}");
+            *last = t;
+        }
         lines += 1;
     }
     assert_eq!(lines, events.len());
+    assert!(last_t_per_cell.len() > 1, "events carry their cell ids");
 
     // The JSON snapshot has the six exporter sections, and the QoS view
     // carries the calibration sub-document.
