@@ -11,7 +11,7 @@
 //! baseline. Also reports crossover re-routing efficiency on a two-level
 //! tree backbone (hand-offs between sibling BSs keep their trunk links).
 
-use qres_bench::{emit, header, ExpOptions};
+use qres_bench::{emit, finish, header, ExpOptions};
 use qres_sim::report::SeriesTable;
 use qres_sim::scenario::WiredConfig;
 use qres_sim::{run_scenario, Engine, Scenario, SchemeKind};
@@ -88,4 +88,5 @@ fn main() {
             );
         }
     }
+    finish(&opts);
 }

@@ -6,7 +6,7 @@
 //! over- and under-reservation, tracking both `T_est` and the changing
 //! population of adjacent cells.
 
-use qres_bench::{header, ExpOptions};
+use qres_bench::{finish, header, ExpOptions};
 use qres_sim::{run_scenario, Scenario, SchemeKind};
 
 fn main() {
@@ -46,4 +46,5 @@ fn main() {
             result.p_hd()
         );
     }
+    finish(&opts);
 }

@@ -8,7 +8,7 @@
 //! averaging effect kicks in; each upward step coincides with a `T_est`
 //! increment in Fig. 10.
 
-use qres_bench::{header, ExpOptions};
+use qres_bench::{finish, header, ExpOptions};
 use qres_sim::{run_scenario, Scenario, SchemeKind};
 
 fn main() {
@@ -42,4 +42,5 @@ fn main() {
             result.cells[4].p_hd, result.cells[5].p_hd
         );
     }
+    finish(&opts);
 }

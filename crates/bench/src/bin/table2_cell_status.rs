@@ -7,7 +7,7 @@
 //! while its neighbor admits freely; under AC3 every cell meets the
 //! `P_HD < 0.01` constraint and `P_CB` is balanced across the system.
 
-use qres_bench::{header, ExpOptions};
+use qres_bench::{finish, header, ExpOptions};
 use qres_sim::report::cell_status_table;
 use qres_sim::{run_scenario, Scenario, SchemeKind};
 
@@ -38,4 +38,5 @@ fn main() {
             );
         }
     }
+    finish(&opts);
 }

@@ -9,7 +9,7 @@
 //! requests in cell 1 because it cares about cell 2's feasibility, keeping
 //! every cell's `P_HD` bounded.
 
-use qres_bench::{header, ExpOptions};
+use qres_bench::{finish, header, ExpOptions};
 use qres_sim::report::cell_status_table;
 use qres_sim::{run_scenario, Scenario, SchemeKind};
 
@@ -38,4 +38,5 @@ fn main() {
             );
         }
     }
+    finish(&opts);
 }

@@ -9,8 +9,8 @@
 //! * `--seed <n>` — override the base seed;
 //! * `--csv` — print CSV only (for piping into plotting tools);
 //! * `--obs` — enable telemetry at debug level and write
-//!   `obs_snapshot.prom` (Prometheus exposition) and `obs_events.jsonl`
-//!   (the structured event stream) into the working directory;
+//!   `obs_events.jsonl` (the structured event stream) and `obs.json` (the
+//!   end-of-run telemetry document) into the working directory;
 //! * `--obs-sample <n>` — keep only every n-th debug-tier high-frequency
 //!   event (`br_compute`, `backbone_send`); the rate is exported as the
 //!   `qres_obs_sample_rate` gauge;
@@ -30,10 +30,7 @@
 use std::env;
 use std::path::Path;
 
-/// Prometheus snapshot written by `--obs` (working directory).
-pub const OBS_PROM_PATH: &str = "obs_snapshot.prom";
-/// JSONL event stream written by `--obs` (working directory).
-pub const OBS_JSONL_PATH: &str = "obs_events.jsonl";
+use qres_obs::{OBS_EVENTS_PATH, OBS_JSON_PATH};
 
 const USAGE: &str =
     "options: [--quick] [--seed <n>] [--csv] [--obs] [--obs-sample <n>] [--serve <host:port>]";
@@ -58,8 +55,8 @@ pub struct ExpOptions {
 impl ExpOptions {
     /// Parses options from `std::env::args`. Unknown flags abort with a
     /// usage message. `--obs` switches the recorder on at debug level and
-    /// routes event-ring overflow to [`OBS_JSONL_PATH`] so the stream is
-    /// complete; [`emit`] writes the exposition snapshot at the end.
+    /// routes event-ring overflow to [`OBS_EVENTS_PATH`] so the stream is
+    /// complete; [`finish`] writes [`OBS_JSON_PATH`] at the end.
     /// `--serve <host:port>` (implies `--obs`) starts the live scrape
     /// endpoint; it stays up until the process exits, so a scraper can
     /// collect the final state of a finished experiment.
@@ -113,8 +110,8 @@ impl ExpOptions {
         }
         if opts.obs {
             qres_obs::set_level(qres_obs::Level::Debug);
-            if let Err(e) = qres_obs::set_spill_path(Path::new(OBS_JSONL_PATH)) {
-                die(&format!("cannot create {OBS_JSONL_PATH}: {e}"));
+            if let Err(e) = qres_obs::set_spill_path(Path::new(OBS_EVENTS_PATH)) {
+                die(&format!("cannot create {OBS_EVENTS_PATH}: {e}"));
             }
         }
         if let Some(addr) = &opts.serve {
@@ -165,10 +162,7 @@ pub fn header(opts: &ExpOptions, title: &str) {
     }
 }
 
-/// Prints a rendered table (text + CSV, or CSV only). Under `--obs`, also
-/// flushes telemetry: buffered events are appended to [`OBS_JSONL_PATH`]
-/// and the Prometheus exposition is (re)written to [`OBS_PROM_PATH`] —
-/// repeat calls refresh the snapshot, so the last one wins.
+/// Prints a rendered table (text + CSV, or CSV only), then [`finish`]es.
 pub fn emit(opts: &ExpOptions, table: &qres_sim::report::SeriesTable) {
     if opts.csv_only {
         print!("{}", table.to_csv());
@@ -177,13 +171,18 @@ pub fn emit(opts: &ExpOptions, table: &qres_sim::report::SeriesTable) {
         println!();
         print!("{}", table.to_csv());
     }
-    if opts.obs {
-        qres_obs::flush_spill();
-        let prom = qres_obs::prometheus_text();
-        if let Err(e) = std::fs::write(OBS_PROM_PATH, prom) {
-            eprintln!("warning: cannot write {OBS_PROM_PATH}: {e}");
-        } else if !opts.csv_only {
-            println!("\n[obs] snapshot -> {OBS_PROM_PATH}, events -> {OBS_JSONL_PATH}");
-        }
+    finish(opts);
+}
+
+/// Under `--obs`, writes [`OBS_JSON_PATH`] ([`qres_obs::write_obs_json`]).
+/// Every experiment binary calls it after its last run; the last call wins.
+pub fn finish(opts: &ExpOptions) {
+    if !opts.obs {
+        return;
+    }
+    if let Err(e) = qres_obs::write_obs_json(Path::new(OBS_JSON_PATH)) {
+        eprintln!("warning: cannot write {OBS_JSON_PATH}: {e}");
+    } else if !opts.csv_only {
+        println!("\n[obs] {OBS_JSON_PATH}, events -> {OBS_EVENTS_PATH}");
     }
 }

@@ -1168,7 +1168,7 @@ mod tests {
 
         // Flight records: each test taped both (empty) neighbors' fresh
         // terms with their Eq.-4 internals attached.
-        let records = qres_obs::records_from_doc(&qres_obs::flight_json()).unwrap();
+        let records = qres_obs::records_from_doc(&qres_obs::flight_json(true)).unwrap();
         let ours: Vec<_> = records.iter().filter(|r| r.cell == cell).collect();
         assert_eq!(ours.len(), 6);
         for r in ours {

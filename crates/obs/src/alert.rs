@@ -30,8 +30,8 @@
 //!
 //! Exposed at `GET /alerts`, as the `qres_alert_state{rule,cell}` /
 //! `qres_alerts_fired_total{rule}` Prometheus families, under `"alerts"`
-//! in JSON snapshots, and replayable offline with `qres obs alerts`
-//! ([`render_watch`]).
+//! in JSON snapshots, and rendered offline from `obs.json` by
+//! `qres obs alerts` ([`render_watch`]).
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;
@@ -588,28 +588,11 @@ fn stamp_of(v: Option<&Value>) -> String {
     }
 }
 
-/// Renders the `qres obs alerts` report from a run artifact: either a JSONL
-/// event spill (`obs_events.jsonl` — `alert_transition` lines are
-/// replayed into a timeline) or a JSON document carrying an `"alerts"`
-/// section (an `obs_alerts.json`, a `/metrics.json` snapshot, or a run
-/// report embedding one under `"obs"`).
-pub fn render_watch(text: &str) -> Result<String, String> {
-    if let Ok(doc) = Value::parse(text.trim()) {
-        let alerts = if doc.get("fired_total").is_some() {
-            Some(&doc)
-        } else {
-            doc.get("alerts")
-                .or_else(|| doc.get("obs").and_then(|o| o.get("alerts")))
-        };
-        if let Some(alerts) = alerts {
-            return render_watch_doc(alerts);
-        }
-        return Err("JSON document has no \"alerts\" section".to_string());
-    }
-    render_watch_jsonl(text)
-}
-
-fn render_watch_doc(alerts: &Value) -> Result<String, String> {
+/// Renders the `qres obs alerts` report from the `alerts` section of an
+/// `obs.json` (or a `/metrics.json` snapshot): the alert table, the fired
+/// totals and the transition log.
+pub fn render_watch(doc: &Value) -> Result<String, String> {
+    let alerts = doc.get("alerts").ok_or("no `alerts` section")?;
     let mut out = String::from("alerts:\n");
     let rows = match alerts.get("alerts") {
         Some(Value::Array(rows)) => rows.as_slice(),
@@ -645,53 +628,6 @@ fn render_watch_doc(alerts: &Value) -> Result<String, String> {
                 str_of(tr.get("cell")),
                 str_of(tr.get("state")),
             ));
-        }
-    }
-    Ok(out)
-}
-
-fn render_watch_jsonl(text: &str) -> Result<String, String> {
-    let mut transitions = Vec::new();
-    let mut fired: BTreeMap<String, u64> = BTreeMap::new();
-    let mut parsed_any = false;
-    for (idx, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let value =
-            Value::parse(line).map_err(|e| format!("line {}: not valid JSON: {e}", idx + 1))?;
-        parsed_any = true;
-        match value.get("type") {
-            Some(Value::Str(tag)) if tag == "alert_transition" => {}
-            _ => continue,
-        }
-        let state = str_of(value.get("state"));
-        if state == "firing" {
-            *fired.entry(str_of(value.get("rule"))).or_insert(0) += 1;
-        }
-        transitions.push((
-            num(value.get("t")),
-            str_of(value.get("rule")),
-            str_of(value.get("cell")),
-            state,
-        ));
-    }
-    if !parsed_any {
-        return Err("no JSON lines found".to_string());
-    }
-    let mut out = format!("alert timeline ({} transitions):\n", transitions.len());
-    if transitions.is_empty() {
-        out.push_str("  (no alert transitions recorded)\n");
-    }
-    for (t, rule, cell, state) in &transitions {
-        out.push_str(&format!(
-            "  t={t:<10.1} {rule:<17} cell {cell:<7} -> {state}\n"
-        ));
-    }
-    if !fired.is_empty() {
-        out.push_str("fired:\n");
-        for (rule, n) in &fired {
-            out.push_str(&format!("  {rule:<17} {n}\n"));
         }
     }
     Ok(out)
@@ -881,30 +817,21 @@ mod tests {
     }
 
     #[test]
-    fn obswatch_renders_jsonl_and_snapshot_inputs() {
-        let jsonl = concat!(
-            r#"{"type":"admission","t":1.0,"cell":3,"kind":"new","admitted":true,"bw":1.0,"blocked_by_neighbor":null}"#,
-            "\n",
-            r#"{"type":"alert_transition","t":60.0,"rule":"p_hd_burn","cell":9201,"state":"pending"}"#,
-            "\n",
-            r#"{"type":"alert_transition","t":60.0,"rule":"p_hd_burn","cell":9201,"state":"firing"}"#,
-            "\n",
-        );
-        let report = render_watch(jsonl).expect("jsonl replays");
-        assert!(report.contains("2 transitions"), "{report}");
-        assert!(report.contains("p_hd_burn"), "{report}");
-        assert!(report.contains("firing"), "{report}");
-
-        let doc = r#"{"obs":{"alerts":{"config":{},"fired_total":{"p_hd_burn":2},
+    fn obswatch_renders_the_alerts_section() {
+        let doc = Value::parse(
+            r#"{"alerts":{"config":{},"fired_total":{"p_hd_burn":2},
             "alerts":[{"rule":"p_hd_burn","cell":"7","state":"resolved",
             "since":60.0,"fired_at":60.0,"resolved_at":120.0,
             "fast_burn":0.0,"slow_burn":0.0}],
-            "transitions":[{"t":60.0,"rule":"p_hd_burn","cell":"7","state":"firing"}]}}}"#;
-        let report = render_watch(doc).expect("snapshot renders");
+            "transitions":[{"t":60.0,"rule":"p_hd_burn","cell":"7","state":"firing"}]}}"#,
+        )
+        .unwrap();
+        let report = render_watch(&doc).expect("snapshot renders");
         assert!(report.contains("resolved"), "{report}");
         assert!(report.contains("fired_total"), "{report}");
+        assert!(report.contains("transitions (1)"), "{report}");
 
-        assert!(render_watch("{\"no\":\"alerts\"}").is_err());
-        assert!(render_watch("not json at all").is_err());
+        let no_alerts = Value::parse(r#"{"no":"alerts"}"#).unwrap();
+        assert!(render_watch(&no_alerts).is_err());
     }
 }

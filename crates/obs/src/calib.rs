@@ -530,25 +530,15 @@ pub fn prometheus_fragment(out: &mut String) {
     }
 }
 
-/// Renders a calibration snapshot (the document written to
-/// `obs_calib.json`, or the `"calib"` section of `/qos`) as the
-/// human-readable report `qres obs calib` prints.
-pub fn render_calib_report(v: &Value) -> Result<String, String> {
+/// Renders the calibration part (`qos.calib`) of an `obs.json` or a
+/// `/metrics.json` snapshot as the human-readable report `qres obs calib`
+/// prints.
+pub fn render_calib_report(doc: &Value) -> Result<String, String> {
     use std::fmt::Write as _;
-    // Accept the bare snapshot or a document embedding it.
-    let v = if v.get("global").is_some() {
-        v
-    } else if let Some(inner) = v.get("calib").filter(|c| c.get("global").is_some()) {
-        inner
-    } else if let Some(inner) = v
+    let v = doc
         .get("qos")
         .and_then(|q| q.get("calib"))
-        .filter(|c| c.get("global").is_some())
-    {
-        inner
-    } else {
-        return Err("not a calibration snapshot (no `global` section)".into());
-    };
+        .ok_or("no `qos.calib` section")?;
 
     let count = |key: &str| -> u64 {
         match v.get(key) {
@@ -750,7 +740,11 @@ mod tests {
         let per_prev = json.get("per_prev").unwrap();
         assert!(per_prev.get("5").is_some());
         assert!(per_prev.get("none").is_some());
-        let report = render_calib_report(&json).unwrap();
+        let doc = Value::Object(vec![(
+            "qos".into(),
+            Value::Object(vec![("calib".into(), json)]),
+        )]);
+        let report = render_calib_report(&doc).unwrap();
         assert!(report.contains("2 predictions"));
         assert!(report.contains("reliability diagram"));
         assert!(report.contains("per prev-cell:"));
@@ -761,6 +755,9 @@ mod tests {
     fn report_rejects_non_calibration_documents() {
         let doc = Value::Object(vec![("x".into(), Value::Null)]);
         assert!(render_calib_report(&doc).is_err());
+        // A bare calibration document is not an `obs.json`.
+        let bare = Value::parse(r#"{"predictions":0,"global":{"bins":[]}}"#).unwrap();
+        assert!(render_calib_report(&bare).is_err());
     }
 
     /// SplitMix64: a seeded stream for the differential test.

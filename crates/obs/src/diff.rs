@@ -1,25 +1,16 @@
-//! Cross-run metrics diffing: compares two `/metrics.json` snapshots
-//! (same scenario, two schemes — or the same scheme before/after an
-//! optimization) metric by metric, for `qres obs diff`.
-//!
-//! Accepts either a bare snapshot document (`{"counters":...}`) or a run
-//! report embedding one under an `"obs"` key (`qres run --json --obs`),
-//! so both scrape artifacts and report files diff directly.
+//! Cross-run metrics diffing: compares two snapshots — `obs.json` files,
+//! or `/metrics.json` scrapes (same scenario, two schemes — or the same
+//! scheme before/after an optimization) metric by metric, for
+//! `qres obs diff`.
 
 use qres_json::Value;
 
-/// Locates the metrics snapshot inside `doc`: the document itself, or its
-/// `"obs"` sub-object (run reports embed the snapshot there).
+/// `doc` itself, if it is a snapshot (has a `counters` section).
 fn snapshot_of(doc: &Value) -> Result<&Value, String> {
-    if doc.get("counters").is_some() {
-        return Ok(doc);
+    match doc.get("counters") {
+        Some(_) => Ok(doc),
+        None => Err("not a snapshot (no `counters` section)".into()),
     }
-    if let Some(obs) = doc.get("obs") {
-        if obs.get("counters").is_some() {
-            return Ok(obs);
-        }
-    }
-    Err("not a metrics snapshot (no `counters` section, bare or under `obs`)".into())
 }
 
 fn as_f64(v: &Value) -> Option<f64> {
@@ -390,9 +381,9 @@ mod tests {
     fn diffs_counters_and_p99() {
         let a = snap(100, 1000);
         let b = Value::parse(
-            r#"{"obs":{"counters":{"qres_x_total":150},
+            r#"{"counters":{"qres_x_total":150},
                 "gauges":{"qres_g":4},
-                "histograms":{"qres_h_ns":{"count":20,"p99":1200}}}}"#,
+                "histograms":{"qres_h_ns":{"count":20,"p99":1200}}}"#,
         )
         .unwrap();
         let report = diff_snapshots(&a, &b, "a.json", "b.json").unwrap();
@@ -454,6 +445,9 @@ mod tests {
         let junk = Value::parse(r#"{"hello":1}"#).unwrap();
         assert!(diff_snapshots(&junk, &junk, "a", "b").is_err());
         assert!(check_fail_on(&junk, &junk, "counters").is_err());
+        // A snapshot nested under another key is not one.
+        let nested = Value::parse(r#"{"obs":{"counters":{}}}"#).unwrap();
+        assert!(diff_snapshots(&nested, &nested, "a", "b").is_err());
     }
 
     #[test]

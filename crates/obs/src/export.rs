@@ -1,6 +1,9 @@
-//! Exporters: Prometheus text exposition, a JSON snapshot for run
-//! reports, and an in-repo exposition-format lint the tests run (no
-//! external tooling available offline).
+//! Exporters: Prometheus text exposition, the JSON snapshot (live at
+//! `/metrics.json`, and written at the end of a run as `obs.json`), and an
+//! in-repo exposition-format lint the tests run (no external tooling
+//! available offline).
+
+use std::path::Path;
 
 use qres_json::Value;
 
@@ -74,9 +77,37 @@ pub fn prometheus_text() -> String {
     out
 }
 
-/// A JSON object snapshot of the registry, merged into run reports by
-/// `qres-sim` and printed by the `--obs` CLI path.
+/// The live JSON snapshot served at `/metrics.json`: the registry plus
+/// the `qos`, `alerts` and `flight` sections, without the flight records.
 pub fn snapshot_json() -> Value {
+    snapshot(false)
+}
+
+/// File name of the end-of-run document [`write_obs_json`] writes.
+pub const OBS_JSON_PATH: &str = "obs.json";
+/// File name of the JSONL event stream the run spills to while it goes.
+pub const OBS_EVENTS_PATH: &str = "obs_events.jsonl";
+
+/// Finishes the run's telemetry and writes `obs.json` to `path`.
+///
+/// Firing alerts are resolved at the last recorded sim-time (the run
+/// ended, nothing burns anymore) and pending ones retracted, the event
+/// ring is flushed to the spill file so the stream is complete, and
+/// forecasts whose deadline passed are settled as expired; later
+/// deadlines stay `pending` (censored by the end of the run, not scored).
+/// The document has [`snapshot_json`]'s shape, with the flight section
+/// also carrying the tape's `records`.
+pub fn write_obs_json(path: &Path) -> std::io::Result<()> {
+    let now = crate::recorder::sim_time();
+    // Finalize before flushing: the resolve/retract transitions it records
+    // must make the spill.
+    crate::alert::finalize(now);
+    crate::recorder::flush_spill();
+    crate::calib::sweep_expired(now);
+    std::fs::write(path, snapshot(true).to_pretty_string() + "\n")
+}
+
+fn snapshot(flight_records: bool) -> Value {
     let counter_fields = counters()
         .iter()
         .map(|c| (c.name().to_string(), Value::UInt(c.get())))
@@ -100,16 +131,16 @@ pub fn snapshot_json() -> Value {
         ("counters".to_string(), Value::Object(counter_fields)),
         ("gauges".to_string(), Value::Object(gauge_fields)),
         ("histograms".to_string(), Value::Object(histo_fields)),
-        // QoS-conformance view (windowed P_HD/P_CB estimators, violation
-        // clocks, efficiency integrals, Eq.-4 calibration) — same document
-        // the `/qos` route serves.
+        // Windowed P_HD/P_CB estimators, violation clocks, efficiency
+        // integrals and Eq.-4 calibration: the `/qos` document.
         ("qos".to_string(), crate::qos::qos_json()),
-        // SLO watchdog view (burn-rate alert table, fired totals,
-        // transition log) — same document the `/alerts` route serves.
+        // Burn-rate alert table, fired totals, transition log: the
+        // `/alerts` document.
         ("alerts".to_string(), crate::alert::alerts_json()),
-        // Flight-recorder status (verdict/cause tallies, no record
-        // bodies — those live in `obs_flight.json` and capture files).
-        ("flight".to_string(), crate::flight::flight_summary_json()),
+        (
+            "flight".to_string(),
+            crate::flight::flight_json(flight_records),
+        ),
     ])
 }
 

@@ -279,53 +279,33 @@ fn record_with_cause(rec: &FlightRecord) -> Value {
     Value::Object(fields)
 }
 
-/// The full flight document: ring status plus every buffered record.
-pub fn flight_json() -> Value {
+/// The flight section of the telemetry snapshot: ring status, verdict and
+/// denial-cause tallies over the buffered records, and the alert capture
+/// files written. With `records`, also every buffered record (the
+/// end-of-run `obs.json`); without, the live `/metrics.json` section.
+pub fn flight_json(records: bool) -> Value {
     let p = PLANE.lock().unwrap();
-    Value::Object(vec![
-        ("enabled".to_string(), Value::Bool(flight_enabled())),
-        ("capacity".to_string(), Value::UInt(p.capacity as u64)),
-        ("len".to_string(), Value::UInt(p.records.len() as u64)),
-        ("dropped".to_string(), Value::UInt(p.dropped)),
-        (
-            "captures".to_string(),
-            Value::Array(p.captures.iter().map(|c| Value::Str(c.clone())).collect()),
-        ),
-        (
-            "records".to_string(),
-            Value::Array(p.records.iter().map(ToJson::to_json).collect()),
-        ),
-    ])
-}
-
-/// Compact flight section for the metrics snapshot: status and verdict
-/// tallies, no record bodies.
-pub fn flight_summary_json() -> Value {
-    let p = PLANE.lock().unwrap();
-    let mut admitted = 0u64;
-    let mut denied = 0u64;
     let mut causes = [
         ("link_full", 0u64),
         ("reservation_pressure", 0),
         ("neighbor_veto", 0),
     ];
     for rec in &p.records {
-        if rec.admitted {
-            admitted += 1;
-        } else {
-            denied += 1;
-            let cause = denial_cause(rec);
-            if let Some(slot) = causes.iter_mut().find(|(name, _)| *name == cause) {
-                slot.1 += 1;
-            }
+        let cause = denial_cause(rec);
+        if let Some(slot) = causes.iter_mut().find(|(name, _)| *name == cause) {
+            slot.1 += 1;
         }
     }
-    Value::Object(vec![
+    let denied: u64 = causes.iter().map(|(_, n)| n).sum();
+    let mut fields = vec![
         ("enabled".to_string(), Value::Bool(flight_enabled())),
         ("capacity".to_string(), Value::UInt(p.capacity as u64)),
         ("len".to_string(), Value::UInt(p.records.len() as u64)),
         ("dropped".to_string(), Value::UInt(p.dropped)),
-        ("admitted".to_string(), Value::UInt(admitted)),
+        (
+            "admitted".to_string(),
+            Value::UInt(p.records.len() as u64 - denied),
+        ),
         ("denied".to_string(), Value::UInt(denied)),
         (
             "causes".to_string(),
@@ -336,8 +316,18 @@ pub fn flight_summary_json() -> Value {
                     .collect(),
             ),
         ),
-        ("captures".to_string(), Value::UInt(p.captures.len() as u64)),
-    ])
+        (
+            "captures".to_string(),
+            Value::Array(p.captures.iter().map(|c| Value::Str(c.clone())).collect()),
+        ),
+    ];
+    if records {
+        fields.push((
+            "records".to_string(),
+            Value::Array(p.records.iter().map(ToJson::to_json).collect()),
+        ));
+    }
+    Value::Object(fields)
 }
 
 /// Answers `/explain`: by request sequence (`req`), by cell with a `last`
@@ -377,22 +367,14 @@ pub fn explain_json(req: Option<u64>, cell: Option<u32>, last: usize) -> Value {
     ])
 }
 
-/// Extracts the decision records from a flight document: a bare
-/// `flight_json()` payload, a capture file, or anything nesting one under
-/// `"flight"` or `"obs"` → `"flight"`.
+/// Extracts the decision records from an `obs.json` (its `flight`
+/// section) or an alert capture file (top-level `records`).
 pub fn records_from_doc(doc: &Value) -> Result<Vec<FlightRecord>, String> {
-    let holder = if doc.get("records").is_some() {
-        doc
-    } else if let Some(flight) = doc.get("flight") {
-        flight
-    } else if let Some(flight) = doc.get("obs").and_then(|o| o.get("flight")) {
-        flight
-    } else {
-        doc
-    };
-    let records = holder
+    let records = doc
+        .get("flight")
+        .unwrap_or(doc)
         .get("records")
-        .ok_or("no `records` array in document (not a flight capture?)")?;
+        .ok_or("no `records` array (not an obs.json or a flight capture)")?;
     Vec::<FlightRecord>::from_json(records).map_err(|e| format!("bad flight record: {e}"))
 }
 
@@ -630,7 +612,7 @@ mod tests {
         for i in 0..5 {
             record(sample_record(i, 4, true));
         }
-        let doc = flight_json();
+        let doc = flight_json(true);
         assert_eq!(doc.get("len"), Some(&Value::UInt(3)));
         assert_eq!(doc.get("dropped"), Some(&Value::UInt(2)));
         let records = records_from_doc(&doc).unwrap();
@@ -644,7 +626,7 @@ mod tests {
         rec.blocked_rank = Some(2);
         rec.reserve = 1.0 / 3.0; // exercise a non-terminating fraction
         record(rec.clone());
-        let text = flight_json().to_pretty_string();
+        let text = flight_json(true).to_pretty_string();
         let parsed = records_from_doc(&Value::parse(&text).unwrap()).unwrap();
         assert_eq!(parsed, vec![rec], "records must round-trip bit-exactly");
         reset_flight();
@@ -733,8 +715,13 @@ mod tests {
         let rendered = render_explain(&doc).unwrap();
         assert!(rendered.contains("flight records: 4"), "{rendered}");
         assert!(rendered.contains("reservation_pressure"), "{rendered}");
-        let summary = flight_summary_json();
-        assert_eq!(summary.get("captures"), Some(&Value::UInt(1)));
+        let summary = flight_json(false);
+        assert_eq!(
+            summary.get("captures"),
+            Some(&Value::Array(vec![Value::Str(path.clone())]))
+        );
+        assert_eq!(summary.get("denied"), Some(&Value::UInt(2)));
+        assert!(summary.get("records").is_none());
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_dir(&dir);
         reset_flight();

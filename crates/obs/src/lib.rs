@@ -13,8 +13,9 @@
 //!   max-gauges, and log-linear timing histograms over the hot paths:
 //!   admission tests, `B_i,0` Eq.-4 passes, `compute_br` memo hits vs.
 //!   misses, event dispatch, sweep points.
-//! * [`export`] — Prometheus text exposition, a JSON snapshot merged into
-//!   `qres-sim` run reports, and an in-repo exposition lint the tests run.
+//! * [`export`] — Prometheus text exposition, the JSON snapshot, the
+//!   end-of-run writer [`write_obs_json`], and an in-repo exposition lint
+//!   the tests run.
 //! * [`serve`] — a hand-rolled `std::net` HTTP scrape endpoint
 //!   (`/metrics`, `/metrics.json`, `/qos`, `/alerts`, `/explain`,
 //!   `/healthz`) so Prometheus/Grafana can watch a long sweep live instead
@@ -26,12 +27,12 @@
 //! * [`calib`] — Eq.-4 prediction calibration: per-connection `p_h`
 //!   forecasts matched against realized hand-offs, aggregated into
 //!   reliability-diagram bins and a Brier score (`qres obs calib`).
-//! * [`diff`] — cross-run diff of two `/metrics.json` snapshots
-//!   (`qres obs diff`).
+//! * [`diff`] — cross-run diff of two snapshots (`obs.json` or
+//!   `/metrics.json`; `qres obs diff`).
 //! * [`alert`] — the SLO watchdog: burn-rate rules read straight off the
 //!   [`qos`] windows every 60 sim-s (a fast 300-s window and the `qos`
 //!   window against `P_HD,target`), a pending→firing→resolved state
-//!   machine on sim-timestamps, served at `GET /alerts` and replayed
+//!   machine on sim-timestamps, served at `GET /alerts` and rendered
 //!   offline by `qres obs alerts`.
 //! * [`flight`] — the decision-provenance flight recorder: a bounded ring
 //!   of complete admission decision records (inputs, per-neighbor Eq.-4
@@ -41,6 +42,16 @@
 //! * [`loglin`] — the log-linear bucket layout of the timing histograms
 //!   (16 sub-buckets per octave, ≤ 6.25% relative error), also used by
 //!   `qres_stats::LogLinearHistogram`.
+//!
+//! ## Run artifacts
+//!
+//! A run with telemetry on leaves two files. The event stream spills to
+//! [`OBS_EVENTS_PATH`] while the run goes, because the ring holds a
+//! bounded number of events. At the end, [`write_obs_json`] finishes the
+//! run's telemetry and writes [`OBS_JSON_PATH`]: the [`snapshot_json`]
+//! document (`counters`, `gauges`, `histograms`, `qos`, `alerts`,
+//! `flight`) with the flight tape's `records`. Every `qres obs` view reads
+//! its section of it.
 //!
 //! ## Overhead contract
 //!
@@ -83,11 +94,14 @@ pub use calib::{
 };
 pub use diff::{check_fail_on, diff_snapshots};
 pub use event::{events_to_jsonl, ObsEvent};
-pub use export::{prometheus_text, snapshot_json, validate_prometheus_text};
+pub use export::{
+    prometheus_text, snapshot_json, validate_prometheus_text, write_obs_json, OBS_EVENTS_PATH,
+    OBS_JSON_PATH,
+};
 pub use flight::{
-    denial_cause, explain_json, flight_enabled, flight_json, flight_summary_json, records_from_doc,
-    render_explain, reset_flight, set_flight_capacity, set_flight_capture_dir, set_flight_enabled,
-    FlightCheck, FlightRecord, FlightTerm,
+    denial_cause, explain_json, flight_enabled, flight_json, records_from_doc, render_explain,
+    reset_flight, set_flight_capacity, set_flight_capture_dir, set_flight_enabled, FlightCheck,
+    FlightRecord, FlightTerm,
 };
 pub use metrics::{reset_metrics, AtomicHistogram, Counter, HistogramSnapshot, MaxGauge};
 pub use qos::{

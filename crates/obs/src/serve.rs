@@ -1,7 +1,7 @@
 //! Live telemetry plane: a hand-rolled `std::net::TcpListener` HTTP
 //! server exposing the metrics registry while a simulation runs, so
 //! `promtool`/Grafana can scrape a long sweep instead of waiting for the
-//! end-of-run `obs_snapshot.prom`.
+//! end-of-run `obs.json`.
 //!
 //! Same zero-dependency discipline as the rest of the crate: blocking
 //! `std::net` on one background thread, minimal HTTP/1.1, six routes:
@@ -9,7 +9,8 @@
 //! * `GET /metrics` — Prometheus text exposition 0.0.4
 //!   ([`crate::export::prometheus_text`], lint-clean by construction);
 //! * `GET /metrics.json` — the JSON snapshot
-//!   ([`crate::export::snapshot_json`]);
+//!   ([`crate::export::snapshot_json`]): the shape of `obs.json`, without
+//!   the flight records;
 //! * `GET /qos` — the QoS-conformance view ([`crate::qos::qos_json`]):
 //!   windowed `P_HD`/`P_CB` estimators, violation clocks, efficiency
 //!   integrals, Eq.-4 calibration;

@@ -10,8 +10,6 @@
 
 use std::fmt::Write as _;
 
-use qres_json::{ToJson, Value};
-
 use crate::metrics::RunResult;
 
 /// Formats a probability the way the paper's tables do (`6.53e-3`, or `0.`
@@ -57,20 +55,6 @@ pub fn cell_status_table(result: &RunResult) -> String {
         result.n_calc_mean,
     );
     out
-}
-
-/// The run's JSON report with the current telemetry snapshot merged in
-/// under an `"obs"` key (counters, gauges, histogram quantiles — see
-/// [`qres_obs::snapshot_json`]). `RunResult`'s own serialized shape is
-/// unchanged; the merge happens at the value level so consumers that don't
-/// know about telemetry keep parsing the same fields.
-pub fn result_with_obs_json(result: &RunResult) -> Value {
-    let mut fields = match result.to_json() {
-        Value::Object(fields) => fields,
-        other => vec![("result".to_string(), other)],
-    };
-    fields.push(("obs".to_string(), qres_obs::snapshot_json()));
-    Value::Object(fields)
 }
 
 /// A multi-series table keyed on a shared x-axis: the shape of every sweep
@@ -189,36 +173,6 @@ mod tests {
         // 1-based numbering like the paper.
         assert!(table.contains("\n  10 |"));
         assert!(!table.contains("\n   0 |"));
-    }
-
-    #[test]
-    fn obs_merge_appends_key_without_reshaping() {
-        let r = Engine::new(
-            Scenario::paper_baseline()
-                .offered_load(80.0)
-                .duration_secs(60.0)
-                .seed(2),
-        )
-        .run();
-        let plain = r.to_json();
-        let merged = result_with_obs_json(&r);
-        let (Value::Object(plain), Value::Object(merged)) = (plain, merged) else {
-            panic!("reports must be objects")
-        };
-        assert_eq!(merged.len(), plain.len() + 1);
-        assert_eq!(merged.last().unwrap().0, "obs");
-        for ((pk, pv), (mk, mv)) in plain.iter().zip(&merged) {
-            assert_eq!(pk, mk);
-            assert_eq!(pv, mv);
-        }
-        // The embedded snapshot carries the flight-recorder summary, so
-        // `qres obs diff --fail-on` and `qres obs explain` can consume run
-        // reports.
-        let obs = &merged.last().unwrap().1;
-        assert!(
-            obs.get("flight").is_some(),
-            "obs snapshot must embed the flight section"
-        );
     }
 
     #[test]

@@ -7,11 +7,11 @@
 //! qres sweep <scenario.json> [--loads 60,120,300] [--obs] [--obs-sample N] [--slo-* ...]
 //! qres serve <scenario.json> [--addr HOST:PORT] [--loads ...]
 //!            [--sequential] [--linger-secs N] [--obs-sample N] [--slo-* ...]
-//! qres obs calib <obs_calib.json>                    Eq.-4 calibration report
-//! qres obs diff <a.json> <b.json> [--fail-on SPEC]   diff two metrics snapshots
-//! qres obs alerts <obs_alerts.json | obs_events.jsonl | snapshot.json>
-//! qres obs explain <obs_flight.json | capture.json>  explain recorded admissions
-//! qres obs replay <obs_flight.json | capture.json>   re-execute recorded verdicts
+//! qres obs calib <obs.json>                          Eq.-4 calibration report
+//! qres obs diff <a.json> <b.json> [--fail-on SPEC]   diff two snapshots
+//! qres obs alerts <obs.json>                         SLO alert timeline
+//! qres obs explain <obs.json | capture.json>         explain recorded admissions
+//! qres obs replay <obs.json | capture.json>          re-execute recorded verdicts
 //! ```
 //!
 //! A scenario file is the JSON form of [`qres::sim::Scenario`]; start from
@@ -23,13 +23,15 @@
 //! swept load. The `metro` template is the 32×32 hex grid (1024 cells).
 //!
 //! `--obs` switches on the telemetry recorder at debug level for the run
-//! and writes into the working directory: `obs_snapshot.prom`
-//! (Prometheus text exposition), `obs_events.jsonl` (the structured event
-//! stream), `obs_calib.json` (QoS conformance and Eq.-4 calibration),
-//! `obs_alerts.json` (the SLO alert timeline) and `obs_flight.json` (the
-//! decision tape). With `--json` the telemetry snapshot is also merged
-//! into the report under an `"obs"` key. `--obs-sample N` keeps only every
-//! N-th debug-tier high-frequency event (`br_compute`, `backbone_send`).
+//! and writes two files into the working directory: `obs_events.jsonl`
+//! (the structured event stream, spilled while the run goes) and, at the
+//! end, `obs.json` ([`qres::obs::write_obs_json`]: counters, gauges,
+//! histograms, QoS conformance and Eq.-4 calibration, the SLO alert
+//! timeline, and the flight recorder's decision tape). `--obs-sample N`
+//! keeps only every N-th debug-tier high-frequency event (`br_compute`,
+//! `backbone_send`). `run` and `sweep` reject `--obs-sample`,
+//! `--no-flight`, `--slo-target`, `--slo-burn` and `--serve` without
+//! `--obs`.
 //!
 //! `serve` runs a sweep with the live scrape endpoint attached: while the
 //! sweep executes, `GET /metrics` (Prometheus exposition),
@@ -51,42 +53,31 @@
 //! (`--no-flight` switches it off). When `p_hd_burn` fires, the
 //! surrounding record window is frozen to `obs_flight_<cell>_<ts>.json`.
 //!
-//! `qres obs <view> <file>` reads those artifacts:
+//! `qres obs <view> <file>` reads one section of an `obs.json` (or of a
+//! `/metrics.json` scrape, which has the same shape without the flight
+//! records):
 //!
 //! * `calib` renders the reliability diagram, Brier score and
-//!   per-`prev`-cell breakdown of `obs_calib.json` (or a `/qos` body).
-//! * `diff` compares two `/metrics.json` snapshots (bare, or embedded
-//!   under a run report's `"obs"` key) metric by metric, including per-cell
+//!   per-`prev`-cell breakdown of `qos.calib`.
+//! * `diff` compares two snapshots metric by metric, including per-cell
 //!   QoS movement and the watchdog's tallies. `--fail-on SPEC` gates on
 //!   it: a comma-separated list of `counters`, `alerts`, `qos`, `NAME>X`,
 //!   `p_hd>X`, `p_cb>X`, `violation_secs>X` clauses; a violated clause
 //!   exits 1.
-//! * `alerts` replays the alert timeline from `obs_alerts.json`, the JSONL
-//!   event spill, or any JSON artifact carrying an `"alerts"` section.
-//! * `explain` renders a flight-recorder document as a per-cell
-//!   denial-cause report.
-//! * `replay` re-executes a recorded window through the same admission
+//! * `alerts` renders the alert table and transition log of `alerts`.
+//! * `explain` renders the `flight` records, or an alert capture's, as a
+//!   per-cell denial-cause report.
+//! * `replay` re-executes those records through the same admission
 //!   predicates the live system ran and exits 1 unless every verdict
 //!   reproduces bit-identically.
 
 use std::path::Path;
 use std::process::ExitCode;
 
-use qres::sim::report::{cell_status_table, result_with_obs_json, SeriesTable};
+use qres::obs::{OBS_EVENTS_PATH, OBS_JSON_PATH};
+use qres::sim::report::{cell_status_table, SeriesTable};
 use qres::sim::scenario::WiredConfig;
 use qres::sim::{run_scenario, Scenario, SchemeKind, TimeVaryingConfig};
-
-/// Prometheus snapshot written by `--obs`.
-const OBS_PROM_PATH: &str = "obs_snapshot.prom";
-/// JSONL event stream written by `--obs`.
-const OBS_JSONL_PATH: &str = "obs_events.jsonl";
-/// QoS/calibration snapshot written by `--obs` (input to `qres obs calib`).
-const OBS_CALIB_PATH: &str = "obs_calib.json";
-/// SLO watchdog alert timeline written by `--obs` (input to `qres obs alerts`).
-const OBS_ALERTS_PATH: &str = "obs_alerts.json";
-/// Flight-recorder decision tape written by `--obs` (input to
-/// `qres obs explain` / `qres obs replay`).
-const OBS_FLIGHT_PATH: &str = "obs_flight.json";
 
 /// The flags `qres run` takes.
 const RUN_FLAGS: Flags = Flags {
@@ -309,8 +300,10 @@ struct ObsOpts {
 }
 
 impl ObsOpts {
-    fn parse(cli: &Cli<'_>) -> Result<Self, Failure> {
-        Ok(ObsOpts {
+    /// Parses the telemetry flags. Unless `obs` (telemetry is on), any of
+    /// them, and `--serve`, is a usage error: nothing would read them.
+    fn parse(cli: &Cli<'_>, obs: bool) -> Result<Self, Failure> {
+        let opts = ObsOpts {
             sample: cli.parsed("--obs-sample", "an integer >= 1", |s| {
                 s.parse().ok().filter(|&n: &u64| n >= 1)
             })?,
@@ -321,16 +314,28 @@ impl ObsOpts {
             slo_burn: cli.parsed("--slo-burn", "a threshold > 0", |s| {
                 s.parse().ok().filter(|&x: &f64| x > 0.0)
             })?,
-        })
+        };
+        let given = [
+            "--serve",
+            "--obs-sample",
+            "--no-flight",
+            "--slo-target",
+            "--slo-burn",
+        ]
+        .into_iter()
+        .find(|&flag| cli.has(flag) || cli.value(flag).is_some());
+        match given {
+            Some(flag) if !obs => Err(Failure::Usage(format!("{flag} requires --obs"))),
+            _ => Ok(opts),
+        }
     }
 
-    /// Programs the recorder and the alert rules. With `on`, also switches
-    /// the recorder on at debug level, routes ring overflow to
-    /// [`OBS_JSONL_PATH`] so the event stream stays complete, and lets
-    /// alert-triggered flight captures (`obs_flight_<cell>_<ts>.json`)
-    /// land in the working directory unless `--no-flight` switched the
-    /// tape off.
-    fn apply(&self, on: bool) -> Result<(), Failure> {
+    /// Switches the recorder on at debug level and programs it and the
+    /// alert rules. Routes ring overflow to [`OBS_EVENTS_PATH`] so the
+    /// event stream stays complete, and lets alert-triggered flight
+    /// captures (`obs_flight_<cell>_<ts>.json`) land in the working
+    /// directory unless `--no-flight` switched the tape off.
+    fn apply(&self) -> Result<(), Failure> {
         if let Some(n) = self.sample {
             qres::obs::set_sample_every(n);
         }
@@ -340,17 +345,14 @@ impl ObsOpts {
             config.burn_threshold = self.slo_burn.unwrap_or(config.burn_threshold);
             qres::obs::set_alert_config(config);
         }
-        if !on {
-            return Ok(());
-        }
         qres::obs::set_level(qres::obs::Level::Debug);
         if self.no_flight {
             qres::obs::set_flight_enabled(false);
         } else {
             qres::obs::set_flight_capture_dir(Some(std::path::PathBuf::from(".")));
         }
-        qres::obs::set_spill_path(Path::new(OBS_JSONL_PATH))
-            .map_err(|e| Failure::Run(format!("cannot create {OBS_JSONL_PATH}: {e}")))
+        qres::obs::set_spill_path(Path::new(OBS_EVENTS_PATH))
+            .map_err(|e| Failure::Run(format!("cannot create {OBS_EVENTS_PATH}: {e}")))
     }
 }
 
@@ -375,42 +377,13 @@ fn load_sweep(path: &str, loads: &[f64]) -> Result<Scenario, Failure> {
     Ok(base)
 }
 
-/// Flushes buffered events to [`OBS_JSONL_PATH`], writes the Prometheus
-/// exposition to [`OBS_PROM_PATH`], the QoS/calibration snapshot to
-/// [`OBS_CALIB_PATH`], the SLO alert timeline to [`OBS_ALERTS_PATH`], and
-/// the flight-recorder tape to [`OBS_FLIGHT_PATH`]. Forecasts whose deadline passed before the last
-/// recorded sim-time are settled as expired first; later deadlines stay
-/// `pending` (censored by the end of the run, not scored). Firing alerts
-/// are resolved at the final sim-time (the run ended, nothing burns
-/// anymore) so the written timeline is complete.
+/// Finishes the run's telemetry and writes [`OBS_JSON_PATH`]
+/// ([`qres::obs::write_obs_json`]); unless `quiet`, names the two files.
 fn obs_finish(quiet: bool) -> Result<(), Failure> {
-    // Finalize before flushing: the resolve/retract transitions it records
-    // must make the JSONL spill.
-    qres::obs::finalize_alerts(qres::obs::sim_time());
-    qres::obs::flush_spill();
-    qres::obs::sweep_expired(qres::obs::sim_time());
-    let write = |path: &str, text: String| {
-        std::fs::write(path, text).map_err(|e| Failure::Run(format!("cannot write {path}: {e}")))
-    };
-    write(OBS_PROM_PATH, qres::obs::prometheus_text())?;
-    write(
-        OBS_CALIB_PATH,
-        qres::obs::qos_json().to_pretty_string() + "\n",
-    )?;
-    write(
-        OBS_ALERTS_PATH,
-        qres::obs::alerts_json().to_pretty_string() + "\n",
-    )?;
-    write(
-        OBS_FLIGHT_PATH,
-        qres::obs::flight_json().to_pretty_string() + "\n",
-    )?;
+    qres::obs::write_obs_json(Path::new(OBS_JSON_PATH))
+        .map_err(|e| Failure::Run(format!("cannot write {OBS_JSON_PATH}: {e}")))?;
     if !quiet {
-        println!(
-            "[obs] snapshot -> {OBS_PROM_PATH}, events -> {OBS_JSONL_PATH}, \
-             qos/calibration -> {OBS_CALIB_PATH}, \
-             alerts -> {OBS_ALERTS_PATH}, flight -> {OBS_FLIGHT_PATH}"
-        );
+        println!("[obs] {OBS_JSON_PATH}, events -> {OBS_EVENTS_PATH}");
     }
     Ok(())
 }
@@ -434,20 +407,15 @@ fn run(args: &[String]) -> Result<(), Failure> {
     let cli = Cli::parse(args, &RUN_FLAGS)?;
     let as_json = cli.has("--json");
     let obs = cli.has("--obs");
-    let opts = ObsOpts::parse(&cli)?;
+    let opts = ObsOpts::parse(&cli, obs)?;
     let linger_secs = cli.linger_secs()?;
-    // `--serve HOST:PORT` attaches the live scrape endpoint for the run's
-    // duration (the single-run counterpart of `qres serve`); telemetry
-    // must be on, or the routes would serve an empty registry.
-    let serve_addr = cli.value("--serve");
-    if serve_addr.is_some() && !obs {
-        return Err(Failure::Usage(
-            "--serve requires --obs (the endpoint serves the telemetry plane)".into(),
-        ));
-    }
     let scenario = load_scenario(cli.files[0]).map_err(Failure::Run)?;
-    opts.apply(obs)?;
-    let server = serve_addr.map(start_server).transpose()?;
+    if obs {
+        opts.apply()?;
+    }
+    // `--serve HOST:PORT` attaches the live scrape endpoint for the run's
+    // duration (the single-run counterpart of `qres serve`).
+    let server = cli.value("--serve").map(start_server).transpose()?;
     if let Some(s) = &server {
         eprintln!(
             "[obs] serving http://{}/metrics (.json, /qos, /alerts, /explain, /healthz)",
@@ -456,14 +424,7 @@ fn run(args: &[String]) -> Result<(), Failure> {
     }
     let result = run_scenario(&scenario);
     if as_json {
-        if obs {
-            println!(
-                "{}",
-                qres_json::to_string_pretty(&result_with_obs_json(&result))
-            );
-        } else {
-            println!("{}", qres_json::to_string_pretty(&result));
-        }
+        println!("{}", qres_json::to_string_pretty(&result));
     } else {
         print!("{}", cell_status_table(&result));
         println!(
@@ -483,10 +444,12 @@ fn run(args: &[String]) -> Result<(), Failure> {
 fn sweep(args: &[String]) -> Result<(), Failure> {
     let cli = Cli::parse(args, &SWEEP_FLAGS)?;
     let obs = cli.has("--obs");
-    let opts = ObsOpts::parse(&cli)?;
+    let opts = ObsOpts::parse(&cli, obs)?;
     let loads = cli.loads()?;
     let base = load_sweep(cli.files[0], &loads)?;
-    opts.apply(obs)?;
+    if obs {
+        opts.apply()?;
+    }
     let points = qres::sim::sweep_offered_load(&base, &loads);
     print!("{}", sweep_table(&points));
     if obs {
@@ -526,7 +489,7 @@ fn sweep_table(points: &[qres::sim::runner::SweepPoint]) -> String {
 /// `qres serve`: a sweep with the live HTTP scrape endpoint attached.
 ///
 /// Telemetry is always on here (that is the point), spilling to
-/// [`OBS_JSONL_PATH`] and writing [`OBS_PROM_PATH`] at the end, exactly
+/// [`OBS_EVENTS_PATH`] and writing [`OBS_JSON_PATH`] at the end, exactly
 /// like `sweep --obs`. `--sequential` runs the points one after another,
 /// so the event stream holds one point's events at a time instead of
 /// interleaving them; `--linger-secs N` keeps the endpoint up after the
@@ -534,11 +497,11 @@ fn sweep_table(points: &[qres::sim::runner::SweepPoint]) -> String {
 fn serve(args: &[String]) -> Result<(), Failure> {
     let cli = Cli::parse(args, &SERVE_FLAGS)?;
     let addr = cli.value("--addr").unwrap_or("127.0.0.1:9464");
-    let opts = ObsOpts::parse(&cli)?;
+    let opts = ObsOpts::parse(&cli, true)?;
     let linger_secs = cli.linger_secs()?;
     let loads = cli.loads()?;
     let base = load_sweep(cli.files[0], &loads)?;
-    opts.apply(true)?;
+    opts.apply()?;
     let server = start_server(addr)?;
     eprintln!(
         "[obs] serving http://{}/metrics (.json, /qos, /alerts, /explain, /healthz) \
@@ -564,13 +527,13 @@ struct View {
     show: fn(&Cli<'_>) -> Result<(), Failure>,
 }
 
-/// The `qres obs` views over the artifacts `--obs` writes.
+/// The `qres obs` views over the `obs.json` that `--obs` writes.
 const VIEWS: [View; 5] = [
     View {
         name: "calib",
         flags: Flags {
-            usage: "qres obs calib <obs_calib.json>",
-            files: &["<obs_calib.json>"],
+            usage: "qres obs calib <obs.json>",
+            files: &["<obs.json>"],
             switches: &[],
             valued: &[],
         },
@@ -589,8 +552,8 @@ const VIEWS: [View; 5] = [
     View {
         name: "alerts",
         flags: Flags {
-            usage: "qres obs alerts <obs_alerts.json | obs_events.jsonl | snapshot.json>",
-            files: &["<obs_alerts.json>"],
+            usage: "qres obs alerts <obs.json>",
+            files: &["<obs.json>"],
             switches: &[],
             valued: &[],
         },
@@ -599,8 +562,8 @@ const VIEWS: [View; 5] = [
     View {
         name: "explain",
         flags: Flags {
-            usage: "qres obs explain <obs_flight.json | obs_flight_CELL_TS.json>",
-            files: &["<obs_flight.json>"],
+            usage: "qres obs explain <obs.json | obs_flight_CELL_TS.json>",
+            files: &["<obs.json>"],
             switches: &[],
             valued: &[],
         },
@@ -609,8 +572,8 @@ const VIEWS: [View; 5] = [
     View {
         name: "replay",
         flags: Flags {
-            usage: "qres obs replay <obs_flight.json | obs_flight_CELL_TS.json>",
-            files: &["<obs_flight.json>"],
+            usage: "qres obs replay <obs.json | obs_flight_CELL_TS.json>",
+            files: &["<obs.json>"],
             switches: &[],
             valued: &[],
         },
@@ -641,13 +604,10 @@ fn view_usages(sep: &str) -> String {
     lines.join(sep)
 }
 
-fn read(path: &str) -> Result<String, Failure> {
-    std::fs::read_to_string(path).map_err(|e| Failure::Run(format!("reading {path}: {e}")))
-}
-
 fn read_json(path: &str) -> Result<qres_json::Value, Failure> {
-    qres_json::Value::parse(&read(path)?)
-        .map_err(|e| Failure::Run(format!("{path}: not valid JSON: {e}")))
+    let text =
+        std::fs::read_to_string(path).map_err(|e| Failure::Run(format!("reading {path}: {e}")))?;
+    qres_json::Value::parse(&text).map_err(|e| Failure::Run(format!("{path}: not valid JSON: {e}")))
 }
 
 /// Prints a rendered report, or fails naming the file it came from.
@@ -666,7 +626,7 @@ fn show_calib(cli: &Cli<'_>) -> Result<(), Failure> {
 
 fn show_alerts(cli: &Cli<'_>) -> Result<(), Failure> {
     let path = cli.files[0];
-    print_report(path, qres::obs::render_watch(&read(path)?))
+    print_report(path, qres::obs::render_watch(&read_json(path)?))
 }
 
 fn show_explain(cli: &Cli<'_>) -> Result<(), Failure> {

@@ -120,8 +120,8 @@ fn replay_record(rec: &FlightRecord, out: &mut ReplaySummary) {
     }
 }
 
-/// Replays every record in a flight document (an `obs_flight.json` dump,
-/// an alert capture, or a full obs snapshot with a `flight` section).
+/// Replays every record of an `obs.json` (its `flight` section) or of an
+/// alert capture file.
 pub fn replay_flight_doc(doc: &Value) -> Result<ReplaySummary, String> {
     let records = qres_obs::flight::records_from_doc(doc)?;
     let mut out = ReplaySummary::default();

@@ -185,17 +185,28 @@ fn invalid_swept_loads_are_rejected_before_the_sweep() {
 }
 
 /// Every subcommand rejects a flag it does not take — a deleted one or a
-/// typo — with exit 2, naming it; so are a bad flag value, a missing or
-/// extra file argument, an unknown `obs` view and a removed subcommand.
+/// typo — with exit 2, naming it; so are a bad flag value, a telemetry
+/// flag without `--obs`, a missing or extra file argument, an unknown `obs`
+/// view and a removed subcommand.
 #[test]
 fn unknown_flags_and_bad_values_exit_2() {
-    let cases: [(&str, &[&str], &str); 14] = [
+    let cases: [(&str, &[&str], &str); 20] = [
         ("run", &["--obs-push", "127.0.0.1:1"], "`--obs-push`"),
         ("run", &["--obs", "--obs-sampel", "4"], "`--obs-sampel`"),
         ("sweep", &["--slo-sample", "30"], "`--slo-sample`"),
         ("serve", &["--no-watchdog"], "`--no-watchdog`"),
         ("run", &["--obs-sample", "0"], "--obs-sample expects"),
         ("run", &["--linger-secs", "x"], "--linger-secs expects"),
+        ("run", &["--obs-sample", "4"], "--obs-sample requires --obs"),
+        ("run", &["--no-flight"], "--no-flight requires --obs"),
+        (
+            "run",
+            &["--slo-target", "0.001"],
+            "--slo-target requires --obs",
+        ),
+        ("run", &["--serve", "127.0.0.1:0"], "--serve requires --obs"),
+        ("sweep", &["--slo-burn", "2"], "--slo-burn requires --obs"),
+        ("sweep", &["--no-flight"], "--no-flight requires --obs"),
         (
             "obs diff",
             &["b.json", "--fial-on", "counters"],
@@ -302,4 +313,69 @@ fn mutate(doc: &mut Value, rng: &mut StreamRng) {
         9 => Value::UInt(u64::MAX),
         _ => Value::Float(1e300),
     };
+}
+
+/// `qres run --obs` leaves exactly two files: `obs.json` and an event
+/// stream with every recorded event in it. Every `qres obs` view reads that
+/// `obs.json`, and a same-seed rerun writes the same document apart from
+/// the wall-clock `histograms`.
+#[test]
+fn obs_run_writes_one_document_that_every_view_reads() {
+    use std::path::Path;
+    let root = std::env::temp_dir().join(format!("qres_obs_artifacts_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    std::fs::create_dir_all(&root).unwrap();
+    let scenario = root.join("ring.json");
+    let ring = Scenario::paper_baseline().duration_secs(120.0);
+    std::fs::write(&scenario, qres_json::to_string(&ring)).unwrap();
+    let qres = |dir: &Path, args: &[&str]| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_qres"))
+            .current_dir(dir)
+            .args(args)
+            .output()
+            .unwrap();
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "qres {args:?}: {stdout}{stderr}");
+        stdout
+    };
+    let run = |name: &str| {
+        let dir = root.join(name);
+        std::fs::create_dir(&dir).unwrap();
+        qres(&dir, &["run", scenario.to_str().unwrap(), "--obs"]);
+        let mut files: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        files.sort();
+        assert_eq!(files, ["obs.json", "obs_events.jsonl"]);
+        let doc = Value::parse(&std::fs::read_to_string(dir.join("obs.json")).unwrap()).unwrap();
+        let stream = std::fs::read_to_string(dir.join("obs_events.jsonl")).unwrap();
+        let recorded = doc
+            .get("counters")
+            .and_then(|c| c.get("qres_obs_events_recorded_total"))
+            .map(Value::to_compact_string);
+        assert_eq!(recorded, Some(stream.lines().count().to_string()));
+        (dir, doc)
+    };
+    let (dir, a) = run("a");
+    for view in ["calib", "alerts", "explain"] {
+        qres(&dir, &["obs", view, "obs.json"]);
+    }
+    let replay = qres(&dir, &["obs", "replay", "obs.json"]);
+    assert!(replay.contains(" 0 mismatch(es)"), "{replay}");
+    let gate = [
+        "obs",
+        "diff",
+        "obs.json",
+        "obs.json",
+        "--fail-on",
+        "counters,qos",
+    ];
+    qres(&dir, &gate);
+    let (_, b) = run("b");
+    for section in ["counters", "gauges", "qos", "alerts", "flight"] {
+        assert_eq!(a.get(section), b.get(section), "section `{section}`");
+    }
+    std::fs::remove_dir_all(&root).unwrap();
 }

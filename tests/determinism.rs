@@ -209,7 +209,7 @@ fn flight_recorder_does_not_perturb_outcomes() {
         qres::obs::set_level(qres::obs::Level::Debug);
         let r = run_scenario(&s);
         let taped = matches!(
-            qres::obs::flight_summary_json().get("len"),
+            qres::obs::flight_json(false).get("len"),
             Some(qres_json::Value::UInt(n)) if *n > 0
         );
         qres::obs::set_level(qres::obs::Level::Off);
@@ -246,7 +246,7 @@ fn replayed_flight_window_is_deterministic() {
         qres::obs::set_level(qres::obs::Level::Debug);
         let _ = run_scenario(&s);
         qres::obs::set_level(qres::obs::Level::Off);
-        qres::obs::flight_json()
+        qres::obs::flight_json(true)
     };
     let first = tape();
     assert_eq!(
