@@ -12,7 +12,11 @@
 //! of a ring, whose data (about 0.3 MB) fits a typical L2 cache;
 //! `ring_shape_cold` cycles through 1,000 such cells (about 30 MB), so
 //! each call finds its cell's data evicted, as an admission test does
-//! between the other events of a simulation.
+//! between the other events of a simulation. `metro_shape_cold` is a
+//! 1,024-cell hex-grid cell under AC3, also cycled through 1,000 cells: 59
+//! connections from its six neighbors and in-cell starts, against the
+//! `(prev, next)` pairs of mostly-straight crossings, with about 11 % of
+//! the connections heading into the target within `T_est`.
 
 use qres_cellnet::{Bandwidth, Cell, CellId, ConnInfo, ConnectionId};
 use qres_core::{neighbor_contribution, neighbor_contribution_naive};
@@ -100,6 +104,66 @@ fn setup_ring_shape(cells: usize) -> (Vec<(Cell, HoeCache)>, SimTime) {
     (cases, SimTime::from_secs(t + 0.25))
 }
 
+/// A hex cell between six neighbors (`CellId(0)`, the target, and
+/// `CellId(2..=6)`): a mobile from the neighbor in direction `d` crosses
+/// straight to direction `d + 3` eight times in ten and turns to `d ± 2`
+/// otherwise, after 30–45 s; one started in-cell leaves toward any
+/// neighbor after 0–45 s. Every cell case holds 59 connections spread over
+/// the seven `prev`s, with extant sojourns up to 145 s (slow mobiles
+/// outlast the history and count as stationary).
+fn setup_metro_shape(cells: usize) -> (Vec<(Cell, HoeCache)>, SimTime) {
+    const NEIGHBORS: [u32; 6] = [0, 2, 3, 4, 5, 6];
+    let mut t = 0.0;
+    let mut caches = vec![HoeCache::new(HoeConfig::stationary()); cells];
+    for i in 0..1_400usize {
+        t += 0.5;
+        let d = i % 7;
+        let k = i / 7;
+        let (prev, next, base, span) = if d == 6 {
+            (None, NEIGHBORS[k % 6], 0.0, 451)
+        } else {
+            let turn = [3, 3, 3, 3, 3, 3, 3, 3, 2, 4][k % 10];
+            (
+                Some(CellId(NEIGHBORS[d])),
+                NEIGHBORS[(d + turn) % 6],
+                30.0,
+                151,
+            )
+        };
+        for (v, cache) in caches.iter_mut().enumerate() {
+            let sojourn = base + ((i + v) * 37 % span) as f64 / 10.0;
+            cache.record(HandoffEvent::new(
+                SimTime::from_secs(t),
+                prev,
+                CellId(next),
+                Duration::from_secs(sojourn),
+            ));
+        }
+    }
+    let cases = caches
+        .into_iter()
+        .enumerate()
+        .map(|(v, cache)| {
+            let mut cell = Cell::new(CellId(1), Bandwidth::from_bus(400));
+            for j in 0..59usize {
+                // Odd multipliers coprime to 59 permute 0..59.
+                let slot = (j * (2 * (v % 23) + 3) + v) % 59;
+                let d = (j + v) % 7;
+                cell.insert(ConnInfo {
+                    id: ConnectionId(j as u64),
+                    bandwidth: Bandwidth::from_bus(if j % 5 == 0 { 4 } else { 1 }),
+                    prev: (d < 6).then(|| CellId(NEIGHBORS[d])),
+                    entered_at: SimTime::from_secs(t - 2.5 * slot as f64),
+                    known_next: None,
+                })
+                .unwrap();
+            }
+            (cell, cache)
+        })
+        .collect();
+    (cases, SimTime::from_secs(t + 0.25))
+}
+
 fn bench_contribution(c: &mut Criterion) {
     let mut group = c.benchmark_group("reservation_b_i0");
     let mut cases: Vec<(String, _)> = [10usize, 50, 100, 200]
@@ -111,6 +175,7 @@ fn bench_contribution(c: &mut Criterion) {
         .collect();
     cases.push(("ring_shape".to_string(), setup_ring_shape(10)));
     cases.push(("ring_shape_cold".to_string(), setup_ring_shape(1_000)));
+    cases.push(("metro_shape_cold".to_string(), setup_metro_shape(1_000)));
     let t_est = Duration::from_secs(10.0);
     for (case, (mut cells, now)) in cases {
         // Warm the snapshots.

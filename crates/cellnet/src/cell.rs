@@ -8,8 +8,6 @@
 //! entered the cell (from which the *extant sojourn time* `T_ext-soj` is
 //! derived, Section 4.1).
 
-use std::collections::BTreeMap;
-
 use qres_des::SimTime;
 
 use crate::bu::Bandwidth;
@@ -68,15 +66,20 @@ impl std::error::Error for CellError {}
 
 /// One cell's wireless-link state.
 ///
-/// The registry is a `BTreeMap` so iteration order is deterministic — the
-/// reservation computation iterates neighbor cells' connections, and run
-/// reproducibility requires a stable order.
+/// The registry is a `Vec` kept sorted by connection id, so iteration
+/// order is deterministic — the reservation computation sums Eq. 5 over a
+/// neighbor cell's connections in this order, and run reproducibility
+/// requires a stable one — and the Eq.-4 pass reads the records from one
+/// contiguous block. Insertion and removal shift the tail: a cell holds at
+/// most `C / b_min` connections (100 at the paper's capacity of 100 BUs),
+/// so a shift moves at most about 4 KB.
 #[derive(Debug, Clone)]
 pub struct Cell {
     id: CellId,
     capacity: Bandwidth,
     used: Bandwidth,
-    conns: BTreeMap<ConnectionId, ConnInfo>,
+    /// Sorted by `id`, ids unique.
+    conns: Vec<ConnInfo>,
     version: u64,
 }
 
@@ -87,7 +90,7 @@ impl Cell {
             id,
             capacity,
             used: Bandwidth::ZERO,
-            conns: BTreeMap::new(),
+            conns: Vec::new(),
             version: 0,
         }
     }
@@ -147,21 +150,24 @@ impl Cell {
     /// already present. Callers are expected to have run an admission test
     /// first; the capacity check here is a hard invariant, not policy.
     pub fn insert(&mut self, info: ConnInfo) -> Result<(), CellError> {
-        if self.conns.contains_key(&info.id) {
+        let Err(at) = self.position(info.id) else {
             return Err(CellError::DuplicateConnection);
-        }
+        };
         if !self.fits(info.bandwidth) {
             return Err(CellError::InsufficientCapacity);
         }
         self.used += info.bandwidth;
-        self.conns.insert(info.id, info);
+        self.conns.insert(at, info);
         self.version += 1;
         Ok(())
     }
 
     /// Removes a connection, releasing its bandwidth. Returns its record.
     pub fn remove(&mut self, id: ConnectionId) -> Result<ConnInfo, CellError> {
-        let info = self.conns.remove(&id).ok_or(CellError::UnknownConnection)?;
+        let at = self
+            .position(id)
+            .map_err(|_| CellError::UnknownConnection)?;
+        let info = self.conns.remove(at);
         self.used -= info.bandwidth;
         self.version += 1;
         Ok(info)
@@ -169,20 +175,26 @@ impl Cell {
 
     /// Looks up a connection's record.
     pub fn get(&self, id: ConnectionId) -> Option<&ConnInfo> {
-        self.conns.get(&id)
+        self.position(id).ok().map(|at| &self.conns[at])
     }
 
     /// Iterates connections in deterministic (id) order.
-    pub fn connections(&self) -> impl Iterator<Item = &ConnInfo> + '_ {
-        self.conns.values()
+    pub fn connections(&self) -> std::slice::Iter<'_, ConnInfo> {
+        self.conns.iter()
     }
 
-    /// Internal invariant check: `used` equals the sum of registered
-    /// bandwidths and never exceeds capacity. Used by tests and debug
-    /// assertions in the simulator.
+    /// Where `id` is in the registry (`Ok`), or where it would go (`Err`).
+    fn position(&self, id: ConnectionId) -> Result<usize, usize> {
+        self.conns.binary_search_by_key(&id, |c| c.id)
+    }
+
+    /// Internal invariant check: the registry is strictly id-ordered,
+    /// `used` equals the sum of registered bandwidths and never exceeds
+    /// capacity. Used by tests and debug assertions in the simulator.
     pub fn check_invariants(&self) -> bool {
-        let sum: Bandwidth = self.conns.values().map(|c| c.bandwidth).sum();
-        sum == self.used && self.used <= self.capacity
+        let sorted = self.conns.windows(2).all(|w| w[0].id < w[1].id);
+        let sum: Bandwidth = self.conns.iter().map(|c| c.bandwidth).sum();
+        sorted && sum == self.used && self.used <= self.capacity
     }
 }
 
@@ -289,6 +301,72 @@ mod tests {
         assert_eq!(cell.version(), 1);
         cell.remove(ConnectionId(1)).unwrap();
         assert_eq!(cell.version(), 2);
+    }
+
+    #[test]
+    fn registry_matches_btreemap_model() {
+        use qres_des::StreamRng;
+        use std::collections::btree_map::{BTreeMap, Entry};
+
+        // Ids from a small range so duplicates and unknown ids are common;
+        // bandwidths up to 6 BUs against 40 so inserts often overflow.
+        let mut rng = StreamRng::seed_from_u64(0x5EED);
+        let mut cell = Cell::new(CellId(3), Bandwidth::from_bus(40));
+        let mut model: BTreeMap<ConnectionId, ConnInfo> = BTreeMap::new();
+        let mut model_used = 0u32;
+        // Outcomes seen: Ok, Duplicate, InsufficientCapacity, Unknown.
+        let mut seen = [0usize; 4];
+        for step in 0..10_000 {
+            let id = ConnectionId(rng.gen_range(0u64..48));
+            let before = cell.version();
+            let outcome = match rng.gen_index(3) {
+                0 => {
+                    let bw = rng.gen_range(1u32..7);
+                    let c = info(id.0, bw, step as f64);
+                    let expect = match model.entry(id) {
+                        Entry::Occupied(_) => Err(CellError::DuplicateConnection),
+                        Entry::Vacant(_) if model_used + bw > 40 => {
+                            Err(CellError::InsufficientCapacity)
+                        }
+                        Entry::Vacant(slot) => {
+                            slot.insert(c);
+                            model_used += bw;
+                            Ok(())
+                        }
+                    };
+                    let got = cell.insert(c);
+                    assert_eq!(got, expect, "step {step}: insert {id:?}");
+                    got
+                }
+                1 => {
+                    let expect = model.remove(&id).ok_or(CellError::UnknownConnection);
+                    if let Ok(c) = &expect {
+                        model_used -= c.bandwidth.as_bus();
+                    }
+                    let got = cell.remove(id);
+                    assert_eq!(got, expect, "step {step}: remove {id:?}");
+                    got.map(|_| ())
+                }
+                _ => {
+                    assert_eq!(cell.get(id), model.get(&id), "step {step}: get {id:?}");
+                    assert_eq!(cell.version(), before, "step {step}: get bumped");
+                    continue;
+                }
+            };
+            let bump = u64::from(outcome.is_ok());
+            assert_eq!(cell.version(), before + bump, "step {step}: version");
+            seen[match outcome {
+                Ok(()) => 0,
+                Err(CellError::DuplicateConnection) => 1,
+                Err(CellError::InsufficientCapacity) => 2,
+                Err(CellError::UnknownConnection) => 3,
+            }] += 1;
+            assert!(cell.connections().eq(model.values()), "step {step}: order");
+            assert_eq!(cell.used().as_bus(), model_used, "step {step}: used");
+            assert_eq!(cell.connection_count(), model.len(), "step {step}");
+            assert!(cell.check_invariants(), "step {step}: invariants");
+        }
+        assert!(seen.iter().all(|&n| n > 100), "outcome coverage {seen:?}");
     }
 
     #[test]

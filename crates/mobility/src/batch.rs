@@ -10,16 +10,20 @@
 //!
 //! A [`ContributionPass`] does those lookups once per distinct `prev` in
 //! the population — the first time a connection with that `prev` comes by —
-//! and then answers each connection with its binary searches alone:
-//! `weight_gt(T_ext-soj)` on every `(prev, ·)` snapshot, summed in range
-//! order for the denominator, where the target pair's term doubles as the
-//! numerator's lower edge, plus one `weight_gt(T_ext-soj + T_est)` on the
-//! target pair for the upper edge.
+//! and then answers each connection with its binary searches alone,
+//! numerator first. `weight_gt(T_ext-soj)` and `weight_gt(T_ext-soj +
+//! T_est)` on the `(prev, target)` snapshot give the numerator; only when
+//! it is positive is `weight_gt(T_ext-soj)` summed over every `(prev, ·)`
+//! snapshot, in range order, for the denominator. Since the numerator never
+//! exceeds the denominator, `p_h = 0` exactly when the numerator is zero,
+//! so most connections — those not about to hand off into the target —
+//! never touch the other pairs' snapshots.
 //!
 //! Every probability is computed by the same floating-point operations in
-//! the same order as the one-at-a-time path, so a caller summing
-//! `b(C_i,j) · p_h` in its connection order gets a **bit-identical** total
-//! and the simulator's trajectories do not depend on the path.
+//! the same order as the one-at-a-time path, and every zero is `+0.0`, so a
+//! caller summing `b(C_i,j) · p_h` in its connection order gets a
+//! **bit-identical** total and the simulator's trajectories do not depend
+//! on the path.
 //!
 //! Grouping connections by `(prev, T_ext-soj)` and answering each group
 //! with merged sweeps over the snapshots' sorted arrays was measured and
@@ -87,6 +91,11 @@ impl<'a> ContributionPass<'a> {
     /// to [`crate::handoff_probability`] when no next cell is declared, to
     /// [`crate::known_next_probability`] when `target` is, and `0.0` when
     /// another cell is.
+    ///
+    /// The numerator `weight_in(a, a + T_est)` on the target pair comes
+    /// first, from its two edges `weight_gt(a)` and `weight_gt(a + T_est)`;
+    /// a zero numerator returns `+0.0` before the denominator is summed,
+    /// exactly what `0 / den` (or the stationary case `den = 0`) gives.
     pub fn probability(
         &mut self,
         prev: PrevKey,
@@ -102,30 +111,30 @@ impl<'a> ContributionPass<'a> {
             return 0.0;
         }
         let a = extant_sojourn.as_secs();
+        // Resolve the lookups (and with them the snapshot) even when the
+        // target pair turns out empty: the first eligible connection builds
+        // the snapshot, as on the one-at-a-time path.
         let lookup = self.lookup(prev);
-        // The denominator, and `weight_gt(a)` on the target pair (the
-        // numerator's lower edge) picked up on the way.
-        let (den, above_a) = match known_next {
+        let Some(to_target) = lookup.to_target else {
+            return 0.0;
+        };
+        let above_a = to_target.weight_gt(a);
+        if above_a <= 0.0 {
+            return 0.0;
+        }
+        // weight_in(a, a + t_est), as the scalar path computes it.
+        let num = (above_a - to_target.weight_gt((extant_sojourn + t_est).as_secs())).max(0.0);
+        if num <= 0.0 {
+            return 0.0;
+        }
+        let den = match known_next {
             // Known route: the target pair is the whole denominator.
-            Some(_) => {
-                let w = lookup.to_target.map_or(0.0, |snap| snap.weight_gt(a));
-                (w, w)
-            }
+            Some(_) => above_a,
             None => lookup
                 .range
                 .clone()
-                .fold((0.0, 0.0), |(den, above_a), (&(_, next), snap)| {
-                    let w = snap.weight_gt(a);
-                    (den + w, if next == target { w } else { above_a })
-                }),
+                .fold(0.0, |den, (_, snap)| den + snap.weight_gt(a)),
         };
-        if den <= 0.0 {
-            return 0.0; // estimated stationary
-        }
-        // weight_in(a, a + t_est), as the scalar path computes it.
-        let num = lookup.to_target.map_or(0.0, |snap| {
-            (above_a - snap.weight_gt((extant_sojourn + t_est).as_secs())).max(0.0)
-        });
         debug_assert!(
             num <= den + 1e-9,
             "numerator {num} exceeds denominator {den}"
@@ -179,7 +188,15 @@ mod tests {
     }
 
     fn trained_cache() -> HoeCache {
-        let mut c = HoeCache::new(HoeConfig::stationary());
+        weighted_cache(1.0)
+    }
+
+    /// The stationary history with member weight `w_0`. Prev 4 has left
+    /// only toward cell 2, so its `(4, 0)` pair is absent.
+    fn weighted_cache(w_0: f64) -> HoeCache {
+        let mut config = HoeConfig::stationary();
+        config.weekday_window.weights = vec![w_0];
+        let mut c = HoeCache::new(config);
         let mut t = 0.0;
         for (prev, next, soj) in [
             (Some(1), 0, 20.0),
@@ -187,6 +204,7 @@ mod tests {
             (Some(1), 2, 40.0),
             (Some(1), 2, 55.0),
             (Some(3), 0, 25.0),
+            (Some(4), 2, 50.0),
             (None, 0, 15.0),
             (None, 2, 45.0),
         ] {
@@ -259,6 +277,43 @@ mod tests {
     }
 
     #[test]
+    fn numerator_first_exit_matches_scalar_path() {
+        let now = SimTime::from_secs(100.0);
+        let conns = [
+            (Some(4), None, 10.0),    // (prev, target) pair absent
+            (Some(1), None, 30.0),    // T_ext-soj = the pair's largest sojourn
+            (Some(1), None, 29.5),    // just below it: contributes
+            (Some(1), None, 19.8),    // contributes unless T_est = 0
+            (Some(1), None, 40.0),    // zero numerator, positive denominator
+            (Some(4), Some(0), 10.0), // declared toward target, pair absent
+            (Some(1), Some(0), 30.0), // declared toward target, past its pair
+            (Some(1), Some(0), 10.0), // declared toward target, contributes
+            (Some(9), None, 0.0),     // unknown prev
+            (None, None, 14.0),       // in-cell start, contributes
+        ];
+        for w_0 in [1.0, 0.7, 0.1] {
+            for t_est in [0.0, 0.5, 5.0, 17.0] {
+                let got = streamed(&mut weighted_cache(w_0), now, s(t_est), &conns);
+                let mut cache = weighted_cache(w_0);
+                for (j, &c) in conns.iter().enumerate() {
+                    let expect = scalar(&mut cache, now, s(t_est), c);
+                    let ctx = format!("w_0 = {w_0}, T_est = {t_est}, conn {j}");
+                    assert_eq!(got[j].to_bits(), expect.to_bits(), "{ctx}");
+                    if got[j] == 0.0 {
+                        assert_eq!(got[j].to_bits(), 0.0f64.to_bits(), "{ctx}: -0.0");
+                    }
+                }
+                // The edge cases land on the side they are meant to.
+                assert_eq!(got[0], 0.0);
+                assert_eq!(got[1], 0.0);
+                assert_eq!(got[5], 0.0);
+                assert_eq!(got[6], 0.0);
+                assert_eq!(got[3] > 0.0, t_est > 0.0, "w_0 = {w_0}, T_est = {t_est}");
+            }
+        }
+    }
+
+    #[test]
     fn snapshot_is_built_only_for_a_contributing_connection() {
         // A finite-T_int store rebuilds on its first query: a pass whose
         // connections all head elsewhere must not trigger that rebuild.
@@ -280,6 +335,17 @@ mod tests {
             &[(Some(1), Some(2), 5.0), (Some(1), None, 5.0)],
         );
         assert_ne!(cache.version(), before);
+        // Once the snapshot is stale (older than the 30-s refresh), the
+        // first eligible connection rebuilds it even when it returns zero
+        // before its denominator: an absent target pair, then an extant
+        // sojourn past the pair's largest.
+        for (at, conn) in [(60.0, (Some(5), None, 5.0)), (100.0, (Some(1), None, 40.0))] {
+            let now = SimTime::from_secs(at);
+            let before = cache.version();
+            let p = streamed(&mut cache, now, s(30.0), &[(Some(1), Some(2), 5.0), conn]);
+            assert_eq!(p, [0.0, 0.0]);
+            assert_ne!(cache.version(), before, "no rebuild at t = {at}");
+        }
     }
 
     #[test]

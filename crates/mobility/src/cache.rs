@@ -469,31 +469,16 @@ impl HoeCache {
         }
     }
 
-    fn window_for(&self, class: DayClass) -> &WindowConfig {
-        match class {
-            DayClass::Weekday => &self.config.weekday_window,
-            DayClass::Weekend => self
-                .config
-                .weekend_window
-                .as_ref()
-                .expect("weekend store only used when configured"),
-        }
-    }
-
     /// Records one observed hand-off out of this cell.
     ///
     /// Events must arrive in event-time order (the simulator guarantees
     /// this).
     pub fn record(&mut self, event: HandoffEvent) {
-        let class = self.class_of(event.t_event);
-        let window = self.window_for(class).clone();
-        let store = match class {
-            DayClass::Weekday => &mut self.weekday,
-            DayClass::Weekend => &mut self.weekend,
-        };
+        let n_quad = self.config.n_quad;
+        let (store, window) = self.class_store(event.t_event);
         let obs_on = qres_obs::enabled();
         let (prev, next, sojourn_secs) = (event.prev, event.next, event.t_soj.as_secs());
-        let evicted = store.record(event, &window, self.config.n_quad);
+        let evicted = store.record(event, window, n_quad);
         if obs_on {
             qres_obs::metrics::HOE_INSERTS_TOTAL.add(1);
             qres_obs::record(qres_obs::ObsEvent::HoeInsert {
@@ -514,14 +499,34 @@ impl HoeCache {
         }
     }
 
-    fn store_for_query(&mut self, t_o: SimTime) -> (&mut ClassStore, WindowConfig) {
-        let class = self.class_of(t_o);
-        let window = self.window_for(class).clone();
-        let store = match class {
-            DayClass::Weekday => &mut self.weekday,
-            DayClass::Weekend => &mut self.weekend,
-        };
-        (store, window)
+    /// The store of `t`'s day class and that class's window, borrowed
+    /// disjointly from `self`.
+    fn class_store(&mut self, t: SimTime) -> (&mut ClassStore, &WindowConfig) {
+        let class = self.class_of(t);
+        let HoeCache {
+            config,
+            weekday,
+            weekend,
+            ..
+        } = self;
+        match class {
+            DayClass::Weekday => (weekday, &config.weekday_window),
+            DayClass::Weekend => (
+                weekend,
+                config
+                    .weekend_window
+                    .as_ref()
+                    .expect("weekend store only used when configured"),
+            ),
+        }
+    }
+
+    /// The snapshot answering queries at `t_o`, made current for `t_o`.
+    fn snapshot_at(&mut self, t_o: SimTime) -> &Snapshot {
+        let (n_quad, refresh) = (self.config.n_quad, self.config.snapshot_refresh);
+        let (store, window) = self.class_store(t_o);
+        store.ensure_snapshot(t_o, window, n_quad, refresh);
+        &store.snapshot
     }
 
     /// A version counter that changes whenever a query's answer could:
@@ -544,11 +549,7 @@ impl HoeCache {
         &mut self,
         t_o: SimTime,
     ) -> &BTreeMap<(PrevKey, CellId), PairSnapshot> {
-        let n_quad = self.config.n_quad;
-        let refresh = self.config.snapshot_refresh;
-        let (store, window) = self.store_for_query(t_o);
-        store.ensure_snapshot(t_o, &window, n_quad, refresh);
-        &store.snapshot.pairs
+        &self.snapshot_at(t_o).pairs
     }
 
     /// Denominator of Eq. 4: total selected weight, over **all** next
@@ -557,13 +558,8 @@ impl HoeCache {
     /// Zero means no cached mobile with this history stayed longer than
     /// `t_ext` — the paper's *stationary* classification.
     pub fn weight_prev_gt(&mut self, t_o: SimTime, prev: PrevKey, t_ext: Duration) -> f64 {
-        let n_quad = self.config.n_quad;
-        let refresh = self.config.snapshot_refresh;
-        let (store, window) = self.store_for_query(t_o);
-        store.ensure_snapshot(t_o, &window, n_quad, refresh);
         let a = t_ext.as_secs();
-        store
-            .snapshot
+        self.snapshot_at(t_o)
             .pairs
             .range((prev, CellId(0))..=(prev, CellId(u32::MAX)))
             .map(|(_, snap)| snap.weight_gt(a))
@@ -580,11 +576,7 @@ impl HoeCache {
         t_ext: Duration,
         t_est: Duration,
     ) -> f64 {
-        let n_quad = self.config.n_quad;
-        let refresh = self.config.snapshot_refresh;
-        let (store, window) = self.store_for_query(t_o);
-        store.ensure_snapshot(t_o, &window, n_quad, refresh);
-        match store.snapshot.pairs.get(&(prev, next)) {
+        match self.snapshot_at(t_o).pairs.get(&(prev, next)) {
             Some(snap) => snap.weight_in(t_ext.as_secs(), (t_ext + t_est).as_secs()),
             None => 0.0,
         }
@@ -599,11 +591,7 @@ impl HoeCache {
         next: CellId,
         t_ext: Duration,
     ) -> f64 {
-        let n_quad = self.config.n_quad;
-        let refresh = self.config.snapshot_refresh;
-        let (store, window) = self.store_for_query(t_o);
-        store.ensure_snapshot(t_o, &window, n_quad, refresh);
-        match store.snapshot.pairs.get(&(prev, next)) {
+        match self.snapshot_at(t_o).pairs.get(&(prev, next)) {
             Some(snap) => snap.weight_gt(t_ext.as_secs()),
             None => 0.0,
         }
@@ -613,22 +601,13 @@ impl HoeCache {
     /// contribution to `T_soj,max`, which caps the adaptive `T_est`
     /// (Fig. 6). `None` if the cache has no usable quadruplets.
     pub fn max_sojourn(&mut self, t_o: SimTime) -> Option<Duration> {
-        let n_quad = self.config.n_quad;
-        let refresh = self.config.snapshot_refresh;
-        let (store, window) = self.store_for_query(t_o);
-        store.ensure_snapshot(t_o, &window, n_quad, refresh);
-        store.snapshot.max_sojourn.map(Duration::from_secs)
+        self.snapshot_at(t_o).max_sojourn.map(Duration::from_secs)
     }
 
     /// The selected `(next, sojourns)` footprint for a given `prev` —
     /// the data behind the paper's Fig. 4.
     pub fn footprint_pairs(&mut self, t_o: SimTime, prev: PrevKey) -> Vec<(CellId, Vec<f64>)> {
-        let n_quad = self.config.n_quad;
-        let refresh = self.config.snapshot_refresh;
-        let (store, window) = self.store_for_query(t_o);
-        store.ensure_snapshot(t_o, &window, n_quad, refresh);
-        store
-            .snapshot
+        self.snapshot_at(t_o)
             .pairs
             .range((prev, CellId(0))..=(prev, CellId(u32::MAX)))
             .map(|(&(_, next), snap)| (next, snap.sojourns().to_vec()))

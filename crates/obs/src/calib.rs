@@ -43,7 +43,7 @@
 //! Pending forecasts live in one batch per `(cell, target)` emission
 //! site, indexed by the (dense) cell id, and each batch is kept sorted by
 //! strictly ascending connection id. A `B_i,0` evaluation walks the
-//! cell's connection registry (a `BTreeMap` by id), so it stages its
+//! cell's connection registry (a `Vec` sorted by id), so it stages its
 //! forecasts in ascending id too. [`flush_staged`] cuts the staged buffer
 //! into runs of one `(cell, target)` with strictly rising ids and merges
 //! each run into its batch in one linear pass, rebuilt into a reused
