@@ -64,8 +64,8 @@ pub fn neighbor_contribution(
         total += conn.bandwidth.as_f64() * p_h;
         // Calibration read-out: stage each forecast about `target` (a
         // connection declared toward another cell makes none). Staging is
-        // a thread-local push; the forecasts move into the global
-        // calibration store later, in `compute_br`, after the timing
+        // a thread-local push; the forecasts move into the telemetry
+        // handle's calibration store later, in `compute_br`, after the timing
         // record ([`qres_obs::flush_staged`]).
         if obs && !matches!(conn.known_next, Some(declared) if declared != target) {
             p_h_sum += p_h;

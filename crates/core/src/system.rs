@@ -1127,20 +1127,16 @@ mod tests {
 
     #[test]
     fn admission_tests_pair_spans_and_tape_flight_records() {
-        // Uses cell 40 on ring(50): no other test in this crate requests
-        // there, so filtering the process-global event ring and flight tape
-        // by cell is safe even though tests run concurrently.
+        // The event ring and flight tape are this test thread's own.
         let config = QresConfig::paper_stationary(SchemeConfig::Predictive { kind: AcKind::Ac1 });
         let mut sys =
             ReservationSystem::new(config, Topology::ring(50), BsNetworkKind::FullyConnected);
         let cell = 40u32;
 
-        let prev_level = qres_obs::level();
         qres_obs::set_level(qres_obs::Level::Debug);
         for i in 0..6u64 {
             sys.request_new_connection(s(1.0 + i as f64), req(cell, i, 1));
         }
-        qres_obs::set_level(prev_level);
 
         // Request ids are monotonic and unconditional: six tests, six ids,
         // whatever the obs level was at the time.

@@ -34,7 +34,6 @@
 //! `qres obs alerts` ([`render_watch`]).
 
 use std::collections::BTreeMap;
-use std::sync::Mutex;
 
 use qres_json::Value;
 
@@ -146,8 +145,9 @@ struct Entry {
     slow_burn: f64,
 }
 
+/// The alert plane of an [`crate::Obs`].
 #[derive(Debug)]
-struct AlertPlane {
+pub(crate) struct AlertPlane {
     config: AlertConfig,
     entries: BTreeMap<(&'static str, u32), Entry>,
     fired_total: BTreeMap<&'static str, u64>,
@@ -157,8 +157,8 @@ struct AlertPlane {
     next_eval: f64,
 }
 
-impl AlertPlane {
-    fn new() -> Self {
+impl Default for AlertPlane {
+    fn default() -> Self {
         AlertPlane {
             config: AlertConfig::default(),
             entries: BTreeMap::new(),
@@ -167,7 +167,9 @@ impl AlertPlane {
             next_eval: EVAL_SECS,
         }
     }
+}
 
+impl AlertPlane {
     fn transition(&mut self, t: f64, rule: &'static str, cell: u32, state: &'static str) {
         if self.transitions.len() >= MAX_TRANSITIONS {
             self.transitions.remove(0);
@@ -182,11 +184,8 @@ impl AlertPlane {
     }
 }
 
-static ALERTS: Mutex<Option<AlertPlane>> = Mutex::new(None);
-
 fn with_plane<R>(f: impl FnOnce(&mut AlertPlane) -> R) -> R {
-    let mut guard = ALERTS.lock().unwrap();
-    f(guard.get_or_insert_with(AlertPlane::new))
+    crate::with(|o| f(&mut crate::lock(&o.alerts)))
 }
 
 /// Replaces the watchdog configuration (CLI `--slo-*` flags).
@@ -203,7 +202,7 @@ pub fn alert_config() -> AlertConfig {
 /// restarts the evaluation grid; the configuration reverts to
 /// [`AlertConfig::default`].
 pub fn reset_alerts() {
-    *ALERTS.lock().unwrap() = None;
+    with_plane(|p| *p = AlertPlane::default());
 }
 
 /// Whether a burn value breaches the rule's contract.
@@ -636,18 +635,9 @@ pub fn render_watch(doc: &Value) -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::qos::{record_handoff_outcome, set_qos_window_secs, DEFAULT_QOS_WINDOW_SECS};
+    use crate::qos::{record_handoff_outcome, set_qos_window_secs};
 
     const CELL: u32 = 9_201;
-
-    /// Clears the alert plane and the QoS tracker it reads, at the
-    /// default window and a `P_HD,target` of 0.01.
-    fn reset_all() {
-        reset_alerts();
-        crate::qos::reset_qos();
-        set_qos_window_secs(DEFAULT_QOS_WINDOW_SECS);
-        crate::qos::set_qos_target_p_hd(0.01);
-    }
 
     /// Drives `n` sim-seconds from `t0` the way the DES driver does: one
     /// hand-off attempt into [`CELL`] per second (the first `drops` of
@@ -678,7 +668,6 @@ mod tests {
     /// through the QoS tracker and the watchdog tick, with the state
     /// asserted at each step. Returns the final `alerts_json`.
     fn episode() -> String {
-        reset_all();
         // 20 clean minutes: no rule has anything to say.
         run(0.0, 1200, 0);
         assert!(alerts_snapshot().is_empty());
@@ -726,16 +715,13 @@ mod tests {
 
     #[test]
     fn rules_read_the_qos_windows_and_replay_identically() {
-        let _g = crate::qos_test_lock();
-        let first = episode();
-        assert_eq!(first, episode(), "same records, same timeline");
-        reset_all();
+        // Each episode runs on its own thread, so on a fresh handle.
+        let replay = || std::thread::spawn(episode).join().unwrap();
+        assert_eq!(replay(), replay(), "same records, same timeline");
     }
 
     #[test]
     fn qos_window_shorter_than_the_fast_window_caps_it() {
-        let _g = crate::qos_test_lock();
-        reset_all();
         set_qos_window_secs(120.0);
         let doc = alerts_json();
         let config = doc.get("config").unwrap();
@@ -757,13 +743,10 @@ mod tests {
         assert_eq!(state(RULE_VIOLATION_CLOCK), Some(AlertState::Firing));
         run(240.0, 60, 0);
         assert_eq!(state(RULE_VIOLATION_CLOCK), Some(AlertState::Resolved));
-        reset_all();
     }
 
     #[test]
     fn evaluation_grid_rearms_when_the_clock_restarts() {
-        let _g = crate::qos_test_lock();
-        reset_all();
         assert!(!eval_due(10.0), "before the first boundary");
         assert!(eval_due(61.0), "crossed t = 60");
         assert!(!eval_due(70.0), "inside the interval");
@@ -772,13 +755,10 @@ mod tests {
         assert!(eval_due(2.0), "clock went backwards: re-armed");
         assert!(!eval_due(10.0));
         assert!(eval_due(60.0));
-        reset_all();
     }
 
     #[test]
     fn finalize_resolves_firing_and_retracts_pending() {
-        let _g = crate::qos_test_lock();
-        reset_all();
         run(0.0, 60, 60);
         assert!(!firing_alerts().is_empty());
         finalize(600.0);
@@ -787,13 +767,10 @@ mod tests {
         assert!(alerts
             .iter()
             .all(|a| a.state == AlertState::Resolved && a.resolved_at == Some(600.0)));
-        reset_all();
     }
 
     #[test]
     fn prometheus_fragment_is_empty_until_something_happens() {
-        let _g = crate::qos_test_lock();
-        reset_all();
         let mut out = String::new();
         prometheus_fragment(&mut out);
         assert!(out.is_empty(), "untouched watchdog renders nothing: {out}");
@@ -813,7 +790,6 @@ mod tests {
         );
         crate::export::validate_prometheus_text(&crate::export::prometheus_text())
             .expect("full exposition lints with alert families");
-        reset_all();
     }
 
     #[test]

@@ -34,9 +34,9 @@
 //! inside the admission test's timed window (`qres_admission_test_ns`).
 //! To keep the bookkeeping out of both measured windows, producers
 //! *stage* forecasts into a thread-local buffer ([`stage_prediction`], a
-//! plain `Vec` push) and the caller flushes them into the global store
-//! after the *admission* timing record ([`flush_staged`], one mutex
-//! acquisition per admission).
+//! plain `Vec` push) and the caller flushes them into its
+//! [`crate::Obs`]'s store after the *admission* timing record
+//! ([`flush_staged`], one mutex acquisition per admission).
 //!
 //! ## Store layout: sorted batches, one merge per evaluation
 //!
@@ -59,7 +59,6 @@
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::Mutex;
 
 use qres_json::Value;
 
@@ -240,8 +239,9 @@ impl Tally {
     }
 }
 
+/// The calibration store of an [`crate::Obs`].
 #[derive(Debug, Default)]
-struct CalibState {
+pub(crate) struct CalibState {
     /// Pending forecasts, indexed by the (dense) id of the cell the
     /// forecast connection lives in, then grouped by target in first-seen
     /// order (a cell has few neighbors).
@@ -324,11 +324,8 @@ impl CalibState {
     }
 }
 
-static CALIB: Mutex<Option<CalibState>> = Mutex::new(None);
-
 fn with_state<R>(f: impl FnOnce(&mut CalibState) -> R) -> R {
-    let mut guard = CALIB.lock().unwrap();
-    f(guard.get_or_insert_with(CalibState::default))
+    crate::with(|o| f(&mut crate::lock(&o.calib)))
 }
 
 /// Publishes every staged forecast into the store. `now` is the current
@@ -415,7 +412,7 @@ pub fn sweep_expired(now: f64) {
 /// Clears all calibration state, including this thread's staging buffer.
 pub fn reset_calib() {
     STAGING.with(|s| s.borrow_mut().clear());
-    *CALIB.lock().unwrap() = None;
+    with_state(|st| *st = CalibState::default());
 }
 
 /// Point-in-time summary counts of the calibration store.
@@ -634,9 +631,6 @@ pub fn render_calib_report(doc: &Value) -> Result<String, String> {
 mod tests {
     use super::*;
 
-    /// Serializes tests touching the process-global store.
-    static LOCK: Mutex<()> = Mutex::new(());
-
     fn stage_and_flush(cell: u32, target: u32, conn: u64, p: f64, deadline: f64, now: f64) {
         stage_prediction(cell, target, conn, None, p, deadline);
         flush_staged(now);
@@ -644,21 +638,16 @@ mod tests {
 
     #[test]
     fn handoff_to_target_within_window_is_a_hit() {
-        let _g = LOCK.lock().unwrap();
-        reset_calib();
         stage_and_flush(1, 2, 100, 0.75, 30.0, 10.0);
         observe_attempt(100, 1, 2, 20.0);
         let s = calib_summary();
         assert_eq!((s.hits, s.pending), (1, 0));
         // Brier for one hit at p = 0.75: (0.75 - 1)^2.
         assert!((s.brier.unwrap() - 0.0625).abs() < 1e-12);
-        reset_calib();
     }
 
     #[test]
     fn handoff_to_different_neighbor_is_a_miss() {
-        let _g = LOCK.lock().unwrap();
-        reset_calib();
         // Forecasts toward both neighbors; the mobile goes to cell 2:
         // the cell-2 forecast hits, the cell-3 forecast misses.
         stage_and_flush(1, 2, 100, 0.6, 30.0, 10.0);
@@ -666,13 +655,10 @@ mod tests {
         observe_attempt(100, 1, 2, 20.0);
         let s = calib_summary();
         assert_eq!((s.hits, s.miss_wrong_target, s.pending), (1, 1, 0));
-        reset_calib();
     }
 
     #[test]
     fn prediction_expires_unmatched_at_t_est_boundary() {
-        let _g = LOCK.lock().unwrap();
-        reset_calib();
         stage_and_flush(1, 2, 100, 0.9, 30.0, 10.0);
         // At exactly the deadline the forecast is still live (a hand-off
         // at t == deadline would count), so a sweep at 30.0 scores
@@ -685,35 +671,26 @@ mod tests {
         assert_eq!((s.miss_expired, s.pending), (1, 0));
         // Brier for one miss at p = 0.9: 0.81.
         assert!((s.brier.unwrap() - 0.81).abs() < 1e-12);
-        reset_calib();
     }
 
     #[test]
     fn late_handoff_past_deadline_is_an_expired_miss() {
-        let _g = LOCK.lock().unwrap();
-        reset_calib();
         stage_and_flush(1, 2, 100, 0.5, 30.0, 10.0);
         observe_attempt(100, 1, 2, 31.0);
         let s = calib_summary();
         assert_eq!((s.hits, s.miss_expired), (0, 1));
-        reset_calib();
     }
 
     #[test]
     fn completion_resolves_as_miss() {
-        let _g = LOCK.lock().unwrap();
-        reset_calib();
         stage_and_flush(1, 2, 100, 0.3, 30.0, 10.0);
         observe_end(100, 1, 15.0);
         let s = calib_summary();
         assert_eq!((s.miss_ended, s.pending), (1, 0));
-        reset_calib();
     }
 
     #[test]
     fn fresh_emission_supersedes_live_and_expires_stale() {
-        let _g = LOCK.lock().unwrap();
-        reset_calib();
         stage_and_flush(1, 2, 100, 0.5, 30.0, 10.0);
         // Re-emitted while live: superseded, not scored.
         stage_and_flush(1, 2, 100, 0.6, 40.0, 20.0);
@@ -724,13 +701,10 @@ mod tests {
         stage_and_flush(1, 2, 100, 0.7, 80.0, 50.0);
         let s = calib_summary();
         assert_eq!((s.superseded, s.miss_expired, s.pending), (1, 1, 1));
-        reset_calib();
     }
 
     #[test]
     fn per_prev_diagrams_split_by_conditioning_cell() {
-        let _g = LOCK.lock().unwrap();
-        reset_calib();
         stage_prediction(1, 2, 100, Some(5), 0.8, 30.0);
         stage_prediction(1, 2, 101, None, 0.2, 30.0);
         flush_staged(10.0);
@@ -748,7 +722,6 @@ mod tests {
         assert!(report.contains("2 predictions"));
         assert!(report.contains("reliability diagram"));
         assert!(report.contains("per prev-cell:"));
-        reset_calib();
     }
 
     #[test]
@@ -848,7 +821,6 @@ mod tests {
     /// deadlines are whole seconds, so ties are common).
     #[test]
     fn merging_store_matches_forecast_at_a_time_model() {
-        let _g = LOCK.lock().unwrap();
         for seed in 1..=8 {
             reset_calib();
             let mut rng = Rng(seed);
@@ -932,8 +904,6 @@ mod tests {
                     }
                 }
             }
-            // Copy the store's state out before asserting, so a failure
-            // does not poison the store for the other tests.
             let got = calib_summary();
             let (global, per_prev, sorted) = with_state(|st| {
                 let sorted = st
@@ -971,6 +941,5 @@ mod tests {
                 assert_bins_match(bins, &want.per_prev[prev], "per prev");
             }
         }
-        reset_calib();
     }
 }

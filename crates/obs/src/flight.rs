@@ -17,8 +17,7 @@
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::Ordering;
 
 use qres_json::{FromJson, ToJson, Value};
 
@@ -130,11 +129,10 @@ qres_json::json_struct!(FlightRecord {
     blocked_rank
 });
 
-/// Recorder switch, independent of the obs level so the overhead of the
-/// decision tape can be measured (and disabled) separately.
-static FLIGHT_ON: AtomicBool = AtomicBool::new(true);
-
-struct FlightPlane {
+/// The decision-record ring of an [`crate::Obs`]. Its off switch,
+/// `Obs::flight_off`, is independent of the obs level so the overhead of
+/// the decision tape can be measured (and disabled) separately.
+pub(crate) struct FlightPlane {
     records: VecDeque<FlightRecord>,
     capacity: usize,
     dropped: u64,
@@ -142,13 +140,21 @@ struct FlightPlane {
     capture_dir: Option<PathBuf>,
 }
 
-static PLANE: Mutex<FlightPlane> = Mutex::new(FlightPlane {
-    records: VecDeque::new(),
-    capacity: DEFAULT_FLIGHT_CAPACITY,
-    dropped: 0,
-    captures: Vec::new(),
-    capture_dir: None,
-});
+impl Default for FlightPlane {
+    fn default() -> Self {
+        FlightPlane {
+            records: VecDeque::new(),
+            capacity: DEFAULT_FLIGHT_CAPACITY,
+            dropped: 0,
+            captures: Vec::new(),
+            capture_dir: None,
+        }
+    }
+}
+
+fn with_plane<R>(f: impl FnOnce(&mut FlightPlane) -> R) -> R {
+    crate::with(|o| f(&mut crate::lock(&o.flight)))
+}
 
 thread_local! {
     /// Unkeyed Eq.-4 scratch: set by `neighbor_contribution` on a fresh
@@ -165,30 +171,31 @@ thread_local! {
 /// has not been independently disabled.
 #[inline(always)]
 pub fn flight_enabled() -> bool {
-    crate::recorder::enabled() && FLIGHT_ON.load(Ordering::Relaxed)
+    crate::with(|o| o.recorder.enabled() && !o.flight_off.load(Ordering::Relaxed))
 }
 
 /// Switches the flight recorder independently of the obs level.
 pub fn set_flight_enabled(on: bool) {
-    FLIGHT_ON.store(on, Ordering::Relaxed);
+    crate::with(|o| o.flight_off.store(!on, Ordering::Relaxed));
 }
 
 /// Sets the decision-record ring capacity (oldest evicted beyond it).
 pub fn set_flight_capacity(cap: usize) {
     assert!(cap > 0, "flight ring capacity must be positive");
-    let mut p = PLANE.lock().unwrap();
-    while p.records.len() > cap {
-        p.records.pop_front();
-        p.dropped += 1;
-    }
-    p.capacity = cap;
+    with_plane(|p| {
+        while p.records.len() > cap {
+            p.records.pop_front();
+            p.dropped += 1;
+        }
+        p.capacity = cap;
+    });
 }
 
 /// Directory that alert-triggered captures write into. `None` (the
 /// default) disables capture files entirely — library runs and tests
 /// never touch the filesystem unless the CLI opts in.
 pub fn set_flight_capture_dir(dir: Option<PathBuf>) {
-    PLANE.lock().unwrap().capture_dir = dir;
+    with_plane(|p| p.capture_dir = dir);
 }
 
 /// Stages the Eq.-4 evaluation detail of the contribution the current
@@ -241,12 +248,13 @@ pub fn take_checks() -> Vec<FlightCheck> {
 /// Pushes a completed decision record into the ring (evicting the oldest
 /// beyond capacity).
 pub fn record(rec: FlightRecord) {
-    let mut p = PLANE.lock().unwrap();
-    if p.records.len() >= p.capacity {
-        p.records.pop_front();
-        p.dropped += 1;
-    }
-    p.records.push_back(rec);
+    with_plane(|p| {
+        if p.records.len() >= p.capacity {
+            p.records.pop_front();
+            p.dropped += 1;
+        }
+        p.records.push_back(rec);
+    });
 }
 
 /// Names the dominant factor behind a record's verdict.
@@ -284,7 +292,8 @@ fn record_with_cause(rec: &FlightRecord) -> Value {
 /// files written. With `records`, also every buffered record (the
 /// end-of-run `obs.json`); without, the live `/metrics.json` section.
 pub fn flight_json(records: bool) -> Value {
-    let p = PLANE.lock().unwrap();
+    let obs = crate::current();
+    let p = crate::lock(&obs.flight);
     let mut causes = [
         ("link_full", 0u64),
         ("reservation_pressure", 0),
@@ -334,7 +343,8 @@ pub fn flight_json(records: bool) -> Value {
 /// window, or — with neither — the last `last` records overall. Each
 /// returned record carries its classified `cause`.
 pub fn explain_json(req: Option<u64>, cell: Option<u32>, last: usize) -> Value {
-    let p = PLANE.lock().unwrap();
+    let obs = crate::current();
+    let p = crate::lock(&obs.flight);
     let last = last.max(1);
     let selected: Vec<&FlightRecord> = match (req, cell) {
         (Some(r), _) => p.records.iter().filter(|rec| rec.req == r).collect(),
@@ -488,7 +498,8 @@ pub fn render_explain(doc: &Value) -> Result<String, String> {
 /// Returns the path written and the record count, or `None` when capture
 /// is disabled (no directory) or the cell has no records yet.
 pub fn capture_for_cell(cell: u32, now: f64, rule: &str) -> Option<(String, u64)> {
-    let mut p = PLANE.lock().unwrap();
+    let obs = crate::current();
+    let mut p = crate::lock(&obs.flight);
     let dir = p.capture_dir.clone()?;
     let matching: Vec<&FlightRecord> = p.records.iter().filter(|r| r.cell == cell).collect();
     if matching.is_empty() {
@@ -516,7 +527,8 @@ pub fn capture_for_cell(cell: u32, now: f64, rule: &str) -> Option<(String, u64)
 /// Appends the flight gauges to the Prometheus exposition.
 pub fn prometheus_fragment(out: &mut String) {
     use std::fmt::Write as _;
-    let p = PLANE.lock().unwrap();
+    let obs = crate::current();
+    let p = crate::lock(&obs.flight);
     out.push_str(
         "# HELP qres_flight_records Admission decision records held in the flight ring.\n",
     );
@@ -538,14 +550,13 @@ pub fn prometheus_fragment(out: &mut String) {
 /// restores the default capacity. Leaves the on/off switch alone (like
 /// `reset` leaves the level), and clears this thread's staging buffers.
 pub fn reset_flight() {
-    {
-        let mut p = PLANE.lock().unwrap();
+    with_plane(|p| {
         p.records.clear();
         p.capacity = DEFAULT_FLIGHT_CAPACITY;
         p.dropped = 0;
         p.captures.clear();
         p.capture_dir = None;
-    }
+    });
     let _ = take_eval_detail();
     STAGED_TERMS.with(|t| t.borrow_mut().clear());
     let _ = take_checks();
@@ -595,19 +606,8 @@ mod tests {
         }
     }
 
-    /// Global state forces the flight tests through one serial body.
     #[test]
-    fn flight_lifecycle() {
-        ring_evicts_and_counts_drops();
-        json_round_trips_records_exactly();
-        explain_filters_by_req_and_cell();
-        denial_causes_classify();
-        staged_terms_key_by_req_and_target();
-        capture_writes_window_file();
-    }
-
     fn ring_evicts_and_counts_drops() {
-        reset_flight();
         set_flight_capacity(3);
         for i in 0..5 {
             record(sample_record(i, 4, true));
@@ -617,11 +617,10 @@ mod tests {
         assert_eq!(doc.get("dropped"), Some(&Value::UInt(2)));
         let records = records_from_doc(&doc).unwrap();
         assert_eq!(records[0].req, 2, "oldest two must be evicted");
-        reset_flight();
     }
 
+    #[test]
     fn json_round_trips_records_exactly() {
-        reset_flight();
         let mut rec = sample_record(7, 4, false);
         rec.blocked_rank = Some(2);
         rec.reserve = 1.0 / 3.0; // exercise a non-terminating fraction
@@ -629,11 +628,10 @@ mod tests {
         let text = flight_json(true).to_pretty_string();
         let parsed = records_from_doc(&Value::parse(&text).unwrap()).unwrap();
         assert_eq!(parsed, vec![rec], "records must round-trip bit-exactly");
-        reset_flight();
     }
 
+    #[test]
     fn explain_filters_by_req_and_cell() {
-        reset_flight();
         for i in 0..10 {
             record(sample_record(i, if i % 2 == 0 { 4 } else { 5 }, true));
         }
@@ -651,9 +649,9 @@ mod tests {
         );
         let tail = explain_json(None, None, 2);
         assert_eq!(tail.get("matched"), Some(&Value::UInt(2)));
-        reset_flight();
     }
 
+    #[test]
     fn denial_causes_classify() {
         let admitted = sample_record(1, 4, true);
         assert_eq!(denial_cause(&admitted), "admitted");
@@ -667,8 +665,8 @@ mod tests {
         assert_eq!(denial_cause(&pressure), "reservation_pressure");
     }
 
+    #[test]
     fn staged_terms_key_by_req_and_target() {
-        reset_flight();
         let own = vec![FlightTerm {
             neighbor: 5,
             value: 1.5,
@@ -689,11 +687,10 @@ mod tests {
         stage_check(sample_record(1, 4, true).checks[0].clone());
         assert_eq!(take_checks().len(), 1);
         assert!(take_checks().is_empty());
-        reset_flight();
     }
 
+    #[test]
     fn capture_writes_window_file() {
-        reset_flight();
         assert_eq!(
             capture_for_cell(4, 100.0, "p_hd_burn"),
             None,
@@ -724,6 +721,5 @@ mod tests {
         assert!(summary.get("records").is_none());
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_dir(&dir);
-        reset_flight();
     }
 }

@@ -9,8 +9,8 @@
 //!   HOE quadruplet insert/evict, DES queue high-water marks, and
 //!   backbone message sends — each carrying sim-time and cell id, and
 //!   drainable to JSONL.
-//! * [`metrics`] — a registry of `const`-constructible atomic counters,
-//!   max-gauges, and log-linear timing histograms over the hot paths:
+//! * [`metrics`] — a registry of counters, max-gauges, and log-linear
+//!   timing histograms over the hot paths:
 //!   admission tests, `B_i,0` Eq.-4 passes, `compute_br` memo hits vs.
 //!   misses, event dispatch, sweep points.
 //! * [`export`] — Prometheus text exposition, the JSON snapshot, the
@@ -43,6 +43,15 @@
 //!   (16 sub-buckets per octave, ≤ 6.25% relative error), also used by
 //!   `qres_stats::LogLinearHistogram`.
 //!
+//! ## One handle per thread
+//!
+//! All of this state is one [`Obs`]. Each thread reaches its own through
+//! a thread-local handle that starts as a fresh default, and every free
+//! function here acts on the calling thread's handle, so a run owns its
+//! telemetry. Sweep workers (`qres_sim::par_map`) and the [`ObsServer`]
+//! thread adopt their caller's with [`current`] and [`install`]. The
+//! sim-time mirror and the staging buffers stay per thread.
+//!
 //! ## Run artifacts
 //!
 //! A run with telemetry on leaves two files. The event stream spills to
@@ -56,10 +65,11 @@
 //! ## Overhead contract
 //!
 //! Telemetry is off by default. Every instrumentation site is gated on
-//! [`enabled`] — a single relaxed atomic load plus a branch — and takes no
-//! wall-clock timestamps, allocates nothing, and touches no locks until
-//! switched on with [`set_level`]. The `obs_overhead` benchmark in
-//! `qres-bench` holds the disabled end-to-end cost under 2%.
+//! [`enabled`] — a thread-local read of the handle, a relaxed load of its
+//! level and a branch — and takes no wall-clock timestamps, allocates
+//! nothing (past the handle a thread creates on first use), and touches
+//! no locks until switched on with [`set_level`]. The `obs_overhead`
+//! benchmark in `qres-bench` holds the disabled end-to-end cost under 2%.
 //!
 //! ## Determinism contract
 //!
@@ -115,6 +125,76 @@ pub use recorder::{
 };
 pub use serve::ObsServer;
 
+use std::cell::{Cell, RefCell};
+use std::sync::atomic::AtomicBool;
+use std::sync::{Arc, Mutex, MutexGuard};
+
+/// One run's telemetry state: the recorder (level, sampling, event ring
+/// and spill), the metric values, the QoS tracker, the calibration store,
+/// the alert plane, and the flight plane with its switch. Threads sharing
+/// a handle (see [`install`]) update it through atomics and mutexes.
+#[derive(Default)]
+pub struct Obs {
+    pub(crate) recorder: recorder::Recorder,
+    pub(crate) metrics: metrics::Registry,
+    pub(crate) qos: Mutex<qos::QosState>,
+    pub(crate) calib: Mutex<calib::CalibState>,
+    pub(crate) alerts: Mutex<alert::AlertPlane>,
+    pub(crate) flight_off: AtomicBool,
+    pub(crate) flight: Mutex<flight::FlightPlane>,
+}
+
+/// A thread's handle and its own sim-clock mirror ([`set_sim_time`]).
+pub(crate) struct Handle {
+    obs: RefCell<Option<Arc<Obs>>>,
+    pub(crate) sim_time: Cell<f64>,
+}
+
+thread_local! {
+    pub(crate) static HANDLE: Handle = const {
+        Handle {
+            obs: RefCell::new(None),
+            sim_time: Cell::new(0.0),
+        }
+    };
+}
+
+/// Runs `f` on this thread's [`Obs`], creating a fresh one first if the
+/// thread has none yet.
+#[inline(always)]
+pub(crate) fn with<R>(f: impl FnOnce(&Obs) -> R) -> R {
+    HANDLE.with(|h| {
+        if let Some(obs) = h.obs.borrow().as_deref() {
+            return f(obs);
+        }
+        f(&current())
+    })
+}
+
+/// Locks one of an [`Obs`]'s mutexes.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock()
+        .expect("a thread sharing this telemetry handle panicked mid-update")
+}
+
+/// This thread's telemetry handle (a fresh default one if the thread had
+/// none yet).
+pub fn current() -> Arc<Obs> {
+    if let Some(obs) = HANDLE.with(|h| h.obs.borrow().clone()) {
+        return obs;
+    }
+    let obs = Arc::default();
+    install(Arc::clone(&obs));
+    obs
+}
+
+/// Makes `obs` this thread's telemetry handle. A worker installs its
+/// caller's [`current`] handle to write into the caller's run;
+/// installing `Arc::default()` starts a fresh one.
+pub fn install(obs: Arc<Obs>) {
+    HANDLE.with(|h| *h.obs.borrow_mut() = Some(obs));
+}
+
 /// Returns `(0, wall_ns - barrier_ns)`, saturating. Exists only for
 /// `qres-perf`'s traced replay, and goes with that call in the next change
 /// to the benchmark.
@@ -131,12 +211,3 @@ pub fn reset_workers() {}
 /// Exists only for `qres-perf`'s `reset_obs`, and goes with that call in
 /// the next change to the benchmark.
 pub fn reset_tsdb() {}
-
-/// Serializes the crate's unit tests that drive the process-global QoS
-/// tracker (directly, or through the alert rules that read it).
-#[cfg(test)]
-pub(crate) fn qos_test_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}

@@ -11,13 +11,13 @@
 //!
 //! Everything here is passive observation behind the level gate: the
 //! simulation feeds observations through `record_*` calls that the callers
-//! guard with [`crate::recorder::enabled`], state lives in one global
-//! mutex, and nothing flows back into admission decisions — the
-//! determinism contract of the recorder extends to this module.
+//! guard with [`crate::recorder::enabled`], state lives behind one mutex
+//! in the calling thread's [`crate::Obs`], and nothing flows back into
+//! admission decisions — the determinism contract of the recorder extends
+//! to this module.
 
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
-use std::sync::Mutex;
 
 use qres_json::Value;
 
@@ -172,15 +172,16 @@ struct CellQos {
     handoff_bu_dropped: f64,
 }
 
+/// The QoS tracker of an [`crate::Obs`].
 #[derive(Debug)]
-struct QosState {
+pub(crate) struct QosState {
     window_secs: f64,
     target_p_hd: f64,
     cells: BTreeMap<u32, CellQos>,
 }
 
-impl QosState {
-    const fn new() -> Self {
+impl Default for QosState {
+    fn default() -> Self {
         QosState {
             window_secs: DEFAULT_QOS_WINDOW_SECS,
             target_p_hd: DEFAULT_QOS_TARGET_P_HD,
@@ -189,10 +190,8 @@ impl QosState {
     }
 }
 
-static QOS: Mutex<QosState> = Mutex::new(QosState::new());
-
 fn with_state<R>(f: impl FnOnce(&mut QosState) -> R) -> R {
-    f(&mut QOS.lock().unwrap())
+    crate::with(|o| f(&mut crate::lock(&o.qos)))
 }
 
 /// Sets the trailing-window width (simulated seconds) of the live
@@ -291,7 +290,7 @@ thread_local! {
     static STAGED_BR: std::cell::RefCell<Vec<(u32, f64)>> = const { std::cell::RefCell::new(Vec::new()) };
 }
 
-/// Stages a `B_r` update without touching the global mutex — a plain
+/// Stages a `B_r` update without touching the tracker's mutex — a plain
 /// thread-local push, safe inside the timed admission/`B_r` windows.
 /// Published by [`flush_br_updates`]; same staging discipline as the
 /// calibration forecasts ([`crate::calib::stage_prediction`]).
@@ -342,9 +341,11 @@ pub fn record_handoff_bw(cell: u32, bw: f64, dropped: bool) {
     });
 }
 
-/// Clears all QoS/efficiency state (between runs / tests). Window and
-/// target settings are preserved — they are configuration, not data.
+/// Clears all QoS/efficiency state (between runs), including this
+/// thread's staged `B_r` updates. Window and target settings are
+/// preserved — they are configuration, not data.
 pub fn reset_qos() {
+    STAGED_BR.with(|s| s.borrow_mut().clear());
     with_state(|s| s.cells.clear());
 }
 
@@ -557,16 +558,11 @@ pub fn prometheus_fragment(out: &mut String) {
 mod tests {
     use super::*;
 
-    /// Distinct high cell ids per test so parallel *other* suites feeding
-    /// low cells can't interfere.
     const CELL_A: u32 = 9_001;
     const CELL_B: u32 = 9_002;
 
     #[test]
     fn window_prunes_old_observations() {
-        let _g = crate::qos_test_lock();
-        reset_qos();
-        let saved = qos_window_secs();
         set_qos_window_secs(10.0);
         for t in 0..20 {
             record_handoff_outcome(t as f64, CELL_A, t < 10);
@@ -579,15 +575,10 @@ mod tests {
         assert_eq!(c.hd_hits, 1);
         let p = c.p_hd.unwrap();
         assert!(c.p_hd_wilson.0 <= p && p <= c.p_hd_wilson.1);
-        set_qos_window_secs(saved);
-        reset_qos();
     }
 
     #[test]
     fn violation_clock_integrates_above_target_intervals() {
-        let _g = crate::qos_test_lock();
-        reset_qos();
-        let saved = qos_window_secs();
         set_qos_window_secs(1e9);
         // Two drops in two attempts: estimate 1.0 > 0.01 from t = 1.
         record_handoff_outcome(0.0, CELL_A, true);
@@ -601,15 +592,10 @@ mod tests {
             "{}",
             c.violation_secs
         );
-        set_qos_window_secs(saved);
-        reset_qos();
     }
 
     #[test]
     fn eviction_boundary_keeps_events_exactly_at_now_minus_window() {
-        let _g = crate::qos_test_lock();
-        reset_qos();
-        let saved = qos_window_secs();
         set_qos_window_secs(10.0);
         // A drop exactly at the future window edge (t = now - window when
         // now = 10): half-open pruning keeps it, so P_HD counts it.
@@ -627,15 +613,10 @@ mod tests {
         assert_eq!(c.hd_trials, 2);
         assert_eq!(c.hd_hits, 0, "evicted drop must release its hit");
         assert_eq!(c.p_hd, Some(0.0));
-        set_qos_window_secs(saved);
-        reset_qos();
     }
 
     #[test]
     fn duplicate_timestamps_count_once_each_in_both_streams() {
-        let _g = crate::qos_test_lock();
-        reset_qos();
-        let saved = qos_window_secs();
         set_qos_window_secs(10.0);
         // Batched arrivals land with identical sim-timestamps: every
         // observation is one trial, neither merged nor double-counted.
@@ -664,14 +645,10 @@ mod tests {
         let c = snap.iter().find(|c| c.cell == CELL_A).unwrap();
         assert_eq!(c.hd_trials, 2, "edge duplicates all evict together");
         assert_eq!(c.hd_hits, 0);
-        set_qos_window_secs(saved);
-        reset_qos();
     }
 
     #[test]
     fn efficiency_integrals_track_reserved_vs_used() {
-        let _g = crate::qos_test_lock();
-        reset_qos();
         // B_r: 4 BU over [0, 10), 2 BU over [10, 20) -> mean 3.
         record_br_update(0.0, CELL_B, 4.0);
         record_br_update(10.0, CELL_B, 2.0);
@@ -688,13 +665,10 @@ mod tests {
         assert!((c.over_reservation_bu().unwrap() - 2.0).abs() < 1e-9);
         assert_eq!(c.handoff_bu_admitted, 1.0);
         assert_eq!(c.handoff_bu_dropped, 2.0);
-        reset_qos();
     }
 
     #[test]
     fn fragment_and_json_render_cells() {
-        let _g = crate::qos_test_lock();
-        reset_qos();
         record_handoff_outcome(1.0, CELL_A, false);
         record_admission_outcome(1.0, CELL_A, true);
         let mut out = String::new();
@@ -705,6 +679,15 @@ mod tests {
         assert!(json.contains("\"window_secs\""));
         assert!(json.contains(&format!("\"{CELL_A}\"")));
         assert!(json.contains("\"calib\""));
+    }
+
+    /// A `B_r` update staged while telemetry was on but never flushed
+    /// (the level went off mid-admission) does not outlive a reset.
+    #[test]
+    fn reset_drops_staged_br_updates() {
+        stage_br_update(CELL_B, 4.0);
         reset_qos();
+        flush_br_updates(1.0);
+        assert!(qos_snapshot().is_empty(), "{:?}", qos_snapshot());
     }
 }

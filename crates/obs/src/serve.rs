@@ -23,11 +23,14 @@
 //! * `GET /healthz` — liveness probe. `200 ok` while healthy; `503
 //!   degraded` naming every firing SLO alert.
 //!
-//! The server is strictly read-only over relaxed atomics — attaching it
-//! cannot perturb a running simulation (the obs on/off determinism test
-//! runs with a server attached). Scrapes are served one at a time; a
-//! Prometheus scrape interval is orders of magnitude above the render
-//! cost, so no connection pool is needed.
+//! The accept thread installs the [`crate::Obs`] handle of the thread
+//! that started the server, so it renders what that thread's run (and the
+//! sweep workers sharing its handle) records. It only reads — relaxed
+//! atomic loads and short mutex holds — so attaching it cannot perturb a
+//! running simulation (the obs on/off determinism test runs with a server
+//! attached). Scrapes are served one at a time; a Prometheus scrape
+//! interval is orders of magnitude above the render cost, so no
+//! connection pool is needed.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -51,7 +54,8 @@ pub struct ObsServer {
 
 impl ObsServer {
     /// Binds `addr` (e.g. `"127.0.0.1:9464"`, or port `0` for an
-    /// ephemeral port) and starts serving on a background thread.
+    /// ephemeral port) and starts serving this thread's telemetry handle
+    /// on a background thread.
     pub fn start(addr: &str) -> std::io::Result<ObsServer> {
         let listener = TcpListener::bind(addr)?;
         // Non-blocking accept so the loop can observe the stop flag
@@ -60,9 +64,13 @@ impl ObsServer {
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let stop_flag = Arc::clone(&stop);
+        let obs = crate::current();
         let handle = std::thread::Builder::new()
             .name("qres-obs-serve".into())
-            .spawn(move || accept_loop(listener, &stop_flag))?;
+            .spawn(move || {
+                crate::install(obs);
+                accept_loop(listener, &stop_flag)
+            })?;
         Ok(ObsServer {
             addr,
             stop,

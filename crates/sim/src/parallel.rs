@@ -9,6 +9,10 @@
 //! Results are returned **in input order**, regardless of completion
 //! order: parallel and sequential execution of a pure `f` produce the same
 //! `Vec`, bit for bit.
+//!
+//! Workers install the caller's telemetry handle ([`qres_obs::install`]),
+//! so a sweep with telemetry on records into the caller's one
+//! [`qres_obs::Obs`], exactly as a sequential loop on the caller would.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -36,10 +40,12 @@ where
     }
 
     let next = AtomicUsize::new(0);
+    let obs = qres_obs::current();
     let mut indexed: Vec<(usize, R)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 scope.spawn(|| {
+                    qres_obs::install(obs.clone());
                     let mut done = Vec::new();
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);

@@ -30,7 +30,15 @@ pub struct SweepPoint {
 /// [`sweep_offered_load_sequential`].
 pub fn sweep_offered_load(base: &Scenario, loads: &[f64]) -> Vec<SweepPoint> {
     note_sweep_planned(loads);
-    par_map(loads, |&load| sweep_point(base, load))
+    let points = par_map(loads, |&load| {
+        (sweep_point(base, load), qres_obs::sim_time())
+    });
+    // Workers mirror their own sim clocks: leave the caller's where the
+    // sequential sweep does, at the last point's, for `write_obs_json`.
+    if let Some((_, t)) = points.last() {
+        qres_obs::set_sim_time(*t);
+    }
+    points.into_iter().map(|(point, _)| point).collect()
 }
 
 /// The single-threaded reference implementation of [`sweep_offered_load`].

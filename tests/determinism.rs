@@ -1,29 +1,11 @@
 //! Reproducibility guarantees across the full stack.
 
-use std::sync::{Mutex, MutexGuard, PoisonError};
-
-use qres::sim::{run_scenario, RunResult, Scenario, SchemeKind, TimeVaryingConfig};
-
-/// Serializes every test that runs a scenario. The telemetry level, the
-/// QoS target and the obs planes are process-global, so a scenario run
-/// concurrently with a telemetry-on test would write into its trackers.
-static OBS_LOCK: Mutex<()> = Mutex::new(());
-
-/// Takes [`OBS_LOCK`]; a test that failed while holding it does not fail
-/// the others.
-fn obs_lock() -> MutexGuard<'static, ()> {
-    OBS_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Clears every telemetry plane a telemetry-on run writes into.
-fn reset_obs() {
-    qres::obs::reset();
-    qres::obs::reset_metrics();
-    qres::obs::reset_qos();
-    qres::obs::reset_calib();
-    qres::obs::reset_alerts();
-    qres::obs::reset_flight();
-}
+use qres::sim::runner::SweepPoint;
+use qres::sim::{
+    run_scenario, sweep_offered_load, sweep_offered_load_sequential, RunResult, Scenario,
+    SchemeKind, TimeVaryingConfig,
+};
+use qres_json::Value;
 
 /// Asserts that two runs agree on every paper metric, bit for bit.
 fn assert_same_outcomes(a: &RunResult, b: &RunResult, label: &str) {
@@ -44,7 +26,6 @@ fn assert_same_outcomes(a: &RunResult, b: &RunResult, label: &str) {
 /// Bit-identical results from the same seed, including traces.
 #[test]
 fn identical_seeds_identical_runs() {
-    let _guard = obs_lock();
     let s = Scenario::paper_baseline()
         .scheme(SchemeKind::Ac3)
         .offered_load(250.0)
@@ -71,7 +52,6 @@ fn identical_seeds_identical_runs() {
 /// Different seeds genuinely change the realization.
 #[test]
 fn different_seeds_differ() {
-    let _guard = obs_lock();
     let base = Scenario::paper_baseline()
         .offered_load(150.0)
         .duration_secs(600.0);
@@ -85,7 +65,6 @@ fn different_seeds_differ() {
 /// admission outcomes differ.
 #[test]
 fn workload_is_scheme_independent() {
-    let _guard = obs_lock();
     let base = Scenario::paper_baseline()
         .offered_load(250.0)
         .duration_secs(1_000.0)
@@ -114,7 +93,6 @@ fn workload_is_scheme_independent() {
 /// comes out bit-identical with the recorder on and off.
 #[test]
 fn recorder_does_not_perturb_outcomes() {
-    let _guard = obs_lock();
     let s = Scenario::paper_baseline()
         .scheme(SchemeKind::Ac3)
         .offered_load(250.0)
@@ -149,10 +127,6 @@ fn recorder_does_not_perturb_outcomes() {
     assert_eq!(scraper.join().expect("scraper thread"), 20);
     server.shutdown();
     let (events, _) = qres::obs::drain_events();
-    // The obs-on run also exercised the QoS/calibration trackers, the
-    // watchdog and the flight recorder (all strictly obs-side); clear
-    // them so this test leaves no global state.
-    reset_obs();
     assert!(!events.is_empty(), "debug level should record events");
     assert_same_outcomes(&off, &on, "recorder on vs off");
 }
@@ -163,7 +137,6 @@ fn recorder_does_not_perturb_outcomes() {
 /// clock, never on wall time.
 #[test]
 fn forced_violation_alert_timeline_is_deterministic() {
-    let _guard = obs_lock();
     let mut s = Scenario::paper_baseline()
         .scheme(SchemeKind::Ac3)
         .offered_load(250.0)
@@ -172,11 +145,10 @@ fn forced_violation_alert_timeline_is_deterministic() {
     // Far below what this load realizes: the p_hd_burn rule must fire.
     s.p_hd_target = 1e-4;
     let timeline = || {
-        reset_obs();
+        qres::obs::install(Default::default());
         qres::obs::set_level(qres::obs::Level::Info);
         let _ = run_scenario(&s);
         qres::obs::finalize_alerts(qres::obs::sim_time());
-        qres::obs::set_level(qres::obs::Level::Off);
         qres::obs::alerts_json().to_compact_string()
     };
     let first = timeline();
@@ -189,7 +161,6 @@ fn forced_violation_alert_timeline_is_deterministic() {
         "finalize must resolve the timeline: {first}"
     );
     assert_eq!(first, timeline(), "rerun must replay the same timeline");
-    reset_obs();
 }
 
 /// The decision-provenance flight recorder is strictly passive: with
@@ -197,22 +168,20 @@ fn forced_violation_alert_timeline_is_deterministic() {
 /// terms, checks, verdict) changes no simulation outcome.
 #[test]
 fn flight_recorder_does_not_perturb_outcomes() {
-    let _guard = obs_lock();
     let s = Scenario::paper_baseline()
         .scheme(SchemeKind::Ac3)
         .offered_load(250.0)
         .duration_secs(600.0)
         .seed(77);
     let run = |flight: bool| {
-        reset_obs();
+        qres::obs::install(Default::default());
         qres::obs::set_flight_enabled(flight);
         qres::obs::set_level(qres::obs::Level::Debug);
         let r = run_scenario(&s);
         let taped = matches!(
             qres::obs::flight_json(false).get("len"),
-            Some(qres_json::Value::UInt(n)) if *n > 0
+            Some(Value::UInt(n)) if *n > 0
         );
-        qres::obs::set_level(qres::obs::Level::Off);
         assert_eq!(
             taped,
             flight,
@@ -225,8 +194,6 @@ fn flight_recorder_does_not_perturb_outcomes() {
     let off = run(false);
     let on = run(true);
     assert_same_outcomes(&off, &on, "recorder on vs off");
-    reset_obs();
-    qres::obs::set_flight_enabled(true);
 }
 
 /// The flight tape itself is deterministic: the full record window —
@@ -235,17 +202,15 @@ fn flight_recorder_does_not_perturb_outcomes() {
 /// the live admission predicates reproduces every verdict.
 #[test]
 fn replayed_flight_window_is_deterministic() {
-    let _guard = obs_lock();
     let s = Scenario::paper_baseline()
         .scheme(SchemeKind::Ac3)
         .offered_load(250.0)
         .duration_secs(600.0)
         .seed(42);
     let tape = || {
-        reset_obs();
+        qres::obs::install(Default::default());
         qres::obs::set_level(qres::obs::Level::Debug);
         let _ = run_scenario(&s);
-        qres::obs::set_level(qres::obs::Level::Off);
         qres::obs::flight_json(true)
     };
     let first = tape();
@@ -273,14 +238,12 @@ fn replayed_flight_window_is_deterministic() {
             .all(|t| t.memo_hit != t.p_h_sum.is_some()),
         "every fresh term carries its Eq.-4 detail; no memo hit does"
     );
-    reset_obs();
 }
 
 /// Determinism holds in the time-varying mode too (retry coin flips are a
 /// seeded stream).
 #[test]
 fn time_varying_deterministic() {
-    let _guard = obs_lock();
     let mut tv = TimeVaryingConfig::paper_like();
     tv.days = 1;
     let mut s = Scenario::paper_baseline()
@@ -310,7 +273,6 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// drops) forecasts would fail here and nowhere else.
 #[test]
 fn calibration_output_is_pinned() {
-    let _guard = obs_lock();
     let ring = Scenario::paper_baseline()
         .scheme(SchemeKind::Ac3)
         .offered_load(150.0)
@@ -333,7 +295,7 @@ fn calibration_output_is_pinned() {
         ),
     ];
     for (s, counts, digest) in pins {
-        reset_obs();
+        qres::obs::install(Default::default());
         qres::obs::set_level(qres::obs::Level::Info);
         let _ = run_scenario(s);
         qres::obs::set_level(qres::obs::Level::Off);
@@ -357,5 +319,81 @@ fn calibration_output_is_pinned() {
             s.route_aware
         );
     }
-    reset_obs();
+}
+
+/// `snapshot_json()` without its wall-clock `histograms`, after this
+/// thread ran `s` with telemetry on.
+fn telemetry_of(s: &Scenario) -> String {
+    qres::obs::set_level(qres::obs::Level::Info);
+    let _ = run_scenario(s);
+    let Value::Object(sections) = qres::obs::snapshot_json() else {
+        panic!("snapshot is not an object");
+    };
+    let kept = sections.into_iter().filter(|(k, _)| k != "histograms");
+    Value::Object(kept.collect()).to_compact_string()
+}
+
+/// Each thread owns its telemetry: two telemetry-on runs on two threads
+/// at the same time each leave exactly the snapshot — counters, gauges,
+/// QoS windows, calibration, alerts, flight tape — the same run leaves
+/// alone.
+#[test]
+fn concurrent_telemetry_runs_match_solo_runs() {
+    let base = Scenario::paper_baseline()
+        .scheme(SchemeKind::Ac3)
+        .offered_load(200.0)
+        .duration_secs(300.0);
+    let runs = [base.clone().seed(3), base.seed(4)];
+    let solo = runs
+        .each_ref()
+        .map(|s| std::thread::scope(|t| t.spawn(|| telemetry_of(s)).join().unwrap()));
+    assert_ne!(solo[0], solo[1], "the seeds must realize different runs");
+    let start = std::sync::Barrier::new(runs.len());
+    let together = std::thread::scope(|t| {
+        let runs = runs.each_ref().map(|s| {
+            t.spawn(|| {
+                start.wait();
+                telemetry_of(s)
+            })
+        });
+        runs.map(|h| h.join().unwrap())
+    });
+    assert_eq!(together, solo);
+}
+
+/// The parallel sweep's workers record into the caller's handle: with
+/// telemetry on it leaves the same counters and gauges as the
+/// sequential sweep. The event counters are left out: the points share
+/// the caller's QoS windows and alert plane, so the number of alert
+/// transitions recorded depends on how concurrent points interleave.
+#[test]
+fn parallel_sweep_telemetry_matches_sequential() {
+    let base = Scenario::paper_baseline()
+        .scheme(SchemeKind::Ac3)
+        .duration_secs(300.0)
+        .seed(8);
+    let registry = |sweep: fn(&Scenario, &[f64]) -> Vec<SweepPoint>| {
+        std::thread::scope(|t| {
+            t.spawn(|| {
+                qres::obs::set_level(qres::obs::Level::Info);
+                assert_eq!(sweep(&base, &[100.0, 200.0, 300.0]).len(), 3);
+                let doc = qres::obs::snapshot_json();
+                let Some(Value::Object(counters)) = doc.get("counters") else {
+                    panic!("snapshot has no counters");
+                };
+                let counters: Vec<_> = (counters.iter())
+                    .filter(|(k, _)| !k.starts_with("qres_obs_events_"))
+                    .cloned()
+                    .collect();
+                (counters, doc.get("gauges").cloned())
+            })
+            .join()
+            .unwrap()
+        })
+    };
+    let sequential = registry(sweep_offered_load_sequential);
+    assert!(sequential
+        .0
+        .contains(&("qres_sweep_points_done_total".to_string(), Value::UInt(3))));
+    assert_eq!(registry(sweep_offered_load), sequential);
 }

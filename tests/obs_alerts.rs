@@ -2,27 +2,14 @@
 //! through real QoS traffic, `/alerts` + `/healthz` scraped over real TCP,
 //! and a lint-clean exposition at metro scale.
 //!
-//! This file is its own test binary, so flipping the process-global obs
-//! state here cannot race the determinism or smoke suites; the tests
-//! still serialize against each other through `LOCK` because the
-//! watchdog state is process-global too.
+//! Each test runs on its own thread, so on its own telemetry handle: the
+//! watchdog state one test drives never reaches another, and no test
+//! needs to clear it.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::Mutex;
 
 use qres::obs;
-
-static LOCK: Mutex<()> = Mutex::new(());
-
-fn reset_all() {
-    obs::set_level(obs::Level::Off);
-    obs::reset();
-    obs::reset_metrics();
-    obs::reset_qos();
-    obs::reset_calib();
-    obs::reset_alerts();
-}
 
 fn http_get(addr: SocketAddr, path: &str) -> (String, String) {
     let mut conn = TcpStream::connect(addr).expect("connect to obs server");
@@ -49,8 +36,6 @@ fn force_violation(cell: u32, t: f64) {
 /// single unlabelled series: no `cell=` label at 1024 cells.
 #[test]
 fn metro_exposition_lints_without_per_cell_timing_series() {
-    let _guard = LOCK.lock().unwrap();
-    reset_all();
     obs::set_level(obs::Level::Info);
     let scenario = qres::sim::Scenario::metro().duration_secs(5.0).seed(3);
     let r = qres::sim::run_scenario(&scenario);
@@ -67,7 +52,6 @@ fn metro_exposition_lints_without_per_cell_timing_series() {
         "timing series carry a cell label: {:?}",
         &labelled_timing[..labelled_timing.len().min(3)]
     );
-    reset_all();
 }
 
 /// `/healthz` flips to 503 while an alert is firing — naming the rule and
@@ -75,8 +59,6 @@ fn metro_exposition_lints_without_per_cell_timing_series() {
 /// alerts are history, not an outage: they stay 200.
 #[test]
 fn healthz_degrades_on_firing_alert_then_recovers() {
-    let _guard = LOCK.lock().unwrap();
-    reset_all();
     let server = obs::ObsServer::start("127.0.0.1:0").expect("bind ephemeral port");
     let addr = server.addr();
 
@@ -86,7 +68,6 @@ fn healthz_degrades_on_firing_alert_then_recovers() {
     assert!(body.starts_with("ok\n"), "body: {body}");
 
     // A firing burn-rate alert degrades health, naming the rule.
-    obs::set_qos_target_p_hd(0.01);
     force_violation(9_301, 60.0);
     assert!(
         !obs::firing_alerts().is_empty(),
@@ -107,19 +88,15 @@ fn healthz_degrades_on_firing_alert_then_recovers() {
     assert!(body.starts_with("ok\n"), "body: {body}");
 
     server.shutdown();
-    reset_all();
 }
 
 /// `/alerts` serves the full watchdog document as valid JSON: config
 /// (the windows in force), fired counters and the transition log.
 #[test]
 fn alerts_route_serves_watchdog_document() {
-    let _guard = LOCK.lock().unwrap();
-    reset_all();
     let server = obs::ObsServer::start("127.0.0.1:0").expect("bind ephemeral port");
     let addr = server.addr();
 
-    obs::set_qos_target_p_hd(0.01);
     force_violation(9_302, 60.0);
     obs::watchdog_tick(120.0);
 
@@ -150,7 +127,6 @@ fn alerts_route_serves_watchdog_document() {
     assert!(body.contains("\"9302\""), "the hot cell is named: {body}");
 
     server.shutdown();
-    reset_all();
 }
 
 /// The `alerts` section written to `obs.json` round-trips through the
@@ -158,10 +134,7 @@ fn alerts_route_serves_watchdog_document() {
 /// event stream.
 #[test]
 fn alert_timeline_round_trips_through_obswatch_renderers() {
-    let _guard = LOCK.lock().unwrap();
-    reset_all();
     obs::set_level(obs::Level::Info);
-    obs::set_qos_target_p_hd(0.01);
     force_violation(9_303, 60.0);
     obs::finalize_alerts(120.0);
 
@@ -178,6 +151,4 @@ fn alert_timeline_round_trips_through_obswatch_renderers() {
         jsonl.contains("alert_transition"),
         "transitions must reach the event stream"
     );
-
-    reset_all();
 }

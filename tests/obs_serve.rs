@@ -1,8 +1,8 @@
 //! End-to-end checks of the live telemetry plane: `ObsServer` scraped
 //! over real TCP while a sweep is actually running in this process.
 //!
-//! This file is its own test binary, so flipping the process-global obs
-//! level here cannot race the determinism or smoke suites.
+//! The server and the sweep thread both install this test's telemetry
+//! handle, so they share its state and no other test's.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -29,13 +29,14 @@ fn http_get(addr: SocketAddr, path: &str) -> (String, String) {
 /// planned == done by the end.
 #[test]
 fn scrape_during_running_sweep() {
-    qres::obs::reset_metrics();
     qres::obs::set_sample_every(3);
     qres::obs::set_level(qres::obs::Level::Debug);
     let server = qres::obs::ObsServer::start("127.0.0.1:0").expect("bind ephemeral port");
     let addr = server.addr();
 
-    let sweep = std::thread::spawn(|| {
+    let obs = qres::obs::current();
+    let sweep = std::thread::spawn(move || {
+        qres::obs::install(obs);
         let base = Scenario::paper_baseline()
             .scheme(SchemeKind::Ac3)
             .duration_secs(400.0)
@@ -130,13 +131,5 @@ fn scrape_during_running_sweep() {
     );
     // Sampling actually dropped debug-tier events.
     assert!(done_body.contains("qres_obs_events_sampled_out_total"));
-
-    qres::obs::set_level(qres::obs::Level::Off);
-    qres::obs::set_sample_every(1);
     server.shutdown();
-    qres::obs::reset();
-    qres::obs::reset_metrics();
-    qres::obs::reset_qos();
-    qres::obs::reset_calib();
-    qres::obs::reset_alerts();
 }

@@ -22,10 +22,6 @@ fn obs_enabled_run_covers_all_event_groups() {
     let (events, dropped) = obs::drain_events();
     let prom = obs::prometheus_text();
     let snapshot = obs::snapshot_json();
-    obs::reset();
-    obs::reset_metrics();
-    obs::reset_qos();
-    obs::reset_calib();
 
     assert!(r.events_dispatched > 0);
     assert_eq!(dropped, 0, "capacity must hold the whole stream");

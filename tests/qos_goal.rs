@@ -39,11 +39,7 @@ fn ac3_meets_drop_target_across_loads() {
 /// and the report's point estimate sits inside the live Wilson interval.
 #[test]
 fn live_qos_estimator_matches_end_of_run_report() {
-    // 30 cells, and only cells >= 10 are compared: the other tests in
-    // this binary run 10-cell scenarios concurrently against the same
-    // process-global tracker, so cells 0..9 may carry their outcomes.
     qres::obs::set_qos_window_secs(1e9);
-    let prev_level = qres::obs::level();
     qres::obs::set_level(qres::obs::Level::Info);
     let mut s = Scenario::paper_baseline()
         .scheme(SchemeKind::Ac3)
@@ -53,13 +49,10 @@ fn live_qos_estimator_matches_end_of_run_report() {
         .seed(110);
     s.num_cells = 30;
     let r = run_scenario(&s);
-    qres::obs::set_level(prev_level);
     let live = qres::obs::qos_snapshot();
-    qres::obs::reset_qos();
-    qres::obs::reset_calib();
 
     let mut checked = 0usize;
-    for cell in r.cells.iter().filter(|c| c.cell.0 >= 10) {
+    for cell in &r.cells {
         let snap = live
             .iter()
             .find(|q| q.cell == cell.cell.0)
