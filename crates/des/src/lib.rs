@@ -10,7 +10,7 @@
 //!   seconds, with day/hour helpers used by the paper's periodic mobility
 //!   windows.
 //! * [`EventQueue`] — a pending-event set with deterministic FIFO
-//!   tie-breaking for simultaneous events and O(1) lazy cancellation.
+//!   tie-breaking for simultaneous events and O(1) cancellation by slot.
 //! * [`Simulation`] — the event loop: pop, advance clock, dispatch to a
 //!   [`Handler`], until a horizon or event exhaustion.
 //! * [`rng`] — seed-split deterministic random streams (ChaCha-based via

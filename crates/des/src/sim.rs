@@ -125,14 +125,13 @@ impl<E> Simulation<E> {
             if spent >= budget {
                 return RunOutcome::BudgetExhausted;
             }
-            let Some(next_at) = self.queue.peek_time() else {
-                return RunOutcome::Exhausted;
-            };
-            if next_at >= horizon {
+            let Some((at, event)) = self.queue.pop_before(horizon) else {
+                if self.queue.is_empty() {
+                    return RunOutcome::Exhausted;
+                }
                 self.now = horizon;
                 return RunOutcome::HorizonReached;
-            }
-            let (at, event) = self.queue.pop().expect("peeked entry must pop");
+            };
             assert!(
                 at >= self.now,
                 "non-monotonic clock: event at {at} popped at {now}",

@@ -6,7 +6,7 @@
 //! [`Duration`] are thin wrappers over `f64` seconds that add:
 //!
 //! * a **total order** (construction rejects NaN, so comparison is safe to
-//!   use in the event queue's `BinaryHeap`),
+//!   use for ordering, and the event queue's integer time keys follow it),
 //! * unit helpers for the paper's time scales (seconds, minutes, hours,
 //!   days, km/h-derived crossing times), and
 //! * day-periodic arithmetic used by the hand-off estimation windows.

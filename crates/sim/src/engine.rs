@@ -20,9 +20,8 @@
 //! Lifetime-vs-crossing races are resolved with event cancellation: both
 //! events are scheduled and whichever fires first cancels the other.
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::BuildHasherDefault;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use qres_cellnet::ids::ConnectionIdAllocator;
 use qres_cellnet::{
@@ -35,15 +34,18 @@ use crate::metrics::{Metrics, RunResult};
 use crate::scenario::Scenario;
 use crate::workload::{MobileAttrs, Workload};
 
-/// The simulator's event vocabulary.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// The simulator's event vocabulary: 24 bytes, so that a pending event
+/// costs the queue 56 (a 24-byte heap entry and a 32-byte slot).
+#[derive(Debug, Clone, PartialEq)]
 enum Event {
     /// Next Poisson arrival in a cell.
     Arrival { cell: CellId },
-    /// A blocked user re-requests with its original attributes.
+    /// A blocked user re-requests with its original attributes (boxed:
+    /// only time-varying runs retry, and inline they would double every
+    /// event's size).
     Retry {
         cell: CellId,
-        attrs: MobileAttrs,
+        attrs: Box<MobileAttrs>,
         attempts: u32,
     },
     /// A mobile reaches its current cell's boundary.
@@ -64,7 +66,32 @@ struct MobileState {
     /// Road: 0 = up, 1 = down. Hex: a [`HexDir`] index.
     heading: u8,
     end_handle: EventHandle,
-    handoff_handle: Option<EventHandle>,
+    handoff_handle: EventHandle,
+}
+
+/// A multiplicative (Fx-style) hasher for the mobile map's sequential
+/// [`ConnectionId`] keys. Its keys are fixed, so when the table rehashes,
+/// and so when it allocates, depends on the run alone; and unlike SipHash
+/// it costs one multiply per key.
+#[derive(Default, Clone, Copy)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 /// The movement geometry of a run: the paper's 1-D road, or the 2-D
@@ -142,9 +169,7 @@ pub struct Engine {
     mobility: Mobility,
     system: ReservationSystem,
     workload: Workload,
-    /// Fixed hash keys, like the event queue's cancelled set: the table's
-    /// rehashes, and so its allocations, depend on the run alone.
-    mobiles: HashMap<ConnectionId, MobileState, BuildHasherDefault<DefaultHasher>>,
+    mobiles: HashMap<ConnectionId, MobileState, BuildHasherDefault<IdHasher>>,
     ids: ConnectionIdAllocator,
     metrics: Metrics,
     /// Pre-fetched neighbor lists for `B_r` trace updates.
@@ -400,7 +425,7 @@ impl Engine {
                 speed_kmh: attrs.speed_kmh,
                 heading: attrs.heading,
                 end_handle,
-                handoff_handle: Some(handoff_handle),
+                handoff_handle,
             },
         );
         if qres_obs::enabled() {
@@ -438,7 +463,7 @@ impl Engine {
                 now + Duration::from_secs(wait),
                 Event::Retry {
                     cell,
-                    attrs,
+                    attrs: Box::new(attrs),
                     attempts: attempts + 1,
                 },
             );
@@ -512,7 +537,7 @@ impl Engine {
                     }
                     let crossing = self.mobility.full_crossing(state.speed_kmh);
                     let handle = queue.schedule(now + crossing, Event::Handoff { id });
-                    state.handoff_handle = Some(handle);
+                    state.handoff_handle = handle;
                 }
             }
         }
@@ -526,9 +551,7 @@ impl Engine {
         self.system.end_connection(now, id, state.cell);
         self.metrics
             .update_bu(now, state.cell, self.system.used_bus(state.cell));
-        if let Some(h) = state.handoff_handle {
-            queue.cancel(h);
-        }
+        queue.cancel(state.handoff_handle);
         if let Some(wired) = &mut self.wired {
             wired.release(id).expect("ended connection held a path");
         }
@@ -576,7 +599,7 @@ impl Handler<Event> for Driver<'_> {
                 attrs,
                 attempts,
             } => {
-                e.attempt_admission(now, cell, attrs, attempts, queue);
+                e.attempt_admission(now, cell, *attrs, attempts, queue);
             }
             Event::Handoff { id } => e.handle_handoff(now, id, queue),
             Event::ConnectionEnd { id } => e.handle_end(now, id, queue),
@@ -619,6 +642,11 @@ mod tests {
             .offered_load(300.0)
             .duration_secs(10_000.0);
         assert_eq!(peak_connections(&long), 1_000);
+    }
+
+    #[test]
+    fn event_fits_a_24_byte_payload() {
+        assert_eq!(std::mem::size_of::<Event>(), 24);
     }
 
     #[test]
