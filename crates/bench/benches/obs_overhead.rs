@@ -1,8 +1,8 @@
-//! Telemetry overhead bound: the same end-to-end scenario with the
-//! recorder disabled (the default — every instrumentation site reduces to
-//! one relaxed atomic load and a branch), enabled at debug level with the
-//! flight recorder off, and enabled with the flight recorder taping every
-//! admission decision.
+//! Telemetry overhead bound: the same end-to-end scenario with telemetry
+//! disabled (the default — every instrumentation site reduces to one
+//! relaxed atomic load and a branch), enabled with the flight recorder
+//! off, and enabled with the flight recorder taping every admission
+//! decision.
 //!
 //! The acceptance criterion is on the *disabled* row: it must stay within
 //! 2% of the pre-observability end-to-end baseline
@@ -41,11 +41,11 @@ fn bench_obs_overhead(c: &mut Criterion) {
                 "disabled" => qres_obs::set_level(qres_obs::Level::Off),
                 "flight_off" => {
                     qres_obs::set_flight_enabled(false);
-                    qres_obs::set_level(qres_obs::Level::Debug);
+                    qres_obs::set_level(qres_obs::Level::Info);
                 }
                 _ => {
                     qres_obs::set_flight_enabled(true);
-                    qres_obs::set_level(qres_obs::Level::Debug);
+                    qres_obs::set_level(qres_obs::Level::Info);
                 }
             }
             let mut seed = 0u64;

@@ -8,12 +8,8 @@
 //! * `--quick` — a shortened run for smoke-testing (minutes → seconds);
 //! * `--seed <n>` — override the base seed;
 //! * `--csv` — print CSV only (for piping into plotting tools);
-//! * `--obs` — enable telemetry at debug level and write
-//!   `obs_events.jsonl` (the structured event stream) and `obs.json` (the
-//!   end-of-run telemetry document) into the working directory;
-//! * `--obs-sample <n>` — keep only every n-th debug-tier high-frequency
-//!   event (`br_compute`, `backbone_send`); the rate is exported as the
-//!   `qres_obs_sample_rate` gauge;
+//! * `--obs` — enable telemetry and write `obs.json` (the end-of-run
+//!   telemetry document) into the working directory;
 //! * `--serve <host:port>` — with `--obs`, expose the live scrape
 //!   endpoint (`/metrics`, `/metrics.json`, `/qos`, `/alerts`,
 //!   `/explain`, `/healthz`) for the whole experiment, so dashboards can
@@ -30,10 +26,9 @@
 use std::env;
 use std::path::Path;
 
-use qres_obs::{OBS_EVENTS_PATH, OBS_JSON_PATH};
+use qres_obs::OBS_JSON_PATH;
 
-const USAGE: &str =
-    "options: [--quick] [--seed <n>] [--csv] [--obs] [--obs-sample <n>] [--serve <host:port>]";
+const USAGE: &str = "options: [--quick] [--seed <n>] [--csv] [--obs] [--serve <host:port>]";
 
 /// Common CLI options of the experiment binaries.
 #[derive(Debug, Clone)]
@@ -46,17 +41,14 @@ pub struct ExpOptions {
     pub csv_only: bool,
     /// Telemetry enabled (`--obs`).
     pub obs: bool,
-    /// Debug-tier event sampling stride (`--obs-sample`), when set.
-    pub obs_sample: Option<u64>,
     /// Live scrape endpoint address (`--serve`), when set.
     pub serve: Option<String>,
 }
 
 impl ExpOptions {
     /// Parses options from `std::env::args`. Unknown flags abort with a
-    /// usage message. `--obs` switches the recorder on at debug level and
-    /// routes event-ring overflow to [`OBS_EVENTS_PATH`] so the stream is
-    /// complete; [`finish`] writes [`OBS_JSON_PATH`] at the end.
+    /// usage message. `--obs` switches telemetry on; [`finish`] writes
+    /// [`OBS_JSON_PATH`] at the end.
     /// `--serve <host:port>` (implies `--obs`) starts the live scrape
     /// endpoint; it stays up until the process exits, so a scraper can
     /// collect the final state of a finished experiment.
@@ -66,7 +58,6 @@ impl ExpOptions {
             seed: 1,
             csv_only: false,
             obs: false,
-            obs_sample: None,
             serve: None,
         };
         let mut args = env::args().skip(1);
@@ -83,17 +74,6 @@ impl ExpOptions {
                         .parse()
                         .unwrap_or_else(|_| die("--seed must be an integer"));
                 }
-                "--obs-sample" => {
-                    let v = args
-                        .next()
-                        .unwrap_or_else(|| die("--obs-sample requires a value"));
-                    let n: u64 = v
-                        .parse()
-                        .ok()
-                        .filter(|&n| n >= 1)
-                        .unwrap_or_else(|| die("--obs-sample must be an integer >= 1"));
-                    opts.obs_sample = Some(n);
-                }
                 "--serve" => {
                     let v = args
                         .next()
@@ -105,14 +85,8 @@ impl ExpOptions {
                 other => die(&format!("unknown option `{other}`; {USAGE}")),
             }
         }
-        if let Some(n) = opts.obs_sample {
-            qres_obs::set_sample_every(n);
-        }
         if opts.obs {
-            qres_obs::set_level(qres_obs::Level::Debug);
-            if let Err(e) = qres_obs::set_spill_path(Path::new(OBS_EVENTS_PATH)) {
-                die(&format!("cannot create {OBS_EVENTS_PATH}: {e}"));
-            }
+            qres_obs::set_level(qres_obs::Level::Info);
         }
         if let Some(addr) = &opts.serve {
             match qres_obs::ObsServer::start(addr) {
@@ -183,6 +157,6 @@ pub fn finish(opts: &ExpOptions) {
     if let Err(e) = qres_obs::write_obs_json(Path::new(OBS_JSON_PATH)) {
         eprintln!("warning: cannot write {OBS_JSON_PATH}: {e}");
     } else if !opts.csv_only {
-        println!("\n[obs] {OBS_JSON_PATH}, events -> {OBS_EVENTS_PATH}");
+        println!("\n[obs] {OBS_JSON_PATH}");
     }
 }

@@ -80,7 +80,6 @@ pub struct Cell {
     used: Bandwidth,
     /// Sorted by `id`, ids unique.
     conns: Vec<ConnInfo>,
-    version: u64,
 }
 
 impl Cell {
@@ -91,21 +90,12 @@ impl Cell {
             capacity,
             used: Bandwidth::ZERO,
             conns: Vec::new(),
-            version: 0,
         }
     }
 
     /// This cell's id.
     pub fn id(&self) -> CellId {
         self.id
-    }
-
-    /// A counter bumped by every successful membership mutation
-    /// ([`Self::insert`] / [`Self::remove`]). Any computation derived from
-    /// the connection registry — notably a neighbor's `B_i,0` contribution —
-    /// stays valid exactly while this value is unchanged.
-    pub fn version(&self) -> u64 {
-        self.version
     }
 
     /// The fixed link capacity `C(i)`.
@@ -158,7 +148,6 @@ impl Cell {
         }
         self.used += info.bandwidth;
         self.conns.insert(at, info);
-        self.version += 1;
         Ok(())
     }
 
@@ -169,7 +158,6 @@ impl Cell {
             .map_err(|_| CellError::UnknownConnection)?;
         let info = self.conns.remove(at);
         self.used -= info.bandwidth;
-        self.version += 1;
         Ok(info)
     }
 
@@ -290,20 +278,6 @@ mod tests {
     }
 
     #[test]
-    fn version_tracks_successful_mutations_only() {
-        let mut cell = Cell::new(CellId(0), Bandwidth::from_bus(5));
-        assert_eq!(cell.version(), 0);
-        cell.insert(info(1, 4, 0.0)).unwrap();
-        assert_eq!(cell.version(), 1);
-        // Failed insert (capacity) and failed remove leave it unchanged.
-        assert!(cell.insert(info(2, 4, 0.0)).is_err());
-        assert!(cell.remove(ConnectionId(9)).is_err());
-        assert_eq!(cell.version(), 1);
-        cell.remove(ConnectionId(1)).unwrap();
-        assert_eq!(cell.version(), 2);
-    }
-
-    #[test]
     fn registry_matches_btreemap_model() {
         use qres_des::StreamRng;
         use std::collections::btree_map::{BTreeMap, Entry};
@@ -318,7 +292,6 @@ mod tests {
         let mut seen = [0usize; 4];
         for step in 0..10_000 {
             let id = ConnectionId(rng.gen_range(0u64..48));
-            let before = cell.version();
             let outcome = match rng.gen_index(3) {
                 0 => {
                     let bw = rng.gen_range(1u32..7);
@@ -349,12 +322,9 @@ mod tests {
                 }
                 _ => {
                     assert_eq!(cell.get(id), model.get(&id), "step {step}: get {id:?}");
-                    assert_eq!(cell.version(), before, "step {step}: get bumped");
                     continue;
                 }
             };
-            let bump = u64::from(outcome.is_ok());
-            assert_eq!(cell.version(), before + bump, "step {step}: version");
             seen[match outcome {
                 Ok(()) => 0,
                 Err(CellError::DuplicateConnection) => 1,

@@ -62,16 +62,6 @@ impl MessageKind {
             MessageKind::AdmissionCheckReply => 8,
         }
     }
-
-    /// Snake-case label used in telemetry events.
-    pub fn label(self) -> &'static str {
-        match self {
-            MessageKind::ReservationQuery => "reservation_query",
-            MessageKind::ReservationReply => "reservation_reply",
-            MessageKind::AdmissionCheckRequest => "admission_check_request",
-            MessageKind::AdmissionCheckReply => "admission_check_reply",
-        }
-    }
 }
 
 /// Aggregate counters of backbone signaling traffic.
@@ -138,13 +128,6 @@ impl BsNetwork {
         if qres_obs::enabled() {
             qres_obs::metrics::BACKBONE_MSGS_TOTAL.add(1);
             qres_obs::metrics::BACKBONE_BYTES_TOTAL.add(msg.nominal_bytes());
-            qres_obs::record(qres_obs::ObsEvent::BackboneSend {
-                t: qres_obs::sim_time(),
-                from: from.0,
-                to: to.0,
-                kind: msg.label(),
-                bytes: msg.nominal_bytes(),
-            });
         }
     }
 

@@ -20,8 +20,6 @@
 //! BS performs it, and each such computation costs one reservation
 //! round-trip with each of that cell's neighbors on the backbone.
 
-use std::collections::BTreeMap;
-
 use qres_cellnet::{
     Bandwidth, BsNetwork, BsNetworkKind, Cell, CellId, ConnInfo, ConnectionId, Topology,
 };
@@ -32,7 +30,7 @@ use qres_stats::Welford;
 use crate::admission::{AcKind, AdmissionDecision, SchemeConfig};
 use crate::config::QresConfig;
 use crate::reservation::neighbor_contribution;
-use crate::window_control::WindowController;
+use crate::window_control::{WindowController, WindowEvent};
 
 /// A new-connection request arriving at a cell.
 #[derive(Debug, Clone, Copy)]
@@ -65,28 +63,6 @@ impl HandoffOutcome {
     }
 }
 
-/// One memoized neighbor-contribution evaluation: `value` is `B_self,target`
-/// as computed at `now` with the target's `t_est`, while this (the
-/// contributing) cell's registry and estimation cache stood at the
-/// recorded versions.
-#[derive(Debug, Clone, Copy)]
-struct NeighborMemo {
-    cell_version: u64,
-    hoe_version: u64,
-    t_est: Duration,
-    now: SimTime,
-    value: f64,
-}
-
-/// A neighbor's contribution term, fresh or from the memo.
-struct Contribution {
-    value: f64,
-    memo_hit: bool,
-    /// Eq.-4 internals of a fresh evaluation (`Σ p_h`, live connections),
-    /// when the flight recorder asked for them.
-    detail: Option<(f64, u32)>,
-}
-
 /// One cell plus its base station's scheme state.
 #[derive(Debug, Clone)]
 struct CellSite {
@@ -96,57 +72,6 @@ struct CellSite {
     /// `B_r,i^prev` — the most recently computed target, consulted by
     /// AC3's suspect test and exported for the `B_r` metrics.
     last_br: f64,
-    /// Per-*target* memo of the last contribution this cell computed into
-    /// that target, reused by `compute_br` at the same instant while the
-    /// epoch keys match. It lives at the contributing cell, so the check
-    /// reads only that cell's versions.
-    br_memo: BTreeMap<CellId, NeighborMemo>,
-}
-
-impl CellSite {
-    /// This cell's Eq.-4 contribution into `target`'s reservation,
-    /// memoized under the epoch key (this cell's registry version, its
-    /// estimation-cache version, the target's `t_est`) and reused at the
-    /// same instant while all three are unchanged — bit-identical to
-    /// recomputing it.
-    fn contribution_into(&mut self, now: SimTime, target: CellId, t_est: Duration) -> Contribution {
-        let cell_version = self.cell.version();
-        let hoe_version = self.hoe.version();
-        let memo = self.br_memo.get(&target).copied().filter(|m| {
-            m.cell_version == cell_version
-                && m.hoe_version == hoe_version
-                && m.t_est == t_est
-                && m.now == now
-        });
-        if let Some(m) = memo {
-            return Contribution {
-                value: m.value,
-                memo_hit: true,
-                detail: None,
-            };
-        }
-        let value = neighbor_contribution(&self.cell, &mut self.hoe, now, target, t_est);
-        let detail = qres_obs::flight::take_eval_detail();
-        // The evaluation may have rebuilt this cell's snapshot (bumping
-        // its version): key the memo on the post-evaluation state it
-        // reflects.
-        let hoe_version = self.hoe.version();
-        self.br_memo.insert(
-            target,
-            NeighborMemo {
-                cell_version,
-                hoe_version,
-                t_est,
-                now,
-                value,
-            },
-        );
-        Contribution {
-            value,
-            memo_hit: false,
-            detail,
-        }
-    }
 }
 
 /// The full reservation system over one cellular network.
@@ -158,11 +83,9 @@ pub struct ReservationSystem {
     /// Per-admission-test count of `B_r` computations (`N_calc`).
     n_calc: Welford,
     br_calcs_total: u64,
-    br_memo_hits: u64,
     /// Monotonic admission-request id. Incremented unconditionally (not
     /// gated on the obs level) so a run's ids are identical whether or
-    /// not telemetry is on; pairs `Admission` events with the
-    /// `BrCompute` children they triggered and keys flight records.
+    /// not telemetry is on; keys flight records and their staged terms.
     admission_req_seq: u64,
 }
 
@@ -173,20 +96,15 @@ impl ReservationSystem {
         config.validate();
         let sites = topology
             .cells()
-            .map(|id| {
-                let mut hoe = HoeCache::new(config.hoe.clone());
-                hoe.set_obs_owner(id.0);
-                CellSite {
-                    cell: Cell::new(id, config.capacity),
-                    hoe,
-                    controller: WindowController::new(
-                        config.p_hd_target,
-                        config.t_start_secs,
-                        config.step_policy,
-                    ),
-                    last_br: 0.0,
-                    br_memo: BTreeMap::new(),
-                }
+            .map(|id| CellSite {
+                cell: Cell::new(id, config.capacity),
+                hoe: HoeCache::new(config.hoe.clone()),
+                controller: WindowController::new(
+                    config.p_hd_target,
+                    config.t_start_secs,
+                    config.step_policy,
+                ),
+                last_br: 0.0,
             })
             .collect();
         ReservationSystem {
@@ -196,7 +114,6 @@ impl ReservationSystem {
             signaling: BsNetwork::new(backbone),
             n_calc: Welford::new(),
             br_calcs_total: 0,
-            br_memo_hits: 0,
             admission_req_seq: 0,
         }
     }
@@ -256,83 +173,52 @@ impl ReservationSystem {
         self.br_calcs_total
     }
 
-    /// How many neighbor-contribution evaluations were answered from the
-    /// epoch memo instead of being recomputed. A memo hit still counts in
-    /// `N_calc` and on the signaling fabric — the *logical* protocol is
-    /// unchanged; only the local arithmetic is skipped.
+    /// Always 0: every neighbor term is recomputed through Eq. 4. Exists
+    /// only for `qres-perf`'s `core.br_memo_hit_frac` row, and goes with
+    /// that call in the next change to the benchmark.
     pub fn br_memo_hits(&self) -> u64 {
-        self.br_memo_hits
+        0
     }
 
     /// Total admission tests performed, which is also the id of the most
-    /// recent `Admission`/`BrCompute` span pair.
+    /// recent admission's flight record.
     pub fn admission_requests_total(&self) -> u64 {
         self.admission_req_seq
     }
 
     /// Computes `B_r,target` (Eqs. 5–6), updating `last_br`, signaling
     /// counters and the calculation total. One call = one `N_calc` unit.
-    ///
-    /// Each neighbor's `B_i,target` term is memoized under an epoch key —
-    /// the neighbor's cell version, its estimation-cache version, and the
-    /// target's `T_est` — and reused only at the exact same instant while
-    /// all three are unchanged, which is bit-identical to recomputing it.
+    /// Every neighbor's `B_i,target` term is evaluated through Eq. 4.
     fn compute_br(&mut self, now: SimTime, target: CellId) -> f64 {
         let t_est = self.t_est(target);
         let req_id = self.admission_req_seq;
-        let obs_on = qres_obs::enabled();
-        let obs_call_t0 = obs_on.then(std::time::Instant::now);
+        let obs_t0 = qres_obs::enabled().then(std::time::Instant::now);
         let flight_on = qres_obs::flight::flight_enabled();
         let mut flight_terms = Vec::new();
-        let mut obs_hits = 0u32;
-        let mut obs_recomputed = 0u32;
+        let neighbors = self.topology.neighbors(target);
         let mut br = 0.0;
-        for &nb in self.topology.neighbors(target) {
+        for &nb in neighbors {
             // The target's BS announces T_est and the neighbor replies with
             // its contribution: one round-trip per neighbor.
             self.signaling.reservation_exchange(target, nb);
-            let obs_t0 = obs_on.then(std::time::Instant::now);
-            let term = self.sites[nb.index()].contribution_into(now, target, t_est);
-            if term.memo_hit {
-                self.br_memo_hits += 1;
-            }
-            br += term.value;
+            let site = &mut self.sites[nb.index()];
+            let value = neighbor_contribution(&site.cell, &mut site.hoe, now, target, t_est);
+            br += value;
             if flight_on {
+                let detail = qres_obs::flight::take_eval_detail();
                 flight_terms.push(qres_obs::flight::FlightTerm {
                     neighbor: nb.0,
-                    value: term.value,
-                    memo_hit: term.memo_hit,
-                    p_h_sum: term.detail.map(|(p_h_sum, _)| p_h_sum),
-                    conns: term.detail.map(|(_, conns)| conns),
+                    value,
+                    p_h_sum: detail.map(|(p_h_sum, _)| p_h_sum),
+                    conns: detail.map(|(_, conns)| conns),
                 });
-            }
-            if let Some(t0) = obs_t0 {
-                let elapsed = t0.elapsed();
-                if term.memo_hit {
-                    obs_hits += 1;
-                    qres_obs::metrics::BR_TERM_HIT_NS.record_duration(elapsed);
-                } else {
-                    obs_recomputed += 1;
-                    qres_obs::metrics::BR_TERM_MISS_NS.record_duration(elapsed);
-                }
             }
         }
         self.sites[target.index()].last_br = br;
         self.br_calcs_total += 1;
-        if let Some(t0) = obs_call_t0 {
-            let elapsed = t0.elapsed();
-            qres_obs::metrics::BR_COMPUTE_NS.record_duration(elapsed);
-            qres_obs::metrics::BR_MEMO_HITS_TOTAL.add(u64::from(obs_hits));
-            qres_obs::metrics::BR_TERMS_RECOMPUTED_TOTAL.add(u64::from(obs_recomputed));
-            qres_obs::record(qres_obs::ObsEvent::BrCompute {
-                t: now.as_secs(),
-                cell: target.0,
-                req: req_id,
-                memo_hits: obs_hits,
-                recomputed: obs_recomputed,
-                br,
-                dur_ns: elapsed.as_nanos() as u64,
-            });
+        if let Some(t0) = obs_t0 {
+            qres_obs::metrics::BR_COMPUTE_NS.record_duration(t0.elapsed());
+            qres_obs::metrics::BR_TERMS_RECOMPUTED_TOTAL.add(neighbors.len() as u64);
             // The efficiency integral's view of the new target is staged
             // thread-locally (no mutex): `compute_br` runs inside the
             // admission-test timing window, so even post-`B_r`-record
@@ -344,7 +230,7 @@ impl ReservationSystem {
         }
         if flight_on {
             // Per-term provenance for the flight recorder, staged outside
-            // the `BrCompute` timing window; `request_new_connection`
+            // the `compute_br` timing window; `request_new_connection`
             // claims the (req, target) batch when it assembles the
             // decision record.
             qres_obs::flight::stage_terms(req_id, target.0, flight_terms);
@@ -415,7 +301,6 @@ impl ReservationSystem {
                         flight_terms.push(qres_obs::flight::FlightTerm {
                             neighbor: nb.0,
                             value: term,
-                            memo_hit: false,
                             p_h_sum: None,
                             conns: None,
                         });
@@ -435,20 +320,7 @@ impl ReservationSystem {
         };
         self.n_calc.add((self.br_calcs_total - calcs_before) as f64);
         if let Some(t0) = obs_t0 {
-            let elapsed = t0.elapsed();
-            qres_obs::metrics::ADMISSION_TEST_NS.record_duration(elapsed);
-            qres_obs::record(qres_obs::ObsEvent::Admission {
-                t: now.as_secs(),
-                cell: req.cell.0,
-                req: req_id,
-                scheme: self.config.scheme.label(),
-                admitted: decision.is_admitted(),
-                blocked_by_neighbor: decision.blocking_neighbor(),
-                // `B_r` at test time: every scheme updates `last_br` as
-                // part of its test (static keeps its guard-band default).
-                br: self.last_br(req.cell),
-                dur_ns: elapsed.as_nanos() as u64,
-            });
+            qres_obs::metrics::ADMISSION_TEST_NS.record_duration(t0.elapsed());
             // Publish the telemetry staged during the admission's
             // `compute_br` calls (Eq.-4 calibration forecasts and `B_r`
             // efficiency updates) outside the measured window: the one
@@ -640,21 +512,11 @@ impl ReservationSystem {
             let t_soj_max = self.max_sojourn_around(now, to);
             let controller = &mut self.sites[to.index()].controller;
             let window_event = controller.observe_handoff(!fits, t_soj_max);
-            let t_est_secs = controller.t_est_secs();
             if qres_obs::enabled() {
-                if let Some(delta) = window_event.delta_label() {
-                    if window_event.is_increase() {
-                        qres_obs::metrics::T_EST_INCREASES_TOTAL.add(1);
-                    } else {
-                        qres_obs::metrics::T_EST_DECREASES_TOTAL.add(1);
-                    }
-                    qres_obs::record(qres_obs::ObsEvent::TEstChange {
-                        t: now.as_secs(),
-                        cell: to.0,
-                        t_est_secs,
-                        delta,
-                        dropped: !fits,
-                    });
+                if window_event.is_increase() {
+                    qres_obs::metrics::T_EST_INCREASES_TOTAL.add(1);
+                } else if window_event != WindowEvent::None {
+                    qres_obs::metrics::T_EST_DECREASES_TOTAL.add(1);
                 }
             }
         }
@@ -1083,41 +945,6 @@ mod tests {
     }
 
     #[test]
-    fn memo_hits_only_at_identical_instant() {
-        let mut sys = system(SchemeConfig::Predictive { kind: AcKind::Ac1 });
-        // Populate a neighbor so contributions are non-trivial.
-        for i in 0..10 {
-            sys.request_new_connection(s(0.5 + i as f64 * 0.01), req(1, 500 + i, 1));
-        }
-        // Two admission tests in cell 0 at the same instant: the second
-        // finds both neighbor terms memoized (the admitted connection went
-        // into cell 0, not its neighbors).
-        sys.request_new_connection(s(1.0), req(0, 1, 1));
-        let hits_before = sys.br_memo_hits();
-        sys.request_new_connection(s(1.0), req(0, 2, 1));
-        assert_eq!(sys.br_memo_hits() - hits_before, 2);
-        // N_calc and signaling keep counting logical computations.
-        assert_eq!(sys.n_calc_stats().mean(), Some(1.0));
-        // At a later instant, every term is recomputed.
-        let hits_before = sys.br_memo_hits();
-        sys.request_new_connection(s(2.0), req(0, 3, 1));
-        assert_eq!(sys.br_memo_hits(), hits_before);
-    }
-
-    #[test]
-    fn memo_invalidated_by_neighbor_mutation() {
-        let mut sys = system(SchemeConfig::Predictive { kind: AcKind::Ac1 });
-        sys.request_new_connection(s(1.0), req(0, 1, 1));
-        // Mutate neighbor 1 (cell version bump) at the same instant; the
-        // next cell-0 test must recompute that term, while untouched
-        // neighbor 9's term still hits.
-        sys.request_new_connection(s(1.0), req(1, 100, 1));
-        let hits_before = sys.br_memo_hits();
-        sys.request_new_connection(s(1.0), req(0, 2, 1));
-        assert_eq!(sys.br_memo_hits() - hits_before, 1);
-    }
-
-    #[test]
     #[should_panic(expected = "non-adjacent")]
     fn non_adjacent_handoff_panics_in_debug() {
         let mut sys = system(SchemeConfig::Predictive { kind: AcKind::Ac3 });
@@ -1126,14 +953,14 @@ mod tests {
     }
 
     #[test]
-    fn admission_tests_pair_spans_and_tape_flight_records() {
-        // The event ring and flight tape are this test thread's own.
+    fn admission_tests_tape_flight_records() {
+        // The flight tape is this test thread's own.
         let config = QresConfig::paper_stationary(SchemeConfig::Predictive { kind: AcKind::Ac1 });
         let mut sys =
             ReservationSystem::new(config, Topology::ring(50), BsNetworkKind::FullyConnected);
         let cell = 40u32;
 
-        qres_obs::set_level(qres_obs::Level::Debug);
+        qres_obs::set_level(qres_obs::Level::Info);
         for i in 0..6u64 {
             sys.request_new_connection(s(1.0 + i as f64), req(cell, i, 1));
         }
@@ -1142,36 +969,16 @@ mod tests {
         // whatever the obs level was at the time.
         assert_eq!(sys.admission_requests_total(), 6);
 
-        // Span pairing: each drained BrCompute for cell 40 carries the req
-        // id of a cell-40 Admission, and ids strictly increase.
-        let (events, _dropped) = qres_obs::drain_events();
-        let mut admission_reqs = Vec::new();
-        let mut br_reqs = Vec::new();
-        for e in &events {
-            match e {
-                qres_obs::ObsEvent::Admission { cell: c, req, .. } if *c == cell => {
-                    admission_reqs.push(*req);
-                }
-                qres_obs::ObsEvent::BrCompute { cell: c, req, .. } if *c == cell => {
-                    br_reqs.push(*req);
-                }
-                _ => {}
-            }
-        }
-        assert_eq!(admission_reqs.len(), 6);
-        assert!(admission_reqs.windows(2).all(|w| w[0] < w[1]));
-        assert_eq!(br_reqs, admission_reqs, "each test pairs one B_r span");
-
-        // Flight records: each test taped both (empty) neighbors' fresh
-        // terms with their Eq.-4 internals attached.
+        // Flight records: one per test, keyed by its request id, each
+        // taping both (empty) neighbors' terms with their Eq.-4 internals.
         let records = qres_obs::records_from_doc(&qres_obs::flight_json(true)).unwrap();
-        let ours: Vec<_> = records.iter().filter(|r| r.cell == cell).collect();
-        assert_eq!(ours.len(), 6);
-        for r in ours {
+        let reqs: Vec<u64> = records.iter().map(|r| r.req).collect();
+        assert_eq!(reqs, [1, 2, 3, 4, 5, 6]);
+        for r in &records {
+            assert_eq!(r.cell, cell);
             let neighbors: Vec<u32> = r.terms.iter().map(|t| t.neighbor).collect();
             assert_eq!(neighbors, [39, 41]);
             for t in &r.terms {
-                assert!(!t.memo_hit);
                 assert_eq!((t.p_h_sum, t.conns), (Some(0.0), Some(0)));
             }
         }

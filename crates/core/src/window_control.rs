@@ -71,17 +71,6 @@ pub enum WindowEvent {
 }
 
 impl WindowEvent {
-    /// Snake-case label for telemetry (`None` when nothing changed).
-    pub fn delta_label(self) -> Option<&'static str> {
-        match self {
-            WindowEvent::None => None,
-            WindowEvent::Increased => Some("increased"),
-            WindowEvent::IncreaseCapped => Some("increase_capped"),
-            WindowEvent::Decreased => Some("decreased"),
-            WindowEvent::DecreaseFloored => Some("decrease_floored"),
-        }
-    }
-
     /// True for the upward branches of Fig. 6 (including the capped one).
     pub fn is_increase(self) -> bool {
         matches!(self, WindowEvent::Increased | WindowEvent::IncreaseCapped)

@@ -32,7 +32,7 @@
 
 use crate::time::SimTime;
 
-/// Live-event count at which the first high-water telemetry mark fires.
+/// Live-event count at which the first high-water telemetry mark is taken.
 const OBS_FIRST_MARK: usize = 64;
 
 /// End of the free-slot chain.
@@ -191,8 +191,9 @@ pub struct EventQueue<E> {
     next_seq: u64,
     cancelled_total: u64,
     live_high_water: usize,
-    /// Next live-event count at which a `QueueHighWater` telemetry event
-    /// fires (doubles each time, so a run emits O(log n) marks).
+    /// Next live-event count at which the `qres_des_queue_high_water`
+    /// gauge is raised (doubles each time, so a run records O(log n)
+    /// marks).
     obs_next_mark: usize,
 }
 
@@ -261,10 +262,6 @@ impl<E> EventQueue<E> {
                     self.obs_next_mark *= 2;
                 }
                 qres_obs::metrics::QUEUE_HIGH_WATER.observe(live as u64);
-                qres_obs::record(qres_obs::ObsEvent::QueueHighWater {
-                    t: qres_obs::sim_time(),
-                    live: live as u64,
-                });
             }
         }
         EventHandle { seq, slot }

@@ -142,8 +142,8 @@ impl<E> Simulation<E> {
             self.dispatched += 1;
             spent += 1;
             if qres_obs::enabled() {
-                // Publish the clock for record sites with no `now` in
-                // scope, and time the dispatch. Telemetry is passive:
+                // Publish the clock the end-of-run telemetry finalizes
+                // at, and time the dispatch. Telemetry is passive:
                 // nothing read here feeds back into simulation state.
                 qres_obs::set_sim_time(at.as_secs());
                 let t0 = std::time::Instant::now();

@@ -434,8 +434,6 @@ pub struct HoeCache {
     config: HoeConfig,
     weekday: ClassStore,
     weekend: ClassStore,
-    /// Owning cell id for telemetry events (`u32::MAX` = unattributed).
-    obs_owner: u32,
 }
 
 impl HoeCache {
@@ -446,14 +444,7 @@ impl HoeCache {
             config,
             weekday: ClassStore::default(),
             weekend: ClassStore::default(),
-            obs_owner: u32::MAX,
         }
-    }
-
-    /// Tags this cache with its owning cell id, used only to attribute
-    /// insert/evict telemetry events (no effect on estimation).
-    pub fn set_obs_owner(&mut self, cell: u32) {
-        self.obs_owner = cell;
     }
 
     /// The configuration.
@@ -476,25 +467,11 @@ impl HoeCache {
     pub fn record(&mut self, event: HandoffEvent) {
         let n_quad = self.config.n_quad;
         let (store, window) = self.class_store(event.t_event);
-        let obs_on = qres_obs::enabled();
-        let (prev, next, sojourn_secs) = (event.prev, event.next, event.t_soj.as_secs());
         let evicted = store.record(event, window, n_quad);
-        if obs_on {
+        if qres_obs::enabled() {
             qres_obs::metrics::HOE_INSERTS_TOTAL.add(1);
-            qres_obs::record(qres_obs::ObsEvent::HoeInsert {
-                t: qres_obs::sim_time(),
-                cell: self.obs_owner,
-                prev: prev.map_or(u32::MAX, |c| c.0),
-                next: next.0,
-                sojourn_secs,
-            });
             if evicted > 0 {
                 qres_obs::metrics::HOE_EVICTS_TOTAL.add(evicted as u64);
-                qres_obs::record(qres_obs::ObsEvent::HoeEvict {
-                    t: qres_obs::sim_time(),
-                    cell: self.obs_owner,
-                    evicted: evicted as u32,
-                });
             }
         }
     }
@@ -535,8 +512,8 @@ impl HoeCache {
     /// first query of an infinite-`T_int` store, and every refresh of a
     /// finite-`T_int` one, whose membership drifts with `t_o`. Two queries
     /// with equal `(t_o, arguments)` bracketing an unchanged version return
-    /// identical results — the invalidation key of the epoch-memoized
-    /// `B_r` computation upstream.
+    /// identical results. It also counts the cache's mutations (the
+    /// `mobility.hoe_mutations` benchmark row).
     pub fn version(&self) -> u64 {
         // Each mutation bumps exactly one class epoch, so the sum is
         // strictly monotone over mutations.

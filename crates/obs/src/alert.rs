@@ -37,8 +37,6 @@ use std::collections::BTreeMap;
 
 use qres_json::Value;
 
-use crate::event::ObsEvent;
-
 /// Evaluation cadence (simulated seconds): the rules are evaluated at the
 /// first watchdog tick on or after each multiple of it.
 pub const EVAL_SECS: f64 = 60.0;
@@ -50,9 +48,6 @@ pub const FAST_WINDOW_SECS: f64 = 300.0;
 /// Default burn threshold for `p_hd_burn`: windowed `P_HD` over target,
 /// >1 means the error budget burns faster than it accrues.
 pub const DEFAULT_BURN_THRESHOLD: f64 = 1.0;
-
-/// Bound on the retained transition log (oldest entries drop first).
-const MAX_TRANSITIONS: usize = 512;
 
 /// Rule name: per-cell `P_HD` burn rate against `P_HD,target`.
 pub const RULE_P_HD_BURN: &str = "p_hd_burn";
@@ -151,7 +146,8 @@ pub(crate) struct AlertPlane {
     config: AlertConfig,
     entries: BTreeMap<(&'static str, u32), Entry>,
     fired_total: BTreeMap<&'static str, u64>,
-    /// `(t, rule, cell, state-label)`, oldest first, bounded.
+    /// `(t, rule, cell, state-label)`, oldest first: every transition of
+    /// the run.
     transitions: Vec<(f64, &'static str, u32, &'static str)>,
     /// The next [`EVAL_SECS`] grid boundary at which the rules are due.
     next_eval: f64,
@@ -171,16 +167,7 @@ impl Default for AlertPlane {
 
 impl AlertPlane {
     fn transition(&mut self, t: f64, rule: &'static str, cell: u32, state: &'static str) {
-        if self.transitions.len() >= MAX_TRANSITIONS {
-            self.transitions.remove(0);
-        }
         self.transitions.push((t, rule, cell, state));
-        crate::recorder::record(ObsEvent::AlertTransition {
-            t,
-            rule,
-            cell: Some(cell),
-            state,
-        });
     }
 }
 
@@ -375,15 +362,7 @@ fn fire(p: &mut AlertPlane, now: f64, rule: &'static str, cell: u32) {
     // flight plane never locks the alert plane, so ordering is safe; the
     // capture is a no-op unless a capture directory was configured.
     if rule == RULE_P_HD_BURN {
-        if let Some((path, records)) = crate::flight::capture_for_cell(cell, now, rule) {
-            crate::recorder::record(ObsEvent::FlightCapture {
-                t: now,
-                cell,
-                rule,
-                records,
-                path,
-            });
-        }
+        crate::flight::capture_for_cell(cell, now, rule);
     }
 }
 
@@ -454,7 +433,7 @@ fn opt_float(v: Option<f64>) -> Value {
 
 /// The `GET /alerts` document (also merged into snapshots as `"alerts"`):
 /// configuration, per-rule fired totals, the alert table, and the
-/// bounded transition log.
+/// transition log.
 pub fn alerts_json() -> Value {
     let snapshot = alerts_snapshot();
     let (fast_secs, slow_secs) = windows();
@@ -790,6 +769,40 @@ mod tests {
         );
         crate::export::validate_prometheus_text(&crate::export::prometheus_text())
             .expect("full exposition lints with alert families");
+    }
+
+    /// The transition log keeps every transition of a run, oldest first:
+    /// a metro drill makes thousands.
+    #[test]
+    fn transition_log_keeps_every_transition_in_order() {
+        const CELLS: u32 = 300;
+        for cell in 0..CELLS {
+            record_handoff_outcome(30.0, cell, true);
+        }
+        evaluate(60.0);
+        finalize(120.0);
+        let fired = (0..CELLS).flat_map(|c| [(60.0, c, "pending"), (60.0, c, "firing")]);
+        let resolved = (0..CELLS).map(|c| (120.0, c, "resolved"));
+        let expected: Vec<(f64, String, String, String)> = (fired.chain(resolved))
+            .map(|(t, c, state)| (t, RULE_P_HD_BURN.into(), c.to_string(), state.into()))
+            .collect();
+        let doc = alerts_json();
+        let Some(Value::Array(log)) = doc.get("transitions") else {
+            panic!("transitions array expected");
+        };
+        let got: Vec<(f64, String, String, String)> = (log.iter())
+            .map(|tr| {
+                let field = |k| str_of(tr.get(k));
+                (
+                    num(tr.get("t")),
+                    field("rule"),
+                    field("cell"),
+                    field("state"),
+                )
+            })
+            .collect();
+        assert_eq!(got.len(), 3 * CELLS as usize);
+        assert_eq!(got, expected);
     }
 
     #[test]

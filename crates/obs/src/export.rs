@@ -8,7 +8,6 @@ use std::path::Path;
 use qres_json::Value;
 
 use crate::metrics::{counters, gauges, histograms, HistogramSnapshot};
-use crate::recorder::sample_every;
 
 /// Renders one histogram snapshot as exposition sample lines (no
 /// `# HELP`/`# TYPE` header).
@@ -52,12 +51,6 @@ pub fn prometheus_text() -> String {
         out.push_str(&format!("# TYPE {} gauge\n", g.name()));
         out.push_str(&format!("{} {}\n", g.name(), g.get()));
     }
-    // The debug-tier sampling rate, so scraped event rates can be
-    // rescaled (a kept 1-in-N stream represents N times its count).
-    out.push_str(&format!(
-        "# HELP qres_obs_sample_rate 1-in-N sampling divisor applied to high-frequency debug events\n# TYPE qres_obs_sample_rate gauge\nqres_obs_sample_rate {}\n",
-        sample_every()
-    ));
     for h in histograms() {
         let s = h.snapshot();
         out.push_str(&format!("# HELP {} {}\n", s.name, s.help));
@@ -85,24 +78,18 @@ pub fn snapshot_json() -> Value {
 
 /// File name of the end-of-run document [`write_obs_json`] writes.
 pub const OBS_JSON_PATH: &str = "obs.json";
-/// File name of the JSONL event stream the run spills to while it goes.
-pub const OBS_EVENTS_PATH: &str = "obs_events.jsonl";
 
 /// Finishes the run's telemetry and writes `obs.json` to `path`.
 ///
 /// Firing alerts are resolved at the last recorded sim-time (the run
-/// ended, nothing burns anymore) and pending ones retracted, the event
-/// ring is flushed to the spill file so the stream is complete, and
+/// ended, nothing burns anymore) and pending ones retracted, and
 /// forecasts whose deadline passed are settled as expired; later
 /// deadlines stay `pending` (censored by the end of the run, not scored).
 /// The document has [`snapshot_json`]'s shape, with the flight section
 /// also carrying the tape's `records`.
 pub fn write_obs_json(path: &Path) -> std::io::Result<()> {
-    let now = crate::recorder::sim_time();
-    // Finalize before flushing: the resolve/retract transitions it records
-    // must make the spill.
+    let now = crate::sim_time();
     crate::alert::finalize(now);
-    crate::recorder::flush_spill();
     crate::calib::sweep_expired(now);
     std::fs::write(path, snapshot(true).to_pretty_string() + "\n")
 }
@@ -112,14 +99,10 @@ fn snapshot(flight_records: bool) -> Value {
         .iter()
         .map(|c| (c.name().to_string(), Value::UInt(c.get())))
         .collect();
-    let mut gauge_fields: Vec<(String, Value)> = gauges()
+    let gauge_fields = gauges()
         .iter()
         .map(|g| (g.name().to_string(), Value::UInt(g.get())))
         .collect();
-    gauge_fields.push((
-        "qres_obs_sample_rate".to_string(),
-        Value::UInt(sample_every()),
-    ));
     let histo_fields = histograms()
         .iter()
         .map(|h| {
@@ -422,7 +405,6 @@ mod tests {
         assert!(text.contains("# TYPE qres_admission_test_ns histogram"));
         assert!(text.contains("# TYPE qres_br_compute_ns histogram"));
         assert!(text.contains("qres_backbone_msgs_total"));
-        assert!(text.contains("qres_obs_sample_rate"));
         assert!(text.contains("le=\"+Inf\""));
         assert!(
             !text.contains("_ns_bucket{cell="),

@@ -30,18 +30,15 @@ pub const CAPTURE_WINDOW: usize = 256;
 /// One per-neighbor `B_i,0` contribution inside a decision record.
 ///
 /// `p_h_sum`/`conns` carry the Eq.-4 detail (sum of remaining-handoff
-/// probabilities over the `conns` connections that contributed) when the
-/// term was freshly evaluated; a memo hit reuses a prior evaluation and
-/// carries no detail.
+/// probabilities over the `conns` connections that contributed) of a
+/// predictive scheme's term; the NS baseline's terms carry none.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlightTerm {
     /// Contributing neighbor cell id.
     pub neighbor: u32,
     /// The `B_i,0` value folded into `B_r` (BUs).
     pub value: f64,
-    /// True when the tolerance memo served this term without re-evaluation.
-    pub memo_hit: bool,
-    /// Sum of per-connection `p_h` terms behind `value` (fresh evals only).
+    /// Sum of per-connection `p_h` terms behind `value` (Eq.-4 terms only).
     pub p_h_sum: Option<f64>,
     /// Number of connections that contributed to `p_h_sum`.
     pub conns: Option<u32>,
@@ -50,7 +47,6 @@ pub struct FlightTerm {
 qres_json::json_struct!(FlightTerm {
     neighbor,
     value,
-    memo_hit,
     p_h_sum,
     conns
 });
@@ -158,7 +154,7 @@ fn with_plane<R>(f: impl FnOnce(&mut FlightPlane) -> R) -> R {
 
 thread_local! {
     /// Unkeyed Eq.-4 scratch: set by `neighbor_contribution` on a fresh
-    /// evaluation, taken immediately by the memo layer on the same thread.
+    /// evaluation, taken immediately by `compute_br` on the same thread.
     static EVAL_DETAIL: Cell<Option<(f64, u32)>> = const { Cell::new(None) };
     /// Driver-side `B_r` term vectors keyed by `(req, target)`.
     static STAGED_TERMS: RefCell<Vec<(u64, u32, Vec<FlightTerm>)>> =
@@ -171,7 +167,7 @@ thread_local! {
 /// has not been independently disabled.
 #[inline(always)]
 pub fn flight_enabled() -> bool {
-    crate::with(|o| o.recorder.enabled() && !o.flight_off.load(Ordering::Relaxed))
+    crate::with(|o| o.on.load(Ordering::Relaxed) && !o.flight_off.load(Ordering::Relaxed))
 }
 
 /// Switches the flight recorder independently of the obs level.
@@ -205,7 +201,7 @@ pub fn stage_eval_detail(p_h_sum: f64, conns: u32) {
     EVAL_DETAIL.with(|c| c.set(Some((p_h_sum, conns))));
 }
 
-/// Takes the staged evaluation detail (None after a memo hit).
+/// Takes the staged evaluation detail (`None` when none was staged).
 #[inline]
 pub fn take_eval_detail() -> Option<(f64, u32)> {
     EVAL_DETAIL.with(Cell::take)
@@ -468,7 +464,6 @@ pub fn render_explain(doc: &Value) -> Result<String, String> {
         for term in &rec.terms {
             let detail = match (term.p_h_sum, term.conns) {
                 (Some(p), Some(n)) => format!(" p_h_sum={p:.4} conns={n}"),
-                _ if term.memo_hit => " (memo)".to_string(),
                 _ => String::new(),
             };
             let _ = writeln!(
@@ -581,16 +576,14 @@ mod tests {
                 FlightTerm {
                     neighbor: cell + 1,
                     value: 2.125,
-                    memo_hit: false,
                     p_h_sum: Some(2.125),
                     conns: Some(7),
                 },
                 FlightTerm {
                     neighbor: cell + 2,
                     value: 2.125,
-                    memo_hit: true,
-                    p_h_sum: None,
-                    conns: None,
+                    p_h_sum: Some(1.0625),
+                    conns: Some(4),
                 },
             ],
             checks: vec![FlightCheck {
@@ -670,7 +663,6 @@ mod tests {
         let own = vec![FlightTerm {
             neighbor: 5,
             value: 1.5,
-            memo_hit: false,
             p_h_sum: None,
             conns: None,
         }];

@@ -3,16 +3,10 @@
 //! A zero-dependency (beyond `qres-json`) telemetry layer threaded through
 //! every crate in the workspace:
 //!
-//! * [`event`] / [`recorder`] — a level-filtered, fixed-capacity ring
-//!   buffer of typed structured events ([`ObsEvent`]): admission
-//!   decisions, `B_r` recompute-vs-memo accounting, `T_est` window moves,
-//!   HOE quadruplet insert/evict, DES queue high-water marks, and
-//!   backbone message sends — each carrying sim-time and cell id, and
-//!   drainable to JSONL.
 //! * [`metrics`] — a registry of counters, max-gauges, and log-linear
 //!   timing histograms over the hot paths:
-//!   admission tests, `B_i,0` Eq.-4 passes, `compute_br` memo hits vs.
-//!   misses, event dispatch, sweep points.
+//!   admission tests, `B_i,0` Eq.-4 passes, `compute_br` calls, event
+//!   dispatch, sweep points.
 //! * [`export`] — Prometheus text exposition, the JSON snapshot, the
 //!   end-of-run writer [`write_obs_json`], and an in-repo exposition lint
 //!   the tests run.
@@ -32,8 +26,8 @@
 //! * [`alert`] — the SLO watchdog: burn-rate rules read straight off the
 //!   [`qos`] windows every 60 sim-s (a fast 300-s window and the `qos`
 //!   window against `P_HD,target`), a pending→firing→resolved state
-//!   machine on sim-timestamps, served at `GET /alerts` and rendered
-//!   offline by `qres obs alerts`.
+//!   machine on sim-timestamps with every transition logged, served at
+//!   `GET /alerts` and rendered offline by `qres obs alerts`.
 //! * [`flight`] — the decision-provenance flight recorder: a bounded ring
 //!   of complete admission decision records (inputs, per-neighbor Eq.-4
 //!   terms, feasibility checks, verdict) keyed by `admission_req_seq`,
@@ -54,27 +48,26 @@
 //!
 //! ## Run artifacts
 //!
-//! A run with telemetry on leaves two files. The event stream spills to
-//! [`OBS_EVENTS_PATH`] while the run goes, because the ring holds a
-//! bounded number of events. At the end, [`write_obs_json`] finishes the
-//! run's telemetry and writes [`OBS_JSON_PATH`]: the [`snapshot_json`]
-//! document (`counters`, `gauges`, `histograms`, `qos`, `alerts`,
-//! `flight`) with the flight tape's `records`. Every `qres obs` view reads
-//! its section of it.
+//! A run with telemetry on writes one document. At the end,
+//! [`write_obs_json`] finishes the run's telemetry and writes
+//! [`OBS_JSON_PATH`]: the [`snapshot_json`] document (`counters`,
+//! `gauges`, `histograms`, `qos`, `alerts`, `flight`) with the flight
+//! tape's `records`. Every `qres obs` view reads its section of it. The
+//! only other files are the alert-triggered flight captures.
 //!
 //! ## Overhead contract
 //!
 //! Telemetry is off by default. Every instrumentation site is gated on
 //! [`enabled`] — a thread-local read of the handle, a relaxed load of its
-//! level and a branch — and takes no wall-clock timestamps, allocates
+//! switch and a branch — and takes no wall-clock timestamps, allocates
 //! nothing (past the handle a thread creates on first use), and touches
 //! no locks until switched on with [`set_level`]. The `obs_overhead`
 //! benchmark in `qres-bench` holds the disabled end-to-end cost under 2%.
 //!
 //! ## Determinism contract
 //!
-//! The recorder is strictly passive: wall-clock readings feed histograms
-//! only, and event recording never feeds back into simulation state, so
+//! Telemetry is strictly passive: wall-clock readings feed histograms
+//! only, and nothing recorded feeds back into simulation state, so
 //! enabling telemetry cannot change `P_CB`/`P_HD`/`N_calc`
 //! (`tests/determinism.rs` asserts this).
 
@@ -84,13 +77,11 @@
 pub mod alert;
 pub mod calib;
 pub mod diff;
-pub mod event;
 pub mod export;
 pub mod flight;
 pub mod loglin;
 pub mod metrics;
 pub mod qos;
-pub mod recorder;
 pub mod serve;
 
 pub use alert::{
@@ -103,10 +94,8 @@ pub use calib::{
     reset_calib, stage_prediction, sweep_expired,
 };
 pub use diff::{check_fail_on, diff_snapshots};
-pub use event::{events_to_jsonl, ObsEvent};
 pub use export::{
-    prometheus_text, snapshot_json, validate_prometheus_text, write_obs_json, OBS_EVENTS_PATH,
-    OBS_JSON_PATH,
+    prometheus_text, snapshot_json, validate_prometheus_text, write_obs_json, OBS_JSON_PATH,
 };
 pub use flight::{
     denial_cause, explain_json, flight_enabled, flight_json, records_from_doc, render_explain,
@@ -118,24 +107,19 @@ pub use qos::{
     qos_json, qos_snapshot, qos_target_p_hd, reset_qos, set_qos_target_p_hd, set_qos_window_secs,
     wilson_interval, CellQosSnapshot,
 };
-pub use recorder::{
-    clear_spill, drain_events, enabled, enabled_at, flush_spill, level, record, reset,
-    sample_every, set_capacity, set_level, set_sample_every, set_sim_time, set_spill_path,
-    sim_time, Level,
-};
 pub use serve::ObsServer;
 
 use std::cell::{Cell, RefCell};
-use std::sync::atomic::AtomicBool;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-/// One run's telemetry state: the recorder (level, sampling, event ring
-/// and spill), the metric values, the QoS tracker, the calibration store,
-/// the alert plane, and the flight plane with its switch. Threads sharing
-/// a handle (see [`install`]) update it through atomics and mutexes.
+/// One run's telemetry state: the on/off switch, the metric values, the
+/// QoS tracker, the calibration store, the alert plane, and the flight
+/// plane with its own switch. Threads sharing a handle (see [`install`])
+/// update it through atomics and mutexes.
 #[derive(Default)]
 pub struct Obs {
-    pub(crate) recorder: recorder::Recorder,
+    pub(crate) on: AtomicBool,
     pub(crate) metrics: metrics::Registry,
     pub(crate) qos: Mutex<qos::QosState>,
     pub(crate) calib: Mutex<calib::CalibState>,
@@ -195,6 +179,43 @@ pub fn install(obs: Arc<Obs>) {
     HANDLE.with(|h| *h.obs.borrow_mut() = Some(obs));
 }
 
+/// Telemetry level: off, or on with every subsystem at its defaults.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Level {
+    /// Telemetry off — the instrumented code paths reduce to one
+    /// thread-local read and a branch.
+    Off,
+    /// Telemetry on.
+    Info,
+}
+
+/// Switches this thread's telemetry on ([`Level::Info`]) or off.
+pub fn set_level(level: Level) {
+    with(|o| o.on.store(level == Level::Info, Ordering::Relaxed));
+}
+
+/// True when telemetry is on. This is the hot-path gate: one
+/// thread-local read, a relaxed load and a branch.
+#[inline(always)]
+pub fn enabled() -> bool {
+    with(|o| o.on.load(Ordering::Relaxed))
+}
+
+/// Publishes this thread's simulation clock (seconds), which
+/// [`write_obs_json`] finalizes the run at. The mirror is per thread, not
+/// per [`Obs`]: sweep workers that share a handle each keep their own
+/// run's clock.
+#[inline]
+pub fn set_sim_time(secs: f64) {
+    HANDLE.with(|h| h.sim_time.set(secs));
+}
+
+/// The last simulation time (seconds) this thread published.
+#[inline]
+pub fn sim_time() -> f64 {
+    HANDLE.with(|h| h.sim_time.get())
+}
+
 /// Returns `(0, wall_ns - barrier_ns)`, saturating. Exists only for
 /// `qres-perf`'s traced replay, and goes with that call in the next change
 /// to the benchmark.
@@ -206,8 +227,74 @@ pub fn record_epoch(wall_ns: u64, barrier_ns: u64) -> (u64, u64) {
 /// with that call in the next change to the benchmark.
 pub fn reset_workers() {}
 
+/// The one event `qres-perf`'s traced replay still builds. Nothing stores
+/// it: [`record`] drops it. Goes with that call in the next change to the
+/// benchmark.
+#[derive(Debug)]
+pub enum ObsEvent {
+    /// An epoch barrier of the traced replay.
+    EpochBarrier {
+        /// Sim-time of the barrier (seconds).
+        t: f64,
+        /// The epoch that just completed.
+        epoch: u64,
+        /// Wall clock since the previous barrier completed (ns).
+        wall_ns: u64,
+        /// Wall clock of the barrier itself (ns).
+        barrier_ns: u64,
+        /// Driver time blocked on other threads (ns).
+        blocked_ns: u64,
+        /// Residual single-threaded driver time (ns).
+        serial_ns: u64,
+    },
+}
+
+/// Does nothing. Exists only for `qres-perf`'s traced replay, and goes
+/// with that call in the next change to the benchmark.
+pub fn record(_: ObsEvent) {}
+
+/// Does nothing. Exists only for `qres-perf`'s `reset_obs`, and goes with
+/// that call in the next change to the benchmark.
+pub fn reset() {}
+
 /// Does nothing: the SLO watchdog keeps no store of its own (it reads the
 /// [`qos`] windows), and [`reset_alerts`] restarts its evaluation grid.
 /// Exists only for `qres-perf`'s `reset_obs`, and goes with that call in
 /// the next change to the benchmark.
 pub fn reset_tsdb() {}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn level_switches_telemetry() {
+        assert!(!enabled(), "a fresh handle starts off");
+        set_level(Level::Info);
+        assert!(enabled());
+        set_level(Level::Off);
+        assert!(!enabled());
+        set_sim_time(12.5);
+        assert_eq!(sim_time(), 12.5);
+    }
+
+    /// A new thread starts on a fresh handle; installing another thread's
+    /// handle shares its state but not its sim-time mirror.
+    #[test]
+    fn threads_share_a_handle_only_once_installed() {
+        set_level(Level::Info);
+        set_sim_time(7.0);
+        let mine = current();
+        std::thread::spawn(move || {
+            assert!(!enabled());
+            install(mine);
+            assert!(enabled());
+            assert_eq!(sim_time(), 0.0);
+            metrics::BACKBONE_MSGS_TOTAL.add(1);
+        })
+        .join()
+        .unwrap();
+        assert_eq!(metrics::BACKBONE_MSGS_TOTAL.get(), 1);
+        assert_eq!(sim_time(), 7.0);
+    }
+}

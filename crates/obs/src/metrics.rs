@@ -8,16 +8,16 @@
 //! sites pay no registration cost. All operations use relaxed atomics:
 //! metrics are telemetry, not synchronization. Hot-path discipline:
 //! callers must gate both the `Instant::now()` pair *and* the `record`
-//! call behind [`crate::recorder::enabled`], so the disabled path stays
+//! call behind [`crate::enabled`], so the disabled path stays
 //! one thread-local read and a branch.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::loglin::{bucket_index, lower_bound, NUM_BUCKETS};
 
-const COUNTERS: usize = 14;
+const COUNTERS: usize = 10;
 const GAUGES: usize = 2;
-const HISTOGRAMS: usize = 7;
+const HISTOGRAMS: usize = 5;
 
 /// The metric values of one [`crate::Obs`], indexed by descriptor slot.
 pub(crate) struct Registry {
@@ -271,12 +271,6 @@ instruments! {
     /// calibration staging included.
     BATCHED_CONTRIBUTION_NS: "qres_batched_contribution_ns",
         "Wall-clock nanoseconds per B_i,0 evaluation (one Eq.-4 pass over a neighbor cell)";
-    /// Wall-clock time of a `compute_br` neighbor term served from the memo.
-    BR_TERM_HIT_NS: "qres_br_term_hit_ns",
-        "Wall-clock nanoseconds per compute_br neighbor term served from the epoch memo";
-    /// Wall-clock time of a `compute_br` neighbor term recomputed via Eq. 4.
-    BR_TERM_MISS_NS: "qres_br_term_miss_ns",
-        "Wall-clock nanoseconds per compute_br neighbor term recomputed through Eq. 4";
     /// Wall-clock time of one DES handler dispatch (`qres-des`).
     EVENT_DISPATCH_NS: "qres_event_dispatch_ns",
         "Wall-clock nanoseconds per discrete-event handler dispatch";
@@ -311,25 +305,12 @@ instruments! {
     /// `T_est` window decreases (Fig. 6 downward adaptation).
     T_EST_DECREASES_TOTAL: "qres_t_est_decreases_total",
         "Adaptive-window T_est decreases (including floored)";
-    /// `compute_br` neighbor terms served from the epoch memo.
-    BR_MEMO_HITS_TOTAL: "qres_br_memo_hits_total",
-        "compute_br neighbor terms served from the epoch memo";
     /// `compute_br` neighbor terms recomputed through Eq. 4.
     BR_TERMS_RECOMPUTED_TOTAL: "qres_br_terms_recomputed_total",
         "compute_br neighbor terms recomputed through Eq. 4";
     /// Individual `B_i,0` connection terms evaluated in Eq.-4 passes.
     B_I0_EVALS_TOTAL: "qres_b_i0_evals_total",
         "Individual B_i,0 connection terms evaluated during Eq.-4 passes";
-    /// Events accepted by the recorder.
-    EVENTS_RECORDED_TOTAL: "qres_obs_events_recorded_total",
-        "Structured events accepted by the recorder";
-    /// Events lost to ring overwrites (no spill file configured).
-    EVENTS_DROPPED_TOTAL: "qres_obs_events_dropped_total",
-        "Structured events lost to ring-buffer overwrites";
-    /// Debug-tier events skipped by 1-in-N sampling (not recorded, not
-    /// dropped; rescale scraped rates by `qres_obs_sample_rate`).
-    EVENTS_SAMPLED_OUT_TOTAL: "qres_obs_events_sampled_out_total",
-        "High-frequency events skipped by 1-in-N debug-tier sampling";
     /// Offered-load sweep points planned (enqueued by `sweep_offered_load`).
     SWEEP_POINTS_PLANNED_TOTAL: "qres_sweep_points_planned_total",
         "Offered-load sweep points enqueued for execution";

@@ -11,7 +11,7 @@
 //!
 //! Everything here is passive observation behind the level gate: the
 //! simulation feeds observations through `record_*` calls that the callers
-//! guard with [`crate::recorder::enabled`], state lives behind one mutex
+//! guard with [`crate::enabled`], state lives behind one mutex
 //! in the calling thread's [`crate::Obs`], and nothing flows back into
 //! admission decisions — the determinism contract of the recorder extends
 //! to this module.

@@ -372,6 +372,12 @@ impl Scenario {
                 "need at least 3 cells",
             ),
             (
+                u32::try_from(self.num_cells).is_ok(),
+                "num_cells",
+                &self.num_cells,
+                "must be at most u32::MAX (cell ids are u32)",
+            ),
+            (
                 self.hex_grid
                     .is_none_or(|(r, c)| r.checked_mul(c) == Some(self.num_cells)),
                 "num_cells",
@@ -383,6 +389,14 @@ impl Scenario {
                 "hex_grid",
                 &self.hex_grid,
                 "needs at least 2x2",
+            ),
+            (
+                self.hex_grid.is_none_or(|(r, c)| {
+                    r.checked_mul(c).is_some_and(|n| u32::try_from(n).is_ok())
+                }),
+                "hex_grid",
+                &self.hex_grid,
+                "rows * cols must be at most u32::MAX (cell ids are u32)",
             ),
             (
                 self.capacity_bus > 0,
@@ -726,6 +740,29 @@ mod tests {
             .validate()
             .unwrap_err();
         assert!(err.contains("trace cell"), "{err}");
+    }
+
+    #[test]
+    fn cell_counts_beyond_u32_ids_rejected() {
+        let mut s = Scenario::paper_baseline();
+        s.num_cells = u32::MAX as usize + 1;
+        let err = s.validate().unwrap_err();
+        assert!(
+            err.contains("num_cells = 4294967296: must be at most"),
+            "{err}"
+        );
+        s.num_cells = u32::MAX as usize;
+        assert_eq!(s.validate(), Ok(()));
+
+        let mut hex = Scenario::paper_baseline().hex(1 << 16, 1 << 16);
+        let err = hex.validate().unwrap_err();
+        assert!(
+            err.contains("hex_grid = Some((65536, 65536)): rows * cols"),
+            "{err}"
+        );
+        hex.hex_grid = Some((usize::MAX, 2));
+        let err = hex.validate().unwrap_err();
+        assert!(err.contains("rows * cols must be at most"), "{err}");
     }
 
     #[test]

@@ -2,11 +2,11 @@
 //!
 //! ```text
 //! qres template [stationary|time-varying|wired|metro]   print a scenario template
-//! qres run <scenario.json> [--json] [--obs] [--obs-sample N]
+//! qres run <scenario.json> [--json] [--obs]
 //!          [--serve HOST:PORT [--linger-secs N]] [--slo-target P] [--slo-burn X]
-//! qres sweep <scenario.json> [--loads 60,120,300] [--obs] [--obs-sample N] [--slo-* ...]
+//! qres sweep <scenario.json> [--loads 60,120,300] [--obs] [--slo-* ...]
 //! qres serve <scenario.json> [--addr HOST:PORT] [--loads ...]
-//!            [--sequential] [--linger-secs N] [--obs-sample N] [--slo-* ...]
+//!            [--sequential] [--linger-secs N] [--slo-* ...]
 //! qres obs calib <obs.json>                          Eq.-4 calibration report
 //! qres obs diff <a.json> <b.json> [--fail-on SPEC]   diff two snapshots
 //! qres obs alerts <obs.json>                         SLO alert timeline
@@ -22,16 +22,12 @@
 //! `sweep` and `serve` exit 1 on a scenario that fails validation at any
 //! swept load. The `metro` template is the 32×32 hex grid (1024 cells).
 //!
-//! `--obs` switches on the telemetry recorder at debug level for the run
-//! and writes two files into the working directory: `obs_events.jsonl`
-//! (the structured event stream, spilled while the run goes) and, at the
-//! end, `obs.json` ([`qres::obs::write_obs_json`]: counters, gauges,
-//! histograms, QoS conformance and Eq.-4 calibration, the SLO alert
-//! timeline, and the flight recorder's decision tape). `--obs-sample N`
-//! keeps only every N-th debug-tier high-frequency event (`br_compute`,
-//! `backbone_send`). `run` and `sweep` reject `--obs-sample`,
-//! `--no-flight`, `--slo-target`, `--slo-burn` and `--serve` without
-//! `--obs`.
+//! `--obs` switches telemetry on for the run and, at the end, writes
+//! `obs.json` into the working directory ([`qres::obs::write_obs_json`]:
+//! counters, gauges, histograms, QoS conformance and Eq.-4 calibration,
+//! the SLO alert timeline with every transition, and the flight
+//! recorder's decision tape). `run` and `sweep` reject `--no-flight`,
+//! `--slo-target`, `--slo-burn` and `--serve` without `--obs`.
 //!
 //! `serve` runs a sweep with the live scrape endpoint attached: while the
 //! sweep executes, `GET /metrics` (Prometheus exposition),
@@ -74,46 +70,39 @@
 use std::path::Path;
 use std::process::ExitCode;
 
-use qres::obs::{OBS_EVENTS_PATH, OBS_JSON_PATH};
+use qres::obs::OBS_JSON_PATH;
 use qres::sim::report::{cell_status_table, SeriesTable};
 use qres::sim::scenario::WiredConfig;
 use qres::sim::{run_scenario, Scenario, SchemeKind, TimeVaryingConfig};
 
 /// The flags `qres run` takes.
 const RUN_FLAGS: Flags = Flags {
-    usage: "qres run <scenario.json> [--json] [--obs] [--obs-sample N] [--no-flight] \
+    usage: "qres run <scenario.json> [--json] [--obs] [--no-flight] \
             [--serve HOST:PORT [--linger-secs N]] [--slo-target P] [--slo-burn X]",
     files: &["<scenario.json>"],
     switches: &["--json", "--obs", "--no-flight"],
-    valued: &[
-        "--obs-sample",
-        "--serve",
-        "--linger-secs",
-        "--slo-target",
-        "--slo-burn",
-    ],
+    valued: &["--serve", "--linger-secs", "--slo-target", "--slo-burn"],
 };
 
 /// The flags `qres sweep` takes.
 const SWEEP_FLAGS: Flags = Flags {
-    usage: "qres sweep <scenario.json> [--loads 60,120,300] [--obs] [--obs-sample N] \
-            [--no-flight] [--slo-target P] [--slo-burn X]",
+    usage: "qres sweep <scenario.json> [--loads 60,120,300] [--obs] [--no-flight] \
+            [--slo-target P] [--slo-burn X]",
     files: &["<scenario.json>"],
     switches: &["--obs", "--no-flight"],
-    valued: &["--loads", "--obs-sample", "--slo-target", "--slo-burn"],
+    valued: &["--loads", "--slo-target", "--slo-burn"],
 };
 
 /// The flags `qres serve` takes.
 const SERVE_FLAGS: Flags = Flags {
     usage: "qres serve <scenario.json> [--addr HOST:PORT] [--loads 60,120,300] [--sequential] \
-            [--linger-secs N] [--obs-sample N] [--no-flight] [--slo-target P] [--slo-burn X]",
+            [--linger-secs N] [--no-flight] [--slo-target P] [--slo-burn X]",
     files: &["<scenario.json>"],
     switches: &["--sequential", "--no-flight"],
     valued: &[
         "--addr",
         "--loads",
         "--linger-secs",
-        "--obs-sample",
         "--slo-target",
         "--slo-burn",
     ],
@@ -288,8 +277,6 @@ impl<'a> Cli<'a> {
 
 /// The telemetry flags `run`, `sweep` and `serve` share.
 struct ObsOpts {
-    /// `--obs-sample N`: keep every N-th debug-tier high-frequency event.
-    sample: Option<u64>,
     /// `--no-flight`: switch the decision tape off.
     no_flight: bool,
     /// `--slo-target P`: the `P_HD` target the alert rules burn against,
@@ -304,9 +291,6 @@ impl ObsOpts {
     /// them, and `--serve`, is a usage error: nothing would read them.
     fn parse(cli: &Cli<'_>, obs: bool) -> Result<Self, Failure> {
         let opts = ObsOpts {
-            sample: cli.parsed("--obs-sample", "an integer >= 1", |s| {
-                s.parse().ok().filter(|&n: &u64| n >= 1)
-            })?,
             no_flight: cli.has("--no-flight"),
             slo_target: cli.parsed("--slo-target", "0 < P < 1", |s| {
                 s.parse().ok().filter(|&p: &f64| p > 0.0 && p < 1.0)
@@ -315,44 +299,32 @@ impl ObsOpts {
                 s.parse().ok().filter(|&x: &f64| x > 0.0)
             })?,
         };
-        let given = [
-            "--serve",
-            "--obs-sample",
-            "--no-flight",
-            "--slo-target",
-            "--slo-burn",
-        ]
-        .into_iter()
-        .find(|&flag| cli.has(flag) || cli.value(flag).is_some());
+        let given = ["--serve", "--no-flight", "--slo-target", "--slo-burn"]
+            .into_iter()
+            .find(|&flag| cli.has(flag) || cli.value(flag).is_some());
         match given {
             Some(flag) if !obs => Err(Failure::Usage(format!("{flag} requires --obs"))),
             _ => Ok(opts),
         }
     }
 
-    /// Switches the recorder on at debug level and programs it and the
-    /// alert rules. Routes ring overflow to [`OBS_EVENTS_PATH`] so the
-    /// event stream stays complete, and lets alert-triggered flight
-    /// captures (`obs_flight_<cell>_<ts>.json`) land in the working
-    /// directory unless `--no-flight` switched the tape off.
-    fn apply(&self) -> Result<(), Failure> {
-        if let Some(n) = self.sample {
-            qres::obs::set_sample_every(n);
-        }
+    /// Switches telemetry on and programs the alert rules. Lets
+    /// alert-triggered flight captures (`obs_flight_<cell>_<ts>.json`)
+    /// land in the working directory unless `--no-flight` switched the
+    /// tape off.
+    fn apply(&self) {
         if self.slo_target.is_some() || self.slo_burn.is_some() {
             let mut config = qres::obs::alert_config();
             config.target_p_hd = self.slo_target.or(config.target_p_hd);
             config.burn_threshold = self.slo_burn.unwrap_or(config.burn_threshold);
             qres::obs::set_alert_config(config);
         }
-        qres::obs::set_level(qres::obs::Level::Debug);
+        qres::obs::set_level(qres::obs::Level::Info);
         if self.no_flight {
             qres::obs::set_flight_enabled(false);
         } else {
             qres::obs::set_flight_capture_dir(Some(std::path::PathBuf::from(".")));
         }
-        qres::obs::set_spill_path(Path::new(OBS_EVENTS_PATH))
-            .map_err(|e| Failure::Run(format!("cannot create {OBS_EVENTS_PATH}: {e}")))
     }
 }
 
@@ -378,12 +350,12 @@ fn load_sweep(path: &str, loads: &[f64]) -> Result<Scenario, Failure> {
 }
 
 /// Finishes the run's telemetry and writes [`OBS_JSON_PATH`]
-/// ([`qres::obs::write_obs_json`]); unless `quiet`, names the two files.
+/// ([`qres::obs::write_obs_json`]); unless `quiet`, names it.
 fn obs_finish(quiet: bool) -> Result<(), Failure> {
     qres::obs::write_obs_json(Path::new(OBS_JSON_PATH))
         .map_err(|e| Failure::Run(format!("cannot write {OBS_JSON_PATH}: {e}")))?;
     if !quiet {
-        println!("[obs] {OBS_JSON_PATH}, events -> {OBS_EVENTS_PATH}");
+        println!("[obs] {OBS_JSON_PATH}");
     }
     Ok(())
 }
@@ -411,7 +383,7 @@ fn run(args: &[String]) -> Result<(), Failure> {
     let linger_secs = cli.linger_secs()?;
     let scenario = load_scenario(cli.files[0]).map_err(Failure::Run)?;
     if obs {
-        opts.apply()?;
+        opts.apply();
     }
     // `--serve HOST:PORT` attaches the live scrape endpoint for the run's
     // duration (the single-run counterpart of `qres serve`).
@@ -448,7 +420,7 @@ fn sweep(args: &[String]) -> Result<(), Failure> {
     let loads = cli.loads()?;
     let base = load_sweep(cli.files[0], &loads)?;
     if obs {
-        opts.apply()?;
+        opts.apply();
     }
     let points = qres::sim::sweep_offered_load(&base, &loads);
     print!("{}", sweep_table(&points));
@@ -488,12 +460,11 @@ fn sweep_table(points: &[qres::sim::runner::SweepPoint]) -> String {
 
 /// `qres serve`: a sweep with the live HTTP scrape endpoint attached.
 ///
-/// Telemetry is always on here (that is the point), spilling to
-/// [`OBS_EVENTS_PATH`] and writing [`OBS_JSON_PATH`] at the end, exactly
-/// like `sweep --obs`. `--sequential` runs the points one after another,
-/// so the event stream holds one point's events at a time instead of
-/// interleaving them; `--linger-secs N` keeps the endpoint up after the
-/// sweep so a scraper can collect the final state.
+/// Telemetry is always on here (that is the point), writing
+/// [`OBS_JSON_PATH`] at the end, exactly like `sweep --obs`.
+/// `--sequential` runs the points one after another on this thread;
+/// `--linger-secs N` keeps the endpoint up after the sweep so a scraper
+/// can collect the final state.
 fn serve(args: &[String]) -> Result<(), Failure> {
     let cli = Cli::parse(args, &SERVE_FLAGS)?;
     let addr = cli.value("--addr").unwrap_or("127.0.0.1:9464");
@@ -501,7 +472,7 @@ fn serve(args: &[String]) -> Result<(), Failure> {
     let linger_secs = cli.linger_secs()?;
     let loads = cli.loads()?;
     let base = load_sweep(cli.files[0], &loads)?;
-    opts.apply()?;
+    opts.apply();
     let server = start_server(addr)?;
     eprintln!(
         "[obs] serving http://{}/metrics (.json, /qos, /alerts, /explain, /healthz) \

@@ -165,16 +165,14 @@ mod tests {
                 FlightTerm {
                     neighbor: 2,
                     value: 0.5,
-                    memo_hit: false,
                     p_h_sum: Some(0.5),
                     conns: Some(3),
                 },
                 FlightTerm {
                     neighbor: 4,
                     value: 0.25,
-                    memo_hit: true,
-                    p_h_sum: None,
-                    conns: None,
+                    p_h_sum: Some(0.25),
+                    conns: Some(1),
                 },
             ],
             checks: vec![],

@@ -130,8 +130,7 @@ fn alerts_route_serves_watchdog_document() {
 }
 
 /// The `alerts` section written to `obs.json` round-trips through the
-/// offline `qres obs alerts` renderer, and the transitions also reach the
-/// event stream.
+/// offline `qres obs alerts` renderer, transition log included.
 #[test]
 fn alert_timeline_round_trips_through_obswatch_renderers() {
     obs::set_level(obs::Level::Info);
@@ -144,11 +143,8 @@ fn alert_timeline_round_trips_through_obswatch_renderers() {
     assert!(rendered.contains("p_hd_burn"), "render: {rendered}");
     assert!(rendered.contains("firing"), "render: {rendered}");
     assert!(rendered.contains("resolved"), "render: {rendered}");
-
-    let (events, _) = obs::drain_events();
-    let jsonl = obs::events_to_jsonl(&events);
     assert!(
-        jsonl.contains("alert_transition"),
-        "transitions must reach the event stream"
+        rendered.contains("cell 9303    -> firing"),
+        "render: {rendered}"
     );
 }

@@ -29,8 +29,7 @@ fn http_get(addr: SocketAddr, path: &str) -> (String, String) {
 /// planned == done by the end.
 #[test]
 fn scrape_during_running_sweep() {
-    qres::obs::set_sample_every(3);
-    qres::obs::set_level(qres::obs::Level::Debug);
+    qres::obs::set_level(qres::obs::Level::Info);
     let server = qres::obs::ObsServer::start("127.0.0.1:0").expect("bind ephemeral port");
     let addr = server.addr();
 
@@ -106,16 +105,6 @@ fn scrape_during_running_sweep() {
             "flight"
         ]
     );
-    let rate = snapshot
-        .get("gauges")
-        .and_then(|g| g.get("qres_obs_sample_rate"));
-    assert!(
-        matches!(
-            rate,
-            Some(qres_json::Value::Int(3) | qres_json::Value::UInt(3))
-        ),
-        "sampling stride must be visible to scrapers, got {rate:?}"
-    );
 
     let points = sweep.join().expect("sweep thread");
     assert_eq!(points.len(), 2);
@@ -125,11 +114,5 @@ fn scrape_during_running_sweep() {
     qres::obs::validate_prometheus_text(&done_body).expect("final scrape must lint clean");
     assert!(done_body.contains("qres_sweep_points_planned_total 2"));
     assert!(done_body.contains("qres_sweep_points_done_total 2"));
-    assert!(
-        done_body.contains("qres_obs_sample_rate 3"),
-        "sample-rate gauge missing from exposition"
-    );
-    // Sampling actually dropped debug-tier events.
-    assert!(done_body.contains("qres_obs_events_sampled_out_total"));
     server.shutdown();
 }
