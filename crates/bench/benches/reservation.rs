@@ -1,10 +1,11 @@
 //! Micro-benchmark of the `B_i,0` contribution computation (Eq. 5) as the
 //! neighbor-cell population grows — the dominant cost of an admission test.
 //!
-//! Runs the streaming estimator (`neighbor_contribution`) side by side with
-//! the per-connection reference (`neighbor_contribution_naive`) on the same
-//! populations, so its speedup is read directly off the `batched/N` vs
-//! `naive/N` pairs. The synthetic populations `10`–`200` share extant
+//! Runs the candidate-window kernel (`neighbor_contribution`) side by side
+//! with the per-connection reference (`neighbor_contribution_naive`) on the
+//! same populations, so its speedup is read directly off the `batched/N` vs
+//! `naive/N` pairs. Before timing, every case's every cell must give the
+//! two bit-identical totals. The synthetic populations `10`–`200` share extant
 //! sojourns (`entered_at = t − (j % 60)`); `ring_shape` is what a
 //! paper-ring cell under AC3 actually holds: 82 connections with distinct
 //! entry times from three previous cells, against four `(prev, next)`
@@ -178,9 +179,12 @@ fn bench_contribution(c: &mut Criterion) {
     cases.push(("metro_shape_cold".to_string(), setup_metro_shape(1_000)));
     let t_est = Duration::from_secs(10.0);
     for (case, (mut cells, now)) in cases {
-        // Warm the snapshots.
-        for (cell, cache) in &mut cells {
-            let _ = neighbor_contribution(cell, cache, now, CellId(0), t_est);
+        // Warm the snapshots and arrival indexes, and refuse to time a
+        // kernel that disagrees with the reference on any cell.
+        for (v, (cell, cache)) in cells.iter_mut().enumerate() {
+            let got = neighbor_contribution(cell, cache, now, CellId(0), t_est);
+            let expect = neighbor_contribution_naive(cell, cache, now, CellId(0), t_est);
+            assert_eq!(got.to_bits(), expect.to_bits(), "{case}, cell {v}");
         }
         let mut k = 0;
         group.bench_function(BenchmarkId::new("batched", &case), |b| {

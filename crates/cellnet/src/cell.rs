@@ -7,6 +7,17 @@
 //! each connection's bandwidth, the cell it came from (`prev`), and when it
 //! entered the cell (from which the *extant sojourn time* `T_ext-soj` is
 //! derived, Section 4.1).
+//!
+//! Beside its id-sorted registry a cell can keep an [`ArrivalIndex`]: the
+//! same connections grouped by `(prev, known_next)` and ordered by
+//! `entered_at` within each group. Eq. 4 gives a connection a nonzero
+//! hand-off probability only while its extant sojourn lies within `T_est`
+//! of a recorded sojourn of its `(prev, target)` pair, and in arrival order
+//! those connections form one contiguous run of their group, which two
+//! binary searches find. The first [`Cell::arrivals`] call builds the
+//! index; [`Cell::insert`] and [`Cell::remove`] keep it current from then
+//! on, so a cell whose `B_i,0` is never queried (static guard band, the NS
+//! baseline) never pays for it.
 
 use qres_des::SimTime;
 
@@ -64,6 +75,142 @@ impl std::fmt::Display for CellError {
 
 impl std::error::Error for CellError {}
 
+/// One connection's entry in an [`ArrivalIndex`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Arrival {
+    /// When the mobile entered the cell.
+    pub entered_at: SimTime,
+    /// The connection's identifier.
+    pub id: ConnectionId,
+    /// Its required bandwidth `b(C_i,j)`.
+    pub bandwidth: Bandwidth,
+}
+
+/// The connections of one `(prev, known_next)` group, oldest arrival first.
+#[derive(Debug, Clone, Copy)]
+pub struct ArrivalGroup<'a> {
+    /// The group's previous cell ([`ConnInfo::prev`]).
+    pub prev: Option<CellId>,
+    /// The group's declared next cell ([`ConnInfo::known_next`]).
+    pub known_next: Option<CellId>,
+    /// The group's connections in `entered_at` order; may be empty.
+    pub arrivals: &'a [Arrival],
+}
+
+/// One group's key and where its arrivals end in the shared `Vec`.
+#[derive(Debug, Clone, Copy)]
+struct GroupHead {
+    prev: Option<CellId>,
+    known_next: Option<CellId>,
+    end: usize,
+}
+
+/// A cell's connections grouped by `(prev, known_next)`, each group in
+/// `entered_at` order (see the module docs).
+///
+/// All groups share one `Vec` of entries, in group order, so the entries
+/// are one allocation however many groups a cell has. A group that empties
+/// keeps its head: a cell meets few distinct `(prev, known_next)` keys.
+#[derive(Debug, Clone, Default)]
+pub struct ArrivalIndex {
+    /// In first-seen order; group `g` holds
+    /// `entries[groups[g - 1].end..groups[g].end]`.
+    groups: Vec<GroupHead>,
+    entries: Vec<Arrival>,
+}
+
+impl ArrivalIndex {
+    /// Iterates the groups in first-seen order.
+    pub fn groups(&self) -> impl Iterator<Item = ArrivalGroup<'_>> {
+        let mut start = 0;
+        self.groups.iter().map(move |head| {
+            let arrivals = &self.entries[start..head.end];
+            start = head.end;
+            ArrivalGroup {
+                prev: head.prev,
+                known_next: head.known_next,
+                arrivals,
+            }
+        })
+    }
+
+    /// The group `info` belongs to and its arrivals' range in `entries`.
+    fn group_of(&self, info: &ConnInfo) -> Option<(usize, usize, usize)> {
+        let g = self
+            .groups
+            .iter()
+            .position(|h| h.prev == info.prev && h.known_next == info.known_next)?;
+        let start = g.checked_sub(1).map_or(0, |p| self.groups[p].end);
+        Some((g, start, self.groups[g].end))
+    }
+
+    fn insert(&mut self, info: &ConnInfo) {
+        let (g, start, end) = self.group_of(info).unwrap_or_else(|| {
+            let end = self.entries.len();
+            self.groups.push(GroupHead {
+                prev: info.prev,
+                known_next: info.known_next,
+                end,
+            });
+            (self.groups.len() - 1, end, end)
+        });
+        // After any ties; the simulator inserts at `now`, so this is
+        // normally the group's end.
+        let at =
+            start + self.entries[start..end].partition_point(|x| x.entered_at <= info.entered_at);
+        self.entries.insert(
+            at,
+            Arrival {
+                entered_at: info.entered_at,
+                id: info.id,
+                bandwidth: info.bandwidth,
+            },
+        );
+        for head in &mut self.groups[g..] {
+            head.end += 1;
+        }
+    }
+
+    fn remove(&mut self, info: &ConnInfo) {
+        let (g, start, end) = self.group_of(info).expect("every connection is indexed");
+        let group = &self.entries[start..end];
+        let first = group.partition_point(|x| x.entered_at < info.entered_at);
+        let at = group[first..]
+            .iter()
+            .position(|x| x.id == info.id)
+            .expect("every connection is indexed");
+        self.entries.remove(start + first + at);
+        for head in &mut self.groups[g..] {
+            head.end -= 1;
+        }
+    }
+
+    /// Whether the index holds exactly the connections of `conns` (sorted
+    /// by id), each in its group and each group in `entered_at` order.
+    fn matches(&self, conns: &[ConnInfo]) -> bool {
+        let ends_ok = self.groups.windows(2).all(|w| w[0].end <= w[1].end)
+            && self.groups.last().map_or(0, |h| h.end) == self.entries.len();
+        let mut ids: Vec<ConnectionId> = self.entries.iter().map(|a| a.id).collect();
+        ids.sort_unstable();
+        let same_ids = ids.iter().eq(conns.iter().map(|c| &c.id));
+        ends_ok
+            && same_ids
+            && self.groups().all(|group| {
+                group
+                    .arrivals
+                    .windows(2)
+                    .all(|w| w[0].entered_at <= w[1].entered_at)
+                    && group.arrivals.iter().all(|a| {
+                        conns.binary_search_by_key(&a.id, |c| c.id).is_ok_and(|at| {
+                            let c = &conns[at];
+                            (c.prev, c.known_next, c.entered_at, c.bandwidth)
+                                == (group.prev, group.known_next, a.entered_at, a.bandwidth)
+                        })
+                    })
+            })
+    }
+}
+
 /// One cell's wireless-link state.
 ///
 /// The registry is a `Vec` kept sorted by connection id, so iteration
@@ -80,6 +227,8 @@ pub struct Cell {
     used: Bandwidth,
     /// Sorted by `id`, ids unique.
     conns: Vec<ConnInfo>,
+    /// Built by the first [`Cell::arrivals`] call, then kept current.
+    arrivals: Option<ArrivalIndex>,
 }
 
 impl Cell {
@@ -90,6 +239,7 @@ impl Cell {
             capacity,
             used: Bandwidth::ZERO,
             conns: Vec::new(),
+            arrivals: None,
         }
     }
 
@@ -148,6 +298,9 @@ impl Cell {
         }
         self.used += info.bandwidth;
         self.conns.insert(at, info);
+        if let Some(index) = &mut self.arrivals {
+            index.insert(&info);
+        }
         Ok(())
     }
 
@@ -158,6 +311,9 @@ impl Cell {
             .map_err(|_| CellError::UnknownConnection)?;
         let info = self.conns.remove(at);
         self.used -= info.bandwidth;
+        if let Some(index) = &mut self.arrivals {
+            index.remove(&info);
+        }
         Ok(info)
     }
 
@@ -171,6 +327,19 @@ impl Cell {
         self.conns.iter()
     }
 
+    /// The arrival index, built from the registry on first use (see the
+    /// module docs).
+    pub fn arrivals(&mut self) -> &ArrivalIndex {
+        let conns = &self.conns;
+        self.arrivals.get_or_insert_with(|| {
+            let mut index = ArrivalIndex::default();
+            for c in conns {
+                index.insert(c);
+            }
+            index
+        })
+    }
+
     /// Where `id` is in the registry (`Ok`), or where it would go (`Err`).
     fn position(&self, id: ConnectionId) -> Result<usize, usize> {
         self.conns.binary_search_by_key(&id, |c| c.id)
@@ -178,11 +347,17 @@ impl Cell {
 
     /// Internal invariant check: the registry is strictly id-ordered,
     /// `used` equals the sum of registered bandwidths and never exceeds
-    /// capacity. Used by tests and debug assertions in the simulator.
+    /// capacity, and a built arrival index holds exactly the registry's
+    /// connections in `entered_at` order. Used by tests and debug
+    /// assertions in the simulator.
     pub fn check_invariants(&self) -> bool {
         let sorted = self.conns.windows(2).all(|w| w[0].id < w[1].id);
         let sum: Bandwidth = self.conns.iter().map(|c| c.bandwidth).sum();
-        sorted && sum == self.used && self.used <= self.capacity
+        let indexed = self
+            .arrivals
+            .as_ref()
+            .is_none_or(|ix| ix.matches(&self.conns));
+        sorted && sum == self.used && self.used <= self.capacity && indexed
     }
 }
 
@@ -284,6 +459,9 @@ mod tests {
 
         // Ids from a small range so duplicates and unknown ids are common;
         // bandwidths up to 6 BUs against 40 so inserts often overflow.
+        // Entry times repeat and run backwards, and three `prev`s and two
+        // declared next cells make several arrival groups; the index is
+        // built after 2,000 steps of mutations.
         let mut rng = StreamRng::seed_from_u64(0x5EED);
         let mut cell = Cell::new(CellId(3), Bandwidth::from_bus(40));
         let mut model: BTreeMap<ConnectionId, ConnInfo> = BTreeMap::new();
@@ -295,7 +473,11 @@ mod tests {
             let outcome = match rng.gen_index(3) {
                 0 => {
                     let bw = rng.gen_range(1u32..7);
-                    let c = info(id.0, bw, step as f64);
+                    let c = ConnInfo {
+                        prev: [None, Some(CellId(1)), Some(CellId(2))][step % 3],
+                        known_next: id.0.is_multiple_of(4).then_some(CellId(5)),
+                        ..info(id.0, bw, (step * 37 % 101) as f64)
+                    };
                     let expect = match model.entry(id) {
                         Entry::Occupied(_) => Err(CellError::DuplicateConnection),
                         Entry::Vacant(_) if model_used + bw > 40 => {
@@ -335,6 +517,24 @@ mod tests {
             assert_eq!(cell.used().as_bus(), model_used, "step {step}: used");
             assert_eq!(cell.connection_count(), model.len(), "step {step}");
             assert!(cell.check_invariants(), "step {step}: invariants");
+            if step >= 2_000 {
+                let mut indexed: Vec<ConnInfo> = cell
+                    .arrivals()
+                    .groups()
+                    .flat_map(|g| {
+                        assert!(g.arrivals.is_sorted_by_key(|a| a.entered_at), "step {step}");
+                        g.arrivals.iter().map(move |a| ConnInfo {
+                            id: a.id,
+                            bandwidth: a.bandwidth,
+                            prev: g.prev,
+                            entered_at: a.entered_at,
+                            known_next: g.known_next,
+                        })
+                    })
+                    .collect();
+                indexed.sort_by_key(|c| c.id);
+                assert!(indexed.iter().eq(model.values()), "step {step}: index");
+            }
         }
         assert!(seen.iter().all(|&n| n > 100), "outcome coverage {seen:?}");
     }

@@ -39,7 +39,7 @@ pub mod topology;
 pub mod wired;
 
 pub use bu::{Bandwidth, MediaClass};
-pub use cell::{Cell, CellError, ConnInfo};
+pub use cell::{Arrival, ArrivalGroup, ArrivalIndex, Cell, CellError, ConnInfo};
 pub use geometry::{Direction, RoadGeometry};
 pub use hex::{HexDir, HexGrid};
 pub use ids::{CellId, ConnectionId};

@@ -15,17 +15,43 @@
 //! non-decreasing in `T_est`, so is `B_r,0` — the monotonicity the adaptive
 //! window controller relies on.
 //!
-//! [`neighbor_contribution`] sums Eq. 5 in one pass over the neighbor's
-//! connections in registry order ([`qres_mobility::ContributionPass`]);
-//! with telemetry on, the same pass stages each connection's `p_h` for the
-//! calibration tracker. [`neighbor_contribution_naive`], one estimator
-//! query per connection, is the reference it is bit-identical to.
+//! [`neighbor_contribution`] evaluates Eq. 4 only where it can be
+//! nonzero. `p_h` has a zero numerator unless some recorded sojourn `s` of
+//! the connection's `(prev, target)` pair satisfies `a < s ≤ a + T_est`,
+//! `a` being its extant sojourn. The neighbor's arrival index
+//! ([`qres_cellnet::ArrivalIndex`]) keeps each `(prev, known_next)` group
+//! in `entered_at` order, so those candidates form one contiguous run per
+//! group: the suffix with `a < s_max` cut at the prefix with
+//! `a + T_est ≥ s_min`. The candidates go through one
+//! [`qres_mobility::ContributionPass`]; their nonzero terms are summed in
+//! connection-id order. Every skipped connection's `p_h` is exactly `+0.0`,
+//! and adding `+0.0` to a non-negative sum changes no bit, so the total is
+//! bit-identical to [`neighbor_contribution_naive`], one estimator query
+//! per connection. With telemetry on, the pass also stages each
+//! connection's `p_h` for the calibration tracker, `+0.0` for the skipped
+//! ones.
 
-use qres_cellnet::{Cell, CellId};
+use std::cell::RefCell;
+
+use qres_cellnet::{Bandwidth, Cell, CellId, ConnectionId};
 use qres_des::{Duration, SimTime};
 use qres_mobility::{
     handoff_probability, known_next_probability, ContributionPass, HandoffQuery, HoeCache,
 };
+
+/// One candidate connection's nonzero Eq.-4 result.
+struct Term {
+    id: ConnectionId,
+    bandwidth: Bandwidth,
+    p_h: f64,
+}
+
+thread_local! {
+    /// [`neighbor_contribution`]'s terms, reused from call to call. A
+    /// `Vec` allocated per call churned the heap enough to slow the set-up
+    /// of the run that followed by about a quarter on `ring_ac3_obs`.
+    static TERMS: RefCell<Vec<Term>> = const { RefCell::new(Vec::new()) };
+}
 
 /// Computes one neighbor's contribution `B_i,0` (Eq. 5): the fractional
 /// bandwidth cell `i` (= `neighbor_cell`, with estimation state
@@ -36,42 +62,96 @@ use qres_mobility::{
 /// the target's `T_est` announcement (the caller accounts that exchange on
 /// the signaling fabric).
 ///
-/// Evaluates Eq. 4 in one pass over the cell's connections
-/// ([`qres_mobility::ContributionPass`]), which looks up the estimation
-/// snapshots once per distinct `prev` instead of once per connection. The
-/// result is bit-identical to [`neighbor_contribution_naive`].
+/// Evaluates Eq. 4 only for the connections that can hand off within
+/// `t_est_of_target` (see the module docs); the first call on a cell
+/// builds its arrival index, hence `&mut`. The snapshot is resolved (and,
+/// when stale, rebuilt) when some connection not declared toward another
+/// cell exists, as on the one-at-a-time path. The result is bit-identical
+/// to [`neighbor_contribution_naive`].
 pub fn neighbor_contribution(
-    neighbor_cell: &Cell,
+    neighbor_cell: &mut Cell,
     neighbor_cache: &mut HoeCache,
     now: SimTime,
     target: CellId,
     t_est_of_target: Duration,
 ) -> f64 {
-    debug_assert_ne!(
-        neighbor_cell.id(),
-        target,
-        "a cell does not hand off to itself"
-    );
+    TERMS.with_borrow_mut(|terms| {
+        terms.clear();
+        contribution(
+            neighbor_cell,
+            neighbor_cache,
+            now,
+            target,
+            t_est_of_target,
+            terms,
+        )
+    })
+}
+
+/// [`neighbor_contribution`] with its terms collected in `terms`, which
+/// starts empty.
+fn contribution(
+    neighbor_cell: &mut Cell,
+    neighbor_cache: &mut HoeCache,
+    now: SimTime,
+    target: CellId,
+    t_est_of_target: Duration,
+    terms: &mut Vec<Term>,
+) -> f64 {
+    let cell_id = neighbor_cell.id();
+    debug_assert_ne!(cell_id, target, "a cell does not hand off to itself");
     let obs = qres_obs::enabled();
     let t0 = obs.then(std::time::Instant::now);
-    let deadline = now.as_secs() + t_est_of_target.as_secs();
-    let mut p_h_sum = 0.0;
-    let mut live = 0u32;
     let mut pass = ContributionPass::new(neighbor_cache, now, target, t_est_of_target);
-    let mut total = 0.0;
-    for conn in neighbor_cell.connections() {
-        let p_h = pass.probability(conn.prev, conn.known_next, conn.extant_sojourn(now));
-        total += conn.bandwidth.as_f64() * p_h;
+    for group in neighbor_cell.arrivals().groups() {
+        if group.arrivals.is_empty()
+            || matches!(group.known_next, Some(declared) if declared != target)
+        {
+            continue;
+        }
+        let Some((s_min, s_max)) = pass.target_span(group.prev) else {
+            continue;
+        };
+        // The same float expressions `probability` compares: `a < s_max`
+        // holds on a suffix of the group, `a + T_est >= s_min` on a prefix.
+        let arrivals = group.arrivals;
+        let lo = arrivals.partition_point(|x| (now - x.entered_at).as_secs() >= s_max);
+        let hi = arrivals
+            .partition_point(|x| ((now - x.entered_at) + t_est_of_target).as_secs() >= s_min);
+        for x in &arrivals[lo..hi.max(lo)] {
+            let p_h = pass.probability(group.prev, group.known_next, now - x.entered_at);
+            if p_h != 0.0 {
+                terms.push(Term {
+                    id: x.id,
+                    bandwidth: x.bandwidth,
+                    p_h,
+                });
+            }
+        }
+    }
+    terms.sort_unstable_by_key(|t| t.id);
+    let total = terms
+        .iter()
+        .fold(0.0, |total, t| total + t.bandwidth.as_f64() * t.p_h);
+    if let Some(t0) = t0 {
         // Calibration read-out: stage each forecast about `target` (a
-        // connection declared toward another cell makes none). Staging is
-        // a thread-local push; the forecasts move into the telemetry
-        // handle's calibration store later, in `compute_br`, after the timing
-        // record ([`qres_obs::flush_staged`]).
-        if obs && !matches!(conn.known_next, Some(declared) if declared != target) {
+        // connection declared toward another cell makes none), in id
+        // order. Staging is a thread-local push; the forecasts move into
+        // the telemetry handle's calibration store later, in `compute_br`,
+        // after the timing record ([`qres_obs::flush_staged`]).
+        let deadline = now.as_secs() + t_est_of_target.as_secs();
+        let mut p_h_sum = 0.0;
+        let mut live = 0u32;
+        let mut terms = terms.iter().peekable();
+        for conn in neighbor_cell.connections() {
+            if matches!(conn.known_next, Some(declared) if declared != target) {
+                continue;
+            }
+            let p_h = terms.next_if(|t| t.id == conn.id).map_or(0.0, |t| t.p_h);
             p_h_sum += p_h;
             live += 1;
             qres_obs::stage_prediction(
-                neighbor_cell.id().0,
+                cell_id.0,
                 target.0,
                 conn.id.0,
                 conn.prev.map(|c| c.0),
@@ -79,8 +159,6 @@ pub fn neighbor_contribution(
                 deadline,
             );
         }
-    }
-    if let Some(t0) = t0 {
         qres_obs::metrics::BATCHED_CONTRIBUTION_NS.record_duration(t0.elapsed());
         qres_obs::metrics::B_I0_EVALS_TOTAL.add(neighbor_cell.connection_count() as u64);
         if qres_obs::flight::flight_enabled() {
@@ -186,10 +264,10 @@ mod tests {
 
     #[test]
     fn empty_cell_contributes_nothing() {
-        let cell = cell_with(&[]);
+        let mut cell = cell_with(&[]);
         let mut cache = trained_cache();
         let b = neighbor_contribution(
-            &cell,
+            &mut cell,
             &mut cache,
             SimTime::from_secs(100.0),
             CellId(0),
@@ -204,10 +282,10 @@ mod tests {
         // at t = 110 its extant sojourn is 10 s. Histories from prev = 2:
         // sojourns 25 and 35, both > 10 and both toward cell 0.
         // Within T_est = 20: (10, 30] covers 25 → p = 1/2.
-        let cell = cell_with(&[(1, 4, Some(2), 100.0)]);
+        let mut cell = cell_with(&[(1, 4, Some(2), 100.0)]);
         let mut cache = trained_cache();
         let b = neighbor_contribution(
-            &cell,
+            &mut cell,
             &mut cache,
             SimTime::from_secs(110.0),
             CellId(0),
@@ -220,10 +298,10 @@ mod tests {
     fn mobiles_heading_elsewhere_contribute_less() {
         // A connection from prev = 0 historically exits to cell 2, never to
         // cell 0 → zero contribution toward cell 0.
-        let cell = cell_with(&[(1, 1, Some(0), 100.0)]);
+        let mut cell = cell_with(&[(1, 1, Some(0), 100.0)]);
         let mut cache = trained_cache();
         let b = neighbor_contribution(
-            &cell,
+            &mut cell,
             &mut cache,
             SimTime::from_secs(105.0),
             CellId(0),
@@ -232,7 +310,7 @@ mod tests {
         assert_eq!(b, 0.0);
         // But toward cell 2 it contributes fully with a huge window.
         let b2 = neighbor_contribution(
-            &cell,
+            &mut cell,
             &mut cache,
             SimTime::from_secs(105.0),
             CellId(2),
@@ -243,12 +321,12 @@ mod tests {
 
     #[test]
     fn contribution_monotone_in_t_est() {
-        let cell = cell_with(&[(1, 4, Some(2), 100.0), (2, 1, Some(2), 90.0)]);
+        let mut cell = cell_with(&[(1, 4, Some(2), 100.0), (2, 1, Some(2), 90.0)]);
         let mut cache = trained_cache();
         let now = SimTime::from_secs(110.0);
         let mut last = 0.0;
         for t_est in [1.0, 5.0, 10.0, 20.0, 30.0, 60.0] {
-            let b = neighbor_contribution(&cell, &mut cache, now, CellId(0), s(t_est));
+            let b = neighbor_contribution(&mut cell, &mut cache, now, CellId(0), s(t_est));
             assert!(b >= last - 1e-12, "B_i,0 must be non-decreasing in T_est");
             last = b;
         }
@@ -256,10 +334,10 @@ mod tests {
 
     #[test]
     fn contribution_bounded_by_cell_usage() {
-        let cell = cell_with(&[(1, 4, Some(2), 100.0), (2, 1, Some(0), 100.0)]);
+        let mut cell = cell_with(&[(1, 4, Some(2), 100.0), (2, 1, Some(0), 100.0)]);
         let mut cache = trained_cache();
         let b = neighbor_contribution(
-            &cell,
+            &mut cell,
             &mut cache,
             SimTime::from_secs(100.0),
             CellId(0),
@@ -288,7 +366,7 @@ mod tests {
         // Pair (prev=2, next=0) histories: sojourns 25, 35. At extant
         // sojourn 10 with T_est = 20: (10, 30] covers the 25 → p = 1/2.
         let b = neighbor_contribution(
-            &cell,
+            &mut cell,
             &mut cache,
             SimTime::from_secs(110.0),
             CellId(0),
@@ -299,7 +377,7 @@ mod tests {
         // contributes its full bandwidth — route knowledge is sharper than
         // the unconditioned estimate.
         let b_full = neighbor_contribution(
-            &cell,
+            &mut cell,
             &mut cache,
             SimTime::from_secs(110.0),
             CellId(0),
@@ -310,7 +388,7 @@ mod tests {
 
     #[test]
     fn batched_path_equals_naive_reference_exactly() {
-        let cell = cell_with(&[
+        let mut cell = cell_with(&[
             (1, 4, Some(2), 100.0),
             (2, 1, Some(2), 100.0), // same (prev, extant) as above
             (3, 1, Some(0), 95.0),
@@ -320,7 +398,7 @@ mod tests {
         for t_est in [1.0, 10.0, 30.0, 1_000.0] {
             for now in [100.0, 105.0, 120.0] {
                 let b = neighbor_contribution(
-                    &cell,
+                    &mut cell,
                     &mut trained_cache(),
                     SimTime::from_secs(now),
                     CellId(0),
@@ -342,10 +420,10 @@ mod tests {
     fn stationary_mobiles_contribute_nothing() {
         // Extant sojourn 90 s exceeds every cached sojourn for prev = 2 →
         // estimated stationary.
-        let cell = cell_with(&[(1, 4, Some(2), 10.0)]);
+        let mut cell = cell_with(&[(1, 4, Some(2), 10.0)]);
         let mut cache = trained_cache();
         let b = neighbor_contribution(
-            &cell,
+            &mut cell,
             &mut cache,
             SimTime::from_secs(100.0),
             CellId(0),

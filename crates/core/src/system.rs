@@ -202,7 +202,7 @@ impl ReservationSystem {
             // its contribution: one round-trip per neighbor.
             self.signaling.reservation_exchange(target, nb);
             let site = &mut self.sites[nb.index()];
-            let value = neighbor_contribution(&site.cell, &mut site.hoe, now, target, t_est);
+            let value = neighbor_contribution(&mut site.cell, &mut site.hoe, now, target, t_est);
             br += value;
             if flight_on {
                 let detail = qres_obs::flight::take_eval_detail();
@@ -492,9 +492,11 @@ impl ReservationSystem {
             self.topology.are_adjacent(from, to),
             "hand-off between non-adjacent cells {from} -> {to}"
         );
-        let info = *self
-            .cell(from)
-            .get(id)
+        // Whatever the outcome the connection leaves `from`, and nothing
+        // below reads `from`'s registry: one lookup takes it out.
+        let info = self.sites[from.index()]
+            .cell
+            .remove(id)
             .expect("hand-off of unknown connection");
         let fits = self.cell(to).fits(info.bandwidth) && !external_veto;
         if qres_obs::enabled() {
@@ -521,38 +523,30 @@ impl ReservationSystem {
             }
         }
 
-        let removed = self.sites[from.index()]
-            .cell
-            .remove(id)
-            .expect("connection disappeared mid-hand-off");
         if qres_obs::enabled() {
             // Hand-in occupancy integrals: the connection stops counting
             // as hand-in load in `from` (if it arrived there by hand-off)
             // and, on success, starts counting in `to`.
-            if removed.prev.is_some() {
-                qres_obs::qos::record_handin_remove(
-                    now.as_secs(),
-                    from.0,
-                    removed.bandwidth.as_f64(),
-                );
+            if info.prev.is_some() {
+                qres_obs::qos::record_handin_remove(now.as_secs(), from.0, info.bandwidth.as_f64());
             }
             if fits {
-                qres_obs::qos::record_handin_add(now.as_secs(), to.0, removed.bandwidth.as_f64());
+                qres_obs::qos::record_handin_add(now.as_secs(), to.0, info.bandwidth.as_f64());
             }
         }
         if fits {
             // Record the quadruplet (successful departures only).
             self.sites[from.index()].hoe.record(HandoffEvent::new(
                 now,
-                removed.prev,
+                info.prev,
                 to,
-                now - removed.entered_at,
+                now - info.entered_at,
             ));
             self.sites[to.index()]
                 .cell
                 .insert(ConnInfo {
                     id,
-                    bandwidth: removed.bandwidth,
+                    bandwidth: info.bandwidth,
                     prev: Some(from),
                     entered_at: now,
                     known_next,

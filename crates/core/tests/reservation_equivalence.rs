@@ -1,5 +1,5 @@
-//! Differential tests: the batched, epoch-memoized `B_r` path must answer
-//! exactly like the naive per-connection Eq.-4/Eq.-5 computation.
+//! Differential tests: the candidate-window `B_r` path must answer exactly
+//! like the naive per-connection Eq.-4/Eq.-5 computation.
 //! (Seeded-RNG loops stand in for proptest, which is unavailable offline.)
 
 use qres_cellnet::{Bandwidth, BsNetworkKind, Cell, CellId, ConnInfo, ConnectionId, Topology};
@@ -95,13 +95,13 @@ fn batched_matches_naive_per_connection() {
         let now = 7_500.0 + rng.gen_range_f64(0.0, 1_000.0);
         // Entry times up to 500 s back: many extant sojourns outlast every
         // cached history (stationary classification) by construction.
-        let cell = random_population(&mut rng, now, NUM_CELLS, |rng| {
+        let mut cell = random_population(&mut rng, now, NUM_CELLS, |rng| {
             rng.gen_range_f64(0.0, 500.0)
         });
         let target = CellId(0);
         let t_est = Duration::from_secs(rng.gen_range_f64(0.0, 300.0));
         let now = SimTime::from_secs(now);
-        let batched = neighbor_contribution(&cell, &mut cache, now, target, t_est);
+        let batched = neighbor_contribution(&mut cell, &mut cache, now, target, t_est);
         let naive = neighbor_contribution_naive(&cell, &mut cache, now, target, t_est);
         assert!(
             (batched - naive).abs() < 1e-9,
@@ -133,13 +133,13 @@ fn streamed_matches_naive_bit_for_bit_with_fractional_weights() {
         let entries: Vec<f64> = (0..rng.gen_range(1usize..6))
             .map(|_| rng.gen_range_f64(0.0, 300.0))
             .collect();
-        let cell = random_population(&mut rng, now, cells, |rng| {
+        let mut cell = random_population(&mut rng, now, cells, |rng| {
             entries[rng.gen_index(entries.len())]
         });
         let target = CellId(0);
         let t_est = Duration::from_secs(rng.gen_range_f64(0.0, 300.0));
         let now = SimTime::from_secs(now);
-        let streamed = neighbor_contribution(&cell, &mut cache, now, target, t_est);
+        let streamed = neighbor_contribution(&mut cell, &mut cache, now, target, t_est);
         let naive = neighbor_contribution_naive(&cell, &mut cache, now, target, t_est);
         assert_eq!(streamed.to_bits(), naive.to_bits(), "case {case}");
         let mut pass_cache = cache.clone();
@@ -264,5 +264,227 @@ fn memoized_br_matches_naive_recomputation() {
             (reported - naive).abs() < 1e-9,
             "case {case}: memoized B_r {reported} != naive {naive}"
         );
+    }
+}
+
+/// `neighbor_contribution` and the reference on `cell`, each against its
+/// own copy of `cache`: equal by `to_bits`, and both leave the snapshot at
+/// the same version (a finite-`T_int` snapshot is rebuilt by both or by
+/// neither). Returns the total.
+fn assert_exact(cell: &mut Cell, cache: &HoeCache, now: f64, t_est: f64, ctx: &str) -> f64 {
+    let (now, t_est) = (SimTime::from_secs(now), Duration::from_secs(t_est));
+    let (mut fast, mut naive) = (cache.clone(), cache.clone());
+    let got = neighbor_contribution(cell, &mut fast, now, CellId(0), t_est);
+    let expect = neighbor_contribution_naive(cell, &mut naive, now, CellId(0), t_est);
+    assert_eq!(got.to_bits(), expect.to_bits(), "{ctx}: {got} != {expect}");
+    assert_eq!(fast.version(), naive.version(), "{ctx}: snapshot version");
+    got
+}
+
+fn conn(id: u64, bw: u32, prev: Option<u32>, entered_at: f64, known_next: Option<u32>) -> ConnInfo {
+    ConnInfo {
+        id: ConnectionId(id),
+        bandwidth: Bandwidth::from_bus(bw),
+        prev: prev.map(CellId),
+        entered_at: SimTime::from_secs(entered_at),
+        known_next: known_next.map(CellId),
+    }
+}
+
+/// Cell 1's history: from cell 2 into the target 0 after 25, 30 or 35 s,
+/// into cell 3 after 40 s; from cell 3 only into cell 2.
+fn edge_cache(config: HoeConfig) -> HoeCache {
+    let mut cache = HoeCache::new(config);
+    for (t, prev, next, soj) in [
+        (1.0, 2, 0, 25.0),
+        (2.0, 2, 0, 30.0),
+        (3.0, 2, 0, 35.0),
+        (4.0, 2, 3, 40.0),
+        (5.0, 3, 2, 28.0),
+    ] {
+        cache.record(HandoffEvent::new(
+            SimTime::from_secs(t),
+            Some(CellId(prev)),
+            CellId(next),
+            Duration::from_secs(soj),
+        ));
+    }
+    cache
+}
+
+/// Connections on the edges of the candidate window, alone and together:
+/// extant sojourn exactly `s_max` (zero) and just below it (nonzero);
+/// `a + T_est` exactly `s_min` (nonzero) and just below it (zero); and
+/// runs of tied entry times straddling both edges.
+#[test]
+fn window_edges_match_naive() {
+    let cache = edge_cache(HoeConfig::stationary());
+    let now = 1_000.0;
+    // (id, extant sojourn, nonzero at T_est = 10)
+    let edges = [
+        (1, 35.0, false), // a = s_max
+        (2, 34.5, true),  // just below s_max
+        (3, 15.0, true),  // a + T_est = s_min
+        (4, 14.5, false), // a + T_est just below s_min
+        (5, 35.0 - 1e-9, true),
+    ];
+    for &(id, a, nonzero) in &edges {
+        for known_next in [None, Some(0)] {
+            let mut cell = Cell::new(CellId(1), Bandwidth::from_bus(100));
+            cell.insert(conn(id, 4, Some(2), now - a, known_next))
+                .unwrap();
+            let b = assert_exact(&mut cell, &cache, now, 10.0, &format!("edge {id}"));
+            assert_eq!(b > 0.0, nonzero, "edge {id}, known_next {known_next:?}");
+        }
+    }
+    // All together, with ties: three connections entered at each edge time.
+    let mut cell = Cell::new(CellId(1), Bandwidth::from_bus(200));
+    let mut id = 10;
+    for &(_, a, _) in &edges {
+        for _ in 0..3 {
+            id += 1;
+            cell.insert(conn(id, 1 + (id % 4) as u32, Some(2), now - a, None))
+                .unwrap();
+        }
+    }
+    for t_est in [0.0, 1e-9, 0.5, 10.0, 20.0, 1e6] {
+        assert_exact(
+            &mut cell,
+            &cache,
+            now,
+            t_est,
+            &format!("ties, T_est = {t_est}"),
+        );
+    }
+}
+
+/// `T_est = 0` leaves an empty numerator interval `(a, a]`: every term is
+/// zero, on whichever side of each sojourn `a` falls, including exactly on
+/// one.
+#[test]
+fn zero_t_est_matches_naive() {
+    let cache = edge_cache(HoeConfig::stationary());
+    let mut cell = Cell::new(CellId(1), Bandwidth::from_bus(100));
+    for (id, a) in [
+        (1, 0.0),
+        (2, 25.0),
+        (3, 29.0),
+        (4, 30.0),
+        (5, 35.0),
+        (6, 50.0),
+    ] {
+        cell.insert(conn(id, 4, Some(2), 500.0 - a, None)).unwrap();
+    }
+    assert_eq!(
+        assert_exact(&mut cell, &cache, 500.0, 0.0, "T_est = 0"),
+        0.0
+    );
+}
+
+/// Route-aware cells whose connections all declare another next cell make
+/// no forecast toward the target, so a stale finite-`T_int` snapshot must
+/// not be rebuilt; one eligible connection, even with an absent target
+/// pair, rebuilds it, as the reference does.
+#[test]
+fn declared_elsewhere_cells_do_not_rebuild_the_snapshot() {
+    let cache = edge_cache(HoeConfig::paper_time_varying());
+    let now = 100.0;
+    let mut cell = Cell::new(CellId(1), Bandwidth::from_bus(100));
+    for (id, prev, next) in [(1, 2, 3), (2, 3, 2), (3, 2, 2)] {
+        cell.insert(conn(id, 1, Some(prev), now - 20.0, Some(next)))
+            .unwrap();
+    }
+    let before = cache.version();
+    let mut probe = cache.clone();
+    neighbor_contribution(
+        &mut cell,
+        &mut probe,
+        SimTime::from_secs(now),
+        CellId(0),
+        Duration::from_secs(30.0),
+    );
+    assert_eq!(probe.version(), before, "declared elsewhere: no rebuild");
+    assert_exact(&mut cell, &cache, now, 30.0, "declared elsewhere");
+    // An eligible connection from cell 3, whose (3, 0) pair is absent.
+    cell.insert(conn(4, 1, Some(3), now - 20.0, None)).unwrap();
+    let mut probe = cache.clone();
+    neighbor_contribution(
+        &mut cell,
+        &mut probe,
+        SimTime::from_secs(now),
+        CellId(0),
+        Duration::from_secs(30.0),
+    );
+    assert_ne!(probe.version(), before, "eligible connection: rebuild");
+    assert_exact(&mut cell, &cache, now, 30.0, "one eligible");
+    // It leaves again: its group is now empty and must not count.
+    cell.remove(ConnectionId(4)).unwrap();
+    assert_exact(&mut cell, &cache, now, 30.0, "emptied group");
+}
+
+/// The arrival index is built by the first query, after a cell has seen
+/// inserts and removes (out of time order, with ties), and is kept current
+/// by the mutations that follow: every query matches the reference, and
+/// the cell's invariants, which cover the index, hold throughout.
+#[test]
+fn index_built_after_mutations_matches_naive() {
+    let mut rng = StreamRng::seed_from_u64(0xB47C_0004);
+    for case in 0..40 {
+        let config = if case % 2 == 0 {
+            HoeConfig::stationary()
+        } else {
+            HoeConfig::paper_time_varying()
+        };
+        let mut cache = HoeCache::new(config);
+        for k in 0..200 {
+            cache.record(HandoffEvent::new(
+                SimTime::from_secs(k as f64 * 5.0),
+                Some(CellId(rng.gen_range(2u32..NUM_CELLS))),
+                CellId(rng.gen_range(0u32..NUM_CELLS)),
+                Duration::from_secs(rng.gen_range(1u32..60) as f64),
+            ));
+        }
+        let mut now = 1_000.0;
+        let mut cell = Cell::new(CellId(1), Bandwidth::from_bus(1_000));
+        let mut live: Vec<ConnectionId> = Vec::new();
+        let first_query = rng.gen_range(0usize..60);
+        for step in 0..150usize {
+            now += rng.gen_range(0u32..3) as f64;
+            if live.is_empty() || rng.gen_bool(0.6) {
+                let id = ConnectionId(step as u64);
+                // Mostly at `now`, as the simulator does; sometimes earlier,
+                // on a whole second, so entries tie and arrive out of order.
+                let back = if rng.gen_bool(0.7) {
+                    0.0
+                } else {
+                    rng.gen_range(0u32..60) as f64
+                };
+                let prev = [None, Some(2), Some(3), Some(4)][rng.gen_index(4)];
+                let known_next = [None, None, Some(0), Some(3)][rng.gen_index(4)];
+                cell.insert(conn(
+                    id.0,
+                    1 + rng.gen_range(0u32..4),
+                    prev,
+                    now - back,
+                    known_next,
+                ))
+                .unwrap();
+                live.push(id);
+            } else {
+                let id = live.swap_remove(rng.gen_index(live.len()));
+                cell.remove(id).unwrap();
+            }
+            if step >= first_query {
+                let t_est = [0.0, 5.0, 17.5, 60.0][rng.gen_index(4)];
+                assert_exact(
+                    &mut cell,
+                    &cache,
+                    now,
+                    t_est,
+                    &format!("case {case}, step {step}"),
+                );
+                assert!(cell.check_invariants(), "case {case}, step {step}");
+            }
+        }
     }
 }

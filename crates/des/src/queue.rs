@@ -32,9 +32,6 @@
 
 use crate::time::SimTime;
 
-/// Live-event count at which the first high-water telemetry mark is taken.
-const OBS_FIRST_MARK: usize = 64;
-
 /// End of the free-slot chain.
 const NIL: u32 = u32::MAX;
 
@@ -191,10 +188,6 @@ pub struct EventQueue<E> {
     next_seq: u64,
     cancelled_total: u64,
     live_high_water: usize,
-    /// Next live-event count at which the `qres_des_queue_high_water`
-    /// gauge is raised (doubles each time, so a run records O(log n)
-    /// marks).
-    obs_next_mark: usize,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -220,7 +213,6 @@ impl<E> EventQueue<E> {
             next_seq: 0,
             cancelled_total: 0,
             live_high_water: 0,
-            obs_next_mark: OBS_FIRST_MARK,
         }
     }
 
@@ -256,11 +248,9 @@ impl<E> EventQueue<E> {
         self.live += 1;
         let live = self.live;
         if live > self.live_high_water {
+            // A new peak: at most one per live event a run ever holds.
             self.live_high_water = live;
-            if qres_obs::enabled() && live >= self.obs_next_mark {
-                while self.obs_next_mark <= live {
-                    self.obs_next_mark *= 2;
-                }
+            if qres_obs::enabled() {
                 qres_obs::metrics::QUEUE_HIGH_WATER.observe(live as u64);
             }
         }
@@ -477,6 +467,19 @@ mod tests {
         q.pop();
         q.schedule(t(9.0), 9);
         assert_eq!(q.live_high_water(), 5);
+    }
+
+    #[test]
+    fn high_water_gauge_reports_the_peak() {
+        qres_obs::set_level(qres_obs::Level::Info);
+        let mut q = EventQueue::new();
+        for i in 0..100 {
+            q.schedule(t(f64::from(i)), i);
+        }
+        q.pop();
+        q.schedule(t(200.0), 200);
+        assert_eq!(qres_obs::metrics::QUEUE_HIGH_WATER.get(), 100);
+        assert_eq!(q.live_high_water(), 100);
     }
 
     #[test]

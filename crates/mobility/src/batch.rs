@@ -14,10 +14,18 @@
 //! numerator first. `weight_gt(T_ext-soj)` and `weight_gt(T_ext-soj +
 //! T_est)` on the `(prev, target)` snapshot give the numerator; only when
 //! it is positive is `weight_gt(T_ext-soj)` summed over every `(prev, ·)`
-//! snapshot, in range order, for the denominator. Since the numerator never
+//! snapshot, in range order, for the denominator, with the target pair's
+//! term taken from the numerator's first edge. Since the numerator never
 //! exceeds the denominator, `p_h = 0` exactly when the numerator is zero,
 //! so most connections — those not about to hand off into the target —
 //! never touch the other pairs' snapshots.
+//!
+//! [`ContributionPass::target_span`] tells a caller which connections can
+//! have a nonzero numerator at all: those whose extant sojourn `a` has
+//! `a < s_max` and `a + T_est ≥ s_min` on the `(prev, target)` pair. The
+//! reservation computation asks it once per group of connections and
+//! calls [`ContributionPass::probability`] only for those candidates; every
+//! other connection's `p_h` is exactly `+0.0`.
 //!
 //! Every probability is computed by the same floating-point operations in
 //! the same order as the one-at-a-time path, and every zero is `+0.0`, so a
@@ -130,16 +138,33 @@ impl<'a> ContributionPass<'a> {
         let den = match known_next {
             // Known route: the target pair is the whole denominator.
             Some(_) => above_a,
-            None => lookup
-                .range
-                .clone()
-                .fold(0.0, |den, (_, snap)| den + snap.weight_gt(a)),
+            // The target pair's term is `above_a`, already in hand.
+            None => lookup.range.clone().fold(0.0, |den, (&(_, next), snap)| {
+                den + if next == target {
+                    above_a
+                } else {
+                    snap.weight_gt(a)
+                }
+            }),
         };
         debug_assert!(
             num <= den + 1e-9,
             "numerator {num} exceeds denominator {den}"
         );
         (num / den).clamp(0.0, 1.0)
+    }
+
+    /// The smallest and largest recorded sojourn of the `(prev, target)`
+    /// pair, or `None` when the pair is absent or empty.
+    ///
+    /// Resolves `prev`'s lookups (and with them, on a pass's first call,
+    /// the snapshot) as [`Self::probability`] does. A connection with
+    /// extant sojourn `a` has a zero numerator unless `a < max` and
+    /// `a + T_est >= min`, both compared as `probability` computes them, so
+    /// a caller may skip the others: their `p_h` is exactly `+0.0`.
+    pub fn target_span(&mut self, prev: PrevKey) -> Option<(f64, f64)> {
+        let sojourns = self.lookup(prev).to_target?.sojourns();
+        Some((*sojourns.first()?, *sojourns.last()?))
     }
 
     /// The lookups for `prev`, resolved on its first use.

@@ -308,7 +308,9 @@ instruments! {
     /// `compute_br` neighbor terms recomputed through Eq. 4.
     BR_TERMS_RECOMPUTED_TOTAL: "qres_br_terms_recomputed_total",
         "compute_br neighbor terms recomputed through Eq. 4";
-    /// Individual `B_i,0` connection terms evaluated in Eq.-4 passes.
+    /// Individual `B_i,0` connection terms of Eq.-4 passes, one per
+    /// resident connection, including those outside the candidate window,
+    /// whose term is known to be zero without an evaluation.
     B_I0_EVALS_TOTAL: "qres_b_i0_evals_total",
         "Individual B_i,0 connection terms evaluated during Eq.-4 passes";
     /// Offered-load sweep points planned (enqueued by `sweep_offered_load`).
