@@ -9,12 +9,7 @@
 //! * `--seed <n>` — override the base seed;
 //! * `--csv` — print CSV only (for piping into plotting tools);
 //! * `--obs` — enable telemetry and write `obs.json` (the end-of-run
-//!   telemetry document) into the working directory;
-//! * `--serve <host:port>` — with `--obs`, expose the live scrape
-//!   endpoint (`/metrics`, `/metrics.json`, `/qos`, `/alerts`,
-//!   `/explain`, `/healthz`) for the whole experiment, so dashboards can
-//!   follow long regenerations point by point
-//!   (`qres_sweep_points_{planned,done}_total`).
+//!   telemetry document) into the working directory.
 //!
 //! The `benches/` directory holds Criterion micro-benchmarks of the
 //! algorithmic building blocks (HOE cache ops, Eq. 4 queries, `B_r`
@@ -28,7 +23,7 @@ use std::path::Path;
 
 use qres_obs::OBS_JSON_PATH;
 
-const USAGE: &str = "options: [--quick] [--seed <n>] [--csv] [--obs] [--serve <host:port>]";
+const USAGE: &str = "options: [--quick] [--seed <n>] [--csv] [--obs]";
 
 /// Common CLI options of the experiment binaries.
 #[derive(Debug, Clone)]
@@ -41,24 +36,18 @@ pub struct ExpOptions {
     pub csv_only: bool,
     /// Telemetry enabled (`--obs`).
     pub obs: bool,
-    /// Live scrape endpoint address (`--serve`), when set.
-    pub serve: Option<String>,
 }
 
 impl ExpOptions {
     /// Parses options from `std::env::args`. Unknown flags abort with a
     /// usage message. `--obs` switches telemetry on; [`finish`] writes
     /// [`OBS_JSON_PATH`] at the end.
-    /// `--serve <host:port>` (implies `--obs`) starts the live scrape
-    /// endpoint; it stays up until the process exits, so a scraper can
-    /// collect the final state of a finished experiment.
     pub fn from_args() -> Self {
         let mut opts = ExpOptions {
             quick: false,
             seed: 1,
             csv_only: false,
             obs: false,
-            serve: None,
         };
         let mut args = env::args().skip(1);
         while let Some(arg) = args.next() {
@@ -74,31 +63,12 @@ impl ExpOptions {
                         .parse()
                         .unwrap_or_else(|_| die("--seed must be an integer"));
                 }
-                "--serve" => {
-                    let v = args
-                        .next()
-                        .unwrap_or_else(|| die("--serve requires a host:port value"));
-                    opts.serve = Some(v);
-                    opts.obs = true;
-                }
                 "--help" | "-h" => die(USAGE),
                 other => die(&format!("unknown option `{other}`; {USAGE}")),
             }
         }
         if opts.obs {
             qres_obs::set_level(qres_obs::Level::Info);
-        }
-        if let Some(addr) = &opts.serve {
-            match qres_obs::ObsServer::start(addr) {
-                Ok(server) => {
-                    eprintln!("[obs] serving http://{}/metrics", server.addr());
-                    // The endpoint lives for the rest of the process: an
-                    // experiment binary exits right after its last table,
-                    // and the OS reclaims the thread and socket.
-                    std::mem::forget(server);
-                }
-                Err(e) => die(&format!("cannot bind {addr}: {e}")),
-            }
         }
         opts
     }

@@ -103,6 +103,7 @@ fn contribution(
     let obs = qres_obs::enabled();
     let t0 = obs.then(std::time::Instant::now);
     let mut pass = ContributionPass::new(neighbor_cache, now, target, t_est_of_target);
+    let mut evaluated = 0usize;
     for group in neighbor_cell.arrivals().groups() {
         if group.arrivals.is_empty()
             || matches!(group.known_next, Some(declared) if declared != target)
@@ -118,7 +119,9 @@ fn contribution(
         let lo = arrivals.partition_point(|x| (now - x.entered_at).as_secs() >= s_max);
         let hi = arrivals
             .partition_point(|x| ((now - x.entered_at) + t_est_of_target).as_secs() >= s_min);
-        for x in &arrivals[lo..hi.max(lo)] {
+        let candidates = &arrivals[lo..hi.max(lo)];
+        evaluated += candidates.len();
+        for x in candidates {
             let p_h = pass.probability(group.prev, group.known_next, now - x.entered_at);
             if p_h != 0.0 {
                 terms.push(Term {
@@ -160,7 +163,7 @@ fn contribution(
             );
         }
         qres_obs::metrics::BATCHED_CONTRIBUTION_NS.record_duration(t0.elapsed());
-        qres_obs::metrics::B_I0_EVALS_TOTAL.add(neighbor_cell.connection_count() as u64);
+        qres_obs::metrics::B_I0_EVALS_TOTAL.add(evaluated as u64);
         if qres_obs::flight::flight_enabled() {
             // Leave the Eq.-4 internals (Σ p_h over the forecasts toward
             // `target`, count of contributing connections) in TLS for the
@@ -414,6 +417,26 @@ mod tests {
                 assert_eq!(b, naive, "now = {now}, T_est = {t_est}");
             }
         }
+    }
+
+    /// `qres_b_i0_evals_total` counts the connections Eq. 4 was evaluated
+    /// for, not the cell's residents.
+    #[test]
+    fn evals_counter_counts_only_window_candidates() {
+        qres_obs::set_level(qres_obs::Level::Info);
+        let evals = &qres_obs::metrics::B_I0_EVALS_TOTAL;
+        // Extant sojourns 10 s and 100 s; prev = 2's recorded sojourns are
+        // 25 and 35 s.
+        let mut cell = cell_with(&[(1, 4, Some(2), 100.0), (2, 1, Some(2), 10.0)]);
+        let mut cache = trained_cache();
+        let now = SimTime::from_secs(110.0);
+        // (10, 11] and (100, 101] hold no recorded sojourn: nothing to
+        // evaluate.
+        neighbor_contribution(&mut cell, &mut cache, now, CellId(0), s(1.0));
+        assert_eq!(evals.get(), 0);
+        // (10, 30] holds 25 s; the 100-s connection outlived every record.
+        neighbor_contribution(&mut cell, &mut cache, now, CellId(0), s(20.0));
+        assert_eq!(evals.get(), 1);
     }
 
     #[test]

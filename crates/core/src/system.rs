@@ -965,7 +965,7 @@ mod tests {
 
         // Flight records: one per test, keyed by its request id, each
         // taping both (empty) neighbors' terms with their Eq.-4 internals.
-        let records = qres_obs::records_from_doc(&qres_obs::flight_json(true)).unwrap();
+        let records = qres_obs::records_from_doc(&qres_obs::flight_json()).unwrap();
         let reqs: Vec<u64> = records.iter().map(|r| r.req).collect();
         assert_eq!(reqs, [1, 2, 3, 4, 5, 6]);
         for r in &records {

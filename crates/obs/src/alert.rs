@@ -26,11 +26,9 @@
 //! bit-identical across reruns.
 //! Alerts are derived state only — nothing here feeds back into the
 //! simulation. Sim-side consumers (the planned AC4 controller) read
-//! [`alerts_snapshot`] / [`firing_alerts`] directly, no HTTP needed.
+//! [`alerts_snapshot`] directly.
 //!
-//! Exposed at `GET /alerts`, as the `qres_alert_state{rule,cell}` /
-//! `qres_alerts_fired_total{rule}` Prometheus families, under `"alerts"`
-//! in JSON snapshots, and rendered offline from `obs.json` by
+//! Written under `"alerts"` in `obs.json` and rendered from it by
 //! `qres obs alerts` ([`render_watch`]).
 
 use std::collections::BTreeMap;
@@ -75,16 +73,6 @@ impl AlertState {
             AlertState::Pending => "pending",
             AlertState::Firing => "firing",
             AlertState::Resolved => "resolved",
-        }
-    }
-
-    /// The `qres_alert_state` gauge encoding (resolved 0, pending 1,
-    /// firing 2).
-    pub fn gauge_value(self) -> u64 {
-        match self {
-            AlertState::Resolved => 0,
-            AlertState::Pending => 1,
-            AlertState::Firing => 2,
         }
     }
 }
@@ -409,14 +397,6 @@ pub fn alerts_snapshot() -> Vec<AlertSnapshot> {
     })
 }
 
-/// The currently firing alerts only (the `/healthz` degradation input).
-pub fn firing_alerts() -> Vec<AlertSnapshot> {
-    alerts_snapshot()
-        .into_iter()
-        .filter(|a| a.state == AlertState::Firing)
-        .collect()
-}
-
 fn cell_value(cell: Option<u32>) -> Value {
     match cell {
         Some(c) => Value::Str(c.to_string()),
@@ -431,9 +411,8 @@ fn opt_float(v: Option<f64>) -> Value {
     }
 }
 
-/// The `GET /alerts` document (also merged into snapshots as `"alerts"`):
-/// configuration, per-rule fired totals, the alert table, and the
-/// transition log.
+/// The `"alerts"` section of `obs.json`: configuration, per-rule fired
+/// totals, the alert table, and the transition log.
 pub fn alerts_json() -> Value {
     let snapshot = alerts_snapshot();
     let (fast_secs, slow_secs) = windows();
@@ -504,43 +483,6 @@ pub fn alerts_json() -> Value {
     })
 }
 
-/// Appends the `qres_alert_state{rule,cell}` and
-/// `qres_alerts_fired_total{rule}` families to a Prometheus exposition.
-/// Renders nothing while the watchdog has never transitioned anything,
-/// keeping unused-run expositions byte-identical.
-pub fn prometheus_fragment(out: &mut String) {
-    let (entries, fired): (Vec<_>, Vec<_>) = with_plane(|p| {
-        (
-            p.entries
-                .iter()
-                .map(|(&(rule, cell), e)| (rule, cell, e.state))
-                .collect(),
-            RULE_NAMES
-                .iter()
-                .map(|&rule| (rule, p.fired_total.get(rule).copied().unwrap_or(0)))
-                .collect(),
-        )
-    });
-    if entries.is_empty() && fired.iter().all(|&(_, n)| n == 0) {
-        return;
-    }
-    out.push_str(
-        "# HELP qres_alert_state SLO watchdog alert state (0 resolved, 1 pending, 2 firing).\n",
-    );
-    out.push_str("# TYPE qres_alert_state gauge\n");
-    for (rule, cell, state) in entries {
-        out.push_str(&format!(
-            "qres_alert_state{{rule=\"{rule}\",cell=\"{cell}\"}} {}\n",
-            state.gauge_value()
-        ));
-    }
-    out.push_str("# HELP qres_alerts_fired_total Alerts that reached firing, by rule.\n");
-    out.push_str("# TYPE qres_alerts_fired_total counter\n");
-    for (rule, n) in fired {
-        out.push_str(&format!("qres_alerts_fired_total{{rule=\"{rule}\"}} {n}\n"));
-    }
-}
-
 fn num(v: Option<&Value>) -> f64 {
     match v {
         Some(Value::Int(n)) => *n as f64,
@@ -567,8 +509,7 @@ fn stamp_of(v: Option<&Value>) -> String {
 }
 
 /// Renders the `qres obs alerts` report from the `alerts` section of an
-/// `obs.json` (or a `/metrics.json` snapshot): the alert table, the fired
-/// totals and the transition log.
+/// `obs.json`: the alert table, the fired totals and the transition log.
 pub fn render_watch(doc: &Value) -> Result<String, String> {
     let alerts = doc.get("alerts").ok_or("no `alerts` section")?;
     let mut out = String::from("alerts:\n");
@@ -739,36 +680,14 @@ mod tests {
     #[test]
     fn finalize_resolves_firing_and_retracts_pending() {
         run(0.0, 60, 60);
-        assert!(!firing_alerts().is_empty());
+        assert!(alerts_snapshot()
+            .iter()
+            .any(|a| a.state == AlertState::Firing));
         finalize(600.0);
-        assert!(firing_alerts().is_empty());
         let alerts = alerts_snapshot();
         assert!(alerts
             .iter()
             .all(|a| a.state == AlertState::Resolved && a.resolved_at == Some(600.0)));
-    }
-
-    #[test]
-    fn prometheus_fragment_is_empty_until_something_happens() {
-        let mut out = String::new();
-        prometheus_fragment(&mut out);
-        assert!(out.is_empty(), "untouched watchdog renders nothing: {out}");
-
-        run(0.0, 60, 60);
-        let mut out = String::new();
-        prometheus_fragment(&mut out);
-        assert!(
-            out.contains(&format!(
-                "qres_alert_state{{rule=\"p_hd_burn\",cell=\"{CELL}\"}} 2"
-            )),
-            "{out}"
-        );
-        assert!(
-            out.contains("qres_alerts_fired_total{rule=\"p_hd_burn\"} 1"),
-            "{out}"
-        );
-        crate::export::validate_prometheus_text(&crate::export::prometheus_text())
-            .expect("full exposition lints with alert families");
     }
 
     /// The transition log keeps every transition of a run, oldest first:

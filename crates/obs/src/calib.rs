@@ -436,7 +436,7 @@ pub struct CalibSummary {
     pub brier: Option<f64>,
 }
 
-/// Summary counts for quick assertions and the Prometheus fragment.
+/// Summary counts for quick assertions.
 pub fn calib_summary() -> CalibSummary {
     with_state(|st| {
         let t = &st.tally;
@@ -485,51 +485,8 @@ pub fn calib_json() -> Value {
     })
 }
 
-/// Appends the calibration summary families to a Prometheus exposition.
-pub fn prometheus_fragment(out: &mut String) {
-    use std::fmt::Write as _;
-    let s = calib_summary();
-    if s.predictions == 0 {
-        return;
-    }
-    let mut counter = |name: &str, help: &str, v: u64| {
-        let _ = writeln!(out, "# HELP {name} {help}");
-        let _ = writeln!(out, "# TYPE {name} counter");
-        let _ = writeln!(out, "{name} {v}");
-    };
-    counter(
-        "qres_calib_predictions_total",
-        "Eq.-4 per-connection forecasts recorded for calibration",
-        s.predictions,
-    );
-    counter(
-        "qres_calib_superseded_total",
-        "Live forecasts replaced by a fresher emission before resolving",
-        s.superseded,
-    );
-    counter(
-        "qres_calib_hits_total",
-        "Forecasts resolved by a hand-off into the forecast target in time",
-        s.hits,
-    );
-    counter(
-        "qres_calib_misses_total",
-        "Forecasts resolved as misses (wrong neighbor, expired, or completed)",
-        s.miss_wrong_target + s.miss_expired + s.miss_ended,
-    );
-    if let Some(b) = s.brier {
-        let _ = writeln!(
-            out,
-            "# HELP qres_calib_brier_score Mean Brier score of resolved Eq.-4 forecasts"
-        );
-        let _ = writeln!(out, "# TYPE qres_calib_brier_score gauge");
-        let _ = writeln!(out, "qres_calib_brier_score {b}");
-    }
-}
-
-/// Renders the calibration part (`qos.calib`) of an `obs.json` or a
-/// `/metrics.json` snapshot as the human-readable report `qres obs calib`
-/// prints.
+/// Renders the calibration part (`qos.calib`) of an `obs.json` as the
+/// human-readable report `qres obs calib` prints.
 pub fn render_calib_report(doc: &Value) -> Result<String, String> {
     use std::fmt::Write as _;
     let v = doc

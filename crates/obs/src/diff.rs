@@ -1,7 +1,6 @@
-//! Cross-run metrics diffing: compares two snapshots — `obs.json` files,
-//! or `/metrics.json` scrapes (same scenario, two schemes — or the same
-//! scheme before/after an optimization) metric by metric, for
-//! `qres obs diff`.
+//! Cross-run metrics diffing: compares two `obs.json` snapshots (same
+//! scenario, two schemes — or the same scheme before/after an
+//! optimization) metric by metric, for `qres obs diff`.
 
 use qres_json::Value;
 

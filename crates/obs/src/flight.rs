@@ -272,22 +272,10 @@ pub fn denial_cause(rec: &FlightRecord) -> &'static str {
     }
 }
 
-fn record_with_cause(rec: &FlightRecord) -> Value {
-    let Value::Object(mut fields) = rec.to_json() else {
-        unreachable!("FlightRecord serializes to an object");
-    };
-    fields.push((
-        "cause".to_string(),
-        Value::Str(denial_cause(rec).to_string()),
-    ));
-    Value::Object(fields)
-}
-
 /// The flight section of the telemetry snapshot: ring status, verdict and
-/// denial-cause tallies over the buffered records, and the alert capture
-/// files written. With `records`, also every buffered record (the
-/// end-of-run `obs.json`); without, the live `/metrics.json` section.
-pub fn flight_json(records: bool) -> Value {
+/// denial-cause tallies over the buffered records, the alert capture
+/// files written, and every buffered record.
+pub fn flight_json() -> Value {
     let obs = crate::current();
     let p = crate::lock(&obs.flight);
     let mut causes = [
@@ -302,7 +290,7 @@ pub fn flight_json(records: bool) -> Value {
         }
     }
     let denied: u64 = causes.iter().map(|(_, n)| n).sum();
-    let mut fields = vec![
+    Value::Object(vec![
         ("enabled".to_string(), Value::Bool(flight_enabled())),
         ("capacity".to_string(), Value::UInt(p.capacity as u64)),
         ("len".to_string(), Value::UInt(p.records.len() as u64)),
@@ -325,50 +313,9 @@ pub fn flight_json(records: bool) -> Value {
             "captures".to_string(),
             Value::Array(p.captures.iter().map(|c| Value::Str(c.clone())).collect()),
         ),
-    ];
-    if records {
-        fields.push((
-            "records".to_string(),
-            Value::Array(p.records.iter().map(ToJson::to_json).collect()),
-        ));
-    }
-    Value::Object(fields)
-}
-
-/// Answers `/explain`: by request sequence (`req`), by cell with a `last`
-/// window, or — with neither — the last `last` records overall. Each
-/// returned record carries its classified `cause`.
-pub fn explain_json(req: Option<u64>, cell: Option<u32>, last: usize) -> Value {
-    let obs = crate::current();
-    let p = crate::lock(&obs.flight);
-    let last = last.max(1);
-    let selected: Vec<&FlightRecord> = match (req, cell) {
-        (Some(r), _) => p.records.iter().filter(|rec| rec.req == r).collect(),
-        (None, Some(c)) => {
-            let matching: Vec<&FlightRecord> =
-                p.records.iter().filter(|rec| rec.cell == c).collect();
-            let skip = matching.len().saturating_sub(last);
-            matching[skip..].to_vec()
-        }
-        (None, None) => {
-            let skip = p.records.len().saturating_sub(last);
-            p.records.iter().skip(skip).collect()
-        }
-    };
-    let mut query = Vec::new();
-    if let Some(r) = req {
-        query.push(("req".to_string(), Value::UInt(r)));
-    }
-    if let Some(c) = cell {
-        query.push(("cell".to_string(), Value::UInt(u64::from(c))));
-    }
-    query.push(("last".to_string(), Value::UInt(last as u64)));
-    Value::Object(vec![
-        ("query".to_string(), Value::Object(query)),
-        ("matched".to_string(), Value::UInt(selected.len() as u64)),
         (
             "records".to_string(),
-            Value::Array(selected.iter().map(|r| record_with_cause(r)).collect()),
+            Value::Array(p.records.iter().map(ToJson::to_json).collect()),
         ),
     ])
 }
@@ -519,28 +466,6 @@ pub fn capture_for_cell(cell: u32, now: f64, rule: &str) -> Option<(String, u64)
     Some((path_str, n))
 }
 
-/// Appends the flight gauges to the Prometheus exposition.
-pub fn prometheus_fragment(out: &mut String) {
-    use std::fmt::Write as _;
-    let obs = crate::current();
-    let p = crate::lock(&obs.flight);
-    out.push_str(
-        "# HELP qres_flight_records Admission decision records held in the flight ring.\n",
-    );
-    out.push_str("# TYPE qres_flight_records gauge\n");
-    let _ = writeln!(out, "qres_flight_records {}", p.records.len());
-    out.push_str(
-        "# HELP qres_flight_dropped_total Decision records evicted from the flight ring.\n",
-    );
-    out.push_str("# TYPE qres_flight_dropped_total counter\n");
-    let _ = writeln!(out, "qres_flight_dropped_total {}", p.dropped);
-    out.push_str(
-        "# HELP qres_flight_captures_total Alert-triggered flight capture files written.\n",
-    );
-    out.push_str("# TYPE qres_flight_captures_total counter\n");
-    let _ = writeln!(out, "qres_flight_captures_total {}", p.captures.len());
-}
-
 /// Clears the ring, tallies, capture registry, and capture directory, and
 /// restores the default capacity. Leaves the on/off switch alone (like
 /// `reset` leaves the level), and clears this thread's staging buffers.
@@ -605,7 +530,7 @@ mod tests {
         for i in 0..5 {
             record(sample_record(i, 4, true));
         }
-        let doc = flight_json(true);
+        let doc = flight_json();
         assert_eq!(doc.get("len"), Some(&Value::UInt(3)));
         assert_eq!(doc.get("dropped"), Some(&Value::UInt(2)));
         let records = records_from_doc(&doc).unwrap();
@@ -618,30 +543,9 @@ mod tests {
         rec.blocked_rank = Some(2);
         rec.reserve = 1.0 / 3.0; // exercise a non-terminating fraction
         record(rec.clone());
-        let text = flight_json(true).to_pretty_string();
+        let text = flight_json().to_pretty_string();
         let parsed = records_from_doc(&Value::parse(&text).unwrap()).unwrap();
         assert_eq!(parsed, vec![rec], "records must round-trip bit-exactly");
-    }
-
-    #[test]
-    fn explain_filters_by_req_and_cell() {
-        for i in 0..10 {
-            record(sample_record(i, if i % 2 == 0 { 4 } else { 5 }, true));
-        }
-        let by_req = explain_json(Some(6), None, 10);
-        assert_eq!(by_req.get("matched"), Some(&Value::UInt(1)));
-        let by_cell = explain_json(None, Some(5), 3);
-        assert_eq!(by_cell.get("matched"), Some(&Value::UInt(3)));
-        let Some(Value::Array(records)) = by_cell.get("records") else {
-            panic!("records array expected");
-        };
-        assert_eq!(records[0].get("req"), Some(&Value::UInt(5)));
-        assert_eq!(
-            records[0].get("cause"),
-            Some(&Value::Str("admitted".to_string()))
-        );
-        let tail = explain_json(None, None, 2);
-        assert_eq!(tail.get("matched"), Some(&Value::UInt(2)));
     }
 
     #[test]
@@ -704,13 +608,12 @@ mod tests {
         let rendered = render_explain(&doc).unwrap();
         assert!(rendered.contains("flight records: 4"), "{rendered}");
         assert!(rendered.contains("reservation_pressure"), "{rendered}");
-        let summary = flight_json(false);
+        let summary = flight_json();
         assert_eq!(
             summary.get("captures"),
             Some(&Value::Array(vec![Value::Str(path.clone())]))
         );
         assert_eq!(summary.get("denied"), Some(&Value::UInt(2)));
-        assert!(summary.get("records").is_none());
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_dir(&dir);
     }

@@ -7,32 +7,27 @@
 //!   timing histograms over the hot paths:
 //!   admission tests, `B_i,0` Eq.-4 passes, `compute_br` calls, event
 //!   dispatch, sweep points.
-//! * [`export`] — Prometheus text exposition, the JSON snapshot, the
-//!   end-of-run writer [`write_obs_json`], and an in-repo exposition lint
-//!   the tests run.
-//! * [`serve`] — a hand-rolled `std::net` HTTP scrape endpoint
-//!   (`/metrics`, `/metrics.json`, `/qos`, `/alerts`, `/explain`,
-//!   `/healthz`) so Prometheus/Grafana can watch a long sweep live instead
-//!   of waiting for the final snapshot.
-//! * [`qos`] — live QoS-conformance tracking: per-cell sliding-window
+//! * [`export`] — the JSON snapshot and the end-of-run writer
+//!   [`write_obs_json`].
+//! * [`qos`] — QoS-conformance tracking: per-cell sliding-window
 //!   `P_HD`/`P_CB` estimators with Wilson intervals, violation-seconds
 //!   clocks against the paper's target, and reservation-efficiency
 //!   integrals (`B_r` reserved vs. hand-off bandwidth consumed).
 //! * [`calib`] — Eq.-4 prediction calibration: per-connection `p_h`
 //!   forecasts matched against realized hand-offs, aggregated into
 //!   reliability-diagram bins and a Brier score (`qres obs calib`).
-//! * [`diff`] — cross-run diff of two snapshots (`obs.json` or
-//!   `/metrics.json`; `qres obs diff`).
+//! * [`diff`] — cross-run diff of two `obs.json` snapshots
+//!   (`qres obs diff`).
 //! * [`alert`] — the SLO watchdog: burn-rate rules read straight off the
 //!   [`qos`] windows every 60 sim-s (a fast 300-s window and the `qos`
 //!   window against `P_HD,target`), a pending→firing→resolved state
-//!   machine on sim-timestamps with every transition logged, served at
-//!   `GET /alerts` and rendered offline by `qres obs alerts`.
+//!   machine on sim-timestamps with every transition logged, rendered by
+//!   `qres obs alerts`.
 //! * [`flight`] — the decision-provenance flight recorder: a bounded ring
 //!   of complete admission decision records (inputs, per-neighbor Eq.-4
 //!   terms, feasibility checks, verdict) keyed by `admission_req_seq`,
-//!   served at `GET /explain`, frozen to `obs_flight_<cell>_<ts>.json`
-//!   when `p_hd_burn` fires, and re-executed by `qres obs replay`.
+//!   frozen to `obs_flight_<cell>_<ts>.json` when `p_hd_burn` fires,
+//!   rendered by `qres obs explain` and re-executed by `qres obs replay`.
 //! * [`loglin`] — the log-linear bucket layout of the timing histograms
 //!   (16 sub-buckets per octave, ≤ 6.25% relative error), also used by
 //!   `qres_stats::LogLinearHistogram`.
@@ -42,9 +37,9 @@
 //! All of this state is one [`Obs`]. Each thread reaches its own through
 //! a thread-local handle that starts as a fresh default, and every free
 //! function here acts on the calling thread's handle, so a run owns its
-//! telemetry. Sweep workers (`qres_sim::par_map`) and the [`ObsServer`]
-//! thread adopt their caller's with [`current`] and [`install`]. The
-//! sim-time mirror and the staging buffers stay per thread.
+//! telemetry. Sweep workers (`qres_sim::par_map`) adopt their caller's
+//! with [`current`] and [`install`]. The sim-time mirror and the staging
+//! buffers stay per thread.
 //!
 //! ## Run artifacts
 //!
@@ -82,32 +77,28 @@ pub mod flight;
 pub mod loglin;
 pub mod metrics;
 pub mod qos;
-pub mod serve;
 
 pub use alert::{
     alert_config, alerts_json, alerts_snapshot, evaluate as evaluate_alerts,
-    finalize as finalize_alerts, firing_alerts, render_watch, reset_alerts, set_alert_config,
-    watchdog_tick, AlertConfig, AlertSnapshot, AlertState,
+    finalize as finalize_alerts, render_watch, reset_alerts, set_alert_config, watchdog_tick,
+    AlertConfig, AlertSnapshot, AlertState,
 };
 pub use calib::{
     calib_json, calib_summary, flush_staged, observe_attempt, observe_end, render_calib_report,
     reset_calib, stage_prediction, sweep_expired,
 };
 pub use diff::{check_fail_on, diff_snapshots};
-pub use export::{
-    prometheus_text, snapshot_json, validate_prometheus_text, write_obs_json, OBS_JSON_PATH,
-};
+pub use export::{snapshot_json, write_obs_json, OBS_JSON_PATH};
 pub use flight::{
-    denial_cause, explain_json, flight_enabled, flight_json, records_from_doc, render_explain,
-    reset_flight, set_flight_capacity, set_flight_capture_dir, set_flight_enabled, FlightCheck,
-    FlightRecord, FlightTerm,
+    denial_cause, flight_enabled, flight_json, records_from_doc, render_explain, reset_flight,
+    set_flight_capacity, set_flight_capture_dir, set_flight_enabled, FlightCheck, FlightRecord,
+    FlightTerm,
 };
 pub use metrics::{reset_metrics, AtomicHistogram, Counter, HistogramSnapshot, MaxGauge};
 pub use qos::{
     qos_json, qos_snapshot, qos_target_p_hd, reset_qos, set_qos_target_p_hd, set_qos_window_secs,
     wilson_interval, CellQosSnapshot,
 };
-pub use serve::ObsServer;
 
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -4,7 +4,7 @@
 //! The values live in the calling thread's [`crate::Obs`] (a
 //! `Registry` of relaxed atomics, so workers sharing a handle can add
 //! to it concurrently). The `metrics::*` names are immutable descriptors
-//! — a name, a help text and a slot in the registry — so instrumentation
+//! — a name and a slot in the registry — so instrumentation
 //! sites pay no registration cost. All operations use relaxed atomics:
 //! metrics are telemetry, not synchronization. Hot-path discipline:
 //! callers must gate both the `Instant::now()` pair *and* the `record`
@@ -15,7 +15,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::loglin::{bucket_index, lower_bound, NUM_BUCKETS};
 
-const COUNTERS: usize = 10;
+const COUNTERS: usize = 8;
 const GAUGES: usize = 2;
 const HISTOGRAMS: usize = 5;
 
@@ -57,12 +57,11 @@ impl HistogramCells {
 pub struct Counter {
     slot: usize,
     name: &'static str,
-    help: &'static str,
 }
 
 impl Counter {
-    const fn new(slot: usize, name: &'static str, help: &'static str) -> Self {
-        Counter { slot, name, help }
+    const fn new(slot: usize, name: &'static str) -> Self {
+        Counter { slot, name }
     }
 
     /// This counter's value in `obs`.
@@ -81,14 +80,9 @@ impl Counter {
         crate::with(|o| self.cell(o).load(Ordering::Relaxed))
     }
 
-    /// Metric name (Prometheus-style, `_total` suffix by convention).
+    /// Metric name (`_total` suffix by convention).
     pub fn name(&self) -> &'static str {
         self.name
-    }
-
-    /// Help text.
-    pub fn help(&self) -> &'static str {
-        self.help
     }
 }
 
@@ -96,12 +90,11 @@ impl Counter {
 pub struct MaxGauge {
     slot: usize,
     name: &'static str,
-    help: &'static str,
 }
 
 impl MaxGauge {
-    const fn new(slot: usize, name: &'static str, help: &'static str) -> Self {
-        MaxGauge { slot, name, help }
+    const fn new(slot: usize, name: &'static str) -> Self {
+        MaxGauge { slot, name }
     }
 
     fn cell<'a>(&self, obs: &'a crate::Obs) -> &'a AtomicU64 {
@@ -123,11 +116,6 @@ impl MaxGauge {
     pub fn name(&self) -> &'static str {
         self.name
     }
-
-    /// Help text.
-    pub fn help(&self) -> &'static str {
-        self.help
-    }
 }
 
 /// A log-linear histogram over `u64` samples (nanoseconds, by
@@ -136,7 +124,6 @@ impl MaxGauge {
 pub struct AtomicHistogram {
     slot: usize,
     name: &'static str,
-    help: &'static str,
 }
 
 /// A point-in-time copy of an [`AtomicHistogram`], with only the occupied
@@ -145,8 +132,6 @@ pub struct AtomicHistogram {
 pub struct HistogramSnapshot {
     /// Metric name.
     pub name: &'static str,
-    /// Help text.
-    pub help: &'static str,
     /// `(bucket lower bound, count)` for every non-empty bucket, ascending.
     pub buckets: Vec<(u64, u64)>,
     /// Sum of all recorded samples.
@@ -180,8 +165,8 @@ impl HistogramSnapshot {
 }
 
 impl AtomicHistogram {
-    const fn new(slot: usize, name: &'static str, help: &'static str) -> Self {
-        AtomicHistogram { slot, name, help }
+    const fn new(slot: usize, name: &'static str) -> Self {
+        AtomicHistogram { slot, name }
     }
 
     fn cells<'a>(&self, obs: &'a crate::Obs) -> &'a HistogramCells {
@@ -210,11 +195,6 @@ impl AtomicHistogram {
         self.name
     }
 
-    /// Help text.
-    pub fn help(&self) -> &'static str {
-        self.help
-    }
-
     /// Number of recorded samples.
     pub fn count(&self) -> u64 {
         crate::with(|o| self.cells(o).count.load(Ordering::Relaxed))
@@ -226,7 +206,6 @@ impl AtomicHistogram {
             let h = self.cells(o);
             HistogramSnapshot {
                 name: self.name,
-                help: self.help,
                 buckets: (h.buckets.iter().enumerate())
                     .filter_map(|(i, b)| {
                         let n = b.load(Ordering::Relaxed);
@@ -250,10 +229,10 @@ pub fn ensure_cell_shards(_: usize) {}
 /// them all in that order, the export order.
 macro_rules! instruments {
     ($ty:ident, $list:ident, $slot:ident, $len:ident;
-     $($(#[$doc:meta])* $id:ident: $name:literal, $help:literal;)*) => {
+     $($(#[$doc:meta])* $id:ident: $name:literal;)*) => {
         #[allow(non_camel_case_types, clippy::upper_case_acronyms)]
         enum $slot { $($id),* }
-        $($(#[$doc])* pub static $id: $ty = $ty::new($slot::$id as usize, $name, $help);)*
+        $($(#[$doc])* pub static $id: $ty = $ty::new($slot::$id as usize, $name);)*
         #[doc = concat!("Every registered [`", stringify!($ty), "`], in export order.")]
         pub fn $list() -> [&'static $ty; $len] {
             [$(&$id),*]
@@ -261,74 +240,56 @@ macro_rules! instruments {
     };
 }
 
-// The well-known instruments. Names follow Prometheus conventions: `_ns`
-// histograms are wall-clock nanoseconds, `_total` are counters.
+// The well-known instruments. `_ns` histograms are wall-clock
+// nanoseconds, `_total` are counters.
 
 instruments! {
     AtomicHistogram, histograms, HistogramSlot, HISTOGRAMS;
     /// Wall-clock time of one `B_i,0` evaluation: the Eq.-4 pass over a
     /// neighbor's connections in `qres_core::neighbor_contribution`,
     /// calibration staging included.
-    BATCHED_CONTRIBUTION_NS: "qres_batched_contribution_ns",
-        "Wall-clock nanoseconds per B_i,0 evaluation (one Eq.-4 pass over a neighbor cell)";
+    BATCHED_CONTRIBUTION_NS: "qres_batched_contribution_ns";
     /// Wall-clock time of one DES handler dispatch (`qres-des`).
-    EVENT_DISPATCH_NS: "qres_event_dispatch_ns",
-        "Wall-clock nanoseconds per discrete-event handler dispatch";
+    EVENT_DISPATCH_NS: "qres_event_dispatch_ns";
     /// Wall-clock time of one offered-load sweep point (`qres-sim`).
-    SWEEP_POINT_NS: "qres_sweep_point_ns",
-        "Wall-clock nanoseconds per offered-load sweep point (full scenario run)";
+    SWEEP_POINT_NS: "qres_sweep_point_ns";
     /// Wall-clock time of one new-connection admission test (`qres-core`).
-    ADMISSION_TEST_NS: "qres_admission_test_ns",
-        "Wall-clock nanoseconds per new-connection admission test";
+    ADMISSION_TEST_NS: "qres_admission_test_ns";
     /// Wall-clock time of one full `compute_br` call (Eqs. 5-6, all neighbor
     /// terms).
-    BR_COMPUTE_NS: "qres_br_compute_ns",
-        "Wall-clock nanoseconds per full B_r target computation (Eqs. 5-6)";
+    BR_COMPUTE_NS: "qres_br_compute_ns";
 }
 
 instruments! {
     Counter, counters, CounterSlot, COUNTERS;
     /// Messages sent over the wired backbone.
-    BACKBONE_MSGS_TOTAL: "qres_backbone_msgs_total",
-        "Signaling messages sent over the wired backbone";
+    BACKBONE_MSGS_TOTAL: "qres_backbone_msgs_total";
     /// Bytes sent over the wired backbone (nominal message sizes).
-    BACKBONE_BYTES_TOTAL: "qres_backbone_bytes_total", "Nominal bytes sent over the wired backbone";
+    BACKBONE_BYTES_TOTAL: "qres_backbone_bytes_total";
     /// Quadruplets inserted into HOE caches.
-    HOE_INSERTS_TOTAL: "qres_hoe_inserts_total",
-        "Hand-off event quadruplets inserted into HOE caches";
-    /// Quadruplets evicted from HOE caches.
-    HOE_EVICTS_TOTAL: "qres_hoe_evicts_total",
-        "Hand-off event quadruplets evicted from HOE caches (N_quad / retention)";
-    /// `T_est` window increases (Fig. 6 upward adaptation).
-    T_EST_INCREASES_TOTAL: "qres_t_est_increases_total",
-        "Adaptive-window T_est increases (including capped)";
-    /// `T_est` window decreases (Fig. 6 downward adaptation).
-    T_EST_DECREASES_TOTAL: "qres_t_est_decreases_total",
-        "Adaptive-window T_est decreases (including floored)";
+    HOE_INSERTS_TOTAL: "qres_hoe_inserts_total";
+    /// Quadruplets evicted from HOE caches (past `N_quad` or retention).
+    HOE_EVICTS_TOTAL: "qres_hoe_evicts_total";
+    /// `T_est` window increases (Fig. 6 upward adaptation), capped ones
+    /// included.
+    T_EST_INCREASES_TOTAL: "qres_t_est_increases_total";
+    /// `T_est` window decreases (Fig. 6 downward adaptation), floored ones
+    /// included.
+    T_EST_DECREASES_TOTAL: "qres_t_est_decreases_total";
     /// `compute_br` neighbor terms recomputed through Eq. 4.
-    BR_TERMS_RECOMPUTED_TOTAL: "qres_br_terms_recomputed_total",
-        "compute_br neighbor terms recomputed through Eq. 4";
-    /// Individual `B_i,0` connection terms of Eq.-4 passes, one per
-    /// resident connection, including those outside the candidate window,
-    /// whose term is known to be zero without an evaluation.
-    B_I0_EVALS_TOTAL: "qres_b_i0_evals_total",
-        "Individual B_i,0 connection terms evaluated during Eq.-4 passes";
-    /// Offered-load sweep points planned (enqueued by `sweep_offered_load`).
-    SWEEP_POINTS_PLANNED_TOTAL: "qres_sweep_points_planned_total",
-        "Offered-load sweep points enqueued for execution";
-    /// Offered-load sweep points completed; with the planned counter this is
-    /// the live progress gauge a scraper watches during a long sweep.
-    SWEEP_POINTS_DONE_TOTAL: "qres_sweep_points_done_total", "Offered-load sweep points completed";
+    BR_TERMS_RECOMPUTED_TOTAL: "qres_br_terms_recomputed_total";
+    /// Connections Eq. 4 was evaluated for in `B_i,0` passes: the
+    /// candidates of the `T_est` window only, not the connections outside
+    /// it, whose term is known to be zero without an evaluation.
+    B_I0_EVALS_TOTAL: "qres_b_i0_evals_total";
 }
 
 instruments! {
     MaxGauge, gauges, GaugeSlot, GAUGES;
-    /// High-water mark of live events in the DES queue.
-    QUEUE_HIGH_WATER: "qres_des_queue_high_water",
-        "High-water mark of live (non-cancelled) events in the DES queue";
+    /// High-water mark of live (not cancelled) events in the DES queue.
+    QUEUE_HIGH_WATER: "qres_des_queue_high_water";
     /// High-water mark of simultaneously active mobiles.
-    ACTIVE_MOBILES: "qres_active_mobiles_high_water",
-        "High-water mark of simultaneously active mobile connections";
+    ACTIVE_MOBILES: "qres_active_mobiles_high_water";
 }
 
 /// Zeroes every instrument in this thread's registry (between runs).

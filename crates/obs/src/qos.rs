@@ -5,9 +5,9 @@
 //! consumed).
 //!
 //! The end-of-run report answers "did the run meet the QoS goal?"; this
-//! module answers it *live*, per cell, over a configurable trailing window,
-//! so a scraper (or the `/qos` route of [`crate::serve::ObsServer`]) can
-//! watch a cell drift into violation mid-run.
+//! module answers it per cell, over a configurable trailing window, so
+//! the SLO watchdog ([`crate::alert`]) and the `qos` section of `obs.json`
+//! show when a cell drifted into violation mid-run.
 //!
 //! Everything here is passive observation behind the level gate: the
 //! simulation feeds observations through `record_*` calls that the callers
@@ -421,9 +421,9 @@ fn opt_num(v: Option<f64>) -> Value {
     v.map(Value::Float).unwrap_or(Value::Null)
 }
 
-/// The `/qos` JSON view: window configuration, per-cell estimators with
-/// Wilson bounds and violation clocks, and the efficiency integrals.
-/// Also embedded as the `"qos"` section of [`crate::export::snapshot_json`].
+/// The `"qos"` section of [`crate::export::snapshot_json`]: window
+/// configuration, per-cell estimators with Wilson bounds and violation
+/// clocks, and the efficiency integrals.
 pub fn qos_json() -> Value {
     let (window, target) = with_state(|s| (s.window_secs, s.target_p_hd));
     let cells: Vec<(String, Value)> = qos_snapshot()
@@ -467,91 +467,6 @@ pub fn qos_json() -> Value {
         ("cells".into(), Value::Object(cells)),
         ("calib".into(), crate::calib::calib_json()),
     ])
-}
-
-/// Appends the QoS/efficiency families to a Prometheus text exposition:
-/// per-cell gauges for the windowed estimators and efficiency integrals,
-/// plus the `qres_qos_violation_seconds_total` counter.
-pub fn prometheus_fragment(out: &mut String) {
-    use std::fmt::Write as _;
-    let cells = qos_snapshot();
-
-    let mut family =
-        |name: &str, help: &str, kind: &str, value_of: &dyn Fn(&CellQosSnapshot) -> Option<f64>| {
-            let series: Vec<(u32, f64)> = cells
-                .iter()
-                .filter_map(|c| value_of(c).map(|v| (c.cell, v)))
-                .collect();
-            if series.is_empty() {
-                return;
-            }
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} {kind}");
-            for (cell, v) in series {
-                let _ = writeln!(out, "{name}{{cell=\"{cell}\"}} {v}");
-            }
-        };
-
-    family(
-        "qres_qos_p_hd",
-        "Windowed hand-off drop probability estimate",
-        "gauge",
-        &|c| c.p_hd,
-    );
-    family(
-        "qres_qos_p_hd_wilson_high",
-        "Upper 95% Wilson bound of the windowed P_HD estimate",
-        "gauge",
-        &|c| c.p_hd.map(|_| c.p_hd_wilson.1),
-    );
-    family(
-        "qres_qos_p_cb",
-        "Windowed new-connection blocking probability estimate",
-        "gauge",
-        &|c| c.p_cb,
-    );
-    family(
-        "qres_qos_p_cb_wilson_high",
-        "Upper 95% Wilson bound of the windowed P_CB estimate",
-        "gauge",
-        &|c| c.p_cb.map(|_| c.p_cb_wilson.1),
-    );
-    family(
-        "qres_qos_violation_seconds_total",
-        "Sim-seconds the windowed P_HD estimate spent above target",
-        "counter",
-        &|c| Some(c.violation_secs),
-    );
-    family(
-        "qres_eff_br_reserved_bu",
-        "Time-weighted mean reservation target B_r (bandwidth units)",
-        "gauge",
-        &|c| c.br_reserved_bu,
-    );
-    family(
-        "qres_eff_handin_used_bu",
-        "Time-weighted mean bandwidth occupied by handed-in connections",
-        "gauge",
-        &|c| c.handin_used_bu,
-    );
-    family(
-        "qres_eff_over_reservation_bu",
-        "Mean reserved-minus-used hand-off bandwidth (positive = over-reserved)",
-        "gauge",
-        &|c| c.over_reservation_bu(),
-    );
-    family(
-        "qres_eff_handoff_bu_admitted_total",
-        "Cumulative bandwidth admitted via hand-off (bandwidth units)",
-        "counter",
-        &|c| Some(c.handoff_bu_admitted),
-    );
-    family(
-        "qres_eff_handoff_bu_dropped_total",
-        "Cumulative bandwidth dropped at hand-off (bandwidth units)",
-        "counter",
-        &|c| Some(c.handoff_bu_dropped),
-    );
 }
 
 #[cfg(test)]
@@ -668,13 +583,9 @@ mod tests {
     }
 
     #[test]
-    fn fragment_and_json_render_cells() {
+    fn json_renders_cells() {
         record_handoff_outcome(1.0, CELL_A, false);
         record_admission_outcome(1.0, CELL_A, true);
-        let mut out = String::new();
-        prometheus_fragment(&mut out);
-        assert!(out.contains(&format!("qres_qos_p_hd{{cell=\"{CELL_A}\"}} 0")));
-        assert!(out.contains("qres_qos_violation_seconds_total"));
         let json = qos_json().to_compact_string();
         assert!(json.contains("\"window_secs\""));
         assert!(json.contains(&format!("\"{CELL_A}\"")));

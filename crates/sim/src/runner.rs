@@ -29,7 +29,6 @@ pub struct SweepPoint {
 /// per-point results are bit-identical to
 /// [`sweep_offered_load_sequential`].
 pub fn sweep_offered_load(base: &Scenario, loads: &[f64]) -> Vec<SweepPoint> {
-    note_sweep_planned(loads);
     let points = par_map(loads, |&load| {
         (sweep_point(base, load), qres_obs::sim_time())
     });
@@ -43,17 +42,7 @@ pub fn sweep_offered_load(base: &Scenario, loads: &[f64]) -> Vec<SweepPoint> {
 
 /// The single-threaded reference implementation of [`sweep_offered_load`].
 pub fn sweep_offered_load_sequential(base: &Scenario, loads: &[f64]) -> Vec<SweepPoint> {
-    note_sweep_planned(loads);
     loads.iter().map(|&load| sweep_point(base, load)).collect()
-}
-
-/// Announces a sweep's size to the live scrape endpoint:
-/// `qres_sweep_points_planned_total` minus `..._done_total` is the
-/// remaining-work gauge a dashboard plots while `qres serve` is attached.
-fn note_sweep_planned(loads: &[f64]) {
-    if qres_obs::enabled() {
-        qres_obs::metrics::SWEEP_POINTS_PLANNED_TOTAL.add(loads.len() as u64);
-    }
 }
 
 fn sweep_point(base: &Scenario, load: f64) -> SweepPoint {
@@ -65,7 +54,6 @@ fn sweep_point(base: &Scenario, load: f64) -> SweepPoint {
     let result = run_scenario(&scenario);
     if let Some(t0) = obs_t0 {
         qres_obs::metrics::SWEEP_POINT_NS.record_duration(t0.elapsed());
-        qres_obs::metrics::SWEEP_POINTS_DONE_TOTAL.add(1);
     }
     SweepPoint {
         offered_load: load,

@@ -2,11 +2,8 @@
 //!
 //! ```text
 //! qres template [stationary|time-varying|wired|metro]   print a scenario template
-//! qres run <scenario.json> [--json] [--obs]
-//!          [--serve HOST:PORT [--linger-secs N]] [--slo-target P] [--slo-burn X]
+//! qres run <scenario.json> [--json] [--obs] [--slo-target P] [--slo-burn X]
 //! qres sweep <scenario.json> [--loads 60,120,300] [--obs] [--slo-* ...]
-//! qres serve <scenario.json> [--addr HOST:PORT] [--loads ...]
-//!            [--sequential] [--linger-secs N] [--slo-* ...]
 //! qres obs calib <obs.json>                          Eq.-4 calibration report
 //! qres obs diff <a.json> <b.json> [--fail-on SPEC]   diff two snapshots
 //! qres obs alerts <obs.json>                         SLO alert timeline
@@ -18,28 +15,20 @@
 //! `qres template`, edit, run. `--json` emits the full
 //! [`qres::sim::RunResult`] (per-cell summaries, traces, hourly series)
 //! for downstream tooling. Every subcommand exits 2 on a flag it does not
-//! take, a bad flag value, or a missing or extra file argument; `run`,
-//! `sweep` and `serve` exit 1 on a scenario that fails validation at any
-//! swept load. The `metro` template is the 32×32 hex grid (1024 cells).
+//! take, a bad flag value, or a missing or extra file argument; `run`
+//! and `sweep` exit 1 on a scenario that fails validation at any swept
+//! load. The `metro` template is the 32×32 hex grid (1024 cells).
 //!
 //! `--obs` switches telemetry on for the run and, at the end, writes
 //! `obs.json` into the working directory ([`qres::obs::write_obs_json`]:
 //! counters, gauges, histograms, QoS conformance and Eq.-4 calibration,
 //! the SLO alert timeline with every transition, and the flight
 //! recorder's decision tape). `run` and `sweep` reject `--no-flight`,
-//! `--slo-target`, `--slo-burn` and `--serve` without `--obs`.
-//!
-//! `serve` runs a sweep with the live scrape endpoint attached: while the
-//! sweep executes, `GET /metrics` (Prometheus exposition),
-//! `GET /metrics.json`, `GET /qos`, `GET /alerts`, `GET /explain` and
-//! `GET /healthz` answer on `--addr` (default `127.0.0.1:9464`), and the
-//! `qres_sweep_points_{planned,done}_total` counters track progress.
-//! `qres run --obs --serve HOST:PORT` keeps the same endpoint attached for
-//! one run; `--linger-secs N` holds it open afterwards.
+//! `--slo-target` and `--slo-burn` without `--obs`.
 //!
 //! With telemetry on, the **SLO watchdog** evaluates burn-rate alert
 //! rules against `P_HD,target` every 60 simulated seconds, reading the
-//! live QoS windows: a fast 5-min window and the 1-h QoS window.
+//! QoS windows: a fast 5-min window and the 1-h QoS window.
 //! `--slo-target P` overrides the target the rules burn against (e.g. an
 //! intentionally low target to force a violation drill); `--slo-burn X`
 //! moves the burn threshold (default 1.0). The **flight recorder** tapes
@@ -49,9 +38,7 @@
 //! (`--no-flight` switches it off). When `p_hd_burn` fires, the
 //! surrounding record window is frozen to `obs_flight_<cell>_<ts>.json`.
 //!
-//! `qres obs <view> <file>` reads one section of an `obs.json` (or of a
-//! `/metrics.json` scrape, which has the same shape without the flight
-//! records):
+//! `qres obs <view> <file>` reads one section of an `obs.json`:
 //!
 //! * `calib` renders the reliability diagram, Brier score and
 //!   per-`prev`-cell breakdown of `qos.calib`.
@@ -78,10 +65,10 @@ use qres::sim::{run_scenario, Scenario, SchemeKind, TimeVaryingConfig};
 /// The flags `qres run` takes.
 const RUN_FLAGS: Flags = Flags {
     usage: "qres run <scenario.json> [--json] [--obs] [--no-flight] \
-            [--serve HOST:PORT [--linger-secs N]] [--slo-target P] [--slo-burn X]",
+            [--slo-target P] [--slo-burn X]",
     files: &["<scenario.json>"],
     switches: &["--json", "--obs", "--no-flight"],
-    valued: &["--serve", "--linger-secs", "--slo-target", "--slo-burn"],
+    valued: &["--slo-target", "--slo-burn"],
 };
 
 /// The flags `qres sweep` takes.
@@ -93,38 +80,21 @@ const SWEEP_FLAGS: Flags = Flags {
     valued: &["--loads", "--slo-target", "--slo-burn"],
 };
 
-/// The flags `qres serve` takes.
-const SERVE_FLAGS: Flags = Flags {
-    usage: "qres serve <scenario.json> [--addr HOST:PORT] [--loads 60,120,300] [--sequential] \
-            [--linger-secs N] [--no-flight] [--slo-target P] [--slo-burn X]",
-    files: &["<scenario.json>"],
-    switches: &["--sequential", "--no-flight"],
-    valued: &[
-        "--addr",
-        "--loads",
-        "--linger-secs",
-        "--slo-target",
-        "--slo-burn",
-    ],
-};
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("template") => template(args.get(1).map(String::as_str)),
         Some("run") => exit_code(run(&args[1..])),
         Some("sweep") => exit_code(sweep(&args[1..])),
-        Some("serve") => exit_code(serve(&args[1..])),
         Some("obs") => exit_code(obs(&args[1..])),
         other => {
             if let Some(other) = other {
                 eprintln!("unknown subcommand `{other}`");
             }
             eprintln!(
-                "usage:\n  qres template [stationary|time-varying|wired|metro]\n  {}\n  {}\n  {}\n  {}",
+                "usage:\n  qres template [stationary|time-varying|wired|metro]\n  {}\n  {}\n  {}",
                 RUN_FLAGS.usage,
                 SWEEP_FLAGS.usage,
-                SERVE_FLAGS.usage,
                 view_usages("\n  ")
             );
             ExitCode::from(2)
@@ -152,7 +122,7 @@ fn template(kind: Option<&str>) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Why `run`, `sweep` or `serve` stopped.
+/// Why `run` or `sweep` stopped.
 enum Failure {
     /// A bad command line: exit 2.
     Usage(String),
@@ -255,15 +225,6 @@ impl<'a> Cli<'a> {
             .transpose()
     }
 
-    /// `--linger-secs N`, default 0.
-    fn linger_secs(&self) -> Result<u64, Failure> {
-        Ok(self
-            .parsed("--linger-secs", "an integer number of seconds", |s| {
-                s.parse().ok()
-            })?
-            .unwrap_or(0))
-    }
-
     /// `--loads 60,120,300`, defaulting to the paper's load grid.
     fn loads(&self) -> Result<Vec<f64>, Failure> {
         let list = self.parsed("--loads", "a comma-separated list of numbers", |list| {
@@ -275,7 +236,7 @@ impl<'a> Cli<'a> {
     }
 }
 
-/// The telemetry flags `run`, `sweep` and `serve` share.
+/// The telemetry flags `run` and `sweep` share.
 struct ObsOpts {
     /// `--no-flight`: switch the decision tape off.
     no_flight: bool,
@@ -288,7 +249,7 @@ struct ObsOpts {
 
 impl ObsOpts {
     /// Parses the telemetry flags. Unless `obs` (telemetry is on), any of
-    /// them, and `--serve`, is a usage error: nothing would read them.
+    /// them is a usage error: nothing would read them.
     fn parse(cli: &Cli<'_>, obs: bool) -> Result<Self, Failure> {
         let opts = ObsOpts {
             no_flight: cli.has("--no-flight"),
@@ -299,7 +260,7 @@ impl ObsOpts {
                 s.parse().ok().filter(|&x: &f64| x > 0.0)
             })?,
         };
-        let given = ["--serve", "--no-flight", "--slo-target", "--slo-burn"]
+        let given = ["--no-flight", "--slo-target", "--slo-burn"]
             .into_iter()
             .find(|&flag| cli.has(flag) || cli.value(flag).is_some());
         match given {
@@ -360,39 +321,14 @@ fn obs_finish(quiet: bool) -> Result<(), Failure> {
     Ok(())
 }
 
-/// Starts the live scrape endpoint on `addr`.
-fn start_server(addr: &str) -> Result<qres::obs::ObsServer, Failure> {
-    qres::obs::ObsServer::start(addr).map_err(|e| Failure::Run(format!("cannot bind {addr}: {e}")))
-}
-
-/// Keeps a live endpoint up `linger_secs` after the work is done, so a
-/// scraper can collect the final state, then shuts it down.
-fn linger_then_shutdown(server: qres::obs::ObsServer, linger_secs: u64) {
-    if linger_secs > 0 {
-        eprintln!("[obs] done; endpoint stays up for {linger_secs} s");
-        std::thread::sleep(std::time::Duration::from_secs(linger_secs));
-    }
-    server.shutdown();
-}
-
 fn run(args: &[String]) -> Result<(), Failure> {
     let cli = Cli::parse(args, &RUN_FLAGS)?;
     let as_json = cli.has("--json");
     let obs = cli.has("--obs");
     let opts = ObsOpts::parse(&cli, obs)?;
-    let linger_secs = cli.linger_secs()?;
     let scenario = load_scenario(cli.files[0]).map_err(Failure::Run)?;
     if obs {
         opts.apply();
-    }
-    // `--serve HOST:PORT` attaches the live scrape endpoint for the run's
-    // duration (the single-run counterpart of `qres serve`).
-    let server = cli.value("--serve").map(start_server).transpose()?;
-    if let Some(s) = &server {
-        eprintln!(
-            "[obs] serving http://{}/metrics (.json, /qos, /alerts, /explain, /healthz)",
-            s.addr()
-        );
     }
     let result = run_scenario(&scenario);
     if as_json {
@@ -406,9 +342,6 @@ fn run(args: &[String]) -> Result<(), Failure> {
     }
     if obs {
         obs_finish(as_json)?;
-    }
-    if let Some(server) = server {
-        linger_then_shutdown(server, linger_secs);
     }
     Ok(())
 }
@@ -456,39 +389,6 @@ fn sweep_table(points: &[qres::sim::runner::SweepPoint]) -> String {
         );
     }
     table.render()
-}
-
-/// `qres serve`: a sweep with the live HTTP scrape endpoint attached.
-///
-/// Telemetry is always on here (that is the point), writing
-/// [`OBS_JSON_PATH`] at the end, exactly like `sweep --obs`.
-/// `--sequential` runs the points one after another on this thread;
-/// `--linger-secs N` keeps the endpoint up after the sweep so a scraper
-/// can collect the final state.
-fn serve(args: &[String]) -> Result<(), Failure> {
-    let cli = Cli::parse(args, &SERVE_FLAGS)?;
-    let addr = cli.value("--addr").unwrap_or("127.0.0.1:9464");
-    let opts = ObsOpts::parse(&cli, true)?;
-    let linger_secs = cli.linger_secs()?;
-    let loads = cli.loads()?;
-    let base = load_sweep(cli.files[0], &loads)?;
-    opts.apply();
-    let server = start_server(addr)?;
-    eprintln!(
-        "[obs] serving http://{}/metrics (.json, /qos, /alerts, /explain, /healthz) \
-         for {} sweep point(s)",
-        server.addr(),
-        loads.len()
-    );
-    let points = if cli.has("--sequential") {
-        qres::sim::runner::sweep_offered_load_sequential(&base, &loads)
-    } else {
-        qres::sim::sweep_offered_load(&base, &loads)
-    };
-    print!("{}", sweep_table(&points));
-    obs_finish(false)?;
-    linger_then_shutdown(server, linger_secs);
-    Ok(())
 }
 
 /// One `qres obs` view: the arguments it takes and what it prints.

@@ -17,8 +17,9 @@
 //!   the static-reservation baseline;
 //! * [`sim`] — the full simulator, workload generators, scenarios and the
 //!   experiment runner that regenerates every figure and table;
-//! * [`obs`] — the telemetry layer: structured event tracing, hot-path
-//!   timing histograms, Prometheus/JSON exporters (off by default);
+//! * [`obs`] — the telemetry layer: hot-path timing histograms, QoS,
+//!   calibration, alerts and the flight recorder, written to one
+//!   `obs.json` (off by default);
 //! * [`replay`] — deterministic re-execution of flight-recorder decision
 //!   windows (`qres obs replay`), proving a capture's verdicts reproduce
 //!   bit-identically from their recorded inputs.

@@ -165,26 +165,16 @@ fn qres_on_valid_file(subcommand: &str, args: &[&str]) -> (Option<i32>, String) 
 /// engine (exit 101).
 #[test]
 fn invalid_swept_loads_are_rejected_before_the_sweep() {
-    for (subcommand, extra) in [
-        ("sweep", &[][..]),
-        ("serve", &["--addr", "127.0.0.1:0"][..]),
+    for (load, value) in [
+        ("0", "0.0"),
+        ("-5", "-5.0"),
+        ("nan", "NaN"),
+        ("150,0", "0.0"),
     ] {
-        for (load, value) in [
-            ("0", "0.0"),
-            ("-5", "-5.0"),
-            ("nan", "NaN"),
-            ("150,0", "0.0"),
-        ] {
-            let mut args = vec!["--loads", load];
-            args.extend_from_slice(extra);
-            let (code, stderr) = qres_on_valid_file(subcommand, &args);
-            assert_eq!(code, Some(1), "{subcommand} --loads {load}: {stderr}");
-            let rule = format!("offered_load = {value}: must be positive");
-            assert!(
-                stderr.contains(&rule),
-                "{subcommand} --loads {load}: {stderr}"
-            );
-        }
+        let (code, stderr) = qres_on_valid_file("sweep", &["--loads", load]);
+        assert_eq!(code, Some(1), "sweep --loads {load}: {stderr}");
+        let rule = format!("offered_load = {value}: must be positive");
+        assert!(stderr.contains(&rule), "sweep --loads {load}: {stderr}");
     }
 }
 
@@ -194,20 +184,22 @@ fn invalid_swept_loads_are_rejected_before_the_sweep() {
 /// view and a removed subcommand.
 #[test]
 fn unknown_flags_and_bad_values_exit_2() {
-    let cases: [(&str, &[&str], &str); 19] = [
+    let cases: [(&str, &[&str], &str); 21] = [
         ("run", &["--obs-push", "127.0.0.1:1"], "`--obs-push`"),
         ("run", &["--obs", "--obs-sampel", "4"], "`--obs-sampel`"),
         ("sweep", &["--slo-sample", "30"], "`--slo-sample`"),
-        ("serve", &["--no-watchdog"], "`--no-watchdog`"),
+        ("sweep", &["--no-watchdog"], "`--no-watchdog`"),
         ("run", &["--obs", "--obs-sample", "4"], "`--obs-sample`"),
-        ("run", &["--linger-secs", "x"], "--linger-secs expects"),
+        ("run", &["--slo-burn", "x"], "--slo-burn expects"),
         ("run", &["--no-flight"], "--no-flight requires --obs"),
         (
             "run",
             &["--slo-target", "0.001"],
             "--slo-target requires --obs",
         ),
-        ("run", &["--serve", "127.0.0.1:0"], "--serve requires --obs"),
+        ("serve", &["--loads", "150"], "unknown subcommand `serve`"),
+        ("run", &["--obs", "--serve", "127.0.0.1:1"], "`--serve`"),
+        ("run", &["--obs", "--linger-secs", "5"], "`--linger-secs`"),
         ("sweep", &["--slo-burn", "2"], "--slo-burn requires --obs"),
         ("sweep", &["--no-flight"], "--no-flight requires --obs"),
         (

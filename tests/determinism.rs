@@ -87,10 +87,9 @@ fn workload_is_scheme_independent() {
     assert_ne!(results[0].system_cb.hits(), results[3].system_cb.hits());
 }
 
-/// Telemetry is strictly passive: switching it on — with the live HTTP
-/// scrape endpoint attached and being polled — changes no simulation
-/// outcome. Every metric of the paper
-/// comes out bit-identical with the recorder on and off.
+/// Telemetry is strictly passive: switching it on changes no simulation
+/// outcome. Every metric of the paper comes out bit-identical with the
+/// recorder on and off.
 #[test]
 fn recorder_does_not_perturb_outcomes() {
     let s = Scenario::paper_baseline()
@@ -100,32 +99,9 @@ fn recorder_does_not_perturb_outcomes() {
         .seed(77);
     qres::obs::set_level(qres::obs::Level::Off);
     let off = run_scenario(&s);
-    // The scrape server reads the registry concurrently over relaxed
-    // atomics; keep it attached (and actively rendering) for the whole
-    // obs-on run to prove scraping cannot perturb outcomes either.
-    let server = qres::obs::ObsServer::start("127.0.0.1:0").expect("bind ephemeral port");
-    let addr = server.addr();
-    let scraper = std::thread::spawn(move || {
-        use std::io::{Read, Write};
-        let mut bodies = 0usize;
-        for _ in 0..20 {
-            let Ok(mut conn) = std::net::TcpStream::connect(addr) else {
-                break;
-            };
-            conn.write_all(b"GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n")
-                .unwrap();
-            let mut response = String::new();
-            conn.read_to_string(&mut response).unwrap();
-            assert!(response.starts_with("HTTP/1.1 200"), "scrape failed");
-            bodies += 1;
-        }
-        bodies
-    });
     qres::obs::set_level(qres::obs::Level::Info);
     let on = run_scenario(&s);
     qres::obs::set_level(qres::obs::Level::Off);
-    assert_eq!(scraper.join().expect("scraper thread"), 20);
-    server.shutdown();
     assert!(
         qres::obs::metrics::ADMISSION_TEST_NS.count() > 0,
         "telemetry on should time admission tests"
@@ -181,7 +157,7 @@ fn flight_recorder_does_not_perturb_outcomes() {
         qres::obs::set_level(qres::obs::Level::Info);
         let r = run_scenario(&s);
         let taped = matches!(
-            qres::obs::flight_json(false).get("len"),
+            qres::obs::flight_json().get("len"),
             Some(Value::UInt(n)) if *n > 0
         );
         assert_eq!(
@@ -213,7 +189,7 @@ fn replayed_flight_window_is_deterministic() {
         qres::obs::install(Default::default());
         qres::obs::set_level(qres::obs::Level::Info);
         let _ = run_scenario(&s);
-        qres::obs::flight_json(true)
+        qres::obs::flight_json()
     };
     let first = tape();
     assert_eq!(
@@ -388,8 +364,5 @@ fn parallel_sweep_telemetry_matches_sequential() {
         })
     };
     let sequential = registry(sweep_offered_load_sequential);
-    assert!(sequential
-        .0
-        .contains(&("qres_sweep_points_done_total".to_string(), Value::UInt(3))));
     assert_eq!(registry(sweep_offered_load), sequential);
 }
