@@ -1,7 +1,7 @@
 //! Micro-benchmarks of the discrete-event queue — the substrate every
 //! simulated second rides on.
 
-use qres_des::{EventHandle, EventQueue, SimTime, StreamRng};
+use qres_des::{EventQueue, SimTime, StreamRng};
 use qres_microbench::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
 fn schedule_pop(c: &mut Criterion) {
@@ -44,7 +44,7 @@ fn schedule_pop(c: &mut Criterion) {
             for i in 0..1_024u32 {
                 handles.push(q.schedule(SimTime::from_secs(f64::from(i)), i));
             }
-            // Cancel every other event (the lifetime-vs-crossing race).
+            // Cancel every other event.
             for h in handles.iter().step_by(2) {
                 q.cancel(*h);
             }
@@ -55,68 +55,68 @@ fn schedule_pop(c: &mut Criterion) {
             black_box(seen)
         })
     });
-    let cancelled = engine_mix(50_000);
-    eprintln!("engine_mix cancelled share: {cancelled:.3}");
-    assert!((0.12..0.17).contains(&cancelled), "not ring_static's mix");
     group.bench_function("engine_mix", |b| b.iter(|| black_box(engine_mix(50_000))));
     group.finish();
 }
 
-/// The kinds of event in the simulator's mix.
+/// The kinds of event in the simulator's mix. A hand-off carries its
+/// connection's expiry, as the simulator's carries the mobile.
 #[derive(Clone, Copy)]
 enum Mix {
     Arrival { cell: u32 },
-    Handoff { id: usize },
-    End { id: usize },
+    Handoff { end_at: f64 },
+    End,
 }
 
-/// [`Mix`] padded to the 24 bytes of `qres_sim`'s event enum.
-struct MixEvent(Mix, #[allow(dead_code)] u64);
+/// [`Mix`] padded to the 40 bytes of `qres_sim`'s event enum.
+struct MixEvent(Mix, #[allow(dead_code)] [u64; 3]);
 
-const _: () = assert!(std::mem::size_of::<MixEvent>() == 24);
+const _: () = assert!(std::mem::size_of::<MixEvent>() == 40);
+
+/// Schedules a connection's one pending event: its expiry at `end_at` if
+/// that comes no later than its crossing at `crossing_at`, else the
+/// hand-off.
+fn schedule_next(q: &mut EventQueue<MixEvent>, end_at: f64, crossing_at: f64) {
+    let (at, event) = if end_at <= crossing_at {
+        (end_at, Mix::End)
+    } else {
+        (crossing_at, Mix::Handoff { end_at })
+    };
+    q.schedule(SimTime::from_secs(at), MixEvent(event, [0; 3]));
+}
 
 /// Replays `events` dispatches of `ring_static`'s queue traffic: a Poisson
 /// arrival chain per cell, 60 % of arrivals admitted, and per admitted
-/// connection an exponential lifetime expiry (mean 120 s) racing its
-/// boundary crossings (the first uniform in 0–36 s, then every 36 s), the
-/// loser cancelled. Returns the share of scheduled events cancelled: 0.137,
-/// against `ring_static`'s `des.cancelled_frac` of 0.143.
-fn engine_mix(events: usize) -> f64 {
+/// connection one pending event, the earlier of its exponential lifetime
+/// expiry (mean 120 s) and its next boundary crossing (the first uniform
+/// in 0–36 s, then every 36 s). Returns the number of expiries.
+fn engine_mix(events: usize) -> usize {
     const CELLS: u32 = 10;
     let mut rng = StreamRng::seed_from_u64(0xDE50_0005);
     let exp = |rng: &mut StreamRng, mean: f64| -mean * (1.0 - rng.gen_f64()).ln();
     let mut q = EventQueue::with_capacity(4_096);
-    // Per connection: its expiry and its pending crossing.
-    let mut held: Vec<(EventHandle, EventHandle)> = Vec::new();
     for cell in 0..CELLS {
         let at = SimTime::from_secs(exp(&mut rng, 1.0));
-        q.schedule(at, MixEvent(Mix::Arrival { cell }, 0));
+        q.schedule(at, MixEvent(Mix::Arrival { cell }, [0; 3]));
     }
+    let mut expired = 0;
     for _ in 0..events {
         let (now, MixEvent(event, _)) = q.pop().expect("arrivals never stop");
-        let at = |secs: f64| SimTime::from_secs(now.as_secs() + secs);
+        let now = now.as_secs();
         match event {
             Mix::Arrival { cell } => {
                 if rng.gen_bool(0.6) {
-                    let id = held.len();
-                    let life = exp(&mut rng, 120.0);
-                    let end = q.schedule(at(life), MixEvent(Mix::End { id }, 0));
-                    let cross = 36.0 * rng.gen_f64();
-                    let hand = q.schedule(at(cross), MixEvent(Mix::Handoff { id }, 0));
-                    held.push((end, hand));
+                    let end_at = now + exp(&mut rng, 120.0);
+                    schedule_next(&mut q, end_at, now + 36.0 * rng.gen_f64());
                 }
-                let gap = exp(&mut rng, 1.0);
-                q.schedule(at(gap), MixEvent(Mix::Arrival { cell }, 0));
+                let at = SimTime::from_secs(now + exp(&mut rng, 1.0));
+                q.schedule(at, MixEvent(Mix::Arrival { cell }, [0; 3]));
             }
-            Mix::Handoff { id } => {
-                held[id].1 = q.schedule(at(36.0), MixEvent(Mix::Handoff { id }, 0));
-            }
-            Mix::End { id } => {
-                q.cancel(held[id].1);
-            }
+            Mix::Handoff { end_at } => schedule_next(&mut q, end_at, now + 36.0),
+            Mix::End => expired += 1,
         }
     }
-    q.cancelled_total() as f64 / q.scheduled_total() as f64
+    expired
 }
 
 criterion_group!(benches, schedule_pop);

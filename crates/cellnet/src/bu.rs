@@ -161,6 +161,8 @@ mod tests {
         assert_eq!(c.as_bus(), 12);
     }
 
+    // Integer overflow checks are off in release builds.
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic]
     fn underflow_panics() {

@@ -938,6 +938,8 @@ mod tests {
         );
     }
 
+    // The check is a `debug_assert!`, compiled out of release builds.
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "non-adjacent")]
     fn non_adjacent_handoff_panics_in_debug() {

@@ -17,10 +17,9 @@
 //!   holds that `seq`, the payload is dropped and the slot freed at once.
 //!   The heap entry is left behind and discarded when it surfaces, because
 //!   its slot no longer holds its `seq`. This is the standard lazy DES
-//!   technique for invalidating a scheduled hand-off when its connection
-//!   terminates first (paper §5: a connection's exponential lifetime may
-//!   expire before its next cell-boundary crossing). A handle that already
-//!   fired or was cancelled fails the compare, so cancelling it is a no-op.
+//!   technique for invalidating a scheduled event (the cellular engine
+//!   needs none). A handle that already fired or was cancelled fails the
+//!   compare, so cancelling it is a no-op.
 //! * **Slot table.** Freed slots are chained in place into a free list and
 //!   reused last-in first-out; the table grows only when the list is
 //!   empty, so it never holds more slots than the peak live-event count.
@@ -101,7 +100,7 @@ impl Entry {
 /// Not `std::collections::BinaryHeap`: its sift picks a child with the same
 /// branch-free compare, so the address of each level's load depends on the
 /// previous level's, and on a heap larger than the L2 cache (`metro_ac3`
-/// peaks near 180k live events) the cache misses of one pop run one after
+/// peaks near 90k live events) the cache misses of one pop run one after
 /// another. [`Heap::pop`] loads both children's children before it
 /// compares, so the next level's miss overlaps this level's.
 struct Heap(Vec<Entry>);
@@ -186,7 +185,6 @@ pub struct EventQueue<E> {
     free: u32,
     live: usize,
     next_seq: u64,
-    cancelled_total: u64,
     live_high_water: usize,
 }
 
@@ -211,7 +209,6 @@ impl<E> EventQueue<E> {
             free: NIL,
             live: 0,
             next_seq: 0,
-            cancelled_total: 0,
             live_high_water: 0,
         }
     }
@@ -266,7 +263,6 @@ impl<E> EventQueue<E> {
         let held = self.holds(handle.seq, handle.slot);
         if held {
             self.release(handle.slot);
-            self.cancelled_total += 1;
         }
         held
     }
@@ -360,11 +356,6 @@ impl<E> EventQueue<E> {
         self.next_seq
     }
 
-    /// Total events ever cancelled on this queue.
-    pub fn cancelled_total(&self) -> u64 {
-        self.cancelled_total
-    }
-
     /// High-water mark of live (non-cancelled) pending events.
     pub fn live_high_water(&self) -> usize {
         self.live_high_water
@@ -454,7 +445,6 @@ mod tests {
         q.pop();
         assert!(q.is_empty());
         assert_eq!(q.scheduled_total(), 2);
-        assert_eq!(q.cancelled_total(), 1);
     }
 
     #[test]

@@ -109,7 +109,6 @@ fn cancel_after_fire_is_noop() {
     assert_eq!(q.pop(), Some((SimTime::from_secs(1.0), ())));
     assert!(!q.cancel(h));
     assert_eq!(q.live_len(), 0);
-    assert_eq!(q.cancelled_total(), 0);
 }
 
 /// The naive reference: pending events in a `Vec`, the earliest found by
@@ -119,7 +118,6 @@ struct Model {
     /// `(at, seq, payload)` of every pending event.
     pending: Vec<(SimTime, u64, u32)>,
     scheduled_total: u64,
-    cancelled_total: u64,
     live_high_water: usize,
 }
 
@@ -137,7 +135,6 @@ impl Model {
             return false;
         };
         self.pending.remove(i);
-        self.cancelled_total += 1;
         true
     }
 
@@ -243,7 +240,6 @@ fn matches_reference_model() {
             assert_eq!(q.live_len(), model.pending.len(), "{ctx}: live_len");
             assert_eq!(q.is_empty(), model.pending.is_empty(), "{ctx}: is_empty");
             assert_eq!(q.scheduled_total(), model.scheduled_total, "{ctx}");
-            assert_eq!(q.cancelled_total(), model.cancelled_total, "{ctx}");
             assert_eq!(q.live_high_water(), model.live_high_water, "{ctx}");
         }
         while let Some((at, v)) = q.pop() {

@@ -3,9 +3,9 @@
 //! Five event kinds drive a run:
 //!
 //! * **Arrival** — per-cell Poisson process; sample the mobile's attribute
-//!   bundle, run the admission test, and on admission schedule its
-//!   lifetime expiry and first boundary crossing. Always reschedules the
-//!   cell's next arrival.
+//!   bundle, run the admission test, and on admission schedule the
+//!   mobile's one pending event. Always reschedules the cell's next
+//!   arrival.
 //! * **Retry** — a previously blocked user re-requests (time-varying mode).
 //! * **Handoff** — a mobile reaches a cell boundary. If the road continues
 //!   (ring, or interior cell) the hand-off is attempted against the target
@@ -17,80 +17,68 @@
 //! * **HourTick** — time-varying mode: switch λ and the speed range to the
 //!   current schedule entry.
 //!
-//! Lifetime-vs-crossing races are resolved with event cancellation: both
-//! events are scheduled and whichever fires first cancels the other.
-
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+//! A connection's exponential lifetime races its next boundary crossing
+//! (paper §5). The expiry time is fixed at admission, so the race is
+//! decided when the mobile enters a cell: each admitted mobile has exactly
+//! one pending event, the earlier of the two, and nothing is cancelled.
+//! That event carries the mobile's state, so the engine keeps no table of
+//! mobiles.
 
 use qres_cellnet::ids::ConnectionIdAllocator;
 use qres_cellnet::{
     CellId, ConnectionId, Direction, HexDir, HexGrid, RoadGeometry, Topology, WiredNetwork,
 };
 use qres_core::{NewConnectionRequest, ReservationSystem};
-use qres_des::{Duration, EventHandle, EventQueue, Handler, SimTime, Simulation};
+use qres_des::{Duration, EventQueue, Handler, SimTime, Simulation};
 
 use crate::metrics::{Metrics, RunResult};
 use crate::scenario::Scenario;
 use crate::workload::{MobileAttrs, Workload};
 
-/// The simulator's event vocabulary: 24 bytes, so that a pending event
-/// costs the queue 56 (a 24-byte heap entry and a 32-byte slot).
+/// The simulator's event vocabulary; a pending event costs the queue 72 bytes.
 #[derive(Debug, Clone, PartialEq)]
 enum Event {
     /// Next Poisson arrival in a cell.
     Arrival { cell: CellId },
     /// A blocked user re-requests with its original attributes (boxed:
-    /// only time-varying runs retry, and inline they would double every
-    /// event's size).
+    /// only time-varying runs retry, and inline they would enlarge every
+    /// event).
     Retry {
         cell: CellId,
         attrs: Box<MobileAttrs>,
         attempts: u32,
     },
     /// A mobile reaches its current cell's boundary.
-    Handoff { id: ConnectionId },
-    /// A connection's lifetime expires.
-    ConnectionEnd { id: ConnectionId },
+    Handoff(MobileState),
+    /// A connection's lifetime expires in `cell`, before it leaves it.
+    ConnectionEnd { id: ConnectionId, cell: CellId },
     /// Hourly schedule switch (time-varying mode).
     HourTick,
     /// End of the warm-up period: reset measurement counters.
     WarmupEnd,
 }
 
-/// Live state of one admitted mobile.
-#[derive(Debug, Clone, Copy)]
+/// Live state of one admitted mobile, carried by its pending hand-off.
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct MobileState {
+    id: ConnectionId,
     cell: CellId,
     speed_kmh: f64,
     /// Road: 0 = up, 1 = down. Hex: a [`HexDir`] index.
     heading: u8,
-    end_handle: EventHandle,
-    handoff_handle: EventHandle,
+    /// Lifetime expiry, fixed at admission.
+    end_at: SimTime,
 }
 
-/// A multiplicative (Fx-style) hasher for the mobile map's sequential
-/// [`ConnectionId`] keys. Its keys are fixed, so when the table rehashes,
-/// and so when it allocates, depends on the run alone; and unlike SipHash
-/// it costs one multiply per key.
-#[derive(Default, Clone, Copy)]
-struct IdHasher(u64);
-
-impl Hasher for IdHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    #[inline]
-    fn write_u64(&mut self, n: u64) {
-        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
+/// Schedules the one pending event of `mobile`, whose next boundary
+/// crossing is at `crossing_at`: its lifetime expiry if that comes first,
+/// or at the same instant, else the hand-off.
+fn schedule_next(mobile: MobileState, crossing_at: SimTime, queue: &mut EventQueue<Event>) {
+    if mobile.end_at <= crossing_at {
+        let (id, cell) = (mobile.id, mobile.cell);
+        queue.schedule(mobile.end_at, Event::ConnectionEnd { id, cell });
+    } else {
+        queue.schedule(crossing_at, Event::Handoff(mobile));
     }
 }
 
@@ -148,14 +136,14 @@ fn road_direction(heading: u8) -> Direction {
 }
 
 /// Connections a run of `s` is expected to hold at once at most, for
-/// sizing the mobile table and the event queue up front: per cell, the
-/// `M/M/∞` mean `λ·τ·(1 − e^(−T/τ))` at the horizon `T`, capped by the
-/// cell's capacity (a connection holds at least one BU).
+/// sizing the event queue up front: per cell, the `M/M/∞` mean
+/// `λ·τ·(1 − e^(−T/τ))` at the horizon `T`, capped by the cell's capacity
+/// (a connection holds at least one BU).
 ///
-/// Growing those two tables by doubling copies each into a fresh block
-/// once per doubling; where the allocator finds that block depends on the
-/// heap the runs before left, so a process running several scenarios
-/// peaked at a resident size that differed from one process to the next.
+/// Growing the queue by doubling copies it into a fresh block once per
+/// doubling; where the allocator finds that block depends on the heap the
+/// runs before left, so a process running several scenarios peaked at a
+/// resident size that differed from one process to the next.
 fn peak_connections(s: &Scenario) -> usize {
     let tau = s.mean_lifetime_secs;
     let per_cell = s.arrival_rate() * tau * -(-s.duration_secs / tau).exp_m1();
@@ -169,7 +157,8 @@ pub struct Engine {
     mobility: Mobility,
     system: ReservationSystem,
     workload: Workload,
-    mobiles: HashMap<ConnectionId, MobileState, BuildHasherDefault<IdHasher>>,
+    /// Admitted connections still in the system.
+    live_connections: usize,
     ids: ConnectionIdAllocator,
     metrics: Metrics,
     /// Pre-fetched neighbor lists for `B_r` trace updates.
@@ -237,7 +226,7 @@ impl Engine {
             mobility,
             system,
             workload,
-            mobiles: HashMap::default(),
+            live_connections: 0,
             ids: ConnectionIdAllocator::new(),
             metrics,
             neighbor_lists,
@@ -255,12 +244,11 @@ impl Engine {
     /// see the `mobility_explorer` example. Calling it a second time is
     /// not supported (the event queue is gone).
     pub fn run_keeping_state(&mut self) -> RunResult {
-        let peak = peak_connections(&self.scenario);
-        self.mobiles.reserve(peak);
-        // A lifetime expiry and a boundary crossing per connection, the
-        // next arrival per cell, the hour tick and the warm-up end.
-        let mut sim: Simulation<Event> =
-            Simulation::with_capacity(2 * peak + self.scenario.num_cells + 2);
+        // One pending event per connection, the next arrival per cell, the
+        // hour tick and the warm-up end.
+        let mut sim: Simulation<Event> = Simulation::with_capacity(
+            peak_connections(&self.scenario) + self.scenario.num_cells + 2,
+        );
         // Apply the hour-0 schedule before anything arrives.
         if self.scenario.time_varying.is_some() {
             self.apply_schedule(SimTime::ZERO);
@@ -408,28 +396,21 @@ impl Engine {
                 .allocate(id, cell, bandwidth)
                 .expect("can_allocate held under the same event");
         }
-        // Lifetime expiry.
-        let end_handle = queue.schedule(
-            now + Duration::from_secs(attrs.lifetime_secs),
-            Event::ConnectionEnd { id },
-        );
+        let mobile = MobileState {
+            id,
+            cell,
+            speed_kmh: attrs.speed_kmh,
+            heading: attrs.heading,
+            end_at: now + Duration::from_secs(attrs.lifetime_secs),
+        };
         // First boundary crossing from the sampled in-cell position.
         let crossing =
             self.mobility
                 .first_crossing(cell, attrs.position_frac, attrs.heading, attrs.speed_kmh);
-        let handoff_handle = queue.schedule(now + crossing, Event::Handoff { id });
-        self.mobiles.insert(
-            id,
-            MobileState {
-                cell,
-                speed_kmh: attrs.speed_kmh,
-                heading: attrs.heading,
-                end_handle,
-                handoff_handle,
-            },
-        );
+        schedule_next(mobile, now + crossing, queue);
+        self.live_connections += 1;
         if qres_obs::enabled() {
-            qres_obs::metrics::ACTIVE_MOBILES.observe(self.mobiles.len() as u64);
+            qres_obs::metrics::ACTIVE_MOBILES.observe(self.live_connections as u64);
         }
     }
 
@@ -470,96 +451,75 @@ impl Engine {
         }
     }
 
-    fn handle_handoff(&mut self, now: SimTime, id: ConnectionId, queue: &mut EventQueue<Event>) {
-        let Some(state) = self.mobiles.get(&id).copied() else {
-            // Cancelled race that slipped through; should not happen.
-            debug_assert!(false, "hand-off for unknown mobile {id}");
+    fn handle_handoff(
+        &mut self,
+        now: SimTime,
+        mut mobile: MobileState,
+        queue: &mut EventQueue<Event>,
+    ) {
+        let (id, from) = (mobile.id, mobile.cell);
+        let Some(to) = self.mobility.next_cell(from, mobile.heading) else {
+            // Disconnected border: the mobile leaves the system.
+            self.handle_end(now, id, from);
             return;
         };
-        let from = state.cell;
-        match self.mobility.next_cell(from, state.heading) {
-            None => {
-                // Disconnected border: the mobile leaves the system.
-                self.system.end_connection(now, id, from);
-                self.metrics
-                    .update_bu(now, from, self.system.used_bus(from));
-                queue.cancel(state.end_handle);
-                self.mobiles.remove(&id);
-                if let Some(wired) = &mut self.wired {
-                    wired.release(id).expect("exiting connection held a path");
-                }
-            }
-            Some(to) => {
-                // Route-aware mode: declare the cell after `to` (the
-                // declaration assumes the current heading persists, so a
-                // later turn makes it stale — deliberately).
-                let known_next = self
-                    .scenario
-                    .route_aware
-                    .then(|| self.mobility.next_cell(to, state.heading))
-                    .flatten();
-                // Section 7 wired extension: a hand-off also needs a
-                // re-routable wired path; an infeasible backbone drops it
-                // even when the radio link has room.
-                let wired_veto = self.wired.as_ref().is_some_and(|w| !w.can_reroute(id, to));
-                let outcome = self
-                    .system
-                    .attempt_handoff_constrained(now, id, from, to, known_next, wired_veto);
-                let dropped = outcome.is_dropped();
-                self.metrics.record_handoff(now, to, dropped);
-                if qres_obs::enabled() {
-                    qres_obs::qos::record_handoff_outcome(now.as_secs(), to.0, dropped);
-                }
-                self.metrics
-                    .trace_t_est(now, to, self.system.t_est(to).as_secs() as u64);
-                self.metrics
-                    .update_bu(now, from, self.system.used_bus(from));
-                self.metrics.update_bu(now, to, self.system.used_bus(to));
-                if dropped {
-                    queue.cancel(state.end_handle);
-                    self.mobiles.remove(&id);
-                    if let Some(wired) = &mut self.wired {
-                        wired.release(id).expect("dropped connection held a path");
-                    }
-                } else {
-                    if let Some(wired) = &mut self.wired {
-                        wired
-                            .reroute(id, to)
-                            .expect("can_reroute held under the same event");
-                    }
-                    // Robustness extension: optional heading change at
-                    // cell crossings (probability 0 under the paper's A4).
-                    let turned = self.workload.turn_decision();
-                    let state = self.mobiles.get_mut(&id).expect("mobile exists");
-                    state.cell = to;
-                    if turned {
-                        state.heading = self.workload.turn_target(state.heading);
-                    }
-                    let crossing = self.mobility.full_crossing(state.speed_kmh);
-                    let handle = queue.schedule(now + crossing, Event::Handoff { id });
-                    state.handoff_handle = handle;
-                }
-            }
+        // Route-aware mode: declare the cell after `to` (the declaration
+        // assumes the current heading persists, so a later turn makes it
+        // stale — deliberately).
+        let known_next = self
+            .scenario
+            .route_aware
+            .then(|| self.mobility.next_cell(to, mobile.heading))
+            .flatten();
+        // Section 7 wired extension: a hand-off also needs a re-routable
+        // wired path; an infeasible backbone drops it even when the radio
+        // link has room.
+        let wired_veto = self.wired.as_ref().is_some_and(|w| !w.can_reroute(id, to));
+        let outcome = self
+            .system
+            .attempt_handoff_constrained(now, id, from, to, known_next, wired_veto);
+        let dropped = outcome.is_dropped();
+        self.metrics.record_handoff(now, to, dropped);
+        if qres_obs::enabled() {
+            qres_obs::qos::record_handoff_outcome(now.as_secs(), to.0, dropped);
         }
+        self.metrics
+            .trace_t_est(now, to, self.system.t_est(to).as_secs() as u64);
+        self.metrics
+            .update_bu(now, from, self.system.used_bus(from));
+        self.metrics.update_bu(now, to, self.system.used_bus(to));
+        if dropped {
+            self.live_connections -= 1;
+            if let Some(wired) = &mut self.wired {
+                wired.release(id).expect("dropped connection held a path");
+            }
+            return;
+        }
+        if let Some(wired) = &mut self.wired {
+            wired
+                .reroute(id, to)
+                .expect("can_reroute held under the same event");
+        }
+        // Robustness extension: optional heading change at cell crossings
+        // (probability 0 under the paper's A4).
+        mobile.cell = to;
+        if self.workload.turn_decision() {
+            mobile.heading = self.workload.turn_target(mobile.heading);
+        }
+        let crossing = self.mobility.full_crossing(mobile.speed_kmh);
+        schedule_next(mobile, now + crossing, queue);
     }
 
-    fn handle_end(&mut self, now: SimTime, id: ConnectionId, queue: &mut EventQueue<Event>) {
-        let Some(state) = self.mobiles.remove(&id) else {
-            debug_assert!(false, "end for unknown mobile {id}");
-            return;
-        };
-        self.system.end_connection(now, id, state.cell);
+    /// Releases a connection whose lifetime expired in `cell`, or which
+    /// left the system there at a disconnected border.
+    fn handle_end(&mut self, now: SimTime, id: ConnectionId, cell: CellId) {
+        self.system.end_connection(now, id, cell);
         self.metrics
-            .update_bu(now, state.cell, self.system.used_bus(state.cell));
-        queue.cancel(state.handoff_handle);
+            .update_bu(now, cell, self.system.used_bus(cell));
+        self.live_connections -= 1;
         if let Some(wired) = &mut self.wired {
             wired.release(id).expect("ended connection held a path");
         }
-    }
-
-    /// Number of currently active mobiles (for tests).
-    pub fn active_mobiles(&self) -> usize {
-        self.mobiles.len()
     }
 }
 
@@ -601,8 +561,8 @@ impl Handler<Event> for Driver<'_> {
             } => {
                 e.attempt_admission(now, cell, *attrs, attempts, queue);
             }
-            Event::Handoff { id } => e.handle_handoff(now, id, queue),
-            Event::ConnectionEnd { id } => e.handle_end(now, id, queue),
+            Event::Handoff(mobile) => e.handle_handoff(now, mobile, queue),
+            Event::ConnectionEnd { id, cell } => e.handle_end(now, id, cell),
             Event::HourTick => {
                 e.apply_schedule(now);
                 queue.schedule(now + Duration::from_hours(1.0), Event::HourTick);
@@ -644,9 +604,49 @@ mod tests {
         assert_eq!(peak_connections(&long), 1_000);
     }
 
+    /// A pending event costs the queue 72 bytes: a 24-byte heap entry and
+    /// a 48-byte slot holding the 40-byte event.
     #[test]
-    fn event_fits_a_24_byte_payload() {
-        assert_eq!(std::mem::size_of::<Event>(), 24);
+    fn event_fits_a_40_byte_payload() {
+        assert_eq!(std::mem::size_of::<Event>(), 40);
+    }
+
+    #[test]
+    fn one_pending_event_per_mobile() {
+        let mut s = Scenario::paper_baseline().scheme(SchemeKind::Ac1);
+        s.turn_probability = 1.0;
+        let mut engine = Engine::new(s);
+        let mut queue = EventQueue::new();
+        let attrs = MobileAttrs {
+            position_frac: 0.5,
+            heading: 0,
+            lifetime_secs: 1e6,
+            ..engine.workload.sample_attrs()
+        };
+        engine.attempt_admission(SimTime::ZERO, CellId(4), attrs, 1, &mut queue);
+        let Some((at, Event::Handoff(mobile))) = queue.pop() else {
+            panic!("the crossing comes before the expiry");
+        };
+        assert_eq!(mobile.end_at, SimTime::from_secs(1e6));
+        // A successful hand-off moves the mobile, and every crossing turns:
+        // on the road that reverses the heading.
+        engine.handle_handoff(at, mobile, &mut queue);
+        let to = engine.mobility.next_cell(mobile.cell, 0).unwrap();
+        let moved = MobileState {
+            cell: to,
+            heading: 1,
+            ..mobile
+        };
+        let crossing = at + engine.mobility.full_crossing(attrs.speed_kmh);
+        assert_eq!(queue.pop(), Some((crossing, Event::Handoff(moved))));
+        // The expiry wins an exact tie.
+        schedule_next(moved, moved.end_at, &mut queue);
+        let end = Event::ConnectionEnd {
+            id: moved.id,
+            cell: to,
+        };
+        assert_eq!(queue.pop(), Some((moved.end_at, end)));
+        assert!(queue.is_empty());
     }
 
     #[test]

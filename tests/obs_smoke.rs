@@ -7,16 +7,22 @@ use qres_json::Value;
 #[test]
 fn obs_enabled_run_times_hot_paths() {
     obs::set_level(obs::Level::Info);
-    let r = qres::sim::run_scenario(
-        &qres::sim::Scenario::paper_baseline()
-            .scheme(qres::sim::SchemeKind::Ac3)
-            .offered_load(300.0)
-            .duration_secs(300.0)
-            .seed(11),
-    );
+    let scenario = qres::sim::Scenario::paper_baseline()
+        .scheme(qres::sim::SchemeKind::Ac3)
+        .offered_load(300.0)
+        .duration_secs(300.0)
+        .seed(11);
+    let r = qres::sim::run_scenario(&scenario);
     obs::set_level(obs::Level::Off);
     let snapshot = obs::snapshot_json();
     assert!(r.events_dispatched > 0);
+
+    // The queue holds one event per connection, besides the next arrival
+    // per cell, the hour tick and the warm-up end.
+    let queue = obs::metrics::QUEUE_HIGH_WATER.get();
+    let mobiles = obs::metrics::ACTIVE_MOBILES.get();
+    let bound = mobiles + scenario.num_cells as u64 + 2;
+    assert!(queue <= bound, "{queue} events for {mobiles} connections");
 
     // The snapshot carries the hot-path histograms with samples in them.
     let count = |name: &str| match snapshot
