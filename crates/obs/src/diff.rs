@@ -46,10 +46,10 @@ fn fmt_delta(a: f64, b: f64) -> String {
 }
 
 /// Renders a per-metric diff of two snapshots: counter and gauge deltas,
-/// per-histogram count/p99 movement, per-cell QoS movement
-/// (`p_hd`/`p_cb`/violation seconds), and the SLO watchdog's fired-counts
-/// and transition tallies. Metrics present in only one snapshot are
-/// marked. `label_a` / `label_b` name the columns (usually the file names).
+/// per-histogram count/p99 movement, and per-cell QoS movement
+/// (`p_hd`/`p_cb`/violation seconds). Metrics present in only one
+/// snapshot are marked. `label_a` / `label_b` name the columns (usually
+/// the file names).
 pub fn diff_snapshots(
     a_doc: &Value,
     b_doc: &Value,
@@ -120,7 +120,6 @@ pub fn diff_snapshots(
     }
 
     diff_qos(&mut out, a.get("qos"), b.get("qos"));
-    diff_alerts(&mut out, a.get("alerts"), b.get("alerts"));
     Ok(out)
 }
 
@@ -167,101 +166,69 @@ fn diff_qos(out: &mut String, a: Option<&Value>, b: Option<&Value>) {
     }
 }
 
-/// Movement of the SLO watchdog section: per-rule fired-count deltas and
-/// the transition tally per `(rule, state)`. Snapshots without an
-/// `alerts` section skip silently (older artifacts).
-fn diff_alerts(out: &mut String, a: Option<&Value>, b: Option<&Value>) {
-    use std::fmt::Write as _;
-    let (Some(a), Some(b)) = (a, b) else {
-        return;
-    };
-    let (Some(fa), Some(fb)) = (a.get("fired_total"), b.get("fired_total")) else {
-        return;
-    };
-    let _ = writeln!(out, "\nalerts (fired_total):");
-    let mut unchanged = 0u32;
-    for rule in union_keys(fa, fb) {
-        let (va, vb) = (
-            fa.get(rule).and_then(as_f64).unwrap_or(0.0),
-            fb.get(rule).and_then(as_f64).unwrap_or(0.0),
-        );
-        if va == vb {
-            unchanged += 1;
-        } else {
-            let _ = writeln!(out, "  {rule:<20} {va} -> {vb} {}", fmt_delta(va, vb));
-        }
-    }
-    if unchanged > 0 {
-        let _ = writeln!(out, "  ({unchanged} unchanged)");
-    }
+/// A parsed `--fail-on` spec: a gate on the movement between two
+/// snapshots, so CI can gate on it instead of grepping the rendered diff.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FailOn(Vec<Clause>);
 
-    // Transition tallies per (rule, state): how often each rule went
-    // pending/firing/resolved in each snapshot's retained log.
-    let tally = |side: &Value| -> Vec<(String, f64)> {
-        let mut rows: Vec<(String, f64)> = Vec::new();
-        if let Some(Value::Array(transitions)) = side.get("transitions") {
-            for tr in transitions {
-                let (Some(Value::Str(rule)), Some(Value::Str(state))) =
-                    (tr.get("rule"), tr.get("state"))
-                else {
-                    continue;
-                };
-                let key = format!("{rule}:{state}");
-                match rows.iter_mut().find(|(k, _)| *k == key) {
-                    Some((_, n)) => *n += 1.0,
-                    None => rows.push((key, 1.0)),
-                }
-            }
-        }
-        rows
-    };
-    let (ta, tb) = (tally(a), tally(b));
-    let mut keys: Vec<&str> = ta.iter().map(|(k, _)| k.as_str()).collect();
-    for (k, _) in &tb {
-        if !keys.contains(&k.as_str()) {
-            keys.push(k);
-        }
-    }
-    if !keys.is_empty() {
-        let _ = writeln!(out, "alerts (transitions by rule:state):");
-        for key in keys {
-            let of = |rows: &[(String, f64)]| {
-                rows.iter()
-                    .find(|(k, _)| k == key)
-                    .map(|&(_, n)| n)
-                    .unwrap_or(0.0)
-            };
-            let (va, vb) = (of(&ta), of(&tb));
-            if va == vb {
-                let _ = writeln!(out, "  {key:<30} {va} (unchanged)");
-            } else {
-                let _ = writeln!(out, "  {key:<30} {va} -> {vb} {}", fmt_delta(va, vb));
-            }
-        }
-    }
+#[derive(Debug, Clone, PartialEq)]
+enum Clause {
+    /// `counters`: any counter delta at all.
+    Counters,
+    /// `qos`: any per-cell `p_hd`/`p_cb`/`violation_secs` movement.
+    Qos,
+    /// `NAME>X`: the named counter or gauge (absent values read as 0), or
+    /// for `p_hd`/`p_cb`/`violation_secs` some cell's QoS field, moved by
+    /// more than `threshold` (absolute delta; finite and `>= 0`).
+    Moved { name: String, threshold: f64 },
 }
 
-/// Evaluates a `--fail-on` threshold spec against two snapshots and
-/// returns the violated clauses (empty = gate passes), so CI can gate on
-/// snapshot movement instead of grepping the rendered diff.
-///
-/// `spec` is a comma-separated list of clauses:
-///
-/// * `counters` — any counter delta at all;
-/// * `qos` — any per-cell `p_hd`/`p_cb`/`violation_secs` movement;
-/// * `alerts` — any per-rule `fired_total` delta;
-/// * `NAME>X` — the named counter/gauge moved by more than `X`
-///   (absolute delta, absent values read as 0);
-/// * `p_hd>X` / `p_cb>X` / `violation_secs>X` — some cell's QoS field
-///   moved by more than `X`.
-pub fn check_fail_on(a_doc: &Value, b_doc: &Value, spec: &str) -> Result<Vec<String>, String> {
-    let a = snapshot_of(a_doc)?;
-    let b = snapshot_of(b_doc)?;
-    let mut violations = Vec::new();
-    for clause in spec.split(',').map(str::trim).filter(|c| !c.is_empty()) {
-        match clause.split_once('>') {
-            None => match clause {
-                "counters" => {
+impl FailOn {
+    /// Parses a comma-separated list of clauses: `counters`, `qos`,
+    /// `NAME>X`, `p_hd>X`, `p_cb>X`, `violation_secs>X`. A spec with no
+    /// clause, an unknown clause, and a threshold that is not a finite
+    /// number `>= 0` (one no delta could ever exceed, or one every delta
+    /// does) are errors, so a gate cannot silently pass.
+    pub fn parse(spec: &str) -> Result<Self, String> {
+        let clauses: Vec<Clause> = (spec.split(',').map(str::trim).filter(|c| !c.is_empty()))
+            .map(|clause| match clause.split_once('>') {
+                None => match clause {
+                    "counters" => Ok(Clause::Counters),
+                    "qos" => Ok(Clause::Qos),
+                    other => Err(format!(
+                        "unknown --fail-on clause `{other}` (expected `counters`, `qos`, \
+                         or `NAME>THRESHOLD`)"
+                    )),
+                },
+                Some((name, threshold)) => match threshold.trim().parse::<f64>() {
+                    Ok(threshold) if threshold.is_finite() && threshold >= 0.0 => {
+                        Ok(Clause::Moved {
+                            name: name.trim().to_string(),
+                            threshold,
+                        })
+                    }
+                    _ => Err(format!(
+                        "bad threshold in --fail-on clause `{clause}` \
+                         (expected a finite number >= 0)"
+                    )),
+                },
+            })
+            .collect::<Result<_, _>>()?;
+        if clauses.is_empty() {
+            return Err("no --fail-on clause".into());
+        }
+        Ok(FailOn(clauses))
+    }
+
+    /// Evaluates the gate against two snapshots and returns the violated
+    /// clauses (empty = gate passes).
+    pub fn check(&self, a_doc: &Value, b_doc: &Value) -> Result<Vec<String>, String> {
+        let a = snapshot_of(a_doc)?;
+        let b = snapshot_of(b_doc)?;
+        let mut violations = Vec::new();
+        for clause in &self.0 {
+            match clause {
+                Clause::Counters => {
                     let (sa, sb) = (a.get("counters"), b.get("counters"));
                     let (Some(sa), Some(sb)) = (sa, sb) else {
                         return Err("no `counters` section to gate on".into());
@@ -274,7 +241,7 @@ pub fn check_fail_on(a_doc: &Value, b_doc: &Value, spec: &str) -> Result<Vec<Str
                         }
                     }
                 }
-                "qos" => {
+                Clause::Qos => {
                     for field in ["p_hd", "p_cb", "violation_secs"] {
                         for (cell, va, vb) in qos_field_deltas(a, b, field) {
                             if va != vb {
@@ -283,60 +250,33 @@ pub fn check_fail_on(a_doc: &Value, b_doc: &Value, spec: &str) -> Result<Vec<Str
                         }
                     }
                 }
-                "alerts" => {
-                    let (fa, fb) = (
-                        a.get("alerts").and_then(|s| s.get("fired_total")),
-                        b.get("alerts").and_then(|s| s.get("fired_total")),
-                    );
-                    let (Some(fa), Some(fb)) = (fa, fb) else {
-                        return Err("no `alerts` section to gate on".into());
-                    };
-                    for rule in union_keys(fa, fb) {
-                        let va = fa.get(rule).and_then(as_f64).unwrap_or(0.0);
-                        let vb = fb.get(rule).and_then(as_f64).unwrap_or(0.0);
-                        if va != vb {
-                            violations.push(format!("alerts: {rule} fired {va} -> {vb}"));
+                Clause::Moved { name, threshold } => {
+                    if matches!(name.as_str(), "p_hd" | "p_cb" | "violation_secs") {
+                        for (cell, va, vb) in qos_field_deltas(a, b, name) {
+                            if (vb - va).abs() > *threshold {
+                                violations.push(format!(
+                                    "qos: cell {cell} {name} {va} -> {vb} (|delta| > {threshold})"
+                                ));
+                            }
                         }
-                    }
-                }
-                other => {
-                    return Err(format!(
-                        "unknown --fail-on clause `{other}` (expected `counters`, `qos`, \
-                         `alerts`, or `NAME>THRESHOLD`)"
-                    ));
-                }
-            },
-            Some((name, threshold)) => {
-                let name = name.trim();
-                let threshold: f64 = threshold
-                    .trim()
-                    .parse()
-                    .map_err(|_| format!("bad threshold in --fail-on clause `{clause}`"))?;
-                if matches!(name, "p_hd" | "p_cb" | "violation_secs") {
-                    for (cell, va, vb) in qos_field_deltas(a, b, name) {
-                        if (vb - va).abs() > threshold {
-                            violations.push(format!(
-                                "qos: cell {cell} {name} {va} -> {vb} (|delta| > {threshold})"
-                            ));
+                    } else {
+                        let lookup = |side: &Value| {
+                            ["counters", "gauges"]
+                                .iter()
+                                .find_map(|s| side.get(s).and_then(|s| s.get(name)))
+                                .and_then(as_f64)
+                                .unwrap_or(0.0)
+                        };
+                        let (va, vb) = (lookup(a), lookup(b));
+                        if (vb - va).abs() > *threshold {
+                            violations.push(format!("{name} {va} -> {vb} (|delta| > {threshold})"));
                         }
-                    }
-                } else {
-                    let lookup = |side: &Value| {
-                        ["counters", "gauges"]
-                            .iter()
-                            .find_map(|s| side.get(s).and_then(|s| s.get(name)))
-                            .and_then(as_f64)
-                            .unwrap_or(0.0)
-                    };
-                    let (va, vb) = (lookup(a), lookup(b));
-                    if (vb - va).abs() > threshold {
-                        violations.push(format!("{name} {va} -> {vb} (|delta| > {threshold})"));
                     }
                 }
             }
         }
+        Ok(violations)
     }
-    Ok(violations)
 }
 
 /// Per-cell `(cell, a_value, b_value)` rows of one QoS field, absent
@@ -395,27 +335,19 @@ mod tests {
     }
 
     #[test]
-    fn diffs_qos_and_alert_sections() {
+    fn diffs_qos_section() {
         let a = Value::parse(
             r#"{"counters":{},"gauges":{},"histograms":{},
                 "qos":{"window_secs":3600.0,"target_p_hd":0.01,
                   "cells":{"7":{"p_hd":0.0,"p_cb":0.1,"violation_secs":0.0},
-                           "8":{"p_hd":0.0,"p_cb":0.0,"violation_secs":0.0}}},
-                "alerts":{"fired_total":{"p_hd_burn":0,"push_errors":0},
-                  "alerts":[],"transitions":[]}}"#,
+                           "8":{"p_hd":0.0,"p_cb":0.0,"violation_secs":0.0}}}}"#,
         )
         .unwrap();
         let b = Value::parse(
             r#"{"counters":{},"gauges":{},"histograms":{},
                 "qos":{"window_secs":3600.0,"target_p_hd":0.01,
                   "cells":{"7":{"p_hd":0.5,"p_cb":0.1,"violation_secs":120.0},
-                           "8":{"p_hd":0.0,"p_cb":0.0,"violation_secs":0.0}}},
-                "alerts":{"fired_total":{"p_hd_burn":2,"push_errors":0},
-                  "alerts":[{"rule":"p_hd_burn","cell":"7","state":"resolved"}],
-                  "transitions":[
-                    {"t":60.0,"rule":"p_hd_burn","cell":"7","state":"pending"},
-                    {"t":60.0,"rule":"p_hd_burn","cell":"7","state":"firing"},
-                    {"t":300.0,"rule":"p_hd_burn","cell":"7","state":"resolved"}]}}"#,
+                           "8":{"p_hd":0.0,"p_cb":0.0,"violation_secs":0.0}}}}"#,
         )
         .unwrap();
         let report = diff_snapshots(&a, &b, "a.json", "b.json").unwrap();
@@ -424,26 +356,18 @@ mod tests {
         assert!(report.contains("p_hd 0 -> 0.5"), "{report}");
         assert!(report.contains("violation_secs 0 -> 120"), "{report}");
         assert!(report.contains("(1 cells unchanged)"), "{report}");
-        assert!(report.contains("alerts (fired_total):"), "{report}");
-        assert!(
-            report.contains("alerts (transitions by rule:state):"),
-            "{report}"
-        );
-        assert!(report.contains("p_hd_burn:firing"), "{report}");
-        assert!(report.contains("0 -> 2"), "{report}");
-        assert!(report.contains("0 -> 1"), "{report}");
-        // Snapshots without the new sections (older artifacts) still diff.
+        // Snapshots without the section (older artifacts) still diff.
         let old = snap(100, 1000);
         let report = diff_snapshots(&old, &old, "a", "b").unwrap();
         assert!(!report.contains("qos (per cell)"), "{report}");
-        assert!(!report.contains("alerts (fired_total)"), "{report}");
     }
 
     #[test]
     fn rejects_non_snapshots() {
         let junk = Value::parse(r#"{"hello":1}"#).unwrap();
         assert!(diff_snapshots(&junk, &junk, "a", "b").is_err());
-        assert!(check_fail_on(&junk, &junk, "counters").is_err());
+        let gate = FailOn::parse("counters").unwrap();
+        assert!(gate.check(&junk, &junk).is_err());
         // A snapshot nested under another key is not one.
         let nested = Value::parse(r#"{"obs":{"counters":{}}}"#).unwrap();
         assert!(diff_snapshots(&nested, &nested, "a", "b").is_err());
@@ -453,43 +377,64 @@ mod tests {
     fn fail_on_gates_counters_gauges_and_qos() {
         let a = Value::parse(
             r#"{"counters":{"qres_x_total":100},"gauges":{"qres_g":4},
-                "qos":{"cells":{"7":{"p_hd":0.01,"p_cb":0.1,"violation_secs":0.0}}},
-                "alerts":{"fired_total":{"p_hd_burn":0},"alerts":[],"transitions":[]}}"#,
+                "qos":{"cells":{"7":{"p_hd":0.01,"p_cb":0.1,"violation_secs":0.0}}}}"#,
         )
         .unwrap();
         let b = Value::parse(
             r#"{"counters":{"qres_x_total":150},"gauges":{"qres_g":4},
-                "qos":{"cells":{"7":{"p_hd":0.05,"p_cb":0.1,"violation_secs":0.0}}},
-                "alerts":{"fired_total":{"p_hd_burn":2},"alerts":[],"transitions":[]}}"#,
+                "qos":{"cells":{"7":{"p_hd":0.05,"p_cb":0.1,"violation_secs":0.0}}}}"#,
         )
         .unwrap();
+        let check =
+            |a: &Value, b: &Value, spec: &str| FailOn::parse(spec).unwrap().check(a, b).unwrap();
         // Identical snapshots pass every gate.
-        assert_eq!(
-            check_fail_on(&a, &a, "counters,qos,alerts").unwrap(),
-            Vec::<String>::new()
-        );
+        assert_eq!(check(&a, &a, "counters,qos"), Vec::<String>::new());
         // Any-movement gates flag each moved entry once.
-        let v = check_fail_on(&a, &b, "counters").unwrap();
+        let v = check(&a, &b, "counters");
         assert_eq!(v.len(), 1);
         assert!(v[0].contains("qres_x_total"), "{v:?}");
-        let v = check_fail_on(&a, &b, "qos").unwrap();
+        let v = check(&a, &b, "qos");
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(v[0].contains("p_hd"), "{v:?}");
-        let v = check_fail_on(&a, &b, "alerts").unwrap();
-        assert_eq!(v.len(), 1, "{v:?}");
         // Named thresholds: within tolerance passes, beyond fails.
-        assert!(check_fail_on(&a, &b, "qres_x_total>60").unwrap().is_empty());
-        assert_eq!(check_fail_on(&a, &b, "qres_x_total>10").unwrap().len(), 1);
+        assert!(check(&a, &b, "qres_x_total>60").is_empty());
+        assert_eq!(check(&a, &b, "qres_x_total>10").len(), 1);
         // Gauges resolve through the same NAME>X clause.
-        assert!(check_fail_on(&a, &b, "qres_g>0").unwrap().is_empty());
+        assert!(check(&a, &b, "qres_g>0").is_empty());
         // QoS field thresholds are per-cell absolute deltas.
-        assert!(check_fail_on(&a, &b, "p_hd>0.1").unwrap().is_empty());
-        assert_eq!(check_fail_on(&a, &b, "p_hd>0.01").unwrap().len(), 1);
+        assert!(check(&a, &b, "p_hd>0.1").is_empty());
+        assert_eq!(check(&a, &b, "p_hd>0.01").len(), 1);
         // Clauses compose; whitespace tolerated.
-        let v = check_fail_on(&a, &b, " counters , p_hd>0.01 ").unwrap();
+        let v = check(&a, &b, " counters , p_hd>0.01 ");
         assert_eq!(v.len(), 2, "{v:?}");
         // Malformed specs are errors, not silent passes.
-        assert!(check_fail_on(&a, &b, "bogus").is_err());
-        assert!(check_fail_on(&a, &b, "qres_x_total>abc").is_err());
+        assert!(FailOn::parse("bogus").is_err());
+        assert!(FailOn::parse("qres_x_total>abc").is_err());
+    }
+
+    /// A spec whose threshold no delta can exceed (NaN, infinity), one
+    /// every delta exceeds (negative), or one with no clause at all would
+    /// gate nothing: each is rejected, as is the removed `alerts` clause.
+    #[test]
+    fn fail_on_rejects_specs_that_never_trip() {
+        for spec in [
+            "p_hd>nan",
+            "p_hd>inf",
+            "qres_backbone_msgs_total>NaN",
+            "counters>-1",
+            "",
+            ",",
+            " , ",
+            "alerts",
+        ] {
+            assert!(FailOn::parse(spec).is_err(), "`{spec}` must be rejected");
+        }
+        assert_eq!(
+            FailOn::parse(" p_hd>0 ,"),
+            Ok(FailOn(vec![Clause::Moved {
+                name: "p_hd".into(),
+                threshold: 0.0
+            }]))
+        );
     }
 }

@@ -12,20 +12,16 @@ pub const OBS_JSON_PATH: &str = "obs.json";
 
 /// Finishes the run's telemetry and writes `obs.json` to `path`.
 ///
-/// Firing alerts are resolved at the last recorded sim-time (the run
-/// ended, nothing burns anymore) and pending ones retracted, and
-/// forecasts whose deadline passed are settled as expired; later
-/// deadlines stay `pending` (censored by the end of the run, not scored).
-/// The document is [`snapshot_json`].
+/// Forecasts whose deadline passed by the last recorded sim-time are
+/// settled as expired; later deadlines stay `pending` (censored by the
+/// end of the run, not scored). The document is [`snapshot_json`].
 pub fn write_obs_json(path: &Path) -> std::io::Result<()> {
-    let now = crate::sim_time();
-    crate::alert::finalize(now);
-    crate::calib::sweep_expired(now);
+    crate::calib::sweep_expired(crate::sim_time());
     std::fs::write(path, snapshot_json().to_pretty_string() + "\n")
 }
 
-/// The registry plus the `qos`, `alerts` and `flight` sections, the
-/// flight tape's `records` included.
+/// The registry plus the `qos` and `flight` sections, the flight tape's
+/// `records` included.
 pub fn snapshot_json() -> Value {
     let counter_fields = counters()
         .iter()
@@ -49,8 +45,6 @@ pub fn snapshot_json() -> Value {
         // Windowed P_HD/P_CB estimators, violation clocks, efficiency
         // integrals and Eq.-4 calibration.
         ("qos".to_string(), crate::qos::qos_json()),
-        // Burn-rate alert table, fired totals, transition log.
-        ("alerts".to_string(), crate::alert::alerts_json()),
         ("flight".to_string(), crate::flight::flight_json()),
     ])
 }
@@ -88,17 +82,7 @@ mod tests {
             panic!("snapshot must be an object")
         };
         let keys: Vec<_> = fields.iter().map(|(k, _)| k.as_str()).collect();
-        assert_eq!(
-            keys,
-            [
-                "counters",
-                "gauges",
-                "histograms",
-                "qos",
-                "alerts",
-                "flight"
-            ]
-        );
+        assert_eq!(keys, ["counters", "gauges", "histograms", "qos", "flight"]);
         let Some((_, Value::Object(histos))) = fields.iter().find(|(k, _)| k == "histograms")
         else {
             panic!("no histograms section")

@@ -11,8 +11,10 @@
 //!
 //! The simulation thread stages a decision's terms and checks in
 //! thread-local buffers while the admission test runs, then assembles and
-//! pushes the record once the verdict is in. The recorder is strictly
-//! passive — on or off, every simulation output is bit-identical.
+//! pushes the record once the verdict is in. When a cell's `P_HD` burn
+//! fires, the capture trigger ([`crate::alert`]) freezes the cell's
+//! trailing records to a file ([`capture_for_cell`]). The recorder is
+//! strictly passive — on or off, every simulation output is bit-identical.
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
@@ -24,7 +26,7 @@ use qres_json::{FromJson, ToJson, Value};
 /// Default decision-record ring capacity.
 pub const DEFAULT_FLIGHT_CAPACITY: usize = 4096;
 
-/// How many trailing records of a cell an alert-triggered capture freezes.
+/// How many trailing records of a cell a capture freezes.
 pub const CAPTURE_WINDOW: usize = 256;
 
 /// One per-neighbor `B_i,0` contribution inside a decision record.
@@ -187,7 +189,7 @@ pub fn set_flight_capacity(cap: usize) {
     });
 }
 
-/// Directory that alert-triggered captures write into. `None` (the
+/// Directory that the trigger's captures write into. `None` (the
 /// default) disables capture files entirely — library runs and tests
 /// never touch the filesystem unless the CLI opts in.
 pub fn set_flight_capture_dir(dir: Option<PathBuf>) {
@@ -273,7 +275,7 @@ pub fn denial_cause(rec: &FlightRecord) -> &'static str {
 }
 
 /// The flight section of the telemetry snapshot: ring status, verdict and
-/// denial-cause tallies over the buffered records, the alert capture
+/// denial-cause tallies over the buffered records, the capture
 /// files written, and every buffered record.
 pub fn flight_json() -> Value {
     let obs = crate::current();
@@ -321,7 +323,7 @@ pub fn flight_json() -> Value {
 }
 
 /// Extracts the decision records from an `obs.json` (its `flight`
-/// section) or an alert capture file (top-level `records`).
+/// section) or a capture file (top-level `records`).
 pub fn records_from_doc(doc: &Value) -> Result<Vec<FlightRecord>, String> {
     let records = doc
         .get("flight")

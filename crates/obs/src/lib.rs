@@ -18,16 +18,16 @@
 //!   reliability-diagram bins and a Brier score (`qres obs calib`).
 //! * [`diff`] — cross-run diff of two `obs.json` snapshots
 //!   (`qres obs diff`).
-//! * [`alert`] — the SLO watchdog: burn-rate rules read straight off the
-//!   [`qos`] windows every 60 sim-s (a fast 300-s window and the `qos`
-//!   window against `P_HD,target`), a pending→firing→resolved state
-//!   machine on sim-timestamps with every transition logged, rendered by
-//!   `qres obs alerts`.
+//! * [`alert`] — the flight-capture trigger: every 60 sim-s, a cell whose
+//!   `P_HD` burns its budget in both a fast 300-s window and the [`qos`]
+//!   window starts firing and captures its flight window once; plus the
+//!   `qres obs alerts` report, read from the `qos` and `flight` sections.
 //! * [`flight`] — the decision-provenance flight recorder: a bounded ring
 //!   of complete admission decision records (inputs, per-neighbor Eq.-4
 //!   terms, feasibility checks, verdict) keyed by `admission_req_seq`,
-//!   frozen to `obs_flight_<cell>_<ts>.json` when `p_hd_burn` fires,
-//!   rendered by `qres obs explain` and re-executed by `qres obs replay`.
+//!   frozen to `obs_flight_<cell>_<ts>.json` when a cell's `P_HD` burn
+//!   fires, rendered by `qres obs explain` and re-executed by `qres obs
+//!   replay`.
 //! * [`loglin`] — the log-linear bucket layout of the timing histograms
 //!   (16 sub-buckets per octave, ≤ 6.25% relative error), also used by
 //!   `qres_stats::LogLinearHistogram`.
@@ -46,9 +46,9 @@
 //! A run with telemetry on writes one document. At the end,
 //! [`write_obs_json`] finishes the run's telemetry and writes
 //! [`OBS_JSON_PATH`]: the [`snapshot_json`] document (`counters`,
-//! `gauges`, `histograms`, `qos`, `alerts`, `flight`) with the flight
-//! tape's `records`. Every `qres obs` view reads its section of it. The
-//! only other files are the alert-triggered flight captures.
+//! `gauges`, `histograms`, `qos`, `flight`) with the flight tape's
+//! `records`. Every `qres obs` view reads its sections of it. The only
+//! other files are the flight captures the trigger writes.
 //!
 //! ## Overhead contract
 //!
@@ -78,16 +78,12 @@ pub mod loglin;
 pub mod metrics;
 pub mod qos;
 
-pub use alert::{
-    alert_config, alerts_json, alerts_snapshot, evaluate as evaluate_alerts,
-    finalize as finalize_alerts, render_watch, reset_alerts, set_alert_config, watchdog_tick,
-    AlertConfig, AlertSnapshot, AlertState,
-};
+pub use alert::{render_alerts, reset_alerts, watchdog_tick};
 pub use calib::{
     calib_json, calib_summary, flush_staged, observe_attempt, observe_end, render_calib_report,
     reset_calib, stage_prediction, sweep_expired,
 };
-pub use diff::{check_fail_on, diff_snapshots};
+pub use diff::{diff_snapshots, FailOn};
 pub use export::{snapshot_json, write_obs_json, OBS_JSON_PATH};
 pub use flight::{
     denial_cause, flight_enabled, flight_json, records_from_doc, render_explain, reset_flight,
@@ -105,8 +101,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// One run's telemetry state: the on/off switch, the metric values, the
-/// QoS tracker, the calibration store, the alert plane, and the flight
-/// plane with its own switch. Threads sharing a handle (see [`install`])
+/// QoS tracker, the calibration store, the capture trigger, and the
+/// flight plane with its own switch. Threads sharing a handle (see [`install`])
 /// update it through atomics and mutexes.
 #[derive(Default)]
 pub struct Obs {
@@ -114,7 +110,7 @@ pub struct Obs {
     pub(crate) metrics: metrics::Registry,
     pub(crate) qos: Mutex<qos::QosState>,
     pub(crate) calib: Mutex<calib::CalibState>,
-    pub(crate) alerts: Mutex<alert::AlertPlane>,
+    pub(crate) trigger: Mutex<alert::Trigger>,
     pub(crate) flight_off: AtomicBool,
     pub(crate) flight: Mutex<flight::FlightPlane>,
 }
@@ -248,8 +244,8 @@ pub fn record(_: ObsEvent) {}
 /// that call in the next change to the benchmark.
 pub fn reset() {}
 
-/// Does nothing: the SLO watchdog keeps no store of its own (it reads the
-/// [`qos`] windows), and [`reset_alerts`] restarts its evaluation grid.
+/// Does nothing: the capture trigger keeps no store of its own (it reads
+/// the [`qos`] windows), and [`reset_alerts`] restarts its evaluation grid.
 /// Exists only for `qres-perf`'s `reset_obs`, and goes with that call in
 /// the next change to the benchmark.
 pub fn reset_tsdb() {}

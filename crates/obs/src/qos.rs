@@ -6,8 +6,8 @@
 //!
 //! The end-of-run report answers "did the run meet the QoS goal?"; this
 //! module answers it per cell, over a configurable trailing window, so
-//! the SLO watchdog ([`crate::alert`]) and the `qos` section of `obs.json`
-//! show when a cell drifted into violation mid-run.
+//! the flight-capture trigger ([`crate::alert`]) and the `qos` section of
+//! `obs.json` show when a cell drifted into violation mid-run.
 //!
 //! Everything here is passive observation behind the level gate: the
 //! simulation feeds observations through `record_*` calls that the callers
@@ -160,8 +160,6 @@ struct CellQos {
     /// observation (the violation clock integrates this flag).
     in_violation: bool,
     last_handoff_t: Option<f64>,
-    /// Sim-time the violation clock last advanced.
-    last_violation_t: Option<f64>,
     /// Time-weighted `B_r` reservation target.
     br: TimeIntegral,
     /// Time-weighted bandwidth occupied by handed-in connections.
@@ -210,7 +208,7 @@ pub fn set_qos_target_p_hd(target: f64) {
     with_state(|s| s.target_p_hd = target);
 }
 
-/// The `P_HD` target currently in force (the SLO watchdog's default
+/// The `P_HD` target currently in force (also the capture trigger's
 /// burn-rate denominator).
 pub fn qos_target_p_hd() -> f64 {
     with_state(|s| s.target_p_hd)
@@ -229,7 +227,6 @@ pub fn record_handoff_outcome(t: f64, cell: u32, dropped: bool) {
         if let Some(prev_t) = c.last_handoff_t {
             if c.in_violation && t > prev_t {
                 c.violation_secs += t - prev_t;
-                c.last_violation_t = Some(t);
             }
         }
         c.handoffs.record(t, dropped, window);
@@ -238,7 +235,7 @@ pub fn record_handoff_outcome(t: f64, cell: u32, dropped: bool) {
     });
 }
 
-/// One cell's inputs to the SLO alert rules ([`crate::alert`]).
+/// One cell's inputs to the capture trigger ([`crate::alert`]).
 #[derive(Debug)]
 pub(crate) struct BurnInputs {
     pub cell: u32,
@@ -247,11 +244,9 @@ pub(crate) struct BurnInputs {
     pub fast_p_hd: Option<f64>,
     /// The windowed `P_HD` estimate (the `qos` window).
     pub slow_p_hd: Option<f64>,
-    /// Sim-time the violation clock last advanced.
-    pub last_violation_t: Option<f64>,
 }
 
-/// The alert-rule inputs of every cell at fast-window edge `fast_since`,
+/// The trigger inputs of every cell at fast-window edge `fast_since`,
 /// ascending by cell id.
 pub(crate) fn burn_inputs(fast_since: f64) -> Vec<BurnInputs> {
     with_state(|s| {
@@ -261,7 +256,6 @@ pub(crate) fn burn_inputs(fast_since: f64) -> Vec<BurnInputs> {
                 cell,
                 fast_p_hd: c.handoffs.ratio_since(fast_since),
                 slow_p_hd: c.handoffs.ratio(),
-                last_violation_t: c.last_violation_t,
             })
             .collect()
     })

@@ -168,9 +168,9 @@ pub struct Engine {
 }
 
 /// Watchdog tick cadence, in sim-seconds: with telemetry on, the driver
-/// runs the SLO watchdog tick whenever the DES clock crosses one of these
-/// boundaries, before dispatching the boundary-crossing event. The
-/// watchdog evaluates its rules on its own, coarser grid.
+/// runs the flight-capture trigger's tick whenever the DES clock crosses
+/// one of these boundaries, before dispatching the boundary-crossing
+/// event. The trigger evaluates on its own, coarser grid.
 const WATCHDOG_EPOCH_SECS: f64 = 10.0;
 
 impl Engine {
@@ -180,7 +180,7 @@ impl Engine {
         if let Err(e) = scenario.validate() {
             panic!("{e}");
         }
-        // The QoS violation clock and the SLO watchdog's burn-rate rules
+        // The QoS violation clock and the capture trigger's burn rate
         // measure against this scenario's contract, not the global default.
         qres_obs::set_qos_target_p_hd(scenario.p_hd_target);
         let (mobility, topology) = match scenario.hex_grid {
@@ -534,12 +534,12 @@ impl Handler<Event> for Driver<'_> {
     fn handle(&mut self, now: SimTime, event: Event, queue: &mut EventQueue<Event>) {
         if now >= self.next_epoch {
             if qres_obs::enabled() {
-                // SLO watchdog tick: evaluate the burn-rate rules on the
-                // QoS windows when an evaluation grid boundary was
-                // crossed. Runs on the sim clock, before the
-                // boundary-crossing event dispatches, so the alert
-                // timeline is bit-identical across reruns — and strictly
-                // derived: nothing flows back into simulation state.
+                // Capture-trigger tick: evaluate the P_HD burn on the QoS
+                // windows when an evaluation grid boundary was crossed.
+                // Runs on the sim clock, before the boundary-crossing
+                // event dispatches, so the captures are bit-identical
+                // across reruns — and strictly derived: nothing flows
+                // back into simulation state.
                 qres_obs::watchdog_tick(now.as_secs());
             }
             while now >= self.next_epoch {

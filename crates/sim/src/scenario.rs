@@ -360,7 +360,7 @@ impl Scenario {
             SchemeKind::Ns {
                 window_secs,
                 mean_sojourn_secs,
-            } => window_secs > 0.0 && mean_sojourn_secs > 0.0,
+            } => positive(window_secs) && positive(mean_sojourn_secs),
             _ => true,
         };
         let tree = !matches!(self.wired, Some(WiredConfig::Tree { branching: 0, .. }));
@@ -414,14 +414,14 @@ impl Scenario {
                 ns,
                 "scheme",
                 &self.scheme,
-                "window and mean sojourn must be positive",
+                "window and mean sojourn must be positive and finite",
             ),
             (tree, "wired", &self.wired, "branching must be positive"),
             (
-                self.cell_diameter_km > 0.0,
+                positive(self.cell_diameter_km),
                 "cell_diameter_km",
                 &self.cell_diameter_km,
-                "must be positive",
+                "must be positive and finite",
             ),
             (
                 (0.0..=1.0).contains(&self.voice_ratio),
@@ -430,22 +430,22 @@ impl Scenario {
                 "must be in [0, 1]",
             ),
             (
-                self.offered_load > 0.0,
+                positive(self.offered_load),
                 "offered_load",
                 &self.offered_load,
-                "must be positive",
+                "must be positive and finite",
             ),
             (
-                lo > 0.0 && hi >= lo,
+                positive(lo) && positive(hi) && hi >= lo,
                 "speed_range_kmh",
                 &self.speed_range_kmh,
-                "must be positive with lo <= hi",
+                "must be positive and finite with lo <= hi",
             ),
             (
-                self.mean_lifetime_secs > 0.0,
+                positive(self.mean_lifetime_secs),
                 "mean_lifetime_secs",
                 &self.mean_lifetime_secs,
-                "must be positive",
+                "must be positive and finite",
             ),
             (
                 (0.0..=1.0).contains(&self.turn_probability),
@@ -460,10 +460,10 @@ impl Scenario {
                 "must be in (0, 1)",
             ),
             (
-                self.duration_secs > 0.0,
+                positive(self.duration_secs),
                 "duration_secs",
                 &self.duration_secs,
-                "must be positive",
+                "must be positive and finite",
             ),
             (
                 self.warmup_secs >= 0.0 && self.warmup_secs < self.duration_secs,
@@ -494,6 +494,12 @@ impl Scenario {
     pub fn trace_cell_ids(&self) -> Vec<CellId> {
         self.trace_cells.iter().map(|&c| CellId(c)).collect()
     }
+}
+
+/// Whether `x` is a positive, finite number: JSON's `1e400` parses to
+/// infinity, which no size, rate or duration of a run can be.
+pub(crate) fn positive(x: f64) -> bool {
+    x > 0.0 && x.is_finite()
 }
 
 /// `field = value: rule` for every failed `(holds, field, value, rule)`

@@ -16,7 +16,7 @@
 //! the original `L_o`, the positive-feedback effect that amplifies the
 //! `P_CB` differences between schemes.
 
-use crate::scenario::violations;
+use crate::scenario::{positive, violations};
 
 /// One hour's workload parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -182,10 +182,10 @@ impl TimeVaryingConfig {
                 "need 24 hourly entries",
             ),
             (
-                self.retry.wait_secs >= 0.0,
+                self.retry.wait_secs >= 0.0 && self.retry.wait_secs.is_finite(),
                 "time_varying.retry.wait_secs",
                 &self.retry.wait_secs,
-                "cannot be negative",
+                "must be nonnegative and finite",
             ),
             (
                 (0.0..=1.0).contains(&self.retry.decay),
@@ -195,11 +195,12 @@ impl TimeVaryingConfig {
             ),
         ]);
         for (h, e) in self.schedule.hours().iter().enumerate() {
-            let (load_ok, speed_ok) = (e.offered_load > 0.0, e.mean_speed_kmh > 20.0);
+            let load_ok = positive(e.offered_load);
+            let speed_ok = e.mean_speed_kmh > 20.0 && e.mean_speed_kmh.is_finite();
             if !(load_ok && speed_ok) {
                 violations.push(format!(
                     "time_varying.schedule.hours[{h}] = {e:?}: load must be positive and \
-                     mean speed must exceed the ±20 sampling half-width"
+                     finite, and mean speed finite and above the ±20 sampling half-width"
                 ));
             }
         }

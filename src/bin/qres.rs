@@ -2,11 +2,11 @@
 //!
 //! ```text
 //! qres template [stationary|time-varying|wired|metro]   print a scenario template
-//! qres run <scenario.json> [--json] [--obs] [--slo-target P] [--slo-burn X]
-//! qres sweep <scenario.json> [--loads 60,120,300] [--obs] [--slo-* ...]
+//! qres run <scenario.json> [--json] [--obs] [--no-flight]
+//! qres sweep <scenario.json> [--loads 60,120,300] [--obs] [--no-flight]
 //! qres obs calib <obs.json>                          Eq.-4 calibration report
 //! qres obs diff <a.json> <b.json> [--fail-on SPEC]   diff two snapshots
-//! qres obs alerts <obs.json>                         SLO alert timeline
+//! qres obs alerts <obs.json>                         cells above P_HD,target
 //! qres obs explain <obs.json | capture.json>         explain recorded admissions
 //! qres obs replay <obs.json | capture.json>          re-execute recorded verdicts
 //! ```
@@ -21,34 +21,33 @@
 //!
 //! `--obs` switches telemetry on for the run and, at the end, writes
 //! `obs.json` into the working directory ([`qres::obs::write_obs_json`]:
-//! counters, gauges, histograms, QoS conformance and Eq.-4 calibration,
-//! the SLO alert timeline with every transition, and the flight
-//! recorder's decision tape). `run` and `sweep` reject `--no-flight`,
-//! `--slo-target` and `--slo-burn` without `--obs`.
+//! counters, gauges, histograms, QoS conformance against the scenario's
+//! `p_hd_target` and Eq.-4 calibration, and the flight recorder's
+//! decision tape). `run` and `sweep` reject `--no-flight` without
+//! `--obs`.
 //!
-//! With telemetry on, the **SLO watchdog** evaluates burn-rate alert
-//! rules against `P_HD,target` every 60 simulated seconds, reading the
-//! QoS windows: a fast 5-min window and the 1-h QoS window.
-//! `--slo-target P` overrides the target the rules burn against (e.g. an
-//! intentionally low target to force a violation drill); `--slo-burn X`
-//! moves the burn threshold (default 1.0). The **flight recorder** tapes
-//! every admission decision — requested BUs, link occupancy, the
-//! reservation threshold with its per-neighbor `B_i,0` terms, each
-//! AC2/AC3 neighbor check, and the verdict — into a bounded ring
-//! (`--no-flight` switches it off). When `p_hd_burn` fires, the
-//! surrounding record window is frozen to `obs_flight_<cell>_<ts>.json`.
+//! The **flight recorder** tapes every admission decision — requested
+//! BUs, link occupancy, the reservation threshold with its per-neighbor
+//! `B_i,0` terms, each AC2/AC3 neighbor check, and the verdict — into a
+//! bounded ring (`--no-flight` switches it off). Every 60 simulated
+//! seconds, a cell whose `P_HD` burns its budget against `p_hd_target` in
+//! both a fast 5-min window and the 1-h QoS window freezes its record
+//! window to `obs_flight_<cell>_<ts>.json`, once per episode. A scenario
+//! with a low `p_hd_target` forces such a violation drill.
 //!
-//! `qres obs <view> <file>` reads one section of an `obs.json`:
+//! `qres obs <view> <file>` reads the sections of an `obs.json` it needs:
 //!
 //! * `calib` renders the reliability diagram, Brier score and
 //!   per-`prev`-cell breakdown of `qos.calib`.
 //! * `diff` compares two snapshots metric by metric, including per-cell
-//!   QoS movement and the watchdog's tallies. `--fail-on SPEC` gates on
-//!   it: a comma-separated list of `counters`, `alerts`, `qos`, `NAME>X`,
-//!   `p_hd>X`, `p_cb>X`, `violation_secs>X` clauses; a violated clause
-//!   exits 1.
-//! * `alerts` renders the alert table and transition log of `alerts`.
-//! * `explain` renders the `flight` records, or an alert capture's, as a
+//!   QoS movement. `--fail-on SPEC` gates on it: a comma-separated list
+//!   of `counters`, `qos`, `NAME>X`, `p_hd>X`, `p_cb>X`,
+//!   `violation_secs>X` clauses (`X` finite and `>= 0`); a violated clause
+//!   exits 1, a malformed or empty SPEC exits 2.
+//! * `alerts` lists the cells of `qos` whose violation clock ran, most
+//!   violating first, how many cells sat above `P_HD,target`, and the
+//!   flight captures.
+//! * `explain` renders the `flight` records, or a capture's, as a
 //!   per-cell denial-cause report.
 //! * `replay` re-executes those records through the same admission
 //!   predicates the live system ran and exits 1 unless every verdict
@@ -64,20 +63,18 @@ use qres::sim::{run_scenario, Scenario, SchemeKind, TimeVaryingConfig};
 
 /// The flags `qres run` takes.
 const RUN_FLAGS: Flags = Flags {
-    usage: "qres run <scenario.json> [--json] [--obs] [--no-flight] \
-            [--slo-target P] [--slo-burn X]",
+    usage: "qres run <scenario.json> [--json] [--obs] [--no-flight]",
     files: &["<scenario.json>"],
     switches: &["--json", "--obs", "--no-flight"],
-    valued: &["--slo-target", "--slo-burn"],
+    valued: &[],
 };
 
 /// The flags `qres sweep` takes.
 const SWEEP_FLAGS: Flags = Flags {
-    usage: "qres sweep <scenario.json> [--loads 60,120,300] [--obs] [--no-flight] \
-            [--slo-target P] [--slo-burn X]",
+    usage: "qres sweep <scenario.json> [--loads 60,120,300] [--obs] [--no-flight]",
     files: &["<scenario.json>"],
     switches: &["--obs", "--no-flight"],
-    valued: &["--loads", "--slo-target", "--slo-burn"],
+    valued: &["--loads"],
 };
 
 fn main() -> ExitCode {
@@ -209,83 +206,40 @@ impl<'a> Cli<'a> {
             .map(|&(_, v)| v)
     }
 
-    /// The value of `flag` parsed with `parse`; a value it rejects is a
-    /// usage error naming what the flag `expects`.
-    fn parsed<T>(
-        &self,
-        flag: &str,
-        expects: &str,
-        parse: impl Fn(&str) -> Option<T>,
-    ) -> Result<Option<T>, Failure> {
-        self.value(flag)
-            .map(|raw| {
-                parse(raw)
-                    .ok_or_else(|| Failure::Usage(format!("{flag} expects {expects}, got `{raw}`")))
-            })
-            .transpose()
-    }
-
     /// `--loads 60,120,300`, defaulting to the paper's load grid.
     fn loads(&self) -> Result<Vec<f64>, Failure> {
-        let list = self.parsed("--loads", "a comma-separated list of numbers", |list| {
-            list.split(',')
-                .map(|l| l.trim().parse().ok())
-                .collect::<Option<Vec<f64>>>()
-        })?;
-        Ok(list.unwrap_or_else(qres::sim::runner::paper_load_grid))
-    }
-}
-
-/// The telemetry flags `run` and `sweep` share.
-struct ObsOpts {
-    /// `--no-flight`: switch the decision tape off.
-    no_flight: bool,
-    /// `--slo-target P`: the `P_HD` target the alert rules burn against,
-    /// overriding the scenario's `p_hd_target`.
-    slo_target: Option<f64>,
-    /// `--slo-burn X`: the `p_hd_burn` threshold (default 1.0).
-    slo_burn: Option<f64>,
-}
-
-impl ObsOpts {
-    /// Parses the telemetry flags. Unless `obs` (telemetry is on), any of
-    /// them is a usage error: nothing would read them.
-    fn parse(cli: &Cli<'_>, obs: bool) -> Result<Self, Failure> {
-        let opts = ObsOpts {
-            no_flight: cli.has("--no-flight"),
-            slo_target: cli.parsed("--slo-target", "0 < P < 1", |s| {
-                s.parse().ok().filter(|&p: &f64| p > 0.0 && p < 1.0)
-            })?,
-            slo_burn: cli.parsed("--slo-burn", "a threshold > 0", |s| {
-                s.parse().ok().filter(|&x: &f64| x > 0.0)
-            })?,
+        let Some(raw) = self.value("--loads") else {
+            return Ok(qres::sim::runner::paper_load_grid());
         };
-        let given = ["--no-flight", "--slo-target", "--slo-burn"]
-            .into_iter()
-            .find(|&flag| cli.has(flag) || cli.value(flag).is_some());
-        match given {
-            Some(flag) if !obs => Err(Failure::Usage(format!("{flag} requires --obs"))),
-            _ => Ok(opts),
-        }
+        (raw.split(',').map(|l| l.trim().parse().ok()))
+            .collect::<Option<Vec<f64>>>()
+            .ok_or_else(|| {
+                Failure::Usage(format!(
+                    "--loads expects a comma-separated list of numbers, got `{raw}`"
+                ))
+            })
     }
+}
 
-    /// Switches telemetry on and programs the alert rules. Lets
-    /// alert-triggered flight captures (`obs_flight_<cell>_<ts>.json`)
-    /// land in the working directory unless `--no-flight` switched the
-    /// tape off.
-    fn apply(&self) {
-        if self.slo_target.is_some() || self.slo_burn.is_some() {
-            let mut config = qres::obs::alert_config();
-            config.target_p_hd = self.slo_target.or(config.target_p_hd);
-            config.burn_threshold = self.slo_burn.unwrap_or(config.burn_threshold);
-            qres::obs::set_alert_config(config);
-        }
-        qres::obs::set_level(qres::obs::Level::Info);
-        if self.no_flight {
-            qres::obs::set_flight_enabled(false);
-        } else {
-            qres::obs::set_flight_capture_dir(Some(std::path::PathBuf::from(".")));
-        }
+/// Whether `--obs` is on. `--no-flight` without it is a usage error:
+/// nothing would read it.
+fn obs_flag(cli: &Cli<'_>) -> Result<bool, Failure> {
+    let obs = cli.has("--obs");
+    if cli.has("--no-flight") && !obs {
+        return Err(Failure::Usage("--no-flight requires --obs".into()));
+    }
+    Ok(obs)
+}
+
+/// Switches telemetry on. Flight captures (`obs_flight_<cell>_<ts>.json`)
+/// land in the working directory unless `--no-flight` switched the tape
+/// off.
+fn start_obs(cli: &Cli<'_>) {
+    qres::obs::set_level(qres::obs::Level::Info);
+    if cli.has("--no-flight") {
+        qres::obs::set_flight_enabled(false);
+    } else {
+        qres::obs::set_flight_capture_dir(Some(std::path::PathBuf::from(".")));
     }
 }
 
@@ -324,11 +278,10 @@ fn obs_finish(quiet: bool) -> Result<(), Failure> {
 fn run(args: &[String]) -> Result<(), Failure> {
     let cli = Cli::parse(args, &RUN_FLAGS)?;
     let as_json = cli.has("--json");
-    let obs = cli.has("--obs");
-    let opts = ObsOpts::parse(&cli, obs)?;
+    let obs = obs_flag(&cli)?;
     let scenario = load_scenario(cli.files[0]).map_err(Failure::Run)?;
     if obs {
-        opts.apply();
+        start_obs(&cli);
     }
     let result = run_scenario(&scenario);
     if as_json {
@@ -348,12 +301,11 @@ fn run(args: &[String]) -> Result<(), Failure> {
 
 fn sweep(args: &[String]) -> Result<(), Failure> {
     let cli = Cli::parse(args, &SWEEP_FLAGS)?;
-    let obs = cli.has("--obs");
-    let opts = ObsOpts::parse(&cli, obs)?;
+    let obs = obs_flag(&cli)?;
     let loads = cli.loads()?;
     let base = load_sweep(cli.files[0], &loads)?;
     if obs {
-        opts.apply();
+        start_obs(&cli);
     }
     let points = qres::sim::sweep_offered_load(&base, &loads);
     print!("{}", sweep_table(&points));
@@ -497,7 +449,7 @@ fn show_calib(cli: &Cli<'_>) -> Result<(), Failure> {
 
 fn show_alerts(cli: &Cli<'_>) -> Result<(), Failure> {
     let path = cli.files[0];
-    print_report(path, qres::obs::render_watch(&read_json(path)?))
+    print_report(path, qres::obs::render_alerts(&read_json(path)?))
 }
 
 fn show_explain(cli: &Cli<'_>) -> Result<(), Failure> {
@@ -519,19 +471,29 @@ fn show_replay(cli: &Cli<'_>) -> Result<(), Failure> {
     }
 }
 
-/// Prints the diff; with `--fail-on SPEC`, fails (exit 1) on a violated
-/// clause and rejects a malformed SPEC (exit 2).
+/// Prints the diff; with `--fail-on SPEC`, rejects a malformed SPEC
+/// (exit 2) before reading either file, and fails (exit 1) on a violated
+/// clause.
 fn show_diff(cli: &Cli<'_>) -> Result<(), Failure> {
     let (path_a, path_b) = (cli.files[0], cli.files[1]);
+    let gate = cli
+        .value("--fail-on")
+        .map(|spec| {
+            let gate = qres::obs::FailOn::parse(spec)
+                .map_err(|e| Failure::Usage(format!("--fail-on {spec}: {e}")))?;
+            Ok((spec, gate))
+        })
+        .transpose()?;
     let (a, b) = (read_json(path_a)?, read_json(path_b)?);
     print!(
         "{}",
         qres::obs::diff_snapshots(&a, &b, path_a, path_b).map_err(Failure::Run)?
     );
-    let Some(spec) = cli.value("--fail-on") else {
+    let Some((spec, gate)) = gate else {
         return Ok(());
     };
-    let violations = qres::obs::check_fail_on(&a, &b, spec)
+    let violations = gate
+        .check(&a, &b)
         .map_err(|e| Failure::Usage(format!("--fail-on {spec}: {e}")))?;
     if violations.is_empty() {
         println!("--fail-on {spec}: clean");

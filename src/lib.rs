@@ -18,8 +18,8 @@
 //! * [`sim`] — the full simulator, workload generators, scenarios and the
 //!   experiment runner that regenerates every figure and table;
 //! * [`obs`] — the telemetry layer: hot-path timing histograms, QoS,
-//!   calibration, alerts and the flight recorder, written to one
-//!   `obs.json` (off by default);
+//!   calibration and the flight recorder, written to one `obs.json`
+//!   (off by default), with burn-triggered flight captures;
 //! * [`replay`] — deterministic re-execution of flight-recorder decision
 //!   windows (`qres obs replay`), proving a capture's verdicts reproduce
 //!   bit-identically from their recorded inputs.

@@ -120,8 +120,8 @@ fn replay_record(rec: &FlightRecord, out: &mut ReplaySummary) {
     }
 }
 
-/// Replays every record of an `obs.json` (its `flight` section) or of an
-/// alert capture file.
+/// Replays every record of an `obs.json` (its `flight` section) or of a
+/// flight capture file.
 pub fn replay_flight_doc(doc: &Value) -> Result<ReplaySummary, String> {
     let records = qres_obs::flight::records_from_doc(doc)?;
     let mut out = ReplaySummary::default();

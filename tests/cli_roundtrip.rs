@@ -80,8 +80,10 @@ fn run_result_serializes_with_traces() {
     assert_eq!(parsed.traces.len(), 1);
 }
 
-/// The five out-of-range scenarios of the two tests below (the second feeds
+/// The out-of-range scenarios of the two tests below (the second feeds
 /// them to `qres run`), each with the `field = value` its error must name.
+/// The `inf_` rows hold what JSON's `1e400` parses to: an infinite
+/// diameter panicked in the road geometry, and the others never finished.
 fn invalid_scenarios() -> Vec<(&'static str, Scenario, &'static str)> {
     let base = Scenario::paper_baseline();
     let mut late_warmup = base.clone().duration_secs(100.0);
@@ -89,7 +91,34 @@ fn invalid_scenarios() -> Vec<(&'static str, Scenario, &'static str)> {
     // One more cell than a `u32` cell id can name.
     let mut too_many_cells = base.clone();
     too_many_cells.num_cells = 1 << 32;
+    let mut inf_diameter = base.clone();
+    inf_diameter.cell_diameter_km = f64::INFINITY;
+    let mut inf_speed = base.clone();
+    inf_speed.speed_range_kmh = (80.0, f64::INFINITY);
+    let mut inf_retry_wait = TimeVaryingConfig::paper_like();
+    inf_retry_wait.retry.wait_secs = f64::INFINITY;
     vec![
+        (
+            "inf_diameter",
+            inf_diameter,
+            "cell_diameter_km = inf: must be positive and finite",
+        ),
+        (
+            "inf_load",
+            base.clone().offered_load(f64::INFINITY),
+            "offered_load = inf",
+        ),
+        (
+            "inf_duration",
+            base.clone().duration_secs(f64::INFINITY),
+            "duration_secs = inf",
+        ),
+        ("inf_speed", inf_speed, "speed_range_kmh = (80.0, inf)"),
+        (
+            "inf_retry_wait",
+            base.clone().time_varying(inf_retry_wait),
+            "time_varying.retry.wait_secs = inf",
+        ),
         ("too_many_cells", too_many_cells, "num_cells = 4294967296"),
         ("voice", base.clone().voice_ratio(1.2), "voice_ratio = 1.2"),
         (
@@ -115,8 +144,8 @@ fn out_of_range_scenarios_are_rejected_by_name() {
 }
 
 /// `qres run` exits 1 with a message on every invalid file, never with a
-/// panic (exit 101). JSON has no NaN: the NaN load reaches the file as
-/// `null` and fails at parsing instead.
+/// panic (exit 101). JSON has no NaN or infinity: the writer puts `null`
+/// in their place, which fails at parsing instead.
 #[test]
 fn qres_run_rejects_invalid_scenario_files() {
     for (name, scenario, field) in invalid_scenarios() {
@@ -131,9 +160,30 @@ fn qres_run_rejects_invalid_scenario_files() {
         std::fs::remove_file(&path).unwrap();
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(1), "{name}: {stderr}");
-        let expected = if name == "nan_load" { "parsing" } else { field };
+        let non_finite = name.starts_with("nan_") || name.starts_with("inf_");
+        let expected = if non_finite { "parsing" } else { field };
         assert!(stderr.contains(expected), "{name}: {stderr}");
     }
+}
+
+/// A literal `1e400` parses to infinity: `qres run` names the field and
+/// exits 1 instead of panicking in the road geometry (exit 101).
+#[test]
+fn qres_run_rejects_an_overflowing_diameter_literal() {
+    let text = qres_json::to_string(&Scenario::paper_baseline());
+    let field = "\"cell_diameter_km\":1.0";
+    assert!(text.contains(field), "{text}");
+    let path = std::env::temp_dir().join(format!("qres_1e400_{}.json", std::process::id()));
+    std::fs::write(&path, text.replace(field, "\"cell_diameter_km\":1e400")).unwrap();
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_qres"))
+        .arg("run")
+        .arg(&path)
+        .output()
+        .unwrap();
+    std::fs::remove_file(&path).unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("cell_diameter_km = inf"), "{stderr}");
 }
 
 /// Runs the `qres` binary with `args` after the subcommand (its words
@@ -169,6 +219,7 @@ fn invalid_swept_loads_are_rejected_before_the_sweep() {
         ("0", "0.0"),
         ("-5", "-5.0"),
         ("nan", "NaN"),
+        ("inf", "inf"),
         ("150,0", "0.0"),
     ] {
         let (code, stderr) = qres_on_valid_file("sweep", &["--loads", load]);
@@ -184,23 +235,24 @@ fn invalid_swept_loads_are_rejected_before_the_sweep() {
 /// view and a removed subcommand.
 #[test]
 fn unknown_flags_and_bad_values_exit_2() {
-    let cases: [(&str, &[&str], &str); 21] = [
+    let cases: [(&str, &[&str], &str); 28] = [
         ("run", &["--obs-push", "127.0.0.1:1"], "`--obs-push`"),
         ("run", &["--obs", "--obs-sampel", "4"], "`--obs-sampel`"),
         ("sweep", &["--slo-sample", "30"], "`--slo-sample`"),
         ("sweep", &["--no-watchdog"], "`--no-watchdog`"),
         ("run", &["--obs", "--obs-sample", "4"], "`--obs-sample`"),
-        ("run", &["--slo-burn", "x"], "--slo-burn expects"),
+        ("run", &["--obs", "--slo-burn", "2"], "`--slo-burn`"),
         ("run", &["--no-flight"], "--no-flight requires --obs"),
+        ("run", &["--obs", "--slo-target", "0.001"], "`--slo-target`"),
         (
-            "run",
-            &["--slo-target", "0.001"],
-            "--slo-target requires --obs",
+            "sweep",
+            &["--obs", "--slo-target", "0.001"],
+            "`--slo-target`",
         ),
         ("serve", &["--loads", "150"], "unknown subcommand `serve`"),
         ("run", &["--obs", "--serve", "127.0.0.1:1"], "`--serve`"),
         ("run", &["--obs", "--linger-secs", "5"], "`--linger-secs`"),
-        ("sweep", &["--slo-burn", "2"], "--slo-burn requires --obs"),
+        ("sweep", &["--obs", "--slo-burn", "2"], "`--slo-burn`"),
         ("sweep", &["--no-flight"], "--no-flight requires --obs"),
         (
             "obs diff",
@@ -212,6 +264,36 @@ fn unknown_flags_and_bad_values_exit_2() {
             "obs diff",
             &["b.json", "--fail-on"],
             "--fail-on requires a value",
+        ),
+        (
+            "obs diff",
+            &["b.json", "--fail-on", "alerts"],
+            "unknown --fail-on clause `alerts`",
+        ),
+        (
+            "obs diff",
+            &["b.json", "--fail-on", "p_hd>nan"],
+            "bad threshold",
+        ),
+        (
+            "obs diff",
+            &["b.json", "--fail-on", "qres_backbone_msgs_total>inf"],
+            "bad threshold",
+        ),
+        (
+            "obs diff",
+            &["b.json", "--fail-on", "p_hd>-1"],
+            "bad threshold",
+        ),
+        (
+            "obs diff",
+            &["b.json", "--fail-on", ","],
+            "no --fail-on clause",
+        ),
+        (
+            "obs diff",
+            &["b.json", "--fail-on", ""],
+            "no --fail-on clause",
         ),
         ("obs alerts", &["--monotnic"], "`--monotnic`"),
         ("obs calib", &["extra"], "`extra`"),
@@ -310,8 +392,8 @@ fn mutate(doc: &mut Value, rng: &mut StreamRng) {
     };
 }
 
-/// `qres run --obs` leaves exactly one file, `obs.json` (this run fires
-/// no alert, so there is no flight capture). Every `qres obs` view reads
+/// `qres run --obs` leaves exactly one file, `obs.json` (no cell of this
+/// run burns its `P_HD` budget, so there is no flight capture). Every `qres obs` view reads
 /// it, and a same-seed rerun writes the same document apart from the
 /// wall-clock `histograms`.
 #[test]
@@ -363,7 +445,8 @@ fn obs_run_writes_one_document_that_every_view_reads() {
     ];
     qres(&dir, &gate);
     let (_, b) = run("b");
-    for section in ["counters", "gauges", "qos", "alerts", "flight"] {
+    assert!(a.get("alerts").is_none(), "no alerts section");
+    for section in ["counters", "gauges", "qos", "flight"] {
         assert_eq!(a.get(section), b.get(section), "section `{section}`");
     }
     std::fs::remove_dir_all(&root).unwrap();

@@ -109,10 +109,10 @@ fn recorder_does_not_perturb_outcomes() {
     assert_same_outcomes(&off, &on, "recorder on vs off");
 }
 
-/// A forced SLO violation (target pinned far below the realized `P_HD`)
-/// produces an identical alert timeline — states, burn rates, fired
-/// counts, transition log — on every rerun: the watchdog runs on the sim
-/// clock, never on wall time.
+/// A forced violation (target pinned far below the realized `P_HD`)
+/// writes the same flight captures — the same file names in the same
+/// order, byte for byte — on every rerun: the capture trigger runs on the
+/// sim clock, never on wall time.
 #[test]
 fn forced_violation_alert_timeline_is_deterministic() {
     let mut s = Scenario::paper_baseline()
@@ -120,25 +120,35 @@ fn forced_violation_alert_timeline_is_deterministic() {
         .offered_load(250.0)
         .duration_secs(600.0)
         .seed(42);
-    // Far below what this load realizes: the p_hd_burn rule must fire.
+    // Far below what this load realizes: the P_HD burn must fire.
     s.p_hd_target = 1e-4;
-    let timeline = || {
+    let root = std::env::temp_dir().join(format!("qres_forced_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let captures = |name: &str| {
+        let dir = root.join(name);
+        std::fs::create_dir_all(&dir).unwrap();
         qres::obs::install(Default::default());
         qres::obs::set_level(qres::obs::Level::Info);
+        qres::obs::set_flight_capture_dir(Some(dir));
         let _ = run_scenario(&s);
-        qres::obs::finalize_alerts(qres::obs::sim_time());
-        qres::obs::alerts_json().to_compact_string()
+        let Some(Value::Array(paths)) = qres::obs::flight_json().get("captures").cloned() else {
+            panic!("flight section without captures");
+        };
+        (paths.iter())
+            .map(|p| {
+                let Value::Str(p) = p else {
+                    panic!("capture path {p:?}")
+                };
+                let path = std::path::Path::new(p);
+                let name = path.file_name().unwrap().to_string_lossy().into_owned();
+                (name, std::fs::read_to_string(path).unwrap())
+            })
+            .collect::<Vec<_>>()
     };
-    let first = timeline();
-    assert!(
-        first.contains("\"firing\""),
-        "forced violation must reach the firing state: {first}"
-    );
-    assert!(
-        first.contains("\"resolved\""),
-        "finalize must resolve the timeline: {first}"
-    );
-    assert_eq!(first, timeline(), "rerun must replay the same timeline");
+    let first = captures("a");
+    assert!(!first.is_empty(), "forced violation must capture");
+    assert_eq!(captures("b"), first, "rerun must write the same captures");
+    std::fs::remove_dir_all(&root).unwrap();
 }
 
 /// The decision-provenance flight recorder is strictly passive: with
@@ -313,8 +323,7 @@ fn telemetry_of(s: &Scenario) -> String {
 
 /// Each thread owns its telemetry: two telemetry-on runs on two threads
 /// at the same time each leave exactly the snapshot — counters, gauges,
-/// QoS windows, calibration, alerts, flight tape — the same run leaves
-/// alone.
+/// QoS windows, calibration, flight tape — the same run leaves alone.
 #[test]
 fn concurrent_telemetry_runs_match_solo_runs() {
     let base = Scenario::paper_baseline()

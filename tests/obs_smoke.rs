@@ -44,23 +44,13 @@ fn obs_enabled_run_times_hot_paths() {
     let counters = snapshot.get("counters").expect("counters section");
     assert!(counters.get("qres_backbone_msgs_total").is_some());
 
-    // The JSON snapshot has the six exporter sections, and the QoS view
+    // The JSON snapshot has the five exporter sections, and the QoS view
     // carries the calibration sub-document.
     let Value::Object(sections) = &snapshot else {
         panic!("snapshot must be an object");
     };
     let keys: Vec<&str> = sections.iter().map(|(k, _)| k.as_str()).collect();
-    assert_eq!(
-        keys,
-        [
-            "counters",
-            "gauges",
-            "histograms",
-            "qos",
-            "alerts",
-            "flight"
-        ]
-    );
+    assert_eq!(keys, ["counters", "gauges", "histograms", "qos", "flight"]);
     let qos = snapshot.get("qos").unwrap();
     assert!(qos.get("cells").is_some());
     assert!(qos.get("calib").is_some());
