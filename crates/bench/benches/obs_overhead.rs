@@ -17,9 +17,12 @@
 //! admission tail-latency cost reads directly off one run.
 //!
 //! `calib_flush` times the Eq.-4 calibration store alone: one
-//! admission's worth of forecasts on a 10-cell ring (two neighbors of 80
-//! connections each, re-evaluated toward the admitting cell with about
-//! 86% of the forecasts superseding a live one), staged and flushed.
+//! admission's worth of evaluations on a 10-cell ring (two neighbors of
+//! 80 connections each, evaluated toward the admitting cell, 11 of the 80
+//! forecasts nonzero), staged and flushed, plus the hand-offs that score
+//! them.
+
+use std::collections::VecDeque;
 
 use qres_microbench::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use qres_sim::{run_scenario, Scenario, SchemeKind};
@@ -89,23 +92,26 @@ fn bench_obs_overhead(c: &mut Criterion) {
     group.finish();
 }
 
-/// Cells on the `calib_flush` ring, connections per cell, and connections
-/// that turn over in a cell once per lap of admissions around the ring
-/// (11 of 80: the other 69, about 86%, supersede a live forecast when the
-/// cell is next evaluated toward the same target).
+/// Cells on the `calib_flush` ring, connections per cell, how many of
+/// them an evaluation forecasts nonzero (about the AC3 ring's share), and
+/// how many of a cell's connections hand off once per lap of admissions
+/// around the ring.
 const RING: u32 = 10;
 const CONNS: usize = 80;
+const NONZERO: usize = 11;
 const CHURN: usize = 11;
 
 fn bench_calib_flush(c: &mut Criterion) {
     let mut group = c.benchmark_group("obs_overhead");
     qres_obs::reset_calib();
-    // Live connection ids per cell, ascending (the order a cell's registry
-    // yields them in); fresh ids are always the largest.
+    // Live `(connection, entered)` per cell, oldest first; fresh ids are
+    // always the largest.
     let mut next_id = 0u64;
-    let mut live: Vec<Vec<u64>> = (0..RING)
+    let mut live: Vec<VecDeque<(u64, f64)>> = (0..RING)
         .map(|_| {
-            let ids = (next_id..next_id + CONNS as u64).collect();
+            let ids = (next_id..next_id + CONNS as u64)
+                .map(|id| (id, 0.0))
+                .collect();
             next_id += CONNS as u64;
             ids
         })
@@ -114,25 +120,31 @@ fn bench_calib_flush(c: &mut Criterion) {
     group.bench_function("calib_flush", |b| {
         b.iter(|| {
             // An admission in cell `k` evaluates both ring neighbors
-            // toward `k`. Once per lap, before its evaluation toward the
-            // next cell, a neighbor's oldest connections end and new ones
+            // toward `k`: one evaluation each, with its nonzero forecasts.
+            // Once per lap, before its evaluation toward the next cell, a
+            // neighbor's oldest connections hand into it and new ones
             // arrive.
             let now = admission as f64 * 0.05;
             let k = (admission % u64::from(RING)) as u32;
             admission += 1;
             let below = (k + RING - 1) % RING;
             for n in [below, (k + 1) % RING] {
-                let ids = &mut live[n as usize];
+                let conns = &mut live[n as usize];
+                let prev = Some((n + RING - 1) % RING);
                 if n == below {
-                    for conn in ids.drain(..CHURN) {
-                        qres_obs::observe_end(conn, n, now);
+                    for (conn, entered) in conns.drain(..CHURN) {
+                        qres_obs::observe_attempt(conn, n, k, now, entered, prev, None);
                     }
-                    ids.extend(next_id..next_id + CHURN as u64);
+                    conns.extend((next_id..next_id + CHURN as u64).map(|id| (id, now)));
                     next_id += CHURN as u64;
                 }
-                for &conn in ids.iter() {
-                    qres_obs::stage_prediction(n, k, conn, Some(k), 0.3, now + 30.0);
-                }
+                qres_obs::stage_evaluation(n, k, now, now + 30.0);
+                let nonzero = conns
+                    .iter()
+                    .rev()
+                    .take(NONZERO)
+                    .map(|&(conn, _)| (conn, 0.3));
+                qres_obs::stage_group(prev, CONNS, nonzero);
             }
             qres_obs::flush_staged(now);
         })
@@ -140,9 +152,11 @@ fn bench_calib_flush(c: &mut Criterion) {
     let s = qres_obs::calib_summary();
     if s.predictions > 0 {
         println!(
-            "calib_flush: {} forecasts, {:.1}% superseded",
+            "calib_flush: {} forecasts, {:.1}% zero, {} scored, {} hits",
             s.predictions,
-            100.0 * s.superseded as f64 / s.predictions as f64
+            100.0 * s.zero_forecasts as f64 / s.predictions as f64,
+            s.scored,
+            s.hits
         );
     }
     qres_obs::reset_calib();

@@ -27,9 +27,9 @@
 //! connection-id order. Every skipped connection's `p_h` is exactly `+0.0`,
 //! and adding `+0.0` to a non-negative sum changes no bit, so the total is
 //! bit-identical to [`neighbor_contribution_naive`], one estimator query
-//! per connection. With telemetry on, the pass also stages each
-//! connection's `p_h` for the calibration tracker, `+0.0` for the skipped
-//! ones.
+//! per connection. With telemetry on, the pass also stages its forecasts
+//! for the calibration tracker: each group's nonzero `p_h` and how many
+//! of its connections forecast zero.
 
 use std::cell::RefCell;
 
@@ -102,34 +102,56 @@ fn contribution(
     debug_assert_ne!(cell_id, target, "a cell does not hand off to itself");
     let obs = qres_obs::enabled();
     let t0 = obs.then(std::time::Instant::now);
+    if obs {
+        qres_obs::stage_evaluation(
+            cell_id.0,
+            target.0,
+            now.as_secs(),
+            now.as_secs() + t_est_of_target.as_secs(),
+        );
+    }
     let mut pass = ContributionPass::new(neighbor_cache, now, target, t_est_of_target);
     let mut evaluated = 0usize;
+    let mut eligible = 0u32;
     for group in neighbor_cell.arrivals().groups() {
         if group.arrivals.is_empty()
             || matches!(group.known_next, Some(declared) if declared != target)
         {
             continue;
         }
-        let Some((s_min, s_max)) = pass.target_span(group.prev) else {
-            continue;
-        };
-        // The same float expressions `probability` compares: `a < s_max`
-        // holds on a suffix of the group, `a + T_est >= s_min` on a prefix.
-        let arrivals = group.arrivals;
-        let lo = arrivals.partition_point(|x| (now - x.entered_at).as_secs() >= s_max);
-        let hi = arrivals
-            .partition_point(|x| ((now - x.entered_at) + t_est_of_target).as_secs() >= s_min);
-        let candidates = &arrivals[lo..hi.max(lo)];
-        evaluated += candidates.len();
-        for x in candidates {
-            let p_h = pass.probability(group.prev, group.known_next, now - x.entered_at);
-            if p_h != 0.0 {
-                terms.push(Term {
-                    id: x.id,
-                    bandwidth: x.bandwidth,
-                    p_h,
-                });
+        let first = terms.len();
+        if let Some((s_min, s_max)) = pass.target_span(group.prev) {
+            // The same float expressions `probability` compares: `a < s_max`
+            // holds on a suffix of the group, `a + T_est >= s_min` on a
+            // prefix.
+            let arrivals = group.arrivals;
+            let lo = arrivals.partition_point(|x| (now - x.entered_at).as_secs() >= s_max);
+            let hi = arrivals
+                .partition_point(|x| ((now - x.entered_at) + t_est_of_target).as_secs() >= s_min);
+            let candidates = &arrivals[lo..hi.max(lo)];
+            evaluated += candidates.len();
+            for x in candidates {
+                let p_h = pass.probability(group.prev, group.known_next, now - x.entered_at);
+                if p_h != 0.0 {
+                    terms.push(Term {
+                        id: x.id,
+                        bandwidth: x.bandwidth,
+                        p_h,
+                    });
+                }
             }
+        }
+        if obs {
+            // Calibration read-out: the group's nonzero forecasts; the
+            // rest of the group forecast zero. Staging is a thread-local
+            // push; `compute_br`'s caller publishes it after the timing
+            // record ([`qres_obs::flush_staged`]).
+            eligible += group.arrivals.len() as u32;
+            qres_obs::stage_group(
+                group.prev.map(|c| c.0),
+                group.arrivals.len(),
+                terms[first..].iter().map(|t| (t.id.0, t.p_h)),
+            );
         }
     }
     terms.sort_unstable_by_key(|t| t.id);
@@ -137,39 +159,15 @@ fn contribution(
         .iter()
         .fold(0.0, |total, t| total + t.bandwidth.as_f64() * t.p_h);
     if let Some(t0) = t0 {
-        // Calibration read-out: stage each forecast about `target` (a
-        // connection declared toward another cell makes none), in id
-        // order. Staging is a thread-local push; the forecasts move into
-        // the telemetry handle's calibration store later, in `compute_br`,
-        // after the timing record ([`qres_obs::flush_staged`]).
-        let deadline = now.as_secs() + t_est_of_target.as_secs();
-        let mut p_h_sum = 0.0;
-        let mut live = 0u32;
-        let mut terms = terms.iter().peekable();
-        for conn in neighbor_cell.connections() {
-            if matches!(conn.known_next, Some(declared) if declared != target) {
-                continue;
-            }
-            let p_h = terms.next_if(|t| t.id == conn.id).map_or(0.0, |t| t.p_h);
-            p_h_sum += p_h;
-            live += 1;
-            qres_obs::stage_prediction(
-                cell_id.0,
-                target.0,
-                conn.id.0,
-                conn.prev.map(|c| c.0),
-                p_h,
-                deadline,
-            );
-        }
         qres_obs::metrics::BATCHED_CONTRIBUTION_NS.record_duration(t0.elapsed());
         qres_obs::metrics::B_I0_EVALS_TOTAL.add(evaluated as u64);
         if qres_obs::flight::flight_enabled() {
             // Leave the Eq.-4 internals (Σ p_h over the forecasts toward
-            // `target`, count of contributing connections) in TLS for the
-            // caller to attach to its flight-record term (see
-            // `CellSite::contribution_into`).
-            qres_obs::flight::stage_eval_detail(p_h_sum, live);
+            // `target` in id order, zeros adding nothing; count of the
+            // connections forecast) in TLS for the caller to attach to its
+            // flight-record term (see `compute_br`).
+            let p_h_sum = terms.iter().fold(0.0, |sum, t| sum + t.p_h);
+            qres_obs::flight::stage_eval_detail(p_h_sum, eligible);
         }
     }
     total

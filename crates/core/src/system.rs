@@ -20,6 +20,8 @@
 //! BS performs it, and each such computation costs one reservation
 //! round-trip with each of that cell's neighbors on the backbone.
 
+use std::sync::Arc;
+
 use qres_cellnet::{
     Bandwidth, BsNetwork, BsNetworkKind, Cell, CellId, ConnInfo, ConnectionId, Topology,
 };
@@ -87,6 +89,8 @@ pub struct ReservationSystem {
     /// gated on the obs level) so a run's ids are identical whether or
     /// not telemetry is on; keys flight records and their staged terms.
     admission_req_seq: u64,
+    /// The scheme's label, built once and shared by every flight record.
+    scheme_label: Arc<str>,
 }
 
 impl ReservationSystem {
@@ -108,6 +112,7 @@ impl ReservationSystem {
             })
             .collect();
         ReservationSystem {
+            scheme_label: config.scheme.label().into(),
             config,
             topology,
             sites,
@@ -344,7 +349,7 @@ impl ReservationSystem {
                 req: req_id,
                 t: now.as_secs(),
                 cell: req.cell.0,
-                scheme: self.config.scheme.label(),
+                scheme: Arc::clone(&self.scheme_label),
                 bu: req.bandwidth.as_f64(),
                 used: cell.used().as_f64(),
                 capacity: cell.capacity().as_f64(),
@@ -500,11 +505,18 @@ impl ReservationSystem {
             .expect("hand-off of unknown connection");
         let fits = self.cell(to).fits(info.bandwidth) && !external_veto;
         if qres_obs::enabled() {
-            // Resolve any live Eq.-4 forecasts about this connection
-            // (a hand-off out of `from` settles them, hit or miss) and
-            // attribute the attempted bandwidth to the target cell's
-            // reservation-efficiency ledger.
-            qres_obs::observe_attempt(id.0, from.0, to.0, now.as_secs());
+            // Score the Eq.-4 forecasts toward `to` that this attempt
+            // makes hits, and attribute the attempted bandwidth to the
+            // target cell's reservation-efficiency ledger.
+            qres_obs::observe_attempt(
+                id.0,
+                from.0,
+                to.0,
+                now.as_secs(),
+                info.entered_at.as_secs(),
+                info.prev.map(|c| c.0),
+                info.known_next.map(|c| c.0),
+            );
             qres_obs::qos::record_handoff_bw(to.0, info.bandwidth.as_f64(), !fits);
         }
 
@@ -576,18 +588,10 @@ impl ReservationSystem {
             .cell
             .remove(id)
             .expect("ending unknown connection");
-        if qres_obs::enabled() {
-            // The connection leaves the system: settle any live forecast
-            // about it (it will never hand off anywhere) and stop its
-            // hand-in occupancy clock.
-            qres_obs::observe_end(id.0, cell.0, now.as_secs());
-            if removed.prev.is_some() {
-                qres_obs::qos::record_handin_remove(
-                    now.as_secs(),
-                    cell.0,
-                    removed.bandwidth.as_f64(),
-                );
-            }
+        // Its open Eq.-4 forecasts are misses, scored when their windows
+        // close; only its hand-in occupancy clock stops here.
+        if qres_obs::enabled() && removed.prev.is_some() {
+            qres_obs::qos::record_handin_remove(now.as_secs(), cell.0, removed.bandwidth.as_f64());
         }
     }
 

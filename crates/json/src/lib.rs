@@ -511,6 +511,18 @@ impl FromJson for String {
     }
 }
 
+impl ToJson for std::sync::Arc<str> {
+    fn to_json(&self) -> Value {
+        Value::Str(self.to_string())
+    }
+}
+
+impl FromJson for std::sync::Arc<str> {
+    fn from_json(v: &Value) -> Result<Self, JsonError> {
+        String::from_json(v).map(Into::into)
+    }
+}
+
 impl ToJson for f64 {
     fn to_json(&self) -> Value {
         Value::Float(*self)

@@ -20,6 +20,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
+use std::sync::Arc;
 
 use qres_json::{FromJson, ToJson, Value};
 
@@ -88,8 +89,9 @@ pub struct FlightRecord {
     pub t: f64,
     /// The cell the new connection arrived at.
     pub cell: u32,
-    /// Admission scheme label (`AC1`, `AC2`, `AC3`, `static(g)`, `NS`).
-    pub scheme: String,
+    /// Admission scheme label (`AC1`, `AC2`, `AC3`, `static(g)`, `NS`),
+    /// shared by every record of a run.
+    pub scheme: Arc<str>,
     /// Requested bandwidth (BUs).
     pub bu: f64,
     /// Occupied bandwidth in the cell at decision time (BUs).
@@ -438,9 +440,13 @@ pub fn render_explain(doc: &Value) -> Result<String, String> {
 }
 
 /// Freezes the trailing [`CAPTURE_WINDOW`] records of `cell` to
-/// `obs_flight_<cell>_<ts>.json` in the configured capture directory.
-/// Returns the path written and the record count, or `None` when capture
-/// is disabled (no directory) or the cell has no records yet.
+/// `obs_flight_<cell>_<ts>.json` in the configured capture directory, or,
+/// when an earlier capture of this handle has that name (sweep points
+/// share a handle, and two can burn in the same cell in the same
+/// second), to `obs_flight_<cell>_<ts>_<k>.json` with `k` the capture's
+/// ordinal. Returns the path written and the record count, or `None`
+/// when capture is disabled (no directory) or the cell has no records
+/// yet.
 pub fn capture_for_cell(cell: u32, now: f64, rule: &str) -> Option<(String, u64)> {
     let obs = crate::current();
     let mut p = crate::lock(&obs.flight);
@@ -461,7 +467,11 @@ pub fn capture_for_cell(cell: u32, now: f64, rule: &str) -> Option<(String, u64)
         ),
     ]);
     let n = window.len() as u64;
-    let path = dir.join(format!("obs_flight_{cell}_{}.json", now as u64));
+    let mut path = dir.join(format!("obs_flight_{cell}_{}.json", now as u64));
+    if p.captures.contains(&path.display().to_string()) {
+        let k = p.captures.len();
+        path = dir.join(format!("obs_flight_{cell}_{}_{k}.json", now as u64));
+    }
     std::fs::write(&path, doc.to_pretty_string() + "\n").ok()?;
     let path_str = path.display().to_string();
     p.captures.push(path_str.clone());
@@ -493,7 +503,7 @@ mod tests {
             req,
             t: 12.5,
             cell,
-            scheme: "AC2".to_string(),
+            scheme: "AC2".into(),
             bu: 1.0,
             used: 25.0,
             capacity: 30.0,
@@ -617,6 +627,45 @@ mod tests {
         );
         assert_eq!(summary.get("denied"), Some(&Value::UInt(2)));
         let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_dir(&dir);
+    }
+
+    /// Captures of the same cell in the same second (two sweep points on
+    /// one handle) each get their own file: every listed path exists and
+    /// no two are equal.
+    #[test]
+    fn same_second_captures_get_distinct_files() {
+        for i in 0..4 {
+            record(sample_record(i, 4, true));
+            record(sample_record(i, 5, true));
+        }
+        let dir = std::env::temp_dir().join(format!("qres_flight_same_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        set_flight_capture_dir(Some(dir.clone()));
+        for (cell, t) in [(4, 100.0), (4, 100.5), (5, 100.0), (4, 100.0)] {
+            capture_for_cell(cell, t, "p_hd_burn").expect("capture");
+        }
+        let Some(Value::Array(listed)) = flight_json().get("captures").cloned() else {
+            panic!("no captures list");
+        };
+        let paths: Vec<String> = listed
+            .iter()
+            .map(|v| match v {
+                Value::Str(s) => s.clone(),
+                other => panic!("capture path {other:?}"),
+            })
+            .collect();
+        assert_eq!(paths.len(), 4);
+        let mut distinct = paths.clone();
+        distinct.sort();
+        distinct.dedup();
+        assert_eq!(distinct.len(), 4, "{paths:?}");
+        assert!(paths[0].ends_with("obs_flight_4_100.json"), "{paths:?}");
+        assert!(paths[1].ends_with("obs_flight_4_100_1.json"), "{paths:?}");
+        for path in &paths {
+            assert!(std::path::Path::new(path).is_file(), "{path} missing");
+            let _ = std::fs::remove_file(path);
+        }
         let _ = std::fs::remove_dir(&dir);
     }
 }

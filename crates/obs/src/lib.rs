@@ -13,9 +13,10 @@
 //!   `P_HD`/`P_CB` estimators with Wilson intervals, violation-seconds
 //!   clocks against the paper's target, and reservation-efficiency
 //!   integrals (`B_r` reserved vs. hand-off bandwidth consumed).
-//! * [`calib`] — Eq.-4 prediction calibration: per-connection `p_h`
-//!   forecasts matched against realized hand-offs, aggregated into
-//!   reliability-diagram bins and a Brier score (`qres obs calib`).
+//! * [`calib`] — Eq.-4 prediction calibration: every per-connection `p_h`
+//!   forecast scored against its own `T_est` window, aggregated into
+//!   reliability-diagram bins, a Brier score and its skill over
+//!   climatology (`qres obs calib`).
 //! * [`diff`] — cross-run diff of two `obs.json` snapshots
 //!   (`qres obs diff`).
 //! * [`alert`] — the flight-capture trigger: every 60 sim-s, a cell whose
@@ -80,8 +81,8 @@ pub mod qos;
 
 pub use alert::{render_alerts, reset_alerts, watchdog_tick};
 pub use calib::{
-    calib_json, calib_summary, flush_staged, observe_attempt, observe_end, render_calib_report,
-    reset_calib, stage_prediction, sweep_expired,
+    calib_json, calib_summary, flush_staged, observe_attempt, render_calib_report, reset_calib,
+    stage_evaluation, stage_group, sweep_expired,
 };
 pub use diff::{diff_snapshots, FailOn};
 pub use export::{snapshot_json, write_obs_json, OBS_JSON_PATH};

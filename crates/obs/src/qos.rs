@@ -287,7 +287,7 @@ thread_local! {
 /// Stages a `B_r` update without touching the tracker's mutex — a plain
 /// thread-local push, safe inside the timed admission/`B_r` windows.
 /// Published by [`flush_br_updates`]; same staging discipline as the
-/// calibration forecasts ([`crate::calib::stage_prediction`]).
+/// calibration forecasts ([`crate::calib::stage_evaluation`]).
 #[inline]
 pub fn stage_br_update(cell: u32, br: f64) {
     STAGED_BR.with(|s| s.borrow_mut().push((cell, br)));

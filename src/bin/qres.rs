@@ -32,13 +32,14 @@
 //! bounded ring (`--no-flight` switches it off). Every 60 simulated
 //! seconds, a cell whose `P_HD` burns its budget against `p_hd_target` in
 //! both a fast 5-min window and the 1-h QoS window freezes its record
-//! window to `obs_flight_<cell>_<ts>.json`, once per episode. A scenario
+//! window to `obs_flight_<cell>_<ts>.json` (`_<ordinal>` appended when
+//! the run already wrote that name), once per episode. A scenario
 //! with a low `p_hd_target` forces such a violation drill.
 //!
 //! `qres obs <view> <file>` reads the sections of an `obs.json` it needs:
 //!
-//! * `calib` renders the reliability diagram, Brier score and
-//!   per-`prev`-cell breakdown of `qos.calib`.
+//! * `calib` renders the reliability diagram, Brier score and its skill
+//!   over climatology, and the per-`prev`-cell breakdown of `qos.calib`.
 //! * `diff` compares two snapshots metric by metric, including per-cell
 //!   QoS movement. `--fail-on SPEC` gates on it: a comma-separated list
 //!   of `counters`, `qos`, `NAME>X`, `p_hd>X`, `p_cb>X`,

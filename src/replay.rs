@@ -155,7 +155,7 @@ mod tests {
             req: 7,
             t: 120.0,
             cell: 3,
-            scheme: "AC3".to_string(),
+            scheme: "AC3".into(),
             bu: 1.0,
             used: 25.0,
             capacity: 30.0,
@@ -245,7 +245,7 @@ mod tests {
     #[test]
     fn static_records_skip_the_fold() {
         let mut rec = base_record();
-        rec.scheme = "static(G=5)".to_string();
+        rec.scheme = "static(G=5)".into();
         rec.terms.clear();
         rec.reserve = 5.0;
         rec.used = 24.0;

@@ -268,18 +268,18 @@ fn calibration_output_is_pinned() {
         .seed(5);
     let mut route = ring.clone().route_aware().seed(6);
     route.turn_probability = 0.2;
-    // (predictions, pending, superseded, hits, wrong target, expired,
-    // ended) and the digest of the compact `calib_json()`.
-    let pins: [(&Scenario, [u64; 7], u64); 2] = [
+    // (predictions, zero forecasts, pending, scored, hits) and the digest
+    // of the compact `calib_json()`.
+    let pins: [(&Scenario, [u64; 5], u64); 2] = [
         (
             &ring,
-            [658820, 1322, 532805, 4993, 4972, 111829, 2899],
-            0x53a0_c66d_b19d_fa45,
+            [658820, 521957, 7150, 651670, 16929],
+            0x2a6e_9047_ee35_4611,
         ),
         (
             &route,
-            [322470, 743, 262100, 4163, 629, 53446, 1389],
-            0xe907_d6ff_2bd9_a9af,
+            [322470, 223607, 5169, 317301, 23348],
+            0x302a_a2f5_0f9b_1389,
         ),
     ];
     for (s, counts, digest) in pins {
@@ -289,22 +289,15 @@ fn calibration_output_is_pinned() {
         qres::obs::set_level(qres::obs::Level::Off);
         qres::obs::sweep_expired(qres::obs::sim_time());
         let c = qres::obs::calib_summary();
-        let got = [
-            c.predictions,
-            c.pending,
-            c.superseded,
-            c.hits,
-            c.miss_wrong_target,
-            c.miss_expired,
-            c.miss_ended,
-        ];
+        let got = [c.predictions, c.zero_forecasts, c.pending, c.scored, c.hits];
         let json = qres::obs::calib_json().to_compact_string();
         assert_eq!(got, counts, "route_aware = {}", s.route_aware);
         assert_eq!(
             fnv1a(json.as_bytes()),
             digest,
-            "route_aware = {}",
-            s.route_aware
+            "route_aware = {} digest {:#x}",
+            s.route_aware,
+            fnv1a(json.as_bytes())
         );
     }
 }
