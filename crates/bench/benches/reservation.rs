@@ -18,6 +18,11 @@
 //! connections from its six neighbors and in-cell starts, against the
 //! `(prev, next)` pairs of mostly-straight crossings, with about 11 % of
 //! the connections heading into the target within `T_est`.
+//! `metro_early_cold` is the same hex cell as the metro benchmark run finds
+//! it 55 simulated seconds into a repetition, cycled through 1,000 cells:
+//! about 80 quadruplets over 30 `(prev, next)` pairs, two or three per
+//! pair (`metro_shape_cold` holds 200 per pair), against 59 connections
+//! with extant sojourns under 53 s.
 
 use qres_cellnet::{Bandwidth, Cell, CellId, ConnInfo, ConnectionId};
 use qres_core::{neighbor_contribution, neighbor_contribution_naive};
@@ -165,6 +170,65 @@ fn setup_metro_shape(cells: usize) -> (Vec<(Cell, HoeCache)>, SimTime) {
     (cases, SimTime::from_secs(t + 0.25))
 }
 
+/// The hex cell of [`setup_metro_shape`] early in a run: 80 hand-offs,
+/// one every 0.5 s from 15 s on. A mobile from the neighbor in direction `d` leaves
+/// toward `d + 3`, `d + 2`, `d + 4` or `d + 1`, in turn, after 30–45 s;
+/// one started in-cell toward any neighbor after 0–45 s. That makes 30
+/// pairs of two or three quadruplets each. The 59 connections entered up
+/// to 52 s before the query.
+fn setup_metro_early(cells: usize) -> (Vec<(Cell, HoeCache)>, SimTime) {
+    const NEIGHBORS: [u32; 6] = [0, 2, 3, 4, 5, 6];
+    let mut t = 15.0;
+    let mut caches = vec![HoeCache::new(HoeConfig::stationary()); cells];
+    for i in 0..80usize {
+        t += 0.5;
+        let d = i % 7;
+        let k = i / 7;
+        let (prev, next, base, span) = if d == 6 {
+            (None, NEIGHBORS[k % 6], 0.0, 451)
+        } else {
+            let turn = [3, 2, 4, 1][k % 4];
+            (
+                Some(CellId(NEIGHBORS[d])),
+                NEIGHBORS[(d + turn) % 6],
+                30.0,
+                151,
+            )
+        };
+        for (v, cache) in caches.iter_mut().enumerate() {
+            let sojourn = base + ((i + v) * 37 % span) as f64 / 10.0;
+            cache.record(HandoffEvent::new(
+                SimTime::from_secs(t),
+                prev,
+                CellId(next),
+                Duration::from_secs(sojourn),
+            ));
+        }
+    }
+    let cases = caches
+        .into_iter()
+        .enumerate()
+        .map(|(v, cache)| {
+            let mut cell = Cell::new(CellId(1), Bandwidth::from_bus(400));
+            for j in 0..59usize {
+                // Odd multipliers coprime to 59 permute 0..59.
+                let slot = (j * (2 * (v % 23) + 3) + v) % 59;
+                let d = (j + v) % 7;
+                cell.insert(ConnInfo {
+                    id: ConnectionId(j as u64),
+                    bandwidth: Bandwidth::from_bus(if j % 5 == 0 { 4 } else { 1 }),
+                    prev: (d < 6).then(|| CellId(NEIGHBORS[d])),
+                    entered_at: SimTime::from_secs(t - 0.9 * slot as f64),
+                    known_next: None,
+                })
+                .unwrap();
+            }
+            (cell, cache)
+        })
+        .collect();
+    (cases, SimTime::from_secs(t + 0.25))
+}
+
 fn bench_contribution(c: &mut Criterion) {
     let mut group = c.benchmark_group("reservation_b_i0");
     let mut cases: Vec<(String, _)> = [10usize, 50, 100, 200]
@@ -177,6 +241,7 @@ fn bench_contribution(c: &mut Criterion) {
     cases.push(("ring_shape".to_string(), setup_ring_shape(10)));
     cases.push(("ring_shape_cold".to_string(), setup_ring_shape(1_000)));
     cases.push(("metro_shape_cold".to_string(), setup_metro_shape(1_000)));
+    cases.push(("metro_early_cold".to_string(), setup_metro_early(1_000)));
     let t_est = Duration::from_secs(10.0);
     for (case, (mut cells, now)) in cases {
         // Warm the snapshots and arrival indexes, and refuse to time a

@@ -98,11 +98,13 @@ impl ReservationSystem {
     /// from the config, over the given backbone kind.
     pub fn new(config: QresConfig, topology: Topology, backbone: BsNetworkKind) -> Self {
         config.validate();
+        // Every cell's cache reads the one shared configuration.
+        let hoe = Arc::new(config.hoe.clone());
         let sites = topology
             .cells()
             .map(|id| CellSite {
                 cell: Cell::new(id, config.capacity),
-                hoe: HoeCache::new(config.hoe.clone()),
+                hoe: HoeCache::new(Arc::clone(&hoe)),
                 controller: WindowController::new(
                     config.p_hd_target,
                     config.t_start_secs,

@@ -3,22 +3,24 @@
 //!
 //! The reservation computation (Eq. 5) evaluates `p_h` once per resident
 //! connection. Evaluated one at a time ([`crate::handoff_probability`]),
-//! every connection pays two `BTreeMap` descents into the estimation
-//! snapshot besides the binary searches the probability itself needs: the
-//! `(prev, ·)` range for its denominator and the `(prev, next)` pair for
-//! its numerator.
+//! every connection pays two lookups in the estimation snapshot besides
+//! the binary searches the probability itself needs: the `(prev, ·)` key
+//! range for its denominator and the `(prev, next)` pair for its
+//! numerator.
 //!
 //! A [`ContributionPass`] does those lookups once per distinct `prev` in
 //! the population — the first time a connection with that `prev` comes by —
-//! and then answers each connection with its binary searches alone,
-//! numerator first. `weight_gt(T_ext-soj)` and `weight_gt(T_ext-soj +
-//! T_est)` on the `(prev, target)` snapshot give the numerator; only when
-//! it is positive is `weight_gt(T_ext-soj)` summed over every `(prev, ·)`
-//! snapshot, in range order, for the denominator, with the target pair's
-//! term taken from the numerator's first edge. Since the numerator never
-//! exceeds the denominator, `p_h = 0` exactly when the numerator is zero,
-//! so most connections — those not about to hand off into the target —
-//! never touch the other pairs' snapshots.
+//! and keeps them as key-table indices into the snapshot (see
+//! [`crate::cache`]); each connection is then answered with its binary
+//! searches alone, numerator first. `weight_gt(T_ext-soj)` and
+//! `weight_gt(T_ext-soj + T_est)` on the `(prev, target)` pair give the
+//! numerator; only when it is positive is `weight_gt(T_ext-soj)` summed
+//! over the `(prev, ·)` pairs' slice of the snapshot, in key order, for
+//! the denominator, with the target pair's term taken from the
+//! numerator's first edge. Since the numerator never exceeds the
+//! denominator, `p_h = 0` exactly when the numerator is zero, so most
+//! connections — those not about to hand off into the target — never
+//! touch the other pairs' sojourns.
 //!
 //! [`ContributionPass::target_span`] tells a caller which connections can
 //! have a nonzero numerator at all: those whose extant sojourn `a` has
@@ -38,14 +40,10 @@
 //! replaced: real populations never share an extant sojourn, so the
 //! grouping, sorting and deduplication were pure overhead.
 
-use std::collections::btree_map::{BTreeMap, Range};
-
 use qres_cellnet::CellId;
 use qres_des::{Duration, SimTime};
 
-use crate::cache::{HoeCache, PairSnapshot, PrevKey};
-
-type Pairs = BTreeMap<(PrevKey, CellId), PairSnapshot>;
+use crate::cache::{HoeCache, Pair, PairView, PrevKey, SnapshotView};
 
 /// Distinct `prev`s whose lookups live inline in a [`ContributionPass`]: a
 /// hexagonal cell's six neighbors plus in-cell starts, with room to spare.
@@ -53,12 +51,15 @@ type Pairs = BTreeMap<(PrevKey, CellId), PairSnapshot>;
 const INLINE_PREVS: usize = 8;
 
 /// One distinct `prev`'s snapshot lookups.
+#[derive(Clone, Copy)]
 struct PrevLookup<'a> {
     prev: PrevKey,
-    /// Every `(prev, ·)` snapshot in key order: the Eq.-4 denominator.
-    range: Range<'a, (PrevKey, CellId), PairSnapshot>,
-    /// The `(prev, target)` snapshot: the Eq.-4 numerator.
-    to_target: Option<&'a PairSnapshot>,
+    /// Every `(prev, ·)` pair of the key table, in key order: the Eq.-4
+    /// denominator.
+    pairs: &'a [Pair],
+    /// The `(prev, target)` pair's position in `pairs` and its selection:
+    /// the Eq.-4 numerator.
+    to_target: Option<(usize, PairView<'a>)>,
 }
 
 /// Evaluates `p_h(C_i,j → target)` (Eq. 4) for the connections of one
@@ -70,7 +71,8 @@ struct PrevLookup<'a> {
 /// one-at-a-time path would need it.
 pub struct ContributionPass<'a> {
     cache: Option<&'a mut HoeCache>,
-    pairs: Option<&'a Pairs>,
+    /// The snapshot, once the first lookup resolved it (empty before).
+    snapshot: SnapshotView<'a>,
     t_o: SimTime,
     target: CellId,
     t_est: Duration,
@@ -85,11 +87,11 @@ impl<'a> ContributionPass<'a> {
         debug_assert!(t_est.as_secs() >= 0.0, "T_est cannot be negative");
         ContributionPass {
             cache: Some(cache),
-            pairs: None,
+            snapshot: SnapshotView::default(),
             t_o,
             target,
             t_est,
-            inline: Default::default(),
+            inline: [None; INLINE_PREVS],
             spill: Vec::new(),
         }
     }
@@ -123,7 +125,7 @@ impl<'a> ContributionPass<'a> {
         // target pair turns out empty: the first eligible connection builds
         // the snapshot, as on the one-at-a-time path.
         let lookup = self.lookup(prev);
-        let Some(to_target) = lookup.to_target else {
+        let Some((target_at, to_target)) = lookup.to_target else {
             return 0.0;
         };
         let above_a = to_target.weight_gt(a);
@@ -139,13 +141,20 @@ impl<'a> ContributionPass<'a> {
             // Known route: the target pair is the whole denominator.
             Some(_) => above_a,
             // The target pair's term is `above_a`, already in hand.
-            None => lookup.range.clone().fold(0.0, |den, (&(_, next), snap)| {
-                den + if next == target {
-                    above_a
-                } else {
-                    snap.weight_gt(a)
-                }
-            }),
+            None => {
+                let snapshot = self.snapshot;
+                lookup
+                    .pairs
+                    .iter()
+                    .enumerate()
+                    .fold(0.0, |den, (k, &pair)| {
+                        den + if k == target_at {
+                            above_a
+                        } else {
+                            snapshot.pair(pair).weight_gt(a)
+                        }
+                    })
+            }
         };
         debug_assert!(
             num <= den + 1e-9,
@@ -163,40 +172,44 @@ impl<'a> ContributionPass<'a> {
     /// `a + T_est >= min`, both compared as `probability` computes them, so
     /// a caller may skip the others: their `p_h` is exactly `+0.0`.
     pub fn target_span(&mut self, prev: PrevKey) -> Option<(f64, f64)> {
-        let sojourns = self.lookup(prev).to_target?.sojourns();
+        let sojourns = self.lookup(prev).to_target?.1.sojourns();
         Some((*sojourns.first()?, *sojourns.last()?))
     }
 
     /// The lookups for `prev`, resolved on its first use.
-    fn lookup(&mut self, prev: PrevKey) -> &PrevLookup<'a> {
-        let (cache, pairs, t_o, target) = (&mut self.cache, &mut self.pairs, self.t_o, self.target);
-        let mut resolve = || {
-            let pairs = *pairs.get_or_insert_with(|| {
-                cache
-                    .take()
-                    .expect("the cache is taken only once")
-                    .pairs_for_query(t_o)
-            });
-            PrevLookup {
-                prev,
-                range: pairs.range((prev, CellId(0))..=(prev, CellId(u32::MAX))),
-                to_target: pairs.get(&(prev, target)),
-            }
-        };
+    fn lookup(&mut self, prev: PrevKey) -> PrevLookup<'a> {
         // Slots fill in first-use order, so the first empty one means
         // `prev` is new.
-        for slot in &mut self.inline {
-            let lookup = slot.get_or_insert_with(&mut resolve);
-            if lookup.prev == prev {
-                return lookup;
+        for i in 0..INLINE_PREVS {
+            match self.inline[i] {
+                Some(lookup) if lookup.prev == prev => return lookup,
+                Some(_) => {}
+                None => {
+                    let lookup = self.resolve(prev);
+                    self.inline[i] = Some(lookup);
+                    return lookup;
+                }
             }
         }
-        match self.spill.iter().position(|l| l.prev == prev) {
-            Some(i) => &self.spill[i],
-            None => {
-                self.spill.push(resolve());
-                self.spill.last().expect("just pushed")
-            }
+        if let Some(&lookup) = self.spill.iter().find(|l| l.prev == prev) {
+            return lookup;
+        }
+        let lookup = self.resolve(prev);
+        self.spill.push(lookup);
+        lookup
+    }
+
+    /// Reads `prev`'s pairs off the snapshot, which the pass's first
+    /// lookup makes current.
+    fn resolve(&mut self, prev: PrevKey) -> PrevLookup<'a> {
+        if let Some(cache) = self.cache.take() {
+            self.snapshot = cache.snapshot_at(self.t_o);
+        }
+        let (pairs, slot) = self.snapshot.lookup(prev, self.target);
+        PrevLookup {
+            prev,
+            pairs,
+            to_target: slot.map(|k| (k, self.snapshot.pair(pairs[k]))),
         }
     }
 }

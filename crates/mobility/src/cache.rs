@@ -1,17 +1,26 @@
 //! The per-cell hand-off estimation function cache.
 //!
 //! A [`HoeCache`] is the state one BS keeps to evaluate its hand-off
-//! estimation function `F_HOE(t_o, prev, next, T_soj)`:
+//! estimation function `F_HOE(t_o, prev, next, T_soj)`. Each day class
+//! keeps it flat:
 //!
-//! * raw quadruplet storage per `(prev, next)` pair, in event-time order,
-//!   pruned by the window retention rule (finite `T_int`) or capped at
-//!   `N_quad` most-recent (infinite `T_int`, where older events can never
-//!   outrank newer ones);
-//! * an indexed **snapshot** per pair — the `≤ N_quad` quadruplets selected
-//!   by the paper's priority rule (smaller window index `n` first, then
-//!   smaller shifted-time distance from `t_o`), sorted by sojourn time with
-//!   prefix-summed weights, so the estimator's numerator/denominator
-//!   (Eq. 4) are two binary searches instead of a linear scan.
+//! * a **key table** of the `(prev, next)` pairs seen so far, ascending
+//!   (`prev = None`, in-cell starts, first), with a per-`prev` index of
+//!   the runs of keys that share a `prev` — at most seven on a hex cell —
+//!   so a query finds its pairs with a scan of a few entries instead of a
+//!   tree descent;
+//! * the raw quadruplet store of each pair, aligned with the key table by
+//!   index, in event-time order, pruned by the window retention rule
+//!   (finite `T_int`) or capped at `N_quad` most-recent (infinite `T_int`,
+//!   where older events can never outrank newer ones);
+//! * a **snapshot**: for each pair, again by index, the `≤ N_quad`
+//!   quadruplets selected by the paper's priority rule (smaller window
+//!   index `n` first, then smaller shifted-time distance from `t_o`),
+//!   sorted by sojourn time with prefix-summed weights, so the estimator's
+//!   numerator/denominator (Eq. 4) are two binary searches instead of a
+//!   linear scan. All pairs share one `f64` **arena**: pair `i` holds its
+//!   `len` ascending sojourns and then their `len + 1` prefix weights, and
+//!   the pairs follow each other in key order.
 //!
 //! Snapshots are built lazily, by the first query. After that:
 //!
@@ -19,18 +28,24 @@
 //!   snapshot **in place** (evicted sojourn out, new sojourn in at its
 //!   sorted position). This is exact: every member carries weight `w_0`,
 //!   so `prefix[i]` depends only on `i`, and membership does not drift
-//!   with `t_o`. A store that is never queried only appends.
+//!   with `t_o`. Only the arena moves: an eviction shifts sojourns within
+//!   the pair, and a pair below the `N_quad` cap grows by one sojourn and
+//!   one prefix weight, which shifts the later pairs' regions by two. A
+//!   store that is never queried only appends.
 //! * finite `T_int`, where window membership drifts with `t_o`: the
 //!   snapshot is rebuilt on the first query after it is older than a
 //!   configurable refresh interval (default 30 simulated seconds, far
-//!   finer than the 1-hour `T_int` the paper uses).
+//!   finer than the 1-hour `T_int` the paper uses). A rebuild refills the
+//!   arena pair by pair through one reused scratch buffer.
 //!
 //! With weekday/weekend separation enabled, quadruplets are routed into two
 //! independent stores by the [`Calendar`] class of their event time, and
 //! queries read the store matching the class of `t_o` (Section 3.1's
 //! special-day sets).
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
+use std::ops::Range;
+use std::sync::Arc;
 
 use qres_cellnet::CellId;
 use qres_des::{Duration, SimTime};
@@ -98,157 +113,154 @@ impl HoeConfig {
     }
 }
 
-/// Selected, sojourn-sorted quadruplets of one `(prev, next)` pair.
-#[derive(Debug, Clone, Default)]
-pub struct PairSnapshot {
-    /// Sojourn times, ascending.
-    sojourns: Vec<f64>,
-    /// `prefix[i]` = total weight of `sojourns[..i]`; `prefix.len() ==
-    /// sojourns.len() + 1`.
-    prefix: Vec<f64>,
+/// One pair of the key table: its `next` (its `prev` is its run's) and
+/// where its selection lives in the arena — `len` sojourns, ascending,
+/// from `start`, then their `len + 1` prefix weights.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Pair {
+    next: CellId,
+    start: u32,
+    len: u32,
 }
 
-impl PairSnapshot {
-    fn build(mut selected: Vec<(f64, f64)>) -> Self {
-        // (t_soj, weight) pairs, sorted by sojourn.
-        selected.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("sojourns are NaN-free"));
-        let mut prefix = Vec::with_capacity(selected.len() + 1);
-        prefix.push(0.0);
-        let mut acc = 0.0;
-        let mut sojourns = Vec::with_capacity(selected.len());
-        for (s, w) in selected {
-            acc += w;
-            sojourns.push(s);
-            prefix.push(acc);
-        }
-        PairSnapshot { sojourns, prefix }
+impl Pair {
+    /// One past the pair's last prefix weight.
+    fn end(self) -> usize {
+        self.start as usize + 2 * self.len as usize + 1
+    }
+}
+
+/// The pairs `start..end` of the key table, which share `prev`.
+#[derive(Debug, Clone, Copy)]
+struct PrevRun {
+    prev: PrevKey,
+    start: u32,
+    end: u32,
+}
+
+impl PrevRun {
+    fn range(self) -> Range<usize> {
+        self.start as usize..self.end as usize
+    }
+}
+
+/// Checks that every offset into an arena of `len` values fits the `u32`s
+/// of [`Pair`] and [`PrevRun`]; each place that grows an arena calls it
+/// before a query can read a truncated offset.
+fn assert_offsets(len: usize) {
+    assert!(
+        u32::try_from(len).is_ok(),
+        "a class store's arena holds under 2^32 values"
+    );
+}
+
+/// One pair's selected, sojourn-sorted quadruplets, read from the arena.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PairView<'a> {
+    /// Sojourn times, ascending.
+    sojourns: &'a [f64],
+    /// `prefix[i]` = total weight of `sojourns[..i]`; `prefix.len() ==
+    /// sojourns.len() + 1`.
+    prefix: &'a [f64],
+}
+
+impl<'a> PairView<'a> {
+    fn new(arena: &'a [f64], pair: Pair) -> Self {
+        let (sojourns, prefix) = arena[pair.start as usize..pair.end()].split_at(pair.len as usize);
+        PairView { sojourns, prefix }
     }
 
     /// Total selected weight.
-    pub fn total_weight(&self) -> f64 {
-        *self.prefix.last().unwrap_or(&0.0)
-    }
-
-    /// Number of selected quadruplets.
-    pub fn len(&self) -> usize {
-        self.sojourns.len()
+    pub(crate) fn total_weight(&self) -> f64 {
+        self.prefix[self.sojourns.len()]
     }
 
     /// True when no quadruplets were selected.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.sojourns.is_empty()
     }
 
     /// Weight of quadruplets with `t_soj > a` (strict).
-    pub fn weight_gt(&self, a: f64) -> f64 {
+    pub(crate) fn weight_gt(&self, a: f64) -> f64 {
         let idx = self.sojourns.partition_point(|&s| s <= a);
         self.total_weight() - self.prefix[idx]
     }
 
     /// Weight of quadruplets with `a < t_soj ≤ b`.
-    pub fn weight_in(&self, a: f64, b: f64) -> f64 {
+    pub(crate) fn weight_in(&self, a: f64, b: f64) -> f64 {
         debug_assert!(b >= a);
         (self.weight_gt(a) - self.weight_gt(b)).max(0.0)
     }
 
     /// The largest selected sojourn, if any.
-    pub fn max_sojourn(&self) -> Option<f64> {
+    pub(crate) fn max_sojourn(&self) -> Option<f64> {
         self.sojourns.last().copied()
     }
 
     /// The selected sojourns (ascending) — for footprint export.
-    pub fn sojourns(&self) -> &[f64] {
-        &self.sojourns
-    }
-
-    /// Applies one recorded quadruplet to an infinite-`T_int` snapshot:
-    /// `dropped`, the sojourn the `N_quad` cap evicted, leaves, and
-    /// `sojourn` enters at its sorted position. Every member weighs
-    /// `weight`, so `prefix[i]` is the `i`-fold sum of `weight` and only
-    /// grows with the count: the result is bit-identical to
-    /// [`Self::build`] over the same members.
-    fn shift_in(&mut self, dropped: Option<f64>, sojourn: f64, weight: f64) {
-        match dropped {
-            Some(old) => {
-                let i = self.sojourns.partition_point(|&s| s < old);
-                debug_assert_eq!(self.sojourns.get(i), Some(&old), "evicted a non-member");
-                self.sojourns.remove(i);
-            }
-            None => self.prefix.push(self.total_weight() + weight),
-        }
-        let i = self.sojourns.partition_point(|&s| s <= sojourn);
-        self.sojourns.insert(i, sojourn);
+    pub(crate) fn sojourns(&self) -> &'a [f64] {
+        self.sojourns
     }
 }
 
-#[derive(Debug, Clone, Default)]
-struct Snapshot {
-    built_at: Option<SimTime>,
-    pairs: BTreeMap<(PrevKey, CellId), PairSnapshot>,
-    max_sojourn: Option<f64>,
-}
-
-impl Snapshot {
-    /// Keeps an infinite-`T_int` snapshot current across one recorded
-    /// quadruplet of pair `key` (see [`PairSnapshot::shift_in`]).
-    fn shift_in(
-        &mut self,
-        key: (PrevKey, CellId),
-        dropped: Option<f64>,
-        sojourn: f64,
-        weight: f64,
-    ) {
-        self.pairs
-            .entry(key)
-            .or_insert_with(|| PairSnapshot::build(Vec::new()))
-            .shift_in(dropped, sojourn, weight);
-        self.max_sojourn = match self.max_sojourn {
-            Some(max) if dropped != Some(max) => Some(max.max(sojourn)),
-            // The maximum itself may have left: rescan, in the same key
-            // order as `ClassStore::rebuild`.
-            _ => self
-                .pairs
-                .values()
-                .filter_map(PairSnapshot::max_sojourn)
-                .reduce(f64::max),
-        };
-    }
-}
+/// A candidate member of a pair's selection: `(n, distance, sojourn,
+/// weight)`.
+type Member = (u32, f64, f64, f64);
 
 /// Raw quadruplet storage for one `(prev, next)` pair.
 ///
 /// * Infinite `T_int`: only the `N_quad` most recent events can ever be
 ///   selected, so a recency-capped deque suffices.
 /// * Finite `T_int`: events from any past day can re-enter a window, so
-///   events are held in **time buckets** of width `T_int`, each capped at
-///   `N_quad`. A rebuild touches only the buckets overlapping the active
-///   windows, keeping rebuild cost `O(windows · N_quad)` instead of
-///   `O(total stored)`. The per-bucket cap is the paper's own
-///   memory-reduction rule ("we don't need the quadruplets from previous
-///   days if we observed enough during the last `T_int` interval") applied
-///   per interval: no selection ever uses more than `N_quad` quadruplets
-///   from one pair, so buckets holding more than `N_quad` contribute only
-///   statistically interchangeable extras.
+///   events are held in **time buckets** of width `T_int`, oldest first,
+///   each a FIFO capped at `N_quad`. A rebuild touches only the buckets
+///   overlapping the active windows, keeping rebuild cost `O(windows ·
+///   N_quad)` instead of `O(total stored)`. The per-bucket cap is the
+///   paper's own memory-reduction rule ("we don't need the quadruplets from
+///   previous days if we observed enough during the last `T_int` interval")
+///   applied per interval: no selection ever uses more than `N_quad`
+///   quadruplets from one pair, so buckets holding more than `N_quad`
+///   contribute only statistically interchangeable extras.
 #[derive(Debug, Clone)]
 enum PairStore {
     Recent(VecDeque<HandoffEvent>),
-    Bucketed(BTreeMap<i64, Vec<HandoffEvent>>),
+    Bucketed(VecDeque<(i64, VecDeque<HandoffEvent>)>),
 }
 
 impl PairStore {
     fn len(&self) -> usize {
         match self {
             PairStore::Recent(d) => d.len(),
-            PairStore::Bucketed(b) => b.values().map(Vec::len).sum(),
+            PairStore::Bucketed(b) => b.iter().map(|(_, bucket)| bucket.len()).sum(),
         }
     }
 }
 
+/// The index of `prev`'s run, or where it would go.
+fn find_run(prevs: &[PrevRun], prev: PrevKey) -> Result<usize, usize> {
+    prevs.binary_search_by(|run| run.prev.cmp(&prev))
+}
+
+/// The quadruplets and the snapshot of one day class.
+///
+/// The key table is `pairs`, cut into runs of one `prev` by `prevs`; both
+/// ascend, `prev = None` first, `next` within a run. `stores[i]` holds
+/// the quadruplets of pair `i` and `pairs[i]` places its selection in
+/// `arena`, where the pairs follow each other in key order. A pair with
+/// nothing selected holds the single prefix weight `0.0`.
 #[derive(Debug, Clone, Default)]
 struct ClassStore {
-    pairs: BTreeMap<(PrevKey, CellId), PairStore>,
+    prevs: Vec<PrevRun>,
+    pairs: Vec<Pair>,
+    stores: Vec<PairStore>,
+    arena: Vec<f64>,
+    /// When the snapshot was last built; `None` before the first query.
+    built_at: Option<SimTime>,
+    /// The largest selected sojourn.
+    max_sojourn: Option<f64>,
     last_event_time: Option<SimTime>,
-    snapshot: Snapshot,
+    /// The rebuild's candidate members, reused pair to pair.
+    scratch: Vec<Member>,
     /// Bumped once per recorded quadruplet (including its pruning and the
     /// in-place snapshot update) and once per snapshot build: any change
     /// to what a query could answer. Infinite-`T_int` stores build only
@@ -262,6 +274,91 @@ fn bucket_width(window: &WindowConfig) -> f64 {
 }
 
 impl ClassStore {
+    /// The key index of `(prev, next)`, adding the pair, with an empty
+    /// store and an empty selection, when it is new.
+    fn slot_or_insert(&mut self, prev: PrevKey, next: CellId, infinite: bool) -> usize {
+        let run = find_run(&self.prevs, prev);
+        let range = match run {
+            Ok(r) => self.prevs[r].range(),
+            Err(r) => {
+                let at = self
+                    .prevs
+                    .get(r)
+                    .map_or(self.pairs.len(), |run| run.start as usize);
+                at..at
+            }
+        };
+        let at = range.start + self.pairs[range.clone()].partition_point(|p| p.next < next);
+        if at < range.end && self.pairs[at].next == next {
+            return at;
+        }
+        let r = run.unwrap_or_else(|r| {
+            let start = at as u32;
+            self.prevs.insert(
+                r,
+                PrevRun {
+                    prev,
+                    start,
+                    end: start,
+                },
+            );
+            r
+        });
+        self.prevs[r].end += 1;
+        for run in &mut self.prevs[r + 1..] {
+            run.start += 1;
+            run.end += 1;
+        }
+        let start = self
+            .pairs
+            .get(at)
+            .map_or(self.arena.len(), |p| p.start as usize);
+        self.arena.insert(start, 0.0);
+        assert_offsets(self.arena.len());
+        for pair in &mut self.pairs[at..] {
+            pair.start += 1;
+        }
+        self.pairs.insert(
+            at,
+            Pair {
+                next,
+                start: start as u32,
+                len: 0,
+            },
+        );
+        self.stores.insert(
+            at,
+            if infinite {
+                PairStore::Recent(VecDeque::new())
+            } else {
+                PairStore::Bucketed(VecDeque::new())
+            },
+        );
+        debug_assert!(self.key_table_is_sorted(), "key table out of order");
+        at
+    }
+
+    /// The runs ascend by `prev` (`None` first) and tile the key table,
+    /// `next` ascends within each run, and the pairs tile the arena.
+    fn key_table_is_sorted(&self) -> bool {
+        let runs_tile = self.prevs.windows(2).all(|w| w[0].prev < w[1].prev)
+            && self.prevs.first().is_none_or(|run| run.start == 0)
+            && self.prevs.windows(2).all(|w| w[0].end == w[1].start)
+            && self.prevs.last().map_or(0, |run| run.end as usize) == self.pairs.len();
+        let nexts_ascend = self.prevs.iter().all(|&run| {
+            self.pairs[run.range()]
+                .windows(2)
+                .all(|w| w[0].next < w[1].next)
+        });
+        let pairs_tile = self.pairs.first().is_none_or(|p| p.start == 0)
+            && self
+                .pairs
+                .windows(2)
+                .all(|w| w[0].end() == w[1].start as usize)
+            && self.pairs.last().map_or(0, |p| p.end()) == self.arena.len();
+        runs_tile && nexts_ascend && pairs_tile && self.stores.len() == self.pairs.len()
+    }
+
     /// Records one event; returns how many stored quadruplets the insert
     /// evicted (`N_quad` caps and retention pruning).
     fn record(&mut self, event: HandoffEvent, window: &WindowConfig, n_quad: usize) -> usize {
@@ -272,17 +369,9 @@ impl ClassStore {
             );
         }
         self.last_event_time = Some(event.t_event);
-        let infinite = window.t_int.is_infinite();
-        let key = (event.prev, event.next);
-        let store = self.pairs.entry(key).or_insert_with(|| {
-            if infinite {
-                PairStore::Recent(VecDeque::new())
-            } else {
-                PairStore::Bucketed(BTreeMap::new())
-            }
-        });
+        let i = self.slot_or_insert(event.prev, event.next, window.t_int.is_infinite());
         let mut evicted = 0usize;
-        match store {
+        match &mut self.stores[i] {
             PairStore::Recent(deque) => {
                 deque.push_back(event);
                 // Only the N_quad most recent can ever be selected.
@@ -292,9 +381,9 @@ impl ClassStore {
                     None
                 };
                 evicted = usize::from(dropped.is_some());
-                if self.snapshot.built_at.is_some() {
-                    self.snapshot.shift_in(
-                        key,
+                if self.built_at.is_some() {
+                    self.shift_in(
+                        i,
                         dropped.map(|e| e.t_soj.as_secs()),
                         event.t_soj.as_secs(),
                         window.weights[0],
@@ -304,21 +393,25 @@ impl ClassStore {
             PairStore::Bucketed(buckets) => {
                 let bw = bucket_width(window);
                 let idx = (event.t_event.as_secs() / bw).floor() as i64;
-                let bucket = buckets.entry(idx).or_default();
-                bucket.push(event);
+                // Event times never decrease, so neither do bucket indices.
+                let bucket = match buckets.back_mut() {
+                    Some((last, bucket)) if *last == idx => bucket,
+                    _ => {
+                        debug_assert!(buckets.back().is_none_or(|&(last, _)| last < idx));
+                        buckets.push_back((idx, VecDeque::new()));
+                        &mut buckets.back_mut().expect("just pushed").1
+                    }
+                };
+                bucket.push_back(event);
                 if bucket.len() > n_quad {
-                    bucket.remove(0);
+                    bucket.pop_front();
                     evicted += 1;
                 }
                 if let Some(retention) = window.retention() {
                     let cutoff = ((event.t_event - retention).as_secs() / bw).floor() as i64;
-                    while let Some((&first, _)) = buckets.iter().next() {
-                        if first < cutoff {
-                            if let Some(gone) = buckets.remove(&first) {
-                                evicted += gone.len();
-                            }
-                        } else {
-                            break;
+                    while buckets.front().is_some_and(|&(first, _)| first < cutoff) {
+                        if let Some((_, gone)) = buckets.pop_front() {
+                            evicted += gone.len();
                         }
                     }
                 }
@@ -328,8 +421,61 @@ impl ClassStore {
         evicted
     }
 
+    /// Keeps an infinite-`T_int` snapshot current across one recorded
+    /// quadruplet of pair `i`: `dropped`, the sojourn the `N_quad` cap
+    /// evicted, leaves, and `sojourn` enters at its sorted position. Every
+    /// member weighs `weight`, so `prefix[k]` is the `k`-fold sum of
+    /// `weight` and only grows with the count: the result is bit-identical
+    /// to a rebuild over the same members.
+    fn shift_in(&mut self, i: usize, dropped: Option<f64>, sojourn: f64, weight: f64) {
+        let (start, len) = (self.pairs[i].start as usize, self.pairs[i].len as usize);
+        match dropped {
+            Some(old) => {
+                // Close the evicted sojourn's gap, then open one at the new
+                // sojourn's position; the prefix weights stay.
+                let sojourns = &mut self.arena[start..start + len];
+                let out = sojourns.partition_point(|&s| s < old);
+                debug_assert_eq!(sojourns.get(out), Some(&old), "evicted a non-member");
+                sojourns.copy_within(out + 1.., out);
+                let at = sojourns[..len - 1].partition_point(|&s| s <= sojourn);
+                sojourns.copy_within(at..len - 1, at + 1);
+                sojourns[at] = sojourn;
+            }
+            None => {
+                // The pair grows by one sojourn and one prefix weight: the
+                // later pairs move two slots up, the prefix weights one.
+                let end = start + 2 * len + 1;
+                let total = self.arena[end - 1];
+                let tail = self.arena.len();
+                assert_offsets(tail + 2);
+                self.arena.resize(tail + 2, 0.0);
+                self.arena.copy_within(end..tail, end + 2);
+                self.arena.copy_within(start + len..end, start + len + 1);
+                self.arena[end + 1] = total + weight;
+                let sojourns = &mut self.arena[start..=start + len];
+                let at = sojourns[..len].partition_point(|&s| s <= sojourn);
+                sojourns.copy_within(at..len, at + 1);
+                sojourns[at] = sojourn;
+                self.pairs[i].len += 1;
+                for pair in &mut self.pairs[i + 1..] {
+                    pair.start += 2;
+                }
+            }
+        }
+        self.max_sojourn = match self.max_sojourn {
+            Some(max) if dropped != Some(max) => Some(max.max(sojourn)),
+            // The maximum itself may have left: rescan, in key order as a
+            // rebuild does.
+            _ => self
+                .pairs
+                .iter()
+                .filter_map(|&pair| PairView::new(&self.arena, pair).max_sojourn())
+                .reduce(f64::max),
+        };
+    }
+
     fn snapshot_fresh(&self, t_o: SimTime, window: &WindowConfig, refresh: Duration) -> bool {
-        match self.snapshot.built_at {
+        match self.built_at {
             None => false,
             // Infinite windows: `record` keeps a built snapshot current.
             Some(_) if window.t_int.is_infinite() => true,
@@ -341,12 +487,19 @@ impl ClassStore {
         }
     }
 
+    /// Refills the arena with every pair's selection at `t_o`.
     fn rebuild(&mut self, t_o: SimTime, window: &WindowConfig, n_quad: usize) {
-        let mut pairs = BTreeMap::new();
+        let ClassStore {
+            pairs,
+            stores,
+            arena,
+            scratch: members,
+            ..
+        } = self;
+        arena.clear();
         let mut max_sojourn: Option<f64> = None;
-        for (&key, store) in &self.pairs {
-            // (n, distance, sojourn, weight) of candidate members.
-            let mut members: Vec<(u32, f64, f64, f64)> = Vec::new();
+        for (pair, store) in pairs.iter_mut().zip(stores.iter()) {
+            members.clear();
             let mut consider = |e: &HandoffEvent| {
                 if let Some(m) = window.membership(t_o, e.t_event) {
                     members.push((m.n, m.distance, e.t_soj.as_secs(), m.weight));
@@ -356,28 +509,24 @@ impl ClassStore {
                 PairStore::Recent(deque) => deque.iter().for_each(&mut consider),
                 PairStore::Bucketed(buckets) => {
                     // Touch only buckets overlapping some window
-                    // [t_o − T_int − nP, t_o + T_int − nP). The index set is
-                    // deduplicated so overlapping windows (2·T_int > period)
-                    // cannot double-count an event; membership() itself
-                    // resolves each event to its unique smallest n.
+                    // [t_o − T_int − nP, t_o + T_int − nP), each once and
+                    // oldest first, so overlapping windows (2·T_int >
+                    // period) cannot double-count an event; membership()
+                    // itself resolves each event to its unique smallest n.
                     let bw = bucket_width(window);
                     let t_int = window.t_int.as_secs();
                     let period = window.period.as_secs();
-                    let mut indices = std::collections::BTreeSet::new();
-                    for n in 0..window.num_windows() {
-                        let lo = t_o.as_secs() - t_int - f64::from(n) * period;
-                        let hi = t_o.as_secs() + t_int - f64::from(n) * period;
-                        let b_lo = (lo / bw).floor() as i64;
-                        let b_hi = (hi / bw).floor() as i64;
-                        indices.extend(buckets.range(b_lo..=b_hi).map(|(&i, _)| i));
-                    }
-                    for idx in indices {
-                        buckets[&idx].iter().for_each(&mut consider);
+                    let overlaps = |idx: i64| {
+                        (0..window.num_windows()).any(|n| {
+                            let lo = t_o.as_secs() - t_int - f64::from(n) * period;
+                            let hi = t_o.as_secs() + t_int - f64::from(n) * period;
+                            (lo / bw).floor() as i64 <= idx && idx <= (hi / bw).floor() as i64
+                        })
+                    };
+                    for (_, bucket) in buckets.iter().filter(|&&(idx, _)| overlaps(idx)) {
+                        bucket.iter().for_each(&mut consider);
                     }
                 }
-            }
-            if members.is_empty() {
-                continue;
             }
             // Priority: smaller n, then smaller shifted-time distance.
             members.sort_by(|a, b| {
@@ -385,19 +534,24 @@ impl ClassStore {
                     .then(a.1.partial_cmp(&b.1).expect("distances are NaN-free"))
             });
             members.truncate(n_quad);
-            let selected: Vec<(f64, f64)> =
-                members.into_iter().map(|(_, _, s, w)| (s, w)).collect();
-            let snap = PairSnapshot::build(selected);
-            if let Some(ms) = snap.max_sojourn() {
+            // The selection, stably sorted by sojourn.
+            members.sort_by(|a, b| a.2.partial_cmp(&b.2).expect("sojourns are NaN-free"));
+            pair.start = arena.len() as u32;
+            pair.len = members.len() as u32;
+            arena.extend(members.iter().map(|m| m.2));
+            arena.push(0.0);
+            let mut acc = 0.0;
+            for m in members.iter() {
+                acc += m.3;
+                arena.push(acc);
+            }
+            if let Some(ms) = members.last().map(|m| m.2) {
                 max_sojourn = Some(max_sojourn.map_or(ms, |m: f64| m.max(ms)));
             }
-            pairs.insert(key, snap);
         }
-        self.snapshot = Snapshot {
-            built_at: Some(t_o),
-            pairs,
-            max_sojourn,
-        };
+        assert_offsets(arena.len());
+        self.built_at = Some(t_o);
+        self.max_sojourn = max_sojourn;
         self.epoch += 1;
     }
 
@@ -423,22 +577,63 @@ impl ClassStore {
         }
     }
 
+    fn view(&self) -> SnapshotView<'_> {
+        SnapshotView {
+            prevs: &self.prevs,
+            pairs: &self.pairs,
+            arena: &self.arena,
+        }
+    }
+
     fn stored_events(&self) -> usize {
-        self.pairs.values().map(PairStore::len).sum()
+        self.stores.iter().map(PairStore::len).sum()
+    }
+}
+
+/// A class store's query-ready snapshot, borrowed: the key table with its
+/// per-`prev` runs, and the arena.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct SnapshotView<'a> {
+    prevs: &'a [PrevRun],
+    pairs: &'a [Pair],
+    arena: &'a [f64],
+}
+
+impl<'a> SnapshotView<'a> {
+    /// The `(prev, ·)` pairs, in key order.
+    pub(crate) fn pairs_of(&self, prev: PrevKey) -> &'a [Pair] {
+        match find_run(self.prevs, prev) {
+            Ok(r) => &self.pairs[self.prevs[r].range()],
+            Err(_) => &[],
+        }
+    }
+
+    /// The `(prev, ·)` pairs, in key order, and the position among them
+    /// of `(prev, next)`, if it was ever recorded.
+    pub(crate) fn lookup(&self, prev: PrevKey, next: CellId) -> (&'a [Pair], Option<usize>) {
+        let pairs = self.pairs_of(prev);
+        (pairs, pairs.iter().position(|p| p.next == next))
+    }
+
+    /// The selection of `pair`.
+    pub(crate) fn pair(&self, pair: Pair) -> PairView<'a> {
+        PairView::new(self.arena, pair)
     }
 }
 
 /// One cell's hand-off estimation function state (Section 3.1).
 #[derive(Debug, Clone)]
 pub struct HoeCache {
-    config: HoeConfig,
+    config: Arc<HoeConfig>,
     weekday: ClassStore,
     weekend: ClassStore,
 }
 
 impl HoeCache {
-    /// Creates an empty cache.
-    pub fn new(config: HoeConfig) -> Self {
+    /// Creates an empty cache. Caches built from clones of one
+    /// `Arc<HoeConfig>` share it.
+    pub fn new(config: impl Into<Arc<HoeConfig>>) -> Self {
+        let config = config.into();
         config.validate();
         HoeCache {
             config,
@@ -484,7 +679,6 @@ impl HoeCache {
             config,
             weekday,
             weekend,
-            ..
         } = self;
         match class {
             DayClass::Weekday => (weekday, &config.weekday_window),
@@ -498,12 +692,27 @@ impl HoeCache {
         }
     }
 
-    /// The snapshot answering queries at `t_o`, made current for `t_o`.
-    fn snapshot_at(&mut self, t_o: SimTime) -> &Snapshot {
+    /// The store answering queries at `t_o`, its snapshot made current
+    /// for `t_o`.
+    fn current(&mut self, t_o: SimTime) -> &ClassStore {
         let (n_quad, refresh) = (self.config.n_quad, self.config.snapshot_refresh);
         let (store, window) = self.class_store(t_o);
         store.ensure_snapshot(t_o, window, n_quad, refresh);
-        &store.snapshot
+        store
+    }
+
+    /// The snapshot answering queries at `t_o`, made current for `t_o` —
+    /// the streaming estimator's entry point (see [`crate::batch`]).
+    pub(crate) fn snapshot_at(&mut self, t_o: SimTime) -> SnapshotView<'_> {
+        self.current(t_o).view()
+    }
+
+    /// The selection of `(prev, next)` at `t_o`, if the pair was ever
+    /// recorded.
+    fn pair_at(&mut self, t_o: SimTime, prev: PrevKey, next: CellId) -> Option<PairView<'_>> {
+        let view = self.snapshot_at(t_o);
+        let (pairs, slot) = view.lookup(prev, next);
+        slot.map(|k| view.pair(pairs[k]))
     }
 
     /// A version counter that changes whenever a query's answer could:
@@ -520,15 +729,6 @@ impl HoeCache {
         self.weekday.epoch + self.weekend.epoch
     }
 
-    /// The rebuilt, query-ready snapshot pairs at `t_o` — the streaming
-    /// estimator's entry point (see [`crate::batch`]).
-    pub(crate) fn pairs_for_query(
-        &mut self,
-        t_o: SimTime,
-    ) -> &BTreeMap<(PrevKey, CellId), PairSnapshot> {
-        &self.snapshot_at(t_o).pairs
-    }
-
     /// Denominator of Eq. 4: total selected weight, over **all** next
     /// cells, of quadruplets with matching `prev` and `t_soj > t_ext`.
     ///
@@ -536,10 +736,13 @@ impl HoeCache {
     /// `t_ext` — the paper's *stationary* classification.
     pub fn weight_prev_gt(&mut self, t_o: SimTime, prev: PrevKey, t_ext: Duration) -> f64 {
         let a = t_ext.as_secs();
-        self.snapshot_at(t_o)
-            .pairs
-            .range((prev, CellId(0))..=(prev, CellId(u32::MAX)))
-            .map(|(_, snap)| snap.weight_gt(a))
+        let view = self.snapshot_at(t_o);
+        // Pairs with nothing selected add no term: an empty sum is -0.0.
+        view.pairs_of(prev)
+            .iter()
+            .map(|&pair| view.pair(pair))
+            .filter(|pair| !pair.is_empty())
+            .map(|pair| pair.weight_gt(a))
             .sum()
     }
 
@@ -553,8 +756,8 @@ impl HoeCache {
         t_ext: Duration,
         t_est: Duration,
     ) -> f64 {
-        match self.snapshot_at(t_o).pairs.get(&(prev, next)) {
-            Some(snap) => snap.weight_in(t_ext.as_secs(), (t_ext + t_est).as_secs()),
+        match self.pair_at(t_o, prev, next) {
+            Some(pair) => pair.weight_in(t_ext.as_secs(), (t_ext + t_est).as_secs()),
             None => 0.0,
         }
     }
@@ -568,8 +771,8 @@ impl HoeCache {
         next: CellId,
         t_ext: Duration,
     ) -> f64 {
-        match self.snapshot_at(t_o).pairs.get(&(prev, next)) {
-            Some(snap) => snap.weight_gt(t_ext.as_secs()),
+        match self.pair_at(t_o, prev, next) {
+            Some(pair) => pair.weight_gt(t_ext.as_secs()),
             None => 0.0,
         }
     }
@@ -578,16 +781,18 @@ impl HoeCache {
     /// contribution to `T_soj,max`, which caps the adaptive `T_est`
     /// (Fig. 6). `None` if the cache has no usable quadruplets.
     pub fn max_sojourn(&mut self, t_o: SimTime) -> Option<Duration> {
-        self.snapshot_at(t_o).max_sojourn.map(Duration::from_secs)
+        self.current(t_o).max_sojourn.map(Duration::from_secs)
     }
 
     /// The selected `(next, sojourns)` footprint for a given `prev` —
-    /// the data behind the paper's Fig. 4.
+    /// the data behind the paper's Fig. 4. Pairs with nothing selected
+    /// are left out.
     pub fn footprint_pairs(&mut self, t_o: SimTime, prev: PrevKey) -> Vec<(CellId, Vec<f64>)> {
-        self.snapshot_at(t_o)
-            .pairs
-            .range((prev, CellId(0))..=(prev, CellId(u32::MAX)))
-            .map(|(&(_, next), snap)| (next, snap.sojourns().to_vec()))
+        let view = self.snapshot_at(t_o);
+        view.pairs_of(prev)
+            .iter()
+            .filter(|&&pair| !view.pair(pair).is_empty())
+            .map(|&pair| (pair.next, view.pair(pair).sojourns().to_vec()))
             .collect()
     }
 
@@ -811,7 +1016,15 @@ mod tests {
 
     #[test]
     fn pair_snapshot_weight_arithmetic() {
-        let snap = PairSnapshot::build(vec![(10.0, 1.0), (20.0, 0.5), (30.0, 1.0)]);
+        // Two pairs of one arena: sojourns 10, 20, 30 weighing 1, 0.5
+        // and 1, and an empty one.
+        let arena = [10.0, 20.0, 30.0, 0.0, 1.0, 1.5, 2.5, 0.0];
+        let pair = |start, len| Pair {
+            next: CellId(0),
+            start,
+            len,
+        };
+        let snap = PairView::new(&arena, pair(0, 3));
         assert_eq!(snap.total_weight(), 2.5);
         assert_eq!(snap.weight_gt(0.0), 2.5);
         assert_eq!(snap.weight_gt(10.0), 1.5);
@@ -819,7 +1032,10 @@ mod tests {
         assert_eq!(snap.weight_in(5.0, 25.0), 1.5);
         assert_eq!(snap.weight_in(10.0, 30.0), 1.5);
         assert_eq!(snap.max_sojourn(), Some(30.0));
-        assert_eq!(snap.len(), 3);
+        assert_eq!(snap.sojourns(), [10.0, 20.0, 30.0]);
         assert!(!snap.is_empty());
+        let empty = PairView::new(&arena, pair(7, 0));
+        assert!(empty.is_empty());
+        assert_eq!(empty.weight_gt(0.0).to_bits(), 0.0f64.to_bits());
     }
 }

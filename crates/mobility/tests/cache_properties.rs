@@ -3,9 +3,11 @@
 //! same quadruplets. (Seeded-RNG loops stand in for proptest, which is
 //! unavailable offline.)
 
+use std::collections::{BTreeMap, BTreeSet};
+
 use qres_cellnet::CellId;
 use qres_des::{Duration, SimTime, StreamRng};
-use qres_mobility::{HandoffEvent, HoeCache, HoeConfig, WindowConfig};
+use qres_mobility::{ContributionPass, DayClass, HandoffEvent, HoeCache, HoeConfig, WindowConfig};
 
 type RawEvent = (f64, Option<u32>, u32, f64); // (gap, prev, next, sojourn)
 
@@ -318,4 +320,467 @@ fn max_sojourn_matches() {
         let got = cache.max_sojourn(now).unwrap().as_secs();
         assert!((got - expected).abs() < 1e-12);
     }
+}
+
+/// A `(prev, next)` pair.
+type Key = (Option<CellId>, CellId);
+
+/// A pair's selected sojourns, ascending, and their prefix weights.
+type Selection = (Vec<f64>, Vec<f64>);
+
+/// One class of [`ModelCache`]: the raw stores and the selections, each a
+/// `BTreeMap` keyed by `(prev, next)`.
+#[derive(Default)]
+struct ModelClass {
+    raw: BTreeMap<Key, ModelStore>,
+    built_at: Option<SimTime>,
+    /// Recorded into since the last build (infinite windows only).
+    dirty: bool,
+    /// Pairs with nothing selected are absent.
+    pairs: BTreeMap<Key, Selection>,
+    max_sojourn: Option<f64>,
+}
+
+enum ModelStore {
+    Recent(Vec<HandoffEvent>),
+    Bucketed(BTreeMap<i64, Vec<HandoffEvent>>),
+}
+
+/// The HOE cache as the rules state it, with no in-place updates: every
+/// stale query rebuilds the selections from the raw stores. An infinite
+/// window's snapshot counts as built once (later rebuilds stand for the
+/// in-place updates, which change no answer and bump no version).
+struct ModelCache {
+    config: HoeConfig,
+    weekday: ModelClass,
+    weekend: ModelClass,
+    version: u64,
+}
+
+impl ModelCache {
+    fn new(config: HoeConfig) -> Self {
+        ModelCache {
+            config,
+            weekday: ModelClass::default(),
+            weekend: ModelClass::default(),
+            version: 0,
+        }
+    }
+
+    fn class(&mut self, t: SimTime) -> (&mut ModelClass, WindowConfig) {
+        match &self.config.weekend_window {
+            Some(w) if self.config.calendar.classify(t) == DayClass::Weekend => {
+                (&mut self.weekend, w.clone())
+            }
+            _ => (&mut self.weekday, self.config.weekday_window.clone()),
+        }
+    }
+
+    /// Records `e`; returns whether its pair is new to a built snapshot,
+    /// and the sojourn the `N_quad` cap evicted, if any.
+    fn record(&mut self, e: HandoffEvent) -> (bool, Option<f64>) {
+        let n_quad = self.config.n_quad;
+        self.version += 1;
+        let (class, window) = self.class(e.t_event);
+        let new_key = !class.raw.contains_key(&(e.prev, e.next)) && class.built_at.is_some();
+        class.dirty = true;
+        let store = class.raw.entry((e.prev, e.next)).or_insert_with(|| {
+            if window.t_int.is_infinite() {
+                ModelStore::Recent(Vec::new())
+            } else {
+                ModelStore::Bucketed(BTreeMap::new())
+            }
+        });
+        let evicted = match store {
+            ModelStore::Recent(events) => {
+                events.push(e);
+                (events.len() > n_quad).then(|| events.remove(0))
+            }
+            ModelStore::Bucketed(buckets) => {
+                let bw = window.t_int.as_secs().max(1.0);
+                let bucket = buckets
+                    .entry((e.t_event.as_secs() / bw).floor() as i64)
+                    .or_default();
+                bucket.push(e);
+                let evicted = (bucket.len() > n_quad).then(|| bucket.remove(0));
+                let retention = window.retention().expect("finite window");
+                let cutoff = ((e.t_event - retention).as_secs() / bw).floor() as i64;
+                buckets.retain(|&idx, _| idx >= cutoff);
+                evicted
+            }
+        };
+        (new_key, evicted.map(|e| e.t_soj.as_secs()))
+    }
+
+    /// Makes the selections answer for `t_o`; returns whether the cache
+    /// counts a build.
+    fn ensure(&mut self, t_o: SimTime) -> bool {
+        let (n_quad, refresh) = (self.config.n_quad, self.config.snapshot_refresh);
+        let (class, window) = self.class(t_o);
+        let infinite = window.t_int.is_infinite();
+        let stale = match class.built_at {
+            None => true,
+            Some(_) if infinite => false,
+            Some(at) => !(t_o >= at && t_o - at <= refresh),
+        };
+        if stale || (infinite && class.dirty) {
+            class.rebuild(t_o, &window, n_quad);
+        }
+        self.version += u64::from(stale);
+        stale
+    }
+
+    fn pairs(&mut self, t_o: SimTime) -> &ModelClass {
+        self.ensure(t_o);
+        self.class(t_o).0
+    }
+
+    fn weight_prev_gt(&mut self, t_o: SimTime, prev: Option<CellId>, t_ext: Duration) -> f64 {
+        let a = t_ext.as_secs();
+        self.pairs(t_o)
+            .pairs
+            .range((prev, CellId(0))..=(prev, CellId(u32::MAX)))
+            .map(|(_, pair)| model_weight_gt(pair, a))
+            .sum()
+    }
+
+    fn weight_pair_in(
+        &mut self,
+        t_o: SimTime,
+        prev: Option<CellId>,
+        next: CellId,
+        t_ext: Duration,
+        t_est: Duration,
+    ) -> f64 {
+        match self.pairs(t_o).pairs.get(&(prev, next)) {
+            Some(pair) => (model_weight_gt(pair, t_ext.as_secs())
+                - model_weight_gt(pair, (t_ext + t_est).as_secs()))
+            .max(0.0),
+            None => 0.0,
+        }
+    }
+
+    fn weight_pair_gt(
+        &mut self,
+        t_o: SimTime,
+        prev: Option<CellId>,
+        next: CellId,
+        t_ext: Duration,
+    ) -> f64 {
+        match self.pairs(t_o).pairs.get(&(prev, next)) {
+            Some(pair) => model_weight_gt(pair, t_ext.as_secs()),
+            None => 0.0,
+        }
+    }
+
+    fn max_sojourn(&mut self, t_o: SimTime) -> Option<f64> {
+        self.pairs(t_o).max_sojourn
+    }
+
+    fn footprint_pairs(&mut self, t_o: SimTime, prev: Option<CellId>) -> Vec<(CellId, Vec<f64>)> {
+        self.pairs(t_o)
+            .pairs
+            .range((prev, CellId(0))..=(prev, CellId(u32::MAX)))
+            .map(|(&(_, next), (sojourns, _))| (next, sojourns.clone()))
+            .collect()
+    }
+
+    /// Eq. 4 as `handoff_probability` (no declared next cell) and
+    /// `known_next_probability` (declared `next`) compute it.
+    fn p_h(&mut self, t_o: SimTime, prev: Option<CellId>, known: bool, conn: Query) -> f64 {
+        let (next, t_ext, t_est) = conn;
+        let den = if known {
+            self.weight_pair_gt(t_o, prev, next, t_ext)
+        } else {
+            self.weight_prev_gt(t_o, prev, t_ext)
+        };
+        if den <= 0.0 {
+            return 0.0;
+        }
+        (self.weight_pair_in(t_o, prev, next, t_ext, t_est) / den).clamp(0.0, 1.0)
+    }
+}
+
+/// `(next, T_ext-soj, T_est)` of one Eq.-4 query.
+type Query = (CellId, Duration, Duration);
+
+fn model_weight_gt((sojourns, prefix): &Selection, a: f64) -> f64 {
+    let idx = sojourns.partition_point(|&s| s <= a);
+    prefix[sojourns.len()] - prefix[idx]
+}
+
+impl ModelClass {
+    fn rebuild(&mut self, t_o: SimTime, window: &WindowConfig, n_quad: usize) {
+        self.pairs.clear();
+        self.max_sojourn = None;
+        for (&key, store) in &self.raw {
+            let mut members: Vec<(u32, f64, f64, f64)> = Vec::new();
+            let mut consider = |e: &HandoffEvent| {
+                if let Some(m) = window.membership(t_o, e.t_event) {
+                    members.push((m.n, m.distance, e.t_soj.as_secs(), m.weight));
+                }
+            };
+            match store {
+                ModelStore::Recent(events) => events.iter().for_each(&mut consider),
+                ModelStore::Bucketed(buckets) => {
+                    let bw = window.t_int.as_secs().max(1.0);
+                    let (t_int, period) = (window.t_int.as_secs(), window.period.as_secs());
+                    let mut indices = BTreeSet::new();
+                    for n in 0..window.num_windows() {
+                        let lo = t_o.as_secs() - t_int - f64::from(n) * period;
+                        let hi = t_o.as_secs() + t_int - f64::from(n) * period;
+                        let range = (lo / bw).floor() as i64..=(hi / bw).floor() as i64;
+                        indices.extend(buckets.range(range).map(|(&idx, _)| idx));
+                    }
+                    for idx in indices {
+                        buckets[&idx].iter().for_each(&mut consider);
+                    }
+                }
+            }
+            if members.is_empty() {
+                continue;
+            }
+            members.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.partial_cmp(&b.1).unwrap()));
+            members.truncate(n_quad);
+            let mut selected: Vec<(f64, f64)> = members.iter().map(|m| (m.2, m.3)).collect();
+            selected.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
+            let sojourns: Vec<f64> = selected.iter().map(|s| s.0).collect();
+            let mut prefix = vec![0.0];
+            for &(_, w) in &selected {
+                prefix.push(prefix.last().unwrap() + w);
+            }
+            let top = *sojourns.last().unwrap();
+            self.max_sojourn = Some(self.max_sojourn.map_or(top, |m: f64| m.max(top)));
+            self.pairs.insert(key, (sojourns, prefix));
+        }
+        self.built_at = Some(t_o);
+        self.dirty = false;
+    }
+}
+
+/// The cases [`flat_cache_matches_btreemap_model`] must reach.
+#[derive(Default, Debug)]
+struct Coverage {
+    none_prev: bool,
+    spill: bool,
+    key_after_build: bool,
+    max_evicted: bool,
+    finite: bool,
+    infinite: bool,
+    weekend_queried: bool,
+}
+
+/// Seeded record/query sequences against [`ModelCache`]: every answer
+/// bit-identical, `footprint_pairs` in the same order, and `version()`
+/// bumped by each record and by each build the model counts, and by
+/// nothing else. The sequences cover in-cell starts, up to 14 distinct
+/// `prev`s (the streaming pass keeps 8 inline and spills the rest), pairs
+/// first seen after the snapshot was built, evictions of the largest
+/// selected sojourn, finite and infinite windows, and the weekend store.
+#[test]
+fn flat_cache_matches_btreemap_model() {
+    let mut rng = StreamRng::seed_from_u64(0xCAC4_0006);
+    let mut seen = Coverage::default();
+    for case in 0..160 {
+        let infinite = case % 2 == 0;
+        let mut config = if infinite {
+            HoeConfig::stationary()
+        } else {
+            HoeConfig::paper_time_varying()
+        };
+        config.n_quad = if case % 4 < 2 {
+            rng.gen_range(1usize..6)
+        } else {
+            rng.gen_range(8usize..30)
+        };
+        if rng.gen_bool(0.5) {
+            let w = &mut config.weekday_window.weights;
+            w[0] = 0.7;
+            if w.len() > 1 {
+                w[1] = 0.3;
+            }
+        }
+        if case % 3 == 0 {
+            config.weekend_window = Some(WindowConfig {
+                t_int: if infinite {
+                    Duration::INFINITE
+                } else {
+                    Duration::from_hours(1.0)
+                },
+                period: Duration::WEEK,
+                weights: if infinite { vec![0.6] } else { vec![1.0, 0.6] },
+            });
+        }
+        seen.finite |= !infinite;
+        seen.infinite |= infinite;
+        let prevs = [3u32, 7, 13][case % 3];
+        let draw_prev = |rng: &mut StreamRng| {
+            let p = rng.gen_range(0..prevs + 1);
+            (p < prevs).then_some(CellId(p))
+        };
+        let mut cache = HoeCache::new(config.clone());
+        let mut model = ModelCache::new(config.clone());
+        let mut t = 0.0;
+        for _ in 0..rng.gen_range(1usize..200) {
+            t += match rng.gen_range(0u32..20) {
+                0 => rng.gen_range_f64(0.0, 108_000.0),
+                1..=5 => rng.gen_range_f64(0.0, 7_200.0),
+                _ => rng.gen_range_f64(0.0, 300.0),
+            };
+            let sojourn = if rng.gen_bool(0.6) {
+                f64::from(rng.gen_range(1u32..5)) * 10.0
+            } else {
+                rng.gen_range_f64(0.1, 60.0)
+            };
+            let e = HandoffEvent::new(
+                SimTime::from_secs(t),
+                draw_prev(&mut rng),
+                CellId(rng.gen_range(0u32..4)),
+                Duration::from_secs(sojourn),
+            );
+            seen.none_prev |= e.prev.is_none();
+            let max_before = model.class(e.t_event).0.max_sojourn;
+            let built = model.class(e.t_event).0.built_at.is_some();
+            let (new_key, evicted) = model.record(e);
+            seen.key_after_build |= new_key;
+            seen.max_evicted |= built && infinite && evicted.is_some() && evicted == max_before;
+            let before = cache.version();
+            cache.record(e);
+            assert_eq!(cache.version(), before + 1, "case {case}: record");
+            if rng.gen_bool(0.4) {
+                t += rng.gen_range_f64(0.0, 60.0);
+                let now = SimTime::from_secs(t);
+                seen.weekend_queried |= config.weekend_window.is_some()
+                    && config.calendar.classify(now) == DayClass::Weekend;
+                let ctx = format!("case {case} at {now:?}");
+                compare_with_model(&mut cache, &mut model, now, prevs, &mut rng, &ctx);
+                seen.spill |= check_pass(&mut cache, &mut model, now, prevs, &mut rng, &ctx);
+            }
+        }
+    }
+    assert!(
+        seen.none_prev
+            && seen.spill
+            && seen.key_after_build
+            && seen.max_evicted
+            && seen.finite
+            && seen.infinite
+            && seen.weekend_queried,
+        "uncovered: {seen:?}"
+    );
+}
+
+/// A threshold on the sojourn grid of the model test (so ties occur) or
+/// off it.
+fn model_threshold(rng: &mut StreamRng) -> Duration {
+    Duration::from_secs(if rng.gen_bool(0.5) {
+        f64::from(rng.gen_range(0u32..5)) * 10.0
+    } else {
+        rng.gen_range_f64(0.0, 60.0)
+    })
+}
+
+/// Every query of `cache` against `model` at `now`, over the `prevs`
+/// seen plus an unseen one, and next cells 0–3 plus an unseen one.
+fn compare_with_model(
+    cache: &mut HoeCache,
+    model: &mut ModelCache,
+    now: SimTime,
+    prevs: u32,
+    rng: &mut StreamRng,
+    ctx: &str,
+) {
+    let before = cache.version();
+    let max = cache.max_sojourn(now).map(|d| d.as_secs().to_bits());
+    let built = model.ensure(now);
+    assert_eq!(cache.version(), before + u64::from(built), "{ctx}: version");
+    assert_eq!(max, model.max_sojourn(now).map(f64::to_bits), "{ctx}: max");
+    let version = cache.version();
+    // Cell `prevs` never hands in.
+    for prev in (0..=prevs).map(|p| Some(CellId(p))).chain([None]) {
+        let ext = model_threshold(rng);
+        assert_eq!(
+            cache.weight_prev_gt(now, prev, ext).to_bits(),
+            model.weight_prev_gt(now, prev, ext).to_bits(),
+            "{ctx}: weight_prev_gt({prev:?}, {ext:?})"
+        );
+        assert_eq!(
+            cache.footprint_pairs(now, prev),
+            model.footprint_pairs(now, prev),
+            "{ctx}: footprint_pairs({prev:?})"
+        );
+        for next in (0u32..5).map(CellId) {
+            let (ext, t_est) = (model_threshold(rng), model_threshold(rng));
+            assert_eq!(
+                cache.weight_pair_in(now, prev, next, ext, t_est).to_bits(),
+                model.weight_pair_in(now, prev, next, ext, t_est).to_bits(),
+                "{ctx}: weight_pair_in({prev:?}, {next:?}, {ext:?}, {t_est:?})"
+            );
+            assert_eq!(
+                cache.weight_pair_gt(now, prev, next, ext).to_bits(),
+                model.weight_pair_gt(now, prev, next, ext).to_bits(),
+                "{ctx}: weight_pair_gt({prev:?}, {next:?}, {ext:?})"
+            );
+        }
+    }
+    assert_eq!(cache.version(), version, "{ctx}: a fresh snapshot rebuilt");
+}
+
+/// One streaming pass toward a random target over a population drawn
+/// from every `prev`, each probability equal by bits to the model's
+/// Eq. 4 and each target span to the model's pair; returns whether the
+/// pass resolved more `prev`s than it keeps inline.
+fn check_pass(
+    cache: &mut HoeCache,
+    model: &mut ModelCache,
+    now: SimTime,
+    prevs: u32,
+    rng: &mut StreamRng,
+    ctx: &str,
+) -> bool {
+    let target = CellId(rng.gen_range(0u32..4));
+    let t_est = model_threshold(rng);
+    let conns: Vec<(Option<CellId>, Option<CellId>, Duration)> = (0..30)
+        .map(|_| {
+            let p = rng.gen_range(0..prevs + 1);
+            let known = match rng.gen_range(0u32..6) {
+                0 => Some(target),
+                1 => Some(CellId(9)),
+                _ => None,
+            };
+            (
+                (p < prevs).then_some(CellId(p)),
+                known,
+                model_threshold(rng),
+            )
+        })
+        .collect();
+    let mut pass = ContributionPass::new(cache, now, target, t_est);
+    let mut distinct = BTreeSet::new();
+    for &(prev, known, ext) in &conns {
+        let got = pass.probability(prev, known, ext);
+        let expect = match known {
+            Some(declared) if declared != target => 0.0,
+            _ => model.p_h(now, prev, known.is_some(), (target, ext, t_est)),
+        };
+        assert_eq!(
+            got.to_bits(),
+            expect.to_bits(),
+            "{ctx}: p_h({prev:?}, {known:?}, {ext:?}) toward {target:?}"
+        );
+        let span = model.pairs(now).pairs.get(&(prev, target)).map(|(s, _)| {
+            (
+                s.first().copied().unwrap().to_bits(),
+                s.last().copied().unwrap().to_bits(),
+            )
+        });
+        assert_eq!(
+            pass.target_span(prev)
+                .map(|(lo, hi)| (lo.to_bits(), hi.to_bits())),
+            span,
+            "{ctx}: target_span({prev:?})"
+        );
+        distinct.insert(prev);
+    }
+    distinct.len() > 8
 }
