@@ -19,8 +19,8 @@
 //! `calib_flush` times the Eq.-4 calibration store alone: one
 //! admission's worth of evaluations on a 10-cell ring (two neighbors of
 //! 80 connections each, evaluated toward the admitting cell, 11 of the 80
-//! forecasts nonzero), staged and flushed, plus the hand-offs that score
-//! them.
+//! forecasts nonzero), staged in one reused `qres_obs::Staging` buffer and
+//! published, plus the hand-offs that score them.
 
 use std::collections::VecDeque;
 
@@ -117,6 +117,7 @@ fn bench_calib_flush(c: &mut Criterion) {
         })
         .collect();
     let mut admission = 0u64;
+    let mut staging = qres_obs::Staging::default();
     group.bench_function("calib_flush", |b| {
         b.iter(|| {
             // An admission in cell `k` evaluates both ring neighbors
@@ -138,15 +139,15 @@ fn bench_calib_flush(c: &mut Criterion) {
                     conns.extend((next_id..next_id + CHURN as u64).map(|id| (id, now)));
                     next_id += CHURN as u64;
                 }
-                qres_obs::stage_evaluation(n, k, now, now + 30.0);
+                staging.forecasts.evaluation(n, k, now, now + 30.0);
                 let nonzero = conns
                     .iter()
                     .rev()
                     .take(NONZERO)
                     .map(|&(conn, _)| (conn, 0.3));
-                qres_obs::stage_group(prev, CONNS, nonzero);
+                staging.forecasts.group(prev, CONNS, nonzero);
             }
-            qres_obs::flush_staged(now);
+            staging.publish(now, None);
         })
     });
     let s = qres_obs::calib_summary();

@@ -25,7 +25,7 @@
 //! with extant sojourns under 53 s.
 
 use qres_cellnet::{Bandwidth, Cell, CellId, ConnInfo, ConnectionId};
-use qres_core::{neighbor_contribution, neighbor_contribution_naive};
+use qres_core::{neighbor_contribution, neighbor_contribution_naive, AdmissionBuffer};
 use qres_des::{Duration, SimTime};
 use qres_microbench::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use qres_mobility::{HandoffEvent, HoeCache, HoeConfig};
@@ -243,11 +243,14 @@ fn bench_contribution(c: &mut Criterion) {
     cases.push(("metro_shape_cold".to_string(), setup_metro_shape(1_000)));
     cases.push(("metro_early_cold".to_string(), setup_metro_early(1_000)));
     let t_est = Duration::from_secs(10.0);
+    // The kernel's scratch, made once, as a `ReservationSystem` makes its
+    // own: the timed loop allocates nothing.
+    let mut buffer = AdmissionBuffer::default();
     for (case, (mut cells, now)) in cases {
         // Warm the snapshots and arrival indexes, and refuse to time a
         // kernel that disagrees with the reference on any cell.
         for (v, (cell, cache)) in cells.iter_mut().enumerate() {
-            let got = neighbor_contribution(cell, cache, now, CellId(0), t_est);
+            let got = neighbor_contribution(cell, cache, now, CellId(0), t_est, &mut buffer);
             let expect = neighbor_contribution_naive(cell, cache, now, CellId(0), t_est);
             assert_eq!(got.to_bits(), expect.to_bits(), "{case}, cell {v}");
         }
@@ -256,7 +259,14 @@ fn bench_contribution(c: &mut Criterion) {
             b.iter(|| {
                 k = (k + 1) % cells.len();
                 let (cell, cache) = &mut cells[k];
-                black_box(neighbor_contribution(cell, cache, now, CellId(0), t_est))
+                black_box(neighbor_contribution(
+                    cell,
+                    cache,
+                    now,
+                    CellId(0),
+                    t_est,
+                    &mut buffer,
+                ))
             })
         });
         group.bench_function(BenchmarkId::new("naive", &case), |b| {

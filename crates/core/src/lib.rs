@@ -40,6 +40,6 @@ pub mod window_control;
 pub use admission::{AcKind, AdmissionDecision, SchemeConfig};
 pub use config::QresConfig;
 pub use ns_scheme::NsParams;
-pub use reservation::{neighbor_contribution, neighbor_contribution_naive};
+pub use reservation::{neighbor_contribution, neighbor_contribution_naive, AdmissionBuffer};
 pub use system::{HandoffOutcome, NewConnectionRequest, ReservationSystem};
 pub use window_control::{StepPolicy, WindowController};

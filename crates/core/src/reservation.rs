@@ -28,10 +28,8 @@
 //! and adding `+0.0` to a non-negative sum changes no bit, so the total is
 //! bit-identical to [`neighbor_contribution_naive`], one estimator query
 //! per connection. With telemetry on, the pass also stages its forecasts
-//! for the calibration tracker: each group's nonzero `p_h` and how many
-//! of its connections forecast zero.
-
-use std::cell::RefCell;
+//! for the calibration tracker in the [`AdmissionBuffer`]: each group's
+//! nonzero `p_h` and how many of its connections forecast zero.
 
 use qres_cellnet::{Bandwidth, Cell, CellId, ConnectionId};
 use qres_des::{Duration, SimTime};
@@ -40,17 +38,21 @@ use qres_mobility::{
 };
 
 /// One candidate connection's nonzero Eq.-4 result.
+#[derive(Debug)]
 struct Term {
     id: ConnectionId,
     bandwidth: Bandwidth,
     p_h: f64,
 }
 
-thread_local! {
-    /// [`neighbor_contribution`]'s terms, reused from call to call. A
-    /// `Vec` allocated per call churned the heap enough to slow the set-up
-    /// of the run that followed by about a quarter on `ring_ac3_obs`.
-    static TERMS: RefCell<Vec<Term>> = const { RefCell::new(Vec::new()) };
+/// The scratch of the `B_i,0` evaluations in one admission test: the
+/// Eq.-4 terms of the latest evaluation and the admission's staged
+/// telemetry. [`crate::ReservationSystem`] owns one and reuses it for
+/// every admission; a caller of [`neighbor_contribution`] passes its own.
+#[derive(Debug, Default)]
+pub struct AdmissionBuffer {
+    terms: Vec<Term>,
+    pub(crate) telemetry: qres_obs::Staging,
 }
 
 /// Computes one neighbor's contribution `B_i,0` (Eq. 5): the fractional
@@ -68,42 +70,48 @@ thread_local! {
 /// when stale, rebuilt) when some connection not declared toward another
 /// cell exists, as on the one-at-a-time path. The result is bit-identical
 /// to [`neighbor_contribution_naive`].
+/// `buffer` is the caller's scratch; the call begins an admission on it
+/// (with telemetry on, its forecasts stay there, published nowhere).
 pub fn neighbor_contribution(
     neighbor_cell: &mut Cell,
     neighbor_cache: &mut HoeCache,
     now: SimTime,
     target: CellId,
     t_est_of_target: Duration,
+    buffer: &mut AdmissionBuffer,
 ) -> f64 {
-    TERMS.with_borrow_mut(|terms| {
-        terms.clear();
-        contribution(
-            neighbor_cell,
-            neighbor_cache,
-            now,
-            target,
-            t_est_of_target,
-            terms,
-        )
-    })
+    buffer.telemetry.begin();
+    contribution(
+        neighbor_cell,
+        neighbor_cache,
+        now,
+        target,
+        t_est_of_target,
+        buffer,
+    )
+    .0
 }
 
-/// [`neighbor_contribution`] with its terms collected in `terms`, which
-/// starts empty.
-fn contribution(
+/// [`neighbor_contribution`] inside an admission that began on `buffer`.
+/// Returns `B_i,0` and, with the flight recorder on, its Eq.-4 detail:
+/// `Σ p_h` over the forecasts in id order (zeros adding nothing) and the
+/// number of connections forecast.
+pub(crate) fn contribution(
     neighbor_cell: &mut Cell,
     neighbor_cache: &mut HoeCache,
     now: SimTime,
     target: CellId,
     t_est_of_target: Duration,
-    terms: &mut Vec<Term>,
-) -> f64 {
+    buffer: &mut AdmissionBuffer,
+) -> (f64, f64, u32) {
+    let AdmissionBuffer { terms, telemetry } = buffer;
+    terms.clear();
     let cell_id = neighbor_cell.id();
     debug_assert_ne!(cell_id, target, "a cell does not hand off to itself");
-    let obs = qres_obs::enabled();
+    let obs = telemetry.on();
     let t0 = obs.then(std::time::Instant::now);
     if obs {
-        qres_obs::stage_evaluation(
+        telemetry.forecasts.evaluation(
             cell_id.0,
             target.0,
             now.as_secs(),
@@ -119,6 +127,7 @@ fn contribution(
         {
             continue;
         }
+        eligible += group.arrivals.len() as u32;
         let first = terms.len();
         if let Some((s_min, s_max)) = pass.target_span(group.prev) {
             // The same float expressions `probability` compares: `a < s_max`
@@ -143,11 +152,9 @@ fn contribution(
         }
         if obs {
             // Calibration read-out: the group's nonzero forecasts; the
-            // rest of the group forecast zero. Staging is a thread-local
-            // push; `compute_br`'s caller publishes it after the timing
-            // record ([`qres_obs::flush_staged`]).
-            eligible += group.arrivals.len() as u32;
-            qres_obs::stage_group(
+            // rest of the group forecast zero. The admission publishes
+            // them after its timing record ([`qres_obs::Staging`]).
+            telemetry.forecasts.group(
                 group.prev.map(|c| c.0),
                 group.arrivals.len(),
                 terms[first..].iter().map(|t| (t.id.0, t.p_h)),
@@ -161,16 +168,13 @@ fn contribution(
     if let Some(t0) = t0 {
         qres_obs::metrics::BATCHED_CONTRIBUTION_NS.record_duration(t0.elapsed());
         qres_obs::metrics::B_I0_EVALS_TOTAL.add(evaluated as u64);
-        if qres_obs::flight::flight_enabled() {
-            // Leave the Eq.-4 internals (Σ p_h over the forecasts toward
-            // `target` in id order, zeros adding nothing; count of the
-            // connections forecast) in TLS for the caller to attach to its
-            // flight-record term (see `compute_br`).
-            let p_h_sum = terms.iter().fold(0.0, |sum, t| sum + t.p_h);
-            qres_obs::flight::stage_eval_detail(p_h_sum, eligible);
-        }
     }
-    total
+    let p_h_sum = if telemetry.flight() {
+        terms.iter().fold(0.0, |sum, t| sum + t.p_h)
+    } else {
+        0.0
+    };
+    (total, p_h_sum, eligible)
 }
 
 /// The one-connection-at-a-time reference evaluation of `B_i,0` — the
@@ -273,6 +277,7 @@ mod tests {
             SimTime::from_secs(100.0),
             CellId(0),
             s(60.0),
+            &mut AdmissionBuffer::default(),
         );
         assert_eq!(b, 0.0);
     }
@@ -291,6 +296,7 @@ mod tests {
             SimTime::from_secs(110.0),
             CellId(0),
             s(20.0),
+            &mut AdmissionBuffer::default(),
         );
         assert!((b - 4.0 * 0.5).abs() < 1e-12);
     }
@@ -307,6 +313,7 @@ mod tests {
             SimTime::from_secs(105.0),
             CellId(0),
             s(1_000.0),
+            &mut AdmissionBuffer::default(),
         );
         assert_eq!(b, 0.0);
         // But toward cell 2 it contributes fully with a huge window.
@@ -316,6 +323,7 @@ mod tests {
             SimTime::from_secs(105.0),
             CellId(2),
             s(1_000.0),
+            &mut AdmissionBuffer::default(),
         );
         assert!((b2 - 1.0).abs() < 1e-12);
     }
@@ -327,7 +335,14 @@ mod tests {
         let now = SimTime::from_secs(110.0);
         let mut last = 0.0;
         for t_est in [1.0, 5.0, 10.0, 20.0, 30.0, 60.0] {
-            let b = neighbor_contribution(&mut cell, &mut cache, now, CellId(0), s(t_est));
+            let b = neighbor_contribution(
+                &mut cell,
+                &mut cache,
+                now,
+                CellId(0),
+                s(t_est),
+                &mut AdmissionBuffer::default(),
+            );
             assert!(b >= last - 1e-12, "B_i,0 must be non-decreasing in T_est");
             last = b;
         }
@@ -343,6 +358,7 @@ mod tests {
             SimTime::from_secs(100.0),
             CellId(0),
             s(10_000.0),
+            &mut AdmissionBuffer::default(),
         );
         assert!(b <= cell.used().as_f64() + 1e-12);
     }
@@ -372,6 +388,7 @@ mod tests {
             SimTime::from_secs(110.0),
             CellId(0),
             s(20.0),
+            &mut AdmissionBuffer::default(),
         );
         assert!((b - 4.0 * 0.5).abs() < 1e-12, "b = {b}");
         // With a window covering everything, the declared connection
@@ -383,6 +400,7 @@ mod tests {
             SimTime::from_secs(110.0),
             CellId(0),
             s(1_000.0),
+            &mut AdmissionBuffer::default(),
         );
         assert!((b_full - 4.0).abs() < 1e-12, "b_full = {b_full}");
     }
@@ -404,6 +422,7 @@ mod tests {
                     SimTime::from_secs(now),
                     CellId(0),
                     s(t_est),
+                    &mut AdmissionBuffer::default(),
                 );
                 let naive = neighbor_contribution_naive(
                     &cell,
@@ -430,10 +449,24 @@ mod tests {
         let now = SimTime::from_secs(110.0);
         // (10, 11] and (100, 101] hold no recorded sojourn: nothing to
         // evaluate.
-        neighbor_contribution(&mut cell, &mut cache, now, CellId(0), s(1.0));
+        neighbor_contribution(
+            &mut cell,
+            &mut cache,
+            now,
+            CellId(0),
+            s(1.0),
+            &mut AdmissionBuffer::default(),
+        );
         assert_eq!(evals.get(), 0);
         // (10, 30] holds 25 s; the 100-s connection outlived every record.
-        neighbor_contribution(&mut cell, &mut cache, now, CellId(0), s(20.0));
+        neighbor_contribution(
+            &mut cell,
+            &mut cache,
+            now,
+            CellId(0),
+            s(20.0),
+            &mut AdmissionBuffer::default(),
+        );
         assert_eq!(evals.get(), 1);
     }
 
@@ -449,6 +482,7 @@ mod tests {
             SimTime::from_secs(100.0),
             CellId(0),
             s(1_000.0),
+            &mut AdmissionBuffer::default(),
         );
         assert_eq!(b, 0.0);
     }

@@ -31,7 +31,7 @@ use qres_stats::Welford;
 
 use crate::admission::{AcKind, AdmissionDecision, SchemeConfig};
 use crate::config::QresConfig;
-use crate::reservation::neighbor_contribution;
+use crate::reservation::{contribution, AdmissionBuffer};
 use crate::window_control::{WindowController, WindowEvent};
 
 /// A new-connection request arriving at a cell.
@@ -87,10 +87,12 @@ pub struct ReservationSystem {
     br_calcs_total: u64,
     /// Monotonic admission-request id. Incremented unconditionally (not
     /// gated on the obs level) so a run's ids are identical whether or
-    /// not telemetry is on; keys flight records and their staged terms.
+    /// not telemetry is on; keys flight records.
     admission_req_seq: u64,
     /// The scheme's label, built once and shared by every flight record.
     scheme_label: Arc<str>,
+    /// The current admission's Eq.-4 terms and staged telemetry.
+    buffer: AdmissionBuffer,
 }
 
 impl ReservationSystem {
@@ -122,6 +124,7 @@ impl ReservationSystem {
             n_calc: Welford::new(),
             br_calcs_total: 0,
             admission_req_seq: 0,
+            buffer: AdmissionBuffer::default(),
         }
     }
 
@@ -196,12 +199,12 @@ impl ReservationSystem {
     /// Computes `B_r,target` (Eqs. 5–6), updating `last_br`, signaling
     /// counters and the calculation total. One call = one `N_calc` unit.
     /// Every neighbor's `B_i,target` term is evaluated through Eq. 4.
-    fn compute_br(&mut self, now: SimTime, target: CellId) -> f64 {
+    /// `own` marks the requesting cell's `B_r`, whose terms the flight
+    /// record tapes.
+    fn compute_br(&mut self, now: SimTime, target: CellId, own: bool) -> f64 {
         let t_est = self.t_est(target);
-        let req_id = self.admission_req_seq;
-        let obs_t0 = qres_obs::enabled().then(std::time::Instant::now);
-        let flight_on = qres_obs::flight::flight_enabled();
-        let mut flight_terms = Vec::new();
+        let obs_t0 = self.buffer.telemetry.on().then(std::time::Instant::now);
+        let tape = own && self.buffer.telemetry.flight();
         let neighbors = self.topology.neighbors(target);
         let mut br = 0.0;
         for &nb in neighbors {
@@ -209,15 +212,21 @@ impl ReservationSystem {
             // its contribution: one round-trip per neighbor.
             self.signaling.reservation_exchange(target, nb);
             let site = &mut self.sites[nb.index()];
-            let value = neighbor_contribution(&mut site.cell, &mut site.hoe, now, target, t_est);
+            let (value, p_h_sum, conns) = contribution(
+                &mut site.cell,
+                &mut site.hoe,
+                now,
+                target,
+                t_est,
+                &mut self.buffer,
+            );
             br += value;
-            if flight_on {
-                let detail = qres_obs::flight::take_eval_detail();
-                flight_terms.push(qres_obs::flight::FlightTerm {
+            if tape {
+                self.buffer.telemetry.term(qres_obs::FlightTerm {
                     neighbor: nb.0,
                     value,
-                    p_h_sum: detail.map(|(p_h_sum, _)| p_h_sum),
-                    conns: detail.map(|(_, conns)| conns),
+                    p_h_sum: Some(p_h_sum),
+                    conns: Some(conns),
                 });
             }
         }
@@ -226,21 +235,9 @@ impl ReservationSystem {
         if let Some(t0) = obs_t0 {
             qres_obs::metrics::BR_COMPUTE_NS.record_duration(t0.elapsed());
             qres_obs::metrics::BR_TERMS_RECOMPUTED_TOTAL.add(neighbors.len() as u64);
-            // The efficiency integral's view of the new target is staged
-            // thread-locally (no mutex): `compute_br` runs inside the
-            // admission-test timing window, so even post-`B_r`-record
-            // bookkeeping would land in `qres_admission_test_ns`. The
-            // staged updates — and the calibration forecasts staged by
-            // `neighbor_contribution` — publish after the admission
-            // timing record in `request_new_connection`.
-            qres_obs::qos::stage_br_update(target.0, br);
-        }
-        if flight_on {
-            // Per-term provenance for the flight recorder, staged outside
-            // the `compute_br` timing window; `request_new_connection`
-            // claims the (req, target) batch when it assembles the
-            // decision record.
-            qres_obs::flight::stage_terms(req_id, target.0, flight_terms);
+            // Published after the admission-test timing window, which
+            // encloses this one.
+            self.buffer.telemetry.br_update(target.0, br);
         }
         br
     }
@@ -250,12 +247,12 @@ impl ReservationSystem {
     /// `rank` is the neighbor's index in the requesting cell's sorted
     /// neighbor list (the flight record's check key).
     fn neighbor_feasible(&mut self, now: SimTime, neighbor: CellId, rank: u8) -> bool {
-        let br = self.compute_br(now, neighbor);
+        let br = self.compute_br(now, neighbor, false);
         let cell = self.cell(neighbor);
         let (used, capacity) = (cell.used().as_f64(), cell.capacity().as_f64());
         let ok = crate::admission::neighbor_reserve_feasible(used, capacity, br);
-        if qres_obs::flight::flight_enabled() {
-            qres_obs::flight::stage_check(qres_obs::flight::FlightCheck {
+        if self.buffer.telemetry.flight() {
+            self.buffer.telemetry.check(qres_obs::FlightCheck {
                 rank,
                 neighbor: neighbor.0,
                 br,
@@ -275,8 +272,8 @@ impl ReservationSystem {
     ) -> AdmissionDecision {
         let calcs_before = self.br_calcs_total;
         self.admission_req_seq += 1;
-        let req_id = self.admission_req_seq;
-        let obs_t0 = qres_obs::enabled().then(std::time::Instant::now);
+        self.buffer.telemetry.begin();
+        let obs_t0 = self.buffer.telemetry.on().then(std::time::Instant::now);
         let decision = match self.config.scheme {
             SchemeConfig::Static { guard } => {
                 if self
@@ -295,8 +292,7 @@ impl ReservationSystem {
                 // polls every neighbor's usage (one exchange each) and
                 // counts as one reservation calculation.
                 let num_neighbors = self.topology.neighbors(req.cell).len();
-                let flight_on = qres_obs::flight::flight_enabled();
-                let mut flight_terms = Vec::new();
+                let tape = self.buffer.telemetry.flight();
                 let mut b_ns = 0.0;
                 for rank in 0..num_neighbors {
                     let nb = self.topology.neighbors(req.cell)[rank];
@@ -304,17 +300,14 @@ impl ReservationSystem {
                     let fanout = self.topology.neighbors(nb).len().max(1);
                     let term = params.neighbor_contribution(self.used_bus(nb), fanout);
                     b_ns += term;
-                    if flight_on {
-                        flight_terms.push(qres_obs::flight::FlightTerm {
+                    if tape {
+                        self.buffer.telemetry.term(qres_obs::FlightTerm {
                             neighbor: nb.0,
                             value: term,
                             p_h_sum: None,
                             conns: None,
                         });
                     }
-                }
-                if flight_on {
-                    qres_obs::flight::stage_terms(req_id, req.cell.0, flight_terms);
                 }
                 self.sites[req.cell.index()].last_br = b_ns;
                 self.br_calcs_total += 1;
@@ -328,40 +321,37 @@ impl ReservationSystem {
         self.n_calc.add((self.br_calcs_total - calcs_before) as f64);
         if let Some(t0) = obs_t0 {
             qres_obs::metrics::ADMISSION_TEST_NS.record_duration(t0.elapsed());
-            // Publish the telemetry staged during the admission's
-            // `compute_br` calls (Eq.-4 calibration forecasts and `B_r`
-            // efficiency updates) outside the measured window: the one
-            // mutex acquisition per kind lands here, not in the
-            // admission/`B_r` histograms.
-            qres_obs::flush_staged(now.as_secs());
-            qres_obs::qos::flush_br_updates(now.as_secs());
-        }
-        if qres_obs::flight::flight_enabled() {
-            // Assemble the decision's black-box record — outside the
-            // admission timing window, like the other post-record
-            // bookkeeping. `reserve` is the exact threshold the scheme
-            // compared against: the static guard band, or the `last_br`
-            // every other scheme just published for the requesting cell.
-            let reserve = match self.config.scheme {
-                SchemeConfig::Static { guard } => guard.as_f64(),
-                _ => self.last_br(req.cell),
-            };
-            let cell = self.cell(req.cell);
-            qres_obs::flight::record(qres_obs::flight::FlightRecord {
-                req: req_id,
-                t: now.as_secs(),
-                cell: req.cell.0,
-                scheme: Arc::clone(&self.scheme_label),
-                bu: req.bandwidth.as_f64(),
-                used: cell.used().as_f64(),
-                capacity: cell.capacity().as_f64(),
-                reserve,
-                t_est_secs: self.t_est(req.cell).as_secs(),
-                terms: qres_obs::flight::take_terms(req_id, req.cell.0),
-                checks: qres_obs::flight::take_checks(),
-                admitted: decision.is_admitted(),
-                blocked_rank: decision.blocking_neighbor(),
+            // Publish what the admission staged (Eq.-4 forecasts, `B_r`
+            // updates, the decision's flight record) outside the measured
+            // window: the one mutex acquisition per kind lands here, not
+            // in the admission/`B_r` histograms.
+            // `reserve` is the exact threshold the scheme compared
+            // against: the static guard band, or the `last_br` every other
+            // scheme just published for the requesting cell.
+            let record = self.buffer.telemetry.flight().then(|| {
+                let reserve = match self.config.scheme {
+                    SchemeConfig::Static { guard } => guard.as_f64(),
+                    _ => self.last_br(req.cell),
+                };
+                let cell = self.cell(req.cell);
+                qres_obs::FlightRecord {
+                    req: self.admission_req_seq,
+                    t: now.as_secs(),
+                    cell: req.cell.0,
+                    scheme: Arc::clone(&self.scheme_label),
+                    bu: req.bandwidth.as_f64(),
+                    used: cell.used().as_f64(),
+                    capacity: cell.capacity().as_f64(),
+                    reserve,
+                    t_est_secs: self.t_est(req.cell).as_secs(),
+                    // Filled in from the buffer by `publish`.
+                    terms: Vec::new(),
+                    checks: Vec::new(),
+                    admitted: decision.is_admitted(),
+                    blocked_rank: decision.blocking_neighbor(),
+                }
             });
+            self.buffer.telemetry.publish(now.as_secs(), record);
         }
         if decision.is_admitted() {
             self.sites[req.cell.index()]
@@ -387,7 +377,7 @@ impl ReservationSystem {
         // All schemes recompute the requesting cell's target before the
         // Eq. 1 test ("B_r is updated predictively and adaptively before
         // performing the admission test").
-        let br0 = self.compute_br(now, req.cell);
+        let br0 = self.compute_br(now, req.cell, true);
         let local_ok = self.cell(req.cell).fits_with_reserve(req.bandwidth, br0);
         match kind {
             AcKind::Ac1 => {
@@ -952,6 +942,49 @@ mod tests {
         let mut sys = system(SchemeConfig::Predictive { kind: AcKind::Ac3 });
         sys.request_new_connection(s(1.0), req(0, 1, 1));
         sys.attempt_handoff(s(2.0), ConnectionId(1), CellId(0), CellId(5));
+    }
+
+    /// Telemetry staged outside an admission cannot leak into the next
+    /// one: after a contribution evaluated on its own, one admission
+    /// publishes exactly the forecasts it publishes on a fresh thread.
+    #[test]
+    fn staged_telemetry_does_not_outlive_its_admission() {
+        // An AC1 admission in cell 2 evaluates cells 1 and 3, which hold
+        // two connections each (admitted with telemetry off).
+        fn one_admission() -> u64 {
+            let mut sys = system(SchemeConfig::Predictive { kind: AcKind::Ac1 });
+            qres_obs::set_level(qres_obs::Level::Off);
+            for i in 0..4u64 {
+                let cell = if i % 2 == 0 { 1 } else { 3 };
+                sys.request_new_connection(s(1.0 + i as f64), req(cell, i, 1));
+            }
+            qres_obs::set_level(qres_obs::Level::Info);
+            sys.request_new_connection(s(10.0), req(2, 99, 1));
+            qres_obs::calib_summary().predictions
+        }
+        let alone = std::thread::spawn(one_admission).join().unwrap();
+        assert_eq!(alone, 4, "each connection of cells 1 and 3 forecast once");
+
+        qres_obs::set_level(qres_obs::Level::Info);
+        let mut cell = Cell::new(CellId(1), Bandwidth::from_bus(100));
+        cell.insert(ConnInfo {
+            id: ConnectionId(500),
+            bandwidth: Bandwidth::from_bus(1),
+            prev: None,
+            entered_at: s(0.0),
+            known_next: None,
+        })
+        .unwrap();
+        let mut hoe = HoeCache::new(qres_mobility::HoeConfig::stationary());
+        crate::reservation::neighbor_contribution(
+            &mut cell,
+            &mut hoe,
+            s(5.0),
+            CellId(0),
+            Duration::from_secs(30.0),
+            &mut AdmissionBuffer::default(),
+        );
+        assert_eq!(one_admission(), alone);
     }
 
     #[test]

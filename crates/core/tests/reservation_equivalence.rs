@@ -4,8 +4,8 @@
 
 use qres_cellnet::{Bandwidth, BsNetworkKind, Cell, CellId, ConnInfo, ConnectionId, Topology};
 use qres_core::{
-    neighbor_contribution, neighbor_contribution_naive, AcKind, QresConfig, ReservationSystem,
-    SchemeConfig,
+    neighbor_contribution, neighbor_contribution_naive, AcKind, AdmissionBuffer, QresConfig,
+    ReservationSystem, SchemeConfig,
 };
 use qres_des::{Duration, SimTime, StreamRng};
 use qres_mobility::{
@@ -101,7 +101,14 @@ fn batched_matches_naive_per_connection() {
         let target = CellId(0);
         let t_est = Duration::from_secs(rng.gen_range_f64(0.0, 300.0));
         let now = SimTime::from_secs(now);
-        let batched = neighbor_contribution(&mut cell, &mut cache, now, target, t_est);
+        let batched = neighbor_contribution(
+            &mut cell,
+            &mut cache,
+            now,
+            target,
+            t_est,
+            &mut AdmissionBuffer::default(),
+        );
         let naive = neighbor_contribution_naive(&cell, &mut cache, now, target, t_est);
         assert!(
             (batched - naive).abs() < 1e-9,
@@ -139,7 +146,14 @@ fn streamed_matches_naive_bit_for_bit_with_fractional_weights() {
         let target = CellId(0);
         let t_est = Duration::from_secs(rng.gen_range_f64(0.0, 300.0));
         let now = SimTime::from_secs(now);
-        let streamed = neighbor_contribution(&mut cell, &mut cache, now, target, t_est);
+        let streamed = neighbor_contribution(
+            &mut cell,
+            &mut cache,
+            now,
+            target,
+            t_est,
+            &mut AdmissionBuffer::default(),
+        );
         let naive = neighbor_contribution_naive(&cell, &mut cache, now, target, t_est);
         assert_eq!(streamed.to_bits(), naive.to_bits(), "case {case}");
         let mut pass_cache = cache.clone();
@@ -274,7 +288,14 @@ fn memoized_br_matches_naive_recomputation() {
 fn assert_exact(cell: &mut Cell, cache: &HoeCache, now: f64, t_est: f64, ctx: &str) -> f64 {
     let (now, t_est) = (SimTime::from_secs(now), Duration::from_secs(t_est));
     let (mut fast, mut naive) = (cache.clone(), cache.clone());
-    let got = neighbor_contribution(cell, &mut fast, now, CellId(0), t_est);
+    let got = neighbor_contribution(
+        cell,
+        &mut fast,
+        now,
+        CellId(0),
+        t_est,
+        &mut AdmissionBuffer::default(),
+    );
     let expect = neighbor_contribution_naive(cell, &mut naive, now, CellId(0), t_est);
     assert_eq!(got.to_bits(), expect.to_bits(), "{ctx}: {got} != {expect}");
     assert_eq!(fast.version(), naive.version(), "{ctx}: snapshot version");
@@ -402,6 +423,7 @@ fn declared_elsewhere_cells_do_not_rebuild_the_snapshot() {
         SimTime::from_secs(now),
         CellId(0),
         Duration::from_secs(30.0),
+        &mut AdmissionBuffer::default(),
     );
     assert_eq!(probe.version(), before, "declared elsewhere: no rebuild");
     assert_exact(&mut cell, &cache, now, 30.0, "declared elsewhere");
@@ -414,6 +436,7 @@ fn declared_elsewhere_cells_do_not_rebuild_the_snapshot() {
         SimTime::from_secs(now),
         CellId(0),
         Duration::from_secs(30.0),
+        &mut AdmissionBuffer::default(),
     );
     assert_ne!(probe.version(), before, "eligible connection: rebuild");
     assert_exact(&mut cell, &cache, now, 30.0, "one eligible");

@@ -45,15 +45,10 @@
 //!
 //! ## Hot-path staging
 //!
-//! Forecast capture happens inside `compute_br`, whose wall-clock cost is
-//! a gated metric (`qres_br_compute_ns`) — and `compute_br` itself runs
-//! inside the admission test's timed window (`qres_admission_test_ns`).
-//! To keep the bookkeeping out of both measured windows, producers
-//! *stage* each evaluation into a thread-local buffer
-//! ([`stage_evaluation`], then [`stage_group`] per arrival group: plain
-//! `Vec` pushes) and the caller flushes them into its [`crate::Obs`]'s
-//! store after the *admission* timing record ([`flush_staged`], one mutex
-//! acquisition per admission).
+//! Forecasts are captured inside the timed `compute_br` and admission
+//! windows, so producers *stage* each evaluation and its arrival groups in
+//! the admission's [`crate::Staging`] buffer, which publishes them after
+//! the admission timing record (one mutex acquisition per admission).
 //!
 //! ## Store layout
 //!
@@ -70,7 +65,6 @@
 //! stamp order in the sweep), so the floating-point sums of a run depend
 //! on nothing but its inputs.
 
-use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::marker::PhantomData;
 
@@ -118,69 +112,98 @@ struct StagedEval {
     zeros: usize,
 }
 
+/// One admission's Eq.-4 evaluations, staged in the order they were made:
+/// the calibration part of a [`crate::Staging`] buffer.
 #[derive(Debug, Default)]
-struct Staging {
+pub struct StagedForecasts {
     evals: Vec<StagedEval>,
     forecasts: Vec<Forecast>,
     zeros: Vec<Zeros>,
 }
 
-thread_local! {
-    static STAGING: RefCell<Staging> = const {
-        RefCell::new(Staging {
-            evals: Vec::new(),
-            forecasts: Vec::new(),
-            zeros: Vec::new(),
-        })
-    };
-}
-
-/// Stages the start of one Eq.-4 evaluation: the connections of `cell`
-/// forecast toward `target` at sim-time `s`, with window deadline
-/// `deadline`. Its forecasts follow through [`stage_group`].
-/// Thread-local, lock-free; call [`flush_staged`] to publish.
-#[inline]
-pub fn stage_evaluation(cell: u32, target: u32, s: f64, deadline: f64) {
-    STAGING.with_borrow_mut(|st| {
-        let (forecasts, zeros) = (st.forecasts.len(), st.zeros.len());
-        st.evals.push(StagedEval {
+impl StagedForecasts {
+    /// Stages the start of one Eq.-4 evaluation: the connections of `cell`
+    /// forecast toward `target` at sim-time `s`, with window deadline
+    /// `deadline`. Its forecasts follow through [`StagedForecasts::group`].
+    #[inline]
+    pub fn evaluation(&mut self, cell: u32, target: u32, s: f64, deadline: f64) {
+        self.evals.push(StagedEval {
             cell,
             target,
             s,
             deadline,
-            forecasts,
-            zeros,
+            forecasts: self.forecasts.len(),
+            zeros: self.zeros.len(),
         });
-    });
-}
+    }
 
-/// Stages one arrival group of the current evaluation: `len` connections
-/// that came from `prev`, of which `nonzero` lists the `(connection,
-/// p_h)` forecasts that are not zero. The rest are zero forecasts.
-#[inline]
-pub fn stage_group(prev: Option<u32>, len: usize, nonzero: impl IntoIterator<Item = (u64, f64)>) {
-    STAGING.with_borrow_mut(|st| {
-        let Some(eval) = st.evals.last() else {
+    /// Stages one arrival group of the current evaluation: `len`
+    /// connections that came from `prev`, of which `nonzero` lists the
+    /// `(connection, p_h)` forecasts that are not zero. The rest are zero
+    /// forecasts.
+    pub fn group(
+        &mut self,
+        prev: Option<u32>,
+        len: usize,
+        nonzero: impl IntoIterator<Item = (u64, f64)>,
+    ) {
+        let Some(eval) = self.evals.last() else {
             return;
         };
         let zeros_from = eval.zeros;
         let prev = prev_code(prev);
-        let before = st.forecasts.len();
-        st.forecasts
+        let before = self.forecasts.len();
+        self.forecasts
             .extend(nonzero.into_iter().map(|(conn, p)| Forecast {
                 p,
                 conn: conn as u32,
                 prev,
             }));
-        let n = (len - (st.forecasts.len() - before)) as u32;
+        let n = (len - (self.forecasts.len() - before)) as u32;
         if n == 0 {
             return;
         }
-        match st.zeros[zeros_from..].iter_mut().find(|z| z.prev == prev) {
+        match self.zeros[zeros_from..].iter_mut().find(|z| z.prev == prev) {
             Some(z) => z.n += n,
-            None => st.zeros.push(Zeros { prev, n }),
+            None => self.zeros.push(Zeros { prev, n }),
         }
-    });
+    }
+
+    /// Publishes every staged evaluation into the store and clears the
+    /// buffer. `now` is the current sim-time: each lane flushed into first
+    /// scores its windows that closed before it. One mutex acquisition
+    /// regardless of batch size; no-op when nothing is staged.
+    pub(crate) fn flush(&mut self, now: f64) {
+        if self.evals.is_empty() {
+            return;
+        }
+        let StagedForecasts {
+            evals,
+            forecasts,
+            zeros,
+        } = self;
+        with_state(|st| {
+            for (k, eval) in evals.iter().enumerate() {
+                let next = evals.get(k + 1);
+                let f_end = next.map_or(forecasts.len(), |e| e.forecasts);
+                let z_end = next.map_or(zeros.len(), |e| e.zeros);
+                st.push(
+                    eval,
+                    &mut forecasts[eval.forecasts..f_end],
+                    &zeros[eval.zeros..z_end],
+                    now,
+                );
+            }
+        });
+        self.clear();
+    }
+
+    /// Drops everything staged.
+    pub(crate) fn clear(&mut self) {
+        self.evals.clear();
+        self.forecasts.clear();
+        self.zeros.clear();
+    }
 }
 
 /// Reliability-diagram accumulator: per-bin forecast count, forecast-mass
@@ -662,39 +685,6 @@ fn with_state<R>(f: impl FnOnce(&mut CalibState) -> R) -> R {
     crate::with(|o| f(&mut crate::lock(&o.calib)))
 }
 
-/// Publishes every staged evaluation into the store. `now` is the current
-/// sim-time: each lane flushed into first scores its windows that closed
-/// before it. One mutex acquisition regardless of batch size; no-op when
-/// nothing is staged.
-pub fn flush_staged(now: f64) {
-    STAGING.with_borrow_mut(|staged| {
-        if staged.evals.is_empty() {
-            return;
-        }
-        let Staging {
-            evals,
-            forecasts,
-            zeros,
-        } = staged;
-        with_state(|st| {
-            for (k, eval) in evals.iter().enumerate() {
-                let next = evals.get(k + 1);
-                let f_end = next.map_or(forecasts.len(), |e| e.forecasts);
-                let z_end = next.map_or(zeros.len(), |e| e.zeros);
-                st.push(
-                    eval,
-                    &mut forecasts[eval.forecasts..f_end],
-                    &zeros[eval.zeros..z_end],
-                    now,
-                );
-            }
-        });
-        evals.clear();
-        forecasts.clear();
-        zeros.clear();
-    });
-}
-
 /// Scores connection `conn`'s hand-off attempt from cell `from` to `to`
 /// at sim-time `t`: each of its forecasts toward `to` made after it
 /// entered `from` (at `entered`, coming from `prev`) whose window holds
@@ -739,14 +729,9 @@ pub fn sweep_expired(now: f64) {
     });
 }
 
-/// Clears all calibration state, including this thread's staging buffer.
-/// The lanes' blocks go back to the free lists for the next run.
+/// Clears all calibration state. The lanes' blocks go back to the free
+/// lists for the next run.
 pub fn reset_calib() {
-    STAGING.with_borrow_mut(|s| {
-        s.evals.clear();
-        s.forecasts.clear();
-        s.zeros.clear();
-    });
     with_state(|st| {
         let pools = &mut st.pools;
         for lane in st.by_cell.iter_mut().flatten() {
@@ -921,11 +906,12 @@ mod tests {
     /// One evaluation of `cell` toward `target` at `s` with window `t_est`,
     /// over groups of `(prev, len, nonzero forecasts)`, flushed at `s`.
     fn evaluate(cell: u32, target: u32, s: f64, t_est: f64, groups: &[Group<'_>]) {
-        stage_evaluation(cell, target, s, s + t_est);
+        let mut staged = StagedForecasts::default();
+        staged.evaluation(cell, target, s, s + t_est);
         for &(prev, len, nonzero) in groups {
-            stage_group(prev, len, nonzero.iter().copied());
+            staged.group(prev, len, nonzero.iter().copied());
         }
-        flush_staged(s);
+        staged.flush(s);
     }
 
     fn hit_rates() -> Vec<(u64, u64)> {
@@ -1277,12 +1263,13 @@ mod tests {
                     0..=4 => {
                         // An admission test: one to three evaluations,
                         // one flush, then maybe a new connection.
+                        let mut staged = StagedForecasts::default();
                         for _ in 0..1 + rng.below(3) {
                             let cell = rng.below(u64::from(CELLS)) as u32;
                             let target =
                                 (cell + 1 + rng.below(u64::from(CELLS) - 1) as u32) % CELLS;
                             let t_est = rng.below(6) as f64;
-                            stage_evaluation(cell, target, now, now + t_est);
+                            staged.evaluation(cell, target, now, now + t_est);
                             let mut groups: BTreeMap<_, (usize, Vec<(u64, f64)>)> = BTreeMap::new();
                             for c in conns.iter().filter(|c| c.cell == cell) {
                                 if c.declared.is_some_and(|d| d != target) {
@@ -1312,10 +1299,10 @@ mod tests {
                                 reference.tally.zero_forecasts += u64::from(p == 0.0);
                             }
                             for ((prev, _), (len, nonzero)) in groups {
-                                stage_group(prev, len, nonzero);
+                                staged.group(prev, len, nonzero);
                             }
                         }
-                        flush_staged(now);
+                        staged.flush(now);
                         if rng.below(2) == 0 {
                             let cell = rng.below(u64::from(CELLS)) as u32;
                             let declared = (rng.below(3) == 0).then(|| (cell + 1) % CELLS);
@@ -1454,10 +1441,11 @@ mod tests {
                 let p = 1.0 - (-LAMBDA * t_est).exp();
                 let mut ids: Vec<(u64, f64)> = moving.iter().map(|m| (m.0, p)).collect();
                 ids.sort_unstable_by_key(|f| f.0);
-                stage_evaluation(1, 0, now, now + t_est);
-                stage_group(Some(2), MOVING, ids);
-                stage_group(None, PARKED, []);
-                flush_staged(now);
+                let mut staged = StagedForecasts::default();
+                staged.evaluation(1, 0, now, now + t_est);
+                staged.group(Some(2), MOVING, ids);
+                staged.group(None, PARKED, []);
+                staged.flush(now);
                 next_eval = now + exp(EVAL_RATE, &mut rng);
             }
         }

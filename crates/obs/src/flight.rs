@@ -9,14 +9,14 @@
 //! order. Records are keyed by the simulator's `admission_req_seq`, so a
 //! record is a globally unique, replayable account of one decision.
 //!
-//! The simulation thread stages a decision's terms and checks in
-//! thread-local buffers while the admission test runs, then assembles and
-//! pushes the record once the verdict is in. When a cell's `P_HD` burn
-//! fires, the capture trigger ([`crate::alert`]) freezes the cell's
-//! trailing records to a file ([`capture_for_cell`]). The recorder is
+//! The admission test stages the requesting cell's terms and its checks
+//! in the admission's [`crate::Staging`] buffer while it runs; once the
+//! verdict is in, [`crate::Staging::publish`] completes the record with
+//! them and pushes it. When a cell's `P_HD` burn fires, the capture
+//! trigger ([`crate::alert`]) freezes the cell's trailing records to a
+//! file ([`capture_for_cell`]). The recorder is
 //! strictly passive — on or off, every simulation output is bit-identical.
 
-use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
@@ -156,17 +156,6 @@ fn with_plane<R>(f: impl FnOnce(&mut FlightPlane) -> R) -> R {
     crate::with(|o| f(&mut crate::lock(&o.flight)))
 }
 
-thread_local! {
-    /// Unkeyed Eq.-4 scratch: set by `neighbor_contribution` on a fresh
-    /// evaluation, taken immediately by `compute_br` on the same thread.
-    static EVAL_DETAIL: Cell<Option<(f64, u32)>> = const { Cell::new(None) };
-    /// Driver-side `B_r` term vectors keyed by `(req, target)`.
-    static STAGED_TERMS: RefCell<Vec<(u64, u32, Vec<FlightTerm>)>> =
-        const { RefCell::new(Vec::new()) };
-    /// Driver-side AC2/AC3 checks for the in-flight admission.
-    static STAGED_CHECKS: RefCell<Vec<FlightCheck>> = const { RefCell::new(Vec::new()) };
-}
-
 /// The hot-path gate: true when telemetry is on and the flight recorder
 /// has not been independently disabled.
 #[inline(always)]
@@ -196,53 +185,6 @@ pub fn set_flight_capacity(cap: usize) {
 /// never touch the filesystem unless the CLI opts in.
 pub fn set_flight_capture_dir(dir: Option<PathBuf>) {
     with_plane(|p| p.capture_dir = dir);
-}
-
-/// Stages the Eq.-4 evaluation detail of the contribution the current
-/// thread just computed. Same-thread, set-then-take scratch.
-#[inline]
-pub fn stage_eval_detail(p_h_sum: f64, conns: u32) {
-    EVAL_DETAIL.with(|c| c.set(Some((p_h_sum, conns))));
-}
-
-/// Takes the staged evaluation detail (`None` when none was staged).
-#[inline]
-pub fn take_eval_detail() -> Option<(f64, u32)> {
-    EVAL_DETAIL.with(Cell::take)
-}
-
-/// Stages the per-neighbor term vector a `compute_br` call produced, keyed
-/// by `(req, target)`; the admission record assembly takes it back.
-pub fn stage_terms(req: u64, target: u32, terms: Vec<FlightTerm>) {
-    STAGED_TERMS.with(|t| t.borrow_mut().push((req, target, terms)));
-}
-
-/// Takes the staged term vector for `(req, target)` — the requesting
-/// cell's own `B_r` breakdown — and clears everything else staged (terms
-/// from neighbor-side `B_r` computations in the same admission, and any
-/// leftovers from periodic recomputations between admissions).
-pub fn take_terms(req: u64, target: u32) -> Vec<FlightTerm> {
-    STAGED_TERMS.with(|t| {
-        let mut staged = t.borrow_mut();
-        let found = staged
-            .iter()
-            .position(|(r, c, _)| *r == req && *c == target)
-            .map(|i| staged.remove(i).2)
-            .unwrap_or_default();
-        staged.clear();
-        found
-    })
-}
-
-/// Stages one AC2/AC3 neighbor feasibility check for the in-flight
-/// admission.
-pub fn stage_check(check: FlightCheck) {
-    STAGED_CHECKS.with(|c| c.borrow_mut().push(check));
-}
-
-/// Takes (and clears) the staged feasibility checks.
-pub fn take_checks() -> Vec<FlightCheck> {
-    STAGED_CHECKS.with(|c| std::mem::take(&mut *c.borrow_mut()))
 }
 
 /// Pushes a completed decision record into the ring (evicting the oldest
@@ -479,8 +421,8 @@ pub fn capture_for_cell(cell: u32, now: f64, rule: &str) -> Option<(String, u64)
 }
 
 /// Clears the ring, tallies, capture registry, and capture directory, and
-/// restores the default capacity. Leaves the on/off switch alone (like
-/// `reset` leaves the level), and clears this thread's staging buffers.
+/// restores the default capacity. Leaves the on/off switch alone, as
+/// [`crate::reset_qos`] and [`crate::reset_calib`] leave the level.
 pub fn reset_flight() {
     with_plane(|p| {
         p.records.clear();
@@ -489,9 +431,6 @@ pub fn reset_flight() {
         p.captures.clear();
         p.capture_dir = None;
     });
-    let _ = take_eval_detail();
-    STAGED_TERMS.with(|t| t.borrow_mut().clear());
-    let _ = take_checks();
 }
 
 #[cfg(test)]
@@ -572,29 +511,6 @@ mod tests {
         assert_eq!(denial_cause(&full), "link_full");
         let pressure = sample_record(4, 4, false); // 25 + 1 <= 30, reserve bites
         assert_eq!(denial_cause(&pressure), "reservation_pressure");
-    }
-
-    #[test]
-    fn staged_terms_key_by_req_and_target() {
-        let own = vec![FlightTerm {
-            neighbor: 5,
-            value: 1.5,
-            p_h_sum: None,
-            conns: None,
-        }];
-        stage_terms(11, 4, own.clone());
-        stage_terms(11, 5, vec![]); // neighbor-side computation in same admission
-        assert_eq!(take_terms(11, 4), own);
-        assert!(
-            take_terms(11, 5).is_empty(),
-            "take_terms must clear all staged vectors"
-        );
-        stage_eval_detail(0.75, 3);
-        assert_eq!(take_eval_detail(), Some((0.75, 3)));
-        assert_eq!(take_eval_detail(), None, "scratch is take-once");
-        stage_check(sample_record(1, 4, true).checks[0].clone());
-        assert_eq!(take_checks().len(), 1);
-        assert!(take_checks().is_empty());
     }
 
     #[test]

@@ -29,6 +29,8 @@
 //!   frozen to `obs_flight_<cell>_<ts>.json` when a cell's `P_HD` burn
 //!   fires, rendered by `qres obs explain` and re-executed by `qres obs
 //!   replay`.
+//! * [`staging`] — one admission's telemetry, staged in its caller's
+//!   buffer while the timed test runs and published to the stores after.
 //! * [`loglin`] — the log-linear bucket layout of the timing histograms
 //!   (16 sub-buckets per octave, ≤ 6.25% relative error), also used by
 //!   `qres_stats::LogLinearHistogram`.
@@ -39,8 +41,8 @@
 //! a thread-local handle that starts as a fresh default, and every free
 //! function here acts on the calling thread's handle, so a run owns its
 //! telemetry. Sweep workers (`qres_sim::par_map`) adopt their caller's
-//! with [`current`] and [`install`]. The sim-time mirror and the staging
-//! buffers stay per thread.
+//! with [`current`] and [`install`]. The sim-time mirror stays per
+//! thread; what an admission stages stays in its caller's [`Staging`].
 //!
 //! ## Run artifacts
 //!
@@ -54,8 +56,9 @@
 //! ## Overhead contract
 //!
 //! Telemetry is off by default. Every instrumentation site is gated on
-//! [`enabled`] — a thread-local read of the handle, a relaxed load of its
-//! switch and a branch — and takes no wall-clock timestamps, allocates
+//! [`enabled`] (a thread-local read of the handle, a relaxed load of its
+//! switch and a branch) or on the switch a [`Staging`] read when its
+//! admission began, and takes no wall-clock timestamps, allocates
 //! nothing (past the handle a thread creates on first use), and touches
 //! no locks until switched on with [`set_level`]. The `obs_overhead`
 //! benchmark in `qres-bench` holds the disabled end-to-end cost under 2%.
@@ -78,11 +81,11 @@ pub mod flight;
 pub mod loglin;
 pub mod metrics;
 pub mod qos;
+pub mod staging;
 
 pub use alert::{render_alerts, reset_alerts, watchdog_tick};
 pub use calib::{
-    calib_json, calib_summary, flush_staged, observe_attempt, render_calib_report, reset_calib,
-    stage_evaluation, stage_group, sweep_expired,
+    calib_json, calib_summary, observe_attempt, render_calib_report, reset_calib, sweep_expired,
 };
 pub use diff::{diff_snapshots, FailOn};
 pub use export::{snapshot_json, write_obs_json, OBS_JSON_PATH};
@@ -96,6 +99,7 @@ pub use qos::{
     qos_json, qos_snapshot, qos_target_p_hd, reset_qos, set_qos_target_p_hd, set_qos_window_secs,
     wilson_interval, CellQosSnapshot,
 };
+pub use staging::Staging;
 
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicBool, Ordering};

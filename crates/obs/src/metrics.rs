@@ -247,7 +247,7 @@ instruments! {
     AtomicHistogram, histograms, HistogramSlot, HISTOGRAMS;
     /// Wall-clock time of one `B_i,0` evaluation: the Eq.-4 pass over a
     /// neighbor's connections in `qres_core::neighbor_contribution`,
-    /// calibration staging included.
+    /// staging its forecasts included.
     BATCHED_CONTRIBUTION_NS: "qres_batched_contribution_ns";
     /// Wall-clock time of one DES handler dispatch (`qres-des`).
     EVENT_DISPATCH_NS: "qres_event_dispatch_ns";

@@ -11,7 +11,8 @@
 //!
 //! Everything here is passive observation behind the level gate: the
 //! simulation feeds observations through `record_*` calls that the callers
-//! guard with [`crate::enabled`], state lives behind one mutex
+//! guard with [`crate::enabled`] (an admission's `B_r` updates arrive
+//! staged in its [`crate::Staging`] buffer), state lives behind one mutex
 //! in the calling thread's [`crate::Obs`], and nothing flows back into
 //! admission decisions — the determinism contract of the recorder extends
 //! to this module.
@@ -274,39 +275,17 @@ pub fn record_admission_outcome(t: f64, cell: u32, blocked: bool) {
     });
 }
 
-/// Records a change of `cell`'s reservation target `B_r` (BUs) at
-/// sim-time `t`, extending the time-weighted reservation integral.
-pub fn record_br_update(t: f64, cell: u32, br: f64) {
-    with_state(|s| s.cells.entry(cell).or_default().br.set(t, br));
-}
-
-thread_local! {
-    static STAGED_BR: std::cell::RefCell<Vec<(u32, f64)>> = const { std::cell::RefCell::new(Vec::new()) };
-}
-
-/// Stages a `B_r` update without touching the tracker's mutex — a plain
-/// thread-local push, safe inside the timed admission/`B_r` windows.
-/// Published by [`flush_br_updates`]; same staging discipline as the
-/// calibration forecasts ([`crate::calib::stage_evaluation`]).
-#[inline]
-pub fn stage_br_update(cell: u32, br: f64) {
-    STAGED_BR.with(|s| s.borrow_mut().push((cell, br)));
-}
-
-/// Publishes every staged `B_r` update at sim-time `t` (one mutex
-/// acquisition). Call after the hot-path timing records.
-pub fn flush_br_updates(t: f64) {
-    STAGED_BR.with(|staged| {
-        let mut staged = staged.borrow_mut();
-        if staged.is_empty() {
-            return;
+/// Records new reservation targets `(cell, B_r)` (BUs) at sim-time `t`,
+/// in order, extending each cell's time-weighted reservation integral:
+/// one mutex acquisition, none for no updates.
+pub(crate) fn record_br_updates(t: f64, updates: &[(u32, f64)]) {
+    if updates.is_empty() {
+        return;
+    }
+    with_state(|s| {
+        for &(cell, br) in updates {
+            s.cells.entry(cell).or_default().br.set(t, br);
         }
-        with_state(|s| {
-            for &(cell, br) in staged.iter() {
-                s.cells.entry(cell).or_default().br.set(t, br);
-            }
-        });
-        staged.clear();
     });
 }
 
@@ -335,11 +314,9 @@ pub fn record_handoff_bw(cell: u32, bw: f64, dropped: bool) {
     });
 }
 
-/// Clears all QoS/efficiency state (between runs), including this
-/// thread's staged `B_r` updates. Window and target settings are
-/// preserved — they are configuration, not data.
+/// Clears all QoS/efficiency state (between runs). Window and target
+/// settings are preserved — they are configuration, not data.
 pub fn reset_qos() {
-    STAGED_BR.with(|s| s.borrow_mut().clear());
     with_state(|s| s.cells.clear());
 }
 
@@ -559,9 +536,9 @@ mod tests {
     #[test]
     fn efficiency_integrals_track_reserved_vs_used() {
         // B_r: 4 BU over [0, 10), 2 BU over [10, 20) -> mean 3.
-        record_br_update(0.0, CELL_B, 4.0);
-        record_br_update(10.0, CELL_B, 2.0);
-        record_br_update(20.0, CELL_B, 2.0);
+        record_br_updates(0.0, &[(CELL_B, 4.0)]);
+        record_br_updates(10.0, &[(CELL_B, 2.0)]);
+        record_br_updates(20.0, &[(CELL_B, 2.0)]);
         // Hand-ins: 1 BU occupied over [5, 20) of the same span.
         record_handin_add(5.0, CELL_B, 1.0);
         record_handin_remove(20.0, CELL_B, 1.0);
@@ -584,15 +561,5 @@ mod tests {
         assert!(json.contains("\"window_secs\""));
         assert!(json.contains(&format!("\"{CELL_A}\"")));
         assert!(json.contains("\"calib\""));
-    }
-
-    /// A `B_r` update staged while telemetry was on but never flushed
-    /// (the level went off mid-admission) does not outlive a reset.
-    #[test]
-    fn reset_drops_staged_br_updates() {
-        stage_br_update(CELL_B, 4.0);
-        reset_qos();
-        flush_br_updates(1.0);
-        assert!(qos_snapshot().is_empty(), "{:?}", qos_snapshot());
     }
 }
