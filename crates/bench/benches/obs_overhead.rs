@@ -1,12 +1,14 @@
-//! Telemetry overhead bound: the same end-to-end scenario with telemetry
-//! disabled (the default — every instrumentation site reduces to one
-//! relaxed atomic load and a branch), enabled with the flight recorder
-//! off, and enabled with the flight recorder taping every admission
-//! decision.
+//! Telemetry cost, end to end and in the calibration store.
 //!
-//! The acceptance criterion is on the *disabled* row: it must stay within
-//! 2% of the pre-observability end-to-end baseline
-//! (`end_to_end_100s/ac3_L150`).
+//! The end-to-end rows run the same AC3 scenario (L = 150, 100 s) with
+//! telemetry disabled (the default: every instrumentation site reduces
+//! to one thread-local read, a relaxed load and a branch), enabled with
+//! the flight recorder off, and enabled with it taping every admission
+//! decision. They measure those three costs side by side and assert
+//! nothing: no row is held to a bound, and the disabled row's cost
+//! against a build without instrumentation is not measured here
+//! (`qres-perf`'s `ring_ac3` and `ring_ac3_obs` workloads compare
+//! telemetry off and on with alternating runs).
 //!
 //! The two enabled cases additionally report the p99 of the hot-path
 //! timing histograms populated during the run (`qres_admission_test_ns`,
@@ -16,11 +18,19 @@
 //! `flight_p99/admission_on_ns` (recorder on), so the flight recorder's
 //! admission tail-latency cost reads directly off one run.
 //!
-//! `calib_flush` times the Eq.-4 calibration store alone: one
-//! admission's worth of evaluations on a 10-cell ring (two neighbors of
-//! 80 connections each, evaluated toward the admitting cell, 11 of the 80
-//! forecasts nonzero), staged in one reused `qres_obs::Staging` buffer and
-//! published, plus the hand-offs that score them.
+//! `calib_flush` times the Eq.-4 calibration store alone, shaped like the
+//! AC3 ring at L = 150: per admission, two hand-offs scored (each walks
+//! about 6 open stamps), then 2.5 evaluations of 19 nonzero forecasts and
+//! two zero-count groups each,
+//! staged the way `neighbor_contribution` stages them and published
+//! through one reused `qres_obs::Staging` buffer. After timing it asserts
+//! that every forecast is scored or pending.
+//!
+//! One process's `calib_flush` reading is not a comparison: it lands in
+//! one of two modes per process (near 2.3k or near 3.5k ns per admission
+//! on the same build, 28 runs), so one run per side cannot resolve a
+//! difference below about 30 %. Compare two builds by the medians of many
+//! processes, alternating builds.
 
 use std::collections::VecDeque;
 
@@ -92,14 +102,19 @@ fn bench_obs_overhead(c: &mut Criterion) {
     group.finish();
 }
 
-/// Cells on the `calib_flush` ring, connections per cell, how many of
-/// them an evaluation forecasts nonzero (about the AC3 ring's share), and
-/// how many of a cell's connections hand off once per lap of admissions
-/// around the ring.
+/// The `calib_flush` ring: cells, connections per cell (all arrived
+/// from the cell below, beside `PARKED` ones that started there and
+/// forecast zero), the nonzero forecasts per evaluation (the oldest
+/// connections, those closest to handing off) and the hand-offs per
+/// admission, as on the AC3 ring at L = 150.
 const RING: u32 = 10;
 const CONNS: usize = 80;
-const NONZERO: usize = 11;
-const CHURN: usize = 11;
+const PARKED: usize = 10;
+const NONZERO: usize = 19;
+const HANDOFFS: usize = 2;
+/// The forecast window: a lane is evaluated once per lap of the ring
+/// (0.5 s), so it holds about 6 open stamps for a hand-off to walk.
+const T_EST: f64 = 3.0;
 
 fn bench_calib_flush(c: &mut Criterion) {
     let mut group = c.benchmark_group("obs_overhead");
@@ -120,46 +135,55 @@ fn bench_calib_flush(c: &mut Criterion) {
     let mut staging = qres_obs::Staging::default();
     group.bench_function("calib_flush", |b| {
         b.iter(|| {
-            // An admission in cell `k` evaluates both ring neighbors
-            // toward `k`: one evaluation each, with its nonzero forecasts.
-            // Once per lap, before its evaluation toward the next cell, a
-            // neighbor's oldest connections hand into it and new ones
-            // arrive.
+            // An admission in cell `k`: first the oldest connections of
+            // the cell below hand into `k` and new ones arrive there;
+            // then both neighbors are evaluated toward `k`, and every
+            // other admission also `k` toward the cell above (an AC3
+            // neighbor check): 2.5 evaluations of 19 nonzero forecasts.
             let now = admission as f64 * 0.05;
             let k = (admission % u64::from(RING)) as u32;
-            admission += 1;
-            let below = (k + RING - 1) % RING;
-            for n in [below, (k + 1) % RING] {
-                let conns = &mut live[n as usize];
-                let prev = Some((n + RING - 1) % RING);
-                if n == below {
-                    for (conn, entered) in conns.drain(..CHURN) {
-                        qres_obs::observe_attempt(conn, n, k, now, entered, prev, None);
-                    }
-                    conns.extend((next_id..next_id + CHURN as u64).map(|id| (id, now)));
-                    next_id += CHURN as u64;
-                }
-                staging.forecasts.evaluation(n, k, now, now + 30.0);
-                let nonzero = conns
-                    .iter()
-                    .rev()
-                    .take(NONZERO)
-                    .map(|&(conn, _)| (conn, 0.3));
-                staging.forecasts.group(prev, CONNS, nonzero);
+            let (below, above) = ((k + RING - 1) % RING, (k + 1) % RING);
+            let conns = &mut live[below as usize];
+            let prev = Some((below + RING - 1) % RING);
+            for (conn, entered) in conns.drain(..HANDOFFS) {
+                qres_obs::observe_attempt(conn, below, k, now, entered, prev, None);
             }
+            conns.extend((next_id..next_id + HANDOFFS as u64).map(|id| (id, now)));
+            next_id += HANDOFFS as u64;
+            let evaluations = [(below, k), (above, k), (k, above)];
+            let n_evals = if admission.is_multiple_of(2) { 3 } else { 2 };
+            for &(n, target) in &evaluations[..n_evals] {
+                let prev = (n + RING - 1) % RING;
+                staging.forecasts.evaluation(n, target, now, now + T_EST);
+                staging.forecasts.group(Some(prev), CONNS, NONZERO);
+                staging.forecasts.group(None, PARKED, 0);
+                // The oldest connections: ids rise with arrival, so these
+                // are in ascending id.
+                let oldest = live[n as usize].iter().take(NONZERO);
+                staging
+                    .forecasts
+                    .nonzero(oldest.map(|&(conn, _)| (conn, 0.3, prev)));
+            }
+            admission += 1;
             staging.publish(now, None);
         })
     });
     let s = qres_obs::calib_summary();
     if s.predictions > 0 {
         println!(
-            "calib_flush: {} forecasts, {:.1}% zero, {} scored, {} hits",
+            "calib_flush: {} forecasts, {:.1}% zero, {} scored, {} hits, {} pending",
             s.predictions,
             100.0 * s.zero_forecasts as f64 / s.predictions as f64,
             s.scored,
-            s.hits
+            s.hits,
+            s.pending
         );
     }
+    assert_eq!(
+        s.predictions,
+        s.scored + s.pending,
+        "every forecast is scored or still pending"
+    );
     qres_obs::reset_calib();
     group.finish();
 }

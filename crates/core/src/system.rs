@@ -498,18 +498,21 @@ impl ReservationSystem {
         let fits = self.cell(to).fits(info.bandwidth) && !external_veto;
         if qres_obs::enabled() {
             // Score the Eq.-4 forecasts toward `to` that this attempt
-            // makes hits, and attribute the attempted bandwidth to the
-            // target cell's reservation-efficiency ledger.
-            qres_obs::observe_attempt(
-                id.0,
-                from.0,
-                to.0,
-                now.as_secs(),
-                info.entered_at.as_secs(),
-                info.prev.map(|c| c.0),
-                info.known_next.map(|c| c.0),
-            );
-            qres_obs::qos::record_handoff_bw(to.0, info.bandwidth.as_f64(), !fits);
+            // makes hits, attribute the attempted bandwidth to the target
+            // cell's reservation-efficiency ledger, and move the
+            // connection's hand-in occupancy from `from` (if it arrived
+            // there by hand-off) to `to` (on success): one lock.
+            qres_obs::observe_handoff(&qres_obs::HandoffAttempt {
+                conn: id.0,
+                from: from.0,
+                to: to.0,
+                t: now.as_secs(),
+                entered: info.entered_at.as_secs(),
+                prev: info.prev.map(|c| c.0),
+                declared: info.known_next.map(|c| c.0),
+                bw: info.bandwidth.as_f64(),
+                dropped: !fits,
+            });
         }
 
         if self.config.scheme.is_predictive() {
@@ -527,17 +530,6 @@ impl ReservationSystem {
             }
         }
 
-        if qres_obs::enabled() {
-            // Hand-in occupancy integrals: the connection stops counting
-            // as hand-in load in `from` (if it arrived there by hand-off)
-            // and, on success, starts counting in `to`.
-            if info.prev.is_some() {
-                qres_obs::qos::record_handin_remove(now.as_secs(), from.0, info.bandwidth.as_f64());
-            }
-            if fits {
-                qres_obs::qos::record_handin_add(now.as_secs(), to.0, info.bandwidth.as_f64());
-            }
-        }
         if fits {
             // Record the quadruplet (successful departures only).
             self.sites[from.index()].hoe.record(HandoffEvent::new(
@@ -1017,5 +1009,80 @@ mod tests {
                 assert_eq!((t.p_h_sum, t.conns), (Some(0.0), Some(0)));
             }
         }
+    }
+
+    /// Drives AC2 admissions in cell 5 of a ring while its neighbor 4
+    /// alternates between full (vetoed: a connection in cell 3 is due to
+    /// hand into 4) and one connection short of full (admitted), with
+    /// the flight ring at `capacity`. Returns the ring's records and
+    /// `dropped` count after each of those admissions.
+    fn ac2_tape(capacity: usize) -> Vec<(Vec<qres_obs::FlightRecord>, String)> {
+        let config = QresConfig::paper_stationary(SchemeConfig::Predictive { kind: AcKind::Ac2 });
+        let mut sys =
+            ReservationSystem::new(config, Topology::ring(10), BsNetworkKind::FullyConnected);
+        qres_obs::set_level(qres_obs::Level::Info);
+        qres_obs::set_flight_capacity(capacity);
+        // Cell 4 full, and a pool in cell 3 to refill it from.
+        for i in 0..25 {
+            assert!(sys
+                .request_new_connection(s(1.0), req(4, 100 + i, 4))
+                .is_admitted());
+        }
+        for i in 0..6 {
+            assert!(sys
+                .request_new_connection(s(2.0), req(3, 200 + i, 4))
+                .is_admitted());
+        }
+        // Cell 3 has seen mobiles from cell 2 leave for cell 4 after 1 to
+        // 60 s, and one such mobile entered it at t = 11.
+        for k in 1..=60 {
+            let soj = Duration::from_secs(f64::from(k));
+            let event = HandoffEvent::new(s(3.0), Some(CellId(2)), CellId(4), soj);
+            sys.hoe_cache_mut(CellId(3)).record(event);
+        }
+        assert!(sys
+            .request_new_connection(s(10.0), req(2, 300, 1))
+            .is_admitted());
+        sys.attempt_handoff(s(11.0), ConnectionId(300), CellId(2), CellId(3));
+        let mut tapes = Vec::new();
+        for i in 0..12u64 {
+            let now = s(12.0 + i as f64 * 0.1);
+            sys.request_new_connection(now, req(5, 400 + i, 1));
+            let doc = qres_obs::flight_json();
+            let dropped = doc.get("dropped").unwrap().to_compact_string();
+            tapes.push((qres_obs::records_from_doc(&doc).unwrap(), dropped));
+            if i % 2 == 0 {
+                sys.end_connection(now, ConnectionId(100 + i / 2), CellId(4));
+            } else {
+                let id = ConnectionId(200 + i / 2);
+                let refilled = sys.attempt_handoff(now, id, CellId(3), CellId(4));
+                assert_eq!(refilled, HandoffOutcome::Completed);
+            }
+        }
+        tapes
+    }
+
+    /// A full flight ring hands each evicted record's term and check
+    /// vectors to the next admission: after every admission, a 3-record
+    /// ring holds exactly the last three records an unbounded ring holds,
+    /// with no stale term or check, and counts every eviction.
+    #[test]
+    fn recycled_flight_records_equal_what_their_admissions_staged() {
+        let run = |capacity| std::thread::scope(|t| t.spawn(|| ac2_tape(capacity)).join().unwrap());
+        let (small, full) = (run(3), run(qres_obs::flight::DEFAULT_FLIGHT_CAPACITY));
+        // 25 + 6 + 1 admissions before the taped ones.
+        for (k, ((ring, dropped), (all, _))) in small.iter().zip(&full).enumerate() {
+            assert_eq!(all.len(), 33 + k);
+            assert_eq!(ring[..], all[all.len() - 3..], "admission {k}");
+            assert_eq!(*dropped, (all.len() - 3).to_string());
+        }
+        let (last, _) = full.last().unwrap();
+        let taped = &last[last.len() - 12..];
+        let vetoed = taped.iter().filter(|r| r.blocked_rank.is_some()).count();
+        let admitted = taped.iter().filter(|r| r.admitted).count();
+        assert_eq!((vetoed, admitted), (6, 6), "{taped:#?}");
+        assert!(taped
+            .iter()
+            .all(|r| r.terms.len() == 2 && r.checks.len() == 2));
     }
 }

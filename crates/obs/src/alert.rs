@@ -57,7 +57,7 @@ impl Default for Trigger {
 }
 
 fn with_trigger<R>(f: impl FnOnce(&mut Trigger) -> R) -> R {
-    crate::with(|o| f(&mut crate::lock(&o.trigger)))
+    crate::with_stores(|s| f(&mut s.trigger))
 }
 
 /// Clears every firing bit and restarts the evaluation grid.
@@ -94,14 +94,15 @@ fn eval_due(now: f64) -> bool {
 /// Steps every cell's firing bit on the `qos` windows at sim-time `now`,
 /// then captures each cell that started firing, in cell-id order.
 fn evaluate(now: f64) {
-    let target = crate::qos::qos_target_p_hd().max(f64::MIN_POSITIVE);
-    let fast_secs = FAST_WINDOW_SECS.min(crate::qos::qos_window_secs());
-    let burns = |p: Option<f64>| p.unwrap_or(0.0) / target > 1.0;
-    let inputs = crate::qos::burn_inputs(now - fast_secs);
-    let fired: Vec<u32> = with_trigger(|t| {
+    let fired: Vec<u32> = crate::with_stores(|s| {
+        let target = s.qos.target_p_hd().max(f64::MIN_POSITIVE);
+        let fast_secs = FAST_WINDOW_SECS.min(s.qos.window_secs());
+        let burns = |p: Option<f64>| p.unwrap_or(0.0) / target > 1.0;
+        let t = &mut s.trigger;
         // Rebuilt from the inputs, so a cell without `qos` state clears.
         let was_firing = std::mem::take(&mut t.firing);
         let mut fired = Vec::new();
+        let inputs = s.qos.burn_inputs(now - fast_secs);
         for c in inputs.iter().filter(|c| burns(c.fast_p_hd)) {
             let firing = was_firing.contains(&c.cell);
             if firing || burns(c.slow_p_hd) {

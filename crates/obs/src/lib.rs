@@ -60,8 +60,13 @@
 //! switch and a branch) or on the switch a [`Staging`] read when its
 //! admission began, and takes no wall-clock timestamps, allocates
 //! nothing (past the handle a thread creates on first use), and touches
-//! no locks until switched on with [`set_level`]. The `obs_overhead`
-//! benchmark in `qres-bench` holds the disabled end-to-end cost under 2%.
+//! no locks until switched on with [`set_level`]. Nothing asserts a
+//! bound: the `obs_overhead` benchmark in `qres-bench` times an AC3 run
+//! with telemetry off, on without the flight recorder, and fully on,
+//! side by side, and `calib_flush` times the calibration store alone.
+//! With telemetry on, an admission takes the stores' one lock once to
+//! publish what it staged, and a hand-off takes it once for
+//! [`observe_handoff`].
 //!
 //! ## Determinism contract
 //!
@@ -85,7 +90,8 @@ pub mod staging;
 
 pub use alert::{render_alerts, reset_alerts, watchdog_tick};
 pub use calib::{
-    calib_json, calib_summary, observe_attempt, render_calib_report, reset_calib, sweep_expired,
+    calib_json, calib_summary, observe_attempt, prev_code, render_calib_report, reset_calib,
+    sweep_expired,
 };
 pub use diff::{diff_snapshots, FailOn};
 pub use export::{snapshot_json, write_obs_json, OBS_JSON_PATH};
@@ -96,28 +102,37 @@ pub use flight::{
 };
 pub use metrics::{reset_metrics, AtomicHistogram, Counter, HistogramSnapshot, MaxGauge};
 pub use qos::{
-    qos_json, qos_snapshot, qos_target_p_hd, reset_qos, set_qos_target_p_hd, set_qos_window_secs,
-    wilson_interval, CellQosSnapshot,
+    qos_json, qos_snapshot, reset_qos, set_qos_target_p_hd, set_qos_window_secs, wilson_interval,
+    CellQosSnapshot,
 };
 pub use staging::Staging;
 
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 
 /// One run's telemetry state: the on/off switch, the metric values, the
-/// QoS tracker, the calibration store, the capture trigger, and the
-/// flight plane with its own switch. Threads sharing a handle (see [`install`])
-/// update it through atomics and mutexes.
+/// flight recorder's own switch, and the stores behind one mutex. Threads
+/// sharing a handle (see [`install`]) update it through atomics and that
+/// mutex.
 #[derive(Default)]
 pub struct Obs {
     pub(crate) on: AtomicBool,
     pub(crate) metrics: metrics::Registry,
-    pub(crate) qos: Mutex<qos::QosState>,
-    pub(crate) calib: Mutex<calib::CalibState>,
-    pub(crate) trigger: Mutex<alert::Trigger>,
     pub(crate) flight_off: AtomicBool,
-    pub(crate) flight: Mutex<flight::FlightPlane>,
+    pub(crate) stores: Mutex<Stores>,
+}
+
+/// The stores of an [`Obs`]: the QoS tracker, the calibration store, the
+/// capture trigger and the flight ring. One mutex guards them all, so an
+/// event that updates several (a published admission, a hand-off attempt)
+/// takes one lock.
+#[derive(Default)]
+pub(crate) struct Stores {
+    pub(crate) qos: qos::QosState,
+    pub(crate) calib: calib::CalibState,
+    pub(crate) trigger: alert::Trigger,
+    pub(crate) flight: flight::FlightPlane,
 }
 
 /// A thread's handle and its own sim-clock mirror ([`set_sim_time`]).
@@ -147,10 +162,15 @@ pub(crate) fn with<R>(f: impl FnOnce(&Obs) -> R) -> R {
     })
 }
 
-/// Locks one of an [`Obs`]'s mutexes.
-pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock()
-        .expect("a thread sharing this telemetry handle panicked mid-update")
+/// Runs `f` on this thread's [`Stores`], holding their lock.
+pub(crate) fn with_stores<R>(f: impl FnOnce(&mut Stores) -> R) -> R {
+    with(|o| {
+        let mut stores = o
+            .stores
+            .lock()
+            .expect("a thread sharing this telemetry handle panicked mid-update");
+        f(&mut stores)
+    })
 }
 
 /// This thread's telemetry handle (a fresh default one if the thread had
@@ -169,6 +189,44 @@ pub fn current() -> Arc<Obs> {
 /// installing `Arc::default()` starts a fresh one.
 pub fn install(obs: Arc<Obs>) {
     HANDLE.with(|h| *h.obs.borrow_mut() = Some(obs));
+}
+
+/// One hand-off attempt of a connection, as telemetry records it.
+#[derive(Debug, Clone, Copy)]
+pub struct HandoffAttempt {
+    /// The connection.
+    pub conn: u64,
+    /// The cell it leaves.
+    pub from: u32,
+    /// The cell it tries to enter.
+    pub to: u32,
+    /// Sim-time of the attempt (seconds).
+    pub t: f64,
+    /// When it entered `from`.
+    pub entered: f64,
+    /// The cell it entered `from` from; `None` if it started there.
+    pub prev: Option<u32>,
+    /// The next cell it declared on entering `from`, if any.
+    pub declared: Option<u32>,
+    /// Its bandwidth (BUs).
+    pub bw: f64,
+    /// Whether the attempt was dropped.
+    pub dropped: bool,
+}
+
+/// Records a hand-off attempt under one lock: scores the Eq.-4 forecasts
+/// it makes hits ([`observe_attempt`]), adds its bandwidth to `to`'s
+/// admitted or dropped ledger, and moves it in the hand-in occupancy
+/// integrals (out of `from` if it arrived there by hand-off, into `to` if
+/// admitted).
+pub fn observe_handoff(a: &HandoffAttempt) {
+    with_stores(|s| {
+        if a.declared.is_none_or(|d| d == a.to) {
+            s.calib
+                .observe_attempt(a.conn, a.from, a.to, a.t, a.entered, a.prev);
+        }
+        s.qos.record_handoff_attempt(a);
+    });
 }
 
 /// Telemetry level: off, or on with every subsystem at its defaults.

@@ -12,12 +12,12 @@
 //! Everything here is passive observation behind the level gate: the
 //! simulation feeds observations through `record_*` calls that the callers
 //! guard with [`crate::enabled`] (an admission's `B_r` updates arrive
-//! staged in its [`crate::Staging`] buffer), state lives behind one mutex
-//! in the calling thread's [`crate::Obs`], and nothing flows back into
-//! admission decisions — the determinism contract of the recorder extends
-//! to this module.
+//! staged in its [`crate::Staging`] buffer, and a hand-off attempt's
+//! updates in one [`crate::observe_handoff`] call), state lives behind
+//! the one mutex of the calling thread's [`crate::Obs`], and nothing flows
+//! back into admission decisions — the determinism contract of the
+//! recorder extends to this module.
 
-use std::collections::BTreeMap;
 use std::collections::VecDeque;
 
 use qres_json::Value;
@@ -176,7 +176,8 @@ struct CellQos {
 pub(crate) struct QosState {
     window_secs: f64,
     target_p_hd: f64,
-    cells: BTreeMap<u32, CellQos>,
+    /// Indexed by cell id (dense); `None` for a cell with no observation.
+    cells: Vec<Option<CellQos>>,
 }
 
 impl Default for QosState {
@@ -184,13 +185,81 @@ impl Default for QosState {
         QosState {
             window_secs: DEFAULT_QOS_WINDOW_SECS,
             target_p_hd: DEFAULT_QOS_TARGET_P_HD,
-            cells: BTreeMap::new(),
+            cells: Vec::new(),
         }
     }
 }
 
+impl QosState {
+    /// `cell`'s state, created on its first observation.
+    fn cell(&mut self, cell: u32) -> &mut CellQos {
+        let i = cell as usize;
+        if self.cells.len() <= i {
+            self.cells.resize_with(i + 1, || None);
+        }
+        self.cells[i].get_or_insert_with(CellQos::default)
+    }
+
+    /// The cells with any observation, ascending by id.
+    fn observed(&self) -> impl Iterator<Item = (u32, &CellQos)> {
+        let cells = self.cells.iter().enumerate();
+        cells.filter_map(|(i, c)| Some((i as u32, c.as_ref()?)))
+    }
+
+    /// The `P_HD` target in force (also the capture trigger's burn-rate
+    /// denominator).
+    pub(crate) fn target_p_hd(&self) -> f64 {
+        self.target_p_hd
+    }
+
+    /// The trailing-window width (simulated seconds).
+    pub(crate) fn window_secs(&self) -> f64 {
+        self.window_secs
+    }
+
+    /// Records new reservation targets `(cell, B_r)` (BUs) at sim-time
+    /// `t`, in order, extending each cell's time-weighted reservation
+    /// integral.
+    pub(crate) fn record_br_updates(&mut self, t: f64, updates: &[(u32, f64)]) {
+        for &(cell, br) in updates {
+            self.cell(cell).br.set(t, br);
+        }
+    }
+
+    /// The efficiency updates of one hand-off attempt: the attempted
+    /// bandwidth lands in `to`'s admitted or dropped ledger; the
+    /// connection stops counting as hand-in load in `from` if it arrived
+    /// there by hand-off, and starts counting in `to` if admitted.
+    pub(crate) fn record_handoff_attempt(&mut self, a: &crate::HandoffAttempt) {
+        let to = self.cell(a.to);
+        if a.dropped {
+            to.handoff_bu_dropped += a.bw;
+        } else {
+            to.handoff_bu_admitted += a.bw;
+        }
+        if a.prev.is_some() {
+            self.cell(a.from).handin.add(a.t, -a.bw);
+        }
+        if !a.dropped {
+            self.cell(a.to).handin.add(a.t, a.bw);
+        }
+    }
+
+    /// The trigger inputs of every cell at fast-window edge `fast_since`,
+    /// ascending by cell id.
+    pub(crate) fn burn_inputs(&self, fast_since: f64) -> Vec<BurnInputs> {
+        self.observed()
+            .map(|(cell, c)| BurnInputs {
+                cell,
+                fast_p_hd: c.handoffs.ratio_since(fast_since),
+                slow_p_hd: c.handoffs.ratio(),
+            })
+            .collect()
+    }
+}
+
 fn with_state<R>(f: impl FnOnce(&mut QosState) -> R) -> R {
-    crate::with(|o| f(&mut crate::lock(&o.qos)))
+    crate::with_stores(|s| f(&mut s.qos))
 }
 
 /// Sets the trailing-window width (simulated seconds) of the live
@@ -199,20 +268,9 @@ pub fn set_qos_window_secs(secs: f64) {
     with_state(|s| s.window_secs = secs.max(0.0));
 }
 
-/// Current trailing-window width (simulated seconds).
-pub fn qos_window_secs() -> f64 {
-    with_state(|s| s.window_secs)
-}
-
 /// Sets the `P_HD` target the violation clock measures against.
 pub fn set_qos_target_p_hd(target: f64) {
     with_state(|s| s.target_p_hd = target);
-}
-
-/// The `P_HD` target currently in force (also the capture trigger's
-/// burn-rate denominator).
-pub fn qos_target_p_hd() -> f64 {
-    with_state(|s| s.target_p_hd)
 }
 
 /// Records one hand-off attempt into `cell` at sim-time `t`
@@ -224,7 +282,7 @@ pub fn record_handoff_outcome(t: f64, cell: u32, dropped: bool) {
     with_state(|s| {
         let window = s.window_secs;
         let target = s.target_p_hd;
-        let c = s.cells.entry(cell).or_default();
+        let c = s.cell(cell);
         if let Some(prev_t) = c.last_handoff_t {
             if c.in_violation && t > prev_t {
                 c.violation_secs += t - prev_t;
@@ -247,71 +305,20 @@ pub(crate) struct BurnInputs {
     pub slow_p_hd: Option<f64>,
 }
 
-/// The trigger inputs of every cell at fast-window edge `fast_since`,
-/// ascending by cell id.
-pub(crate) fn burn_inputs(fast_since: f64) -> Vec<BurnInputs> {
-    with_state(|s| {
-        s.cells
-            .iter()
-            .map(|(&cell, c)| BurnInputs {
-                cell,
-                fast_p_hd: c.handoffs.ratio_since(fast_since),
-                slow_p_hd: c.handoffs.ratio(),
-            })
-            .collect()
-    })
-}
-
 /// Records one new-connection request at `cell` at sim-time `t`
 /// (`blocked = true` when admission refused it) — the `P_CB` trial stream.
 pub fn record_admission_outcome(t: f64, cell: u32, blocked: bool) {
     with_state(|s| {
         let window = s.window_secs;
-        s.cells
-            .entry(cell)
-            .or_default()
-            .admissions
-            .record(t, blocked, window);
+        s.cell(cell).admissions.record(t, blocked, window);
     });
-}
-
-/// Records new reservation targets `(cell, B_r)` (BUs) at sim-time `t`,
-/// in order, extending each cell's time-weighted reservation integral:
-/// one mutex acquisition, none for no updates.
-pub(crate) fn record_br_updates(t: f64, updates: &[(u32, f64)]) {
-    if updates.is_empty() {
-        return;
-    }
-    with_state(|s| {
-        for &(cell, br) in updates {
-            s.cells.entry(cell).or_default().br.set(t, br);
-        }
-    });
-}
-
-/// Records `bw` BUs of hand-off bandwidth entering `cell` at sim-time `t`
-/// (a completed hand-off): the handed-in occupancy integral rises.
-pub fn record_handin_add(t: f64, cell: u32, bw: f64) {
-    with_state(|s| s.cells.entry(cell).or_default().handin.add(t, bw));
 }
 
 /// Records `bw` BUs of previously handed-in bandwidth leaving `cell` at
-/// sim-time `t` (the connection handed off again, completed, or dropped).
+/// sim-time `t` when its connection ends there (a hand-off attempt out of
+/// `cell` records its own, through [`crate::observe_handoff`]).
 pub fn record_handin_remove(t: f64, cell: u32, bw: f64) {
-    with_state(|s| s.cells.entry(cell).or_default().handin.add(t, -bw));
-}
-
-/// Records the admitted/dropped bandwidth of one hand-off attempt into
-/// `cell` (cumulative BU counters for the efficiency view).
-pub fn record_handoff_bw(cell: u32, bw: f64, dropped: bool) {
-    with_state(|s| {
-        let c = s.cells.entry(cell).or_default();
-        if dropped {
-            c.handoff_bu_dropped += bw;
-        } else {
-            c.handoff_bu_admitted += bw;
-        }
-    });
+    with_state(|s| s.cell(cell).handin.add(t, -bw));
 }
 
 /// Clears all QoS/efficiency state (between runs). Window and target
@@ -366,9 +373,8 @@ impl CellQosSnapshot {
 /// ascending by cell id.
 pub fn qos_snapshot() -> Vec<CellQosSnapshot> {
     with_state(|s| {
-        s.cells
-            .iter()
-            .map(|(&cell, c)| CellQosSnapshot {
+        s.observed()
+            .map(|(cell, c)| CellQosSnapshot {
                 cell,
                 hd_trials: c.handoffs.trials(),
                 hd_hits: c.handoffs.hits,
@@ -536,14 +542,29 @@ mod tests {
     #[test]
     fn efficiency_integrals_track_reserved_vs_used() {
         // B_r: 4 BU over [0, 10), 2 BU over [10, 20) -> mean 3.
-        record_br_updates(0.0, &[(CELL_B, 4.0)]);
-        record_br_updates(10.0, &[(CELL_B, 2.0)]);
-        record_br_updates(20.0, &[(CELL_B, 2.0)]);
-        // Hand-ins: 1 BU occupied over [5, 20) of the same span.
-        record_handin_add(5.0, CELL_B, 1.0);
+        with_state(|s| {
+            s.record_br_updates(0.0, &[(CELL_B, 4.0)]);
+            s.record_br_updates(10.0, &[(CELL_B, 2.0)]);
+            s.record_br_updates(20.0, &[(CELL_B, 2.0)]);
+        });
+        // Hand-ins: 1 BU admitted at 5 and occupied over [5, 20) of the
+        // same span; a 2-BU attempt dropped.
+        let attempt = |t: f64, bw: f64, dropped: bool| {
+            crate::observe_handoff(&crate::HandoffAttempt {
+                conn: 1,
+                from: CELL_A,
+                to: CELL_B,
+                t,
+                entered: 0.0,
+                prev: None,
+                declared: None,
+                bw,
+                dropped,
+            })
+        };
+        attempt(5.0, 1.0, false);
         record_handin_remove(20.0, CELL_B, 1.0);
-        record_handoff_bw(CELL_B, 1.0, false);
-        record_handoff_bw(CELL_B, 2.0, true);
+        attempt(20.0, 2.0, true);
         let snap = qos_snapshot();
         let c = snap.iter().find(|c| c.cell == CELL_B).unwrap();
         assert!((c.br_reserved_bu.unwrap() - 3.0).abs() < 1e-9);
@@ -551,6 +572,25 @@ mod tests {
         assert!((c.over_reservation_bu().unwrap() - 2.0).abs() < 1e-9);
         assert_eq!(c.handoff_bu_admitted, 1.0);
         assert_eq!(c.handoff_bu_dropped, 2.0);
+    }
+
+    /// The dense table lists the cells with an observation, ascending by
+    /// id whatever order they were first seen in, and only those.
+    #[test]
+    fn cells_are_listed_ascending_and_only_once_observed() {
+        record_admission_outcome(1.0, 1000, false);
+        record_handoff_outcome(2.0, 3, true);
+        with_state(|s| s.record_br_updates(3.0, &[(7, 1.5)]));
+        let cells: Vec<u32> = qos_snapshot().iter().map(|c| c.cell).collect();
+        assert_eq!(cells, [3, 7, 1000]);
+        let json = qos_json();
+        let Some(Value::Object(listed)) = json.get("cells") else {
+            panic!("no cells section");
+        };
+        let keys: Vec<&str> = listed.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["3", "7", "1000"]);
+        reset_qos();
+        assert!(qos_snapshot().is_empty());
     }
 
     #[test]

@@ -3,13 +3,16 @@
 //! The admission test (`qres_admission_test_ns`) and each `B_r` computation
 //! in it (`qres_br_compute_ns`) are timed, so inside them the producer only
 //! pushes onto the [`Staging`] buffer its caller owns. After the admission
-//! timing record, [`Staging::publish`] empties it into the stores.
+//! timing record, [`Staging::publish`] empties it into the stores under
+//! their one lock. The buffer's `Vec`s are reused from admission to
+//! admission, and once the flight ring is full the staged terms and checks
+//! trade places with the evicted record's, so a steady-state admission
+//! allocates nothing.
 
 use std::sync::atomic::Ordering;
 
 use crate::calib;
-use crate::flight::{self, FlightCheck, FlightRecord, FlightTerm};
-use crate::qos;
+use crate::flight::{FlightCheck, FlightRecord, FlightTerm};
 
 /// A per-admission telemetry buffer: the switches read when the admission
 /// began, and what it staged since.
@@ -71,15 +74,21 @@ impl Staging {
     /// Publishes the admission at sim-time `now` and empties the buffer:
     /// the staged evaluations into the calibration store, the `B_r`
     /// updates into the QoS tracker, and `record`, given the staged terms
-    /// and checks, into the flight ring. One lock per store that has
-    /// something to take.
+    /// and checks (its own are replaced), into the flight ring. One lock,
+    /// none when nothing is staged.
     pub fn publish(&mut self, now: f64, record: Option<FlightRecord>) {
-        self.forecasts.flush(now);
-        qos::record_br_updates(now, &self.br);
-        if let Some(mut record) = record {
-            record.terms = std::mem::take(&mut self.terms);
-            record.checks = std::mem::take(&mut self.checks);
-            flight::record(record);
+        if !self.forecasts.is_empty() || !self.br.is_empty() || record.is_some() {
+            crate::with_stores(|s| {
+                self.forecasts.publish(&mut s.calib, now);
+                s.qos.record_br_updates(now, &self.br);
+                if let Some(mut record) = record {
+                    std::mem::swap(&mut record.terms, &mut self.terms);
+                    std::mem::swap(&mut record.checks, &mut self.checks);
+                    if let Some(evicted) = s.flight.push(record) {
+                        (self.terms, self.checks) = (evicted.terms, evicted.checks);
+                    }
+                }
+            });
         }
         self.clear();
     }
@@ -103,7 +112,8 @@ mod tests {
     fn begin_drops_what_an_earlier_call_staged() {
         let mut st = Staging::default();
         st.forecasts.evaluation(3, 4, 5.0, 25.0);
-        st.forecasts.group(Some(2), 3, [(7, 0.5)]);
+        st.forecasts.group(Some(2), 3, 1);
+        st.forecasts.nonzero([(7, 0.5, 2)]);
         st.br_update(4, 1.5);
         let term = FlightTerm {
             neighbor: 3,

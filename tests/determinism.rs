@@ -302,6 +302,48 @@ fn calibration_output_is_pinned() {
     }
 }
 
+/// The whole telemetry document is pinned, not only its calibration
+/// part: on a fresh handle, a fixed-seed AC3 ring at L = 150 and an AC2
+/// ring at L = 300, swept at the final sim-time as `write_obs_json` does,
+/// leave exactly these `snapshot_json()` sections (`counters`, `gauges`,
+/// `qos` with `calib`, `flight` with its records; everything but the
+/// wall-clock `histograms`).
+#[test]
+fn telemetry_snapshot_is_pinned() {
+    let ac3 = Scenario::paper_baseline()
+        .scheme(SchemeKind::Ac3)
+        .offered_load(150.0)
+        .duration_secs(300.0)
+        .seed(5);
+    let ac2 = ac3.clone().scheme(SchemeKind::Ac2).offered_load(300.0);
+    let pins: [(&Scenario, u64); 2] =
+        [(&ac3, 0xa34b_e5a8_abc9_0b4e), (&ac2, 0xa194_842e_d92e_48dd)];
+    for (s, digest) in pins {
+        let json = std::thread::scope(|t| {
+            t.spawn(|| {
+                qres::obs::set_level(qres::obs::Level::Info);
+                let _ = run_scenario(s);
+                qres::obs::set_level(qres::obs::Level::Off);
+                qres::obs::sweep_expired(qres::obs::sim_time());
+                let Value::Object(sections) = qres::obs::snapshot_json() else {
+                    panic!("snapshot is not an object");
+                };
+                let kept = sections.into_iter().filter(|(k, _)| k != "histograms");
+                Value::Object(kept.collect()).to_compact_string()
+            })
+            .join()
+            .unwrap()
+        });
+        assert_eq!(
+            fnv1a(json.as_bytes()),
+            digest,
+            "{:?} digest {:#x}",
+            s.scheme,
+            fnv1a(json.as_bytes())
+        );
+    }
+}
+
 /// `snapshot_json()` without its wall-clock `histograms`, after this
 /// thread ran `s` with telemetry on.
 fn telemetry_of(s: &Scenario) -> String {
