@@ -125,10 +125,6 @@ impl BsNetwork {
         };
         self.per_kind[slot].0 += 1;
         self.per_kind[slot].1 += msg.nominal_bytes();
-        if qres_obs::enabled() {
-            qres_obs::metrics::BACKBONE_MSGS_TOTAL.add(1);
-            qres_obs::metrics::BACKBONE_BYTES_TOTAL.add(msg.nominal_bytes());
-        }
     }
 
     /// A full reservation round-trip (query + reply) with one neighbor.

@@ -273,7 +273,11 @@ impl ReservationSystem {
         let calcs_before = self.br_calcs_total;
         self.admission_req_seq += 1;
         self.buffer.telemetry.begin();
-        let obs_t0 = self.buffer.telemetry.on().then(std::time::Instant::now);
+        let obs_t0 = self
+            .buffer
+            .telemetry
+            .on()
+            .then(|| (std::time::Instant::now(), self.signaling.stats()));
         let decision = match self.config.scheme {
             SchemeConfig::Static { guard } => {
                 if self
@@ -319,8 +323,13 @@ impl ReservationSystem {
             }
         };
         self.n_calc.add((self.br_calcs_total - calcs_before) as f64);
-        if let Some(t0) = obs_t0 {
+        if let Some((t0, sent)) = obs_t0 {
             qres_obs::metrics::ADMISSION_TEST_NS.record_duration(t0.elapsed());
+            // Every backbone message is sent inside an admission test: the
+            // counters take each admission's messages in one add.
+            let now_sent = self.signaling.stats();
+            qres_obs::metrics::BACKBONE_MSGS_TOTAL.add(now_sent.messages - sent.messages);
+            qres_obs::metrics::BACKBONE_BYTES_TOTAL.add(now_sent.bytes - sent.bytes);
             // Publish what the admission staged (Eq.-4 forecasts, `B_r`
             // updates, the decision's flight record) outside the measured
             // window: the one mutex acquisition per kind lands here, not

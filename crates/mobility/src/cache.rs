@@ -33,16 +33,30 @@
 //!   one prefix weight, which shifts the later pairs' regions by two. A
 //!   store that is never queried only appends.
 //! * finite `T_int`, where window membership drifts with `t_o`: the
-//!   snapshot is rebuilt on the first query after it is older than a
+//!   snapshot is **patched** on the first query after it is older than a
 //!   configurable refresh interval (default 30 simulated seconds, far
-//!   finer than the 1-hour `T_int` the paper uses). A rebuild refills the
-//!   arena pair by pair through one reused scratch buffer.
+//!   finer than the 1-hour `T_int` the paper uses), or earlier than its
+//!   build. Each pair finds its new selection with no sort: binary
+//!   searches place each window's members among the time-ordered
+//!   quadruplets, and a window that overflows the `N_quad` budget takes its
+//!   members closest to the window's centre by walking outward from it.
+//!   The quadruplets carry sequence numbers, so the new selection is
+//!   compared with the last build's as a few stretches of them, plus what
+//!   the `N_quad` cap and retention evicted of it since; only the entries
+//!   that left or entered are merged into the pair's sojourn-sorted run,
+//!   whose prefix weights are then rewritten. A pair's arena region depends
+//!   only on the multiset of its selected `(sojourn, n)` — equal `n`, equal
+//!   weight; the selection's stable sojourn sort left equal sojourns in
+//!   priority order, `n` ascending — so ordering the run by `(sojourn, n)`
+//!   answers bit-identically to a rebuild. The first build patches empty
+//!   selections.
 //!
 //! With weekday/weekend separation enabled, quadruplets are routed into two
 //! independent stores by the [`Calendar`] class of their event time, and
 //! queries read the store matching the class of `t_o` (Section 3.1's
 //! special-day sets).
 
+use std::cmp::Ordering;
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::sync::Arc;
@@ -52,7 +66,7 @@ use qres_des::{Duration, SimTime};
 
 use crate::calendar::{Calendar, DayClass};
 use crate::quadruplet::HandoffEvent;
-use crate::windows::WindowConfig;
+use crate::windows::{partition, WindowConfig};
 
 /// The `prev` key of a pair store (`None` = connection started in-cell).
 pub type PrevKey = Option<CellId>;
@@ -70,7 +84,7 @@ pub struct HoeConfig {
     pub weekend_window: Option<WindowConfig>,
     /// The calendar used to classify days when separation is enabled.
     pub calendar: Calendar,
-    /// How stale a finite-`T_int` snapshot may get before rebuild.
+    /// How stale a finite-`T_int` snapshot may get before it is refreshed.
     pub snapshot_refresh: Duration,
 }
 
@@ -203,36 +217,257 @@ impl<'a> PairView<'a> {
     }
 }
 
-/// A candidate member of a pair's selection: `(n, distance, sojourn,
-/// weight)`.
-type Member = (u32, f64, f64, f64);
+/// One stored quadruplet of a pair (whose `prev` and `next` are the key):
+/// its event time, its sojourn, and its sequence number in the pair's
+/// store, which ascends with the event time.
+#[derive(Debug, Clone, Copy)]
+struct Stamped {
+    t: SimTime,
+    sojourn: f64,
+    seq: u64,
+}
 
-/// Raw quadruplet storage for one `(prev, next)` pair.
+/// A stretch of a snapshot's selection: the quadruplets with sequence
+/// numbers in `seqs` that the store held when it was built, all in window
+/// `n`.
+#[derive(Debug, Clone)]
+struct Chosen {
+    n: u32,
+    seqs: Range<u64>,
+}
+
+/// A selected quadruplet as the arena orders it: `(sojourn, n)`.
+type Entry = (f64, u32);
+
+/// Sojourn first, then window index: the order of a pair's selection in
+/// the arena. Equal sojourns left the priority sort in priority order,
+/// which is `n` ascending, and equal `(sojourn, n)` weigh the same, so a
+/// run sorted this way is the one a stable sojourn sort of the priority
+/// order gives.
+fn entry_order(a: &Entry, b: &Entry) -> Ordering {
+    a.0.partial_cmp(&b.0)
+        .expect("sojourns are NaN-free")
+        .then(a.1.cmp(&b.1))
+}
+
+/// Raw quadruplet storage for one `(prev, next)` pair, in event-time
+/// order.
 ///
 /// * Infinite `T_int`: only the `N_quad` most recent events can ever be
-///   selected, so a recency-capped deque suffices.
+///   selected, so the store is capped at `N_quad`.
 /// * Finite `T_int`: events from any past day can re-enter a window, so
-///   events are held in **time buckets** of width `T_int`, oldest first,
-///   each a FIFO capped at `N_quad`. A rebuild touches only the buckets
-///   overlapping the active windows, keeping rebuild cost `O(windows ·
-///   N_quad)` instead of `O(total stored)`. The per-bucket cap is the
-///   paper's own memory-reduction rule ("we don't need the quadruplets from
-///   previous days if we observed enough during the last `T_int` interval")
-///   applied per interval: no selection ever uses more than `N_quad`
-///   quadruplets from one pair, so buckets holding more than `N_quad`
-///   contribute only statistically interchangeable extras.
-#[derive(Debug, Clone)]
-enum PairStore {
-    Recent(VecDeque<HandoffEvent>),
-    Bucketed(VecDeque<(i64, VecDeque<HandoffEvent>)>),
+///   the store is cut into **time buckets** of width `T_int`, each capped
+///   at its `N_quad` most recent. The per-bucket cap is the paper's own
+///   memory-reduction rule ("we don't need the quadruplets from previous
+///   days if we observed enough during the last `T_int` interval") applied
+///   per interval: no selection ever uses more than `N_quad` quadruplets
+///   from one pair, so buckets holding more than `N_quad` contribute only
+///   statistically interchangeable extras. A refresh finds each window's
+///   members by binary search, so its cost does not grow with the store.
+#[derive(Debug, Clone, Default)]
+struct PairStore {
+    events: VecDeque<Stamped>,
+    /// The sequence number the next recorded quadruplet gets.
+    next_seq: u64,
+    /// Finite `T_int`: `(bucket index, events)` of each bucket, oldest
+    /// first, tiling `events` but for the excess.
+    buckets: VecDeque<(i64, usize)>,
+    /// Finite `T_int`: how many of the newest bucket's oldest events the
+    /// `N_quad` cap has evicted that still sit in `events`, just before the
+    /// bucket's `N_quad` stored ones. Removing each one as it goes would
+    /// move the bucket's newer events every time; they leave together at
+    /// the next [`Self::trim`].
+    excess: usize,
+    /// The last snapshot build's selection, which finite-`T_int` refreshes
+    /// patch. An infinite-`T_int` store holds one only while its single
+    /// build runs, which keeps the many pairs of a large stationary grid
+    /// small.
+    selection: Option<Box<Selection>>,
+}
+
+/// A pair's last snapshot build's selection.
+#[derive(Debug, Clone, Default)]
+struct Selection {
+    /// The selected stretches, ascending.
+    chosen: Vec<Chosen>,
+    /// What the `N_quad` cap and retention have evicted of them since.
+    gone: Vec<Entry>,
+    /// The selection as the arena holds it, sorted by [`entry_order`].
+    run: Vec<Entry>,
+}
+
+/// The selection at `t_o` among a pair's time-ordered `events` under the
+/// paper's priority rule (smaller window index `n` first, then smaller
+/// shifted-time distance from `t_o`, then the older event, up to
+/// `N_quad`), into `chosen`, ascending.
+///
+/// Window `n`'s members are one run of the events
+/// ([`WindowConfig::span`]), older for larger `n`, and their distances
+/// fall toward the window's centre `t_o − n·period` from both sides. A
+/// window that does not fit the remaining budget gives it to its closest
+/// members by walking outward from the centre: no sort.
+fn select(
+    events: &[Stamped],
+    t_o: SimTime,
+    window: &WindowConfig,
+    n_quad: usize,
+    chosen: &mut Vec<Chosen>,
+) {
+    let offset = |i: usize, n: u32| window.offset((t_o - events[i].t).as_secs(), n);
+    // Newest stretch first; reversed at the end.
+    let mut take = |n: u32, r: Range<usize>| {
+        if !r.is_empty() {
+            chosen.push(Chosen {
+                n,
+                seqs: events[r.start].seq..events[r.end - 1].seq + 1,
+            });
+        }
+    };
+    let mut budget = n_quad;
+    let mut below = events.len();
+    for n in 0..window.num_windows() {
+        if budget == 0 {
+            break;
+        }
+        let Range { start: a, end: b } = window.span(t_o, n, 0..below, |i| events[i].t);
+        below = a;
+        if b - a <= budget {
+            budget -= b - a;
+            take(n, a..b);
+            continue;
+        }
+        let dist = |i: usize| offset(i, n).abs();
+        // Members before the centre are older than those after it and win
+        // ties against them.
+        let centre = partition(a..b, |i| offset(i, n) >= 0.0);
+        let (mut l, mut r) = (centre, centre);
+        while budget > 0 {
+            if r == b {
+                l -= budget;
+                break;
+            }
+            if l == a {
+                r += budget;
+                break;
+            }
+            if dist(l - 1) <= dist(r) {
+                l -= 1;
+            } else {
+                r += 1;
+            }
+            budget -= 1;
+        }
+        budget = 0;
+        // The cut may split a run of equal distances before the centre,
+        // which the walk entered from its newer end: the priority rule
+        // takes the run's older members instead.
+        if a < l && l < centre && dist(l - 1) == dist(l) {
+            let d = dist(l);
+            let first = partition(a..l, |i| dist(i) > d);
+            let last = partition(l..centre, |i| dist(i) >= d);
+            take(n, last..r);
+            take(n, first..first + (last - l));
+        } else {
+            take(n, l..r);
+        }
+    }
+    chosen.reverse();
+}
+
+impl Selection {
+    /// What turns the last build's selection into `new`, both over the
+    /// pair's `events`: the entries `removed` from the run and `added` to
+    /// it. The evicted part of the old selection leaves as
+    /// [`Self::evicted`] noted it. The rest is read off the stretches of
+    /// sequence numbers where the two selections disagree: a stored
+    /// quadruplet only the old one took leaves, one only the new one takes
+    /// enters, and one whose window index changed does both.
+    fn changes(
+        &mut self,
+        events: &[Stamped],
+        new: &[Chosen],
+        removed: &mut Vec<Entry>,
+        added: &mut Vec<Entry>,
+    ) {
+        removed.clear();
+        added.clear();
+        removed.append(&mut self.gone);
+        let index = |seq: u64| events.partition_point(|e| e.seq < seq);
+        disagreements(&self.chosen, new, |seqs, was, now| {
+            for e in &events[index(seqs.start)..index(seqs.end)] {
+                if let Some(n) = was {
+                    removed.push((e.sojourn, n));
+                }
+                if let Some(n) = now {
+                    added.push((e.sojourn, n));
+                }
+            }
+        });
+    }
+
+    /// Notes that the store evicted `e`: when the last build selected it,
+    /// the next one removes it.
+    fn evicted(&mut self, e: &Stamped) {
+        if let Some(c) = self.chosen.iter().find(|c| c.seqs.contains(&e.seq)) {
+            self.gone.push((e.sojourn, c.n));
+        }
+    }
 }
 
 impl PairStore {
-    fn len(&self) -> usize {
-        match self {
-            PairStore::Recent(d) => d.len(),
-            PairStore::Bucketed(b) => b.iter().map(|(_, bucket)| bucket.len()).sum(),
+    /// Removes `events[range]`, noting each for the selection.
+    fn evict(&mut self, range: Range<usize>) {
+        for e in self.events.drain(range) {
+            if let Some(selection) = &mut self.selection {
+                selection.evicted(&e);
+            }
         }
+    }
+
+    /// Removes the excess from `events`.
+    fn trim(&mut self) {
+        let excess = std::mem::take(&mut self.excess);
+        if excess > 0 {
+            let live = self.buckets.back().map_or(0, |&(_, count)| count);
+            let start = self.events.len() - live - excess;
+            self.evict(start..start + excess);
+        }
+    }
+}
+
+/// Calls `f` with each stretch of sequence numbers on which the selections
+/// `old` and `new` (each ascending) give different window indices, and the
+/// index each gives (`None`: not selected).
+fn disagreements(
+    old: &[Chosen],
+    new: &[Chosen],
+    mut f: impl FnMut(Range<u64>, Option<u32>, Option<u32>),
+) {
+    let (mut old, mut new) = (old.iter().peekable(), new.iter().peekable());
+    let mut at = 0;
+    loop {
+        while old.next_if(|c| c.seqs.end <= at).is_some() {}
+        while new.next_if(|c| c.seqs.end <= at).is_some() {}
+        let (o, n) = (old.peek(), new.peek());
+        if o.is_none() && n.is_none() {
+            break;
+        }
+        let covering = |c: Option<&&Chosen>| c.filter(|c| c.seqs.start <= at).map(|c| c.n);
+        let edge = |c: Option<&&Chosen>| {
+            c.map_or(u64::MAX, |c| {
+                if c.seqs.start > at {
+                    c.seqs.start
+                } else {
+                    c.seqs.end
+                }
+            })
+        };
+        let next = edge(o).min(edge(n));
+        let (was, now) = (covering(o), covering(n));
+        if was != now {
+            f(at..next, was, now);
+        }
+        at = next;
     }
 }
 
@@ -259,8 +494,9 @@ struct ClassStore {
     /// The largest selected sojourn.
     max_sojourn: Option<f64>,
     last_event_time: Option<SimTime>,
-    /// The rebuild's candidate members, reused pair to pair.
-    scratch: Vec<Member>,
+    /// Buffers a snapshot build reuses pair to pair and build to build;
+    /// made by the first build and kept only by finite-`T_int` stores.
+    scratch: Option<Box<Scratch>>,
     /// Bumped once per recorded quadruplet (including its pruning and the
     /// in-place snapshot update) and once per snapshot build: any change
     /// to what a query could answer. Infinite-`T_int` stores build only
@@ -273,10 +509,56 @@ fn bucket_width(window: &WindowConfig) -> f64 {
     window.t_int.as_secs().max(1.0)
 }
 
+/// Buffers a snapshot build reuses.
+#[derive(Debug, Clone, Default)]
+struct Scratch {
+    chosen: Vec<Chosen>,
+    removed: Vec<Entry>,
+    added: Vec<Entry>,
+    run: Vec<Entry>,
+    arena: Vec<f64>,
+}
+
+/// `run` less `removed`, plus `added`, into `out`: all sorted by
+/// [`entry_order`], and every removed entry one of `run`'s. The unchanged
+/// stretches between the changes are found by scanning forward, which
+/// streams a run that other cells' work has evicted from the cache, and
+/// are copied whole.
+fn merge(mut run: &[Entry], removed: &[Entry], added: &[Entry], out: &mut Vec<Entry>) {
+    out.clear();
+    let (mut removed, mut added) = (removed.iter().peekable(), added.iter().peekable());
+    loop {
+        match (removed.peek(), added.peek()) {
+            (Some(&x), next) if next.is_none_or(|y| entry_order(x, y).is_le()) => {
+                let at = run
+                    .iter()
+                    .position(|e| entry_order(e, x).is_ge())
+                    .unwrap_or(run.len());
+                debug_assert_eq!(run.get(at), Some(x), "removed a non-member");
+                out.extend_from_slice(&run[..at]);
+                run = &run[at + 1..];
+                removed.next();
+            }
+            (_, Some(&y)) => {
+                let at = run
+                    .iter()
+                    .position(|e| entry_order(e, y).is_gt())
+                    .unwrap_or(run.len());
+                out.extend_from_slice(&run[..at]);
+                out.push(*y);
+                run = &run[at..];
+                added.next();
+            }
+            (_, None) => break,
+        }
+    }
+    out.extend_from_slice(run);
+}
+
 impl ClassStore {
     /// The key index of `(prev, next)`, adding the pair, with an empty
     /// store and an empty selection, when it is new.
-    fn slot_or_insert(&mut self, prev: PrevKey, next: CellId, infinite: bool) -> usize {
+    fn slot_or_insert(&mut self, prev: PrevKey, next: CellId) -> usize {
         let run = find_run(&self.prevs, prev);
         let range = match run {
             Ok(r) => self.prevs[r].range(),
@@ -326,14 +608,7 @@ impl ClassStore {
                 len: 0,
             },
         );
-        self.stores.insert(
-            at,
-            if infinite {
-                PairStore::Recent(VecDeque::new())
-            } else {
-                PairStore::Bucketed(VecDeque::new())
-            },
-        );
+        self.stores.insert(at, PairStore::default());
         debug_assert!(self.key_table_is_sorted(), "key table out of order");
         at
     }
@@ -369,51 +644,64 @@ impl ClassStore {
             );
         }
         self.last_event_time = Some(event.t_event);
-        let i = self.slot_or_insert(event.prev, event.next, window.t_int.is_infinite());
+        let i = self.slot_or_insert(event.prev, event.next);
+        let store = &mut self.stores[i];
+        let sojourn = event.t_soj.as_secs();
+        let stamped = Stamped {
+            t: event.t_event,
+            sojourn,
+            seq: store.next_seq,
+        };
+        store.next_seq += 1;
         let mut evicted = 0usize;
-        match &mut self.stores[i] {
-            PairStore::Recent(deque) => {
-                deque.push_back(event);
+        match window.retention() {
+            None => {
+                store.events.push_back(stamped);
                 // Only the N_quad most recent can ever be selected.
-                let dropped = if deque.len() > n_quad {
-                    deque.pop_front()
+                let dropped = if store.events.len() > n_quad {
+                    store.events.pop_front()
                 } else {
                     None
                 };
                 evicted = usize::from(dropped.is_some());
                 if self.built_at.is_some() {
-                    self.shift_in(
-                        i,
-                        dropped.map(|e| e.t_soj.as_secs()),
-                        event.t_soj.as_secs(),
-                        window.weights[0],
-                    );
+                    self.shift_in(i, dropped.map(|e| e.sojourn), sojourn, window.weights[0]);
                 }
             }
-            PairStore::Bucketed(buckets) => {
+            Some(retention) => {
                 let bw = bucket_width(window);
                 let idx = (event.t_event.as_secs() / bw).floor() as i64;
                 // Event times never decrease, so neither do bucket indices.
-                let bucket = match buckets.back_mut() {
-                    Some((last, bucket)) if *last == idx => bucket,
-                    _ => {
-                        debug_assert!(buckets.back().is_none_or(|&(last, _)| last < idx));
-                        buckets.push_back((idx, VecDeque::new()));
-                        &mut buckets.back_mut().expect("just pushed").1
-                    }
-                };
-                bucket.push_back(event);
-                if bucket.len() > n_quad {
-                    bucket.pop_front();
-                    evicted += 1;
-                }
-                if let Some(retention) = window.retention() {
-                    let cutoff = ((event.t_event - retention).as_secs() / bw).floor() as i64;
-                    while buckets.front().is_some_and(|&(first, _)| first < cutoff) {
-                        if let Some((_, gone)) = buckets.pop_front() {
-                            evicted += gone.len();
+                match store.buckets.back_mut() {
+                    Some((last, count)) if *last == idx => {
+                        if *count == n_quad {
+                            // The bucket's oldest leaves.
+                            store.excess += 1;
+                            evicted += 1;
+                        } else {
+                            *count += 1;
                         }
                     }
+                    _ => {
+                        debug_assert!(store.buckets.back().is_none_or(|&(last, _)| last < idx));
+                        store.trim();
+                        store.buckets.push_back((idx, 1));
+                    }
+                }
+                store.events.push_back(stamped);
+                if store.excess >= n_quad {
+                    store.trim();
+                }
+                // The current bucket, the only one with an excess, is never
+                // this old.
+                let cutoff = ((event.t_event - retention).as_secs() / bw).floor() as i64;
+                while let Some(&(first, count)) = store.buckets.front() {
+                    if first >= cutoff {
+                        break;
+                    }
+                    store.buckets.pop_front();
+                    store.evict(0..count);
+                    evicted += count;
                 }
             }
         }
@@ -479,77 +767,80 @@ impl ClassStore {
             None => false,
             // Infinite windows: `record` keeps a built snapshot current.
             Some(_) if window.t_int.is_infinite() => true,
-            // Finite windows: rebuild on refresh expiry (new events become
-            // visible within `refresh` of recording — rebuilding on every
-            // record would cost a rebuild per hand-off, quadratic under
-            // load).
+            // Finite windows: refresh on expiry (new events become visible
+            // within `refresh` of recording — refreshing on every record
+            // would cost a refresh per hand-off).
             Some(at) => t_o >= at && t_o - at <= refresh,
         }
     }
 
-    /// Refills the arena with every pair's selection at `t_o`.
-    fn rebuild(&mut self, t_o: SimTime, window: &WindowConfig, n_quad: usize) {
+    /// Brings every pair's selection to `t_o` and refills the arena.
+    ///
+    /// Each pair compares its new selection with the last build's
+    /// ([`Selection::changes`]) and merges only the entries that left or
+    /// entered into its sorted run, whose prefix weights are then
+    /// rewritten; an unchanged pair's region is copied. The first build
+    /// patches empty selections. An infinite-`T_int` store builds only
+    /// once and [`Self::shift_in`] keeps its arena current after, so it
+    /// drops the selections and the buffers.
+    fn refresh(&mut self, t_o: SimTime, window: &WindowConfig, n_quad: usize) {
         let ClassStore {
             pairs,
             stores,
             arena,
-            scratch: members,
+            scratch,
             ..
         } = self;
-        arena.clear();
+        let Scratch {
+            chosen,
+            removed,
+            added,
+            run,
+            arena: spare,
+        } = &mut **scratch.get_or_insert_with(Box::default);
+        spare.clear();
         let mut max_sojourn: Option<f64> = None;
-        for (pair, store) in pairs.iter_mut().zip(stores.iter()) {
-            members.clear();
-            let mut consider = |e: &HandoffEvent| {
-                if let Some(m) = window.membership(t_o, e.t_event) {
-                    members.push((m.n, m.distance, e.t_soj.as_secs(), m.weight));
-                }
-            };
-            match store {
-                PairStore::Recent(deque) => deque.iter().for_each(&mut consider),
-                PairStore::Bucketed(buckets) => {
-                    // Touch only buckets overlapping some window
-                    // [t_o − T_int − nP, t_o + T_int − nP), each once and
-                    // oldest first, so overlapping windows (2·T_int >
-                    // period) cannot double-count an event; membership()
-                    // itself resolves each event to its unique smallest n.
-                    let bw = bucket_width(window);
-                    let t_int = window.t_int.as_secs();
-                    let period = window.period.as_secs();
-                    let overlaps = |idx: i64| {
-                        (0..window.num_windows()).any(|n| {
-                            let lo = t_o.as_secs() - t_int - f64::from(n) * period;
-                            let hi = t_o.as_secs() + t_int - f64::from(n) * period;
-                            (lo / bw).floor() as i64 <= idx && idx <= (hi / bw).floor() as i64
-                        })
-                    };
-                    for (_, bucket) in buckets.iter().filter(|&&(idx, _)| overlaps(idx)) {
-                        bucket.iter().for_each(&mut consider);
-                    }
+        for (pair, store) in pairs.iter_mut().zip(stores.iter_mut()) {
+            store.trim();
+            let events = &*store.events.make_contiguous();
+            let p = store.selection.get_or_insert_with(Box::default);
+            chosen.clear();
+            select(events, t_o, window, n_quad, chosen);
+            p.changes(events, chosen, removed, added);
+            std::mem::swap(&mut p.chosen, chosen);
+            let start = spare.len();
+            if removed.is_empty() && added.is_empty() {
+                spare.extend_from_slice(&arena[pair.start as usize..pair.end()]);
+            } else {
+                removed.sort_unstable_by(entry_order);
+                added.sort_unstable_by(entry_order);
+                merge(&p.run, removed, added, run);
+                std::mem::swap(&mut p.run, run);
+                let len = p.run.len();
+                spare.resize(start + 2 * len + 1, 0.0);
+                let (sojourns, prefix) = spare[start..].split_at_mut(len);
+                let mut acc = 0.0;
+                for ((s, w), &(sojourn, n)) in sojourns.iter_mut().zip(&mut prefix[1..]).zip(&p.run)
+                {
+                    *s = sojourn;
+                    acc += window.weights[n as usize];
+                    *w = acc;
                 }
             }
-            // Priority: smaller n, then smaller shifted-time distance.
-            members.sort_by(|a, b| {
-                a.0.cmp(&b.0)
-                    .then(a.1.partial_cmp(&b.1).expect("distances are NaN-free"))
-            });
-            members.truncate(n_quad);
-            // The selection, stably sorted by sojourn.
-            members.sort_by(|a, b| a.2.partial_cmp(&b.2).expect("sojourns are NaN-free"));
-            pair.start = arena.len() as u32;
-            pair.len = members.len() as u32;
-            arena.extend(members.iter().map(|m| m.2));
-            arena.push(0.0);
-            let mut acc = 0.0;
-            for m in members.iter() {
-                acc += m.3;
-                arena.push(acc);
-            }
-            if let Some(ms) = members.last().map(|m| m.2) {
-                max_sojourn = Some(max_sojourn.map_or(ms, |m: f64| m.max(ms)));
+            pair.start = start as u32;
+            pair.len = p.run.len() as u32;
+            if let Some(&(top, _)) = p.run.last() {
+                max_sojourn = Some(max_sojourn.map_or(top, |m: f64| m.max(top)));
             }
         }
+        std::mem::swap(arena, spare);
         assert_offsets(arena.len());
+        if window.t_int.is_infinite() {
+            for store in stores.iter_mut() {
+                store.selection = None;
+            }
+            *scratch = None;
+        }
         self.built_at = Some(t_o);
         self.max_sojourn = max_sojourn;
         self.epoch += 1;
@@ -573,7 +864,7 @@ impl ClassStore {
             "an infinite-window query must not precede the last recorded event"
         );
         if !self.snapshot_fresh(t_o, window, refresh) {
-            self.rebuild(t_o, window, n_quad);
+            self.refresh(t_o, window, n_quad);
         }
     }
 
@@ -586,7 +877,10 @@ impl ClassStore {
     }
 
     fn stored_events(&self) -> usize {
-        self.stores.iter().map(PairStore::len).sum()
+        self.stores
+            .iter()
+            .map(|store| store.events.len() - store.excess)
+            .sum()
     }
 }
 

@@ -13,6 +13,8 @@
 //! weekend/holiday pattern (Section 3.1). `T_int = ∞` (the paper's
 //! stationary-scenario setting) makes every past event an `n = 0` member.
 
+use std::ops::Range;
+
 use qres_des::{Duration, SimTime};
 
 /// A quadruplet's window membership: which window it falls in and its weight.
@@ -102,49 +104,124 @@ impl WindowConfig {
     /// (including future events, which precede every window).
     pub fn membership(&self, t_o: SimTime, t_event: SimTime) -> Option<WindowMembership> {
         let delta = (t_o - t_event).as_secs(); // ≥ 0 for past events
-        if self.t_int.is_infinite() {
-            if delta < 0.0 {
-                return None; // future event
-            }
-            return Some(WindowMembership {
-                n: 0,
-                weight: self.weights[0],
-                distance: delta,
-            });
-        }
-        if delta < 0.0 {
-            // Future events precede every window: the paper notes the
-            // duration [t_o, t_o + T_int] is "missing" from Fig. 3.
-            return None;
-        }
-        let t_int = self.t_int.as_secs();
-        let period = self.period.as_secs();
-        // Membership in window n requires
-        //   delta - t_int < n*period <= ... more precisely:
-        //   t_o - T_int - n*P <= t_event < t_o + T_int - n*P
-        //   <=>  (delta - t_int)/P < n + (t_int*2)/P window ... solve:
-        //   n >= (delta - t_int)/P   and   n > (delta - t_int)/P - ... let's
-        //   just derive bounds directly:
-        //   t_event >= t_o - t_int - n*P  <=>  n >= (delta - t_int)/P
-        //   t_event <  t_o + t_int - n*P  <=>  n <  (delta + t_int)/P
-        let lo = (delta - t_int) / period;
-        let hi = (delta + t_int) / period;
-        // Smallest admissible integer n (highest priority when windows
-        // overlap, i.e. when 2*T_int > period).
-        let n = lo.ceil().max(0.0);
-        if n >= hi || n < 0.0 {
+        let (n, inside) = self.locate(delta);
+        if !inside {
             return None;
         }
         let n = n as u32;
         let weight = *self.weights.get(n as usize)?;
-        // Distance of the n-period-shifted event time from t_o.
-        let distance = (delta - n as f64 * period).abs();
         Some(WindowMembership {
             n,
             weight,
-            distance,
+            distance: self.offset(delta, n).abs(),
         })
     }
+
+    /// Where an event `delta` seconds before `t_o` falls: `(n, inside)`,
+    /// where `n` is the smallest window index whose lower edge the event
+    /// does not precede (`−1` for a future event: the paper notes the
+    /// duration `[t_o, t_o + T_int]` is "missing" from Fig. 3) and `inside`
+    /// whether it also precedes window `n`'s upper edge. The smallest `n`
+    /// has the highest priority when windows overlap (`2·T_int > period`).
+    /// As `delta` shrinks `n` never grows, and among the events of one `n`
+    /// the inside ones are the older: the order [`Self::span`] searches.
+    fn locate(&self, delta: f64) -> (f64, bool) {
+        if delta < 0.0 {
+            return (-1.0, false);
+        }
+        if self.t_int.is_infinite() {
+            return (0.0, true);
+        }
+        let t_int = self.t_int.as_secs();
+        let period = self.period.as_secs();
+        //   t_event >= t_o - t_int - n*P  <=>  n >= (delta - t_int)/P
+        //   t_event <  t_o + t_int - n*P  <=>  n <  (delta + t_int)/P
+        let n = ((delta - t_int) / period).ceil().max(0.0);
+        (n, n < (delta + t_int) / period)
+    }
+
+    /// `n` periods before `t_o`, in seconds.
+    fn shift(&self, n: u32) -> f64 {
+        // n = 0 keeps an infinite period out of the product.
+        if n == 0 {
+            0.0
+        } else {
+            f64::from(n) * self.period.as_secs()
+        }
+    }
+
+    /// The signed distance of an event `delta` seconds before `t_o` from
+    /// window `n`'s centre `t_o − n·period`, positive before it; its
+    /// magnitude is [`WindowMembership::distance`].
+    pub(crate) fn offset(&self, delta: f64, n: u32) -> f64 {
+        delta - self.shift(n)
+    }
+
+    /// The members of window `n` among the indices `range` of a sequence of
+    /// event times that never decreases, `time(i)` the `i`-th: exactly the
+    /// events whose [`Self::membership`] at `t_o` has index `n`, which are
+    /// contiguous. The window's edges in time place two binary searches;
+    /// the exact test of `membership` settles each.
+    pub(crate) fn span(
+        &self,
+        t_o: SimTime,
+        n: u32,
+        range: Range<usize>,
+        time: impl Fn(usize) -> SimTime,
+    ) -> Range<usize> {
+        let k = f64::from(n);
+        let locate = |i: usize| self.locate((t_o - time(i)).as_secs());
+        let centre = t_o.as_secs() - self.shift(n);
+        let t_int = self.t_int.as_secs();
+        let secs = |i: usize| time(i).as_secs();
+        // Older than the window: a smallest admissible index above n.
+        let older = |i: usize| locate(i).0 > k;
+        let start = settle(
+            partition(range.clone(), |i| secs(i) < centre - t_int),
+            range.clone(),
+            older,
+        );
+        // Older than the window or inside it.
+        let not_after = |i: usize| {
+            let (m, inside) = locate(i);
+            m > k || (m == k && inside)
+        };
+        let upper = (centre + t_int).min(t_o.as_secs());
+        let end = settle(
+            partition(start..range.end, |i| secs(i) < upper),
+            start..range.end,
+            not_after,
+        );
+        start..end
+    }
+}
+
+/// The first index of `range` at which `pred` fails; `pred` must hold on
+/// a prefix of `range` and fail on the rest.
+pub(crate) fn partition(range: Range<usize>, pred: impl Fn(usize) -> bool) -> usize {
+    let (mut lo, mut hi) = (range.start, range.end);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if pred(mid) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
+}
+
+/// [`partition`] of `range` by `pred`, stepping from `guess`, an index
+/// near it.
+fn settle(guess: usize, range: Range<usize>, pred: impl Fn(usize) -> bool) -> usize {
+    let mut i = guess;
+    while i > range.start && !pred(i - 1) {
+        i -= 1;
+    }
+    while i < range.end && pred(i) {
+        i += 1;
+    }
+    i
 }
 
 #[cfg(test)]
@@ -287,6 +364,50 @@ mod tests {
             weights: vec![],
         }
         .validate();
+    }
+
+    /// `span` finds exactly the events `membership` puts in each window,
+    /// on sorted times with repeats, across disjoint, overlapping and
+    /// infinite windows, with `t_o` on the event grid and off it.
+    #[test]
+    fn span_matches_membership() {
+        let mut rng = qres_des::StreamRng::seed_from_u64(0x5A11);
+        let configs = [
+            WindowConfig::paper_time_varying(),
+            WindowConfig::stationary(),
+            WindowConfig {
+                t_int: Duration::from_secs(1_200.0),
+                period: Duration::from_hours(1.0),
+                weights: vec![1.0, 0.8, 0.5],
+            },
+            WindowConfig {
+                t_int: Duration::from_secs(2_400.0),
+                period: Duration::from_hours(1.0),
+                weights: vec![1.0, 0.7, 0.7, 0.2],
+            },
+        ];
+        for case in 0..400 {
+            let w = &configs[case % configs.len()];
+            let mut t = 0.0;
+            let times: Vec<SimTime> = (0..rng.gen_range(0usize..120))
+                .map(|_| {
+                    t += 60.0 * f64::from(rng.gen_range(0u32..40));
+                    SimTime::from_secs(t)
+                })
+                .collect();
+            let t_o = SimTime::from_secs(if rng.gen_bool(0.5) {
+                60.0 * f64::from(rng.gen_range(0u32..(t / 60.0) as u32 + 2))
+            } else {
+                rng.gen_range_f64(0.0, t + 100.0)
+            });
+            for n in 0..w.num_windows() {
+                let want: Vec<usize> = (0..times.len())
+                    .filter(|&i| w.membership(t_o, times[i]).is_some_and(|m| m.n == n))
+                    .collect();
+                let got = w.span(t_o, n, 0..times.len(), |i| times[i]);
+                assert_eq!(got.collect::<Vec<_>>(), want, "case {case}, n = {n}");
+            }
+        }
     }
 
     #[test]

@@ -334,16 +334,21 @@ type Selection = (Vec<f64>, Vec<f64>);
 struct ModelClass {
     raw: BTreeMap<Key, ModelStore>,
     built_at: Option<SimTime>,
-    /// Recorded into since the last build (infinite windows only).
+    /// Recorded into since the last build.
     dirty: bool,
     /// Pairs with nothing selected are absent.
     pairs: BTreeMap<Key, Selection>,
     max_sojourn: Option<f64>,
+    /// The window index of each quadruplet the last build selected, by id.
+    selected: BTreeMap<u64, u32>,
 }
 
+/// A recorded quadruplet and its id (its recording ordinal).
+type Stored = (u64, HandoffEvent);
+
 enum ModelStore {
-    Recent(Vec<HandoffEvent>),
-    Bucketed(BTreeMap<i64, Vec<HandoffEvent>>),
+    Recent(Vec<Stored>),
+    Bucketed(BTreeMap<i64, Vec<Stored>>),
 }
 
 /// The HOE cache as the rules state it, with no in-place updates: every
@@ -355,6 +360,8 @@ struct ModelCache {
     weekday: ModelClass,
     weekend: ModelClass,
     version: u64,
+    /// What the builds have met, for [`Coverage`].
+    seen: Coverage,
 }
 
 impl ModelCache {
@@ -364,6 +371,7 @@ impl ModelCache {
             weekday: ModelClass::default(),
             weekend: ModelClass::default(),
             version: 0,
+            seen: Coverage::default(),
         }
     }
 
@@ -381,6 +389,8 @@ impl ModelCache {
     fn record(&mut self, e: HandoffEvent) -> (bool, Option<f64>) {
         let n_quad = self.config.n_quad;
         self.version += 1;
+        let id = self.version;
+        let mut seen = std::mem::take(&mut self.seen);
         let (class, window) = self.class(e.t_event);
         let new_key = !class.raw.contains_key(&(e.prev, e.next)) && class.built_at.is_some();
         class.dirty = true;
@@ -391,9 +401,10 @@ impl ModelCache {
                 ModelStore::Bucketed(BTreeMap::new())
             }
         });
+        let selected = &class.selected;
         let evicted = match store {
             ModelStore::Recent(events) => {
-                events.push(e);
+                events.push((id, e));
                 (events.len() > n_quad).then(|| events.remove(0))
             }
             ModelStore::Bucketed(buckets) => {
@@ -401,21 +412,38 @@ impl ModelCache {
                 let bucket = buckets
                     .entry((e.t_event.as_secs() / bw).floor() as i64)
                     .or_default();
-                bucket.push(e);
+                bucket.push((id, e));
                 let evicted = (bucket.len() > n_quad).then(|| bucket.remove(0));
+                seen.selected_capped |= evicted.is_some_and(|(id, _)| selected.contains_key(&id));
                 let retention = window.retention().expect("finite window");
                 let cutoff = ((e.t_event - retention).as_secs() / bw).floor() as i64;
+                let retired = buckets.range(..cutoff).flat_map(|(_, b)| b);
+                seen.selected_retired |= retired.clone().any(|(id, _)| selected.contains_key(id));
                 buckets.retain(|&idx, _| idx >= cutoff);
                 evicted
             }
         };
-        (new_key, evicted.map(|e| e.t_soj.as_secs()))
+        self.seen = seen;
+        (new_key, evicted.map(|(_, e)| e.t_soj.as_secs()))
+    }
+
+    /// The quadruplets the stores hold.
+    fn stored(&self) -> usize {
+        [&self.weekday, &self.weekend]
+            .iter()
+            .flat_map(|class| class.raw.values())
+            .map(|store| match store {
+                ModelStore::Recent(events) => events.len(),
+                ModelStore::Bucketed(buckets) => buckets.values().map(Vec::len).sum(),
+            })
+            .sum()
     }
 
     /// Makes the selections answer for `t_o`; returns whether the cache
     /// counts a build.
     fn ensure(&mut self, t_o: SimTime) -> bool {
         let (n_quad, refresh) = (self.config.n_quad, self.config.snapshot_refresh);
+        let mut seen = std::mem::take(&mut self.seen);
         let (class, window) = self.class(t_o);
         let infinite = window.t_int.is_infinite();
         let stale = match class.built_at {
@@ -423,9 +451,16 @@ impl ModelCache {
             Some(_) if infinite => false,
             Some(at) => !(t_o >= at && t_o - at <= refresh),
         };
-        if stale || (infinite && class.dirty) {
-            class.rebuild(t_o, &window, n_quad);
+        if stale && !infinite {
+            if let Some(at) = class.built_at {
+                seen.refresh_without_record |= !class.dirty;
+                seen.query_before_build |= t_o < at;
+            }
         }
+        if stale || (infinite && class.dirty) {
+            class.rebuild(t_o, &window, n_quad, &mut seen);
+        }
+        self.seen = seen;
         self.version += u64::from(stale);
         stale
     }
@@ -510,14 +545,30 @@ fn model_weight_gt((sojourns, prefix): &Selection, a: f64) -> f64 {
 }
 
 impl ModelClass {
-    fn rebuild(&mut self, t_o: SimTime, window: &WindowConfig, n_quad: usize) {
+    /// The selections at `t_o` by the paper's rules, rebuilt from the raw
+    /// stores with two stable sorts; notes in `seen` what the selection met.
+    fn rebuild(&mut self, t_o: SimTime, window: &WindowConfig, n_quad: usize, seen: &mut Coverage) {
         self.pairs.clear();
         self.max_sojourn = None;
+        let overlapping = 2.0 * window.t_int.as_secs() > window.period.as_secs();
+        let mut chosen = BTreeMap::new();
         for (&key, store) in &self.raw {
-            let mut members: Vec<(u32, f64, f64, f64)> = Vec::new();
-            let mut consider = |e: &HandoffEvent| {
+            // (n, distance, sojourn, weight, id, event time, offset from the
+            // window's centre).
+            let mut members: Vec<(u32, f64, f64, f64, u64, f64, f64)> = Vec::new();
+            let mut consider = |&(id, e): &Stored| {
                 if let Some(m) = window.membership(t_o, e.t_event) {
-                    members.push((m.n, m.distance, e.t_soj.as_secs(), m.weight));
+                    let offset =
+                        (t_o - e.t_event).as_secs() - f64::from(m.n) * window.period.as_secs();
+                    members.push((
+                        m.n,
+                        m.distance,
+                        e.t_soj.as_secs(),
+                        m.weight,
+                        id,
+                        e.t_event.as_secs(),
+                        offset,
+                    ));
                 }
             };
             match store {
@@ -541,7 +592,18 @@ impl ModelClass {
                 continue;
             }
             members.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.partial_cmp(&b.1).unwrap()));
+            if let (Some(kept), Some(cut)) = (members.get(n_quad - 1), members.get(n_quad)) {
+                // Equal sojourns would hide a wrong pick.
+                if (kept.0, kept.1) == (cut.0, cut.1) && kept.2 != cut.2 {
+                    seen.equal_time_tie_at_cut |= kept.5 == cut.5;
+                    seen.mirror_tie_at_cut |= kept.6 > 0.0 && cut.6 < 0.0;
+                }
+            }
             members.truncate(n_quad);
+            for m in &members {
+                seen.n_changed |= overlapping && self.selected.get(&m.4).is_some_and(|&n| n != m.0);
+                chosen.insert(m.4, m.0);
+            }
             let mut selected: Vec<(f64, f64)> = members.iter().map(|m| (m.2, m.3)).collect();
             selected.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
             let sojourns: Vec<f64> = selected.iter().map(|s| s.0).collect();
@@ -555,10 +617,12 @@ impl ModelClass {
         }
         self.built_at = Some(t_o);
         self.dirty = false;
+        self.selected = chosen;
     }
 }
 
-/// The cases [`flat_cache_matches_btreemap_model`] must reach.
+/// The cases [`flat_cache_matches_btreemap_model`] must reach. The last
+/// seven are what a finite-`T_int` refresh must patch right.
 #[derive(Default, Debug)]
 struct Coverage {
     none_prev: bool,
@@ -568,6 +632,42 @@ struct Coverage {
     finite: bool,
     infinite: bool,
     weekend_queried: bool,
+    /// Overlapping windows (`2·T_int > period`) moved a quadruplet that
+    /// two builds in a row selected to another window index.
+    n_changed: bool,
+    /// The `N_quad` cut fell between two members of equal priority but
+    /// unequal sojourns, with equal event times...
+    equal_time_tie_at_cut: bool,
+    /// ...or on either side of a window's centre at the same distance.
+    mirror_tie_at_cut: bool,
+    /// A bucket's `N_quad` cap evicted a quadruplet the last build
+    /// selected.
+    selected_capped: bool,
+    /// Retention pruned a quadruplet the last build selected.
+    selected_retired: bool,
+    /// A stale snapshot refreshed with nothing recorded since its build.
+    refresh_without_record: bool,
+    /// A query before the snapshot's build time refreshed it.
+    query_before_build: bool,
+}
+
+/// Finite windows for [`flat_cache_matches_btreemap_model`]: the paper's,
+/// and four hourly windows with `T_int` = 20 min (disjoint) and 40 min
+/// (overlapping), whose centres a few hours of quadruplets reach.
+fn finite_window(kind: usize) -> WindowConfig {
+    match kind {
+        0 => WindowConfig::paper_time_varying(),
+        1 => WindowConfig {
+            t_int: Duration::from_secs(1_200.0),
+            period: Duration::from_hours(1.0),
+            weights: vec![1.0, 0.8, 0.5, 0.3],
+        },
+        _ => WindowConfig {
+            t_int: Duration::from_secs(2_400.0),
+            period: Duration::from_hours(1.0),
+            weights: vec![1.0, 0.7, 0.7, 0.2],
+        },
+    }
 }
 
 /// Seeded record/query sequences against [`ModelCache`]: every answer
@@ -577,6 +677,11 @@ struct Coverage {
 /// `prev`s (the streaming pass keeps 8 inline and spills the rest), pairs
 /// first seen after the snapshot was built, evictions of the largest
 /// selected sojourn, finite and infinite windows, and the weekend store.
+/// Finite windows also meet the cases of a refresh: overlapping windows,
+/// priority ties at the `N_quad` cut (event times on a 10-s grid in half
+/// the cases, so equal times and mirror distances occur), selected
+/// quadruplets evicted between builds, refreshes with nothing recorded,
+/// and queries before the snapshot's build time.
 #[test]
 fn flat_cache_matches_btreemap_model() {
     let mut rng = StreamRng::seed_from_u64(0xCAC4_0006);
@@ -586,7 +691,10 @@ fn flat_cache_matches_btreemap_model() {
         let mut config = if infinite {
             HoeConfig::stationary()
         } else {
-            HoeConfig::paper_time_varying()
+            HoeConfig {
+                weekday_window: finite_window(case / 2 % 3),
+                ..HoeConfig::paper_time_varying()
+            }
         };
         config.n_quad = if case % 4 < 2 {
             rng.gen_range(1usize..6)
@@ -599,6 +707,7 @@ fn flat_cache_matches_btreemap_model() {
             if w.len() > 1 {
                 w[1] = 0.3;
             }
+            w.truncate(2);
         }
         if case % 3 == 0 {
             config.weekend_window = Some(WindowConfig {
@@ -613,21 +722,33 @@ fn flat_cache_matches_btreemap_model() {
         }
         seen.finite |= !infinite;
         seen.infinite |= infinite;
-        let prevs = [3u32, 7, 13][case % 3];
+        // Event and query times on a 1-min grid, over four pairs: equal
+        // times, and equal distances from a window's centre, abound.
+        let grid = case / 4 % 2 == 1;
+        let prevs = if grid { 1 } else { [3u32, 7, 13][case % 3] };
         let draw_prev = |rng: &mut StreamRng| {
             let p = rng.gen_range(0..prevs + 1);
             (p < prevs).then_some(CellId(p))
         };
+        let gap = |rng: &mut StreamRng, hi: f64| {
+            if grid {
+                60.0 * f64::from(rng.gen_range(0u32..(hi / 60.0).ceil() as u32))
+            } else {
+                rng.gen_range_f64(0.0, hi)
+            }
+        };
+        let nexts = if grid { 2 } else { 4 };
         let mut cache = HoeCache::new(config.clone());
         let mut model = ModelCache::new(config.clone());
         let mut t = 0.0;
         for _ in 0..rng.gen_range(1usize..200) {
             t += match rng.gen_range(0u32..20) {
-                0 => rng.gen_range_f64(0.0, 108_000.0),
-                1..=5 => rng.gen_range_f64(0.0, 7_200.0),
-                _ => rng.gen_range_f64(0.0, 300.0),
+                0 => gap(&mut rng, 108_000.0),
+                1..=5 => gap(&mut rng, 7_200.0),
+                _ => gap(&mut rng, 300.0),
             };
-            let sojourn = if rng.gen_bool(0.6) {
+            // Ties in time need distinct sojourns to show.
+            let sojourn = if rng.gen_bool(if grid { 0.2 } else { 0.6 }) {
                 f64::from(rng.gen_range(1u32..5)) * 10.0
             } else {
                 rng.gen_range_f64(0.1, 60.0)
@@ -635,7 +756,7 @@ fn flat_cache_matches_btreemap_model() {
             let e = HandoffEvent::new(
                 SimTime::from_secs(t),
                 draw_prev(&mut rng),
-                CellId(rng.gen_range(0u32..4)),
+                CellId(rng.gen_range(0u32..nexts)),
                 Duration::from_secs(sojourn),
             );
             seen.none_prev |= e.prev.is_none();
@@ -647,16 +768,33 @@ fn flat_cache_matches_btreemap_model() {
             let before = cache.version();
             cache.record(e);
             assert_eq!(cache.version(), before + 1, "case {case}: record");
+            assert_eq!(cache.stored_events(), model.stored(), "case {case}: stored");
             if rng.gen_bool(0.4) {
-                t += rng.gen_range_f64(0.0, 60.0);
-                let now = SimTime::from_secs(t);
-                seen.weekend_queried |= config.weekend_window.is_some()
-                    && config.calendar.classify(now) == DayClass::Weekend;
-                let ctx = format!("case {case} at {now:?}");
-                compare_with_model(&mut cache, &mut model, now, prevs, &mut rng, &ctx);
-                seen.spill |= check_pass(&mut cache, &mut model, now, prevs, &mut rng, &ctx);
+                t += gap(&mut rng, 60.0);
+                let mut queries = vec![t];
+                // A finite snapshot also refreshes with nothing recorded,
+                // later or earlier than its build. Up to an hour later,
+                // the hourly windows' first past centre lies among the
+                // last quadruplets, with few in the current window.
+                if !infinite && rng.gen_bool(0.3) {
+                    let away = 60.0 + gap(&mut rng, 3_600.0);
+                    if rng.gen_bool(0.5) {
+                        t += away;
+                        queries.push(t);
+                    } else {
+                        queries.push(t - away);
+                    }
+                }
+                for now in queries.into_iter().map(SimTime::from_secs) {
+                    seen.weekend_queried |= config.weekend_window.is_some()
+                        && config.calendar.classify(now) == DayClass::Weekend;
+                    let ctx = format!("case {case} at {now:?}");
+                    compare_with_model(&mut cache, &mut model, now, prevs, &mut rng, &ctx);
+                    seen.spill |= check_pass(&mut cache, &mut model, now, prevs, &mut rng, &ctx);
+                }
             }
         }
+        seen.merge(&model.seen);
     }
     assert!(
         seen.none_prev
@@ -665,9 +803,29 @@ fn flat_cache_matches_btreemap_model() {
             && seen.max_evicted
             && seen.finite
             && seen.infinite
-            && seen.weekend_queried,
+            && seen.weekend_queried
+            && seen.n_changed
+            && seen.equal_time_tie_at_cut
+            && seen.mirror_tie_at_cut
+            && seen.selected_capped
+            && seen.selected_retired
+            && seen.refresh_without_record
+            && seen.query_before_build,
         "uncovered: {seen:?}"
     );
+}
+
+impl Coverage {
+    /// Adds what a model's builds met.
+    fn merge(&mut self, model: &Coverage) {
+        self.n_changed |= model.n_changed;
+        self.equal_time_tie_at_cut |= model.equal_time_tie_at_cut;
+        self.mirror_tie_at_cut |= model.mirror_tie_at_cut;
+        self.selected_capped |= model.selected_capped;
+        self.selected_retired |= model.selected_retired;
+        self.refresh_without_record |= model.refresh_without_record;
+        self.query_before_build |= model.query_before_build;
+    }
 }
 
 /// A threshold on the sojourn grid of the model test (so ties occur) or
