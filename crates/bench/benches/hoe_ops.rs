@@ -125,7 +125,9 @@ fn bench_rebuild(c: &mut Criterion) {
             || cache.clone(),
             |mut cache| {
                 // A fresh clone has no snapshot: the first query builds.
-                black_box(cache.max_sojourn(now))
+                // Returned, the clone is freed outside the timing.
+                black_box(cache.max_sojourn(now));
+                cache
             },
             qres_microbench::BatchSize::SmallInput,
         )

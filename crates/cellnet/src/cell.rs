@@ -8,11 +8,17 @@
 //! entered the cell (from which the *extant sojourn time* `T_ext-soj` is
 //! derived, Section 4.1).
 //!
-//! Beside its id-sorted registry a cell can keep an [`ArrivalIndex`]: the
-//! same connections grouped by `(prev, known_next)` and ordered by
-//! `entered_at` within each group. Eq. 4 gives a connection a nonzero
-//! hand-off probability only while its extant sojourn lies within `T_est`
-//! of a recorded sojourn of its `(prev, target)` pair, and in arrival order
+//! The registry is an unordered `Vec` with an open-addressing index from
+//! connection id to position, so a connection event (set-up, hand-off,
+//! end) costs a probe or two whatever the cell holds. Whoever needs the
+//! deterministic id order asks [`Cell::connections`], which sorts on
+//! demand.
+//!
+//! Beside its registry a cell can keep an [`ArrivalIndex`]: the same
+//! connections grouped by `(prev, known_next)` and ordered by `entered_at`
+//! within each group. Eq. 4 gives a connection a nonzero hand-off
+//! probability only while its extant sojourn lies within `T_est` of a
+//! recorded sojourn of its `(prev, target)` pair, and in arrival order
 //! those connections form one contiguous run of their group, which two
 //! binary searches find. The first [`Cell::arrivals`] call builds the
 //! index; [`Cell::insert`] and [`Cell::remove`] keep it current from then
@@ -187,7 +193,7 @@ impl ArrivalIndex {
 
     /// Whether the index holds exactly the connections of `conns` (sorted
     /// by id), each in its group and each group in `entered_at` order.
-    fn matches(&self, conns: &[ConnInfo]) -> bool {
+    fn matches(&self, conns: &[&ConnInfo]) -> bool {
         let ends_ok = self.groups.windows(2).all(|w| w[0].end <= w[1].end)
             && self.groups.last().map_or(0, |h| h.end) == self.entries.len();
         let mut ids: Vec<ConnectionId> = self.entries.iter().map(|a| a.id).collect();
@@ -213,20 +219,21 @@ impl ArrivalIndex {
 
 /// One cell's wireless-link state.
 ///
-/// The registry is a `Vec` kept sorted by connection id, so iteration
-/// order is deterministic — the reservation computation sums Eq. 5 over a
-/// neighbor cell's connections in this order, and run reproducibility
-/// requires a stable one — and the Eq.-4 pass reads the records from one
-/// contiguous block. Insertion and removal shift the tail: a cell holds at
-/// most `C / b_min` connections (100 at the paper's capacity of 100 BUs),
-/// so a shift moves at most about 4 KB.
+/// The registry is a `Vec` in no particular order: an insert pushes, a
+/// removal `swap_remove`s, and an open-addressing index finds a
+/// connection by id. Iteration in id order, which run reproducibility
+/// requires wherever records are summed, is [`Cell::connections`]' job;
+/// only the naive `B_i,0` reference and tests call it, since the Eq.-4
+/// pass reads the [`ArrivalIndex`] instead.
 #[derive(Debug, Clone)]
 pub struct Cell {
     id: CellId,
     capacity: Bandwidth,
     used: Bandwidth,
-    /// Sorted by `id`, ids unique.
+    /// Unordered, ids unique.
     conns: Vec<ConnInfo>,
+    /// Where each of `conns`' ids is.
+    index: IdIndex,
     /// Built by the first [`Cell::arrivals`] call, then kept current.
     arrivals: Option<ArrivalIndex>,
 }
@@ -239,6 +246,7 @@ impl Cell {
             capacity,
             used: Bandwidth::ZERO,
             conns: Vec::new(),
+            index: IdIndex::default(),
             arrivals: None,
         }
     }
@@ -290,26 +298,53 @@ impl Cell {
     /// already present. Callers are expected to have run an admission test
     /// first; the capacity check here is a hard invariant, not policy.
     pub fn insert(&mut self, info: ConnInfo) -> Result<(), CellError> {
-        let Err(at) = self.position(info.id) else {
+        if self.index.find(&self.conns, info.id).is_some() {
             return Err(CellError::DuplicateConnection);
-        };
+        }
         if !self.fits(info.bandwidth) {
             return Err(CellError::InsufficientCapacity);
         }
+        self.index.push(&self.conns, info.id);
+        self.reserve_one();
         self.used += info.bandwidth;
-        self.conns.insert(at, info);
+        self.conns.push(info);
         if let Some(index) = &mut self.arrivals {
             index.insert(&info);
         }
         Ok(())
     }
 
+    /// Makes room for one more record: by doubling, as `Vec::push` would,
+    /// but not past `C` records while fewer are held. A connection takes
+    /// at least one BU, so a full 100-BU cell holds 100 records, where
+    /// doubling would have left room for 128; that slack pays for the id
+    /// index. Past `C` records (zero-BU connections) it doubles.
+    fn reserve_one(&mut self) {
+        let len = self.conns.len();
+        if len == self.conns.capacity() {
+            let bound = self.capacity.as_bus() as usize;
+            let extra = len.max(4);
+            self.conns.reserve_exact(if len < bound {
+                extra.min(bound - len)
+            } else {
+                extra
+            });
+        }
+    }
+
     /// Removes a connection, releasing its bandwidth. Returns its record.
     pub fn remove(&mut self, id: ConnectionId) -> Result<ConnInfo, CellError> {
-        let at = self
-            .position(id)
-            .map_err(|_| CellError::UnknownConnection)?;
-        let info = self.conns.remove(at);
+        let slot = self
+            .index
+            .find(&self.conns, id)
+            .ok_or(CellError::UnknownConnection)?;
+        let at = self.index.erase(&self.conns, slot);
+        // The last record moves into the gap; its slot follows it.
+        let last = self.conns.len() - 1;
+        if at != last {
+            self.index.repoint(&self.conns, self.conns[last].id, at);
+        }
+        let info = self.conns.swap_remove(at);
         self.used -= info.bandwidth;
         if let Some(index) = &mut self.arrivals {
             index.remove(&info);
@@ -319,45 +354,181 @@ impl Cell {
 
     /// Looks up a connection's record.
     pub fn get(&self, id: ConnectionId) -> Option<&ConnInfo> {
-        self.position(id).ok().map(|at| &self.conns[at])
+        let slot = self.index.find(&self.conns, id)?;
+        Some(&self.conns[self.index.position(slot)])
     }
 
-    /// Iterates connections in deterministic (id) order.
-    pub fn connections(&self) -> std::slice::Iter<'_, ConnInfo> {
-        self.conns.iter()
+    /// Iterates connections in deterministic (id) order, sorting the
+    /// registry's records on each call.
+    pub fn connections(&self) -> std::vec::IntoIter<&ConnInfo> {
+        by_id(&self.conns).into_iter()
     }
 
     /// The arrival index, built from the registry on first use (see the
-    /// module docs).
+    /// module docs). It is built in id order, so its groups come in the
+    /// order their first connections' ids do.
     pub fn arrivals(&mut self) -> &ArrivalIndex {
         let conns = &self.conns;
         self.arrivals.get_or_insert_with(|| {
             let mut index = ArrivalIndex::default();
-            for c in conns {
+            for c in by_id(conns) {
                 index.insert(c);
             }
             index
         })
     }
 
-    /// Where `id` is in the registry (`Ok`), or where it would go (`Err`).
-    fn position(&self, id: ConnectionId) -> Result<usize, usize> {
-        self.conns.binary_search_by_key(&id, |c| c.id)
+    /// Internal invariant check: ids are unique and the id index finds
+    /// every record, `used` equals the sum of registered bandwidths and
+    /// never exceeds capacity, and a built arrival index holds exactly the
+    /// registry's connections in `entered_at` order. Used by tests and
+    /// debug assertions in the simulator.
+    pub fn check_invariants(&self) -> bool {
+        let sorted = by_id(&self.conns);
+        let unique = sorted.windows(2).all(|w| w[0].id < w[1].id);
+        let sum: Bandwidth = self.conns.iter().map(|c| c.bandwidth).sum();
+        let indexed = self.arrivals.as_ref().is_none_or(|ix| ix.matches(&sorted));
+        unique
+            && self.index.matches(&self.conns)
+            && sum == self.used
+            && self.used <= self.capacity
+            && indexed
+    }
+}
+
+/// `conns` in id order.
+fn by_id(conns: &[ConnInfo]) -> Vec<&ConnInfo> {
+    let mut sorted: Vec<&ConnInfo> = conns.iter().collect();
+    sorted.sort_unstable_by_key(|c| c.id);
+    sorted
+}
+
+/// An open-addressing hash index from connection id to registry
+/// position.
+///
+/// `slots[s]` holds a position plus one, `0` marking an empty slot. A
+/// multiplicative hash picks an id's home slot and linear probing walks
+/// on from there, wrapping at the table's end. The table is a power of two
+/// at least twice the registry's length, so every probe ends at an empty
+/// slot within a few steps. A deletion shifts the rest of its probe run
+/// back into the hole, so no tombstones build up. The table is allocated
+/// by the first insert and never shrinks: at 100 connections it is 256
+/// slots, 1 KB. Ids come from the simulator's allocator, not from outside
+/// input, so the hash need not resist keys crafted to collide.
+#[derive(Debug, Clone, Default)]
+struct IdIndex {
+    slots: Vec<u32>,
+}
+
+impl IdIndex {
+    /// The first table's size.
+    const MIN_SLOTS: usize = 16;
+
+    /// `id`'s home slot: the top bits of `id · 2^64/φ` (Fibonacci
+    /// hashing), so consecutive ids spread over the whole table.
+    fn home(&self, id: ConnectionId) -> usize {
+        let bits = self.slots.len().trailing_zeros();
+        (id.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - bits)) as usize
     }
 
-    /// Internal invariant check: the registry is strictly id-ordered,
-    /// `used` equals the sum of registered bandwidths and never exceeds
-    /// capacity, and a built arrival index holds exactly the registry's
-    /// connections in `entered_at` order. Used by tests and debug
-    /// assertions in the simulator.
-    pub fn check_invariants(&self) -> bool {
-        let sorted = self.conns.windows(2).all(|w| w[0].id < w[1].id);
-        let sum: Bandwidth = self.conns.iter().map(|c| c.bandwidth).sum();
-        let indexed = self
-            .arrivals
-            .as_ref()
-            .is_none_or(|ix| ix.matches(&self.conns));
-        sorted && sum == self.used && self.used <= self.capacity && indexed
+    fn mask(&self) -> usize {
+        self.slots.len() - 1
+    }
+
+    /// The registry position slot `slot` holds.
+    fn position(&self, slot: usize) -> usize {
+        self.slots[slot] as usize - 1
+    }
+
+    /// The slot that holds `id`, which is in `conns` if anywhere.
+    fn find(&self, conns: &[ConnInfo], id: ConnectionId) -> Option<usize> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        let mut s = self.home(id);
+        loop {
+            match self.slots[s] {
+                0 => return None,
+                p if conns[p as usize - 1].id == id => return Some(s),
+                _ => s = (s + 1) & self.mask(),
+            }
+        }
+    }
+
+    /// Indexes `id` at position `conns.len()`, where the caller is about
+    /// to push it, first doubling the table (and re-indexing `conns`) if
+    /// the push would fill more than half of it.
+    fn push(&mut self, conns: &[ConnInfo], id: ConnectionId) {
+        let len = conns.len() + 1;
+        if 2 * len > self.slots.len() {
+            self.slots = vec![0; (2 * len).next_power_of_two().max(Self::MIN_SLOTS)];
+            for (at, c) in conns.iter().enumerate() {
+                self.place(c.id, at);
+            }
+        }
+        self.place(id, conns.len());
+    }
+
+    /// Writes position `at` into the first empty slot of `id`'s run.
+    fn place(&mut self, id: ConnectionId, at: usize) {
+        let mut s = self.home(id);
+        while self.slots[s] != 0 {
+            s = (s + 1) & self.mask();
+        }
+        self.slots[s] = Self::entry(at);
+    }
+
+    /// Points `id`'s slot at position `at`; `conns` still holds `id` at
+    /// its old position.
+    fn repoint(&mut self, conns: &[ConnInfo], id: ConnectionId, at: usize) {
+        let slot = self.find(conns, id).expect("every connection is indexed");
+        self.slots[slot] = Self::entry(at);
+    }
+
+    /// The slot entry for position `at`.
+    fn entry(at: usize) -> u32 {
+        u32::try_from(at + 1).expect("a cell holds fewer than 2^32 connections")
+    }
+
+    /// Empties `slot` and returns the position it held. Each later entry
+    /// of the probe run moves back into the hole unless its home lies
+    /// cyclically after the hole (between the hole and the entry), where
+    /// a probe from its home would no longer reach it.
+    fn erase(&mut self, conns: &[ConnInfo], slot: usize) -> usize {
+        let at = self.position(slot);
+        let mask = self.mask();
+        let mut hole = slot;
+        let mut s = slot;
+        loop {
+            s = (s + 1) & mask;
+            let p = self.slots[s];
+            if p == 0 {
+                break;
+            }
+            let home = self.home(conns[p as usize - 1].id);
+            if s.wrapping_sub(home) & mask >= s.wrapping_sub(hole) & mask {
+                self.slots[hole] = p;
+                hole = s;
+            }
+        }
+        self.slots[hole] = 0;
+        at
+    }
+
+    /// Whether the table is at most half full and maps each of `conns`'
+    /// ids to its position, and nothing else.
+    fn matches(&self, conns: &[ConnInfo]) -> bool {
+        let sized = self.slots.len() >= 2 * conns.len()
+            && (self.slots.is_empty() || self.slots.len().is_power_of_two());
+        let occupied = self.slots.iter().filter(|&&p| p != 0).count();
+        let in_range = self.slots.iter().all(|&p| p as usize <= conns.len());
+        sized
+            && occupied == conns.len()
+            && in_range
+            && conns.iter().enumerate().all(|(at, c)| {
+                self.find(conns, c.id)
+                    .is_some_and(|slot| self.position(slot) == at)
+            })
     }
 }
 
@@ -403,6 +574,17 @@ mod tests {
         // Exactly filling is fine.
         cell.insert(info(3, 1, 0.0)).unwrap();
         assert_eq!(cell.free().as_bus(), 0);
+    }
+
+    #[test]
+    fn zero_bandwidth_connections_outnumber_capacity() {
+        // The registry stops doubling at `C` records, unless it holds more.
+        let mut cell = Cell::new(CellId(0), Bandwidth::from_bus(3));
+        for id in 0..40 {
+            cell.insert(info(id, 0, 0.0)).unwrap();
+        }
+        assert_eq!(cell.connection_count(), 40);
+        assert!(cell.check_invariants());
     }
 
     #[test]
@@ -537,6 +719,118 @@ mod tests {
             }
         }
         assert!(seen.iter().all(|&n| n > 100), "outcome coverage {seen:?}");
+    }
+
+    /// Fill-and-drain cycles over ids that stress the id index: runs that
+    /// collide at the table's last slot and wrap to its first, multiples
+    /// of 2^16, ids straddling 2^32, and a dense run. Each cycle starts
+    /// from a new cell, so the index grows from nothing to 256 slots; every
+    /// step is checked against a `BTreeMap` model.
+    #[test]
+    fn registry_survives_colliding_and_wrapping_ids() {
+        use qres_des::StreamRng;
+        use std::collections::BTreeMap;
+
+        const CAPACITY: u32 = 100;
+        let n = CAPACITY as u64;
+        // Homes at 256 slots are the top 8 bits of the hash, so an id
+        // homed at slot 255 is homed at the last slot of every smaller
+        // table too, and one homed at 0 at the first.
+        let table = &IdIndex {
+            slots: vec![0; 256],
+        };
+        let homed_at = |slot: usize| {
+            (0u64..)
+                .filter(move |&id| table.home(ConnectionId(id)) == slot)
+                .take(CAPACITY as usize / 2)
+        };
+        let wrapping: Vec<u64> = homed_at(255)
+            .zip(homed_at(0))
+            .flat_map(|(a, b)| [a, b])
+            .collect();
+        let families: [(&str, Vec<u64>); 4] = [
+            ("wrapping", wrapping),
+            ("multiples of 2^16", (1..=n).map(|k| k << 16).collect()),
+            (
+                "straddling 2^32",
+                (0..n).map(|k| (1 << 32) - n / 2 + k).collect(),
+            ),
+            ("dense", (0..n).collect()),
+        ];
+
+        let mut rng = StreamRng::seed_from_u64(0xC011_1DE5);
+        let mut shuffle = |v: &mut Vec<u64>| {
+            for i in (1..v.len()).rev() {
+                v.swap(i, rng.gen_index(i + 1));
+            }
+        };
+        for (name, ids) in &families {
+            assert_eq!(ids.len(), CAPACITY as usize, "{name}");
+            for cycle in 0..6 {
+                let mut cell = Cell::new(CellId(0), Bandwidth::from_bus(CAPACITY));
+                let mut model: BTreeMap<ConnectionId, ConnInfo> = BTreeMap::new();
+                let check = |cell: &Cell, model: &BTreeMap<ConnectionId, ConnInfo>, step: &str| {
+                    for &id in ids {
+                        let id = ConnectionId(id);
+                        assert_eq!(
+                            cell.get(id),
+                            model.get(&id),
+                            "{name} {cycle} {step}: get {id:?}"
+                        );
+                    }
+                    assert!(
+                        cell.connections().eq(model.values()),
+                        "{name} {cycle} {step}: order"
+                    );
+                    assert!(cell.check_invariants(), "{name} {cycle} {step}: invariants");
+                };
+                // Fill in a random order; odd cycles keep an arrival index
+                // from the first connection on.
+                let mut order = ids.clone();
+                shuffle(&mut order);
+                for (k, &id) in order.iter().enumerate() {
+                    let c = ConnInfo {
+                        prev: [None, Some(CellId(1))][k % 2],
+                        ..info(id, 1, k as f64)
+                    };
+                    assert_eq!(cell.insert(c), Ok(()), "{name} {cycle}: insert {id}");
+                    model.insert(c.id, c);
+                    assert_eq!(
+                        cell.insert(c),
+                        Err(CellError::DuplicateConnection),
+                        "{name} {cycle}: reinsert {id}"
+                    );
+                    if k == 0 && cycle % 2 == 1 {
+                        cell.arrivals();
+                    }
+                    check(&cell, &model, &format!("insert {k}"));
+                }
+                assert_eq!(
+                    cell.insert(info(u64::MAX, 1, 0.0)),
+                    Err(CellError::InsufficientCapacity),
+                    "{name} {cycle}: full"
+                );
+                check(&cell, &model, "full");
+                // Drain in another random order.
+                shuffle(&mut order);
+                for (k, &id) in order.iter().enumerate() {
+                    let id = ConnectionId(id);
+                    assert_eq!(
+                        cell.remove(id),
+                        Ok(model[&id]),
+                        "{name} {cycle}: remove {id:?}"
+                    );
+                    model.remove(&id);
+                    assert_eq!(
+                        cell.remove(id),
+                        Err(CellError::UnknownConnection),
+                        "{name} {cycle}: remove {id:?} again"
+                    );
+                    check(&cell, &model, &format!("remove {k}"));
+                }
+                assert_eq!(cell.used(), Bandwidth::ZERO, "{name} {cycle}");
+            }
+        }
     }
 
     #[test]

@@ -69,6 +69,8 @@ impl HandoffOutcome {
 #[derive(Debug, Clone)]
 struct CellSite {
     cell: Cell,
+    /// The cell's quadruplets; empty under static and NS, which never
+    /// estimate.
     hoe: HoeCache,
     controller: WindowController,
     /// `B_r,i^prev` — the most recently computed target, consulted by
@@ -540,13 +542,16 @@ impl ReservationSystem {
         }
 
         if fits {
-            // Record the quadruplet (successful departures only).
-            self.sites[from.index()].hoe.record(HandoffEvent::new(
-                now,
-                info.prev,
-                to,
-                now - info.entered_at,
-            ));
+            // Record the quadruplet (successful departures only). Static
+            // and NS read no estimation cache, so they keep none.
+            if self.config.scheme.is_predictive() {
+                self.sites[from.index()].hoe.record(HandoffEvent::new(
+                    now,
+                    info.prev,
+                    to,
+                    now - info.entered_at,
+                ));
+            }
             self.sites[to.index()]
                 .cell
                 .insert(ConnInfo {
@@ -589,7 +594,7 @@ impl ReservationSystem {
     }
 
     /// Mutable access to a cell's estimation cache (for examples and the
-    /// footprint export).
+    /// footprint export). Only predictive schemes fill it.
     pub fn hoe_cache_mut(&mut self, id: CellId) -> &mut HoeCache {
         &mut self.sites[id.index()].hoe
     }
@@ -738,6 +743,44 @@ mod tests {
             sys.hoe_cache_mut(CellId(3)).max_sojourn(s(41.0)),
             Some(Duration::from_secs(30.0))
         );
+    }
+
+    #[test]
+    fn only_predictive_schemes_record_quadruplets() {
+        use crate::ns_scheme::NsParams;
+        let schemes = [
+            (
+                SchemeConfig::Static {
+                    guard: Bandwidth::from_bus(10),
+                },
+                false,
+            ),
+            (
+                SchemeConfig::NaghshinehSchwartz {
+                    params: NsParams::tuned_for_highway(),
+                },
+                false,
+            ),
+            (SchemeConfig::Predictive { kind: AcKind::Ac1 }, true),
+        ];
+        for (scheme, records) in schemes {
+            let mut sys = system(scheme);
+            sys.request_new_connection(s(10.0), req(3, 1, 4));
+            let state = |sys: &mut ReservationSystem| {
+                let cache = sys.hoe_cache_mut(CellId(3));
+                (cache.stored_events(), cache.version())
+            };
+            let (stored, version) = state(&mut sys);
+            let out = sys.attempt_handoff(s(40.0), ConnectionId(1), CellId(3), CellId(4));
+            assert_eq!(out, HandoffOutcome::Completed, "{scheme:?}");
+            let after = state(&mut sys);
+            if records {
+                assert_eq!(after.0, stored + 1, "{scheme:?}");
+                assert!(after.1 > version, "{scheme:?}");
+            } else {
+                assert_eq!(after, (stored, version), "{scheme:?}");
+            }
+        }
     }
 
     #[test]

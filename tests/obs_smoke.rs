@@ -55,3 +55,28 @@ fn obs_enabled_run_times_hot_paths() {
     assert!(qos.get("cells").is_some());
     assert!(qos.get("calib").is_some());
 }
+
+/// Only a predictive scheme keeps quadruplets: a static run inserts none,
+/// and an AC3 run inserts one per completed hand-off.
+#[test]
+fn hoe_inserts_count_predictive_handoffs_only() {
+    let inserts = |scheme| {
+        obs::set_level(obs::Level::Info);
+        let scenario = qres::sim::Scenario::paper_baseline()
+            .scheme(scheme)
+            .offered_load(150.0)
+            .duration_secs(300.0)
+            .seed(5);
+        assert_eq!(scenario.warmup_secs, 0.0, "every hand-off is counted");
+        let before = obs::metrics::HOE_INSERTS_TOTAL.get();
+        let r = qres::sim::run_scenario(&scenario);
+        obs::set_level(obs::Level::Off);
+        let completed = r.system_hd.trials() - r.system_hd.hits();
+        assert!(completed > 0);
+        (obs::metrics::HOE_INSERTS_TOTAL.get() - before, completed)
+    };
+    let (static_inserts, _) = inserts(qres::sim::SchemeKind::Static { guard_bus: 10 });
+    assert_eq!(static_inserts, 0);
+    let (ac3_inserts, completed) = inserts(qres::sim::SchemeKind::Ac3);
+    assert_eq!(ac3_inserts, completed);
+}
