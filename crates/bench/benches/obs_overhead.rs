@@ -2,7 +2,7 @@
 //!
 //! The end-to-end rows run the same AC3 scenario (L = 150, 100 s) with
 //! telemetry disabled (the default: every instrumentation site reduces
-//! to one thread-local read, a relaxed load and a branch), enabled with
+//! to one thread-local read and a branch), enabled with
 //! the flight recorder off, and enabled with it taping every admission
 //! decision. They measure those three costs side by side and assert
 //! nothing: no row is held to a bound, and the disabled row's cost
@@ -94,7 +94,6 @@ fn bench_obs_overhead(c: &mut Criterion) {
             // Leave the process clean for the next case.
             qres_obs::set_level(qres_obs::Level::Off);
             qres_obs::set_flight_enabled(true);
-            qres_obs::reset();
             qres_obs::reset_metrics();
             qres_obs::flight::reset_flight();
         });

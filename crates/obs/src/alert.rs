@@ -303,7 +303,7 @@ mod tests {
 
     #[test]
     fn rules_read_the_qos_windows_and_replay_identically() {
-        // Each episode runs on its own thread, so on a fresh handle.
+        // Each episode runs on its own thread, so on fresh telemetry.
         let replay = || std::thread::spawn(episode).join().unwrap();
         assert_eq!(replay(), replay(), "same records, same captures");
     }

@@ -50,8 +50,8 @@
 //! [`crate::Staging`] buffer: per arrival group only its zero count
 //! ([`StagedForecasts::group`]), then the evaluation's nonzero forecasts
 //! once, already in connection-id order ([`StagedForecasts::nonzero`]).
-//! The buffer publishes them after the admission timing record, under the
-//! one lock of the telemetry stores.
+//! The buffer publishes them after the admission timing record, in one
+//! borrow of the telemetry stores.
 //!
 //! ## Store layout
 //!

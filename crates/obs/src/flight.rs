@@ -19,7 +19,6 @@
 
 use std::collections::VecDeque;
 use std::path::PathBuf;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use qres_json::{FromJson, ToJson, Value};
@@ -177,12 +176,12 @@ fn with_plane<R>(f: impl FnOnce(&mut FlightPlane) -> R) -> R {
 /// has not been independently disabled.
 #[inline(always)]
 pub fn flight_enabled() -> bool {
-    crate::with(|o| o.on.load(Ordering::Relaxed) && !o.flight_off.load(Ordering::Relaxed))
+    crate::with(|o| o.on.get() && !o.flight_off.get())
 }
 
 /// Switches the flight recorder independently of the obs level.
 pub fn set_flight_enabled(on: bool) {
-    crate::with(|o| o.flight_off.store(!on, Ordering::Relaxed));
+    crate::with(|o| o.flight_off.set(!on));
 }
 
 /// Sets the decision-record ring capacity (oldest evicted beyond it).
@@ -399,31 +398,25 @@ pub fn render_explain(doc: &Value) -> Result<String, String> {
 
 /// Freezes the trailing [`CAPTURE_WINDOW`] records of `cell` to
 /// `obs_flight_<cell>_<ts>.json` in the configured capture directory, or,
-/// when an earlier capture of this handle has that name (sweep points
-/// share a handle, and two can burn in the same cell in the same
-/// second), to `obs_flight_<cell>_<ts>_<k>.json` with `k` the capture's
-/// ordinal. Returns the path written and the record count, or `None`
-/// when capture is disabled (no directory), the cell has no records
-/// yet, or the file cannot be written.
-///
-/// The document is built and its name taken under the stores' lock; the
-/// file is written after the lock is released, so threads sharing the
-/// handle do not wait on the disk.
+/// when an earlier capture of this thread's telemetry has that name (two
+/// sweep points can burn in the same cell in the same second), to
+/// `obs_flight_<cell>_<ts>_<k>.json` with `k` the capture's ordinal.
+/// Returns the path written and the record count, or `None` when capture
+/// is disabled (no directory), the cell has no records yet, or the file
+/// cannot be written.
 pub fn capture_for_cell(cell: u32, now: f64, rule: &str) -> Option<(String, u64)> {
-    let (path, doc, n) = with_plane(|p| capture(p, cell, now, rule))?;
-    if std::fs::write(&path, doc.to_pretty_string() + "\n").is_err() {
-        with_plane(|p| {
-            if let Some(i) = p.captures.iter().rposition(|c| *c == path) {
-                p.captures.remove(i);
-            }
-        });
-        return None;
-    }
-    Some((path, n))
+    with_plane(|p| {
+        let (path, doc, n) = capture(p, cell, now, rule)?;
+        if std::fs::write(&path, doc.to_pretty_string() + "\n").is_err() {
+            p.captures.pop();
+            return None;
+        }
+        Some((path, n))
+    })
 }
 
 /// The capture document of `cell` and the path it goes to, which is
-/// registered in `p.captures` here.
+/// pushed onto `p.captures` here.
 fn capture(p: &mut FlightPlane, cell: u32, now: f64, rule: &str) -> Option<(String, Value, u64)> {
     let dir = p.capture_dir.clone()?;
     let matching: Vec<&FlightRecord> = p.records.iter().filter(|r| r.cell == cell).collect();
@@ -592,8 +585,8 @@ mod tests {
         );
     }
 
-    /// Captures of the same cell in the same second (two sweep points on
-    /// one handle) each get their own file: every listed path exists and
+    /// Captures of the same cell in the same second (two points of one
+    /// sweep) each get their own file: every listed path exists and
     /// no two are equal.
     #[test]
     fn same_second_captures_get_distinct_files() {

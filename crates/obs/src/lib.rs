@@ -37,12 +37,13 @@
 //!
 //! ## One handle per thread
 //!
-//! All of this state is one [`Obs`]. Each thread reaches its own through
-//! a thread-local handle that starts as a fresh default, and every free
-//! function here acts on the calling thread's handle, so a run owns its
-//! telemetry. Sweep workers (`qres_sim::par_map`) adopt their caller's
-//! with [`current`] and [`install`]. The sim-time mirror stays per
-//! thread; what an admission stages stays in its caller's [`Staging`].
+//! All of this state is one `Obs`, a thread-local that starts fresh on
+//! each thread, and every free function here acts on the calling thread's,
+//! so a run owns its telemetry. Nothing in it is shared: a thread that
+//! did not switch telemetry on sees it off, with its own metrics, stores
+//! and sim-time mirror. A sweep with telemetry on therefore runs its
+//! points in order on the calling thread (`qres_sim::sweep_offered_load`).
+//! What an admission stages stays in its caller's [`Staging`].
 //!
 //! ## Run artifacts
 //!
@@ -56,16 +57,16 @@
 //! ## Overhead contract
 //!
 //! Telemetry is off by default. Every instrumentation site is gated on
-//! [`enabled`] (a thread-local read of the handle, a relaxed load of its
-//! switch and a branch) or on the switch a [`Staging`] read when its
-//! admission began, and takes no wall-clock timestamps, allocates
-//! nothing (past the handle a thread creates on first use), and touches
-//! no locks until switched on with [`set_level`]. Nothing asserts a
-//! bound: the `obs_overhead` benchmark in `qres-bench` times an AC3 run
-//! with telemetry off, on without the flight recorder, and fully on,
-//! side by side, and `calib_flush` times the calibration store alone.
-//! With telemetry on, an admission takes the stores' one lock once to
-//! publish what it staged, and a hand-off takes it once for
+//! [`enabled`] (a thread-local read of a plain `bool` and a branch) or on
+//! the switch a [`Staging`] read when its admission began, and takes no
+//! wall-clock timestamps and allocates nothing until switched on with
+//! [`set_level`]. No atomic and no lock is taken, on or off: the state is
+//! one thread's. Nothing asserts a bound: the `obs_overhead` benchmark in
+//! `qres-bench` times an AC3 run with telemetry off, on without the
+//! flight recorder, and fully on, side by side, and `calib_flush` times
+//! the calibration store alone.
+//! With telemetry on, an admission borrows the stores once to publish
+//! what it staged, and a hand-off borrows them once for
 //! [`observe_handoff`].
 //!
 //! ## Determinism contract
@@ -108,25 +109,24 @@ pub use qos::{
 pub use staging::Staging;
 
 use std::cell::{Cell, RefCell};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
 
-/// One run's telemetry state: the on/off switch, the metric values, the
-/// flight recorder's own switch, and the stores behind one mutex. Threads
-/// sharing a handle (see [`install`]) update it through atomics and that
-/// mutex.
+/// One thread's telemetry state: the on/off switch, the metric values, the
+/// flight recorder's own switch, the stores, and the sim-clock mirror
+/// ([`set_sim_time`]). Nothing in it is shared with another thread.
 #[derive(Default)]
-pub struct Obs {
-    pub(crate) on: AtomicBool,
-    pub(crate) metrics: metrics::Registry,
-    pub(crate) flight_off: AtomicBool,
-    pub(crate) stores: Mutex<Stores>,
+pub(crate) struct Obs {
+    pub(crate) on: Cell<bool>,
+    /// Boxed, so its ~40 KB of histogram cells live on the heap, not in
+    /// every thread's thread-local block.
+    pub(crate) metrics: Box<metrics::Registry>,
+    pub(crate) flight_off: Cell<bool>,
+    pub(crate) stores: RefCell<Stores>,
+    sim_time: Cell<f64>,
 }
 
 /// The stores of an [`Obs`]: the QoS tracker, the calibration store, the
-/// capture trigger and the flight ring. One mutex guards them all, so an
-/// event that updates several (a published admission, a hand-off attempt)
-/// takes one lock.
+/// capture trigger and the flight ring. An event that updates several (a
+/// published admission, a hand-off attempt) borrows them once.
 #[derive(Default)]
 pub(crate) struct Stores {
     pub(crate) qos: qos::QosState,
@@ -135,60 +135,19 @@ pub(crate) struct Stores {
     pub(crate) flight: flight::FlightPlane,
 }
 
-/// A thread's handle and its own sim-clock mirror ([`set_sim_time`]).
-pub(crate) struct Handle {
-    obs: RefCell<Option<Arc<Obs>>>,
-    pub(crate) sim_time: Cell<f64>,
-}
-
 thread_local! {
-    pub(crate) static HANDLE: Handle = const {
-        Handle {
-            obs: RefCell::new(None),
-            sim_time: Cell::new(0.0),
-        }
-    };
+    static OBS: Obs = Obs::default();
 }
 
-/// Runs `f` on this thread's [`Obs`], creating a fresh one first if the
-/// thread has none yet.
+/// Runs `f` on this thread's [`Obs`].
 #[inline(always)]
 pub(crate) fn with<R>(f: impl FnOnce(&Obs) -> R) -> R {
-    HANDLE.with(|h| {
-        if let Some(obs) = h.obs.borrow().as_deref() {
-            return f(obs);
-        }
-        f(&current())
-    })
+    OBS.with(f)
 }
 
-/// Runs `f` on this thread's [`Stores`], holding their lock.
+/// Runs `f` on this thread's [`Stores`].
 pub(crate) fn with_stores<R>(f: impl FnOnce(&mut Stores) -> R) -> R {
-    with(|o| {
-        let mut stores = o
-            .stores
-            .lock()
-            .expect("a thread sharing this telemetry handle panicked mid-update");
-        f(&mut stores)
-    })
-}
-
-/// This thread's telemetry handle (a fresh default one if the thread had
-/// none yet).
-pub fn current() -> Arc<Obs> {
-    if let Some(obs) = HANDLE.with(|h| h.obs.borrow().clone()) {
-        return obs;
-    }
-    let obs = Arc::default();
-    install(Arc::clone(&obs));
-    obs
-}
-
-/// Makes `obs` this thread's telemetry handle. A worker installs its
-/// caller's [`current`] handle to write into the caller's run;
-/// installing `Arc::default()` starts a fresh one.
-pub fn install(obs: Arc<Obs>) {
-    HANDLE.with(|h| *h.obs.borrow_mut() = Some(obs));
+    with(|o| f(&mut o.stores.borrow_mut()))
 }
 
 /// One hand-off attempt of a connection, as telemetry records it.
@@ -214,11 +173,11 @@ pub struct HandoffAttempt {
     pub dropped: bool,
 }
 
-/// Records a hand-off attempt under one lock: scores the Eq.-4 forecasts
-/// it makes hits ([`observe_attempt`]), adds its bandwidth to `to`'s
-/// admitted or dropped ledger, and moves it in the hand-in occupancy
-/// integrals (out of `from` if it arrived there by hand-off, into `to` if
-/// admitted).
+/// Records a hand-off attempt in one borrow of the stores: scores the
+/// Eq.-4 forecasts it makes hits ([`observe_attempt`]), adds its bandwidth
+/// to `to`'s admitted or dropped ledger, and moves it in the hand-in
+/// occupancy integrals (out of `from` if it arrived there by hand-off,
+/// into `to` if admitted).
 pub fn observe_handoff(a: &HandoffAttempt) {
     with_stores(|s| {
         if a.declared.is_none_or(|d| d == a.to) {
@@ -241,29 +200,27 @@ pub enum Level {
 
 /// Switches this thread's telemetry on ([`Level::Info`]) or off.
 pub fn set_level(level: Level) {
-    with(|o| o.on.store(level == Level::Info, Ordering::Relaxed));
+    with(|o| o.on.set(level == Level::Info));
 }
 
 /// True when telemetry is on. This is the hot-path gate: one
-/// thread-local read, a relaxed load and a branch.
+/// thread-local read and a branch.
 #[inline(always)]
 pub fn enabled() -> bool {
-    with(|o| o.on.load(Ordering::Relaxed))
+    with(|o| o.on.get())
 }
 
 /// Publishes this thread's simulation clock (seconds), which
-/// [`write_obs_json`] finalizes the run at. The mirror is per thread, not
-/// per [`Obs`]: sweep workers that share a handle each keep their own
-/// run's clock.
+/// [`write_obs_json`] finalizes the run at.
 #[inline]
 pub fn set_sim_time(secs: f64) {
-    HANDLE.with(|h| h.sim_time.set(secs));
+    with(|o| o.sim_time.set(secs));
 }
 
 /// The last simulation time (seconds) this thread published.
 #[inline]
 pub fn sim_time() -> f64 {
-    HANDLE.with(|h| h.sim_time.get())
+    with(|o| o.sim_time.get())
 }
 
 /// Returns `(0, wall_ns - barrier_ns)`, saturating. Exists only for
@@ -319,7 +276,7 @@ mod tests {
 
     #[test]
     fn level_switches_telemetry() {
-        assert!(!enabled(), "a fresh handle starts off");
+        assert!(!enabled(), "a fresh thread starts off");
         set_level(Level::Info);
         assert!(enabled());
         set_level(Level::Off);
@@ -328,22 +285,22 @@ mod tests {
         assert_eq!(sim_time(), 12.5);
     }
 
-    /// A new thread starts on a fresh handle; installing another thread's
-    /// handle shares its state but not its sim-time mirror.
+    /// A new thread starts with telemetry off, its own sim clock and its
+    /// own metrics, whatever the spawning thread set.
     #[test]
-    fn threads_share_a_handle_only_once_installed() {
+    fn a_new_thread_starts_on_its_own_telemetry() {
         set_level(Level::Info);
         set_sim_time(7.0);
-        let mine = current();
-        std::thread::spawn(move || {
+        metrics::BACKBONE_MSGS_TOTAL.add(1);
+        std::thread::spawn(|| {
             assert!(!enabled());
-            install(mine);
-            assert!(enabled());
             assert_eq!(sim_time(), 0.0);
-            metrics::BACKBONE_MSGS_TOTAL.add(1);
+            assert_eq!(metrics::BACKBONE_MSGS_TOTAL.get(), 0);
+            metrics::BACKBONE_MSGS_TOTAL.add(5);
         })
         .join()
         .unwrap();
+        assert!(enabled());
         assert_eq!(metrics::BACKBONE_MSGS_TOTAL.get(), 1);
         assert_eq!(sim_time(), 7.0);
     }

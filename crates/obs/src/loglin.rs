@@ -6,7 +6,7 @@
 //! sub-buckets, giving a worst-case relative bucket error of `1/16`
 //! (~6.25%) over the whole `u64` range while needing only
 //! [`NUM_BUCKETS`] fixed slots — no allocation, no configuration, and
-//! `const`-constructible atomics.
+//! `const`-constructible cells.
 
 /// Number of linear sub-buckets per octave, as a bit count (`16` buckets).
 pub const SUB_BITS: u32 = 4;

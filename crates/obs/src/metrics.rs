@@ -1,17 +1,16 @@
 //! The metrics registry: counters, max-gauges, and log-linear timing
 //! histograms.
 //!
-//! The values live in the calling thread's [`crate::Obs`] (a
-//! `Registry` of relaxed atomics, so workers sharing a handle can add
-//! to it concurrently). The `metrics::*` names are immutable descriptors
-//! — a name and a slot in the registry — so instrumentation
-//! sites pay no registration cost. All operations use relaxed atomics:
-//! metrics are telemetry, not synchronization. Hot-path discipline:
-//! callers must gate both the `Instant::now()` pair *and* the `record`
-//! call behind [`crate::enabled`], so the disabled path stays
-//! one thread-local read and a branch.
+//! The values live in the calling thread's telemetry state (a
+//! `Registry` of plain `Cell<u64>`s: no other thread reads or writes
+//! them). The `metrics::*` names are immutable descriptors — a name and a
+//! slot in the registry — so instrumentation sites pay no registration
+//! cost. Sums wrap on overflow. Hot-path discipline: callers must gate
+//! both the `Instant::now()` pair *and* the `record` call behind
+//! [`crate::enabled`], so the disabled path stays one thread-local read
+//! and a branch.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use crate::loglin::{bucket_index, lower_bound, NUM_BUCKETS};
 
@@ -21,16 +20,16 @@ const HISTOGRAMS: usize = 5;
 
 /// The metric values of one [`crate::Obs`], indexed by descriptor slot.
 pub(crate) struct Registry {
-    counters: [AtomicU64; COUNTERS],
-    gauges: [AtomicU64; GAUGES],
+    counters: [Cell<u64>; COUNTERS],
+    gauges: [Cell<u64>; GAUGES],
     histograms: [HistogramCells; HISTOGRAMS],
 }
 
 impl Default for Registry {
     fn default() -> Self {
         Registry {
-            counters: [const { AtomicU64::new(0) }; COUNTERS],
-            gauges: [const { AtomicU64::new(0) }; GAUGES],
+            counters: [const { Cell::new(0) }; COUNTERS],
+            gauges: [const { Cell::new(0) }; GAUGES],
             histograms: [const { HistogramCells::new() }; HISTOGRAMS],
         }
     }
@@ -38,17 +37,17 @@ impl Default for Registry {
 
 /// The buckets, sum and count of one histogram.
 struct HistogramCells {
-    buckets: [AtomicU64; NUM_BUCKETS],
-    sum: AtomicU64,
-    count: AtomicU64,
+    buckets: [Cell<u64>; NUM_BUCKETS],
+    sum: Cell<u64>,
+    count: Cell<u64>,
 }
 
 impl HistogramCells {
     const fn new() -> Self {
         HistogramCells {
-            buckets: [const { AtomicU64::new(0) }; NUM_BUCKETS],
-            sum: AtomicU64::new(0),
-            count: AtomicU64::new(0),
+            buckets: [const { Cell::new(0) }; NUM_BUCKETS],
+            sum: Cell::new(0),
+            count: Cell::new(0),
         }
     }
 }
@@ -64,20 +63,19 @@ impl Counter {
         Counter { slot, name }
     }
 
-    /// This counter's value in `obs`.
-    pub(crate) fn cell<'a>(&self, obs: &'a crate::Obs) -> &'a AtomicU64 {
+    fn cell<'a>(&self, obs: &'a crate::Obs) -> &'a Cell<u64> {
         &obs.metrics.counters[self.slot]
     }
 
     /// Adds `n` to the counter.
     #[inline]
     pub fn add(&self, n: u64) {
-        crate::with(|o| self.cell(o).fetch_add(n, Ordering::Relaxed));
+        crate::with(|o| add(self.cell(o), n));
     }
 
     /// Current value.
     pub fn get(&self) -> u64 {
-        crate::with(|o| self.cell(o).load(Ordering::Relaxed))
+        crate::with(|o| self.cell(o).get())
     }
 
     /// Metric name (`_total` suffix by convention).
@@ -97,19 +95,22 @@ impl MaxGauge {
         MaxGauge { slot, name }
     }
 
-    fn cell<'a>(&self, obs: &'a crate::Obs) -> &'a AtomicU64 {
+    fn cell<'a>(&self, obs: &'a crate::Obs) -> &'a Cell<u64> {
         &obs.metrics.gauges[self.slot]
     }
 
     /// Raises the gauge to `v` if larger than the current value.
     #[inline]
     pub fn observe(&self, v: u64) {
-        crate::with(|o| self.cell(o).fetch_max(v, Ordering::Relaxed));
+        crate::with(|o| {
+            let c = self.cell(o);
+            c.set(c.get().max(v));
+        });
     }
 
     /// Current high-water mark.
     pub fn get(&self) -> u64 {
-        crate::with(|o| self.cell(o).load(Ordering::Relaxed))
+        crate::with(|o| self.cell(o).get())
     }
 
     /// Metric name.
@@ -119,8 +120,7 @@ impl MaxGauge {
 }
 
 /// A log-linear histogram over `u64` samples (nanoseconds, by
-/// convention), using the bucket layout of [`crate::loglin`]; lock-free,
-/// its cells are atomics.
+/// convention), using the bucket layout of [`crate::loglin`].
 pub struct AtomicHistogram {
     slot: usize,
     name: &'static str,
@@ -178,9 +178,9 @@ impl AtomicHistogram {
     pub fn record(&self, v: u64) {
         crate::with(|o| {
             let h = self.cells(o);
-            h.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-            h.sum.fetch_add(v, Ordering::Relaxed);
-            h.count.fetch_add(1, Ordering::Relaxed);
+            add(&h.buckets[bucket_index(v)], 1);
+            add(&h.sum, v);
+            add(&h.count, 1);
         });
     }
 
@@ -197,7 +197,7 @@ impl AtomicHistogram {
 
     /// Number of recorded samples.
     pub fn count(&self) -> u64 {
-        crate::with(|o| self.cells(o).count.load(Ordering::Relaxed))
+        crate::with(|o| self.cells(o).count.get())
     }
 
     /// Copies out the occupied buckets.
@@ -208,15 +208,21 @@ impl AtomicHistogram {
                 name: self.name,
                 buckets: (h.buckets.iter().enumerate())
                     .filter_map(|(i, b)| {
-                        let n = b.load(Ordering::Relaxed);
+                        let n = b.get();
                         (n > 0).then(|| (lower_bound(i), n))
                     })
                     .collect(),
-                sum: h.sum.load(Ordering::Relaxed),
-                count: h.count.load(Ordering::Relaxed),
+                sum: h.sum.get(),
+                count: h.count.get(),
             }
         })
     }
+}
+
+/// Adds `n` to `cell`, wrapping on overflow.
+#[inline(always)]
+fn add(cell: &Cell<u64>, n: u64) {
+    cell.set(cell.get().wrapping_add(n));
 }
 
 /// Does nothing: timing histograms are not split by cell. Exists only for
@@ -301,7 +307,7 @@ pub fn reset_metrics() {
             .iter()
             .flat_map(|h| (h.buckets.iter()).chain([&h.sum, &h.count]));
         for v in m.counters.iter().chain(&m.gauges).chain(cells) {
-            v.store(0, Ordering::Relaxed);
+            v.set(0);
         }
     });
 }

@@ -13,8 +13,8 @@
 //! simulation feeds observations through `record_*` calls that the callers
 //! guard with [`crate::enabled`] (an admission's `B_r` updates arrive
 //! staged in its [`crate::Staging`] buffer, and a hand-off attempt's
-//! updates in one [`crate::observe_handoff`] call), state lives behind
-//! the one mutex of the calling thread's [`crate::Obs`], and nothing flows
+//! updates in one [`crate::observe_handoff`] call), state lives in the
+//! calling thread's telemetry stores, and nothing flows
 //! back into admission decisions — the determinism contract of the
 //! recorder extends to this module.
 

@@ -3,13 +3,11 @@
 //! The admission test (`qres_admission_test_ns`) and each `B_r` computation
 //! in it (`qres_br_compute_ns`) are timed, so inside them the producer only
 //! pushes onto the [`Staging`] buffer its caller owns. After the admission
-//! timing record, [`Staging::publish`] empties it into the stores under
-//! their one lock. The buffer's `Vec`s are reused from admission to
+//! timing record, [`Staging::publish`] empties it into the stores in one
+//! borrow. The buffer's `Vec`s are reused from admission to
 //! admission, and once the flight ring is full the staged terms and checks
 //! trade places with the evicted record's, so a steady-state admission
 //! allocates nothing.
-
-use std::sync::atomic::Ordering;
 
 use crate::calib;
 use crate::flight::{FlightCheck, FlightRecord, FlightTerm};
@@ -34,8 +32,8 @@ impl Staging {
     #[inline]
     pub fn begin(&mut self) {
         (self.on, self.flight) = crate::with(|o| {
-            let on = o.on.load(Ordering::Relaxed);
-            (on, on && !o.flight_off.load(Ordering::Relaxed))
+            let on = o.on.get();
+            (on, on && !o.flight_off.get())
         });
         self.clear();
     }
@@ -74,8 +72,8 @@ impl Staging {
     /// Publishes the admission at sim-time `now` and empties the buffer:
     /// the staged evaluations into the calibration store, the `B_r`
     /// updates into the QoS tracker, and `record`, given the staged terms
-    /// and checks (its own are replaced), into the flight ring. One lock,
-    /// none when nothing is staged.
+    /// and checks (its own are replaced), into the flight ring. One borrow
+    /// of the stores, none when nothing is staged.
     pub fn publish(&mut self, now: f64, record: Option<FlightRecord>) {
         if !self.forecasts.is_empty() || !self.br.is_empty() || record.is_some() {
             crate::with_stores(|s| {

@@ -10,9 +10,10 @@
 //! order: parallel and sequential execution of a pure `f` produce the same
 //! `Vec`, bit for bit.
 //!
-//! Workers install the caller's telemetry handle ([`qres_obs::install`]),
-//! so a sweep with telemetry on records into the caller's one
-//! [`qres_obs::Obs`], exactly as a sequential loop on the caller would.
+//! Workers run on fresh telemetry, which is off (`qres_obs` state is per
+//! thread), so `f` records nothing on them. A caller whose run writes
+//! telemetry runs its items in order on its own thread instead, as
+//! `sweep_offered_load` does.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -40,12 +41,10 @@ where
     }
 
     let next = AtomicUsize::new(0);
-    let obs = qres_obs::current();
     let mut indexed: Vec<(usize, R)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 scope.spawn(|| {
-                    qres_obs::install(obs.clone());
                     let mut done = Vec::new();
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);

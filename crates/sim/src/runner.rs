@@ -24,20 +24,18 @@ pub struct SweepPoint {
 /// from the base seed and the load so points are independent but
 /// reproducible.
 ///
-/// Points run in parallel across available cores ([`par_map`]); because
-/// every point owns an independent RNG stream derived from its load, the
-/// per-point results are bit-identical to
-/// [`sweep_offered_load_sequential`].
+/// With telemetry off, points run in parallel across available cores
+/// ([`par_map`]); because every point owns an independent RNG stream
+/// derived from its load, the per-point results are bit-identical to
+/// [`sweep_offered_load_sequential`]. With telemetry on, the points run in
+/// order on the calling thread ([`sweep_offered_load_sequential`]), so
+/// they record into its telemetry, one after another: the document is the
+/// same on any number of cores.
 pub fn sweep_offered_load(base: &Scenario, loads: &[f64]) -> Vec<SweepPoint> {
-    let points = par_map(loads, |&load| {
-        (sweep_point(base, load), qres_obs::sim_time())
-    });
-    // Workers mirror their own sim clocks: leave the caller's where the
-    // sequential sweep does, at the last point's, for `write_obs_json`.
-    if let Some((_, t)) = points.last() {
-        qres_obs::set_sim_time(*t);
+    if qres_obs::enabled() {
+        return sweep_offered_load_sequential(base, loads);
     }
-    points.into_iter().map(|(point, _)| point).collect()
+    par_map(loads, |&load| sweep_point(base, load))
 }
 
 /// The single-threaded reference implementation of [`sweep_offered_load`].

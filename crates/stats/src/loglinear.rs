@@ -4,7 +4,7 @@
 //! per power-of-two octave, ≤ 6.25% relative bucket error over the full
 //! `u64` range) but is a plain, clonable, mergeable value type — the shape
 //! wanted for offline analysis and property testing, complementing the
-//! lock-free `qres_obs::AtomicHistogram` used on hot paths.
+//! per-thread `qres_obs::AtomicHistogram` used on hot paths.
 
 use qres_obs::loglin::{bucket_index, lower_bound, upper_bound, NUM_BUCKETS};
 

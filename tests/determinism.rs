@@ -7,6 +7,13 @@ use qres::sim::{
 };
 use qres_json::Value;
 
+/// Runs `f` on a new thread, so on fresh telemetry, and returns its
+/// result; a panic in `f` is re-raised with its payload.
+fn on_fresh_thread<R: Send>(f: impl FnOnce() -> R + Send) -> R {
+    std::thread::scope(|t| t.spawn(f).join())
+        .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+}
+
 /// Asserts that two runs agree on every paper metric, bit for bit.
 fn assert_same_outcomes(a: &RunResult, b: &RunResult, label: &str) {
     assert_eq!(a.system_cb, b.system_cb, "{label}");
@@ -127,23 +134,25 @@ fn forced_violation_alert_timeline_is_deterministic() {
     let captures = |name: &str| {
         let dir = root.join(name);
         std::fs::create_dir_all(&dir).unwrap();
-        qres::obs::install(Default::default());
-        qres::obs::set_level(qres::obs::Level::Info);
-        qres::obs::set_flight_capture_dir(Some(dir));
-        let _ = run_scenario(&s);
-        let Some(Value::Array(paths)) = qres::obs::flight_json().get("captures").cloned() else {
-            panic!("flight section without captures");
-        };
-        (paths.iter())
-            .map(|p| {
-                let Value::Str(p) = p else {
-                    panic!("capture path {p:?}")
-                };
-                let path = std::path::Path::new(p);
-                let name = path.file_name().unwrap().to_string_lossy().into_owned();
-                (name, std::fs::read_to_string(path).unwrap())
-            })
-            .collect::<Vec<_>>()
+        on_fresh_thread(|| {
+            qres::obs::set_level(qres::obs::Level::Info);
+            qres::obs::set_flight_capture_dir(Some(dir));
+            let _ = run_scenario(&s);
+            let Some(Value::Array(paths)) = qres::obs::flight_json().get("captures").cloned()
+            else {
+                panic!("flight section without captures");
+            };
+            (paths.iter())
+                .map(|p| {
+                    let Value::Str(p) = p else {
+                        panic!("capture path {p:?}")
+                    };
+                    let path = std::path::Path::new(p);
+                    let name = path.file_name().unwrap().to_string_lossy().into_owned();
+                    (name, std::fs::read_to_string(path).unwrap())
+                })
+                .collect::<Vec<_>>()
+        })
     };
     let first = captures("a");
     assert!(!first.is_empty(), "forced violation must capture");
@@ -162,22 +171,23 @@ fn flight_recorder_does_not_perturb_outcomes() {
         .duration_secs(600.0)
         .seed(77);
     let run = |flight: bool| {
-        qres::obs::install(Default::default());
-        qres::obs::set_flight_enabled(flight);
-        qres::obs::set_level(qres::obs::Level::Info);
-        let r = run_scenario(&s);
-        let taped = matches!(
-            qres::obs::flight_json().get("len"),
-            Some(Value::UInt(n)) if *n > 0
-        );
-        assert_eq!(
-            taped,
-            flight,
-            "recorder-{} run must {} decision records",
-            if flight { "on" } else { "off" },
-            if flight { "tape" } else { "tape no" }
-        );
-        r
+        on_fresh_thread(|| {
+            qres::obs::set_flight_enabled(flight);
+            qres::obs::set_level(qres::obs::Level::Info);
+            let r = run_scenario(&s);
+            let taped = matches!(
+                qres::obs::flight_json().get("len"),
+                Some(Value::UInt(n)) if *n > 0
+            );
+            assert_eq!(
+                taped,
+                flight,
+                "recorder-{} run must {} decision records",
+                if flight { "on" } else { "off" },
+                if flight { "tape" } else { "tape no" }
+            );
+            r
+        })
     };
     let off = run(false);
     let on = run(true);
@@ -196,10 +206,11 @@ fn replayed_flight_window_is_deterministic() {
         .duration_secs(600.0)
         .seed(42);
     let tape = || {
-        qres::obs::install(Default::default());
-        qres::obs::set_level(qres::obs::Level::Info);
-        let _ = run_scenario(&s);
-        qres::obs::flight_json()
+        on_fresh_thread(|| {
+            qres::obs::set_level(qres::obs::Level::Info);
+            let _ = run_scenario(&s);
+            qres::obs::flight_json()
+        })
     };
     let first = tape();
     assert_eq!(
@@ -283,14 +294,15 @@ fn calibration_output_is_pinned() {
         ),
     ];
     for (s, counts, digest) in pins {
-        qres::obs::install(Default::default());
-        qres::obs::set_level(qres::obs::Level::Info);
-        let _ = run_scenario(s);
-        qres::obs::set_level(qres::obs::Level::Off);
-        qres::obs::sweep_expired(qres::obs::sim_time());
-        let c = qres::obs::calib_summary();
-        let got = [c.predictions, c.zero_forecasts, c.pending, c.scored, c.hits];
-        let json = qres::obs::calib_json().to_compact_string();
+        let (got, json) = on_fresh_thread(|| {
+            qres::obs::set_level(qres::obs::Level::Info);
+            let _ = run_scenario(s);
+            qres::obs::set_level(qres::obs::Level::Off);
+            qres::obs::sweep_expired(qres::obs::sim_time());
+            let c = qres::obs::calib_summary();
+            let got = [c.predictions, c.zero_forecasts, c.pending, c.scored, c.hits];
+            (got, qres::obs::calib_json().to_compact_string())
+        });
         assert_eq!(got, counts, "route_aware = {}", s.route_aware);
         assert_eq!(
             fnv1a(json.as_bytes()),
@@ -303,7 +315,7 @@ fn calibration_output_is_pinned() {
 }
 
 /// The whole telemetry document is pinned, not only its calibration
-/// part: on a fresh handle, a fixed-seed AC3 ring at L = 150 and an AC2
+/// part: on a fresh thread, a fixed-seed AC3 ring at L = 150 and an AC2
 /// ring at L = 300, swept at the final sim-time as `write_obs_json` does,
 /// leave exactly these `snapshot_json()` sections (`counters`, `gauges`,
 /// `qos` with `calib`, `flight` with its records; everything but the
@@ -319,20 +331,12 @@ fn telemetry_snapshot_is_pinned() {
     let pins: [(&Scenario, u64); 2] =
         [(&ac3, 0xa34b_e5a8_abc9_0b4e), (&ac2, 0xa194_842e_d92e_48dd)];
     for (s, digest) in pins {
-        let json = std::thread::scope(|t| {
-            t.spawn(|| {
-                qres::obs::set_level(qres::obs::Level::Info);
-                let _ = run_scenario(s);
-                qres::obs::set_level(qres::obs::Level::Off);
-                qres::obs::sweep_expired(qres::obs::sim_time());
-                let Value::Object(sections) = qres::obs::snapshot_json() else {
-                    panic!("snapshot is not an object");
-                };
-                let kept = sections.into_iter().filter(|(k, _)| k != "histograms");
-                Value::Object(kept.collect()).to_compact_string()
-            })
-            .join()
-            .unwrap()
+        let json = on_fresh_thread(|| {
+            qres::obs::set_level(qres::obs::Level::Info);
+            let _ = run_scenario(s);
+            qres::obs::set_level(qres::obs::Level::Off);
+            qres::obs::sweep_expired(qres::obs::sim_time());
+            snapshot_but_histograms()
         });
         assert_eq!(
             fnv1a(json.as_bytes()),
@@ -344,16 +348,21 @@ fn telemetry_snapshot_is_pinned() {
     }
 }
 
-/// `snapshot_json()` without its wall-clock `histograms`, after this
-/// thread ran `s` with telemetry on.
-fn telemetry_of(s: &Scenario) -> String {
-    qres::obs::set_level(qres::obs::Level::Info);
-    let _ = run_scenario(s);
+/// This thread's `snapshot_json()` without its wall-clock `histograms`.
+fn snapshot_but_histograms() -> String {
     let Value::Object(sections) = qres::obs::snapshot_json() else {
         panic!("snapshot is not an object");
     };
     let kept = sections.into_iter().filter(|(k, _)| k != "histograms");
     Value::Object(kept.collect()).to_compact_string()
+}
+
+/// [`snapshot_but_histograms`] after this thread ran `s` with telemetry
+/// on.
+fn telemetry_of(s: &Scenario) -> String {
+    qres::obs::set_level(qres::obs::Level::Info);
+    let _ = run_scenario(s);
+    snapshot_but_histograms()
 }
 
 /// Each thread owns its telemetry: two telemetry-on runs on two threads
@@ -366,9 +375,7 @@ fn concurrent_telemetry_runs_match_solo_runs() {
         .offered_load(200.0)
         .duration_secs(300.0);
     let runs = [base.clone().seed(3), base.seed(4)];
-    let solo = runs
-        .each_ref()
-        .map(|s| std::thread::scope(|t| t.spawn(|| telemetry_of(s)).join().unwrap()));
+    let solo = runs.each_ref().map(|s| on_fresh_thread(|| telemetry_of(s)));
     assert_ne!(solo[0], solo[1], "the seeds must realize different runs");
     let start = std::sync::Barrier::new(runs.len());
     let together = std::thread::scope(|t| {
@@ -383,30 +390,26 @@ fn concurrent_telemetry_runs_match_solo_runs() {
     assert_eq!(together, solo);
 }
 
-/// The parallel sweep's workers record into the caller's handle: with
-/// telemetry on it leaves the same counters and gauges as the
-/// sequential sweep, every one of them.
+/// A telemetry-on sweep writes the sequential sweep's document on any
+/// number of cores: every section but the wall-clock `histograms`
+/// (counters, gauges, QoS windows, calibration, flight tape and captures)
+/// is equal, finalized at the last sim-time as `write_obs_json` does.
 #[test]
-fn parallel_sweep_telemetry_matches_sequential() {
+fn telemetry_on_sweep_writes_the_sequential_document() {
     let base = Scenario::paper_baseline()
         .scheme(SchemeKind::Ac3)
         .duration_secs(300.0)
         .seed(8);
-    let registry = |sweep: fn(&Scenario, &[f64]) -> Vec<SweepPoint>| {
-        std::thread::scope(|t| {
-            t.spawn(|| {
-                qres::obs::set_level(qres::obs::Level::Info);
-                assert_eq!(sweep(&base, &[100.0, 200.0, 300.0]).len(), 3);
-                let doc = qres::obs::snapshot_json();
-                let Some(Value::Object(counters)) = doc.get("counters") else {
-                    panic!("snapshot has no counters");
-                };
-                (counters.clone(), doc.get("gauges").cloned())
-            })
-            .join()
-            .unwrap()
+    let document = |sweep: fn(&Scenario, &[f64]) -> Vec<SweepPoint>| {
+        on_fresh_thread(|| {
+            qres::obs::set_level(qres::obs::Level::Info);
+            assert_eq!(sweep(&base, &[100.0, 200.0, 300.0]).len(), 3);
+            qres::obs::sweep_expired(qres::obs::sim_time());
+            snapshot_but_histograms()
         })
     };
-    let sequential = registry(sweep_offered_load_sequential);
-    assert_eq!(registry(sweep_offered_load), sequential);
+    assert_eq!(
+        document(sweep_offered_load),
+        document(sweep_offered_load_sequential)
+    );
 }
