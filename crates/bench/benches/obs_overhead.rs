@@ -23,8 +23,9 @@
 //! about 6 open stamps), then 2.5 evaluations of 19 nonzero forecasts and
 //! two zero-count groups each,
 //! staged the way `neighbor_contribution` stages them and published
-//! through one reused `qres_obs::Staging` buffer. After timing it asserts
-//! that every forecast is scored or pending.
+//! through one reused `qres_obs::Staging` buffer. After timing it settles
+//! the store at the last admission, as a run ends, and asserts that every
+//! forecast is scored or pending and that the lanes are left empty.
 //!
 //! One process's `calib_flush` reading is not a comparison: it lands in
 //! one of two modes per process (near 2.3k or near 3.5k ns per admission
@@ -167,6 +168,9 @@ fn bench_calib_flush(c: &mut Criterion) {
             staging.publish(now, None);
         })
     });
+    // The run ends at its last admission: its closed windows are scored,
+    // its open ones pending.
+    qres_obs::calib::settle(admission.saturating_sub(1) as f64 * 0.05);
     let s = qres_obs::calib_summary();
     if s.predictions > 0 {
         println!(
@@ -181,7 +185,16 @@ fn bench_calib_flush(c: &mut Criterion) {
     assert_eq!(
         s.predictions,
         s.scored + s.pending,
-        "every forecast is scored or still pending"
+        "every forecast is scored or pending"
+    );
+    // Every window is closed at infinity: a second settle that scores
+    // nothing more finds the lanes empty.
+    qres_obs::calib::settle(f64::INFINITY);
+    let again = qres_obs::calib_summary();
+    assert_eq!(
+        (again.scored, again.pending),
+        (s.scored, s.pending),
+        "settling left forecasts in the lanes"
     );
     qres_obs::reset_calib();
     group.finish();

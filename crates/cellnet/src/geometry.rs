@@ -79,11 +79,6 @@ impl RoadGeometry {
         self.diameter_km
     }
 
-    /// Whether the border cells are connected.
-    pub fn is_ring(&self) -> bool {
-        self.ring
-    }
-
     /// Total road length in km.
     pub fn total_length_km(&self) -> f64 {
         self.num_cells as f64 * self.diameter_km
@@ -167,7 +162,6 @@ mod tests {
         let r = road();
         assert_eq!(r.num_cells(), 10);
         assert_eq!(r.diameter_km(), 1.0);
-        assert!(r.is_ring());
         assert_eq!(r.total_length_km(), 10.0);
     }
 

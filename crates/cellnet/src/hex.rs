@@ -60,11 +60,6 @@ impl HexDir {
     pub fn reversed(self) -> HexDir {
         Self::from_index(self.index() + 3)
     }
-
-    /// Rotated by `steps` sixths of a turn (counter-clockwise).
-    pub fn rotated(self, steps: u8) -> HexDir {
-        Self::from_index(self.index() + steps)
-    }
 }
 
 /// A `rows × cols` hexagonal grid in odd-r offset coordinates.
@@ -171,8 +166,6 @@ mod tests {
     fn direction_arithmetic() {
         assert_eq!(HexDir::E.reversed(), HexDir::W);
         assert_eq!(HexDir::Ne.reversed(), HexDir::Sw);
-        assert_eq!(HexDir::E.rotated(1), HexDir::Ne);
-        assert_eq!(HexDir::Se.rotated(1), HexDir::E);
         for d in HexDir::ALL {
             assert_eq!(HexDir::from_index(d.index()), d);
             assert_eq!(d.reversed().reversed(), d);

@@ -154,12 +154,6 @@ impl BsNetwork {
         };
         self.per_kind[slot]
     }
-
-    /// Resets all counters (e.g. after a warm-up period).
-    pub fn reset_stats(&mut self) {
-        self.stats = MessageStats::default();
-        self.per_kind = [(0, 0); 4];
-    }
 }
 
 qres_json::json_unit_enum!(BsNetworkKind {
@@ -212,15 +206,6 @@ mod tests {
             MessageKind::AdmissionCheckRequest.nominal_bytes()
                 + MessageKind::AdmissionCheckReply.nominal_bytes()
         );
-    }
-
-    #[test]
-    fn reset_clears_counters() {
-        let mut net = BsNetwork::new(BsNetworkKind::FullyConnected);
-        net.reservation_exchange(CellId(0), CellId(1));
-        net.reset_stats();
-        assert_eq!(net.stats(), MessageStats::default());
-        assert_eq!(net.stats_for(MessageKind::ReservationReply), (0, 0));
     }
 
     #[test]

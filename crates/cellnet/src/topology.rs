@@ -118,12 +118,6 @@ impl Topology {
     pub fn are_adjacent(&self, a: CellId, b: CellId) -> bool {
         self.adjacency[a.index()].binary_search(&b).is_ok()
     }
-
-    /// The maximum neighbor count in the graph (2 on a ring, up to 6 on a
-    /// hex grid) — used to size estimator structures.
-    pub fn max_degree(&self) -> usize {
-        self.adjacency.iter().map(Vec::len).max().unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -137,7 +131,6 @@ mod tests {
         assert_eq!(t.neighbors(CellId(0)), &[CellId(1)]);
         assert_eq!(t.neighbors(CellId(9)), &[CellId(8)]);
         assert_eq!(t.neighbors(CellId(4)), &[CellId(3), CellId(5)]);
-        assert_eq!(t.max_degree(), 2);
     }
 
     #[test]
@@ -157,7 +150,6 @@ mod tests {
         let t = Topology::linear(1);
         assert_eq!(t.num_cells(), 1);
         assert!(t.neighbors(CellId(0)).is_empty());
-        assert_eq!(t.max_degree(), 0);
     }
 
     #[test]
@@ -166,7 +158,6 @@ mod tests {
         assert_eq!(t.num_cells(), 25);
         // Cell (2,2) = id 12 is interior.
         assert_eq!(t.neighbors(CellId(12)).len(), 6);
-        assert_eq!(t.max_degree(), 6);
         // Corner (0,0) has fewer.
         assert!(t.neighbors(CellId(0)).len() <= 3);
     }

@@ -74,14 +74,6 @@ impl<E> Simulation<E> {
         }
     }
 
-    /// Creates a simulation whose clock starts at `start`.
-    pub fn starting_at(start: SimTime) -> Self {
-        Simulation {
-            now: start,
-            ..Self::new()
-        }
-    }
-
     /// The current simulation time.
     pub fn now(&self) -> SimTime {
         self.now
@@ -232,16 +224,6 @@ mod tests {
         );
         assert_eq!(outcome, RunOutcome::BudgetExhausted);
         assert_eq!(sim.dispatched(), 100);
-    }
-
-    #[test]
-    fn starting_clock_offset() {
-        let start = SimTime::from_hours(6.0);
-        let mut sim: Simulation<Ev> = Simulation::starting_at(start);
-        assert_eq!(sim.now(), start);
-        sim.queue_mut().schedule(start, Ev::Stop);
-        let outcome = sim.run(&mut |_: SimTime, _: Ev, _: &mut EventQueue<Ev>| {});
-        assert_eq!(outcome, RunOutcome::Exhausted);
     }
 
     #[test]

@@ -176,12 +176,6 @@ impl Duration {
         Duration(secs)
     }
 
-    /// Creates a span from minutes.
-    #[inline]
-    pub fn from_minutes(minutes: f64) -> Self {
-        Self::from_secs(minutes * SECS_PER_MINUTE)
-    }
-
     /// Creates a span from hours.
     #[inline]
     pub fn from_hours(hours: f64) -> Self {
@@ -415,7 +409,6 @@ mod tests {
     fn unit_helpers() {
         assert_eq!(SimTime::from_hours(2.0).as_secs(), 7_200.0);
         assert_eq!(SimTime::from_days(1.0).as_secs(), SECS_PER_DAY);
-        assert_eq!(Duration::from_minutes(2.0).as_secs(), 120.0);
         assert_eq!(Duration::DAY.as_secs(), SECS_PER_DAY);
         assert_eq!(Duration::WEEK.as_secs(), SECS_PER_WEEK);
         assert!((Duration::from_hours(1.5).as_hours() - 1.5).abs() < 1e-12);

@@ -38,11 +38,6 @@ impl Footprint {
         &self.rows
     }
 
-    /// Total points in the footprint.
-    pub fn point_count(&self) -> usize {
-        self.rows.iter().map(|(_, s)| s.len()).sum()
-    }
-
     /// The largest sojourn across rows (the horizontal extent of Fig. 4).
     pub fn max_sojourn(&self) -> Option<f64> {
         self.rows
@@ -120,8 +115,9 @@ mod tests {
     fn extraction_counts_points() {
         let mut c = build_cache();
         let fp = Footprint::extract(&mut c, SimTime::from_secs(100.0), Some(CellId(1)));
-        assert_eq!(fp.point_count(), 5);
         assert_eq!(fp.rows().len(), 2);
+        let points: usize = fp.rows().iter().map(|(_, s)| s.len()).sum();
+        assert_eq!(points, 5);
         assert_eq!(fp.max_sojourn(), Some(80.0));
         assert_eq!(fp.prev(), Some(CellId(1)));
     }

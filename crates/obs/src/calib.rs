@@ -21,11 +21,15 @@
 //!
 //! * A hit is scored at the hand-off attempt that makes it.
 //! * A miss is scored when its window closes (the first flush of its
-//!   `(cell, target)` after the deadline, or [`sweep_expired`]): a
-//!   connection that ends, or hands off elsewhere or too late, needs no
-//!   store work at that moment.
-//! * A forecast whose window is still open at the end of the run is
+//!   `(cell, target)` after the deadline, or [`settle`] at the end of the
+//!   run): a connection that ends, or hands off elsewhere or too late,
+//!   needs no store work at that moment.
+//! * A forecast whose window is still open when its run ends is
 //!   **pending** (censored): counted, not scored.
+//!
+//! [`settle`] ends a run's calibration and empties the lanes, so a run
+//! scores only its own forecasts: runs in sequence on one thread (the
+//! points of a telemetry-on sweep) add up to the sum of each run alone.
 //!
 //! A forecast made at the instant its connection entered the cell is not
 //! the connection's: the simulator evaluates a cell at that instant only
@@ -55,18 +59,17 @@
 //!
 //! ## Store layout
 //!
-//! Each `(cell, target)` lane keeps its stamps in evaluation order. A
-//! stamp points at two runs in an arena that all lanes share: its nonzero
-//! forecasts (sorted by connection id, 16 bytes an entry) and its
-//! per-`prev` zero counts, each one slice, so expiry scores a run in one
-//! loop and a hand-off binary-searches it in place. A flush first settles
-//! the lane's leading stamps whose window closed, so a lane holds the
-//! forecasts of about the last `T_est`; before the arena would grow, it
-//! moves the live runs down over the settled ones, so it holds about the
-//! live forecasts of all lanes together. Lanes and the arena outlive
+//! Each `(cell, target)` lane owns three FIFOs in evaluation order: its
+//! stamps, its nonzero forecasts (each evaluation's run sorted by
+//! connection id, 16 bytes an entry) and its per-`prev` zero counts. A
+//! stamp keeps only how many entries each run has, so a hand-off, walking
+//! the stamps newest first, finds each run's place from the back and
+//! binary-searches it in place. A flush first pops the lane's leading
+//! stamps whose window closed, with their runs, so a lane holds the
+//! forecasts of about the last `T_est`. Lanes outlive [`settle`] and
 //! [`reset_calib`], so a run allocates only past its predecessor's peak.
 //! Scoring order is fixed by construction (flush order, then lane and
-//! stamp order in the sweep), so the floating-point sums of a run depend
+//! stamp order in [`settle`]), so the floating-point sums of a run depend
 //! on nothing but its inputs.
 
 use std::collections::VecDeque;
@@ -346,6 +349,8 @@ struct Tally {
     predictions: u64,
     zero_forecasts: u64,
     hits: u64,
+    /// Forecasts still open when their run ended ([`settle`]).
+    pending: u64,
 }
 
 impl Tally {
@@ -365,8 +370,12 @@ impl Tally {
     /// Scores the forecasts and zero counts of closed windows as misses, in
     /// order, skipping the forecasts already scored as hits (negated). A
     /// zero count adds to bin 0's count and nothing to any sum.
-    fn score_misses(&mut self, forecasts: &[Forecast], zeros: &[Zeros]) {
-        for f in forecasts.iter().filter(|f| f.p > 0.0) {
+    fn score_misses(
+        &mut self,
+        forecasts: impl Iterator<Item = Forecast>,
+        zeros: impl Iterator<Item = Zeros>,
+    ) {
+        for f in forecasts.filter(|f| f.p > 0.0) {
             self.per_prev[slot(f.prev)].score(f.p, false);
         }
         for z in zeros {
@@ -377,7 +386,8 @@ impl Tally {
     /// Zeroes every count and sum, keeping the slots.
     fn reset(&mut self) {
         self.per_prev.fill_with(CalibBins::default);
-        (self.predictions, self.zero_forecasts, self.hits) = (0, 0, 0);
+        (self.predictions, self.zero_forecasts) = (0, 0);
+        (self.hits, self.pending) = (0, 0);
     }
 
     /// The per-`prev` diagrams, `"none"` first, then by `prev` cell.
@@ -407,160 +417,108 @@ impl Tally {
     }
 }
 
-/// One evaluation in a lane: its window and where its runs of nonzero
-/// forecasts and zero counts lie in the [`Arena`].
+/// One evaluation in a lane: its window and the lengths of its runs of
+/// nonzero forecasts and zero counts in the lane's FIFOs.
 #[derive(Debug, Clone, Copy)]
 struct Stamp {
     s: f64,
     deadline: f64,
-    forecasts: u32,
-    n_forecasts: u32,
-    zeros: u32,
-    n_zeros: u32,
+    forecasts: usize,
+    zeros: usize,
 }
 
-impl Stamp {
-    fn forecasts(&self) -> Range<usize> {
-        let at = self.forecasts as usize;
-        at..at + self.n_forecasts as usize
-    }
-
-    fn zeros(&self) -> Range<usize> {
-        let at = self.zeros as usize;
-        at..at + self.n_zeros as usize
-    }
-}
-
-/// The runs of every lane's stamps, in push order: each stamp's nonzero
-/// forecasts are one slice of `forecasts`, its zero counts one slice of
-/// `zeros`. A run whose stamp is settled becomes dead space, which
-/// [`CalibState::compact`] reclaims before a `Vec` would grow, so the
-/// arena holds about the live forecasts of all lanes together.
-#[derive(Debug, Default)]
-struct Arena {
-    forecasts: Vec<Forecast>,
-    zeros: Vec<Zeros>,
-    dead_forecasts: usize,
-    dead_zeros: usize,
-}
-
-impl Arena {
-    fn clear(&mut self) {
-        self.forecasts.clear();
-        self.zeros.clear();
-        (self.dead_forecasts, self.dead_zeros) = (0, 0);
-    }
-
-    /// Scores what `stamp`'s runs still hold as misses; the runs are dead.
-    fn expire(&mut self, stamp: &Stamp, tally: &mut Tally) {
-        tally.score_misses(
-            &self.forecasts[stamp.forecasts()],
-            &self.zeros[stamp.zeros()],
-        );
-        self.dead_forecasts += stamp.n_forecasts as usize;
-        self.dead_zeros += stamp.n_zeros as usize;
-    }
-
-    /// Whether appending `forecasts` and `zeros` entries would grow a
-    /// `Vec` that is at least half dead space: compacting then frees at
-    /// least that half, so an entry is moved at most once per entry
-    /// appended, on average.
-    fn compact_first(&self, forecasts: usize, zeros: usize) -> bool {
-        fn due<T>(v: &Vec<T>, dead: usize, more: usize) -> bool {
-            v.len() + more > v.capacity() && 2 * dead >= v.len()
-        }
-        due(&self.forecasts, self.dead_forecasts, forecasts)
-            || due(&self.zeros, self.dead_zeros, zeros)
-    }
-}
-
-/// The open forecasts of one `(cell, target)`: its stamps in evaluation
-/// order.
+/// The open forecasts of one `(cell, target)`: its stamps, and their runs
+/// of nonzero forecasts and zero counts, each FIFO in evaluation order.
 #[derive(Debug, Default)]
 struct Lane {
     target: u32,
     stamps: VecDeque<Stamp>,
+    forecasts: VecDeque<Forecast>,
+    zeros: VecDeque<Zeros>,
 }
 
 impl Lane {
-    /// Scores the leading stamps whose window closed before `now`.
-    /// Deadlines need not rise along the lane (`T_est` moves), so the
-    /// rest wait for a later flush or [`sweep_expired`].
-    fn expire_closed(&mut self, now: f64, arena: &mut Arena, tally: &mut Tally) {
+    /// Scores the leading stamps whose window closed before `now` as
+    /// misses and pops them with their runs. Deadlines need not rise
+    /// along the lane (`T_est` moves), so the rest wait for a later flush
+    /// or [`settle`].
+    fn expire_closed(&mut self, now: f64, tally: &mut Tally) {
         while let Some(stamp) = self.stamps.front().filter(|s| s.deadline < now) {
-            arena.expire(stamp, tally);
+            tally.score_misses(
+                self.forecasts.drain(..stamp.forecasts),
+                self.zeros.drain(..stamp.zeros),
+            );
             self.stamps.pop_front();
         }
     }
 
-    /// Scores every stamp whose window closed before `now`, keeping the
-    /// rest in order.
-    fn expire_all(&mut self, now: f64, arena: &mut Arena, tally: &mut Tally) {
-        for _ in 0..self.stamps.len() {
-            let Some(stamp) = self.stamps.pop_front() else {
-                break;
-            };
+    /// Ends the lane's run at `now`: scores every stamp whose window
+    /// closed before it as a miss, counts what the others still hold as
+    /// pending, and empties the lane.
+    fn settle(&mut self, now: f64, tally: &mut Tally) {
+        let (mut f, mut z) = (0, 0);
+        for stamp in &self.stamps {
+            let forecasts = self.forecasts.range(f..f + stamp.forecasts);
+            let zeros = self.zeros.range(z..z + stamp.zeros);
+            f += stamp.forecasts;
+            z += stamp.zeros;
             if stamp.deadline < now {
-                arena.expire(&stamp, tally);
+                tally.score_misses(forecasts.copied(), zeros.copied());
             } else {
-                self.stamps.push_back(stamp);
+                let open = forecasts.filter(|f| f.p > 0.0).count() as u64;
+                tally.pending += open + zeros.map(|z| u64::from(z.n)).sum::<u64>();
             }
         }
+        self.stamps.clear();
+        self.forecasts.clear();
+        self.zeros.clear();
     }
 
     /// Scores connection `conn`'s forecasts that its hand-off attempt
     /// into the target at `t` makes hits: those of the stamps made after
     /// it entered the cell (`entered`) whose window holds `t`.
-    fn score_attempt(
-        &self,
-        conn: u32,
-        prev: u32,
-        entered: f64,
-        t: f64,
-        arena: &mut Arena,
-        tally: &mut Tally,
-    ) {
+    fn score_attempt(&mut self, conn: u32, prev: u32, entered: f64, t: f64, tally: &mut Tally) {
+        // Each stamp's runs end where the next stamp's begin.
+        let (mut f_end, mut z_end) = (self.forecasts.len(), self.zeros.len());
         for stamp in self.stamps.iter().rev() {
             if stamp.s <= entered {
                 break;
             }
+            let run = f_end - stamp.forecasts..f_end;
+            let zeros = z_end - stamp.zeros..z_end;
+            (f_end, z_end) = (run.start, zeros.start);
             if !(stamp.s < t && t <= stamp.deadline) {
                 continue;
             }
-            // The evaluation's run is sorted by connection id.
-            let run = &mut arena.forecasts[stamp.forecasts()];
-            let i = run.partition_point(|f| f.conn < conn);
-            if let Some(f) = run.get_mut(i).filter(|f| f.conn == conn) {
+            if let Some(i) = find(&self.forecasts, run, conn) {
+                let f = &mut self.forecasts[i];
                 if f.p > 0.0 {
                     tally.score(f.p, true, f.prev);
                     f.p = -f.p;
                 }
-            } else if let Some(z) = arena.zeros[stamp.zeros()]
-                .iter_mut()
-                .find(|z| z.prev == prev && z.n > 0)
+            } else if let Some(z) =
+                (self.zeros.range_mut(zeros)).find(|z| z.prev == prev && z.n > 0)
             {
                 z.n -= 1;
                 tally.score(0.0, true, prev);
             }
         }
     }
+}
 
-    /// Forecasts not scored yet.
-    fn pending(&self, arena: &Arena) -> u64 {
-        let stamps = self.stamps.iter();
-        stamps
-            .map(|s| {
-                let open = arena.forecasts[s.forecasts()]
-                    .iter()
-                    .filter(|f| f.p > 0.0)
-                    .count() as u64;
-                open + arena.zeros[s.zeros()]
-                    .iter()
-                    .map(|z| u64::from(z.n))
-                    .sum::<u64>()
-            })
-            .sum()
+/// Where connection `conn`'s forecast lies in `run`, one evaluation's run
+/// of `forecasts`: a binary search, the run being sorted by connection id.
+fn find(forecasts: &VecDeque<Forecast>, run: Range<usize>, conn: u32) -> Option<usize> {
+    let (mut lo, mut hi) = (run.start, run.end);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if forecasts[mid].conn < conn {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
     }
+    (lo < run.end && forecasts[lo].conn == conn).then_some(lo)
 }
 
 /// The calibration store of an [`crate::Obs`].
@@ -569,19 +527,11 @@ pub(crate) struct CalibState {
     /// Lanes indexed by the (dense) id of the forecast cell, then by
     /// target in first-seen order (a cell has few neighbors).
     by_cell: Vec<Vec<Lane>>,
-    arena: Arena,
     tally: Tally,
-    /// Compaction's scratch: every live stamp's run offsets and place.
-    order: Vec<(u32, u32, u32, u32, u32)>,
 }
 
 impl CalibState {
-    fn pending(&self) -> u64 {
-        let lanes = self.by_cell.iter().flatten();
-        lanes.map(|lane| lane.pending(&self.arena)).sum()
-    }
-
-    /// Stores one staged evaluation at flush time `now`, after settling
+    /// Stores one staged evaluation at flush time `now`, after expiring
     /// its lane's closed windows. `forecasts` is sorted by connection id
     /// here only if it is not already.
     fn push(&mut self, eval: &StagedEval, forecasts: &mut [Forecast], zeros: &[Zeros], now: f64) {
@@ -600,53 +550,16 @@ impl CalibState {
         if self.tally.per_prev.len() < slots {
             self.tally.per_prev.resize_with(slots, CalibBins::default);
         }
-        if self.arena.compact_first(forecasts.len(), zeros.len()) {
-            self.compact();
-        }
-        let arena = &mut self.arena;
         let lane = lane_mut(&mut self.by_cell, eval.cell, eval.target);
-        lane.expire_closed(now, arena, &mut self.tally);
-        let offset = |len: usize| u32::try_from(len).expect("under 2^32 open forecasts");
+        lane.expire_closed(now, &mut self.tally);
         lane.stamps.push_back(Stamp {
             s: eval.s,
             deadline: eval.deadline,
-            forecasts: offset(arena.forecasts.len()),
-            n_forecasts: offset(forecasts.len()),
-            zeros: offset(arena.zeros.len()),
-            n_zeros: offset(zeros.len()),
+            forecasts: forecasts.len(),
+            zeros: zeros.len(),
         });
-        arena.forecasts.extend_from_slice(forecasts);
-        arena.zeros.extend_from_slice(zeros);
-    }
-
-    /// Moves every live run down over the dead space, in push order, and
-    /// points the stamps at their new places. Runs were pushed with both
-    /// offsets rising, so sorting by the offsets restores push order, and
-    /// each run moves to an offset at or below its own.
-    fn compact(&mut self) {
-        let order = &mut self.order;
-        order.clear();
-        for (c, lanes) in self.by_cell.iter().enumerate() {
-            for (l, lane) in lanes.iter().enumerate() {
-                for (k, s) in lane.stamps.iter().enumerate() {
-                    order.push((s.forecasts, s.zeros, c as u32, l as u32, k as u32));
-                }
-            }
-        }
-        order.sort_unstable();
-        let arena = &mut self.arena;
-        let (mut f, mut z) = (0, 0);
-        for &(_, _, c, l, k) in order.iter() {
-            let stamp = &mut self.by_cell[c as usize][l as usize].stamps[k as usize];
-            arena.forecasts.copy_within(stamp.forecasts(), f);
-            arena.zeros.copy_within(stamp.zeros(), z);
-            (stamp.forecasts, stamp.zeros) = (f as u32, z as u32);
-            f += stamp.n_forecasts as usize;
-            z += stamp.n_zeros as usize;
-        }
-        arena.forecasts.truncate(f);
-        arena.zeros.truncate(z);
-        (arena.dead_forecasts, arena.dead_zeros) = (0, 0);
+        lane.forecasts.extend(&*forecasts);
+        lane.zeros.extend(zeros);
     }
 
     /// [`observe_attempt`] on this store, for a connection not declared
@@ -660,12 +573,12 @@ impl CalibState {
         entered: f64,
         prev: Option<u32>,
     ) {
-        let lanes = self.by_cell.get(from as usize);
-        let Some(lane) = lanes.and_then(|lanes| lanes.iter().find(|l| l.target == to)) else {
+        let lanes = self.by_cell.get_mut(from as usize);
+        let Some(lane) = lanes.and_then(|lanes| lanes.iter_mut().find(|l| l.target == to)) else {
             return;
         };
         let (conn, prev) = (conn as u32, prev_code(prev));
-        lane.score_attempt(conn, prev, entered, t, &mut self.arena, &mut self.tally);
+        lane.score_attempt(conn, prev, entered, t, &mut self.tally);
     }
 }
 
@@ -716,28 +629,28 @@ pub fn observe_attempt(
     with_state(|st| st.observe_attempt(conn, from, to, t, entered, prev));
 }
 
-/// Scores every forecast whose window closed strictly before `now` as a
-/// miss, in cell, lane and stamp order. Call at end of run so forecasts
-/// for connections that neither moved nor completed are still scored;
-/// later windows stay pending.
-pub fn sweep_expired(now: f64) {
+/// Ends the run's calibration at its last sim-time `now`: every forecast
+/// whose window closed strictly before `now` is scored as a miss, in
+/// cell, lane and stamp order, and every later one is counted `pending`.
+/// The lanes are left empty, so the next run on this thread scores only
+/// its own forecasts. The engine calls this once, when its run ends.
+pub fn settle(now: f64) {
     with_state(|st| {
         for lane in st.by_cell.iter_mut().flatten() {
-            lane.expire_all(now, &mut st.arena, &mut st.tally);
+            lane.settle(now, &mut st.tally);
         }
     });
 }
 
-/// Clears all calibration state. The lanes and the arena keep their
-/// storage for the next run, which then allocates only past this one's
-/// peak.
+/// Clears all calibration state. The lanes keep their storage for the
+/// next run, which then allocates only past this one's peak.
 pub fn reset_calib() {
     with_state(|st| {
-        st.by_cell
-            .iter_mut()
-            .flatten()
-            .for_each(|l| l.stamps.clear());
-        st.arena.clear();
+        for lane in st.by_cell.iter_mut().flatten() {
+            lane.stamps.clear();
+            lane.forecasts.clear();
+            lane.zeros.clear();
+        }
         st.tally.reset();
     });
 }
@@ -749,7 +662,8 @@ pub struct CalibSummary {
     pub predictions: u64,
     /// Forecasts that were exactly zero.
     pub zero_forecasts: u64,
-    /// Forecasts whose window is still open and that have not hit.
+    /// Forecasts whose window was still open, and that had not hit, when
+    /// their run ended ([`settle`]).
     pub pending: u64,
     /// Forecasts scored: hits plus misses.
     pub scored: u64,
@@ -769,7 +683,7 @@ pub fn calib_summary() -> CalibSummary {
         CalibSummary {
             predictions: t.predictions,
             zero_forecasts: t.zero_forecasts,
-            pending: st.pending(),
+            pending: t.pending,
             scored: global.count(),
             hits: t.hits,
             brier: global.brier(),
@@ -788,11 +702,10 @@ pub fn calib_json() -> Value {
             .diagrams()
             .map(|(key, bins)| (key, bins.to_json()))
             .collect();
-        let pending = st.pending();
         Value::Object(vec![
             ("predictions".into(), Value::UInt(t.predictions)),
             ("zero_forecasts".into(), Value::UInt(t.zero_forecasts)),
-            ("pending".into(), Value::UInt(pending)),
+            ("pending".into(), Value::UInt(t.pending)),
             ("hits".into(), Value::UInt(t.hits)),
             ("global".into(), t.global().to_json()),
             ("per_prev".into(), Value::Object(per_prev)),
@@ -947,34 +860,46 @@ mod tests {
         assert!((s.brier.unwrap() - 0.0625).abs() < 1e-12);
     }
 
+    /// Plays `run` once per end time in `ends`, on a reset store, and
+    /// settles it there: the summary of each.
+    fn settled_at(ends: &[f64], run: impl Fn()) -> Vec<CalibSummary> {
+        (ends.iter())
+            .map(|&end| {
+                reset_calib();
+                run();
+                settle(end);
+                calib_summary()
+            })
+            .collect()
+    }
+
     #[test]
     fn handoff_to_different_neighbor_is_a_miss() {
         // Forecasts toward both neighbors; the mobile goes to cell 2:
         // the cell-2 forecast hits at once, the cell-3 forecast stays
         // pending until its window closes.
-        evaluate(1, 2, 10.0, 20.0, &[(None, 1, &[(100, 0.6)])]);
-        evaluate(1, 3, 10.0, 20.0, &[(None, 1, &[(100, 0.4)])]);
-        observe_attempt(100, 1, 2, 20.0, 0.0, None, None);
-        let s = calib_summary();
-        assert_eq!((s.hits, s.scored, s.pending), (1, 1, 1));
-        sweep_expired(30.0 + 1e-9);
-        let s = calib_summary();
-        assert_eq!((s.hits, s.scored, s.pending), (1, 2, 0));
+        let s = settled_at(&[20.0, 30.0 + 1e-9], || {
+            evaluate(1, 2, 10.0, 20.0, &[(None, 1, &[(100, 0.6)])]);
+            evaluate(1, 3, 10.0, 20.0, &[(None, 1, &[(100, 0.4)])]);
+            observe_attempt(100, 1, 2, 20.0, 0.0, None, None);
+        });
+        assert_eq!((s[0].hits, s[0].scored, s[0].pending), (1, 1, 1));
+        assert_eq!((s[1].hits, s[1].scored, s[1].pending), (1, 2, 0));
     }
 
     #[test]
     fn prediction_expires_unmatched_at_t_est_boundary() {
-        evaluate(1, 2, 10.0, 20.0, &[(None, 1, &[(100, 0.9)])]);
         // At exactly the deadline the window is still open (a hand-off at
-        // t == deadline would hit), so a sweep at 30.0 scores nothing...
-        sweep_expired(30.0);
-        assert_eq!(calib_summary().pending, 1);
-        // ...and one instant past it the forecast is a miss.
-        sweep_expired(30.0 + 1e-9);
-        let s = calib_summary();
-        assert_eq!((s.scored, s.hits, s.pending), (1, 0, 0));
+        // t == deadline would hit), so a run ending at 30.0 scores
+        // nothing; one ending an instant past it scores the forecast as a
+        // miss.
+        let s = settled_at(&[30.0, 30.0 + 1e-9], || {
+            evaluate(1, 2, 10.0, 20.0, &[(None, 1, &[(100, 0.9)])]);
+        });
+        assert_eq!((s[0].scored, s[0].pending), (0, 1));
+        assert_eq!((s[1].scored, s[1].hits, s[1].pending), (1, 0, 0));
         // Brier for one miss at p = 0.9: 0.81.
-        assert!((s.brier.unwrap() - 0.81).abs() < 1e-12);
+        assert!((s[1].brier.unwrap() - 0.81).abs() < 1e-12);
     }
 
     #[test]
@@ -982,7 +907,7 @@ mod tests {
         evaluate(1, 2, 10.0, 20.0, &[(None, 1, &[(100, 0.5)])]);
         observe_attempt(100, 1, 2, 31.0, 0.0, None, None);
         assert_eq!(calib_summary().hits, 0);
-        sweep_expired(31.0);
+        settle(31.0);
         let s = calib_summary();
         assert_eq!((s.scored, s.hits, s.pending), (1, 0, 0));
     }
@@ -992,7 +917,7 @@ mod tests {
     #[test]
     fn completion_resolves_as_miss() {
         evaluate(1, 2, 10.0, 20.0, &[(None, 2, &[(100, 0.3)])]);
-        sweep_expired(30.0 + 1e-9);
+        settle(30.0 + 1e-9);
         let s = calib_summary();
         assert_eq!((s.scored, s.hits, s.pending), (2, 0, 0));
     }
@@ -1005,7 +930,7 @@ mod tests {
             evaluate(1, 2, s, 20.0, &[(Some(4), 1, &[(100, p)])]);
         }
         observe_attempt(100, 1, 2, 35.0, 5.0, Some(4), None);
-        sweep_expired(100.0);
+        settle(100.0);
         let s = calib_summary();
         assert_eq!((s.predictions, s.scored, s.hits), (3, 3, 2));
         let bins = hit_rates();
@@ -1016,11 +941,17 @@ mod tests {
     fn zero_forecasts_are_counted_and_can_hit() {
         // Two connections from cell 4 forecast zero, one forecast 0.5;
         // one zero-forecast connection hands into the target in time.
-        evaluate(1, 2, 10.0, 20.0, &[(Some(4), 3, &[(101, 0.5)])]);
-        let s = calib_summary();
-        assert_eq!((s.predictions, s.zero_forecasts, s.pending), (3, 2, 3));
+        let play = || evaluate(1, 2, 10.0, 20.0, &[(Some(4), 3, &[(101, 0.5)])]);
+        let open = settled_at(&[15.0], play);
+        let open = &open[0];
+        assert_eq!(
+            (open.predictions, open.zero_forecasts, open.pending),
+            (3, 2, 3)
+        );
+        reset_calib();
+        play();
         observe_attempt(100, 1, 2, 15.0, 5.0, Some(4), None);
-        sweep_expired(100.0);
+        settle(100.0);
         let s = calib_summary();
         assert_eq!((s.scored, s.hits, s.pending), (3, 1, 0));
         // Bin 0: two zero forecasts, one hit; bin 5: the 0.5 miss.
@@ -1039,7 +970,7 @@ mod tests {
         evaluate(1, 2, 20.0, 30.0, &[(None, 2, &[])]);
         observe_attempt(100, 1, 3, 25.0, 0.0, None, None);
         observe_attempt(100, 1, 2, 29.0, 28.0, Some(3), None);
-        sweep_expired(100.0);
+        settle(100.0);
         let s = calib_summary();
         assert_eq!((s.scored, s.hits), (3, 0));
     }
@@ -1051,7 +982,7 @@ mod tests {
         // another connection's.
         evaluate(1, 2, 10.0, 20.0, &[(None, 1, &[])]);
         observe_attempt(100, 1, 2, 15.0, 10.0, None, None);
-        sweep_expired(100.0);
+        settle(100.0);
         assert_eq!(calib_summary().hits, 0);
     }
 
@@ -1061,7 +992,7 @@ mod tests {
         // Connection 100 declared cell 3 (and so was not in the
         // evaluation toward cell 2); it turns into cell 2 anyway.
         observe_attempt(100, 1, 2, 15.0, 0.0, None, Some(3));
-        sweep_expired(100.0);
+        settle(100.0);
         let s = calib_summary();
         assert_eq!((s.scored, s.hits), (1, 0));
     }
@@ -1076,7 +1007,7 @@ mod tests {
             &[(Some(5), 1, &[(100, 0.8)]), (None, 1, &[(101, 0.2)])],
         );
         observe_attempt(100, 1, 2, 20.0, 0.0, Some(5), None);
-        sweep_expired(100.0);
+        settle(100.0);
         let json = calib_json();
         let per_prev = json.get("per_prev").unwrap();
         assert!(per_prev.get("5").is_some());
@@ -1093,7 +1024,7 @@ mod tests {
     }
 
     /// A run after `reset_calib` reuses the storage of the run before it:
-    /// the same run again grows no lane, no arena and no diagram table.
+    /// the same run again grows no lane FIFO and no diagram table.
     #[test]
     fn storage_is_reused_after_a_reset() {
         let run = || {
@@ -1106,24 +1037,65 @@ mod tests {
         };
         let capacities = || {
             with_state(|st| {
+                let lane = &st.by_cell[1][0];
                 [
-                    st.by_cell[1][0].stamps.capacity(),
-                    st.arena.forecasts.capacity(),
-                    st.arena.zeros.capacity(),
+                    lane.stamps.capacity(),
+                    lane.forecasts.capacity(),
+                    lane.zeros.capacity(),
                     st.tally.per_prev.capacity(),
                 ]
             })
         };
         run();
         let first = capacities();
-        // About 31 windows of 20 forecasts are open at a time; compaction
-        // keeps the arena well below the 8,000 forecasts pushed.
+        // About 31 windows of 20 forecasts are open at a time; expiry
+        // keeps the lane's FIFO well below the 8,000 forecasts pushed.
         assert!((30 * 20..4_000).contains(&first[1]), "{first:?}");
         reset_calib();
         assert_eq!(calib_summary().predictions, 0);
         assert_eq!(capacities(), first, "the reset kept the storage");
         run();
         assert_eq!(capacities(), first, "the second run grew nothing");
+    }
+
+    /// Runs in sequence on one thread score as each does alone: the
+    /// second run restarts its connection ids and clock, and settling the
+    /// first left nothing of it in the lanes for the second to hit.
+    #[test]
+    fn runs_in_sequence_score_as_each_alone() {
+        // Connection 100 is forecast toward cell 2 at 10, and the run ends
+        // at 15 with that window open.
+        fn first() {
+            evaluate(1, 2, 10.0, 20.0, &[(None, 2, &[(100, 0.5)])]);
+            settle(15.0);
+        }
+        // Another connection 100, in cell 1 since 0, hands into cell 2 at
+        // 12: after its own window closed, inside the first run's.
+        fn second() {
+            evaluate(1, 2, 5.0, 3.0, &[(None, 1, &[(100, 0.25)])]);
+            observe_attempt(100, 1, 2, 12.0, 0.0, None, None);
+            settle(20.0);
+        }
+        fn counts() -> [u64; 5] {
+            let s = calib_summary();
+            [s.predictions, s.zero_forecasts, s.pending, s.scored, s.hits]
+        }
+        let alone = |run: fn()| {
+            let on_its_own = move || {
+                run();
+                counts()
+            };
+            std::thread::spawn(on_its_own).join().unwrap()
+        };
+        let (a, b) = (alone(first), alone(second));
+        assert_eq!((a, b), ([2, 1, 2, 0, 0], [1, 0, 0, 1, 0]));
+        first();
+        second();
+        let sum: Vec<u64> = a.iter().zip(&b).map(|(a, b)| a + b).collect();
+        assert_eq!(counts().to_vec(), sum);
+        // The one forecast scored is the second run's miss at 0.25.
+        let brier = calib_summary().brier.unwrap();
+        assert!((brier - 0.0625).abs() < 1e-12, "{brier}");
     }
 
     /// Connection ids that straddle 2^32 wrap in the store's `u32` key,
@@ -1408,12 +1380,17 @@ mod tests {
                         conns.swap_remove(rng.below(conns.len() as u64) as usize);
                     }
                     _ => {
-                        sweep_expired(now);
+                        // The reference scores misses at any time; the
+                        // store at the next flush of their lane.
                         reference.sweep(now);
                     }
                 }
             }
-            sweep_expired(now);
+            let stored = with_state(|st| {
+                let lanes = st.by_cell.iter().flatten();
+                lanes.map(|lane| lane.forecasts.len() as u64).sum::<u64>()
+            });
+            settle(now);
             reference.sweep(now);
             let got = calib_summary();
             let want = &reference.tally;
@@ -1428,11 +1405,17 @@ mod tests {
                 "seed {seed}: {got:?}"
             );
             pending_seen |= got.pending > 0;
-            let stored = with_state(|st| st.arena.forecasts.len() as u64);
             assert!(
                 stored < got.predictions - got.zero_forecasts,
-                "seed {seed}: the arena never compacted"
+                "seed {seed}: no lane ever expired a run"
             );
+            let left = with_state(|st| {
+                let lanes = st.by_cell.iter().flatten();
+                lanes
+                    .map(|l| l.stamps.len() + l.forecasts.len() + l.zeros.len())
+                    .sum::<usize>()
+            });
+            assert_eq!(left, 0, "seed {seed}: settling left the lanes holding");
             assert!(reentries > 100, "seed {seed}: {reentries} quick re-entries");
             let zero_hits = with_state(|st| st.tally.global().hits[0]);
             assert!(zero_hits > 10, "seed {seed}: zero forecasts that hit");
@@ -1510,7 +1493,7 @@ mod tests {
                 next_eval = now + exp(EVAL_RATE, &mut rng);
             }
         }
-        sweep_expired(HORIZON);
+        settle(HORIZON);
         let bins = with_state(|st| st.tally.global());
         let mut checked = 0;
         for b in 0..CALIB_BINS {

@@ -10,13 +10,10 @@ use crate::metrics::{counters, gauges, histograms, HistogramSnapshot};
 /// File name of the end-of-run document [`write_obs_json`] writes.
 pub const OBS_JSON_PATH: &str = "obs.json";
 
-/// Finishes the run's telemetry and writes `obs.json` to `path`.
-///
-/// Forecasts whose deadline passed by the last recorded sim-time are
-/// settled as expired; later deadlines stay `pending` (censored by the
-/// end of the run, not scored). The document is [`snapshot_json`].
+/// Writes the run's telemetry, the [`snapshot_json`] document, to `path`
+/// as `obs.json`. Each run settled its calibration when it ended
+/// ([`crate::calib::settle`]).
 pub fn write_obs_json(path: &Path) -> std::io::Result<()> {
-    crate::calib::sweep_expired(crate::sim_time());
     std::fs::write(path, snapshot_json().to_pretty_string() + "\n")
 }
 

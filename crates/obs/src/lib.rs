@@ -47,9 +47,9 @@
 //!
 //! ## Run artifacts
 //!
-//! A run with telemetry on writes one document. At the end,
-//! [`write_obs_json`] finishes the run's telemetry and writes
-//! [`OBS_JSON_PATH`]: the [`snapshot_json`] document (`counters`,
+//! A run with telemetry on writes one document. Each engine run settles
+//! its calibration when it ends ([`calib::settle`]); then
+//! [`write_obs_json`] writes [`OBS_JSON_PATH`]: the [`snapshot_json`] document (`counters`,
 //! `gauges`, `histograms`, `qos`, `flight`) with the flight tape's
 //! `records`. Every `qres obs` view reads its sections of it. The only
 //! other files are the flight captures the trigger writes.
@@ -92,7 +92,6 @@ pub mod staging;
 pub use alert::{render_alerts, reset_alerts, watchdog_tick};
 pub use calib::{
     calib_json, calib_summary, observe_attempt, prev_code, render_calib_report, reset_calib,
-    sweep_expired,
 };
 pub use diff::{diff_snapshots, FailOn};
 pub use export::{snapshot_json, write_obs_json, OBS_JSON_PATH};
@@ -210,8 +209,8 @@ pub fn enabled() -> bool {
     with(|o| o.on.get())
 }
 
-/// Publishes this thread's simulation clock (seconds), which
-/// [`write_obs_json`] finalizes the run at.
+/// Publishes this thread's simulation clock (seconds), which a run's
+/// calibration is settled at when it ends ([`calib::settle`]).
 #[inline]
 pub fn set_sim_time(secs: f64) {
     with(|o| o.sim_time.set(secs));

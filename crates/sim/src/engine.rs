@@ -277,6 +277,11 @@ impl Engine {
             next_epoch: SimTime::from_secs(WATCHDOG_EPOCH_SECS),
         };
         sim.run_until(horizon, u64::MAX, &mut driver);
+        if qres_obs::enabled() {
+            // The run's forecasts end with it: the next run on this
+            // thread scores only its own.
+            qres_obs::calib::settle(qres_obs::sim_time());
+        }
         debug_assert!(self.system.check_invariants());
         debug_assert!(self
             .wired

@@ -92,14 +92,6 @@ impl DiurnalSchedule {
         ((s - 20.0).max(5.0), s + 20.0)
     }
 
-    /// Peak offered load across the day.
-    pub fn peak_load(&self) -> f64 {
-        self.hours
-            .iter()
-            .map(|h| h.offered_load)
-            .fold(f64::MIN, f64::max)
-    }
-
     /// All 24 entries.
     pub fn hours(&self) -> &[HourEntry] {
         &self.hours
@@ -238,7 +230,6 @@ mod tests {
         assert_eq!(s.at_hour(18.9).offered_load, 200.0);
         // Peaks are slow, nights are fast.
         assert!(s.at_hour(9.5).mean_speed_kmh < s.at_hour(3.0).mean_speed_kmh);
-        assert_eq!(s.peak_load(), 200.0);
         // Night load is light.
         assert!(s.at_hour(2.0).offered_load <= 40.0);
     }

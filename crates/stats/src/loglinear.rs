@@ -98,16 +98,6 @@ impl LogLinearHistogram {
     pub fn bucket_upper_bound(v: u64) -> u64 {
         upper_bound(bucket_index(v))
     }
-
-    /// Non-empty `(bucket lower bound, count)` pairs, ascending.
-    pub fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|&(_, &n)| n > 0)
-            .map(|(i, &n)| (lower_bound(i), n))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -153,6 +143,13 @@ mod tests {
         assert_eq!(a, all);
     }
 
+    /// Non-empty `(bucket lower bound, count)` pairs, ascending.
+    fn nonzero_buckets(h: &LogLinearHistogram) -> Vec<(u64, u64)> {
+        let buckets = h.buckets.iter().enumerate();
+        let nonzero = buckets.filter(|&(_, &n)| n > 0);
+        nonzero.map(|(i, &n)| (lower_bound(i), n)).collect()
+    }
+
     #[test]
     fn merge_with_disjoint_octaves() {
         // Two histograms whose populations live in completely different
@@ -165,8 +162,8 @@ mod tests {
             low.add(1_000 + i); // octave of 2^10
             high.add(1_000_000 + 1_000 * i); // octave of 2^20
         }
-        let low_buckets = low.nonzero_buckets();
-        let high_buckets = high.nonzero_buckets();
+        let low_buckets = nonzero_buckets(&low);
+        let high_buckets = nonzero_buckets(&high);
         // Genuinely disjoint: no bucket appears in both.
         for (ub, _) in &low_buckets {
             assert!(high_buckets.iter().all(|(hb, _)| hb != ub));
@@ -177,7 +174,7 @@ mod tests {
         assert_eq!(merged.count(), 200);
         assert_eq!(merged.sum(), low.sum() + high.sum());
         // Every source bucket survives with its exact count.
-        let merged_buckets = merged.nonzero_buckets();
+        let merged_buckets = nonzero_buckets(&merged);
         for (ub, n) in low_buckets.iter().chain(&high_buckets) {
             assert_eq!(
                 merged_buckets

@@ -35,16 +35,6 @@ impl RatioCounter {
         }
     }
 
-    /// Records a trial that was a hit.
-    pub fn record_hit(&mut self) {
-        self.record(true);
-    }
-
-    /// Records a trial that was not a hit.
-    pub fn record_miss(&mut self) {
-        self.record(false);
-    }
-
     /// Total trials recorded.
     pub fn trials(&self) -> u64 {
         self.trials
@@ -69,13 +59,6 @@ impl RatioCounter {
     /// Matches the paper's tables, which print `0.` for idle cells.
     pub fn ratio_or_zero(&self) -> f64 {
         self.ratio().unwrap_or(0.0)
-    }
-
-    /// Standard error of the ratio under a binomial model; `None` without
-    /// at least one trial.
-    pub fn std_error(&self) -> Option<f64> {
-        let p = self.ratio()?;
-        Some((p * (1.0 - p) / self.trials as f64).sqrt())
     }
 
     /// Wilson-score confidence interval for the hit ratio at normal
@@ -108,7 +91,6 @@ mod tests {
         let c = RatioCounter::new();
         assert_eq!(c.ratio(), None);
         assert_eq!(c.ratio_or_zero(), 0.0);
-        assert_eq!(c.std_error(), None);
     }
 
     #[test]
@@ -123,38 +105,15 @@ mod tests {
     }
 
     #[test]
-    fn hit_miss_shorthands() {
-        let mut c = RatioCounter::new();
-        c.record_hit();
-        c.record_miss();
-        c.record_miss();
-        assert_eq!(c.hits(), 1);
-        assert_eq!(c.trials(), 3);
-    }
-
-    #[test]
     fn merge_aggregates() {
         let mut a = RatioCounter::new();
         let mut b = RatioCounter::new();
-        a.record_hit();
-        a.record_miss();
-        b.record_hit();
+        a.record(true);
+        a.record(false);
+        b.record(true);
         a.merge(&b);
         assert_eq!(a.trials(), 3);
         assert_eq!(a.hits(), 2);
-    }
-
-    #[test]
-    fn std_error_shrinks_with_n() {
-        let mut small = RatioCounter::new();
-        let mut large = RatioCounter::new();
-        for i in 0..10 {
-            small.record(i % 2 == 0);
-        }
-        for i in 0..1000 {
-            large.record(i % 2 == 0);
-        }
-        assert!(large.std_error().unwrap() < small.std_error().unwrap());
     }
 
     #[test]
@@ -197,7 +156,7 @@ mod tests {
     #[test]
     fn reset_clears() {
         let mut c = RatioCounter::new();
-        c.record_hit();
+        c.record(true);
         c.reset();
         assert_eq!(c.trials(), 0);
         assert_eq!(c.ratio(), None);

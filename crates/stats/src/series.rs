@@ -56,15 +56,6 @@ impl TimeSeries {
         true
     }
 
-    /// Records unconditionally, bypassing down-sampling (for final values).
-    pub fn push_forced(&mut self, now: SimTime, value: f64) {
-        let t = now.as_secs();
-        if let Some(&(last_t, _)) = self.points.last() {
-            assert!(t >= last_t, "TimeSeries points must be time-ordered");
-        }
-        self.points.push((t, value));
-    }
-
     /// The recorded points as `(seconds, value)` pairs.
     pub fn points(&self) -> &[(f64, f64)] {
         &self.points
@@ -78,11 +69,6 @@ impl TimeSeries {
     /// True when nothing has been recorded.
     pub fn is_empty(&self) -> bool {
         self.points.is_empty()
-    }
-
-    /// The last recorded value, if any.
-    pub fn last_value(&self) -> Option<f64> {
-        self.points.last().map(|&(_, v)| v)
     }
 
     /// Writes the series as `time,value` CSV lines (with a header).
@@ -118,7 +104,6 @@ mod tests {
         assert!(s.push(t(0.0), 1.0));
         assert!(s.push(t(1.0), 2.0));
         assert_eq!(s.points(), &[(0.0, 1.0), (1.0, 2.0)]);
-        assert_eq!(s.last_value(), Some(2.0));
         assert_eq!(s.len(), 2);
         assert!(!s.is_empty());
     }
@@ -130,15 +115,6 @@ mod tests {
         assert!(!s.push(t(5.0), 2.0)); // too close, dropped
         assert!(s.push(t(10.0), 3.0));
         assert_eq!(s.len(), 2);
-    }
-
-    #[test]
-    fn forced_push_bypasses_spacing() {
-        let mut s = TimeSeries::with_min_spacing("x", 10.0);
-        s.push(t(0.0), 1.0);
-        s.push_forced(t(1.0), 9.0);
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.last_value(), Some(9.0));
     }
 
     #[test]

@@ -57,11 +57,6 @@ impl Welford {
         self.variance().map(f64::sqrt)
     }
 
-    /// Standard error of the mean; `None` with fewer than two samples.
-    pub fn std_error(&self) -> Option<f64> {
-        self.std_dev().map(|s| s / (self.count as f64).sqrt())
-    }
-
     /// Smallest sample; `None` when empty.
     pub fn min(&self) -> Option<f64> {
         (self.count > 0).then_some(self.min)
@@ -161,18 +156,5 @@ mod tests {
         let mut c = Welford::new();
         c.merge(&a);
         assert_eq!(c.mean(), Some(1.0));
-    }
-
-    #[test]
-    fn std_error_shrinks() {
-        let mut small = Welford::new();
-        let mut large = Welford::new();
-        for i in 0..10 {
-            small.add((i % 3) as f64);
-        }
-        for i in 0..1000 {
-            large.add((i % 3) as f64);
-        }
-        assert!(large.std_error().unwrap() < small.std_error().unwrap());
     }
 }

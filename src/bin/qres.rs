@@ -265,7 +265,7 @@ fn load_sweep(path: &str, loads: &[f64]) -> Result<Scenario, Failure> {
     Ok(base)
 }
 
-/// Finishes the run's telemetry and writes [`OBS_JSON_PATH`]
+/// Writes the run's telemetry to [`OBS_JSON_PATH`]
 /// ([`qres::obs::write_obs_json`]); unless `quiet`, names it.
 fn obs_finish(quiet: bool) -> Result<(), Failure> {
     qres::obs::write_obs_json(Path::new(OBS_JSON_PATH))

@@ -6,6 +6,7 @@ use qres::sim::{
     SchemeKind, TimeVaryingConfig,
 };
 use qres_json::Value;
+use std::collections::BTreeMap;
 
 /// Runs `f` on a new thread, so on fresh telemetry, and returns its
 /// result; a panic in `f` is re-raised with its payload.
@@ -265,8 +266,8 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// The Eq.-4 calibration store's output is pinned: a fixed-seed AC3 ring
-/// and a route-aware run with turns, at `Info` level and swept at the
-/// final sim-time, score exactly these counters and serialize to exactly
+/// and a route-aware run with turns, at `Info` level and settled when the
+/// run ended, score exactly these counters and serialize to exactly
 /// this `calib_json()`. Neither the paper metrics nor the benchmark
 /// goldens see the calibration tracker, so a store that mis-scores (or
 /// drops) forecasts would fail here and nowhere else.
@@ -298,7 +299,6 @@ fn calibration_output_is_pinned() {
             qres::obs::set_level(qres::obs::Level::Info);
             let _ = run_scenario(s);
             qres::obs::set_level(qres::obs::Level::Off);
-            qres::obs::sweep_expired(qres::obs::sim_time());
             let c = qres::obs::calib_summary();
             let got = [c.predictions, c.zero_forecasts, c.pending, c.scored, c.hits];
             (got, qres::obs::calib_json().to_compact_string())
@@ -335,7 +335,6 @@ fn telemetry_snapshot_is_pinned() {
             qres::obs::set_level(qres::obs::Level::Info);
             let _ = run_scenario(s);
             qres::obs::set_level(qres::obs::Level::Off);
-            qres::obs::sweep_expired(qres::obs::sim_time());
             snapshot_but_histograms()
         });
         assert_eq!(
@@ -393,7 +392,7 @@ fn concurrent_telemetry_runs_match_solo_runs() {
 /// A telemetry-on sweep writes the sequential sweep's document on any
 /// number of cores: every section but the wall-clock `histograms`
 /// (counters, gauges, QoS windows, calibration, flight tape and captures)
-/// is equal, finalized at the last sim-time as `write_obs_json` does.
+/// is equal.
 #[test]
 fn telemetry_on_sweep_writes_the_sequential_document() {
     let base = Scenario::paper_baseline()
@@ -404,7 +403,6 @@ fn telemetry_on_sweep_writes_the_sequential_document() {
         on_fresh_thread(|| {
             qres::obs::set_level(qres::obs::Level::Info);
             assert_eq!(sweep(&base, &[100.0, 200.0, 300.0]).len(), 3);
-            qres::obs::sweep_expired(qres::obs::sim_time());
             snapshot_but_histograms()
         })
     };
@@ -412,4 +410,114 @@ fn telemetry_on_sweep_writes_the_sequential_document() {
         document(sweep_offered_load),
         document(sweep_offered_load_sequential)
     );
+}
+
+/// The counts and the float sums of a `calib_json()` document, by name.
+#[derive(Default)]
+struct CalibTotals {
+    counts: BTreeMap<String, u64>,
+    sums: BTreeMap<String, f64>,
+}
+
+impl CalibTotals {
+    /// `predictions`, `zero_forecasts`, `pending` and `hits`, then per
+    /// diagram (`global`, then each `per_prev` key) the scored count and
+    /// every bin's `n` and hits, and the Brier sum and every bin's `sum_p`
+    /// (read back as `brier · n` and `mean_p · n`).
+    fn of(calib: &Value) -> Self {
+        let uint = |v: &Value, key: &str| match v.get(key) {
+            Some(Value::UInt(n)) => *n,
+            other => panic!("{key}: {other:?}"),
+        };
+        // A mean over nothing is null: its sum is 0.
+        let float = |v: &Value, key: &str| match v.get(key) {
+            Some(Value::Float(x)) => *x,
+            _ => 0.0,
+        };
+        let mut t = CalibTotals::default();
+        for key in ["predictions", "zero_forecasts", "pending", "hits"] {
+            t.counts.insert(key.into(), uint(calib, key));
+        }
+        let Some(Value::Object(per_prev)) = calib.get("per_prev") else {
+            panic!("no per_prev diagrams");
+        };
+        let global = ("global".to_string(), calib.get("global").unwrap().clone());
+        for (key, diagram) in std::iter::once(global).chain(per_prev.iter().cloned()) {
+            let n = uint(&diagram, "n");
+            t.counts.insert(format!("{key}.n"), n);
+            let brier_sum = float(&diagram, "brier") * n as f64;
+            t.sums.insert(format!("{key}.brier_sum"), brier_sum);
+            let Some(Value::Array(bins)) = diagram.get("bins") else {
+                panic!("{key}: no bins");
+            };
+            for (b, bin) in bins.iter().enumerate() {
+                let n = uint(bin, "n");
+                let hits = (float(bin, "hit_rate") * n as f64).round() as u64;
+                t.counts.insert(format!("{key}.bins[{b}].n"), n);
+                t.counts.insert(format!("{key}.bins[{b}].hits"), hits);
+                let sum_p = float(bin, "mean_p") * n as f64;
+                t.sums.insert(format!("{key}.bins[{b}].sum_p"), sum_p);
+            }
+        }
+        t
+    }
+
+    fn add(&mut self, other: CalibTotals) {
+        for (key, n) in other.counts {
+            *self.counts.entry(key).or_default() += n;
+        }
+        for (key, x) in other.sums {
+            *self.sums.entry(key).or_default() += x;
+        }
+    }
+}
+
+/// Runs in sequence on one thread score as each does alone: a
+/// telemetry-on sweep, whose points restart connection ids and the clock,
+/// leaves in `qos.calib` exactly the sums of its points' counts run alone
+/// on fresh threads, and sums that agree to 1e-12 relative (they add in
+/// another order). Each run settles its forecasts when it ends, so no
+/// point scores another's.
+#[test]
+fn runs_in_sequence_score_as_they_do_alone() {
+    let base = Scenario::paper_baseline()
+        .scheme(SchemeKind::Ac3)
+        .duration_secs(300.0)
+        .seed(8);
+    let loads = [100.0, 200.0, 300.0];
+    let calib_after = |run: &(dyn Fn() + Sync)| {
+        on_fresh_thread(|| {
+            qres::obs::set_level(qres::obs::Level::Info);
+            run();
+            CalibTotals::of(&qres::obs::calib_json())
+        })
+    };
+    let swept = calib_after(&|| {
+        assert_eq!(sweep_offered_load(&base, &loads).len(), loads.len());
+    });
+    let mut alone = CalibTotals::default();
+    for load in loads {
+        let point = base
+            .clone()
+            .offered_load(load)
+            .seed(base.seed + (load * 1_000.0) as u64);
+        alone.add(calib_after(&|| {
+            let _ = run_scenario(&point);
+        }));
+    }
+    assert_eq!(swept.counts.len(), alone.counts.len());
+    for (key, got) in swept.counts {
+        assert_eq!(
+            got, alone.counts[&key],
+            "{key}: swept, and the points alone"
+        );
+    }
+    assert_eq!(swept.sums.len(), alone.sums.len());
+    for (key, got) in swept.sums {
+        let want = alone.sums[&key];
+        assert!(
+            (got - want).abs() <= 1e-12 * want.abs(),
+            "{key}: swept {got}, points alone {want}"
+        );
+    }
 }
